@@ -4,9 +4,7 @@ A :class:`BackgroundMetric` describes the space an embedded worldvolume
 lives in: a metric component function plus, optionally, closed-form
 connection and curvature functions.  When closed forms are missing they are
 extracted from the metric function itself by reseeding the coordinates as
-truncated Taylor jets, so coordinate derivatives of the metric are exact;
-an alternative central-difference mode exists for spot checks of point
-values.
+truncated Taylor jets, so coordinate derivatives of the metric are exact.
 
 All tensor-returning methods accept coordinates that are plain numbers,
 arrays, or jets (the geometry pipeline passes worldvolume-parameter jets),
@@ -16,13 +14,13 @@ they receive; closures over pre-built jets are not supported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import jets
-from .errors import ParameterError, PreconditionError, UnsupportedConfigurationError
+from .errors import ParameterError, PreconditionError
 from .jets import (
     Jet,
     jet_einsum,
@@ -116,10 +114,9 @@ class BackgroundMetric:
 
     metric_fn(*coords) returns a dim x dim nested sequence of components;
     christoffel_fn returns [rho][mu][nu] (upper first index); riemann_fn
-    returns the all-lower R_{a b m n}.  ``lorentzian`` marks a (-,+,...,+)
-    signature, ``flat`` short-circuits connection and curvature to zero.
-    ``mode`` selects how missing closed forms are produced: "jet" (exact,
-    default) or "fd" (central differences, point evaluation only).
+    returns the all-lower R_{a b m n}.  ``flat`` short-circuits connection
+    and curvature to zero.  Missing closed forms are extracted exactly from
+    jet derivatives of ``metric_fn``.
     """
 
     name: str
@@ -127,24 +124,16 @@ class BackgroundMetric:
     metric_fn: Callable
     christoffel_fn: Optional[Callable] = None
     riemann_fn: Optional[Callable] = None
-    lorentzian: bool = False
     flat: bool = False
-    mode: str = "jet"
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError("background dimension must be positive")
-        if self.mode not in ("jet", "fd"):
-            raise ParameterError("mode must be 'jet' or 'fd'")
 
     # -- tensor-jet interface (used by the geometry pipeline) ------------
     def metric_tensor(self, coords):
         coords, template = _normalize_coords(coords)
         return assemble_tensor(self.metric_fn(*coords), template)
-
-    def inverse_metric_tensor(self, coords):
-        return jet_matinv(self.metric_tensor(coords))
 
     def christoffel_tensor(self, coords):
         """Connection G^r_{m n}(x) with axes (r, m, n)."""
@@ -153,11 +142,6 @@ class BackgroundMetric:
             return _zeros_jet((self.dim,) * 3, template)
         if self.christoffel_fn is not None:
             return assemble_tensor(self.christoffel_fn(*coords), template)
-        if self.mode != "jet":
-            raise UnsupportedConfigurationError(
-                "fd-mode backgrounds only support point evaluation; "
-                "use christoffel_at"
-            )
         g, dg, _ = self._metric_derivs(coords, template, nderiv=1)
         return christoffel_from_metric(g, dg)
 
@@ -168,11 +152,6 @@ class BackgroundMetric:
             return _zeros_jet((self.dim,) * 4, template)
         if self.riemann_fn is not None:
             return assemble_tensor(self.riemann_fn(*coords), template)
-        if self.mode != "jet":
-            raise UnsupportedConfigurationError(
-                "fd-mode backgrounds only support point evaluation; "
-                "use riemann_at"
-            )
         g, dg, ddg = self._metric_derivs(coords, template, nderiv=2)
         return riemann_from_metric(g, dg, ddg)
 
@@ -221,56 +200,12 @@ class BackgroundMetric:
                           float)
 
     def christoffel_at(self, point):
-        point = np.asarray(point, float)
-        if self.flat:
-            return np.zeros((self.dim,) * 3)
-        if self.christoffel_fn is not None or self.mode == "jet":
-            return np.asarray(self.christoffel_tensor(list(point)).value, float)
-        g = self.metric_at(point)
-        ginv = np.linalg.inv(g)
-        dg = self._fd_metric_grad(point)
-        low = 0.5 * (
-            np.einsum("mrn->rmn", dg)
-            + np.einsum("nrm->rmn", dg)
-            - np.einsum("rmn->rmn", dg)
-        )
-        return np.einsum("rl,lmn->rmn", ginv, low)
+        coords = list(np.asarray(point, float))
+        return np.asarray(self.christoffel_tensor(coords).value, float)
 
     def riemann_at(self, point):
-        point = np.asarray(point, float)
-        if self.flat:
-            return np.zeros((self.dim,) * 4)
-        if self.riemann_fn is not None or self.mode == "jet":
-            return np.asarray(self.riemann_tensor(list(point)).value, float)
-        dG = self._fd_christoffel_grad(point)
-        G = self.christoffel_at(point)
-        upper = (
-            np.einsum("mrns->rsmn", dG)
-            - np.einsum("nrms->rsmn", dG)
-            + np.einsum("rml,lns->rsmn", G, G)
-            - np.einsum("rnl,lms->rsmn", G, G)
-        )
-        return np.einsum("rk,ksmn->rsmn", self.metric_at(point), upper)
-
-    def _fd_metric_grad(self, point):
-        out = np.zeros((self.dim,) * 3)
-        for a in range(self.dim):
-            h = self.fd_step * (1.0 + abs(point[a]))
-            pp, pm = point.copy(), point.copy()
-            pp[a] += h
-            pm[a] -= h
-            out[a] = (self.metric_at(pp) - self.metric_at(pm)) / (2 * h)
-        return out
-
-    def _fd_christoffel_grad(self, point):
-        out = np.zeros((self.dim,) * 4)
-        for a in range(self.dim):
-            h = self.fd_step * (1.0 + abs(point[a]))
-            pp, pm = point.copy(), point.copy()
-            pp[a] += h
-            pm[a] -= h
-            out[a] = (self.christoffel_at(pp) - self.christoffel_at(pm)) / (2 * h)
-        return out
+        coords = list(np.asarray(point, float))
+        return np.asarray(self.riemann_tensor(coords).value, float)
 
 
 # -- metric -> connection -> curvature (shared with intrinsic geometry) ---
@@ -332,7 +267,7 @@ def minkowski(dim: int) -> BackgroundMetric:
 
     return BackgroundMetric(
         name=f"minkowski{dim}", dim=dim, metric_fn=metric_fn,
-        lorentzian=True, flat=True,
+        flat=True,
     )
 
 
@@ -344,7 +279,7 @@ def euclidean(dim: int) -> BackgroundMetric:
 
     return BackgroundMetric(
         name=f"euclidean{dim}", dim=dim, metric_fn=metric_fn,
-        lorentzian=False, flat=True,
+        flat=True,
     )
 
 
@@ -410,8 +345,6 @@ def round_sphere_background(dim: int, radius: float = 1.0) -> BackgroundMetric:
         metric_fn=metric_fn,
         christoffel_fn=christoffel_fn,
         riemann_fn=riemann_fn,
-        lorentzian=False,
-        flat=False,
     )
 
 
@@ -442,6 +375,4 @@ def product_spheres_background(r1: float = 1.0, r2: float = 1.0) -> BackgroundMe
         name=f"s2xs2(r1={r1},r2={r2})",
         dim=4,
         metric_fn=metric_fn,
-        lorentzian=False,
-        flat=False,
     )

@@ -674,12 +674,12 @@ def resolve_config(args) -> ScenarioConfig:
         cfg.eps = _parse_floats(args.eps)
     elif "eps" in raw:
         cfg.eps = _parse_floats(raw["eps"])
-    if len(cfg.eps) < 3:
-        raise ConfigError("the eps schedule needs at least three entries")
     if args.tol is not None:
         cfg.tol = args.tol
     elif "tol" in raw:
         cfg.tol = _as_float("tol", raw["tol"])
+    if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise ConfigError(f"tol must be a finite number >= 0, got {cfg.tol!r}")
     if "seed" in raw:
         cfg.seed = _as_int("seed", raw["seed"])
     if "slices" in raw:
@@ -687,6 +687,7 @@ def resolve_config(args) -> ScenarioConfig:
     if "trials" in raw:
         cfg.trials = _as_int("trials", raw["trials"])
     try:
+        dfm.validate_eps_schedule(cfg.eps)
         cfg.build_embedding()
         cfg.build_model()
     except (TypeError, BranelabError) as ex:

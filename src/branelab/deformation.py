@@ -43,7 +43,6 @@ __all__ = [
     "deformation_vector",
     "decompose_vector",
     "deformed_geometry",
-    "bump",
     "delta_induced_metric",
     "delta_inverse_metric",
     "delta_sqrt_det",
@@ -54,6 +53,7 @@ __all__ = [
     "scalar_invariant",
     "predicted_delta_scalar",
     "OracleResult",
+    "validate_eps_schedule",
     "finite_difference_delta",
 ]
 
@@ -94,26 +94,11 @@ def deformed_geometry(geom: Geometry, V, eps: float) -> Geometry:
     return Geometry(geom.background, geom.X + eps * V)
 
 
-def bump(u):
-    """Smooth compactly supported profile of one scalar jet.
-
-    Equals exp(1 - 1/(1 - u^2)) for |u| < 1 and 0 outside; the evaluation is
-    masked at |u| >= 0.99 where the true value is below 5e-22, so the cutoff
-    is invisible at double precision while keeping the pole off the grid.
-    """
-    mask = (np.abs(np.asarray(u.value, float)) < 0.99).astype(float)
-    um = u * mask
-    core = (1.0 - 1.0 / (1.0 - um * um)).exp()
-    return core * mask
-
-
 def poly_window(u, power: int = 10):
     """Polynomial window (1 - u^2)^power on [-1, 1].
 
     Vanishes at u = +-1 together with its first power-1 derivatives, so
-    midpoint quadrature of windowed integrands converges at high order;
-    `bump` has exactly compact support but its steep shoulders dominate the
-    quadrature error on coarse grids.
+    midpoint quadrature of windowed integrands converges at high order.
     """
     if power < 3:
         raise ParameterError("window power below 3 leaks boundary flux")
@@ -297,19 +282,34 @@ class OracleResult:
     eps: tuple
 
     def convergence_ratio(self, floor: float = 1e-12):
-        """(D1-D2)/(D2-D3); ~4 for clean quadratic convergence."""
-        d1, d2, d3 = [np.asarray(d, float) for d in self.diffs]
+        """(D1-D2)/(D2-D3) of the last three steps; ~4 for clean quadratic
+        convergence."""
+        d1, d2, d3 = [np.asarray(d, float) for d in self.diffs[-3:]]
         num, den = d1 - d2, d2 - d3
         ratio = np.where(np.abs(den) > floor, num / np.where(den == 0, 1, den),
                          np.nan)
         return ratio
 
 
+def validate_eps_schedule(eps_list):
+    """Raise ParameterError unless eps_list holds at least three positive
+    finite steps, each half the one before (to 1e-12 relative), as the
+    ratio-2 Richardson step of `finite_difference_delta` assumes."""
+    eps = np.asarray(eps_list, float)
+    if eps.size < 3 or not np.all(np.isfinite(eps) & (eps > 0)):
+        raise ParameterError(
+            "the eps schedule needs at least three positive finite steps")
+    if np.any(np.abs(eps[1:] - 0.5 * eps[:-1]) > 1e-12 * 0.5 * eps[:-1]):
+        raise ParameterError("each eps step must be half the one before")
+
+
 def finite_difference_delta(geom: Geometry, V, extract, eps_list=EPS_SCHEDULE):
     """Oracle derivative of ``extract(geometry)`` along the deformation V.
 
-    ``extract`` maps a Geometry to an ndarray; eps_list must halve.
+    ``extract`` maps a Geometry to an ndarray; eps_list must halve (see
+    `validate_eps_schedule`).
     """
+    validate_eps_schedule(eps_list)
     diffs = []
     for eps in eps_list:
         sp = np.asarray(extract(deformed_geometry(geom, V, +eps)), float)

@@ -15,9 +15,9 @@ or compactly supported integrands converge superalgebraically.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -64,7 +64,6 @@ __all__ = [
     "perturbed_sphere",
     "s3_curve",
     "s2_latitude",
-    "catalog",
 ]
 
 _RESIDUAL_FLOOR = 1e-10
@@ -362,13 +361,26 @@ class Geometry:
         return jet_concat([self.tangents, self.normals])
 
     @cached_property
+    def _christoffel_tangents(self):
+        """G^m_{rs} e_a^r with axes (m, a, s)."""
+        return jet_einsum("mrs...,ar...->mas...", self.ambient_christoffel,
+                          self.tangents)
+
+    def ambient_covariant(self, W):
+        """Pulled-back covariant derivative D_a W = d_a W + G^m_{rs} e_a^r W^s.
+
+        ``W`` carries the ambient index on its last tensor axis, after any
+        others: (k..., mu) -> (a, k..., mu).
+        """
+        k = "bcd"[:np.ndim(W.value) - len(self.grid_shape) - 1]
+        corr = jet_einsum(f"mas...,{k}s...->a{k}m...",
+                          self._christoffel_tangents, W)
+        return jet_partial_stack(W) + corr
+
+    @cached_property
     def second_fundamental(self):
         """Ambient-covariant second derivative of the map: (a, b, mu)."""
-        ddX = jet_partial_stack(jet_partial_stack(self.X))
-        e = self.tangents
-        t = jet_einsum("mrs...,ar...->mas...", self.ambient_christoffel, e)
-        corr = jet_einsum("mas...,bs...->abm...", t, e)
-        return ddX + corr
+        return self.ambient_covariant(self.tangents)
 
     @cached_property
     def extrinsic_curvature(self):
@@ -384,11 +396,7 @@ class Geometry:
     @cached_property
     def twist(self):
         """Normal-bundle connection w[a, i, j] = <n^i, D_a n^j>."""
-        dn = jet_partial_stack(self.normals)         # (a, j, mu)
-        t = jet_einsum("mrs...,ar...->mas...", self.ambient_christoffel,
-                       self.tangents)
-        corr = jet_einsum("mas...,js...->ajm...", t, self.normals)
-        Dn = dn + corr
+        Dn = self.ambient_covariant(self.normals)    # (a, j, mu)
         gn = jet_einsum("mn...,in...->im...", self.ambient_metric, self.normals)
         return jet_einsum("ajm...,im...->aij...", Dn, gn)
 
@@ -423,14 +431,6 @@ class Geometry:
         R = jet_einsum("Abmn...,Bb...->ABmn...", R, F)
         R = jet_einsum("ABmn...,Cm...->ABCn...", R, F)
         return jet_einsum("ABCn...,En...->ABCE...", R, F)
-
-    def rpair(self, A, B, C, E):
-        """Curvature pairing rpair(F_A, F_B; F_C, F_E) = R(v=F_B, u=F_A, w, z).
-
-        Frame labels: 0..dim-1 tangents, dim..ambient_dim-1 normals.
-        Equals rframe[B, A, C, E] per the package conventions.
-        """
-        return self.rframe[B, A, C, E]
 
     def covariant_grad(self, fld, n_wv, n_nor):
         """Worldvolume-covariant derivative, new lower index first.
@@ -755,22 +755,3 @@ def surface_s2xs2(r1: float = 1.0, r2: float = 1.3) -> Embedding:
         ),
     )
 
-
-def catalog():
-    """Name -> zero-argument constructor for the built-in embeddings."""
-    return {
-        "plane": plane,
-        "sphere": sphere_polar,
-        "ellipsoid": ellipsoid,
-        "cylinder": cylinder,
-        "torus": torus_e3,
-        "flat-torus": flat_torus_e4,
-        "bumpy-torus": bumpy_torus_e4,
-        "graph-surface": graph_surface_e4,
-        "static-string": static_string,
-        "traveling-wave": traveling_wave,
-        "perturbed-sphere": perturbed_sphere,
-        "s3-curve": s3_curve,
-        "s2-latitude": s2_latitude,
-        "s2xs2-patch": surface_s2xs2,
-    }

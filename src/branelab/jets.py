@@ -27,8 +27,6 @@ import numpy as np
 
 __all__ = [
     "Jet",
-    "constant",
-    "variable",
     "variables",
     "sin",
     "cos",
@@ -90,26 +88,6 @@ def _tables(nvars: int, order: int):
 
 def _is_jet(x) -> bool:
     return isinstance(x, Jet)
-
-
-def _sqrt(x):
-    return x.sqrt() if _is_jet(x) else np.sqrt(x)
-
-
-def _sin(x):
-    return x.sin() if _is_jet(x) else np.sin(x)
-
-
-def _cos(x):
-    return x.cos() if _is_jet(x) else np.cos(x)
-
-
-def _exp(x):
-    return x.exp() if _is_jet(x) else np.exp(x)
-
-
-def _log(x):
-    return x.log() if _is_jet(x) else np.log(x)
 
 
 class Jet:
@@ -270,42 +248,40 @@ class Jet:
 
     def sqrt(self):
         x0 = self.c[0]
-        derivs, coef = [_sqrt(x0)], 0.5
+        derivs, coef = [sqrt(x0)], 0.5
         for k in range(1, self.order + 1):
             derivs.append(coef * x0 ** (0.5 - k))
             coef *= 0.5 - k
         return self._compose(derivs)
 
     def exp(self):
-        e0 = _exp(self.c[0])
+        e0 = exp(self.c[0])
         return self._compose([e0] * (self.order + 1))
 
     def log(self):
         x0 = self.c[0]
-        derivs = [_log(x0)]
+        derivs = [log(x0)]
         for k in range(1, self.order + 1):
             derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / x0**k)
         return self._compose(derivs)
 
     def sin(self):
-        s0, c0 = _sin(self.c[0]), _cos(self.c[0])
+        s0, c0 = sin(self.c[0]), cos(self.c[0])
         cycle = (s0, c0, -s0, -c0)
         return self._compose([cycle[k % 4] for k in range(self.order + 1)])
 
     def cos(self):
-        s0, c0 = _sin(self.c[0]), _cos(self.c[0])
+        s0, c0 = sin(self.c[0]), cos(self.c[0])
         cycle = (c0, -s0, -c0, s0)
         return self._compose([cycle[k % 4] for k in range(self.order + 1)])
 
     def sinh(self):
-        s0 = np.sinh(self.c[0]) if not _is_jet(self.c[0]) else self.c[0].sinh()
-        c0 = np.cosh(self.c[0]) if not _is_jet(self.c[0]) else self.c[0].cosh()
+        s0, c0 = sinh(self.c[0]), cosh(self.c[0])
         pair = (s0, c0)
         return self._compose([pair[k % 2] for k in range(self.order + 1)])
 
     def cosh(self):
-        s0 = np.sinh(self.c[0]) if not _is_jet(self.c[0]) else self.c[0].sinh()
-        c0 = np.cosh(self.c[0]) if not _is_jet(self.c[0]) else self.c[0].cosh()
+        s0, c0 = sinh(self.c[0]), cosh(self.c[0])
         pair = (c0, s0)
         return self._compose([pair[k % 2] for k in range(self.order + 1)])
 
@@ -341,14 +317,6 @@ def _one_like(v):
 
 
 # -- module-level functional forms (safe on floats, arrays and jets) ----
-
-def constant(value, nvars, order):
-    return Jet.constant(value, nvars, order)
-
-
-def variable(i, value, nvars, order):
-    return Jet.variable(i, value, nvars, order)
-
 
 def variables(values, order):
     """Seed one jet variable per entry of ``values``."""

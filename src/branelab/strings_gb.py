@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .jets import jet_einsum, jet_partial_stack
+from .jets import cos, cosh, jet_einsum, sin, sinh
 from .models import _resolve_geometry
 from .symplectic import (
     CanonicalPair,
@@ -100,20 +100,6 @@ def _resolve_gauge(theta, geom: Geometry):
     return theta
 
 
-def _ambient_grad_vec(geom: Geometry, W):
-    """Pulled-back covariant derivative of an ambient vector field: (a, mu)."""
-    dW = jet_partial_stack(W)
-    t = jet_einsum("mrs...,ar...->mas...", geom.ambient_christoffel,
-                   geom.tangents)
-    corr = jet_einsum("mas...,s...->am...", t, W)
-    return dW + corr
-
-
-def _dot(geom: Geometry, U, W):
-    gU = jet_einsum("mn...,n...->m...", geom.ambient_metric, U)
-    return jet_einsum("m...,m...->...", gU, W)
-
-
 @dataclass
 class TangentFramePair:
     """Orthonormal tangent frame (iota0, iota1) and its area bivector."""
@@ -151,7 +137,7 @@ def tangent_frame(target, theta=None, grid: Grid | None = None,
     sig = _sheet_signature(geom)
     e0 = geom.tangents.map_coeffs(lambda x: x[0])
     e1 = geom.tangents.map_coeffs(lambda x: x[1])
-    n00 = _dot(geom, e0, e0)
+    n00 = geom._dot(e0, e0)
     if sig < 0:
         if np.any(np.asarray(n00.value, float) >= 0.0):
             raise DegenerateGeometryError(
@@ -159,39 +145,23 @@ def tangent_frame(target, theta=None, grid: Grid | None = None,
             )
         i0 = jet_einsum("...,m...->m...", 1.0 / (-1.0 * n00).sqrt(), e0)
         # g(i0, i0) = -1, so subtracting the projection adds +g(e1,i0) i0
-        w = e1 + jet_einsum("...,m...->m...", _dot(geom, e1, i0), i0)
+        w = e1 + jet_einsum("...,m...->m...", geom._dot(e1, i0), i0)
     else:
         i0 = jet_einsum("...,m...->m...", 1.0 / n00.sqrt(), e0)
-        w = e1 - jet_einsum("...,m...->m...", _dot(geom, e1, i0), i0)
-    n11 = _dot(geom, w, w)
+        w = e1 - jet_einsum("...,m...->m...", geom._dot(e1, i0), i0)
+    n11 = geom._dot(w, w)
     if np.any(np.asarray(n11.value, float) <= 0.0):
         raise DegenerateGeometryError("frame complement is not spacelike")
     i1 = jet_einsum("...,m...->m...", 1.0 / n11.sqrt(), w)
     th = _resolve_gauge(theta, geom)
     if th is not None:
         if sig < 0:
-            ch, sh = _cosh(th), _sinh(th)
+            ch, sh = cosh(th), sinh(th)
             i0, i1 = ch * i0 + sh * i1, sh * i0 + ch * i1
         else:
-            c, s = _cos(th), _sin(th)
+            c, s = cos(th), sin(th)
             i0, i1 = c * i0 + s * i1, c * i1 - s * i0
     return TangentFramePair(iota0=i0, iota1=i1, signature=sig)
-
-
-def _cosh(x):
-    return np.cosh(x) if np.isscalar(x) else x.cosh()
-
-
-def _sinh(x):
-    return np.sinh(x) if np.isscalar(x) else x.sinh()
-
-
-def _cos(x):
-    return np.cos(x) if np.isscalar(x) else x.cos()
-
-
-def _sin(x):
-    return np.sin(x) if np.isscalar(x) else x.sin()
 
 
 @dataclass
@@ -217,7 +187,7 @@ def rotation_connection(target, theta=None, grid: Grid | None = None,
     """rho_a = -g(iota1, D_a iota0) for the gauge-rotated frame."""
     geom = _resolve_geometry(target, grid, order or 3)
     frame = tangent_frame(geom, theta)
-    Di0 = _ambient_grad_vec(geom, frame.iota0)
+    Di0 = geom.ambient_covariant(frame.iota0)
     gi1 = jet_einsum("mn...,n...->m...", geom.ambient_metric, frame.iota1)
     rho = -1.0 * jet_einsum("am...,m...->a...", Di0, gi1)
     return RotationConnection(jet=rho, values=np.asarray(rho.value, float))
@@ -370,11 +340,15 @@ def dnggb_canonical(embedding: Embedding, slc: CauchySlice, sigma0: float,
             "sigma0 = 0 leaves the position variable undefined"
         )
     geom, _grid, _k = _slice_geometry(embedding, slc, 3)
-    phat = dng_momentum_density(geom, sigma0)
-    X = np.asarray(geom.X.value, float)
-    if sigma1 == 0.0:
-        Q = X
-    else:
+    Q, phat = _dnggb_pair(geom, sigma0, sigma1, theta)
+    return CanonicalPair(position=Q, momentum=phat, coupling=float(sigma0))
+
+
+def _dnggb_pair(geom: Geometry, sigma0: float, sigma1: float, theta):
+    """Grid values of (Q, Phat) for `dnggb_canonical`."""
+    phat = np.asarray(dng_momentum_density(geom, sigma0).value, float)
+    Q = np.asarray(geom.X.value, float)
+    if sigma1 != 0.0:
         frame = tangent_frame(geom, theta)
         rho = rotation_connection(geom, theta)
         c0, c1 = frame.sheet_components(geom)
@@ -382,11 +356,9 @@ def dnggb_canonical(embedding: Embedding, slc: CauchySlice, sigma0: float,
         p0 = jet_einsum("a...,a...->...", c0, rho.jet)
         shift = jet_einsum("...,m...->m...", p1, frame.iota0) \
             - jet_einsum("...,m...->m...", p0, frame.iota1)
-        Q = X - (float(sigma1) / float(sigma0)) * np.asarray(shift.value,
+        Q = Q - (float(sigma1) / float(sigma0)) * np.asarray(shift.value,
                                                              float)
-    return CanonicalPair(position=Q,
-                         momentum=np.asarray(phat.value, float),
-                         coupling=float(sigma0))
+    return Q, phat
 
 
 def dnggb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
@@ -407,26 +379,13 @@ def dnggb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     V1 = _resolve_field(vf1, geom)
     V2 = _resolve_field(vf2, geom)
 
-    def pq(g2):
-        phat = np.asarray(dng_momentum_density(g2, sigma0).value, float)
-        X = np.asarray(g2.X.value, float)
-        if sigma1 == 0.0:
-            return np.stack([phat, X])
-        frame = tangent_frame(g2, th)
-        rho = rotation_connection(g2, th)
-        c0, c1 = frame.sheet_components(g2)
-        p1 = jet_einsum("a...,a...->...", c1, rho.jet)
-        p0 = jet_einsum("a...,a...->...", c0, rho.jet)
-        shift = jet_einsum("...,m...->m...", p1, frame.iota0) \
-            - jet_einsum("...,m...->m...", p0, frame.iota1)
-        Q = X - (float(sigma1) / float(sigma0)) * np.asarray(shift.value,
-                                                             float)
-        return np.stack([phat, Q])
+    def qp(g2):
+        return np.stack(_dnggb_pair(g2, sigma0, sigma1, th))
 
-    d1 = dfm.finite_difference_delta(geom, V1, pq, eps_list).estimate
-    d2 = dfm.finite_difference_delta(geom, V2, pq, eps_list).estimate
-    dens = np.einsum("m...,m...->...", d1[1], d2[0]) \
-        - np.einsum("m...,m...->...", d2[1], d1[0])
+    d1 = dfm.finite_difference_delta(geom, V1, qp, eps_list).estimate
+    d2 = dfm.finite_difference_delta(geom, V2, qp, eps_list).estimate
+    dens = np.einsum("m...,m...->...", d1[0], d2[1]) \
+        - np.einsum("m...,m...->...", d2[0], d1[1])
     return float(integrate(dens, grid))
 
 

@@ -16,22 +16,57 @@ def strip_closed_forms(bg):
         name=bg.name + "-raw",
         dim=bg.dim,
         metric_fn=bg.metric_fn,
-        lorentzian=bg.lorentzian,
         flat=False,
-        mode="jet",
     )
+
+
+def fd_christoffel_at(bg, point, step=1e-5):
+    """Central-difference connection from metric_at: an oracle for the jet
+    extraction."""
+    point = np.asarray(point, float)
+    ginv = np.linalg.inv(bg.metric_at(point))
+    dg = _central_grad(lambda p: bg.metric_at(p), point, step)
+    low = 0.5 * (
+        np.einsum("mrn->rmn", dg)
+        + np.einsum("nrm->rmn", dg)
+        - np.einsum("rmn->rmn", dg)
+    )
+    return np.einsum("rl,lmn->rmn", ginv, low)
+
+
+def fd_riemann_at(bg, point, step=1e-5):
+    """All-lower curvature from central differences of fd_christoffel_at."""
+    point = np.asarray(point, float)
+    dG = _central_grad(lambda p: fd_christoffel_at(bg, p, step), point, step)
+    G = fd_christoffel_at(bg, point, step)
+    upper = (
+        np.einsum("mrns->rsmn", dG)
+        - np.einsum("nrms->rsmn", dG)
+        + np.einsum("rml,lns->rsmn", G, G)
+        - np.einsum("rnl,lms->rsmn", G, G)
+    )
+    return np.einsum("rk,ksmn->rsmn", bg.metric_at(point), upper)
+
+
+def _central_grad(fn, point, step):
+    out = []
+    for a in range(point.size):
+        h = step * (1.0 + abs(point[a]))
+        pp, pm = point.copy(), point.copy()
+        pp[a] += h
+        pm[a] -= h
+        out.append((fn(pp) - fn(pm)) / (2 * h))
+    return np.stack(out)
 
 
 def test_flat_backgrounds():
     mink = minkowski(4)
     np.testing.assert_allclose(mink.metric_at([0.3, 1.0, -2.0, 0.7]),
                                np.diag([-1.0, 1, 1, 1]))
-    assert mink.lorentzian
     np.testing.assert_allclose(mink.christoffel_at([0.1, 0.2, 0.3, 0.4]), 0.0)
     np.testing.assert_allclose(mink.riemann_at([0.1, 0.2, 0.3, 0.4]), 0.0)
     eu = euclidean(3)
     np.testing.assert_allclose(eu.metric_at([1.0, 2.0, 3.0]), np.eye(3))
-    assert not eu.lorentzian
 
 
 def test_sphere2_christoffel_closed_form():
@@ -98,13 +133,13 @@ def test_extracted_riemann_symmetries_and_bianchi():
 
 def test_fd_mode_cross_checks_jet_mode():
     bg = round_sphere_background(2, radius=1.0)
-    fd = BackgroundMetric(
-        name="sphere2-fd", dim=2, metric_fn=bg.metric_fn, mode="fd",
-    )
+    raw = strip_closed_forms(bg)
     pt = np.array([0.8, 0.5])
-    np.testing.assert_allclose(fd.christoffel_at(pt), bg.christoffel_at(pt),
-                               atol=1e-7)
-    np.testing.assert_allclose(fd.riemann_at(pt), bg.riemann_at(pt), atol=1e-4)
+    for ref in (raw, bg):  # jet extraction, then closed forms
+        np.testing.assert_allclose(fd_christoffel_at(raw, pt),
+                                   ref.christoffel_at(pt), atol=1e-7)
+        np.testing.assert_allclose(fd_riemann_at(raw, pt), ref.riemann_at(pt),
+                                   atol=1e-4)
 
 
 def test_metric_tensor_accepts_jet_coords():
@@ -133,9 +168,6 @@ def test_validation_errors():
         round_sphere_background(1)
     with pytest.raises(ParameterError):
         round_sphere_background(2, radius=-1.0)
-    with pytest.raises(ParameterError):
-        BackgroundMetric(name="x", dim=2, metric_fn=lambda a, b: [[1, 0], [0, 1]],
-                         mode="weird")
     bg = round_sphere_background(2)
     a = jets.Jet.variable(0, 0.5, nvars=1, order=2)
     b = jets.Jet.variable(0, 0.5, nvars=2, order=2)

@@ -3,6 +3,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from branelab import cli
 
@@ -115,6 +116,27 @@ def test_non_numeric_value_rejected(tmp_path, capsys):
 def test_short_eps_schedule_rejected(capsys):
     assert cli.main(["--scenario", "eom-check", "--eps", "1e-3,5e-4"]) == 2
     capsys.readouterr()
+
+
+def test_non_halving_eps_schedule_rejected(capsys):
+    assert cli.main(["--scenario", "symplectic-conservation",
+                     "--eps", "1e-3,1e-4,1e-5"]) == 2
+    assert "half" in capsys.readouterr().err
+
+
+def test_four_step_eps_schedule_runs(capsys):
+    assert cli.main(["--scenario", "deformation-oracle",
+                     "--eps", "1e-3,5e-4,2.5e-4,1.25e-4"]) == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_tolerance_is_usage_error(tmp_path, capsys, tol):
+    assert cli.main(["--scenario", "mass-shell", "--tol", tol]) == 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\nname = mass-shell\n\n[run]\ntol = {tol}\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "tol" in capsys.readouterr().err
 
 
 def test_scenario_embedding_mismatch_is_usage_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from branelab import deformation as dfm
 from branelab import embeddings as emb
 from branelab import jets
+from branelab.errors import ParameterError
 
 TOL = 1e-6  # max(1e-6, 10 eps^2) at the eps schedule used
 
@@ -169,19 +170,34 @@ def test_decompose_roundtrip():
     np.testing.assert_allclose(np.asarray(rebuilt.value, float), comp, atol=1e-12)
 
 
-def test_bump_profile():
-    x = jets.Jet.variable(0, np.linspace(-1.5, 1.5, 31), nvars=1, order=3)
-    b = dfm.bump(x)
-    vals = np.asarray(b.value, float)
-    xs = np.linspace(-1.5, 1.5, 31)
-    assert np.all(vals[np.abs(xs) >= 0.99] == 0.0)
-    mid = np.argmin(np.abs(xs))
-    assert vals[mid] == pytest.approx(1.0)
-    d1 = np.asarray(b.derivative((1,)), float)
-    assert abs(d1[mid]) < 1e-12
-    # smooth falloff: derivative values tiny near the support edge
-    edge = np.argmin(np.abs(xs - 0.97))
-    assert abs(d1[edge]) < 1e-12
+@pytest.mark.parametrize("eps", [
+    (1e-3, 5e-4),                  # too short
+    (1e-3, 1e-4, 1e-5),            # not halving
+    (1e-3, -5e-4, 2.5e-4),         # not positive
+    (1e-3, float("nan"), 2.5e-4),  # not finite
+])
+def test_eps_schedule_validated(eps):
+    g = emb.graph_surface_e4().geometry([0.25, -0.35], order=3)
+    V = jets.Jet.constant(np.ones(4), 2, 3)
+    with pytest.raises(ParameterError):
+        dfm.finite_difference_delta(g, V, lambda g2: g2.X.value, eps)
+
+
+def test_longer_eps_schedule_uses_last_three_steps():
+    g = emb.graph_surface_e4().geometry([0.25, -0.35], order=3)
+    phi = dfm.normal_field(g, lambda u, v: 0.3 + 0.2 * u,
+                           lambda u, v: -0.2 + 0.1 * v)
+    V = dfm.deformation_vector(g, phi)
+
+    def extract(g2):
+        return np.asarray(dfm.scalar_invariant(g2, "k_dot_k").value, float)
+
+    short = dfm.finite_difference_delta(g, V, extract, (5e-4, 2.5e-4, 1.25e-4))
+    long = dfm.finite_difference_delta(g, V, extract,
+                                       (1e-3, 5e-4, 2.5e-4, 1.25e-4))
+    np.testing.assert_array_equal(long.estimate, short.estimate)
+    np.testing.assert_array_equal(long.convergence_ratio(),
+                                  short.convergence_ratio())
 
 
 def test_static_string_deformation():

@@ -112,6 +112,22 @@ def test_riemannian_surrogate_rotation():
         np.asarray(sgb.tangent_frame(geom).epsilon.value, float), atol=1e-14)
 
 
+@pytest.mark.parametrize("builder", [emb.static_string, emb.sphere_polar])
+def test_array_gauge_angle_matches_scalar(builder):
+    # a boost on the string, a rotation on the sphere
+    E = builder()
+    geom = E.geometry(emb.make_grid(E, (8, 12)).mesh, 3)
+    arr = np.full(geom.grid_shape, 0.6)
+    fr, fr_arr = sgb.tangent_frame(geom, 0.6), sgb.tangent_frame(geom, arr)
+    for leg, leg_arr in ((fr.iota0, fr_arr.iota0), (fr.iota1, fr_arr.iota1)):
+        np.testing.assert_allclose(np.asarray(leg_arr.value, float),
+                                   np.asarray(leg.value, float),
+                                   rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(sgb.rotation_connection(geom, arr).values,
+                               sgb.rotation_connection(geom, 0.6).values,
+                               rtol=1e-15, atol=1e-15)
+
+
 def test_frame_rejects_spacelike_seed():
     sideways = emb.Embedding(
         name="sideways-sheet",
