@@ -328,16 +328,9 @@ def run_action_variation(cfg):
     notes = [("model", model.name),
              ("numeric", repr(float(rep.numeric))),
              ("assembled", repr(float(rep.assembled)))]
-    geom = E.geometry(grid.mesh, model.jet_order)
-    V = _windowed_field(geom)
-    _t, phi = dfm.decompose_vector(geom, V)
-    dens = mdl.eom_residual(model, geom)
-    integrand = np.einsum(
-        "i...,i...->...", dens.raw, np.asarray(phi.value, float))
-    integrand = integrand * np.asarray(geom.sqrt_abs_det.value, float)
     names, cols = _coord_columns(grid)
     return checks, notes, (names + ["variation-density"],
-                           cols + [np.ravel(integrand)])
+                           cols + [np.ravel(rep.integrand)])
 
 
 def run_gauss_bonnet(cfg):
@@ -347,14 +340,11 @@ def run_gauss_bonnet(cfg):
             f"no pinned Euler number for embedding '{cfg.embedding}'"
         )
     n = cfg.grid[0] if cfg.grid else 128
-    chi = sgb.euler_characteristic(E, n)
+    dens, grid = sgb.curvature_density(E, n)
+    chi = float(emb.integrate(dens, grid)) / (4 * np.pi)
     tol = cfg.tol if cfg.tol is not None else 1e-3
     checks = [Check("euler-characteristic", chi,
                     EULER_NUMBERS[cfg.embedding], tol, "topological")]
-    grid = emb.make_grid(E, n)
-    geom = E.geometry(grid.mesh, 3)
-    dens = np.asarray(
-        (geom.sqrt_abs_det * geom.intrinsic_scalar_curvature).value, float)
     names, cols = _coord_columns(grid)
     return checks, [("nodes", n)], (names + ["curvature-density"],
                                     cols + [np.ravel(dens)])
@@ -379,9 +369,10 @@ def run_symplectic_conservation(cfg):
     n = _slice_nodes(cfg, 256)
     slices = cfg.slices or (0.3, 1.1, 2.0)
     tol = cfg.tol if cfg.tol is not None else 1e-6
-    vals = [sym.symplectic_form(model, E, sym.CauchySlice("tau", tv, n),
-                                f1, f2, eps_list=cfg.eps)
-            for tv in slices]
+    currents = [sym.slice_current(model, E, sym.CauchySlice("tau", tv, n),
+                                  f1, f2, cfg.eps)
+                for tv in slices]
+    vals = [float(emb.integrate(J, grid)) for J, grid in currents]
     checks = [Check("slice-independence", max(vals) - min(vals), 0.0, tol,
                     "conserved-current")]
     if cfg.embedding == "static-string" and isinstance(model, mdl.DNG):
@@ -389,12 +380,10 @@ def run_symplectic_conservation(cfg):
                             tol, "separable-wave-closed-form"))
     notes = [("model", model.name), ("slices", ",".join(repr(v)
                                                         for v in slices))]
-    geom, grid, k = sym._slice_geometry(E, sym.CauchySlice(
-        "tau", slices[0], n), model.jet_order + 1)
-    J = sym.symplectic_current(model, geom, f1, f2, cfg.eps)
+    J, grid = currents[0]
     names, cols = _coord_columns(grid)
     return checks, notes, (names + ["current-density"],
-                           cols + [np.ravel(J[k])])
+                           cols + [np.ravel(J)])
 
 
 def run_canonical_darboux(cfg):
@@ -407,8 +396,10 @@ def run_canonical_darboux(cfg):
     slc = sym.CauchySlice("tau", (cfg.slices or (0.9,))[0], n)
     tol = cfg.tol if cfg.tol is not None else 1e-6
     checks = []
-    for label, f1, f2 in WAVE_PAIRS:
-        w = sym.symplectic_form(model, E, slc, f1, f2, eps_list=cfg.eps)
+    currents = [sym.slice_current(model, E, slc, f1, f2, cfg.eps)
+                for _label, f1, f2 in WAVE_PAIRS]
+    for (label, f1, f2), (J, grid) in zip(WAVE_PAIRS, currents):
+        w = float(emb.integrate(J, grid))
         p = sym.dng_canonical_pairing(E, slc, f1, f2, sigma0, cfg.eps)
         checks.append(Check(f"pairing-match-{label}", w - p, 0.0, tol,
                             "position-momentum-pairing"))
@@ -416,12 +407,10 @@ def run_canonical_darboux(cfg):
                                 WAVE_PAIRS[0][1], eps_list=cfg.eps)
     checks.append(Check("tangential-drop-out", w_tan, 0.0, tol,
                         "reparameterization"))
-    geom, grid, k = sym._slice_geometry(E, slc, model.jet_order + 1)
-    J = sym.symplectic_current(model, geom, WAVE_PAIRS[0][1],
-                               WAVE_PAIRS[0][2], cfg.eps)
+    J, grid = currents[0]
     names, cols = _coord_columns(grid)
     return checks, [("sigma0", repr(sigma0))], \
-        (names + ["current-density"], cols + [np.ravel(J[k])])
+        (names + ["current-density"], cols + [np.ravel(J)])
 
 
 def run_gb_gauge_invariance(cfg):
@@ -471,7 +460,7 @@ def run_dnggb_reduction(cfg):
         Check("position-reduces-to-chart", dq, 0.0, tol, "limit-reduction"),
         Check("momentum-reduces", dp, 0.0, tol, "limit-reduction"),
     ]
-    geom, grid, _k = sym._slice_geometry(E, slc, 3)
+    grid, _k = slc.grid(E)
     names, cols = _coord_columns(grid)
     gap = np.max(np.abs(red.position - ref.position), axis=0)
     return checks, [("sigma0", repr(sigma0))], \
@@ -489,7 +478,7 @@ def run_mass_shell(cfg):
     res = sym.mass_shell_check(E, slc, sigma0)
     checks = [Check("mass-shell-residual", float(np.max(np.abs(res))), 0.0,
                     tol, "unit-normalization")]
-    geom, grid, _k = sym._slice_geometry(E, slc, 2)
+    grid, _k = slc.grid(E)
     names, cols = _coord_columns(grid)
     return checks, [("sigma0", repr(sigma0))], \
         (names + ["residual"], cols + [np.ravel(res)])
@@ -595,9 +584,12 @@ def _parse_floats(text):
 
 def _parse_grid(text):
     try:
-        return tuple(int(x) for x in str(text).split(","))
+        grid = tuple(int(x) for x in str(text).split(","))
     except ValueError as ex:
         raise ConfigError(f"expected n or n,m grid, got {text!r}") from ex
+    if min(grid) < 1:
+        raise ConfigError(f"grid entries must be >= 1, got {text!r}")
+    return grid
 
 
 RUN_KEYS = ("grid", "eps", "tol", "seed", "slices", "trials")
@@ -686,12 +678,17 @@ def resolve_config(args) -> ScenarioConfig:
         cfg.slices = _parse_floats(raw["slices"])
     if "trials" in raw:
         cfg.trials = _as_int("trials", raw["trials"])
+    if cfg.trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     try:
         dfm.validate_eps_schedule(cfg.eps)
-        cfg.build_embedding()
+        dim = cfg.build_embedding().dim
         cfg.build_model()
     except (TypeError, BranelabError) as ex:
         raise ConfigError(str(ex)) from ex
+    if len(cfg.grid) > dim:
+        raise ConfigError(f"grid has {len(cfg.grid)} entries for a "
+                          f"{dim}-axis embedding")
     return cfg
 
 

@@ -25,6 +25,8 @@ from itertools import product
 
 import numpy as np
 
+from .errors import PreconditionError
+
 __all__ = [
     "Jet",
     "variables",
@@ -149,7 +151,9 @@ class Jet:
     def partial(self, d):
         """d/dx_d as a jet of one order less."""
         if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 jet")
+            raise PreconditionError(
+                f"cannot differentiate an order-{self.order} jet; the "
+                "geometry needs a higher jet order")
         tab = _tables(self.nvars, self.order)
         n_out = tab[2][self.order - 1]
         out = [0.0] * n_out

@@ -505,7 +505,7 @@ class VariationReport:
     numeric: float
     assembled: float
     gap: float
-    diffs: np.ndarray
+    integrand: np.ndarray     # assembled sqrt|gamma| E_i phi^i per grid point
     eps: tuple
 
     def tolerance(self) -> float:
@@ -531,7 +531,8 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
     _t, phi = dfm.decompose_vector(geom, V)
     E = eom_density(model, geom)
     integrand = geom.sqrt_abs_det * jet_einsum("i...,i...->...", E, phi)
-    assembled = float(integrate(np.asarray(integrand.value, float), grid))
+    integrand = np.asarray(integrand.value, float)
+    assembled = float(integrate(integrand, grid))
 
     # the finite-difference side only needs action values, so it runs on a
     # cheaper low-order geometry over the same nodes; one extra order pays
@@ -549,6 +550,6 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
         numeric=numeric,
         assembled=assembled,
         gap=abs(numeric - assembled),
-        diffs=np.asarray(res.diffs, float),
+        integrand=integrand,
         eps=tuple(res.eps),
     )

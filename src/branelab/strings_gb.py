@@ -48,6 +48,7 @@ from .symplectic import (
     CauchySlice,
     _resolve_field,
     _slice_geometry,
+    _variation_pair,
     dng_momentum_density,
 )
 
@@ -64,12 +65,16 @@ __all__ = [
     "dnggb_potential",
     "dnggb_canonical",
     "dnggb_symplectic_form",
+    "curvature_density",
     "euler_characteristic",
     "two_d_einstein_identity",
 ]
 
 
 def _require_worldsheet(geom: Geometry):
+    if not isinstance(geom, Geometry):
+        raise ParameterError(
+            f"frame structures take a Geometry, not {type(geom).__name__}")
     if geom.dim != 2:
         raise UnsupportedConfigurationError(
             "tangent-frame structures need a two-parameter worldsheet"
@@ -115,24 +120,26 @@ class TangentFramePair:
         flip = jet_einsum("m...,n...->mn...", self.iota1, self.iota0)
         return outer - flip
 
-    def sheet_components(self, geom: Geometry):
-        """Frame legs in the chart basis: iota^a = gamma^{ab} g(e_b, iota)."""
-        out = []
-        for leg in (self.iota0, self.iota1):
-            low = jet_einsum("bm...,m...->b...", geom.tangents,
-                             jet_einsum("mn...,n...->m...",
-                                        geom.ambient_metric, leg))
-            out.append(jet_einsum("ab...,b...->a...",
-                                  geom.inverse_induced_metric, low))
-        return tuple(out)
+    def contract(self, geom: Geometry, w) -> np.ndarray:
+        """Grid values of eps^{mu a} w_a for a chart covector w, with the
+        legs in the chart basis iota^a = gamma^{ab} g(e_b, iota)."""
+        g, e, gi, i0, i1 = (np.asarray(j.value, float) for j in (
+            geom.ambient_metric, geom.tangents, geom.inverse_induced_metric,
+            self.iota0, self.iota1))
+
+        def along(leg):
+            low = np.einsum("bm...,m...->b...", e,
+                            np.einsum("mn...,n...->m...", g, leg))
+            up = np.einsum("ab...,b...->a...", gi, low)
+            return np.einsum("a...,a...->...", up, np.asarray(w, float))
+
+        return i0 * along(i1) - i1 * along(i0)
 
 
-def tangent_frame(target, theta=None, grid: Grid | None = None,
-                  order: int | None = None) -> TangentFramePair:
+def tangent_frame(geom: Geometry, theta=None) -> TangentFramePair:
     """Orthonormalized frame from the first chart direction and its
     complement, then gauge-rotated (boosted, on Lorentzian sheets) by theta.
     """
-    geom = _resolve_geometry(target, grid, order or 3)
     _require_worldsheet(geom)
     sig = _sheet_signature(geom)
     e0 = geom.tangents.map_coeffs(lambda x: x[0])
@@ -166,10 +173,12 @@ def tangent_frame(target, theta=None, grid: Grid | None = None,
 
 @dataclass
 class RotationConnection:
-    """Frame gauge connection rho_a over the grid (chart covector)."""
+    """Frame gauge connection rho_a over the grid (chart covector), with
+    the frame it was built from."""
 
     jet: object
     values: np.ndarray
+    frame: TangentFramePair
 
     def curl(self) -> np.ndarray:
         """Antisymmetrized plain derivative d_0 rho_1 - d_1 rho_0.
@@ -182,26 +191,24 @@ class RotationConnection:
         return np.asarray((r1.partial(0) - r0.partial(1)).value, float)
 
 
-def rotation_connection(target, theta=None, grid: Grid | None = None,
-                        order: int | None = None) -> RotationConnection:
+def rotation_connection(geom: Geometry, theta=None) -> RotationConnection:
     """rho_a = -g(iota1, D_a iota0) for the gauge-rotated frame."""
-    geom = _resolve_geometry(target, grid, order or 3)
     frame = tangent_frame(geom, theta)
     Di0 = geom.ambient_covariant(frame.iota0)
     gi1 = jet_einsum("mn...,n...->m...", geom.ambient_metric, frame.iota1)
     rho = -1.0 * jet_einsum("am...,m...->a...", Di0, gi1)
-    return RotationConnection(jet=rho, values=np.asarray(rho.value, float))
+    return RotationConnection(jet=rho, values=np.asarray(rho.value, float),
+                              frame=frame)
 
 
-def rotation_connection_delta(target, vfield, theta=None,
-                              grid: Grid | None = None,
+def rotation_connection_delta(geom: Geometry, vfield, theta=None,
                               eps_list=dfm.EPS_SCHEDULE) -> np.ndarray:
     """Phase-space variation of rho_a along an embedding deformation.
 
     The gauge angle is resolved once on the base chart and held fixed as
     a function of the parameters while the embedding moves.
     """
-    geom = _resolve_geometry(target, grid, 4)
+    _require_worldsheet(geom)
     th = _resolve_gauge(theta, geom)
     V = _resolve_field(vfield, geom)
 
@@ -211,25 +218,17 @@ def rotation_connection_delta(target, vfield, theta=None,
     return dfm.finite_difference_delta(geom, V, extract, eps_list).estimate
 
 
-def gb_potential(target, theta, drho: np.ndarray, sigma1: float,
-                 grid: Grid | None = None,
-                 order: int | None = None) -> np.ndarray:
+def gb_potential(geom: Geometry, theta, drho: np.ndarray,
+                 sigma1: float) -> np.ndarray:
     """Flux vector sigma1 sqrt(-gamma) eps^{mu nu} drho_nu.
 
     ``drho`` is the connection response of a phase-space deformation,
     as produced by `rotation_connection_delta`; its chart index is
     contracted through the frame legs.
     """
-    geom = _resolve_geometry(target, grid, order or 3)
     frame = tangent_frame(geom, theta)
-    c0, c1 = frame.sheet_components(geom)
     dens = np.asarray(geom.sqrt_abs_det.value, float)
-    i0 = np.asarray(frame.iota0.value, float)
-    i1 = np.asarray(frame.iota1.value, float)
-    dr = np.asarray(drho, float)
-    p1 = np.einsum("a...,a...->...", np.asarray(c1.value, float), dr)
-    p0 = np.einsum("a...,a...->...", np.asarray(c0.value, float), dr)
-    return float(sigma1) * dens * (i0 * p1 - i1 * p0)
+    return float(sigma1) * dens * frame.contract(geom, drho)
 
 
 def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
@@ -239,8 +238,8 @@ def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
     eps^{mu}{}_{nu} tau_mu = -sigma1 sqrt(-gamma) (iota1)_nu.
     """
     geom, _grid, _k = _slice_geometry(embedding, slc, 3)
-    frame = tangent_frame(geom, theta)
     rho = rotation_connection(geom, theta)
+    frame = rho.frame
     tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, frame.iota0)
     eps_low = jet_einsum("mn...,nl...->ml...", frame.epsilon,
                          geom.ambient_metric)
@@ -268,58 +267,44 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     """
     geom, grid, k = _slice_geometry(embedding, slc, 5)
     th = _resolve_gauge(theta, geom)
-    V1 = _resolve_field(vf1, geom)
-    V2 = _resolve_field(vf2, geom)
     low = jet_einsum("am...,mn...->an...", geom.tangents, geom.ambient_metric)
     dual = jet_einsum("ab...,bn...->an...", geom.inverse_induced_metric, low)
     conormal = np.asarray(dual.value, float)[k]
 
-    def flux_along(V_inner):
-        def values(g2):
-            dr = dfm.finite_difference_delta(
-                g2, V_inner, lambda g3: rotation_connection(g3, th).values,
-                eps_list).estimate
-            return gb_potential(g2, th, dr, sigma1)
-        return values
+    def flux(g2, V_inner):
+        dr = rotation_connection_delta(g2, V_inner, th, eps_list)
+        return gb_potential(g2, th, dr, sigma1)
 
-    d2 = dfm.finite_difference_delta(geom, V2, flux_along(V1), eps_list)
-    d1 = dfm.finite_difference_delta(geom, V1, flux_along(V2), eps_list)
-    J = d2.estimate - d1.estimate
-    dens = np.einsum("m...,m...->...", conormal, J)
+    _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, flux, eps_list)
+    dens = np.einsum("m...,m...->...", conormal, d2 - d1)
     return float(integrate(dens, grid))
 
 
 # -- combined area + curvature system -----------------------------------------
 
-def dnggb_eom_residual(target, grid: Grid | None = None,
-                       order: int | None = None) -> np.ndarray:
+def dnggb_eom_residual(target, grid: Grid | None = None) -> np.ndarray:
     """Ambient mean-curvature vector K^mu = K^i n_i^mu.
 
     The topological term drops out of the bulk field equations, so the
     combined system is extremal exactly where the minimal-area string is.
     """
-    geom = _resolve_geometry(target, grid, order or 2)
+    geom = _resolve_geometry(target, grid, 2)
     _require_worldsheet(geom)
     k = jet_einsum("i...,im...->m...", geom.mean_curvature, geom.normals)
     return np.asarray(k.value, float)
 
 
-def dnggb_potential(target, vfield, sigma0: float, sigma1: float,
-                    theta=None, grid: Grid | None = None,
-                    eps_list=dfm.EPS_SCHEDULE) -> np.ndarray:
+def dnggb_potential(geom: Geometry, vfield, sigma0: float, sigma1: float,
+                    theta=None, eps_list=dfm.EPS_SCHEDULE) -> np.ndarray:
     """Total flux of the combined system on one deformation:
 
         Psi^mu = sqrt(-gamma) [ -sigma0 (tangential projection of V)^mu
                                 + sigma1 eps^{mu nu} drho_nu ].
     """
-    geom = _resolve_geometry(target, grid, 4)
     _require_worldsheet(geom)
     V = _resolve_field(vfield, geom)
-    proj_up = jet_einsum("ab...,bm...->am...", geom.inverse_induced_metric,
-                         geom.tangents)
-    low = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
-    comp = jet_einsum("am...,m...->a...", geom.tangents, low)
-    tangential = jet_einsum("am...,a...->m...", proj_up, comp)
+    t, _phi = dfm.decompose_vector(geom, V)
+    tangential = jet_einsum("am...,a...->m...", geom.tangents, t)
     dens = np.asarray(geom.sqrt_abs_det.value, float)
     dng_part = -float(sigma0) * dens * np.asarray(tangential.value, float)
     drho = rotation_connection_delta(geom, V, theta, eps_list=eps_list)
@@ -349,15 +334,9 @@ def _dnggb_pair(geom: Geometry, sigma0: float, sigma1: float, theta):
     phat = np.asarray(dng_momentum_density(geom, sigma0).value, float)
     Q = np.asarray(geom.X.value, float)
     if sigma1 != 0.0:
-        frame = tangent_frame(geom, theta)
         rho = rotation_connection(geom, theta)
-        c0, c1 = frame.sheet_components(geom)
-        p1 = jet_einsum("a...,a...->...", c1, rho.jet)
-        p0 = jet_einsum("a...,a...->...", c0, rho.jet)
-        shift = jet_einsum("...,m...->m...", p1, frame.iota0) \
-            - jet_einsum("...,m...->m...", p0, frame.iota1)
-        Q = Q - (float(sigma1) / float(sigma0)) * np.asarray(shift.value,
-                                                             float)
+        shift = rho.frame.contract(geom, rho.values)
+        Q = Q - (float(sigma1) / float(sigma0)) * shift
     return Q, phat
 
 
@@ -376,14 +355,11 @@ def dnggb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
         raise ParameterError("sigma0 = 0 leaves the pair undefined")
     geom, grid, _k = _slice_geometry(embedding, slc, 4)
     th = _resolve_gauge(theta, geom)
-    V1 = _resolve_field(vf1, geom)
-    V2 = _resolve_field(vf2, geom)
 
-    def qp(g2):
+    def qp(g2, _V):
         return np.stack(_dnggb_pair(g2, sigma0, sigma1, th))
 
-    d1 = dfm.finite_difference_delta(geom, V1, qp, eps_list).estimate
-    d2 = dfm.finite_difference_delta(geom, V2, qp, eps_list).estimate
+    _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, qp, eps_list)
     dens = np.einsum("m...,m...->...", d1[0], d2[1]) \
         - np.einsum("m...,m...->...", d2[0], d1[1])
     return float(integrate(dens, grid))
@@ -412,8 +388,9 @@ def _require_closed(embedding: Embedding, n_probe: int = 33):
                 )
 
 
-def euler_characteristic(embedding: Embedding, n: int = 128) -> float:
-    """(1/4 pi) integral of sqrt(g) R over a closed Riemannian surface."""
+def curvature_density(embedding: Embedding, n: int = 128):
+    """Gauss-Bonnet integrand sqrt(g) R of a closed Riemannian surface on
+    an n x n grid: (values, grid)."""
     if embedding.dim != 2:
         raise UnsupportedConfigurationError(
             "the Euler characteristic integral needs a two-parameter surface"
@@ -426,7 +403,13 @@ def euler_characteristic(embedding: Embedding, n: int = 128) -> float:
             "Gauss-Bonnet quadrature is for Riemannian surfaces"
         )
     dens = geom.sqrt_abs_det * geom.intrinsic_scalar_curvature
-    return float(integrate(np.asarray(dens.value, float), grid)) / (4 * np.pi)
+    return np.asarray(dens.value, float), grid
+
+
+def euler_characteristic(embedding: Embedding, n: int = 128) -> float:
+    """(1/4 pi) integral of sqrt(g) R over a closed Riemannian surface."""
+    values, grid = curvature_density(embedding, n)
+    return float(integrate(values, grid)) / (4 * np.pi)
 
 
 def two_d_einstein_identity(target, grid: Grid | None = None) -> float:

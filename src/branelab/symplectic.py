@@ -67,6 +67,7 @@ __all__ = [
     "symplectic_potential",
     "variation_identity_residual",
     "symplectic_current",
+    "slice_current",
     "symplectic_form",
     "unit_timelike_tangent",
     "dng_momentum_density",
@@ -212,6 +213,21 @@ def variation_identity_residual(model: LagrangianModel, geom: Geometry,
 
 # -- phase-space structures ---------------------------------------------------
 
+def _variation_pair(geom: Geometry, vf1, vf2, quantity, eps_list):
+    """Vary ``quantity(geometry, other deformation)`` along each deformation.
+
+    Both fields are resolved once on the base geometry; returns
+    (V1, V2, D_{V1} quantity(., V2), D_{V2} quantity(., V1)).
+    """
+    V1 = _resolve_field(vf1, geom)
+    V2 = _resolve_field(vf2, geom)
+    d1 = dfm.finite_difference_delta(geom, V1, lambda g2: quantity(g2, V2),
+                                     eps_list)
+    d2 = dfm.finite_difference_delta(geom, V2, lambda g2: quantity(g2, V1),
+                                     eps_list)
+    return V1, V2, d1.estimate, d2.estimate
+
+
 def symplectic_current(model: LagrangianModel, geom: Geometry, vf1, vf2,
                        eps_list=dfm.EPS_SCHEDULE) -> np.ndarray:
     """Two-deformation current J^a[phi1, phi2] on the geometry's grid.
@@ -219,15 +235,10 @@ def symplectic_current(model: LagrangianModel, geom: Geometry, vf1, vf2,
     Each side is the Richardson finite difference of the potential of one
     fixed deformation while the embedding moves along the other.
     """
-    V1 = _resolve_field(vf1, geom)
-    V2 = _resolve_field(vf2, geom)
-
-    def pot_of(V_fixed):
-        return lambda g2: symplectic_potential(model, g2, V_fixed).values
-
-    d1 = dfm.finite_difference_delta(geom, V1, pot_of(V2), eps_list)
-    d2 = dfm.finite_difference_delta(geom, V2, pot_of(V1), eps_list)
-    return np.asarray(d2.estimate, float) - np.asarray(d1.estimate, float)
+    _V1, _V2, d1, d2 = _variation_pair(
+        geom, vf1, vf2,
+        lambda g2, V: symplectic_potential(model, g2, V).values, eps_list)
+    return d2 - d1
 
 
 @dataclass(frozen=True)
@@ -246,33 +257,41 @@ class CauchySlice:
             f"no axis named {self.coord!r} on {embedding.name}"
         )
 
+    def grid(self, embedding: Embedding):
+        """Quadrature grid along the cross-section and the sliced axis index."""
+        if embedding.dim != 2:
+            raise UnsupportedConfigurationError(
+                "Cauchy-slice integrals are defined for two-axis worldsheets"
+            )
+        k = self.axis_index(embedding)
+        ax = embedding.axes[k]
+        if not ax.periodic and not (ax.lo < self.value < ax.hi):
+            raise DomainError(
+                f"slice {ax.name}={self.value} lies outside ({ax.lo}, {ax.hi})"
+            )
+        return line_grid(embedding, 1 - k, self.n, {ax.name: self.value}), k
+
 
 def _slice_geometry(embedding: Embedding, slc: CauchySlice, order: int):
-    if embedding.dim != 2:
-        raise UnsupportedConfigurationError(
-            "Cauchy-slice integrals are defined for two-axis worldsheets"
-        )
-    k = slc.axis_index(embedding)
-    ax = embedding.axes[k]
-    if not ax.periodic and not (ax.lo < slc.value < ax.hi):
-        raise DomainError(
-            f"slice {ax.name}={slc.value} lies outside ({ax.lo}, {ax.hi})"
-        )
-    along = 1 - k
-    grid = line_grid(embedding, along, slc.n, {ax.name: slc.value})
-    geom = embedding.geometry(grid.mesh, order)
-    return geom, grid, k
+    grid, k = slc.grid(embedding)
+    return embedding.geometry(grid.mesh, order), grid, k
+
+
+def slice_current(model: LagrangianModel, embedding: Embedding,
+                  slc: CauchySlice, vf1, vf2, eps_list=dfm.EPS_SCHEDULE):
+    """Slice component of the current over the cross-section: (values, grid)."""
+    # one order above the assembly need keeps the finite-difference side's
+    # deformation jets full rank
+    geom, grid, k = _slice_geometry(embedding, slc, model.jet_order + 1)
+    return symplectic_current(model, geom, vf1, vf2, eps_list)[k], grid
 
 
 def symplectic_form(model: LagrangianModel, embedding: Embedding,
                     slc: CauchySlice, vf1, vf2,
                     eps_list=dfm.EPS_SCHEDULE) -> float:
     """Quadrature of the current's slice component over the cross-section."""
-    # one order above the assembly need keeps the finite-difference side's
-    # deformation jets full rank
-    geom, grid, k = _slice_geometry(embedding, slc, model.jet_order + 1)
-    J = symplectic_current(model, geom, vf1, vf2, eps_list)
-    return float(integrate(J[k], grid))
+    values, grid = slice_current(model, embedding, slc, vf1, vf2, eps_list)
+    return float(integrate(values, grid))
 
 
 # -- canonical variables of the minimal-area string ---------------------------
@@ -330,18 +349,13 @@ def dng_canonical_pairing(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     the current; equals the symplectic form of the minimal-area model.
     """
     geom, grid, _k = _slice_geometry(embedding, slc, 3)
-    V1 = _resolve_field(vf1, geom)
-    V2 = _resolve_field(vf2, geom)
 
-    def phat_values(g2):
+    def phat_values(g2, _V):
         return np.asarray(dng_momentum_density(g2, sigma0).value, float)
 
-    d1 = dfm.finite_difference_delta(geom, V1, phat_values, eps_list)
-    d2 = dfm.finite_difference_delta(geom, V2, phat_values, eps_list)
-    x1 = np.asarray(V1.value, float)
-    x2 = np.asarray(V2.value, float)
-    dens = np.einsum("m...,m...->...", x1, np.asarray(d2.estimate, float)) \
-        - np.einsum("m...,m...->...", x2, np.asarray(d1.estimate, float))
+    V1, V2, d1, d2 = _variation_pair(geom, vf1, vf2, phat_values, eps_list)
+    dens = np.einsum("m...,m...->...", np.asarray(V1.value, float), d2) \
+        - np.einsum("m...,m...->...", np.asarray(V2.value, float), d1)
     return float(integrate(dens, grid))
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from branelab import cli
+from branelab import embeddings as emb
+from branelab import symplectic as sym
 
 SCENARIO_NAMES = [
     "eom-check",
@@ -215,3 +217,64 @@ def test_seed_changes_oracle_points(tmp_path, capsys):
     cli.main(["--config", str(other), "--dump-fields", str(p2)])
     capsys.readouterr()
     assert p1.read_text() != p2.read_text()
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_nonpositive_trials_is_usage_error(tmp_path, capsys, trials):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = deformation-oracle\n\n"
+                   f"[run]\ntrials = {trials}\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, grid", [
+    ("gauss-bonnet", "0"),
+    ("eom-check", "-4"),
+    ("eom-check", "3,4,5"),
+])
+def test_bad_grid_is_usage_error(tmp_path, capsys, scenario, grid):
+    assert cli.main(["--scenario", scenario, "--grid", grid]) == 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\nname = {scenario}\n\n[run]\ngrid = {grid}\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+def _computed(out, check):
+    for ln in out.splitlines():
+        if ln.startswith(f"check: name={check} "):
+            return float(ln.split("computed=")[1].split()[0])
+    raise AssertionError(f"no check {check} in report")
+
+
+def _note(out, key):
+    for ln in out.splitlines():
+        if ln.startswith(f"note: {key}="):
+            return float(ln.split("=", 1)[1])
+    raise AssertionError(f"no note {key} in report")
+
+
+@pytest.mark.parametrize("argv, weights, reported", [
+    (["--scenario", "gauss-bonnet", "--grid", "32"],
+     lambda: emb.make_grid(emb.sphere_polar(), 32).weight,
+     lambda out: 4 * np.pi * _computed(out, "euler-characteristic")),
+    (["--scenario", "symplectic-conservation", "--grid", "64"],
+     lambda: sym.CauchySlice("tau", 0.3, 64).grid(emb.static_string())[0]
+     .weight,
+     lambda out: _computed(out, "wave-pair-form")),
+    (["--scenario", "action-variation"],
+     lambda: emb.make_grid(emb.torus_e3(), (24, 24)).weight,
+     lambda out: _note(out, "assembled")),
+])
+def test_dumped_density_integrates_to_report(tmp_path, capsys, argv, weights,
+                                             reported):
+    path = tmp_path / "fields.csv"
+    cli.main(argv + ["--dump-fields", str(path)])
+    out = capsys.readouterr().out
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = np.array([float(row[-1]) for row in rows[1:]])
+    total = float(np.sum(col * np.ravel(weights())))
+    want = reported(out)
+    assert abs(total - want) <= 1e-12 * abs(want)

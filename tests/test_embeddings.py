@@ -3,7 +3,12 @@ import pytest
 
 from branelab import embeddings as emb
 from branelab import jets
-from branelab.errors import DegenerateGeometryError, DomainError, ParameterError
+from branelab.errors import (
+    DegenerateGeometryError,
+    DomainError,
+    ParameterError,
+    PreconditionError,
+)
 
 
 def geom_of(e, params, order=3):
@@ -242,3 +247,10 @@ def test_rframe_constant_curvature_form():
     expect = (np.einsum("AC...,BE...->ABCE...", h, h)
               - np.einsum("AE...,BC...->ABCE...", h, h)) / 1.4**2
     np.testing.assert_allclose(R, expect, atol=1e-9)
+
+
+def test_low_order_geometry_names_missing_order():
+    E = emb.sphere_polar(1.0)
+    g = E.geometry(small_grid(E, (6, 8)).mesh, 2)
+    with pytest.raises(PreconditionError, match="order-0 jet.*higher jet order"):
+        g.grad_extrinsic

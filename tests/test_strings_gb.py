@@ -148,6 +148,38 @@ def test_frame_needs_two_axes():
         sgb.tangent_frame(geom)
 
 
+def test_frame_functions_take_a_geometry():
+    E = emb.static_string(1.0)
+    calls = [
+        lambda: sgb.tangent_frame(E),
+        lambda: sgb.rotation_connection(E),
+        lambda: sgb.rotation_connection_delta(E, RADIAL),
+        lambda: sgb.gb_potential(E, None, np.zeros((2, 8, 20)), 0.9),
+        lambda: sgb.dnggb_potential(E, RADIAL, sigma0=1.2, sigma1=0.9),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="Geometry"):
+            call()
+
+
+def test_canonical_pairs_build_one_frame(monkeypatch):
+    built = []
+    original = sgb.tangent_frame
+
+    def counting(geom, theta=None):
+        built.append(geom)
+        return original(geom, theta)
+
+    monkeypatch.setattr(sgb, "tangent_frame", counting)
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 16)
+    sgb.dnggb_canonical(E, slc, sigma0=1.2, sigma1=0.9)
+    assert len(built) == 1
+    built.clear()
+    sgb.gb_canonical(E, slc, sigma1=0.9)
+    assert len(built) == 1
+
+
 # -- rotation connection -------------------------------------------------------
 
 def test_connection_vanishes_on_static_string():
