@@ -25,8 +25,8 @@ from .jets import (
     Jet,
     jet_einsum,
     jet_matinv,
+    jet_rearrange,
     jet_stack,
-    jet_transpose,
 )
 
 __all__ = [
@@ -213,8 +213,8 @@ class BackgroundMetric:
 def _gamma_lower(dg):
     # G_{r m n} = (d_m g_{rn} + d_n g_{rm} - d_r g_{mn}) / 2, dg[a] = d_a g
     return 0.5 * (
-        jet_transpose(dg, (1, 0, 2))
-        + jet_transpose(dg, (1, 2, 0))
+        jet_rearrange("mrn...->rmn...", dg)
+        + jet_rearrange("nrm...->rmn...", dg)
         - dg
     )
 
@@ -231,8 +231,8 @@ def riemann_from_metric(g, dg, ddg):
     gamma = jet_einsum("rl...,lmn...->rmn...", ginv, low)
     # d_a G_{l m n} with ddg[a,b] = d_a d_b g
     dlow = 0.5 * (
-        jet_transpose(ddg, (0, 2, 1, 3))
-        + jet_transpose(ddg, (0, 2, 3, 1))
+        jet_rearrange("amln...->almn...", ddg)
+        + jet_rearrange("anlm...->almn...", ddg)
         - ddg
     )
     # d_a g^{r l} = -g^{r p} (d_a g_{p q}) g^{q l}
@@ -245,13 +245,13 @@ def riemann_from_metric(g, dg, ddg):
         "rl...,almn...->armn...", ginv, dlow
     )
     gg = jet_einsum("rml...,lns...->rmns...", gamma, gamma)
-    dg_term = jet_transpose(dgamma, (1, 3, 0, 2))    # d_m G^r_{n s} -> (r,s,m,n)
-    gg_term = jet_transpose(gg, (0, 3, 1, 2))        # G^r_{m l} G^l_{n s} -> (r,s,m,n)
+    dg_term = jet_rearrange("mrns...->rsmn...", dgamma)  # d_m G^r_{n s}
+    gg_term = jet_rearrange("rmns...->rsmn...", gg)      # G^r_{m l} G^l_{n s}
     upper = (
         dg_term
-        - jet_transpose(dg_term, (0, 1, 3, 2))
+        - jet_rearrange("rsnm...->rsmn...", dg_term)
         + gg_term
-        - jet_transpose(gg_term, (0, 1, 3, 2))
+        - jet_rearrange("rsnm...->rsmn...", gg_term)
     )
     return jet_einsum("rk...,ksmn...->rsmn...", g, upper)
 

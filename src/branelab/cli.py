@@ -662,6 +662,9 @@ def resolve_config(args) -> ScenarioConfig:
         cfg.grid = _parse_grid(args.grid)
     elif "grid" in raw:
         cfg.grid = _parse_grid(raw["grid"])
+    if cfg.grid and scenario == "deformation-oracle":
+        raise ConfigError("deformation-oracle takes no grid: it samples "
+                          "[run] trials random points")
     if args.eps:
         cfg.eps = _parse_floats(args.eps)
     elif "eps" in raw:

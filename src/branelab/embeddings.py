@@ -145,10 +145,8 @@ class Embedding:
 class Grid:
     """Parameter mesh plus quadrature weights (midpoint/periodic-uniform)."""
 
-    points: tuple          # per-axis 1-d node arrays
     mesh: tuple            # broadcast grid arrays, indexing="ij"
     weight: np.ndarray     # full quadrature weight array
-    spacing: tuple
 
     @property
     def shape(self):
@@ -176,7 +174,7 @@ def make_grid(embedding: Embedding, shape) -> Grid:
     w = np.ones(tuple(len(p) for p in pts))
     for h in hs:
         w = w * h
-    return Grid(points=tuple(pts), mesh=tuple(mesh), weight=w, spacing=tuple(hs))
+    return Grid(mesh=tuple(mesh), weight=w)
 
 
 def line_grid(embedding: Embedding, axis: int, n: int, fixed: dict) -> Grid:
@@ -191,8 +189,7 @@ def line_grid(embedding: Embedding, axis: int, n: int, fixed: dict) -> Grid:
             if axx.name not in fixed:
                 raise ParameterError(f"line_grid: missing fixed value for {axx.name}")
             mesh.append(np.full_like(pts, float(fixed[axx.name])))
-    return Grid(points=(pts,), mesh=tuple(mesh), weight=np.full(pts.shape, h),
-                spacing=(h,))
+    return Grid(mesh=tuple(mesh), weight=np.full(pts.shape, h))
 
 
 def integrate(values, grid: Grid):
@@ -213,7 +210,8 @@ class Geometry:
       extrinsic_curvature[a, b, i], twist[a, i, j],
       grad_extrinsic[a, b, c, i] (worldvolume-covariant derivative),
       rframe[A, B, C, D] (all-lower ambient curvature projected on the
-      combined frame: indices 0..dim-1 are tangents, dim.. are normals).
+      combined frame: indices 0..dim-1 are tangents, dim.. are normals;
+      read it by named blocks with ``rblock``).
     """
 
     def __init__(self, background, X, params=None, embedding=None):
@@ -294,54 +292,41 @@ class Geometry:
 
     @cached_property
     def normals(self):
-        """Orthonormal spacelike normal frame, orientation-fixed."""
+        """Orthonormal spacelike normal frame, orientation-fixed.
+
+        Every ambient basis vector u_k is projected off the tangent space at
+        once, r_k = u_k - e_a gamma^{ab} <e_b, u_k>, as the columns of one
+        (D, D) jet.  Each normal is the pointwise longest column, normalized,
+        and is then removed from every column.
+        """
         D, d, k = self.ambient_dim, self.dim, self.codim
-        e = self.tangents
-        ginv = self.inverse_induced_metric
+        e, g = self.tangents, self.ambient_metric
         grid = self.grid_shape
-        template = self.X
-
-        def const_vec(arr):
-            return Jet.constant(
-                np.broadcast_to(np.asarray(arr, float).reshape((D,) + (1,) * len(grid)),
-                                (D,) + grid).copy(),
-                self.X.nvars, self.X.order,
-            )
-
+        eye = np.eye(D).reshape((D, D) + (1,) * len(grid))
+        U = Jet.constant(np.broadcast_to(eye, (D, D) + grid).copy(),
+                         self.X.nvars, self.X.order)
+        t = jet_einsum("am...,mk...->ak...", e, g)         # <e_a, u_k>
+        proj = jet_einsum("ab...,bk...->ak...", self.inverse_induced_metric, t)
+        R = U - jet_einsum("ak...,am...->mk...", proj, e)
+        g0 = np.asarray(g.value, float)
+        slot = np.arange(D).reshape((D,) + (1,) * len(grid))
         normals = []
         for _ in range(k):
-            residuals, norms = [], []
-            for mu in range(D):
-                seed = np.zeros(D)
-                seed[mu] = 1.0
-                u = const_vec(seed)
-                # remove tangential part with the inverse induced metric
-                t = jet_einsum("mn...,n...->m...", self.ambient_metric, u)
-                t = jet_einsum("am...,m...->a...", e, t)
-                proj = jet_einsum("ab...,b...->a...", ginv, t)
-                r = u - jet_einsum("a...,am...->m...", proj, e)
-                for n_prev in normals:
-                    r = r - self._dot(n_prev, r) * n_prev
-                residuals.append(r)
-                norms.append(
-                    np.broadcast_to(np.asarray(self._dot(r, r).value, float), grid)
-                )
-            norm_arr = np.stack(norms)
-            sel = np.argmax(norm_arr, axis=0)
-            best = np.max(norm_arr, axis=0)
-            if np.any(best <= _RESIDUAL_FLOOR):
+            r0 = np.asarray(R.value, float)
+            norm_arr = np.einsum("mk...,mk...->k...", r0,
+                                 np.einsum("mn...,nk...->mk...", g0, r0))
+            if np.any(np.max(norm_arr, axis=0) <= _RESIDUAL_FLOOR):
                 raise DegenerateGeometryError(
                     "no spacelike normal direction found (degenerate frame)"
                 )
-            blended = None
-            for mu in range(D):
-                mask = (sel == mu).astype(float)
-                if not mask.any():
-                    continue
-                piece = residuals[mu] * mask
-                blended = piece if blended is None else blended + piece
+            pick = (slot == np.argmax(norm_arr, axis=0)).astype(float)
+            blended = jet_einsum("mk...,k...->m...", R, pick)
             n = blended / (self._dot(blended, blended)).sqrt()
             normals.append(n)
+            if len(normals) < k:
+                coef = jet_einsum("m...,mk...->k...", n,
+                                  jet_einsum("mn...,nk...->mk...", g, R))
+                R = R - jet_einsum("k...,m...->mk...", coef, n)
 
         frame_vals = [np.broadcast_to(np.asarray(v.value, float), (D,) + grid)
                       for v in (e[a] for a in range(d))]
@@ -432,6 +417,16 @@ class Geometry:
         R = jet_einsum("ABmn...,Cm...->ABCn...", R, F)
         return jet_einsum("ABCn...,En...->ABCE...", R, F)
 
+    def rblock(self, legs):
+        """Block of ``rframe`` with each slot on tangents ('t') or normals
+        ('n'): rblock("nttn")[i, a, b, j] = R(n_i, e_a, e_b, n_j)."""
+        if len(legs) != 4 or set(legs) - {"t", "n"}:
+            raise ParameterError(
+                f"rblock legs must be four of 't'/'n', got {legs!r}")
+        cut = {"t": slice(None, self.dim), "n": slice(self.dim, None)}
+        idx = tuple(cut[leg] for leg in legs)
+        return self.rframe.map_coeffs(lambda x: x[idx])
+
     def covariant_grad(self, fld, n_wv, n_nor):
         """Worldvolume-covariant derivative, new lower index first.
 
@@ -455,6 +450,15 @@ class Geometry:
             out = out + jet_einsum(spec, self.twist, fld)
         return out
 
+    def lower(self, T, n_wv):
+        """Lower the first ``n_wv`` worldvolume indices of ``T`` with the
+        induced metric, one slot at a time; later tensor axes pass through."""
+        idx = string.ascii_lowercase[:np.ndim(T.value) - len(self.grid_shape)]
+        for p in range(n_wv):
+            spec = f"{idx[p]}z...,{idx[:p]}z{idx[p + 1:]}...->{idx}..."
+            T = jet_einsum(spec, self.induced_metric, T)
+        return T
+
     @cached_property
     def grad_extrinsic(self):
         """grad K[a, b, c, i]."""
@@ -465,18 +469,25 @@ class Geometry:
         structure equations."""
         gk = self.grad_extrinsic
         anti = gk - jet_rearrange("abci...->baci...", gk)
-        d = self.dim
-        rterm = jet_rearrange("icab...->abci...", self.rframe)
-        rterm = rterm.map_coeffs(lambda x: x[:d, :d, :d, d:])
-        return anti + rterm
+        return anti + jet_rearrange("icab...->abci...", self.rblock("nttt"))
 
     # -- scalar invariants used by the action models ----------------------
     @cached_property
+    def k_mixed(self):
+        """K with its first worldvolume index raised: K^a_b^i."""
+        return jet_einsum("ac...,cbi...->abi...", self.inverse_induced_metric,
+                          self.extrinsic_curvature)
+
+    @cached_property
     def k_raised(self):
         """K with both worldvolume indices raised: K^{ab}_i."""
-        gi = self.inverse_induced_metric
-        t = jet_einsum("ac...,cbi...->abi...", gi, self.extrinsic_curvature)
-        return jet_einsum("bd...,adi...->abi...", gi, t)
+        return jet_einsum("bd...,adi...->abi...", self.inverse_induced_metric,
+                          self.k_mixed)
+
+    @cached_property
+    def grad_mean(self):
+        """grad_a K^i, the covariant gradient of the mean curvature: (a, i)."""
+        return self.covariant_grad(self.mean_curvature, 0, 1)
 
     @cached_property
     def k_squared_scalar(self):
@@ -493,9 +504,8 @@ class Geometry:
     @cached_property
     def gradk_squared_scalar(self):
         """grad_a K^i grad^a K_i of the mean curvature vector."""
-        gm = self.covariant_grad(self.mean_curvature, 0, 1)
-        gi = self.inverse_induced_metric
-        up = jet_einsum("ab...,bi...->ai...", gi, gm)
+        gm = self.grad_mean
+        up = jet_einsum("ab...,bi...->ai...", self.inverse_induced_metric, gm)
         return jet_einsum("ai...,ai...->...", gm, up)
 
     def gauss_scalar_residual(self):
@@ -503,9 +513,7 @@ class Geometry:
         curvature scalar to K^iK_i - K.K plus the projected ambient
         curvature; zero pointwise for any consistent geometry."""
         gi = self.inverse_induced_metric
-        d = self.dim
-        blk = self.rframe.map_coeffs(lambda x: x[:d, :d, :d, :d])
-        t = jet_einsum("am...,abmn...->bn...", gi, blk)
+        t = jet_einsum("am...,abmn...->bn...", gi, self.rblock("tttt"))
         amb = jet_einsum("bn...,bn...->...", gi, t)
         return (self.intrinsic_scalar_curvature
                 - (self.k_squared_scalar - self.k_dot_k_scalar)

@@ -42,7 +42,6 @@ __all__ = [
     "jet_stack",
     "jet_matinv",
     "jet_det",
-    "jet_transpose",
     "jet_partial_stack",
     "jet_concat",
     "eval_map",
@@ -297,9 +296,6 @@ class Jet:
         """Slice the leading (tensor) axes of every coefficient array."""
         return self.map_coeffs(lambda x: x[idx])
 
-    def broadcast_to(self, shape):
-        return self.map_coeffs(lambda x: np.broadcast_to(np.asarray(x, float), shape))
-
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value!r})"
 
@@ -432,17 +428,6 @@ def jet_concat(parts):
             np.concatenate([np.broadcast_to(a, a.shape[:1] + tail) for a in layers])
         )
     return Jet(parts[0].nvars, m, out)
-
-
-def jet_transpose(j, perm):
-    """Permute the leading len(perm) tensor axes of every coefficient."""
-    k = len(perm)
-
-    def f(x):
-        x = np.asarray(x, float)
-        return x.transpose(tuple(perm) + tuple(range(k, x.ndim)))
-
-    return j.map_coeffs(f)
 
 
 def jet_matinv(g):

@@ -210,9 +210,8 @@ class EinsteinHilbert(LagrangianModel):
     def h_gamma(self, geom):
         t1 = jet_einsum("i...,abi...->ab...", geom.mean_curvature,
                         geom.extrinsic_curvature)
-        kmix = jet_einsum("cd...,dbi...->cbi...", geom.inverse_induced_metric,
-                          geom.extrinsic_curvature)
-        t2 = jet_einsum("aci...,cbi...->ab...", geom.extrinsic_curvature, kmix)
+        t2 = jet_einsum("aci...,cbi...->ab...", geom.extrinsic_curvature,
+                        geom.k_mixed)
         return 2.0 * self.sigma1 * (t1 - t2)
 
     def h_k(self, geom):
@@ -249,11 +248,11 @@ class SyntheticGradK(LagrangianModel):
         return self.beta * np.einsum("ai...,ai...->...", m, up)
 
     def _grad_mean_up(self, geom):
-        gm = geom.covariant_grad(geom.mean_curvature, 0, 1)  # (a, i)
-        return jet_einsum("ab...,bi...->ai...", geom.inverse_induced_metric, gm)
+        return jet_einsum("ab...,bi...->ai...", geom.inverse_induced_metric,
+                          geom.grad_mean)
 
     def h_gamma(self, geom):
-        gm = geom.covariant_grad(geom.mean_curvature, 0, 1)
+        gm = geom.grad_mean
         up = self._grad_mean_up(geom)
         t1 = jet_einsum("ai...,bi...->ab...", gm, gm)
         t2 = jet_einsum("pi...,pabi...->ab...", up, geom.grad_extrinsic)
@@ -299,53 +298,38 @@ def _require_order(geom: Geometry, need: int, what: str):
         )
 
 
-def _lower2(geom, T):
-    # T^{ab}_i -> T_{ab}^i
-    gl = geom.induced_metric
-    t = jet_einsum("ae...,ebi...->abi...", gl, T)
-    return jet_einsum("bf...,afi...->abi...", gl, t)
-
-
-def _lower3(geom, T, normal=True):
-    gl = geom.induced_metric
-    spec_tail = "i..." if normal else "..."
-    t = jet_einsum(f"ae...,ebc{spec_tail}->abc{spec_tail}", gl, T)
-    t = jet_einsum(f"bf...,afc{spec_tail}->abc{spec_tail}", gl, t)
-    return jet_einsum(f"cg...,abg{spec_tail}->abc{spec_tail}", gl, t)
-
-
 def eom_density(model: LagrangianModel, geom: Geometry):
     """Raw Euler-Lagrange density E_i (a jet over the geometry's grid)."""
     model.check_geometry(geom)
     _require_order(geom, model.jet_order, f"{model.name} field equations")
-    d = geom.dim
     gi = geom.inverse_induced_metric
     K = geom.extrinsic_curvature
-    Kup = geom.k_raised
-    Kmix = jet_einsum("ad...,dbi...->abi...", gi, K)  # K^a_b^i
     mean = geom.mean_curvature
-    block_tn = geom.rframe.map_coeffs(lambda x: x[d:, :d, :d, d:])  # (i,a,b,j)
 
     E = model.lagrangian(geom) * mean                               # E01
 
     H = model.h_gamma(geom)
     if H is not None:
-        E = E - 2.0 * jet_einsum("abi...,ab...->i...", Kup, H)      # E02
+        E = E - 2.0 * jet_einsum("abi...,ab...->i...", geom.k_raised, H)  # E02
 
     HK = model.h_k(geom)
     if HK is not None:
-        hk_low = _lower2(geom, HK)
+        block_tn = geom.rblock("nttn")                              # (i,a,b,j)
+        hk_low = geom.lower(HK, 2)
         g1 = geom.covariant_grad(hk_low, 2, 1)                      # (c,a,b,i)
         s1 = jet_einsum("cb...,cabi...->ai...", gi, g1)
         g2 = geom.covariant_grad(s1, 1, 1)                          # (e,a,i)
         E = E - jet_einsum("ea...,eai...->i...", gi, g2)            # E03
         u4 = jet_einsum("abj...,adj...->bd...", HK, K)
-        E = E + jet_einsum("bd...,dbi...->i...", u4, Kmix)          # E04
+        E = E + jet_einsum("bd...,dbi...->i...", u4, geom.k_mixed)  # E04
         E = E + jet_einsum("iabj...,abj...->i...", block_tn, HK)    # E05
 
     HG = model.h_gradk(geom)
     if HG is not None:
-        hg_low = _lower3(geom, HG)
+        block_tn = geom.rblock("nttn")
+        block_tnnn = geom.rblock("tnnn")                            # (a,i,j,l)
+        Kup, Kmix = geom.k_raised, geom.k_mixed
+        hg_low = geom.lower(HG, 3)
         g1 = geom.covariant_grad(hg_low, 3, 1)                      # (e,a,b,c,i)
         a_low = jet_einsum("ea...,eabci...->bci...", gi, g1)        # grad.HG
         t = jet_einsum("be...,eci...->bci...", gi, a_low)
@@ -359,7 +343,7 @@ def eom_density(model: LagrangianModel, geom: Geometry):
         E = E - jet_einsum("ibcj...,bcj...->i...", block_tn, a_up)  # E08
 
         W = jet_einsum("abcl...,ecl...->abe...", HG, Kmix)
-        w_low = _lower3(geom, W, normal=False)
+        w_low = geom.lower(W, 3)
         gw = geom.covariant_grad(w_low, 3, 0)                       # (f,a,b,e)
         d1 = jet_einsum("fa...,fabe...->be...", gi, gw)
         d2 = jet_einsum("fb...,fabe...->ae...", gi, gw)
@@ -370,17 +354,14 @@ def eom_density(model: LagrangianModel, geom: Geometry):
 
         v12 = jet_einsum("abcj...,daj...->dbc...", HG, Kmix)
         f12 = jet_einsum("dbc...,bci...->di...", v12, K)
-        f12_low = jet_einsum("de...,ei...->di...", geom.induced_metric, f12)
-        gf = geom.covariant_grad(f12_low, 1, 1)                     # (e,d,i)
+        gf = geom.covariant_grad(geom.lower(f12, 1), 1, 1)          # (e,d,i)
         E = E - jet_einsum("ed...,edi...->i...", gi, gf)            # E12
 
         v13 = jet_einsum("abci...,bcj...->aij...", HG, K)
         f13 = jet_einsum("aij...,daj...->di...", v13, Kmix)
-        f13_low = jet_einsum("de...,ei...->di...", geom.induced_metric, f13)
-        gf = geom.covariant_grad(f13_low, 1, 1)
+        gf = geom.covariant_grad(geom.lower(f13, 1), 1, 1)
         E = E + jet_einsum("ed...,edi...->i...", gi, gf)            # E13
 
-        block_tnnn = geom.rframe.map_coeffs(lambda x: x[:d, d:, d:, d:])
         m14 = jet_einsum("abcl...,bcj...->ajl...", HG, K)
         E = E + jet_einsum("aijl...,ajl...->i...", block_tnnn, m14)  # E14
 
@@ -410,15 +391,15 @@ def _resolve_geometry(target, grid, order):
     raise ParameterError("target must be an Embedding or a Geometry")
 
 
-def eom_residual(model: LagrangianModel, target, grid: Grid | None = None,
-                 order: int | None = None) -> EomResidualField:
+def eom_residual(model: LagrangianModel, target,
+                 grid: Grid | None = None) -> EomResidualField:
     """Field-equation residual of the model on a grid or prebuilt geometry.
 
     ``values`` divides out the model's leading coupling normalization
     (DNG: residual = mu K^i; QuadraticK: the closed quartic form of
     `quadratic_eom_direct`).
     """
-    geom = _resolve_geometry(target, grid, order or model.jet_order)
+    geom = _resolve_geometry(target, grid, model.jet_order)
     E = eom_density(model, geom)
     raw = np.asarray(E.value, float)
     return EomResidualField(
@@ -441,12 +422,9 @@ def quadratic_eom_direct(geom: Geometry) -> np.ndarray:
     _require_order(geom, 4, "quartic closed form")
     gi = geom.inverse_induced_metric
     mean = geom.mean_curvature
-    g1 = geom.covariant_grad(mean, 0, 1)                 # (a, i)
-    g2 = geom.covariant_grad(g1, 1, 1)                   # (b, a, i)
+    g2 = geom.covariant_grad(geom.grad_mean, 1, 1)       # (b, a, i)
     lap = jet_einsum("ba...,bai...->i...", gi, g2)
-    d = geom.dim
-    block_tn = geom.rframe.map_coeffs(lambda x: x[d:, :d, :d, d:])
-    m = jet_einsum("ab...,iabj...->ij...", gi, block_tn)
+    m = jet_einsum("ab...,iabj...->ij...", gi, geom.rblock("nttn"))
     rterm = jet_einsum("ij...,j...->i...", m, mean)
     s = jet_einsum("abj...,abi...->ij...", geom.k_raised,
                    geom.extrinsic_curvature)
@@ -469,10 +447,9 @@ def _check_nondegenerate(geom: Geometry):
         )
 
 
-def action(model: LagrangianModel, embedding: Embedding, grid: Grid,
-           order: int | None = None) -> float:
+def action(model: LagrangianModel, embedding: Embedding, grid: Grid) -> float:
     """Quadrature of sqrt|gamma| L over the grid."""
-    geom = embedding.geometry(grid.mesh, order or model.action_order)
+    geom = embedding.geometry(grid.mesh, model.action_order)
     model.check_geometry(geom)
     _check_nondegenerate(geom)
     dens = geom.sqrt_abs_det * model.lagrangian(geom)

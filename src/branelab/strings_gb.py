@@ -249,8 +249,7 @@ def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
                         rho.jet)
     q = jet_einsum("am...,a...->m...", geom.tangents, rho_up)
     return CanonicalPair(position=np.asarray(q.value, float),
-                         momentum=np.asarray(p.value, float),
-                         coupling=float(sigma1))
+                         momentum=np.asarray(p.value, float))
 
 
 def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
@@ -326,7 +325,7 @@ def dnggb_canonical(embedding: Embedding, slc: CauchySlice, sigma0: float,
         )
     geom, _grid, _k = _slice_geometry(embedding, slc, 3)
     Q, phat = _dnggb_pair(geom, sigma0, sigma1, theta)
-    return CanonicalPair(position=Q, momentum=phat, coupling=float(sigma0))
+    return CanonicalPair(position=Q, momentum=phat)
 
 
 def _dnggb_pair(geom: Geometry, sigma0: float, sigma1: float, theta):

@@ -57,7 +57,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .jets import Jet, jet_einsum, jet_stack
-from .models import LagrangianModel, _lower2, _lower3, eom_density
+from .models import LagrangianModel, eom_density
 
 __all__ = [
     "SymplecticPotentialField",
@@ -103,8 +103,6 @@ class SymplecticPotentialField:
 
     jet: Jet
     values: np.ndarray        # (dim,) + grid
-    deformation: np.ndarray   # ambient components of the deformation
-    model: str
 
     def divergence(self) -> np.ndarray:
         """Plain coordinate divergence d_a Psi^a (exact jet partials)."""
@@ -124,7 +122,6 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry,
     V = _resolve_field(vfield, geom)
     t, phi = dfm.decompose_vector(geom, V)
     gi = geom.inverse_induced_metric
-    d = geom.dim
 
     psi = _smul(model.lagrangian(geom), t)                             # T00
 
@@ -132,26 +129,26 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry,
     HG = model.h_gradk(geom)
     if HK is not None or HG is not None:
         K = geom.extrinsic_curvature
-        Kmix = jet_einsum("ad...,dbi...->abi...", gi, K)
+        Kmix = geom.k_mixed
         gphi = geom.covariant_grad(phi, 0, 1)                          # (b,i)
     if HK is not None:
         psi = psi - jet_einsum("abi...,bi...->a...", HK, gphi)         # T01
-        g1 = geom.covariant_grad(_lower2(geom, HK), 2, 1)              # (e,b,a,i)
+        g1 = geom.covariant_grad(geom.lower(HK, 2), 2, 1)              # (e,b,a,i)
         s = jet_einsum("eb...,ebai...->ai...", gi, g1)
         div_up = jet_einsum("ac...,ci...->ai...", gi, s)
         psi = psi + jet_einsum("ai...,i...->a...", div_up, phi)        # T02
 
     if HG is not None:
+        blk = geom.rblock("nttn")                                      # (j,b,c,i)
         gg2 = geom.covariant_grad(gphi, 1, 1)                          # (b,c,i)
         psi = psi - jet_einsum("abci...,bci...->a...", HG, gg2)        # T03
         u = jet_einsum("abci...,dbi...->adc...", HG, K)
         w = jet_einsum("adc...,dcj...->aj...", u, Kmix)
         psi = psi + jet_einsum("aj...,j...->a...", w, phi)             # T04
-        blk = geom.rframe.map_coeffs(lambda x: x[d:, :d, :d, d:])      # (j,b,c,i)
         rlam = jet_einsum("jbci...,j...->bci...", blk, phi)
         psi = psi + jet_einsum("abci...,bci...->a...", HG, rlam)       # T05
 
-        gA = geom.covariant_grad(_lower3(geom, HG), 3, 1)              # (e,b,a,c,i)
+        gA = geom.covariant_grad(geom.lower(HG, 3), 3, 1)              # (e,b,a,c,i)
         s = jet_einsum("eb...,ebaci...->aci...", gi, gA)  # grad_b HG_{b..}
         su = jet_einsum("am...,mci...->aci...", gi, s)
         su = jet_einsum("cn...,ani...->aci...", gi, su)
@@ -178,12 +175,7 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry,
         psi = psi - jet_einsum("ai...,i...->a...", w12, phi)           # T12
 
     psi = jet_einsum("...,a...->a...", geom.sqrt_abs_det, psi)
-    return SymplecticPotentialField(
-        jet=psi,
-        values=np.asarray(psi.value, float),
-        deformation=np.asarray(V.value, float),
-        model=model.name,
-    )
+    return SymplecticPotentialField(jet=psi, values=np.asarray(psi.value, float))
 
 
 def variation_identity_residual(model: LagrangianModel, geom: Geometry,
@@ -296,15 +288,14 @@ def symplectic_form(model: LagrangianModel, embedding: Embedding,
 
 # -- canonical variables of the minimal-area string ---------------------------
 
-def unit_timelike_tangent(geom: Geometry, axis: int = 0):
-    """Normalized timelike tangent along one chart axis (usually tau)."""
-    gl = geom.induced_metric
-    norm2 = gl.map_coeffs(lambda x: x[axis, axis])
+def unit_timelike_tangent(geom: Geometry):
+    """Normalized timelike tangent along the first chart axis (tau)."""
+    norm2 = geom.induced_metric[0, 0]
     if np.any(np.asarray(norm2.value, float) >= 0.0):
         raise DegenerateGeometryError(
             "slice tangent is not timelike everywhere; cannot normalize"
         )
-    e = geom.tangents.map_coeffs(lambda x: x[axis])
+    e = geom.tangents[0]
     inv = 1.0 / (-1.0 * norm2).sqrt()
     return jet_einsum("...,m...->m...", inv, e)
 
@@ -323,18 +314,14 @@ class CanonicalPair:
 
     position: np.ndarray
     momentum: np.ndarray
-    coupling: float
 
 
 def dng_canonical_pair(embedding: Embedding, slc: CauchySlice,
-                       sigma0: float, order: int = 3) -> CanonicalPair:
-    geom, _grid, _k = _slice_geometry(embedding, slc, order)
+                       sigma0: float) -> CanonicalPair:
+    geom, _grid, _k = _slice_geometry(embedding, slc, 3)
     phat = dng_momentum_density(geom, sigma0)
-    return CanonicalPair(
-        position=np.asarray(geom.X.value, float),
-        momentum=np.asarray(phat.value, float),
-        coupling=float(sigma0),
-    )
+    return CanonicalPair(position=np.asarray(geom.X.value, float),
+                         momentum=np.asarray(phat.value, float))
 
 
 def dng_canonical_pairing(embedding: Embedding, slc: CauchySlice, vf1, vf2,

@@ -278,3 +278,12 @@ def test_dumped_density_integrates_to_report(tmp_path, capsys, argv, weights,
     total = float(np.sum(col * np.ravel(weights())))
     want = reported(out)
     assert abs(total - want) <= 1e-12 * abs(want)
+
+
+def test_deformation_oracle_rejects_grid(tmp_path, capsys):
+    assert cli.main(["--scenario", "deformation-oracle", "--grid", "3"]) == 2
+    assert "trials" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = deformation-oracle\n\n[run]\ngrid = 3\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "trials" in capsys.readouterr().err

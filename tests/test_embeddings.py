@@ -254,3 +254,83 @@ def test_low_order_geometry_names_missing_order():
     g = E.geometry(small_grid(E, (6, 8)).mesh, 2)
     with pytest.raises(PreconditionError, match="order-0 jet.*higher jet order"):
         g.grad_extrinsic
+
+
+@pytest.mark.parametrize("E", [emb.surface_s2xs2(), emb.graph_surface_e4(),
+                               emb.static_string()],
+                         ids=["s2xs2", "graph4", "string"])
+def test_combined_frame_positively_oriented_in_codim_2(E):
+    g = E.geometry(small_grid(E, (7, 9)).mesh, 2)
+    assert g.codim == 2
+    F = np.asarray(g.frame.value)                   # (A, mu, grid...)
+    det = np.linalg.det(np.moveaxis(F, (0, 1), (-1, -2)))
+    assert det.shape == (7, 9)
+    assert np.all(det > 0)
+
+
+def test_rblock_slices_tangent_and_normal_slots():
+    g = emb.surface_s2xs2().geometry(small_grid(emb.surface_s2xs2(), (3, 4)).mesh, 2)
+    R, d = np.asarray(g.rframe.value), g.dim
+    np.testing.assert_array_equal(g.rblock("nttn").value, R[d:, :d, :d, d:])
+    np.testing.assert_array_equal(g.rblock("tnnn").value, R[:d, d:, d:, d:])
+    for legs in ("ntt", "nttx"):
+        with pytest.raises(ParameterError, match="legs"):
+            g.rblock(legs)
+
+
+def test_lower_undoes_raised_extrinsic_curvature():
+    E = emb.ellipsoid()
+    g = E.geometry(small_grid(E, (5, 6)).mesh, 3)
+    K = np.asarray(g.extrinsic_curvature.value)
+    np.testing.assert_allclose(g.lower(g.k_raised, 2).value, K, atol=1e-13)
+    np.testing.assert_allclose(g.lower(g.k_mixed, 1).value, K, atol=1e-13)
+    mean = np.einsum("aai...->i...", np.asarray(g.k_mixed.value))
+    np.testing.assert_allclose(mean, g.mean_curvature.value, atol=1e-13)
+
+
+def loop_normals(g):
+    """Reference normal frame built one ambient basis vector at a time."""
+    D, grid = g.ambient_dim, g.grid_shape
+    e, ginv = g.tangents, g.inverse_induced_metric
+    normals = []
+    for _ in range(g.codim):
+        residuals, norms = [], []
+        for mu in range(D):
+            seed = np.zeros((D,) + (1,) * len(grid))
+            seed[mu] = 1.0
+            u = jets.Jet.constant(np.broadcast_to(seed, (D,) + grid).copy(),
+                                  g.X.nvars, g.X.order)
+            t = jets.jet_einsum("mn...,n...->m...", g.ambient_metric, u)
+            t = jets.jet_einsum("am...,m...->a...", e, t)
+            proj = jets.jet_einsum("ab...,b...->a...", ginv, t)
+            r = u - jets.jet_einsum("a...,am...->m...", proj, e)
+            for n_prev in normals:
+                r = r - g._dot(n_prev, r) * n_prev
+            residuals.append(r)
+            norms.append(np.asarray(g._dot(r, r).value, float))
+        sel = np.argmax(np.stack(norms), axis=0)
+        blended = None
+        for mu in range(D):
+            mask = (sel == mu).astype(float)
+            if mask.any():
+                piece = residuals[mu] * mask
+                blended = piece if blended is None else blended + piece
+        normals.append(blended / g._dot(blended, blended).sqrt())
+    return normals
+
+
+@pytest.mark.parametrize("E", [emb.torus_e3(), emb.graph_surface_e4(),
+                               emb.static_string(), emb.s3_curve(),
+                               emb.surface_s2xs2()],
+                         ids=["torus", "graph4", "string", "s3curve", "s2xs2"])
+def test_batched_normals_equal_basis_vector_loop(E):
+    g = E.geometry(small_grid(E, (5, 6)[:E.dim]).mesh, 3)
+    ref = loop_normals(g)
+    for i, n in enumerate(ref[:-1]):
+        for got, want in zip(g.normals[i].c, n.c):
+            np.testing.assert_array_equal(got, want)
+    # the last normal differs from the loop's by the orientation sign only
+    sign = np.sign(np.einsum("m...,m...->...", g.normals[-1].value,
+                             ref[-1].value))
+    for got, want in zip(g.normals[-1].c, ref[-1].c):
+        np.testing.assert_array_equal(got, want * sign)

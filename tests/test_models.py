@@ -5,6 +5,7 @@ from branelab import deformation as dfm
 from branelab import embeddings as emb
 from branelab import jets
 from branelab import models as mdl
+from branelab.backgrounds import BackgroundMetric
 from branelab.errors import (
     DegenerateGeometryError,
     ParameterError,
@@ -283,3 +284,39 @@ def test_einstein_hilbert_rejects_curved_background():
                        pts=(np.array([0.2]), np.array([0.1])))
     with pytest.raises(UnsupportedConfigurationError):
         mdl.eom_residual(mdl.EinsteinHilbert(sigma1=1.0), g)
+
+
+def _counting(monkeypatch, owner, name, keep=lambda *args: True):
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        if keep(*args):
+            calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+S2XS2_PTS = (np.array([0.2, -0.3]), np.array([0.1, 0.4]))
+
+
+def test_dng_field_equations_skip_ambient_curvature(monkeypatch):
+    E = emb.surface_s2xs2()
+    calls = _counting(monkeypatch, BackgroundMetric, "riemann_tensor")
+    mdl.eom_density(mdl.DNG(mu=1.0), small_geometry(E, 2, S2XS2_PTS))
+    assert calls == []
+    # the curvature couplings still see the ambient curvature
+    mdl.eom_density(mdl.QuadraticK(alpha=1.0), small_geometry(E, 4, S2XS2_PTS))
+    assert len(calls) == 1
+
+
+def test_gradk_field_equations_differentiate_mean_curvature_once(monkeypatch):
+    def on_mean(geom, fld, *rest):
+        return fld is geom.__dict__.get("mean_curvature")
+
+    calls = _counting(monkeypatch, emb.Geometry, "covariant_grad", on_mean)
+    mdl.eom_density(mdl.SyntheticGradK(beta=0.6),
+                    small_geometry(emb.surface_s2xs2(), 6, S2XS2_PTS))
+    assert len(calls) == 1
