@@ -254,8 +254,7 @@ def predicted_delta_scalar(geom: Geometry, phi, name: str):
         # through the table for grad K plus the inverse-metric response
         dgm = (jet_einsum("bc...,abci...->ai...", dginv, gk)
                + jet_einsum("bc...,abci...->ai...", gi, dgk))
-        up = jet_einsum("ab...,bi...->ai...", gi, gm)
-        term = 2.0 * jet_einsum("ai...,ai...->...", up, dgm)
+        term = 2.0 * jet_einsum("ai...,ai...->...", geom.grad_mean_up, dgm)
         pair = jet_einsum("ai...,bi...->ab...", gm, gm)
         return term + jet_einsum("ab...,ab...->...", dginv, pair)
     raise ParameterError(f"no predicted variation for '{name}'")

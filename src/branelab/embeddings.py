@@ -212,6 +212,12 @@ class Geometry:
       rframe[A, B, C, D] (all-lower ambient curvature projected on the
       combined frame: indices 0..dim-1 are tangents, dim.. are normals;
       read it by named blocks with ``rblock``).
+
+    Each ambient tensor is built at the lowest jet order its consumers
+    read: the metric at the map's order, the connection at the tangents'
+    order (one lower), the curvature and ``rframe`` at min(frame order, 1).
+    Sums and contractions align jets to the lower order, so a result that
+    involves ``rframe`` is a jet of order at most 1.
     """
 
     def __init__(self, background, X, params=None, embedding=None):
@@ -233,21 +239,35 @@ class Geometry:
     def grid_shape(self):
         return tuple(np.asarray(self.X.value).shape[1:])
 
-    @cached_property
-    def _x_components(self):
-        return [self.X[mu] for mu in range(self.ambient_dim)]
+    def _x_components(self, order):
+        """Ambient components of the map, truncated to jet order ``order``."""
+        X = self.X.truncated(order)
+        return [X[mu] for mu in range(self.ambient_dim)]
 
     @cached_property
     def ambient_metric(self):
-        return self.background.metric_tensor(self._x_components)
+        return self.background.metric_tensor(self._x_components(self.order))
 
     @cached_property
     def ambient_christoffel(self):
-        return self.background.christoffel_tensor(self._x_components)
+        """Connection G^r_{mn} along the map, at the tangents' jet order.
+
+        It only enters contracted with tangents or normals, which sit one
+        order below X, so a higher order would be truncated away.
+        """
+        return self.background.christoffel_tensor(
+            self._x_components(self.tangents.order))
+
+    @property
+    def _curvature_order(self):
+        """Jet order of ``ambient_riemann`` and ``rframe`` (see ``rframe``)."""
+        return min(self.frame.order, 1)
 
     @cached_property
     def ambient_riemann(self):
-        return self.background.riemann_tensor(self._x_components)
+        """All-lower R_{abmn} along the map, at ``_curvature_order``."""
+        return self.background.riemann_tensor(
+            self._x_components(self._curvature_order))
 
     @cached_property
     def tangents(self):
@@ -409,8 +429,14 @@ class Geometry:
 
         rframe[A, B, C, E] = R_{a b m n} F_A^a F_B^b F_C^m F_E^n with
         tangent slots first (0..dim-1), then normals.
+
+        Built at jet order min(frame order, 1).  E05/E08/E14,
+        `quadratic_eom_direct`, Codazzi, Gauss and `delta_twist` read its
+        value; only T05 under `SymplecticPotentialField.divergence` and
+        `delta_extrinsic` under `delta_grad_extrinsic` differentiate it,
+        once each.
         """
-        F = self.frame
+        F = self.frame.truncated(self._curvature_order)
         R = self.ambient_riemann
         R = jet_einsum("abmn...,Aa...->Abmn...", R, F)
         R = jet_einsum("Abmn...,Bb...->ABmn...", R, F)
@@ -502,11 +528,15 @@ class Geometry:
                           self.k_raised)
 
     @cached_property
+    def grad_mean_up(self):
+        """grad^a K^i, the mean-curvature gradient with its index raised."""
+        return jet_einsum("ab...,bi...->ai...", self.inverse_induced_metric,
+                          self.grad_mean)
+
+    @cached_property
     def gradk_squared_scalar(self):
         """grad_a K^i grad^a K_i of the mean curvature vector."""
-        gm = self.grad_mean
-        up = jet_einsum("ab...,bi...->ai...", self.inverse_induced_metric, gm)
-        return jet_einsum("ai...,ai...->...", gm, up)
+        return jet_einsum("ai...,ai...->...", self.grad_mean, self.grad_mean_up)
 
     def gauss_scalar_residual(self):
         """Twice-traced structure-equation residual tying the intrinsic

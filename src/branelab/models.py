@@ -247,22 +247,18 @@ class SyntheticGradK(LagrangianModel):
         up = np.einsum("ad...,di...->ai...", ginv, m)
         return self.beta * np.einsum("ai...,ai...->...", m, up)
 
-    def _grad_mean_up(self, geom):
-        return jet_einsum("ab...,bi...->ai...", geom.inverse_induced_metric,
-                          geom.grad_mean)
-
     def h_gamma(self, geom):
         gm = geom.grad_mean
-        up = self._grad_mean_up(geom)
         t1 = jet_einsum("ai...,bi...->ab...", gm, gm)
-        t2 = jet_einsum("pi...,pabi...->ab...", up, geom.grad_extrinsic)
+        t2 = jet_einsum("pi...,pabi...->ab...", geom.grad_mean_up,
+                        geom.grad_extrinsic)
         return self.beta * (t1 + 2.0 * t2)
 
     def h_gradk(self, geom):
         return 2.0 * self.beta * jet_einsum(
             "bc...,ai...->abci...",
             geom.inverse_induced_metric,
-            self._grad_mean_up(geom),
+            geom.grad_mean_up,
         )
 
     @property

@@ -3,6 +3,8 @@ import pytest
 
 from branelab import embeddings as emb
 from branelab import jets
+from branelab import models as mdl
+from branelab.backgrounds import BackgroundMetric
 from branelab.errors import (
     DegenerateGeometryError,
     DomainError,
@@ -334,3 +336,69 @@ def test_batched_normals_equal_basis_vector_loop(E):
                              ref[-1].value))
     for got, want in zip(g.normals[-1].c, ref[-1].c):
         np.testing.assert_array_equal(got, want * sign)
+
+
+# -- order-on-demand ambient tensors ----------------------------------------
+
+def full_order_rframe(g):
+    """Reference: ambient curvature at the map's own jet order, projected on
+    the untruncated frame."""
+    R = g.background.riemann_tensor([g.X[mu] for mu in range(g.ambient_dim)])
+    F = g.frame
+    R = jets.jet_einsum("abmn...,Aa...->Abmn...", R, F)
+    R = jets.jet_einsum("Abmn...,Bb...->ABmn...", R, F)
+    R = jets.jet_einsum("ABmn...,Cm...->ABCn...", R, F)
+    return jets.jet_einsum("ABCn...,En...->ABCE...", R, F)
+
+
+def full_order_covariant(g, W):
+    """Reference: D_a W^mu with the connection at the map's own jet order;
+    W has axes (k, mu)."""
+    G = g.background.christoffel_tensor([g.X[mu] for mu in range(g.ambient_dim)])
+    Ge = jets.jet_einsum("mrs...,ar...->mas...", G, g.tangents)
+    corr = jets.jet_einsum("mas...,ks...->akm...", Ge, W)
+    return jets.jet_partial_stack(W) + corr
+
+
+def assert_coeffs_close(got, want, count, rtol=1e-14):
+    """The first ``count`` coefficients agree to ``rtol`` of the largest."""
+    assert len(got.c) >= count and len(want.c) >= count
+    scale = max(float(np.max(np.abs(c))) for c in want.c[:count])
+    for a, b in zip(got.c[:count], want.c[:count]):
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol * scale)
+
+
+ORDER_CASES = [(emb.surface_s2xs2(), (3, 4)), (emb.s3_curve(), (7,)),
+               (emb.s2_latitude(), (7,))]
+
+
+@pytest.mark.parametrize("E,shape", ORDER_CASES,
+                         ids=["s2xs2", "s3curve", "s2latitude"])
+def test_low_order_ambient_tensors_match_full_order_reference(E, shape):
+    g = E.geometry(small_grid(E, shape).mesh, 6)
+    assert g.rframe.order == 1
+    # value and first derivatives: all that T05 and delta_extrinsic read
+    assert_coeffs_close(g.rframe, full_order_rframe(g), 1 + g.dim)
+    sf = full_order_covariant(g, g.tangents)
+    assert g.second_fundamental.order == sf.order == 4
+    assert_coeffs_close(g.second_fundamental, sf, len(sf.c))
+    Dn = full_order_covariant(g, g.normals)
+    gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric, g.normals)
+    twist = jets.jet_einsum("ajm...,im...->aij...", Dn, gn)
+    assert_coeffs_close(g.twist, twist, len(twist.c))
+
+
+def test_ambient_tensors_built_at_the_order_their_consumers_read(monkeypatch):
+    orders = {"riemann_tensor": [], "christoffel_tensor": []}
+    for name, seen in orders.items():
+        original = getattr(BackgroundMetric, name)
+
+        def wrapped(self, coords, original=original, seen=seen):
+            seen.append(coords[0].order)
+            return original(self, coords)
+
+        monkeypatch.setattr(BackgroundMetric, name, wrapped)
+    E = emb.surface_s2xs2()
+    g = E.geometry(small_grid(E, (2, 3)).mesh, 6)
+    mdl.eom_density(mdl.SyntheticGradK(beta=0.6), g)
+    assert orders == {"riemann_tensor": [1], "christoffel_tensor": [5]}

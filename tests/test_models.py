@@ -5,6 +5,7 @@ from branelab import deformation as dfm
 from branelab import embeddings as emb
 from branelab import jets
 from branelab import models as mdl
+from branelab import symplectic as sym
 from branelab.backgrounds import BackgroundMetric
 from branelab.errors import (
     DegenerateGeometryError,
@@ -320,3 +321,20 @@ def test_gradk_field_equations_differentiate_mean_curvature_once(monkeypatch):
     mdl.eom_density(mdl.SyntheticGradK(beta=0.6),
                     small_geometry(emb.surface_s2xs2(), 6, S2XS2_PTS))
     assert len(calls) == 1
+
+
+def test_gradk_field_equations_raise_mean_gradient_once(monkeypatch):
+    geom = small_geometry(emb.surface_s2xs2(), 6, S2XS2_PTS)
+
+    def raises_grad_mean(spec, a, b):
+        return (a is geom.__dict__.get("inverse_induced_metric")
+                and b is geom.__dict__.get("grad_mean"))
+
+    counts = [_counting(monkeypatch, owner, "jet_einsum", raises_grad_mean)
+              for owner in (emb, mdl, sym)]
+    model = mdl.SyntheticGradK(beta=0.6)
+    mdl.eom_density(model, geom)
+    assert sum(map(len, counts)) == 1
+    # the boundary kernel reuses the cached grad^a K^i
+    sym.symplectic_potential(model, geom, lambda g: g.normals[0])
+    assert sum(map(len, counts)) == 1
