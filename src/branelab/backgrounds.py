@@ -14,7 +14,7 @@ they receive; closures over pre-built jets are not supported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ from .jets import (
     jet_einsum,
     jet_matinv,
     jet_rearrange,
-    jet_stack,
 )
 
 __all__ = [
@@ -34,6 +33,8 @@ __all__ = [
     "minkowski",
     "euclidean",
     "round_sphere_background",
+    "product_background",
+    "product_spheres_background",
     "christoffel_from_metric",
     "riemann_from_metric",
     "assemble_tensor",
@@ -63,33 +64,39 @@ def _normalize_coords(coords):
 
 
 def assemble_tensor(entries, template):
-    """Recursively stack nested sequences of scalars/jets into one tensor jet.
+    """Stack nested sequences of scalars/jets into one tensor jet.
 
-    Every leaf is broadcast onto the template's grid shape first so that
-    constant components and grid-valued components stack consistently.
+    The leaves fill one array per Taylor coefficient in row-major order,
+    each broadcast onto the template's grid shape so that constant and
+    grid-valued components stack consistently.  The result has the lowest
+    order among the leaf jets (the template's if there are none).
     """
-    grid = np.shape(template.c[0])
+    shape, leaves = [], []
 
-    def norm_leaf(e):
-        if isinstance(e, Jet):
-            return e.map_coeffs(
-                lambda x: np.broadcast_to(
-                    np.asarray(x, float),
-                    np.broadcast_shapes(np.shape(x), grid),
-                )
-            )
-        return Jet.constant(
-            np.broadcast_to(np.asarray(e, float), grid).copy(),
-            template.nvars,
-            template.order,
-        )
-
-    def rec(e):
+    def walk(e, depth):
         if isinstance(e, (list, tuple)):
-            return jet_stack([rec(x) for x in e], template=template)
-        return norm_leaf(e)
+            if depth == len(shape):
+                shape.append(len(e))
+            for x in e:
+                walk(x, depth + 1)
+        else:
+            leaves.append(e)
 
-    return rec(entries)
+    walk(entries, 0)
+    lead = min((e for e in leaves if isinstance(e, Jet)),
+               key=lambda e: e.order, default=template)
+    grid = np.shape(template.c[0])
+    out = []
+    for k in range(len(lead.c)):
+        # constant leaves have no coefficient beyond the value
+        vals = [(i, np.asarray(e.c[k] if isinstance(e, Jet) else e, float))
+                for i, e in enumerate(leaves) if k == 0 or isinstance(e, Jet)]
+        full = np.broadcast_shapes(grid, *(a.shape for _i, a in vals))
+        flat = np.zeros((len(leaves),) + full)
+        for i, a in vals:
+            flat[i] = a
+        out.append(flat.reshape(tuple(shape) + full))
+    return Jet(template.nvars, lead.order, out)
 
 
 def _zeros_jet(tensor_shape, template):
@@ -169,11 +176,8 @@ class BackgroundMetric:
         rows = self.metric_fn(*ys)
 
         def comp(alpha):
-            nested = [
-                [_extract(rows[m][n], alpha, D, nderiv) for n in range(D)]
-                for m in range(D)
-            ]
-            return assemble_tensor(nested, template)
+            return [[_extract(rows[m][n], alpha, D, nderiv) for n in range(D)]
+                    for m in range(D)]
 
         def e(a):
             return tuple(1 if i == a else 0 for i in range(D))
@@ -181,17 +185,13 @@ class BackgroundMetric:
         def esum(a, b):
             return tuple(x + y for x, y in zip(e(a), e(b)))
 
-        g = comp((0,) * D)
-        dg = jet_stack([comp(e(a)) for a in range(D)], template=template)
+        g = assemble_tensor(comp((0,) * D), template)
+        dg = assemble_tensor([comp(e(a)) for a in range(D)], template)
         ddg = None
         if nderiv >= 2:
-            ddg = jet_stack(
-                [
-                    jet_stack([comp(esum(a, b)) for b in range(D)], template=template)
-                    for a in range(D)
-                ],
-                template=template,
-            )
+            ddg = assemble_tensor(
+                [[comp(esum(a, b)) for b in range(D)] for a in range(D)],
+                template)
         return g, dg, ddg
 
     # -- point-value interface -------------------------------------------
@@ -348,6 +348,61 @@ def round_sphere_background(dim: int, radius: float = 1.0) -> BackgroundMetric:
     )
 
 
+def product_background(*factors: BackgroundMetric) -> BackgroundMetric:
+    """Product of backgrounds, coordinates concatenated factor by factor.
+
+    The metric, the connection G^r_{mn} and the all-lower Riemann tensor of
+    a product are block diagonal: an entry vanishes unless all its indices
+    lie in one factor, where it is that factor's entry.  Connection and
+    curvature are assembled from the factors' closed forms (a flat factor
+    contributes zeros); when a curved factor has no closed form, that
+    tensor is extracted from the product metric instead.
+    """
+    if not factors:
+        raise ParameterError("a product background needs at least one factor")
+    offsets = np.cumsum([0] + [f.dim for f in factors]).tolist()
+    dim = offsets[-1]
+
+    def block_diagonal(fns, rank):
+        def fn(*coords):
+            out = _zeros(dim, rank)
+            for f, o, ffn in zip(factors, offsets, fns):
+                if ffn is not None:
+                    _place(out, ffn(*coords[o:o + f.dim]), o, rank)
+            return out
+        return fn
+
+    def closed_form(attr, rank):
+        fns = [None if f.flat else getattr(f, attr) for f in factors]
+        if any(fn is None and not f.flat for f, fn in zip(factors, fns)):
+            return None
+        return block_diagonal(fns, rank)
+
+    return BackgroundMetric(
+        name="x".join(f.name for f in factors),
+        dim=dim,
+        metric_fn=block_diagonal([f.metric_fn for f in factors], 2),
+        christoffel_fn=closed_form("christoffel_fn", 3),
+        riemann_fn=closed_form("riemann_fn", 4),
+        flat=all(f.flat for f in factors),
+    )
+
+
+def _zeros(dim, rank):
+    """Nested lists of 0.0, ``rank`` levels of ``dim`` entries."""
+    return [_zeros(dim, rank - 1) for _ in range(dim)] if rank else 0.0
+
+
+def _place(out, block, offset, rank):
+    """Write a factor's nested block into ``out`` at ``offset`` on every
+    level."""
+    for a, entry in enumerate(block):
+        if rank == 1:
+            out[offset + a] = entry
+        else:
+            _place(out[offset + a], entry, offset, rank - 1)
+
+
 def product_spheres_background(r1: float = 1.0, r2: float = 1.0) -> BackgroundMetric:
     """S^2(r1) x S^2(r2) in angles (t1, p1, t2, p2).
 
@@ -357,22 +412,8 @@ def product_spheres_background(r1: float = 1.0, r2: float = 1.0) -> BackgroundMe
     symmetric backgrounds survive here.  Useful for exercising curvature
     couplings that constant-curvature catalogs cannot see.
     """
-    if r1 <= 0 or r2 <= 0:
-        raise ParameterError("sphere radii must be positive")
-    a2, b2 = float(r1) ** 2, float(r2) ** 2
-
-    def metric_fn(t1, p1, t2, p2):
-        s1 = jets.sin(t1)
-        s2 = jets.sin(t2)
-        return [
-            [a2, 0.0, 0.0, 0.0],
-            [0.0, a2 * s1 * s1, 0.0, 0.0],
-            [0.0, 0.0, b2, 0.0],
-            [0.0, 0.0, 0.0, b2 * s2 * s2],
-        ]
-
-    return BackgroundMetric(
+    return replace(
+        product_background(round_sphere_background(2, r1),
+                           round_sphere_background(2, r2)),
         name=f"s2xs2(r1={r1},r2={r2})",
-        dim=4,
-        metric_fn=metric_fn,
     )

@@ -231,6 +231,8 @@ def _windowed_field(geom):
 # -- scenario runners -----------------------------------------------------------
 
 def _grid(cfg, E, default):
+    """The configured grid, else ``default``; one entry n means n nodes on
+    every axis of E."""
     shape = cfg.grid or default
     if len(shape) == 1:
         shape = shape[0]
@@ -251,7 +253,7 @@ def _coord_columns(grid):
 def run_eom_check(cfg):
     E = cfg.build_embedding()
     model = cfg.build_model() or mdl.DNG(mu=1.0)
-    grid = _grid(cfg, E, (48, 48))
+    grid = _grid(cfg, E, (48,))
     res = mdl.eom_residual(model, E, grid)
     tol = cfg.tol if cfg.tol is not None else 1e-8
     checks = [Check("field-equation-residual", float(res.max_abs()), 0.0,
@@ -319,7 +321,7 @@ def run_deformation_oracle(cfg):
 def run_action_variation(cfg):
     E = cfg.build_embedding()
     model = cfg.build_model() or mdl.QuadraticK(alpha=0.8)
-    grid = _grid(cfg, E, (24, 24))
+    grid = _grid(cfg, E, (24,))
     rep = mdl.action_variation_check(model, E, grid, _windowed_field,
                                      eps_list=cfg.eps)
     tol = cfg.tol if cfg.tol is not None else rep.tolerance()

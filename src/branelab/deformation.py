@@ -30,6 +30,8 @@ families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -264,16 +266,21 @@ def predicted_delta_scalar(geom: Geometry, phi, name: str):
 
 @dataclass
 class OracleResult:
-    """Central-difference estimates at a halving eps schedule."""
+    """Central-difference estimates at a halving eps schedule.
+
+    ``central(eps)`` is the memoized central difference at one step; the
+    estimate reads the last two steps, and only `convergence_ratio` reads
+    the third-last, so that step is evaluated on its first call.
+    """
 
     estimate: np.ndarray          # Richardson-extrapolated derivative
-    diffs: tuple                  # raw central differences per eps
     eps: tuple
+    central: Callable
 
     def convergence_ratio(self, floor: float = 1e-12):
         """(D1-D2)/(D2-D3) of the last three steps; ~4 for clean quadratic
         convergence."""
-        d1, d2, d3 = [np.asarray(d, float) for d in self.diffs[-3:]]
+        d1, d2, d3 = (self.central(e) for e in self.eps[-3:])
         num, den = d1 - d2, d2 - d3
         ratio = np.where(np.abs(den) > floor, num / np.where(den == 0, 1, den),
                          np.nan)
@@ -299,11 +306,13 @@ def finite_difference_delta(geom: Geometry, V, extract, eps_list=EPS_SCHEDULE):
     `validate_eps_schedule`).
     """
     validate_eps_schedule(eps_list)
-    diffs = []
-    for eps in eps_list:
+
+    @lru_cache(maxsize=None)
+    def central(eps):
         sp = np.asarray(extract(deformed_geometry(geom, V, +eps)), float)
         sm = np.asarray(extract(deformed_geometry(geom, V, -eps)), float)
-        diffs.append((sp - sm) / (2.0 * eps))
-    d2, d3 = diffs[-2], diffs[-1]
+        return (sp - sm) / (2.0 * eps)
+
+    d2, d3 = central(eps_list[-2]), central(eps_list[-1])
     estimate = (4.0 * d3 - d2) / 3.0
-    return OracleResult(estimate=estimate, diffs=tuple(diffs), eps=tuple(eps_list))
+    return OracleResult(estimate=estimate, eps=tuple(eps_list), central=central)

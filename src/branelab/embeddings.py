@@ -430,11 +430,10 @@ class Geometry:
         rframe[A, B, C, E] = R_{a b m n} F_A^a F_B^b F_C^m F_E^n with
         tangent slots first (0..dim-1), then normals.
 
-        Built at jet order min(frame order, 1).  E05/E08/E14,
-        `quadratic_eom_direct`, Codazzi, Gauss and `delta_twist` read its
-        value; only T05 under `SymplecticPotentialField.divergence` and
-        `delta_extrinsic` under `delta_grad_extrinsic` differentiate it,
-        once each.
+        Built at jet order min(frame order, 1).  E05/E08/E14, Codazzi,
+        Gauss and `delta_twist` read its value; only T05 under
+        `SymplecticPotentialField.divergence` and `delta_extrinsic` under
+        `delta_grad_extrinsic` differentiate it, once each.
         """
         F = self.frame.truncated(self._curvature_order)
         R = self.ambient_riemann
@@ -548,22 +547,6 @@ class Geometry:
         return (self.intrinsic_scalar_curvature
                 - (self.k_squared_scalar - self.k_dot_k_scalar)
                 - amb)
-
-    def rotated_normals_copy(self, theta):
-        """Copy of this geometry with the 2-normal frame rotated by theta.
-
-        ``theta`` is a scalar jet on the same parameters (or a constant).
-        """
-        if self.codim != 2:
-            raise PreconditionError("normal frame rotation needs codimension 2")
-        n = self.normals
-        c, s = jets.cos(theta), jets.sin(theta)
-        n0 = c * n[0] - s * n[1]
-        n1 = s * n[0] + c * n[1]
-        new = Geometry(self.background, self.X, params=self.params,
-                       embedding=self.embedding)
-        new.__dict__["normals"] = jet_stack([n0, n1], template=self.X)
-        return new
 
 
 # -- embedding catalog ------------------------------------------------------

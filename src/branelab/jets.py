@@ -44,7 +44,6 @@ __all__ = [
     "jet_det",
     "jet_partial_stack",
     "jet_concat",
-    "eval_map",
 ]
 
 
@@ -85,6 +84,21 @@ def _tables(nvars: int, order: int):
             ops.append((position[a], position[tuple(src)], float(a[d] + 1)))
         partial_maps.append(tuple(ops))
     return indices, position, prefix_counts, tuple(triples), tuple(partial_maps)
+
+
+@lru_cache(maxsize=None)
+def _inverse_triples(nvars: int, order: int):
+    """The mult_triples of `_tables` with i != 0, grouped by target slot.
+
+    Entry k holds the pairs (i, j) with indices[i] + indices[j] == indices[k]
+    and i != 0; each such j comes before k in graded order.
+    """
+    tab = _tables(nvars, order)
+    groups = [[] for _ in tab[0]]
+    for i, j, k in tab[3]:
+        if i:
+            groups[k].append((i, j))
+    return tuple(tuple(p) for p in groups)
 
 
 def _is_jet(x) -> bool:
@@ -433,21 +447,23 @@ def jet_concat(parts):
 def jet_matinv(g):
     """Inverse of a matrix-valued jet with leading axes (n, n).
 
-    Newton iteration X <- X (2 I - g X); exact after ceil(log2(order+1))
-    steps because the non-constant part of a jet is nilpotent.
+    Degree recurrence of Taylor arithmetic: x_0 = inv(g_0), then
+    x_k = -x_0 sum g_i x_j over the products (i, j) -> k with i != 0, in
+    graded order, so every x_j read is already known.  The value is
+    inv(g_0) at every jet order, and a lower-order inverse is a prefix of a
+    higher-order one.  Coefficients are C-contiguous.
     """
     val = np.asarray(g.value, float)
-    n = val.shape[0]
-    v = np.moveaxis(np.linalg.inv(np.moveaxis(val, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-    x = Jet.constant(v, g.nvars, g.order)
-    eye = np.zeros(val.shape)
-    for i in range(n):
-        eye[i, i] = 1.0
-    steps = max(1, math.ceil(math.log2(g.order + 1))) if g.order else 1
-    for _ in range(steps):
-        gx = jet_einsum("ab...,bc...->ac...", g, x)
-        x = jet_einsum("ab...,bc...->ac...", x, 2.0 * eye - gx)
-    return x
+    x0 = np.ascontiguousarray(np.moveaxis(
+        np.linalg.inv(np.moveaxis(val, (0, 1), (-2, -1))), (-2, -1), (0, 1)))
+    neg, x = -x0, [x0]
+    for pairs in _inverse_triples(g.nvars, g.order)[1:]:
+        s = 0.0
+        for i, j in pairs:
+            s = s + np.einsum("ab...,bc...->ac...", np.asarray(g.c[i], float),
+                              x[j])
+        x.append(np.einsum("ab...,bc...->ac...", neg, s, order="C"))
+    return Jet(g.nvars, g.order, x)
 
 
 def jet_det(g):
@@ -465,19 +481,3 @@ def jet_det(g):
         )
     raise ValueError("jet_det supports matrices up to 3x3")
 
-
-def eval_map(fn, values, order):
-    """Evaluate a python map component-wise on jet variables.
-
-    ``fn`` takes ``len(values)`` scalar arguments and returns a sequence of
-    outputs; the result is a tensor jet with the outputs stacked on the
-    leading axis.
-    """
-    xs = variables(values, order)
-    out = fn(*xs)
-    if _is_jet(out):
-        out = (out,)
-    template = next((o for o in out if _is_jet(o)), None)
-    if template is None:
-        template = xs[0]
-    return jet_stack(list(out), template=template)

@@ -68,7 +68,6 @@ __all__ = [
     "eom_density",
     "eom_residual",
     "EomResidualField",
-    "quadratic_eom_direct",
     "action_variation_check",
     "VariationReport",
 ]
@@ -392,8 +391,8 @@ def eom_residual(model: LagrangianModel, target,
     """Field-equation residual of the model on a grid or prebuilt geometry.
 
     ``values`` divides out the model's leading coupling normalization
-    (DNG: residual = mu K^i; QuadraticK: the closed quartic form of
-    `quadratic_eom_direct`).
+    (DNG: residual = mu K^i; QuadraticK: a closed quartic form, checked in
+    the tests).
     """
     geom = _resolve_geometry(target, grid, model.jet_order)
     E = eom_density(model, geom)
@@ -404,30 +403,6 @@ def eom_residual(model: LagrangianModel, target,
         scale=model.eom_scale,
         model=model.name,
     )
-
-
-def quadratic_eom_direct(geom: Geometry) -> np.ndarray:
-    """Closed-form normalized field equations of the rigidity model:
-
-        lap K^i - R(n^i, e_a, e^a, n^j) K_j
-        + (gamma^{ac} gamma^{bd} - gamma^{ab} gamma^{cd} / 2)
-          K_ab^j K_cd^i K_j
-
-    used as an independent cross-check of the generic assembly.
-    """
-    _require_order(geom, 4, "quartic closed form")
-    gi = geom.inverse_induced_metric
-    mean = geom.mean_curvature
-    g2 = geom.covariant_grad(geom.grad_mean, 1, 1)       # (b, a, i)
-    lap = jet_einsum("ba...,bai...->i...", gi, g2)
-    m = jet_einsum("ab...,iabj...->ij...", gi, geom.rblock("nttn"))
-    rterm = jet_einsum("ij...,j...->i...", m, mean)
-    s = jet_einsum("abj...,abi...->ij...", geom.k_raised,
-                   geom.extrinsic_curvature)
-    kkk = jet_einsum("ij...,j...->i...", s, mean)
-    ksq = jet_einsum("j...,j...->...", mean, mean)
-    out = lap - rterm + kkk - 0.5 * (mean * ksq)
-    return np.asarray(out.value, float)
 
 
 # -- action and its variation -------------------------------------------------

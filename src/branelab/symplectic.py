@@ -23,8 +23,8 @@ part, phi its normal part; HK/HG as in `models`):
     T11  + HG^{dbc}_i K_{bc j} K_d^{a i} phi^j
     T12  - HG^{dbc}_i K_{bc j} K_d^{a j} phi^i
 
-The pointwise identity above is itself a test (`variation_identity_residual`)
-driven by the re-embedding finite-difference oracle, which pins every entry.
+The pointwise identity above is pinned in the test suite against the
+re-embedding finite-difference oracle, which checks every entry.
 
 On top of Psi sit the phase-space structures: the two-argument current
 
@@ -57,7 +57,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .jets import Jet, jet_einsum, jet_stack
-from .models import LagrangianModel, eom_density
+from .models import LagrangianModel
 
 __all__ = [
     "SymplecticPotentialField",
@@ -65,7 +65,6 @@ __all__ = [
     "CanonicalPair",
     "chart_field",
     "symplectic_potential",
-    "variation_identity_residual",
     "symplectic_current",
     "slice_current",
     "symplectic_form",
@@ -176,31 +175,6 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry,
 
     psi = jet_einsum("...,a...->a...", geom.sqrt_abs_det, psi)
     return SymplecticPotentialField(jet=psi, values=np.asarray(psi.value, float))
-
-
-def variation_identity_residual(model: LagrangianModel, geom: Geometry,
-                                vfield, eps_list=dfm.EPS_SCHEDULE):
-    """Pointwise residual of delta(sqrt(g)L) = sqrt(g)E.phi + div Psi.
-
-    The left side is a re-embedding finite difference; the right side uses
-    the assembled bulk density and exact jet partials of Psi.  The max-abs
-    residual over the grid checks every kernel entry at once.
-    """
-    V = _resolve_field(vfield, geom)
-    pot = symplectic_potential(model, geom, V)
-    _t, phi = dfm.decompose_vector(geom, V)
-    E = eom_density(model, geom)
-    bulk = jet_einsum("...,i...->i...", geom.sqrt_abs_det, E)
-    bulk = np.asarray(jet_einsum("i...,i...->...", bulk, phi).value, float)
-    assembled = bulk + pot.divergence()
-
-    def dens(g2):
-        s = g2.sqrt_abs_det * model.lagrangian(g2)
-        return np.asarray(s.value, float)
-
-    res = dfm.finite_difference_delta(geom, V, dens, eps_list)
-    numeric = np.asarray(res.estimate, float)
-    return numeric - assembled, numeric
 
 
 # -- phase-space structures ---------------------------------------------------

@@ -1,0 +1,23 @@
+"""Fixtures shared by the test modules."""
+import pytest
+
+from branelab import jets
+from branelab.embeddings import Geometry
+
+
+def _rotated_normals_copy(geom, theta):
+    """Copy of a codimension-2 geometry with its normal frame rotated by
+    theta, a scalar jet on the same parameters or a constant."""
+    assert geom.codim == 2
+    n = geom.normals
+    c, s = jets.cos(theta), jets.sin(theta)
+    new = Geometry(geom.background, geom.X, params=geom.params,
+                   embedding=geom.embedding)
+    new.__dict__["normals"] = jets.jet_stack(
+        [c * n[0] - s * n[1], s * n[0] + c * n[1]], template=geom.X)
+    return new
+
+
+@pytest.fixture
+def rotated_normals_copy():
+    return _rotated_normals_copy

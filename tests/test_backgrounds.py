@@ -173,3 +173,53 @@ def test_validation_errors():
     b = jets.Jet.variable(0, 0.5, nvars=2, order=2)
     with pytest.raises(PreconditionError):
         bg.metric_tensor([a, b])
+
+
+def _jet_coords(dim, order):
+    """Chart coordinates as jets in two parameters over five points."""
+    rng = np.random.default_rng(dim + order)
+    u, v = jets.variables([rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5)],
+                          order)
+    return [0.8 + 0.1 * k + 0.2 * jets.sin(u + k * v) + 0.1 * v
+            for k in range(dim)]
+
+
+@pytest.mark.parametrize("bg", [
+    backgrounds.product_spheres_background(1.0, 1.3),
+    backgrounds.product_background(round_sphere_background(2, 0.9),
+                                   round_sphere_background(3, 1.4)),
+], ids=["s2xs2", "s2xs3"])
+def test_product_closed_forms_match_extraction(bg):
+    raw = strip_closed_forms(bg)
+    for order in (0, 2, 3):
+        coords = _jet_coords(bg.dim, order)
+        for tensor in ("christoffel_tensor", "riemann_tensor"):
+            closed = getattr(bg, tensor)(coords)
+            extracted = getattr(raw, tensor)(coords)
+            assert closed.order == extracted.order == order
+            for a, b in zip(closed.c, extracted.c):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+
+def test_product_background_blocks_and_names():
+    s2 = round_sphere_background(2, 1.3)
+    assert backgrounds.product_spheres_background(1.0, 1.3).name \
+        == "s2xs2(r1=1.0,r2=1.3)"
+    flat = backgrounds.product_background(euclidean(1), minkowski(2))
+    assert flat.flat and flat.dim == 3
+    mixed = backgrounds.product_background(euclidean(2), s2)
+    pt = [0.3, -0.2, 0.9, 0.4]
+    R = mixed.riemann_at(pt)
+    np.testing.assert_array_equal(R[:2], 0.0)
+    np.testing.assert_array_equal(R[2:, 2:, 2:, 2:], s2.riemann_at(pt[2:]))
+    np.testing.assert_array_equal(mixed.christoffel_at(pt)[2:, 2:, 2:],
+                                  s2.christoffel_at(pt[2:]))
+    # a curved factor without closed forms: the product extracts instead
+    ext = backgrounds.product_background(euclidean(1), strip_closed_forms(s2))
+    assert ext.christoffel_fn is None and ext.riemann_fn is None
+    np.testing.assert_allclose(ext.christoffel_at(pt[1:])[1:, 1:, 1:],
+                               s2.christoffel_at(pt[2:]), atol=1e-12)
+    with pytest.raises(ParameterError):
+        backgrounds.product_background()
+    with pytest.raises(ParameterError):
+        backgrounds.product_spheres_background(1.0, -1.0)

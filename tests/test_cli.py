@@ -287,3 +287,17 @@ def test_deformation_oracle_rejects_grid(tmp_path, capsys):
     cfg.write_text("[scenario]\nname = deformation-oracle\n\n[run]\ngrid = 3\n")
     assert cli.main(["--config", str(cfg)]) == 2
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["eom-check", "action-variation"])
+def test_one_axis_embedding_gets_a_one_axis_default_grid(tmp_path, capsys,
+                                                         scenario):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\nname = {scenario}\n\n"
+                   "[embedding]\nid = s3-curve\n")
+    code = cli.main(["--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert "aborted:" not in out and "name=execution" not in out
+    assert "grid: default" in out
+    if scenario == "action-variation":
+        assert code == 0 and "result: pass" in out

@@ -210,3 +210,35 @@ def test_static_string_deformation():
     )
     oracle_vs_prediction(g, phi, "k_dot_k")
     oracle_vs_prediction(g, phi, "gradk_full")
+
+
+def test_fd_evaluates_only_the_steps_it_reads(monkeypatch):
+    g = emb.graph_surface_e4().geometry([0.25, -0.35], order=3)
+    phi = dfm.normal_field(g, lambda u, v: 0.3 + 0.2 * u,
+                           lambda u, v: -0.2 + 0.1 * v)
+    V = dfm.deformation_vector(g, phi)
+    built = []
+    original = dfm.deformed_geometry
+
+    def counted(geom, V, eps):
+        built.append(eps)
+        return original(geom, V, eps)
+
+    monkeypatch.setattr(dfm, "deformed_geometry", counted)
+
+    def extract(g2):
+        return np.asarray(dfm.scalar_invariant(g2, "k_dot_k").value, float)
+
+    res = dfm.finite_difference_delta(g, V, extract)
+    assert len(built) == 4
+    ratio = res.convergence_ratio()
+    assert len(built) == 6
+    res.convergence_ratio(floor=1e-10)
+    assert len(built) == 6
+    # the estimate is the one the eager evaluation of every step gave
+    diffs = [(extract(original(g, V, e)) - extract(original(g, V, -e)))
+             / (2.0 * e) for e in dfm.EPS_SCHEDULE]
+    np.testing.assert_array_equal(res.estimate,
+                                  (4.0 * diffs[2] - diffs[1]) / 3.0)
+    np.testing.assert_array_equal(
+        ratio, (diffs[0] - diffs[1]) / (diffs[1] - diffs[2]))

@@ -176,12 +176,12 @@ def test_traveling_wave_det_is_minus_one():
     np.testing.assert_allclose(det, -1.0, atol=1e-12)
 
 
-def test_normal_rotation_shifts_twist():
+def test_normal_rotation_shifts_twist(rotated_normals_copy):
     e = emb.graph_surface_e4()
     grid = small_grid(e, (4, 4))
     g = geom_of(e, grid.mesh, order=3)
     theta = 0.3 * g.params[0] + 0.7 * g.params[1] * g.params[1]
-    g2 = g.rotated_normals_copy(theta)
+    g2 = rotated_normals_copy(g, theta)
     w1 = np.asarray(g.twist.value)
     w2 = np.asarray(g2.twist.value)
     dtheta = np.stack([np.asarray(theta.partial(a).value)
@@ -190,12 +190,12 @@ def test_normal_rotation_shifts_twist():
     np.testing.assert_allclose(w2[:, 0, 1], w1[:, 0, 1] + dtheta, atol=1e-10)
 
 
-def test_rotation_preserves_gauge_invariants():
+def test_rotation_preserves_gauge_invariants(rotated_normals_copy):
     e = emb.graph_surface_e4()
     grid = small_grid(e, (3, 3))
     g = geom_of(e, grid.mesh, order=4)
     theta = 0.4 * g.params[0] - 0.2 * g.params[1]
-    g2 = g.rotated_normals_copy(theta)
+    g2 = rotated_normals_copy(g, theta)
     np.testing.assert_allclose(np.asarray(g.k_dot_k_scalar.value),
                                np.asarray(g2.k_dot_k_scalar.value), atol=1e-10)
     np.testing.assert_allclose(np.asarray(g.gradk_squared_scalar.value),
@@ -402,3 +402,26 @@ def test_ambient_tensors_built_at_the_order_their_consumers_read(monkeypatch):
     g = E.geometry(small_grid(E, (2, 3)).mesh, 6)
     mdl.eom_density(mdl.SyntheticGradK(beta=0.6), g)
     assert orders == {"riemann_tensor": [1], "christoffel_tensor": [5]}
+
+
+def test_inverse_metric_value_independent_of_order():
+    # the inverse's value is inv(gamma) itself, not a Newton iterate whose
+    # rounding depends on how many steps the jet order asks for
+    E = emb.surface_s2xs2()
+    mesh = small_grid(E, (3, 4)).mesh
+    low, high = E.geometry(mesh, 3), E.geometry(mesh, 4)
+    np.testing.assert_array_equal(low.inverse_induced_metric.value,
+                                  high.inverse_induced_metric.value)
+    np.testing.assert_array_equal(low.k_squared_scalar.value,
+                                  high.k_squared_scalar.value)
+
+
+def test_product_sphere_geometry_extracts_nothing(monkeypatch):
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("metric derivatives extracted through nested jets")
+
+    monkeypatch.setattr(BackgroundMetric, "_metric_derivs", no_extraction)
+    E = emb.surface_s2xs2()
+    g = E.geometry(small_grid(E, (2, 3)).mesh, 6)
+    mdl.eom_density(mdl.SyntheticGradK(beta=0.6), g)
+    assert np.all(np.isfinite(np.asarray(g.rframe.value)))

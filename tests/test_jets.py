@@ -159,13 +159,20 @@ def test_det_derivative():
     assert np.allclose(d.derivative((1,)), np.trace(a))
 
 
+def eval_map(fn, values, order):
+    """Evaluate a python map on jet variables; stack its outputs on the
+    leading axis."""
+    xs = jets.variables(values, order)
+    return jet_stack(list(fn(*xs)), template=xs[0])
+
+
 def test_eval_map_stacks_components():
     def sphere(theta, phi):
         return (jets.sin(theta) * jets.cos(phi),
                 jets.sin(theta) * jets.sin(phi),
                 jets.cos(theta))
 
-    X = jets.eval_map(sphere, [0.6, 1.1], order=2)
+    X = eval_map(sphere, [0.6, 1.1], order=2)
     assert np.asarray(X.value).shape == (3,)
     # d(cos theta)/dtheta = -sin(theta)
     assert np.allclose(X.partial(0).value[2], -math.sin(0.6))
@@ -206,3 +213,44 @@ def test_random_identity_properties():
         np.testing.assert_allclose(s2.value, 1.0, atol=1e-13)
         for coeff in s2.c[1:]:
             np.testing.assert_allclose(coeff, 0.0, atol=1e-12)
+
+
+def _matrix_jet(n, order, grid, seed):
+    """A well-conditioned n x n matrix jet in two variables on a grid."""
+    rng = np.random.default_rng(seed)
+    ncoef = jets._tables(2, order)[2][order]
+    c = [0.2 * rng.normal(size=(n, n) + grid) for _ in range(ncoef)]
+    c[0] = c[0] + 3.0 * np.eye(n).reshape((n, n) + (1,) * len(grid))
+    return Jet(2, order, c)
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_matinv_residual_at_every_order(order):
+    g = _matrix_jet(4, order, (3, 5), seed=order)
+    x = jet_matinv(g)
+    ident = jet_einsum("ab...,bc...->ac...", g, x)
+    eye = np.eye(4).reshape(4, 4, 1, 1)
+    for k, coeff in enumerate(ident.c):
+        assert np.max(np.abs(coeff - (eye if k == 0 else 0.0))) <= 1e-14
+
+
+def test_matinv_coefficients_are_c_contiguous():
+    g = _matrix_jet(3, 4, (6, 4), seed=1)
+    # a grid-major value (a moveaxis view) must not pass its layout on to
+    # the inverse, whose coefficients feed every later einsum
+    g.c[0] = np.ascontiguousarray(np.moveaxis(g.c[0], (0, 1), (-2, -1)))
+    g.c[0] = np.moveaxis(g.c[0], (-2, -1), (0, 1))
+    assert all(c.flags["C_CONTIGUOUS"] for c in jet_matinv(g).c)
+
+
+def test_matinv_lower_order_is_bit_identical_prefix():
+    g = _matrix_jet(2, 5, (7,), seed=2)
+    full = jet_matinv(g)
+    for order in range(5):
+        low = jet_matinv(g.truncated(order))
+        for a, b in zip(low.c, full.c):
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(
+        full.value, np.moveaxis(np.linalg.inv(np.moveaxis(g.value, (0, 1),
+                                                           (-2, -1))),
+                                (-2, -1), (0, 1)))
