@@ -372,7 +372,7 @@ def run_symplectic_conservation(cfg):
     slices = cfg.slices or (0.3, 1.1, 2.0)
     tol = cfg.tol if cfg.tol is not None else 1e-6
     currents = [sym.slice_current(model, E, sym.CauchySlice("tau", tv, n),
-                                  f1, f2, cfg.eps)
+                                  f1, f2)
                 for tv in slices]
     vals = [float(emb.integrate(J, grid)) for J, grid in currents]
     checks = [Check("slice-independence", max(vals) - min(vals), 0.0, tol,
@@ -398,15 +398,15 @@ def run_canonical_darboux(cfg):
     slc = sym.CauchySlice("tau", (cfg.slices or (0.9,))[0], n)
     tol = cfg.tol if cfg.tol is not None else 1e-6
     checks = []
-    currents = [sym.slice_current(model, E, slc, f1, f2, cfg.eps)
+    currents = [sym.slice_current(model, E, slc, f1, f2)
                 for _label, f1, f2 in WAVE_PAIRS]
     for (label, f1, f2), (J, grid) in zip(WAVE_PAIRS, currents):
         w = float(emb.integrate(J, grid))
-        p = sym.dng_canonical_pairing(E, slc, f1, f2, sigma0, cfg.eps)
+        p = sym.dng_canonical_pairing(E, slc, f1, f2, sigma0)
         checks.append(Check(f"pairing-match-{label}", w - p, 0.0, tol,
                             "position-momentum-pairing"))
     w_tan = sym.symplectic_form(model, E, slc, _tangential_string_field,
-                                WAVE_PAIRS[0][1], eps_list=cfg.eps)
+                                WAVE_PAIRS[0][1])
     checks.append(Check("tangential-drop-out", w_tan, 0.0, tol,
                         "reparameterization"))
     J, grid = currents[0]
@@ -424,11 +424,10 @@ def run_gb_gauge_invariance(cfg):
     grid = _grid(cfg, E, (8, 24))
     geom = E.geometry(grid.mesh, 4)
     tol = cfg.tol if cfg.tol is not None else 1e-10
-    dr = sgb.rotation_connection_delta(geom, RADIAL_WAVE, eps_list=cfg.eps)
+    dr = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
     psi = sgb.gb_potential(geom, None, dr, sigma1)
     dr_g = sgb.rotation_connection_delta(geom, RADIAL_WAVE,
-                                         theta=_gauge_angle,
-                                         eps_list=cfg.eps)
+                                         theta=_gauge_angle)
     psi_g = sgb.gb_potential(geom, _gauge_angle, dr_g, sigma1)
     checks = [
         Check("connection-response-shift", float(np.max(np.abs(dr - dr_g))),
@@ -596,6 +595,9 @@ def _parse_grid(text):
 
 RUN_KEYS = ("grid", "eps", "tol", "seed", "slices", "trials")
 
+# the scenarios that take an eps schedule: the two finite-difference oracles
+EPS_SCENARIOS = ("deformation-oracle", "action-variation")
+
 
 def load_config(path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
@@ -667,10 +669,13 @@ def resolve_config(args) -> ScenarioConfig:
     if cfg.grid and scenario == "deformation-oracle":
         raise ConfigError("deformation-oracle takes no grid: it samples "
                           "[run] trials random points")
-    if args.eps:
-        cfg.eps = _parse_floats(args.eps)
-    elif "eps" in raw:
-        cfg.eps = _parse_floats(raw["eps"])
+    eps = args.eps or raw.get("eps")
+    if eps is not None:
+        if scenario not in EPS_SCENARIOS:
+            raise ConfigError(f"{scenario} takes no eps schedule: only "
+                              f"{' and '.join(EPS_SCENARIOS)} take finite "
+                              "differences")
+        cfg.eps = _parse_floats(eps)
     if args.tol is not None:
         cfg.tol = args.tol
     elif "tol" in raw:
@@ -715,7 +720,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple:
         ("embedding", cfg.build_embedding().name),
         ("model", cfg.model or "-"),
         ("grid", ",".join(str(n) for n in cfg.grid) if cfg.grid else "default"),
-        ("eps", ",".join(repr(e) for e in cfg.eps)),
+        ("eps", ",".join(repr(e) for e in cfg.eps)
+         if cfg.scenario in EPS_SCENARIOS else "-"),
         ("conventions", _conventions_line()),
     ]
     return Report(header=header, notes=notes, checks=checks,
@@ -741,7 +747,8 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", help="scenario name (see --list)")
     parser.add_argument("--config", help="key-value config file")
     parser.add_argument("--grid", help="grid size n or n,m")
-    parser.add_argument("--eps", help="comma-separated step schedule")
+    parser.add_argument("--eps", help="comma-separated step schedule "
+                        "(deformation-oracle, action-variation)")
     parser.add_argument("--tol", type=float, help="override check tolerance")
     parser.add_argument("--out", help="write the report to this path")
     parser.add_argument("--dump-fields", metavar="PATH.CSV",

@@ -22,10 +22,13 @@ scalars are compared directly, frame-carried tensors on codimension-1
 worldvolumes (where the normal is selection-stable), and the twist signs on
 codimension-2 worldvolumes through gauge-invariant scalar contractions.
 
-The finite-difference side deforms the embedding map in background chart
-components, X_eps = X + eps * V with V = phi^i n_i frozen on the base
-worldvolume; first derivatives in eps agree with covariant deformation
-families.
+Both sides deform the embedding map in background chart components,
+X_eps = X + eps * V with V = phi^i n_i frozen on the base worldvolume;
+first derivatives in eps agree with covariant deformation families.
+`varied_geometry` seeds eps as one more jet variable, so the eps
+coefficient of any quantity is its exact first variation; the
+finite-difference oracle re-embeds at a halving schedule of steps instead
+and stays independent of that jet path.
 """
 from __future__ import annotations
 
@@ -38,13 +41,15 @@ import numpy as np
 from .conventions import S_DOMEGA_K, S_DOMEGA_R
 from .embeddings import Geometry
 from .errors import ParameterError, PreconditionError
-from .jets import jet_einsum, jet_rearrange, jet_stack
+from .jets import Jet, _tables, jet_einsum, jet_rearrange, jet_stack
 
 __all__ = [
     "normal_field",
     "deformation_vector",
     "decompose_vector",
     "deformed_geometry",
+    "varied_geometry",
+    "variation",
     "delta_induced_metric",
     "delta_inverse_metric",
     "delta_sqrt_det",
@@ -94,6 +99,51 @@ def decompose_vector(geom: Geometry, V):
 def deformed_geometry(geom: Geometry, V, eps: float) -> Geometry:
     """Geometry of the chart-shifted embedding X + eps V."""
     return Geometry(geom.background, geom.X + eps * V)
+
+
+def varied_geometry(geom: Geometry, *fields) -> Geometry:
+    """Geometry of X + sum_k eps_k V_k, each eps_k one more jet variable.
+
+    Each field, an ambient vector jet on ``geom``, is held fixed as a
+    function of the parameters; the eps_k slots of an order-N jet hold it
+    to order N - 1, so a field built from the tangents or normals will do.
+    The eps_k coefficient of any quantity on the result is its exact first
+    variation along V_k (`variation`); the eps-free ones are ``geom``'s.
+    """
+    if geom.params is None:
+        raise PreconditionError("geometry carries no parameter jets")
+    nv, order = geom.X.nvars, geom.order
+    n = nv + len(fields)
+    position = _tables(n, order)[1]
+    c = list(geom.X.lift(n).c)
+    for k, V in enumerate(fields):
+        if V.nvars != nv:
+            raise PreconditionError(
+                "deformation field and geometry have different jet variables")
+        if V.order < order - 1:
+            raise PreconditionError(
+                f"deformation field has jet order {V.order}; an order-{order}"
+                f" geometry needs >= {order - 1}")
+        unit = tuple(int(m == k) for m in range(len(fields)))
+        for alpha, coef in zip(_tables(nv, V.order)[0], V.c):
+            if sum(alpha) < order:
+                c[position[alpha + unit]] = coef
+    return Geometry(geom.background, Jet(n, order, c),
+                    params=[p.lift(n) for p in geom.params],
+                    embedding=geom.embedding)
+
+
+def variation(vgeom: Geometry, q, k: int = 0) -> np.ndarray:
+    """Grid values of the exact first variation of ``q``, a quantity on
+    ``vgeom = varied_geometry(geom, V_0, ...)``, along V_k: its eps_k
+    Taylor coefficient."""
+    if q.order < 1:
+        raise PreconditionError(
+            "a first variation needs a jet of order >= 1; build the varied "
+            "geometry one order higher")
+    alpha = [0] * q.nvars
+    alpha[vgeom.dim + k] = 1
+    return np.asarray(q.coefficient(alpha), float)
 
 
 def poly_window(u):

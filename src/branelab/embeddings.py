@@ -39,7 +39,6 @@ from .jets import (
     jet_einsum,
     jet_det,
     jet_matinv,
-    jet_partial_stack,
     jet_rearrange,
     jet_stack,
 )
@@ -218,6 +217,11 @@ class Geometry:
     order (one lower), the curvature and ``rframe`` at min(frame order, 1).
     Sums and contractions align jets to the lower order, so a result that
     involves ``rframe`` is a jet of order at most 1.
+
+    The worldvolume variables are the first ``dim`` jet variables: one per
+    parameter jet in ``params``, or all of ``X``'s when there are none.
+    Any later variables (the deformation parameters of
+    `deformation.varied_geometry`) ride along undifferentiated.
     """
 
     def __init__(self, background, X, params=None, embedding=None):
@@ -225,7 +229,7 @@ class Geometry:
         self.X = X
         self.params = params
         self.embedding = embedding
-        self.dim = X.nvars
+        self.dim = X.nvars if params is None else len(params)
         self.ambient_dim = int(np.asarray(X.value).shape[0])
         self.codim = self.ambient_dim - self.dim
         if self.codim < 1:
@@ -234,6 +238,11 @@ class Geometry:
     @property
     def order(self):
         return self.X.order
+
+    def partials(self, j):
+        """First partials of a tensor jet in the worldvolume variables,
+        stacked on a new leading axis."""
+        return jet_stack([j.partial(d) for d in range(self.dim)])
 
     @cached_property
     def grid_shape(self):
@@ -271,7 +280,7 @@ class Geometry:
 
     @cached_property
     def tangents(self):
-        return jet_partial_stack(self.X)
+        return self.partials(self.X)
 
     def _dot(self, u, v):
         """Ambient inner product of two vector jets (mu leading)."""
@@ -380,7 +389,7 @@ class Geometry:
         k = "bcd"[:np.ndim(W.value) - len(self.grid_shape) - 1]
         corr = jet_einsum(f"mas...,{k}s...->a{k}m...",
                           self._christoffel_tangents, W)
-        return jet_partial_stack(W) + corr
+        return self.partials(W) + corr
 
     @cached_property
     def second_fundamental(self):
@@ -407,14 +416,14 @@ class Geometry:
 
     @cached_property
     def wv_christoffel(self):
-        dgamma = jet_partial_stack(self.induced_metric)
+        dgamma = self.partials(self.induced_metric)
         return christoffel_from_metric(self.induced_metric, dgamma)
 
     @cached_property
     def intrinsic_riemann(self):
         g = self.induced_metric
-        dg = jet_partial_stack(g)
-        ddg = jet_partial_stack(dg)
+        dg = self.partials(g)
+        ddg = self.partials(dg)
         return riemann_from_metric(g, dg, ddg)
 
     @cached_property
@@ -462,7 +471,7 @@ class Geometry:
         if "z" in letters or "y" in letters:
             raise PreconditionError("field rank too large")
         base = "".join(letters)
-        out = jet_partial_stack(fld)
+        out = self.partials(fld)
         for p in range(n_wv):
             repl = letters.copy()
             repl[p] = "z"

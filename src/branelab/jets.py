@@ -42,7 +42,6 @@ __all__ = [
     "jet_stack",
     "jet_matinv",
     "jet_det",
-    "jet_partial_stack",
     "jet_concat",
 ]
 
@@ -160,6 +159,24 @@ class Jet:
             return self
         n = _tables(self.nvars, self.order)[2][order]
         return Jet(self.nvars, order, self.c[:n])
+
+    def lift(self, nvars):
+        """The same jet in ``nvars`` variables, the new ones last.
+
+        Each coefficient moves to its own multi-index padded with zeros; the
+        slots that involve a new variable are zero.  No arithmetic is done,
+        so ``a.lift(n) * b.lift(n)`` equals ``(a * b).lift(n)`` bit for bit.
+        """
+        if nvars < self.nvars:
+            raise ValueError("cannot drop jet variables by lifting")
+        if nvars == self.nvars:
+            return self
+        pad = (0,) * (nvars - self.nvars)
+        position = _tables(nvars, self.order)[1]
+        out = [_zero_like(self.c[0])] * len(position)
+        for alpha, coef in zip(_tables(self.nvars, self.order)[0], self.c):
+            out[position[alpha + pad]] = coef
+        return Jet(nvars, self.order, out)
 
     def partial(self, d):
         """d/dx_d as a jet of one order less."""
@@ -423,11 +440,6 @@ def jet_einsum(spec, a, b):
         out[k] = out[k] + np.einsum(spec, np.asarray(aj.c[i], float),
                                     np.asarray(bj.c[j], float))
     return Jet(aj.nvars, aj.order, out)
-
-
-def jet_partial_stack(j):
-    """All first partials of a tensor jet, stacked on a new leading axis."""
-    return jet_stack([j.partial(d) for d in range(j.nvars)])
 
 
 def jet_concat(parts):

@@ -86,7 +86,6 @@ class LagrangianModel:
     name = "model"
     jet_order = 4       # jet order needed by the field equations
     action_order = 2    # jet order needed by plain action quadrature
-    uses_gradk = False
 
     def check_geometry(self, geom: Geometry) -> None:
         pass
@@ -232,7 +231,6 @@ class SyntheticGradK(LagrangianModel):
     name = "synthetic-gradk"
     jet_order = 6
     action_order = 3
-    uses_gradk = True
 
     def __post_init__(self):
         if self.beta == 0:

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .jets import cos, cosh, jet_einsum, sin, sinh
+from .jets import cos, cosh, jet_einsum, jet_stack, sin, sinh
 from .models import _resolve_geometry
 from .symplectic import (
     CanonicalPair,
@@ -120,20 +120,21 @@ class TangentFramePair:
         flip = jet_einsum("m...,n...->mn...", self.iota1, self.iota0)
         return outer - flip
 
-    def contract(self, geom: Geometry, w) -> np.ndarray:
-        """Grid values of eps^{mu a} w_a for a chart covector w, with the
-        legs in the chart basis iota^a = gamma^{ab} g(e_b, iota)."""
-        g, e, gi, i0, i1 = (np.asarray(j.value, float) for j in (
-            geom.ambient_metric, geom.tangents, geom.inverse_induced_metric,
-            self.iota0, self.iota1))
+    def contract(self, geom: Geometry, w):
+        """eps^{mu a} w_a as a jet, for a chart covector w (a jet or grid
+        values), with the legs in the chart basis
+        iota^a = gamma^{ab} g(e_b, iota)."""
 
         def along(leg):
-            low = np.einsum("bm...,m...->b...", e,
-                            np.einsum("mn...,n...->m...", g, leg))
-            up = np.einsum("ab...,b...->a...", gi, low)
-            return np.einsum("a...,a...->...", up, np.asarray(w, float))
+            low = jet_einsum("bm...,m...->b...", geom.tangents,
+                             jet_einsum("mn...,n...->m...",
+                                        geom.ambient_metric, leg))
+            up = jet_einsum("ab...,b...->a...",
+                            geom.inverse_induced_metric, low)
+            return jet_einsum("a...,a...->...", up, w)
 
-        return i0 * along(i1) - i1 * along(i0)
+        return (jet_einsum("m...,...->m...", self.iota0, along(self.iota1))
+                - jet_einsum("m...,...->m...", self.iota1, along(self.iota0)))
 
 
 def tangent_frame(geom: Geometry, theta=None) -> TangentFramePair:
@@ -201,21 +202,17 @@ def rotation_connection(geom: Geometry, theta=None) -> RotationConnection:
                               frame=frame)
 
 
-def rotation_connection_delta(geom: Geometry, vfield, theta=None,
-                              eps_list=dfm.EPS_SCHEDULE) -> np.ndarray:
+def rotation_connection_delta(geom: Geometry, vfield,
+                              theta=None) -> np.ndarray:
     """Phase-space variation of rho_a along an embedding deformation.
 
-    The gauge angle is resolved once on the base chart and held fixed as
-    a function of the parameters while the embedding moves.
+    The exact variation: the eps coefficient of rho on the varied
+    geometry X + eps V.  The gauge angle is a fixed function of the
+    parameters while the embedding moves.
     """
     _require_worldsheet(geom)
-    th = _resolve_gauge(theta, geom)
-    V = _resolve_field(vfield, geom)
-
-    def extract(g2):
-        return rotation_connection(g2, th).values
-
-    return dfm.finite_difference_delta(geom, V, extract, eps_list).estimate
+    vg = dfm.varied_geometry(geom, _resolve_field(vfield, geom))
+    return dfm.variation(vg, rotation_connection(vg, theta).jet)
 
 
 def gb_potential(geom: Geometry, theta, drho: np.ndarray,
@@ -228,7 +225,8 @@ def gb_potential(geom: Geometry, theta, drho: np.ndarray,
     """
     frame = tangent_frame(geom, theta)
     dens = np.asarray(geom.sqrt_abs_det.value, float)
-    return float(sigma1) * dens * frame.contract(geom, drho)
+    shift = np.asarray(frame.contract(geom, drho).value, float)
+    return float(sigma1) * dens * shift
 
 
 def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
@@ -253,8 +251,7 @@ def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
 
 
 def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
-                       sigma1: float, theta=None,
-                       eps_list=dfm.EPS_SCHEDULE) -> float:
+                       sigma1: float, theta=None) -> float:
     """Slice integral of the antisymmetrized second variation of the
     curvature flux, D2 Psi[phi1] - D1 Psi[phi2], contracted with the dual
     chart covector of the slice axis.
@@ -263,18 +260,23 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     permutation symbol, so commuting second variations cancel and only
     the variation of the frame legs e_a^mu survives: deformations without
     an ambient time component give exactly zero here.
+
+    Both variations are exact and come from one varied geometry: the flux
+    of phi_k carries drho = d rho / d eps_k, and its variation along the
+    other deformation is the other eps coefficient.
     """
-    geom, grid, k = _slice_geometry(embedding, slc, 5)
-    th = _resolve_gauge(theta, geom)
+    geom, grid, k = _slice_geometry(embedding, slc, 4)
     low = jet_einsum("am...,mn...->an...", geom.tangents, geom.ambient_metric)
     dual = jet_einsum("ab...,bn...->an...", geom.inverse_induced_metric, low)
     conormal = np.asarray(dual.value, float)[k]
 
-    def flux(g2, V_inner):
-        dr = rotation_connection_delta(g2, V_inner, th, eps_list)
-        return gb_potential(g2, th, dr, sigma1)
+    def fluxes(vg, _fields):
+        rho = rotation_connection(vg, theta)
+        dens = float(sigma1) * vg.sqrt_abs_det
+        return [jet_einsum("...,m...->m...", dens, rho.frame.contract(
+            vg, rho.jet.partial(vg.dim + j))) for j in (0, 1)]
 
-    _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, flux, eps_list)
+    _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
     dens = np.einsum("m...,m...->...", conormal, d2 - d1)
     return float(integrate(dens, grid))
 
@@ -294,7 +296,7 @@ def dnggb_eom_residual(target, grid: Grid | None = None) -> np.ndarray:
 
 
 def dnggb_potential(geom: Geometry, vfield, sigma0: float, sigma1: float,
-                    theta=None, eps_list=dfm.EPS_SCHEDULE) -> np.ndarray:
+                    theta=None) -> np.ndarray:
     """Total flux of the combined system on one deformation:
 
         Psi^mu = sqrt(-gamma) [ -sigma0 (tangential projection of V)^mu
@@ -306,7 +308,7 @@ def dnggb_potential(geom: Geometry, vfield, sigma0: float, sigma1: float,
     tangential = jet_einsum("am...,a...->m...", geom.tangents, t)
     dens = np.asarray(geom.sqrt_abs_det.value, float)
     dng_part = -float(sigma0) * dens * np.asarray(tangential.value, float)
-    drho = rotation_connection_delta(geom, V, theta, eps_list=eps_list)
+    drho = rotation_connection_delta(geom, V, theta)
     return dng_part + gb_potential(geom, theta, drho, sigma1)
 
 
@@ -325,40 +327,40 @@ def dnggb_canonical(embedding: Embedding, slc: CauchySlice, sigma0: float,
         )
     geom, _grid, _k = _slice_geometry(embedding, slc, 3)
     Q, phat = _dnggb_pair(geom, sigma0, sigma1, theta)
-    return CanonicalPair(position=Q, momentum=phat)
+    return CanonicalPair(position=np.asarray(Q.value, float),
+                         momentum=np.asarray(phat.value, float))
 
 
 def _dnggb_pair(geom: Geometry, sigma0: float, sigma1: float, theta):
-    """Grid values of (Q, Phat) for `dnggb_canonical`."""
-    phat = np.asarray(dng_momentum_density(geom, sigma0).value, float)
-    Q = np.asarray(geom.X.value, float)
+    """Jets of (Q, Phat) for `dnggb_canonical`."""
+    phat = dng_momentum_density(geom, sigma0)
+    Q = geom.X
     if sigma1 != 0.0:
         rho = rotation_connection(geom, theta)
-        shift = rho.frame.contract(geom, rho.values)
-        Q = Q - (float(sigma1) / float(sigma0)) * shift
+        Q = Q - (float(sigma1) / float(sigma0)) * rho.frame.contract(
+            geom, rho.jet)
     return Q, phat
 
 
 def dnggb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
-                          sigma0: float, sigma1: float, theta=None,
-                          eps_list=dfm.EPS_SCHEDULE) -> float:
+                          sigma0: float, sigma1: float, theta=None) -> float:
     """Darboux form of the combined pair:
 
         integral of (delta1 Q . delta2 Phat - delta2 Q . delta1 Phat)
 
-    with both variations taken by the phase-space finite difference.
+    with both variations exact, read off one varied geometry.
     Position-first ordering keeps the sigma1 -> 0 limit equal to the
     minimal-area slice form.
     """
     if sigma0 == 0.0:
         raise ParameterError("sigma0 = 0 leaves the pair undefined")
-    geom, grid, _k = _slice_geometry(embedding, slc, 4)
-    th = _resolve_gauge(theta, geom)
+    geom, grid, _k = _slice_geometry(embedding, slc, 3)
 
-    def qp(g2, _V):
-        return np.stack(_dnggb_pair(g2, sigma0, sigma1, th))
+    def qp(vg, _fields):
+        pair = jet_stack(_dnggb_pair(vg, sigma0, sigma1, theta))
+        return pair, pair
 
-    _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, qp, eps_list)
+    _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, qp)
     dens = np.einsum("m...,m...->...", d1[0], d2[1]) \
         - np.einsum("m...,m...->...", d2[0], d1[1])
     return float(integrate(dens, grid))

@@ -30,17 +30,19 @@ On top of Psi sit the phase-space structures: the two-argument current
 
     J[phi1, phi2] = D_{phi2} Psi[X; phi1] - D_{phi1} Psi[X; phi2],
 
-with D the finite-difference derivative along a deformation of the
-embedding (argument order anchored by the closed-form value of the static
-string below), the Cauchy-slice symplectic form, and the canonical
-position/momentum pairing of the minimal-area model with momentum density
+with D the exact derivative along a deformation of the embedding, read
+off one geometry with a jet variable per deformation
+(`deformation.varied_geometry`; argument order anchored by the
+closed-form value of the static string below), the Cauchy-slice
+symplectic form, and the canonical position/momentum pairing of the
+minimal-area model with momentum density
 p_hat_alpha = sqrt(-gamma) sigma0 tau_alpha.
 
 Deformation arguments follow one convention package-wide: a callable
 mapping a Geometry to an ambient vector jet over its grid (`chart_field`
 adapts plain component functions of the parameters).  The callable is
 evaluated once on the base geometry; the resulting components are held
-fixed while the embedding is finite-differenced.
+fixed while the embedding varies.
 """
 from __future__ import annotations
 
@@ -179,31 +181,34 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry,
 
 # -- phase-space structures ---------------------------------------------------
 
-def _variation_pair(geom: Geometry, vf1, vf2, quantity, eps_list):
-    """Vary ``quantity(geometry, other deformation)`` along each deformation.
+def _variation_pair(geom: Geometry, vf1, vf2, quantities):
+    """Vary a quantity of each deformation along the other one.
 
-    Both fields are resolved once on the base geometry; returns
-    (V1, V2, D_{V1} quantity(., V2), D_{V2} quantity(., V1)).
+    Both fields are resolved once on the base geometry and held fixed on
+    one geometry of X + eps1 V1 + eps2 V2.  ``quantities(vg, (V1, V2))``
+    returns the quantity's jets (Q[V1], Q[V2]) on that geometry, with the
+    fields lifted onto it; returns (V1, V2, D_{V1} Q[V2], D_{V2} Q[V1]).
     """
     V1 = _resolve_field(vf1, geom)
     V2 = _resolve_field(vf2, geom)
-    d1 = dfm.finite_difference_delta(geom, V1, lambda g2: quantity(g2, V2),
-                                     eps_list)
-    d2 = dfm.finite_difference_delta(geom, V2, lambda g2: quantity(g2, V1),
-                                     eps_list)
-    return V1, V2, d1.estimate, d2.estimate
+    vg = dfm.varied_geometry(geom, V1, V2)
+    n = vg.X.nvars
+    q1, q2 = quantities(vg, (V1.lift(n), V2.lift(n)))
+    return V1, V2, dfm.variation(vg, q2, 0), dfm.variation(vg, q1, 1)
 
 
-def symplectic_current(model: LagrangianModel, geom: Geometry, vf1, vf2,
-                       eps_list=dfm.EPS_SCHEDULE) -> np.ndarray:
+def symplectic_current(model: LagrangianModel, geom: Geometry, vf1,
+                       vf2) -> np.ndarray:
     """Two-deformation current J^a[phi1, phi2] on the geometry's grid.
 
-    Each side is the Richardson finite difference of the potential of one
-    fixed deformation while the embedding moves along the other.
+    Each side is the exact variation of the potential of one fixed
+    deformation while the embedding moves along the other; ``geom`` needs
+    one jet order above what the potential's value needs.
     """
     _V1, _V2, d1, d2 = _variation_pair(
         geom, vf1, vf2,
-        lambda g2, V: symplectic_potential(model, g2, V).values, eps_list)
+        lambda vg, fields: [symplectic_potential(model, vg, V).jet
+                            for V in fields])
     return d2 - d1
 
 
@@ -244,19 +249,18 @@ def _slice_geometry(embedding: Embedding, slc: CauchySlice, order: int):
 
 
 def slice_current(model: LagrangianModel, embedding: Embedding,
-                  slc: CauchySlice, vf1, vf2, eps_list=dfm.EPS_SCHEDULE):
+                  slc: CauchySlice, vf1, vf2):
     """Slice component of the current over the cross-section: (values, grid)."""
-    # one order above the assembly need keeps the finite-difference side's
-    # deformation jets full rank
-    geom, grid, k = _slice_geometry(embedding, slc, model.jet_order + 1)
-    return symplectic_current(model, geom, vf1, vf2, eps_list)[k], grid
+    # the potential's value needs one order below the field equations, so
+    # their order leaves it one for the eps coefficients
+    geom, grid, k = _slice_geometry(embedding, slc, model.jet_order)
+    return symplectic_current(model, geom, vf1, vf2)[k], grid
 
 
 def symplectic_form(model: LagrangianModel, embedding: Embedding,
-                    slc: CauchySlice, vf1, vf2,
-                    eps_list=dfm.EPS_SCHEDULE) -> float:
+                    slc: CauchySlice, vf1, vf2) -> float:
     """Quadrature of the current's slice component over the cross-section."""
-    values, grid = slice_current(model, embedding, slc, vf1, vf2, eps_list)
+    values, grid = slice_current(model, embedding, slc, vf1, vf2)
     return float(integrate(values, grid))
 
 
@@ -299,22 +303,22 @@ def dng_canonical_pair(embedding: Embedding, slc: CauchySlice,
 
 
 def dng_canonical_pairing(embedding: Embedding, slc: CauchySlice, vf1, vf2,
-                          sigma0: float,
-                          eps_list=dfm.EPS_SCHEDULE) -> float:
+                          sigma0: float) -> float:
     """Darboux pairing of two deformations against the momentum density:
 
         integral over the slice of
         (delta1 X^alpha delta2 phat_alpha - delta2 X^alpha delta1 phat_alpha)
 
-    with delta(phat) taken by the same re-embedding finite difference as
-    the current; equals the symplectic form of the minimal-area model.
+    with delta(phat) the exact variation, as for the current; equals the
+    symplectic form of the minimal-area model.
     """
-    geom, grid, _k = _slice_geometry(embedding, slc, 3)
+    geom, grid, _k = _slice_geometry(embedding, slc, 2)
 
-    def phat_values(g2, _V):
-        return np.asarray(dng_momentum_density(g2, sigma0).value, float)
+    def momentum(vg, _fields):
+        phat = dng_momentum_density(vg, sigma0)
+        return phat, phat
 
-    V1, V2, d1, d2 = _variation_pair(geom, vf1, vf2, phat_values, eps_list)
+    V1, V2, d1, d2 = _variation_pair(geom, vf1, vf2, momentum)
     dens = np.einsum("m...,m...->...", np.asarray(V1.value, float), d2) \
         - np.einsum("m...,m...->...", np.asarray(V2.value, float), d1)
     return float(integrate(dens, grid))

@@ -116,14 +116,41 @@ def test_non_numeric_value_rejected(tmp_path, capsys):
 
 
 def test_short_eps_schedule_rejected(capsys):
-    assert cli.main(["--scenario", "eom-check", "--eps", "1e-3,5e-4"]) == 2
+    assert cli.main(["--scenario", "action-variation",
+                     "--eps", "1e-3,5e-4"]) == 2
     capsys.readouterr()
 
 
 def test_non_halving_eps_schedule_rejected(capsys):
-    assert cli.main(["--scenario", "symplectic-conservation",
+    assert cli.main(["--scenario", "action-variation",
                      "--eps", "1e-3,1e-4,1e-5"]) == 2
     assert "half" in capsys.readouterr().err
+
+
+EXACT_SCENARIOS = [name for name in SCENARIO_NAMES
+                   if name not in ("deformation-oracle", "action-variation")]
+
+
+@pytest.mark.parametrize("scenario", EXACT_SCENARIOS)
+def test_eps_rejected_where_nothing_differences(scenario, capsys):
+    assert cli.main(["--scenario", scenario,
+                     "--eps", "1e-2,5e-3,2.5e-3"]) == 2
+    assert "takes no eps schedule" in capsys.readouterr().err
+
+
+def test_config_eps_rejected_where_nothing_differences(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = mass-shell\n\n"
+                   "[run]\neps = 1e-2,5e-3,2.5e-3\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "takes no eps schedule" in capsys.readouterr().err
+
+
+def test_exact_scenario_header_has_no_eps(capsys):
+    assert cli.main(["--scenario", "mass-shell"]) == 0
+    assert "eps: -\n" in capsys.readouterr().out
+    assert cli.main(["--scenario", "deformation-oracle"]) == 0
+    assert "eps: 0.001,0.0005,0.00025\n" in capsys.readouterr().out
 
 
 def test_four_step_eps_schedule_runs(capsys):

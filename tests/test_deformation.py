@@ -4,7 +4,7 @@ import pytest
 from branelab import deformation as dfm
 from branelab import embeddings as emb
 from branelab import jets
-from branelab.errors import ParameterError
+from branelab.errors import ParameterError, PreconditionError
 
 TOL = 1e-6  # max(1e-6, 10 eps^2) at the eps schedule used
 
@@ -242,3 +242,64 @@ def test_fd_evaluates_only_the_steps_it_reads(monkeypatch):
                                   (4.0 * diffs[2] - diffs[1]) / 3.0)
     np.testing.assert_array_equal(
         ratio, (diffs[0] - diffs[1]) / (diffs[1] - diffs[2]))
+
+
+# -- exact variations on a varied geometry --------------------------------------
+
+VARIED_CASES = [
+    (emb.static_string(1.0), (6, 8), lambda t, s: (
+        0.1 * jets.sin(s) * jets.cos(t), 0.2 * jets.cos(s), 0.0 * t,
+        0.3 * jets.sin(t + s))),
+    (emb.surface_s2xs2(), (5, 6), lambda u, v: (
+        0.1 * jets.sin(v), 0.2 * u * v, 0.1 * jets.cos(u), 0.05 + 0.0 * u)),
+    (emb.torus_e3(2.0, 0.5), (6, 6), lambda u, v: (
+        0.2 * jets.sin(v), 0.1 * jets.cos(u + v), 0.15 + 0.0 * u)),
+    (emb.s3_curve(), (9,), lambda x: (
+        0.1 * jets.sin(x), 0.2 * jets.cos(x), 0.05 + 0.0 * x)),
+]
+
+
+@pytest.mark.parametrize("E, shape, fn", VARIED_CASES,
+                         ids=[c[0].name for c in VARIED_CASES])
+def test_varied_geometry_keeps_base_coefficients_bit_for_bit(E, shape, fn):
+    geom = E.geometry(emb.make_grid(E, shape).mesh, 3)
+    V = jets.jet_stack(list(fn(*geom.params)), template=geom.X)
+    W = dfm.deformation_vector(geom, dfm.normal_field(
+        geom, *[lambda *ps: 0.1 + 0.0 * ps[0]] * geom.codim))
+    vg = dfm.varied_geometry(geom, V, W)
+    assert (vg.dim, vg.order, vg.X.nvars) == (geom.dim, 3, geom.dim + 2)
+    for name in ("normals", "extrinsic_curvature", "sqrt_abs_det",
+                 "inverse_induced_metric", "twist"):
+        base, varied = getattr(geom, name), getattr(vg, name)
+        assert base.order == varied.order
+        for alpha in jets._tables(geom.dim, base.order)[0]:
+            np.testing.assert_array_equal(
+                varied.coefficient(alpha + (0, 0)), base.coefficient(alpha),
+                err_msg=f"{name} {alpha}")
+
+
+@pytest.mark.parametrize("name", ["sqrt_det", "k_squared", "k_dot_k"])
+def test_exact_variation_matches_chain_rule(name):
+    geom = emb.ellipsoid().geometry([np.array([0.7, 1.9]),
+                                     np.array([0.4, 2.5])], 4)
+    phi = dfm.normal_field(geom, lambda t, p: 0.3 + 0.2 * jets.sin(t + p))
+    vg = dfm.varied_geometry(geom, dfm.deformation_vector(geom, phi))
+    exact = dfm.variation(vg, dfm.scalar_invariant(vg, name))
+    pred = np.asarray(dfm.predicted_delta_scalar(geom, phi, name).value, float)
+    np.testing.assert_allclose(exact, pred, rtol=1e-12, atol=1e-12)
+
+
+def test_variation_preconditions():
+    geom = emb.sphere_polar(1.0).geometry([0.9, 1.2], order=2)
+    V = dfm.deformation_vector(geom, dfm.normal_field(
+        geom, lambda t, p: 0.2 + 0.0 * t))
+    vg = dfm.varied_geometry(geom, V)
+    # at order 2 the area element keeps its eps slot, K (order 0) has none
+    assert abs(dfm.variation(vg, vg.sqrt_abs_det)) > 0.1
+    with pytest.raises(PreconditionError):
+        dfm.variation(vg, vg.extrinsic_curvature)
+    with pytest.raises(PreconditionError):
+        dfm.varied_geometry(dfm.deformed_geometry(geom, V, 1e-3), V)
+    low = emb.sphere_polar(1.0).geometry([0.9, 1.2], order=3)
+    with pytest.raises(PreconditionError):
+        dfm.varied_geometry(low, V)

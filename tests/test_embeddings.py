@@ -357,7 +357,7 @@ def full_order_covariant(g, W):
     G = g.background.christoffel_tensor([g.X[mu] for mu in range(g.ambient_dim)])
     Ge = jets.jet_einsum("mrs...,ar...->mas...", G, g.tangents)
     corr = jets.jet_einsum("mas...,ks...->akm...", Ge, W)
-    return jets.jet_partial_stack(W) + corr
+    return jets.jet_stack([W.partial(d) for d in range(W.nvars)]) + corr
 
 
 def assert_coeffs_close(got, want, count, rtol=1e-14):

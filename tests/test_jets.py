@@ -254,3 +254,36 @@ def test_matinv_lower_order_is_bit_identical_prefix():
         full.value, np.moveaxis(np.linalg.inv(np.moveaxis(g.value, (0, 1),
                                                            (-2, -1))),
                                 (-2, -1), (0, 1)))
+
+
+def _random_jet(nvars, order, grid, seed):
+    rng = np.random.default_rng(seed)
+    n = len(jets._tables(nvars, order)[0])
+    return Jet(nvars, order, [rng.normal(size=grid) for _ in range(n)])
+
+
+def test_lift_places_coefficients_by_multi_index():
+    a = _random_jet(2, 3, (5,), 11)
+    lifted = a.lift(4)
+    assert (lifted.nvars, lifted.order) == (4, 3)
+    for alpha in jets._tables(4, 3)[0]:
+        want = a.coefficient(alpha[:2]) if alpha[2:] == (0, 0) else 0.0
+        np.testing.assert_array_equal(lifted.coefficient(alpha), want)
+    assert a.lift(2) is a
+    with pytest.raises(ValueError):
+        a.lift(1)
+
+
+@pytest.mark.parametrize("nvars, order, extra", [(1, 4, 1), (2, 3, 2),
+                                                  (2, 5, 1)])
+def test_lift_commutes_with_products_bit_for_bit(nvars, order, extra):
+    a = _random_jet(nvars, order, (3, 4), 1)
+    b = _random_jet(nvars, order, (3, 4), 2)
+    n = nvars + extra
+    for got, want in ((a.lift(n) * b.lift(n), (a * b).lift(n)),
+                      (jet_einsum("ij,ij->i", a.lift(n), b.lift(n)),
+                       jet_einsum("ij,ij->i", a, b).lift(n)),
+                      (a.lift(n).exp(), a.exp().lift(n))):
+        assert (got.nvars, got.order) == (want.nvars, want.order)
+        for x, y in zip(got.c, want.c):
+            np.testing.assert_array_equal(x, y)

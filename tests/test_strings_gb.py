@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from branelab import deformation as dfm
 from branelab import embeddings as emb
 from branelab import jets
 from branelab import models as mdl
@@ -397,3 +398,118 @@ def test_two_d_einstein_identity(builder, n):
 def test_two_d_einstein_identity_flat_plane():
     E = emb.plane()
     assert sgb.two_d_einstein_identity(E, emb.make_grid(E, 8)) < 1e-15
+
+
+# -- exact variations against the re-embedding oracle ---------------------------
+
+def fd_delta(geom, V, extract):
+    return dfm.finite_difference_delta(geom, V, extract).estimate
+
+
+@pytest.mark.parametrize("field, theta", [(RADIAL, None),
+                                          (RADIAL, gauge_angle),
+                                          (TIMEMODE, None)],
+                         ids=["radial", "radial-gauge", "time"])
+def test_connection_response_matches_finite_difference(field, theta):
+    geom, _ = string_geometry()
+    th = None if theta is None else theta(*geom.params)
+    oracle = fd_delta(geom, field(geom),
+                      lambda g2: sgb.rotation_connection(g2, th).values)
+    exact = sgb.rotation_connection_delta(geom, field, theta)
+    np.testing.assert_allclose(exact, oracle, atol=1e-10)
+
+
+def nested_fd_gb_form(E, slc, vf1, vf2, sigma1, theta=None):
+    """`gb_symplectic_form` by nested finite differences: the outer one
+    varies the flux of one deformation, whose connection response is the
+    inner one, along the other deformation."""
+    grid, k = slc.grid(E)
+    geom = E.geometry(grid.mesh, 5)
+    th = None if theta is None else theta(*geom.params)
+    low = jets.jet_einsum("am...,mn...->an...", geom.tangents,
+                          geom.ambient_metric)
+    dual = jets.jet_einsum("ab...,bn...->an...",
+                           geom.inverse_induced_metric, low)
+    conormal = np.asarray(dual.value, float)[k]
+    V1, V2 = vf1(geom), vf2(geom)
+
+    def flux(g2, V_inner):
+        dr = fd_delta(g2, V_inner,
+                      lambda g3: sgb.rotation_connection(g3, th).values)
+        return sgb.gb_potential(g2, th, dr, sigma1)
+
+    d1 = fd_delta(geom, V1, lambda g2: flux(g2, V2))
+    d2 = fd_delta(geom, V2, lambda g2: flux(g2, V1))
+    dens = np.einsum("m...,m...->...", conormal, d2 - d1)
+    return float(emb.integrate(dens, grid))
+
+
+@pytest.mark.parametrize("theta", [None, gauge_angle],
+                         ids=["no-gauge", "gauge"])
+def test_gb_form_matches_nested_finite_difference(theta):
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 24)
+    exact = sgb.gb_symplectic_form(E, slc, TIMEMODE, MATCHED_RADIAL, 0.9,
+                                   theta=theta)
+    oracle = nested_fd_gb_form(E, slc, TIMEMODE, MATCHED_RADIAL, 0.9, theta)
+    assert abs(exact) > 1e-3
+    assert abs(exact - oracle) < 1e-9
+
+
+@pytest.mark.parametrize("sigma1", [0.0, 0.9])
+def test_dnggb_form_matches_finite_difference(sigma1):
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 48)
+    grid, _k = slc.grid(E)
+    geom = E.geometry(grid.mesh, 4)
+
+    def qp(g2):
+        return np.stack([np.asarray(j.value, float) for j in
+                         sgb._dnggb_pair(g2, 1.2, sigma1, None)])
+
+    d1 = fd_delta(geom, TIMEMODE(geom), qp)
+    d2 = fd_delta(geom, MATCHED_RADIAL(geom), qp)
+    dens = np.einsum("m...,m...->...", d1[0], d2[1]) \
+        - np.einsum("m...,m...->...", d2[0], d1[1])
+    oracle = float(emb.integrate(dens, grid))
+    exact = sgb.dnggb_symplectic_form(E, slc, TIMEMODE, MATCHED_RADIAL,
+                                      sigma0=1.2, sigma1=sigma1)
+    assert abs(exact - oracle) < 1e-9
+
+
+def test_gb_slice_orders_are_the_lowest_that_hold_a_variation(monkeypatch):
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 32)
+    calls = [
+        lambda: sgb.gb_symplectic_form(E, slc, TIMEMODE, MATCHED_RADIAL, 0.9,
+                                       theta=gauge_angle),
+        lambda: sgb.dnggb_symplectic_form(E, slc, TIMEMODE, MATCHED_RADIAL,
+                                          sigma0=1.2, sigma1=0.9,
+                                          theta=gauge_angle),
+    ]
+    low = [call() for call in calls]
+    original = sym._slice_geometry
+    monkeypatch.setattr(
+        sgb, "_slice_geometry",
+        lambda embedding, slc, order: original(embedding, slc, order + 1))
+    high = [call() for call in calls]
+    np.testing.assert_allclose(low, high, rtol=0.0, atol=1e-14)
+
+
+def test_gb_form_builds_two_geometries(monkeypatch):
+    builds = []
+    original = emb.Geometry.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(emb.Geometry, "__init__", counting)
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 16)
+    sgb.gb_symplectic_form(E, slc, TIMEMODE, MATCHED_RADIAL, 0.9)
+    assert len(builds) == 2
+    builds.clear()
+    sgb.dnggb_symplectic_form(E, slc, TIMEMODE, MATCHED_RADIAL, sigma0=1.2,
+                              sigma1=0.9)
+    assert len(builds) == 2

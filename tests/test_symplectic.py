@@ -332,3 +332,100 @@ def test_slice_validation():
     with pytest.raises(UnsupportedConfigurationError):
         sym.mass_shell_check(emb.s3_curve(), sym.CauchySlice("xi", 0.5, 16),
                              1.0)
+
+
+# -- exact variations against the re-embedding oracle ---------------------------
+
+def fd_pair(geom, vf1, vf2, extract):
+    """(D_{V1} extract(., V2), D_{V2} extract(., V1)) by finite differences,
+    both fields resolved on ``geom`` and held fixed."""
+    V1, V2 = vf1(geom), vf2(geom)
+    d1 = dfm.finite_difference_delta(geom, V1, lambda g2: extract(g2, V2))
+    d2 = dfm.finite_difference_delta(geom, V2, lambda g2: extract(g2, V1))
+    return V1, V2, d1.estimate, d2.estimate
+
+
+CURRENT_CASES = [
+    (emb.static_string(1.0), mdl.DNG(mu=1.3), FZ1, FZ2, (6, 12)),
+    (emb.torus_e3(2.0, 0.5), mdl.QuadraticK(alpha=0.8), GENERIC_E3,
+     sym.chart_field(lambda u, v: (0.1 * jets.cos(u + v), 0.3 * jets.sin(u),
+                                   0.2 * jets.sin(v))), (8, 8)),
+    (emb.surface_s2xs2(), mdl.SyntheticGradK(beta=0.6), GENERIC_E4,
+     sym.chart_field(lambda u, v: (0.1 * u * v, 0.2 * jets.cos(v),
+                                   0.1 * jets.sin(u), 0.05 + 0.0 * u)), (5, 5)),
+]
+
+
+@pytest.mark.parametrize("E, model, vf1, vf2, shape", CURRENT_CASES,
+                         ids=[c[1].name for c in CURRENT_CASES])
+def test_current_matches_finite_difference(E, model, vf1, vf2, shape):
+    geom = E.geometry(emb.make_grid(E, shape).mesh, model.jet_order)
+    exact = sym.symplectic_current(model, geom, vf1, vf2)
+    _V1, _V2, d1, d2 = fd_pair(
+        geom, vf1, vf2,
+        lambda g2, V: sym.symplectic_potential(model, g2, V).values)
+    scale = np.max(np.abs(d2 - d1))
+    assert scale > 1e-3
+    np.testing.assert_allclose(exact, d2 - d1, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("label, f1, f2", TRANSVERSE_PAIRS[:3],
+                         ids=[p[0] for p in TRANSVERSE_PAIRS[:3]])
+def test_pairing_matches_finite_difference(label, f1, f2):
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 96)
+    grid, _k = slc.grid(E)
+    geom = E.geometry(grid.mesh, 3)
+    V1, V2, d1, d2 = fd_pair(
+        geom, f1, f2, lambda g2, _V: np.asarray(
+            sym.dng_momentum_density(g2, 1.0).value, float))
+    dens = np.einsum("m...,m...->...", np.asarray(V1.value, float), d2) \
+        - np.einsum("m...,m...->...", np.asarray(V2.value, float), d1)
+    oracle = float(emb.integrate(dens, grid))
+    assert abs(sym.dng_canonical_pairing(E, slc, f1, f2, 1.0) - oracle) < 1e-9
+
+
+def _one_order_up(monkeypatch, *modules):
+    """Build every slice geometry of ``modules`` one jet order higher."""
+    original = sym._slice_geometry
+    for mod in modules:
+        monkeypatch.setattr(
+            mod, "_slice_geometry",
+            lambda embedding, slc, order: original(embedding, slc, order + 1))
+
+
+def test_slice_orders_are_the_lowest_that_hold_a_variation(monkeypatch):
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 64)
+    calls = [
+        lambda: sym.symplectic_form(mdl.DNG(mu=1.0), E, slc, FZ1, FRAD2),
+        lambda: sym.symplectic_form(mdl.QuadraticK(alpha=0.8), E, slc,
+                                    FRAD1, FRAD2),
+        lambda: sym.symplectic_form(mdl.DNG(mu=1.0), E, slc,
+                                    tangential_string_field, FZ1),
+        lambda: sym.dng_canonical_pairing(E, slc, FRAD1, FZ2, 1.0),
+        lambda: sym.dng_canonical_pairing(E, slc, tangential_string_field,
+                                          FZ1, 1.0),
+    ]
+    low = [call() for call in calls]
+    _one_order_up(monkeypatch, sym)
+    high = [call() for call in calls]
+    np.testing.assert_allclose(low, high, rtol=0.0, atol=1e-14)
+
+
+def test_slice_form_builds_two_geometries(monkeypatch):
+    builds = []
+    original = emb.Geometry.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(emb.Geometry, "__init__", counting)
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 32)
+    sym.symplectic_form(mdl.DNG(mu=1.0), E, slc, FZ1, FZ2)
+    assert len(builds) == 2
+    builds.clear()
+    sym.dng_canonical_pairing(E, slc, FZ1, FZ2, 1.0)
+    assert len(builds) == 2

@@ -1,5 +1,6 @@
 """Write the nine default CLI report bodies, two product-background report
-bodies, their --dump-fields CSVs and the printed output of every demo.
+bodies, one traveling-wave report body, their --dump-fields CSVs and the
+printed output of every demo.
 
 Usage: PYTHONPATH=src python3 tools/cli_bodies.py OUTDIR
 
@@ -9,9 +10,13 @@ builds a product background, the only catalog ambient on which the
 curvature couplings E05/E08/E14 are visible, so `action-variation` also
 runs on the S2xS2 patch for each model in S2XS2_MODELS, through a --config
 file in a temporary directory; OUTDIR gets
-action-variation-s2xs2-<model>.txt and .csv.  Each script in demos/ runs
-in its own interpreter, which inherits PYTHONPATH, so the library under
-test is the one on the path; OUTDIR gets demo-<stem>.txt with its stdout.
+action-variation-s2xs2-<model>.txt and .csv.  No default runs
+`symplectic-conservation` on its traveling-wave branch (the left-moving
+probe pair), so it also runs there through a --config file; OUTDIR gets
+symplectic-conservation-traveling-wave.txt and .csv.  Each script in
+demos/ runs in its own interpreter, which inherits PYTHONPATH, so the
+library under test is the one on the path; OUTDIR gets demo-<stem>.txt
+with its stdout.
 Two checkouts can then be compared with `diff -r`.
 """
 import contextlib
@@ -40,20 +45,28 @@ def write_body(outdir, stem, argv):
         fh.writelines(body)
 
 
+def write_config_body(outdir, tmp, stem, text):
+    """Run the CLI on a --config file holding ``text``; see `write_body`."""
+    cfg = os.path.join(tmp, f"{stem}.ini")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    write_body(outdir, stem, ["--config", cfg])
+
+
 def main(outdir):
     os.makedirs(outdir, exist_ok=True)
     for name in cli.SCENARIOS:
         write_body(outdir, name, ["--scenario", name])
     with tempfile.TemporaryDirectory() as tmp:
         for model in S2XS2_MODELS:
-            cfg = os.path.join(tmp, f"{model}.ini")
-            with open(cfg, "w") as fh:
-                fh.write("[scenario]\nname = action-variation\n"
-                         "[embedding]\nid = s2xs2\n"
-                         f"[model]\nid = {model}\n"
-                         "[run]\ngrid = 32\n")
-            write_body(outdir, f"action-variation-s2xs2-{model}",
-                       ["--config", cfg])
+            write_config_body(outdir, tmp, f"action-variation-s2xs2-{model}",
+                              "[scenario]\nname = action-variation\n"
+                              "[embedding]\nid = s2xs2\n"
+                              f"[model]\nid = {model}\n"
+                              "[run]\ngrid = 32\n")
+        write_config_body(outdir, tmp, "symplectic-conservation-traveling-wave",
+                          "[scenario]\nname = symplectic-conservation\n"
+                          "[embedding]\nid = traveling-wave\n")
     for demo in sorted(DEMOS.glob("*.py")):
         run = subprocess.run([sys.executable, str(demo)], capture_output=True,
                              text=True, check=True)
