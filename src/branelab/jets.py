@@ -16,6 +16,13 @@ background provides no closed-form connection.
 
 Conventions: coefficients are stored in graded order (total degree, then
 lexicographic), so truncating to a lower order is a prefix slice.
+
+Arithmetic: a product sums, for each output slot k, the coefficient products
+a_i b_j over the pairs (i, j) -> k, adding each term into the fresh array of
+the first.  Every analytic function (exp, sin, cos, sinh, cosh, log, sqrt,
+the reciprocal and real powers) is one degree recurrence in `Jet._compose`,
+about one product's work; a lower order is a bit-identical prefix.  Inputs
+outside a function's domain raise `DomainError`.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 
 __all__ = [
     "Jet",
@@ -50,12 +57,16 @@ __all__ = [
 def _tables(nvars: int, order: int):
     """Multi-index bookkeeping for (nvars, order), cached.
 
-    Returns (indices, position, prefix_counts, mult_triples, partial_maps):
+    Returns (indices, position, prefix_counts, products, partial_maps,
+    degrees):
       indices: tuple of multi-index tuples in graded order
       position: dict multi-index -> coefficient slot
       prefix_counts[k]: number of coefficients of a jet of order k
-      mult_triples: tuple of (i, j, k) with indices[i]+indices[j] == indices[k]
+      products[k]: the pairs (i, j) with indices[i] + indices[j] ==
+        indices[k], i ascending, so the first is (0, k) and the last (k, 0);
+        every other j comes before k in graded order
       partial_maps[d]: tuple of (dst, src, factor) for d/dx_d
+      degrees[k]: total degree of indices[k], as a float
     """
     if nvars < 1 or order < 0:
         raise ValueError("need nvars >= 1 and order >= 0")
@@ -66,12 +77,12 @@ def _tables(nvars: int, order: int):
     prefix_counts = tuple(
         sum(1 for a in indices if sum(a) <= k) for k in range(order + 1)
     )
-    triples = []
+    products = [[] for _ in indices]
     for i, a in enumerate(indices):
         for j, b in enumerate(indices):
             s = tuple(x + y for x, y in zip(a, b))
             if sum(s) <= order:
-                triples.append((i, j, position[s]))
+                products[position[s]].append((i, j))
     partial_maps = []
     for d in range(nvars):
         ops = []
@@ -82,22 +93,43 @@ def _tables(nvars: int, order: int):
             src[d] += 1
             ops.append((position[a], position[tuple(src)], float(a[d] + 1)))
         partial_maps.append(tuple(ops))
-    return indices, position, prefix_counts, tuple(triples), tuple(partial_maps)
+    return (indices, position, prefix_counts, tuple(tuple(p) for p in products),
+            tuple(partial_maps), tuple(float(sum(a)) for a in indices))
 
 
-@lru_cache(maxsize=None)
-def _inverse_triples(nvars: int, order: int):
-    """The mult_triples of `_tables` with i != 0, grouped by target slot.
+def _cauchy(pairs, prod):
+    """Sum of prod(i, j) over the non-empty ``pairs``, accumulated in place.
 
-    Entry k holds the pairs (i, j) with indices[i] + indices[j] == indices[k]
-    and i != 0; each such j comes before k in graded order.
+    ``prod`` must return a new object, as a product does.  Each later term
+    is added into the array made by the first product, so no input
+    coefficient is written; a term that would broadcast the sum to a larger
+    shape or another dtype (or a jet or scalar term) is added out of place.
     """
-    tab = _tables(nvars, order)
-    groups = [[] for _ in tab[0]]
-    for i, j, k in tab[3]:
-        if i:
-            groups[k].append((i, j))
-    return tuple(tuple(p) for p in groups)
+    it = iter(pairs)
+    s = prod(*next(it))
+    for i, j in it:
+        t = prod(i, j)
+        if (type(s) is np.ndarray and type(t) is np.ndarray and t.dtype == s.dtype
+                and (t.shape == s.shape
+                     or np.broadcast_shapes(s.shape, t.shape) == s.shape)):
+            s += t
+        else:
+            s = s + t
+    return s
+
+
+def _require(name, value, positive):
+    """Raise DomainError unless ``value`` (the innermost value of a nested
+    jet) is nonzero, or positive if ``positive``, at every index."""
+    while _is_jet(value):
+        value = value.c[0]
+    v = np.asarray(value)
+    bad = v <= 0 if positive else v == 0
+    if np.any(bad):
+        idx = tuple(int(t) for t in np.argwhere(bad)[0])
+        raise DomainError(
+            f"{name} needs a {'positive' if positive else 'nonzero'} jet value; "
+            f"it is {float(v[idx])!r} at index {idx}")
 
 
 def _is_jet(x) -> bool:
@@ -220,12 +252,10 @@ class Jet:
     def __mul__(self, other):
         if _is_jet(other):
             a, b = self._align(other)
-            tab = _tables(a.nvars, a.order)
-            out = [0.0] * len(a.c)
             ac, bc = a.c, b.c
-            for i, j, k in tab[3]:
-                out[k] = out[k] + ac[i] * bc[j]
-            return Jet(a.nvars, a.order, out)
+            prod = lambda i, j: ac[i] * bc[j]  # noqa: E731
+            return Jet(a.nvars, a.order,
+                       [_cauchy(p, prod) for p in _tables(a.nvars, a.order)[3]])
         return Jet(self.nvars, self.order, [x * other for x in self.c])
 
     __rmul__ = __mul__
@@ -239,85 +269,103 @@ class Jet:
         return self._reciprocal() * other
 
     def __pow__(self, p):
-        if isinstance(p, int):
+        integer = float(p).is_integer()
+        if integer and p >= 0:
+            # repeated products, which hold at a zero value too
             if p == 0:
                 return Jet.constant(_one_like(self.c[0]), self.nvars, self.order)
-            if p > 0:
-                out = self
-                for _ in range(p - 1):
-                    out = out * self
-                return out
-        # real or negative powers through the composition rule
-        derivs = []
-        x0 = self.c[0]
-        coef = 1.0
-        for k in range(self.order + 1):
-            derivs.append(coef * x0 ** (p - k) if k else x0**p)
-            coef *= p - k
-        return self._compose(derivs)
+            out = self
+            for _ in range(int(p) - 1):
+                out = out * self
+            return out
+        # the slope of a real power needs a positive value
+        positive = bool(self.order) and not integer
+        if positive or p < 0:
+            _require(f"x ** {p}", self.c[0], positive)
+        return self._compose("pow", self.c[0] ** p, p=p)
 
-    # -- analytic functions, via f(x0 + h) = sum f^(k)(x0) h^k / k! ----
-    def _compose(self, derivs):
-        """Horner evaluation given derivs[k] = f^(k)(value).
+    # -- analytic functions, by degree recurrence -------------------------
+    def _compose(self, kind, f0, g0=None, p=None):
+        """f(self) for an analytic f, given f0 = f(value), in one pass.
 
-        Each Taylor coefficient of f is lifted to a constant jet before it
-        enters the outer arithmetic, so nested (jet-valued) coefficients stay
-        at their own level.
+        The Euler operator E = sum_d x_d d/dx_d multiplies a term of total
+        degree |k| by |k|, and E f(u) = f'(u) E u.  Read on coefficients,
+        over the pairs (i, j) -> k of `_tables` with i != 0 (whose j all
+        come before k), this gives each f_k from earlier slots only:
+
+          exp:  f_k = sum |i| u_i f_j / |k|
+          pow:  f_k = sum (p|i| - |j|) u_i f_j / (|k| u_0)   (f = u**p)
+          log:  f_k = (u_k - sum |j| u_i f_j / |k|) / u_0
+          sin, cos, sinh, cosh:  the pair s' = c, c' = -s (c' = s for the
+                hyperbolic pair) in one pass, s_k = sum |i| u_i c_j / |k|
+                and c_k = -+sum |i| u_i s_j / |k|; f0 = s(value), g0 =
+                c(value), and ``kind`` names the one returned.
+
+        These are the Taylor-arithmetic tables of Griewank and Walther,
+        Evaluating Derivatives, ch. 13.  Nested (jet-valued) coefficients
+        recurse through their own arithmetic.
         """
-        h = Jet(self.nvars, self.order, list(self.c))
-        h.c[0] = _zero_like(self.c[0])
-        lift = lambda v: Jet.constant(v, self.nvars, self.order)  # noqa: E731
-        out = lift(derivs[self.order] / math.factorial(self.order))
-        for k in range(self.order - 1, -1, -1):
-            out = out * h + lift(derivs[k] / math.factorial(k))
-        return out
+        u = self.c
+        tab = _tables(self.nvars, self.order)
+        pairs, deg = tab[3], tab[5]
+        f = [f0]
+        if self.order and kind in ("pow", "log"):
+            r = 1.0 / u[0]
+        if kind == "log":
+            df = [0.0]  # df[j] = |j| f_j
+            prod = lambda i, j: u[i] * df[j]  # noqa: E731
+            for k in range(1, len(u)):
+                f.append((u[k] - _cauchy(pairs[k][1:], prod) / deg[k]) * r)
+                df.append(deg[k] * f[k])
+            return Jet(self.nvars, self.order, f)
+        if kind == "pow":
+            prod = lambda i, j: (p * deg[i] - deg[j]) * u[i] * f[j]  # noqa: E731
+            for k in range(1, len(u)):
+                f.append(_cauchy(pairs[k][1:], prod) * r / deg[k])
+            return Jet(self.nvars, self.order, f)
+        du = [None] + [d * x for d, x in zip(deg[1:], u[1:])]
+        if kind == "exp":
+            prod = lambda i, j: du[i] * f[j]  # noqa: E731
+            for k in range(1, len(u)):
+                f.append(_cauchy(pairs[k][1:], prod) / deg[k])
+            return Jet(self.nvars, self.order, f)
+        g = [g0]
+        sign = -1.0 if kind in ("sin", "cos") else 1.0
+        f_prod = lambda i, j: du[i] * g[j]  # noqa: E731
+        g_prod = lambda i, j: du[i] * f[j]  # noqa: E731
+        for k in range(1, len(u)):
+            f.append(_cauchy(pairs[k][1:], f_prod) / deg[k])
+            g.append(_cauchy(pairs[k][1:], g_prod) / (sign * deg[k]))
+        return Jet(self.nvars, self.order, f if kind in ("sin", "sinh") else g)
 
     def _reciprocal(self):
-        x0 = self.c[0]
-        derivs, sign = [], 1.0
-        for k in range(self.order + 1):
-            derivs.append(sign * math.factorial(k) / x0 ** (k + 1))
-            sign = -sign
-        return self._compose(derivs)
+        _require("reciprocal", self.c[0], positive=False)
+        return self._compose("pow", 1.0 / self.c[0], p=-1.0)
 
     def sqrt(self):
-        x0 = self.c[0]
-        derivs, coef = [sqrt(x0)], 0.5
-        for k in range(1, self.order + 1):
-            derivs.append(coef * x0 ** (0.5 - k))
-            coef *= 0.5 - k
-        return self._compose(derivs)
+        if self.order:
+            _require("sqrt", self.c[0], positive=True)
+        return self._compose("pow", sqrt(self.c[0]), p=0.5)
 
     def exp(self):
-        e0 = exp(self.c[0])
-        return self._compose([e0] * (self.order + 1))
+        return self._compose("exp", exp(self.c[0]))
 
     def log(self):
-        x0 = self.c[0]
-        derivs = [log(x0)]
-        for k in range(1, self.order + 1):
-            derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / x0**k)
-        return self._compose(derivs)
+        if self.order:
+            _require("log", self.c[0], positive=True)
+        return self._compose("log", log(self.c[0]))
 
     def sin(self):
-        s0, c0 = sin(self.c[0]), cos(self.c[0])
-        cycle = (s0, c0, -s0, -c0)
-        return self._compose([cycle[k % 4] for k in range(self.order + 1)])
+        return self._compose("sin", sin(self.c[0]), cos(self.c[0]))
 
     def cos(self):
-        s0, c0 = sin(self.c[0]), cos(self.c[0])
-        cycle = (c0, -s0, -c0, s0)
-        return self._compose([cycle[k % 4] for k in range(self.order + 1)])
+        return self._compose("cos", sin(self.c[0]), cos(self.c[0]))
 
     def sinh(self):
-        s0, c0 = sinh(self.c[0]), cosh(self.c[0])
-        pair = (s0, c0)
-        return self._compose([pair[k % 2] for k in range(self.order + 1)])
+        return self._compose("sinh", sinh(self.c[0]), cosh(self.c[0]))
 
     def cosh(self):
-        s0, c0 = sinh(self.c[0]), cosh(self.c[0])
-        pair = (c0, s0)
-        return self._compose([pair[k % 2] for k in range(self.order + 1)])
+        return self._compose("cosh", sinh(self.c[0]), cosh(self.c[0]))
 
     # -- structural helpers for array-valued coefficients ---------------
     def map_coeffs(self, fn):
@@ -434,12 +482,11 @@ def jet_einsum(spec, a, b):
         b_arr = np.asarray(b, float)
         return a.map_coeffs(lambda x: np.einsum(spec, np.asarray(x, float), b_arr))
     aj, bj = a._align(b)
-    tab = _tables(aj.nvars, aj.order)
-    out = [0.0] * len(aj.c)
-    for i, j, k in tab[3]:
-        out[k] = out[k] + np.einsum(spec, np.asarray(aj.c[i], float),
-                                    np.asarray(bj.c[j], float))
-    return Jet(aj.nvars, aj.order, out)
+    ac = [np.asarray(x, float) for x in aj.c]
+    bc = [np.asarray(x, float) for x in bj.c]
+    prod = lambda i, j: np.einsum(spec, ac[i], bc[j])  # noqa: E731
+    return Jet(aj.nvars, aj.order,
+               [_cauchy(p, prod) for p in _tables(aj.nvars, aj.order)[3]])
 
 
 def jet_concat(parts):
@@ -468,13 +515,12 @@ def jet_matinv(g):
     val = np.asarray(g.value, float)
     x0 = np.ascontiguousarray(np.moveaxis(
         np.linalg.inv(np.moveaxis(val, (0, 1), (-2, -1))), (-2, -1), (0, 1)))
+    gc = [np.asarray(c, float) for c in g.c]
     neg, x = -x0, [x0]
-    for pairs in _inverse_triples(g.nvars, g.order)[1:]:
-        s = 0.0
-        for i, j in pairs:
-            s = s + np.einsum("ab...,bc...->ac...", np.asarray(g.c[i], float),
-                              x[j])
-        x.append(np.einsum("ab...,bc...->ac...", neg, s, order="C"))
+    prod = lambda i, j: np.einsum("ab...,bc...->ac...", gc[i], x[j])  # noqa: E731
+    for pairs in _tables(g.nvars, g.order)[3][1:]:
+        x.append(np.einsum("ab...,bc...->ac...", neg, _cauchy(pairs[1:], prod),
+                           order="C"))
     return Jet(g.nvars, g.order, x)
 
 

@@ -1,6 +1,8 @@
 """Exit codes, config handling, and report determinism of the CLI."""
 
 import csv
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -328,3 +330,27 @@ def test_one_axis_embedding_gets_a_one_axis_default_grid(tmp_path, capsys,
     assert "grid: default" in out
     if scenario == "action-variation":
         assert code == 0 and "result: pass" in out
+
+
+def test_cli_bodies_compare(tmp_path, capsys):
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "cli_bodies.py"
+    spec = importlib.util.spec_from_file_location("cli_bodies", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    body = ("check: name=gap computed={} expected=0.0 tol=1e-05 "
+            "source=oracle pass={}\nresult: {}\n")
+    dirs = {}
+    for tag, computed, verdict in (("old", "7.40e-12", "true"),
+                                   ("new", "7.46e-12", "true"),
+                                   ("flip", "7.40e-12", "false")):
+        dirs[tag] = tmp_path / tag
+        dirs[tag].mkdir()
+        (dirs[tag] / "a.txt").write_text(
+            body.format(computed, verdict, "pass" if verdict == "true" else "fail"))
+    assert tool.compare(dirs["old"], dirs["new"]) == 0
+    out = capsys.readouterr().out
+    assert "a.txt: verdicts identical; largest relative change 8.04e-03" in out
+    assert tool.compare(dirs["old"], dirs["flip"]) == 1
+    assert "verdicts DIFFER" in capsys.readouterr().out
+    (dirs["new"] / "b.txt").write_text("x\n")
+    assert tool.compare(dirs["old"], dirs["new"]) == 1

@@ -1,0 +1,94 @@
+"""Fuzz of the CLI configuration boundary: every config file and argv
+either resolves to a `ScenarioConfig` or raises `ConfigError` (exit 2),
+never another exception."""
+import argparse
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from branelab import cli
+
+EMBEDDING_KEYS = sorted({k for _, keys in cli.EMBEDDINGS.values() for k in keys})
+JUNK = st.sampled_from(["", "bogus", "1", "x y", "nan"])
+NUMBER = st.one_of(st.integers(-3, 40).map(str),
+                   st.floats(allow_nan=True, allow_infinity=True).map(repr))
+VALUE = st.one_of(
+    st.sampled_from(["4", "3,4", "0.001,0.0005,0.00025", "1e-3", "0.5"]),
+    NUMBER,
+    st.lists(NUMBER, min_size=1, max_size=4).map(",".join),
+    st.text(alphabet="0123456789.,-+e xn", max_size=10),
+    JUNK,
+)
+
+
+def one_in(n):
+    """True about once in n draws.  The rare case is the largest integer,
+    since hypothesis leans towards small ones."""
+    return st.integers(0, n - 1).map(lambda k: k == n - 1)
+
+
+def named(names):
+    """Mostly a catalog name, sometimes junk."""
+    return st.one_of(st.sampled_from(list(names)), st.sampled_from(list(names)),
+                     JUNK)
+
+
+def entries(keys, ident=None):
+    """`key = value` pairs with distinct keys drawn from ``keys`` (plus an
+    unknown one), after an optional `id` drawn from ``ident``."""
+    key = st.one_of(*[st.sampled_from(keys)] * 3, st.just("junk"))
+    pairs = st.lists(st.tuples(key, VALUE), max_size=4, unique_by=lambda kv: kv[0])
+    if ident is None:
+        return pairs
+    head = st.lists(st.tuples(st.just("id"), named(ident)), max_size=1)
+    return st.tuples(head, pairs).map(lambda hp: hp[0] + hp[1])
+
+
+SECTIONS = {
+    "scenario": named(cli.SCENARIOS).map(lambda name: [("name", name)]),
+    "embedding": entries(EMBEDDING_KEYS, ident=cli.EMBEDDINGS),
+    "model": entries(list(cli.COUPLING_KEYS), ident=cli.MODELS),
+    "run": entries(list(cli.RUN_KEYS)),
+}
+
+
+@st.composite
+def config_text(draw):
+    """Each of the four sections with probability 3/4, sometimes an unknown
+    section or a line configparser cannot read."""
+    lines = []
+    for name in SECTIONS:
+        if not draw(one_in(4)):
+            lines.append(f"[{name}]")
+            lines += [f"{key} = {value}" for key, value in draw(SECTIONS[name])]
+    if draw(one_in(8)):
+        lines += ["[extra]", "key = 1"]
+    if draw(one_in(8)):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["no equals sign", "[", "= 3"])))
+    return "\n".join(lines) + "\n"
+
+
+ARGS = st.fixed_dictionaries({
+    "scenario": st.one_of(st.none(), named(cli.SCENARIOS), named(cli.SCENARIOS)),
+    "grid": st.one_of(st.none(), VALUE),
+    "eps": st.one_of(st.none(), VALUE),
+    "tol": st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+    "skip_config": one_in(4),
+})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=config_text(), argv=ARGS)
+def test_config_resolves_or_is_a_usage_error(tmp_path, text, argv):
+    path = tmp_path / "fuzz.ini"
+    path.write_text(text)
+    skip_config = argv.pop("skip_config")
+    args = argparse.Namespace(config=None if skip_config else str(path), **argv)
+    try:
+        cfg = cli.resolve_config(args)
+    except cli.ConfigError:
+        return
+    assert cfg.scenario in cli.SCENARIOS
+    assert cfg.embedding in cli.EMBEDDINGS

@@ -17,12 +17,23 @@ symplectic-conservation-traveling-wave.txt and .csv.  Each script in
 demos/ runs in its own interpreter, which inherits PYTHONPATH, so the
 library under test is the one on the path; OUTDIR gets demo-<stem>.txt
 with its stdout.
-Two checkouts can then be compared with `diff -r`.
+
+Usage: python3 tools/cli_bodies.py --compare OLD NEW
+
+compares two such directories.  For each file it prints whether the
+verdicts (the `pass=` token of each check line and the `result:` lines)
+are identical, and the largest relative change of any number, pairing
+the numbers of the two files in order.  It exits 1 if a verdict differs,
+a file is in one directory only, or the text between the numbers differs
+(then the numbers cannot be paired); else 0.  `diff -r` still shows
+byte identity.
 """
 import contextlib
 import io
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -74,5 +85,72 @@ def main(outdir):
             fh.write(run.stdout)
 
 
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
+
+
+def verdicts(text):
+    """The check names with their `pass=` values, and the `result:` lines."""
+    out = []
+    for line in text.splitlines():
+        if line.startswith("result:"):
+            out.append(line)
+        elif "pass=" in line:
+            name = re.search(r"name=(\S+)", line)
+            out.append((name and name.group(1), re.findall(r"pass=(\S+)", line)))
+    return out
+
+
+def largest_change(old, new):
+    """(relative change, line, old number, new number) of the number that
+    moved most, or None when the text between the numbers differs."""
+    a, b = NUMBER.split(old), NUMBER.split(new)
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return None
+    worst, line = (0.0, 0, "", ""), 1
+    for k in range(1, len(a), 2):
+        line += a[k - 1].count("\n")
+        x, y = float(a[k]), float(b[k])
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            rel = 0.0
+        elif math.isnan(x) or math.isnan(y):
+            rel = math.inf
+        else:
+            rel = abs(x - y) / max(abs(x), abs(y))
+        if rel > worst[0]:
+            worst = (rel, line, a[k], b[k])
+    return worst
+
+
+def compare(old_dir, new_dir):
+    """Print the per-file verdict and digit report; return the exit code."""
+    old_files = set(os.listdir(old_dir))
+    new_files = set(os.listdir(new_dir))
+    status, overall = 0, (0.0, "-")
+    for name in sorted(old_files | new_files):
+        if name not in old_files or name not in new_files:
+            print(f"{name}: only in {old_dir if name in old_files else new_dir}")
+            status = 1
+            continue
+        old = pathlib.Path(old_dir, name).read_text()
+        new = pathlib.Path(new_dir, name).read_text()
+        same = verdicts(old) == verdicts(new)
+        change = largest_change(old, new)
+        if not same or change is None:
+            status = 1
+        if change is None:
+            digits = "text between the numbers differs"
+        else:
+            rel, line, x, y = change
+            digits = f"largest relative change {rel:.2e}"
+            if rel:
+                digits += f" (line {line}: {x} -> {y})"
+                overall = max(overall, (rel, f"{name} line {line}: {x} -> {y}"))
+        print(f"{name}: verdicts {'identical' if same else 'DIFFER'}; {digits}")
+    print(f"largest relative change overall: {overall[0]:.2e} ({overall[1]})")
+    return status
+
+
 if __name__ == "__main__":
+    if sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     main(sys.argv[1])
