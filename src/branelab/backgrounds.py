@@ -150,7 +150,7 @@ class BackgroundMetric:
         if self.christoffel_fn is not None:
             return assemble_tensor(self.christoffel_fn(*coords), template)
         g, dg, _ = self._metric_derivs(coords, template, nderiv=1)
-        return christoffel_from_metric(g, dg)
+        return christoffel_from_metric(jet_matinv(g), dg)
 
     def riemann_tensor(self, coords):
         """All-lower curvature R_{a b m n}(x)."""
@@ -160,7 +160,7 @@ class BackgroundMetric:
         if self.riemann_fn is not None:
             return assemble_tensor(self.riemann_fn(*coords), template)
         g, dg, ddg = self._metric_derivs(coords, template, nderiv=2)
-        return riemann_from_metric(g, dg, ddg)
+        return riemann_from_metric(g, jet_matinv(g), dg, ddg)
 
     def _metric_derivs(self, coords, template, nderiv):
         """Metric and its ambient partials at jet coordinates.
@@ -219,14 +219,15 @@ def _gamma_lower(dg):
     )
 
 
-def christoffel_from_metric(g, dg):
-    """G^r_{m n} from a metric jet g (m,n) and its gradient dg (a,m,n)."""
-    return jet_einsum("rl...,lmn...->rmn...", jet_matinv(g), _gamma_lower(dg))
+def christoffel_from_metric(ginv, dg):
+    """G^r_{m n} from an inverse metric jet ginv (r,l) and the metric
+    gradient dg (a,m,n)."""
+    return jet_einsum("rl...,lmn...->rmn...", ginv, _gamma_lower(dg))
 
 
-def riemann_from_metric(g, dg, ddg):
-    """All-lower R_{a b m n} from metric, gradient and hessian jets."""
-    ginv = jet_matinv(g)
+def riemann_from_metric(g, ginv, dg, ddg):
+    """All-lower R_{a b m n} from the metric, its inverse, gradient and
+    hessian jets."""
     low = _gamma_lower(dg)
     gamma = jet_einsum("rl...,lmn...->rmn...", ginv, low)
     # d_a G_{l m n} with ddg[a,b] = d_a d_b g

@@ -196,11 +196,11 @@ RADIAL_WAVE = sym.chart_field(lambda t, s: (
     0.0 * t))
 
 
-def _gauge_angle(t, s):
+def gauge_angle(t, s):
     return 0.4 * jets.sin(s) - 0.2 * jets.cos(t)
 
 
-def _tangential_string_field(geom):
+def tangential_string_field(geom):
     t, s = geom.params
     comp = jets.jet_stack(
         [0.2 + 0.1 * jets.sin(s), -0.3 + 0.1 * jets.cos(t)],
@@ -405,7 +405,7 @@ def run_canonical_darboux(cfg):
         p = sym.dng_canonical_pairing(E, slc, f1, f2, sigma0)
         checks.append(Check(f"pairing-match-{label}", w - p, 0.0, tol,
                             "position-momentum-pairing"))
-    w_tan = sym.symplectic_form(model, E, slc, _tangential_string_field,
+    w_tan = sym.symplectic_form(model, E, slc, tangential_string_field,
                                 WAVE_PAIRS[0][1])
     checks.append(Check("tangential-drop-out", w_tan, 0.0, tol,
                         "reparameterization"))
@@ -427,8 +427,8 @@ def run_gb_gauge_invariance(cfg):
     dr = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
     psi = sgb.gb_potential(geom, None, dr, sigma1)
     dr_g = sgb.rotation_connection_delta(geom, RADIAL_WAVE,
-                                         theta=_gauge_angle)
-    psi_g = sgb.gb_potential(geom, _gauge_angle, dr_g, sigma1)
+                                         theta=gauge_angle)
+    psi_g = sgb.gb_potential(geom, gauge_angle, dr_g, sigma1)
     checks = [
         Check("connection-response-shift", float(np.max(np.abs(dr - dr_g))),
               0.0, tol, "fixed-angle-cancellation"),

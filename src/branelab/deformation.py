@@ -17,6 +17,11 @@ components phi^i, the first variations of the induced objects are:
       grad_a L_bc^i - dG^d_{ab} K_dc^i - dG^d_{ac} K_bd^i
       + dw_a^i_j K_bc^j
 
+The variation of a curvature scalar follows from these by the chain rule.
+Each invariant is written once, as a function of gamma^{ab} and K_ab^i or
+grad_a K_bc^i; `predicted_delta_scalar` evaluates it on dual numbers
+Jet(1, 1, [jet, closed-form variation]) and reads their eps coefficient.
+
 Every formula is pinned by finite-difference oracles in the test suite:
 scalars are compared directly, frame-carried tensors on codimension-1
 worldvolumes (where the normal is selection-stable), and the twist signs on
@@ -174,19 +179,14 @@ def delta_sqrt_det(geom: Geometry, phi):
     return geom.sqrt_abs_det * kphi
 
 
-def _rpair_tan_nor(geom):
-    """rpair(e_b, n_j; e_c, n^i) as a jet with axes (b, j, c, i)."""
-    # rpair(u=e_b, v=n_j; w=e_c, z=n_i) = rframe[n_j, e_b, e_c, n_i]
-    return jet_rearrange("jbci...->bjci...", geom.rblock("nttn"))
-
-
 def delta_extrinsic(geom: Geometry, phi):
     """Frame-covariant first variation of K_bc^i."""
     ddphi = geom.covariant_grad(geom.covariant_grad(phi, 0, 1), 1, 1)
     kk = jet_einsum("bdi...,dcj...->bcij...", geom.extrinsic_curvature,
                     geom.k_mixed)
     kk_term = jet_einsum("bcij...,j...->bci...", kk, phi)
-    r_term = jet_einsum("bjci...,j...->bci...", _rpair_tan_nor(geom), phi)
+    # rpair(e_b, n_j; e_c, n^i) = rframe[n_j, e_b, e_c, n_i]
+    r_term = jet_einsum("jbci...,j...->bci...", geom.rblock("nttn"), phi)
     return -1.0 * ddphi + kk_term + r_term
 
 
@@ -226,90 +226,69 @@ def delta_grad_extrinsic(geom: Geometry, phi):
 
 # -- scalar invariants and their predicted variations ----------------------
 
+def _k_squared(gi, K):
+    """K^i K_i (mean curvature squared)."""
+    m = jet_einsum("ab...,abi...->i...", gi, K)
+    return jet_einsum("i...,i...->...", m, m)
+
+
+def _k_dot_k(gi, K):
+    """K_{ab}^i K^{ab}_i."""
+    k_mixed = jet_einsum("ac...,cbi...->abi...", gi, K)
+    k_raised = jet_einsum("bd...,adi...->abi...", gi, k_mixed)
+    return jet_einsum("abi...,abi...->...", K, k_raised)
+
+
+def _gradk_full(gi, gk):
+    """grad_a K_bc^i grad^a K^{bc}_i."""
+    up = jet_einsum("ad...,dbci...->abci...", gi, gk)
+    up = jet_einsum("be...,aeci...->abci...", gi, up)
+    up = jet_einsum("cf...,abfi...->abci...", gi, up)
+    return jet_einsum("abci...,abci...->...", gk, up)
+
+
+def _gradk_mean(gi, gk):
+    """grad_a K^i grad^a K_i, with grad_a K^i = gamma^{bc} grad_a K_bc^i."""
+    gm = jet_einsum("bc...,abci...->ai...", gi, gk)
+    gm_up = jet_einsum("ab...,bi...->ai...", gi, gm)
+    return jet_einsum("ai...,ai...->...", gm, gm_up)
+
+
+# name -> (invariant, the Geometry tensor it reads, that tensor's variation)
+_INVARIANTS = {
+    "k_squared": (_k_squared, "extrinsic_curvature", delta_extrinsic),
+    "k_dot_k": (_k_dot_k, "extrinsic_curvature", delta_extrinsic),
+    "gradk_full": (_gradk_full, "grad_extrinsic", delta_grad_extrinsic),
+    "gradk_mean": (_gradk_mean, "grad_extrinsic", delta_grad_extrinsic),
+}
+
+
 def scalar_invariant(geom: Geometry, name: str):
     """Pointwise scalar invariants used by the oracle tests."""
-    if name == "k_dot_k":
-        return geom.k_dot_k_scalar
-    if name == "k_squared":
-        return geom.k_squared_scalar
     if name == "det_metric":
         return geom.det_induced_metric
     if name == "sqrt_det":
         return geom.sqrt_abs_det
-    if name == "gradk_full":
-        gk = geom.grad_extrinsic
-        up = _raise_gradk(geom, gk)
-        return jet_einsum("abci...,abci...->...", gk, up)
-    if name == "gradk_mean":
-        return geom.gradk_squared_scalar
-    raise ParameterError(f"unknown scalar invariant '{name}'")
-
-
-def _raise_gradk(geom, gk):
-    gi = geom.inverse_induced_metric
-    up = jet_einsum("ad...,dbci...->abci...", gi, gk)
-    up = jet_einsum("be...,aeci...->abci...", gi, up)
-    return jet_einsum("cf...,abfi...->abci...", gi, up)
+    if name not in _INVARIANTS:
+        raise ParameterError(f"unknown scalar invariant '{name}'")
+    fn, tensor, _delta = _INVARIANTS[name]
+    return fn(geom.inverse_induced_metric, getattr(geom, tensor))
 
 
 def predicted_delta_scalar(geom: Geometry, phi, name: str):
-    """Chain-rule variation of a named scalar from the table above."""
+    """Chain-rule variation of a named scalar: for a curvature invariant,
+    the eps coefficient of its value on dual numbers."""
     if name == "det_metric":
         kphi = jet_einsum("i...,i...->...", geom.mean_curvature, phi)
         return 2.0 * geom.det_induced_metric * kphi
     if name == "sqrt_det":
         return delta_sqrt_det(geom, phi)
-    if name == "k_dot_k":
-        lam = delta_extrinsic(geom, phi)
-        kup = geom.k_raised
-        term = 2.0 * jet_einsum("abi...,abi...->...", kup, lam)
-        dginv = delta_inverse_metric(geom, phi)
-        kk = jet_einsum("abi...,cbi...->ac...", geom.extrinsic_curvature,
-                        jet_einsum("bd...,cdi...->cbi...",
-                                   geom.inverse_induced_metric,
-                                   geom.extrinsic_curvature))
-        return term + 2.0 * jet_einsum("ac...,ac...->...", dginv, kk)
-    if name == "k_squared":
-        lam = delta_extrinsic(geom, phi)
-        dginv = delta_inverse_metric(geom, phi)
-        dmean = (jet_einsum("ab...,abi...->i...", geom.inverse_induced_metric, lam)
-                 + jet_einsum("ab...,abi...->i...", dginv,
-                              geom.extrinsic_curvature))
-        return 2.0 * jet_einsum("i...,i...->...", geom.mean_curvature, dmean)
-    if name == "gradk_full":
-        gk = geom.grad_extrinsic
-        gi = geom.inverse_induced_metric
-        up = _raise_gradk(geom, gk)
-        dgk = delta_grad_extrinsic(geom, phi)
-        term = 2.0 * jet_einsum("abci...,abci...->...", up, dgk)
-        dginv = delta_inverse_metric(geom, phi)
-        # one dginv factor per raised slot; partially raised partners
-        up_bc = jet_einsum("cf...,abfi...->abci...",
-                           gi, jet_einsum("be...,aeci...->abci...", gi, gk))
-        up_ac = jet_einsum("cf...,abfi...->abci...",
-                           gi, jet_einsum("ad...,dbci...->abci...", gi, gk))
-        up_ab = jet_einsum("be...,aeci...->abci...",
-                           gi, jet_einsum("ad...,dbci...->abci...", gi, gk))
-        pair_a = jet_einsum("abci...,dbci...->ad...", up_bc, gk)
-        pair_b = jet_einsum("abci...,aeci...->be...", up_ac, gk)
-        pair_c = jet_einsum("abci...,abfi...->cf...", up_ab, gk)
-        for pair in (pair_a, pair_b, pair_c):
-            term = term + jet_einsum("xy...,xy...->...", dginv, pair)
-        return term
-    if name == "gradk_mean":
-        gi = geom.inverse_induced_metric
-        gm = geom.grad_mean                                     # (a, i)
-        gk = geom.grad_extrinsic
-        dgk = delta_grad_extrinsic(geom, phi)
-        dginv = delta_inverse_metric(geom, phi)
-        # grad_a K^i = gamma^{bc} grad_a K_bc^i, so its variation chains
-        # through the table for grad K plus the inverse-metric response
-        dgm = (jet_einsum("bc...,abci...->ai...", dginv, gk)
-               + jet_einsum("bc...,abci...->ai...", gi, dgk))
-        term = 2.0 * jet_einsum("ai...,ai...->...", geom.grad_mean_up, dgm)
-        pair = jet_einsum("ai...,bi...->ab...", gm, gm)
-        return term + jet_einsum("ab...,ab...->...", dginv, pair)
-    raise ParameterError(f"no predicted variation for '{name}'")
+    if name not in _INVARIANTS:
+        raise ParameterError(f"no predicted variation for '{name}'")
+    fn, tensor, delta = _INVARIANTS[name]
+    gi = Jet(1, 1, [geom.inverse_induced_metric,
+                    delta_inverse_metric(geom, phi)])
+    return fn(gi, Jet(1, 1, [getattr(geom, tensor), delta(geom, phi)])).c[1]
 
 
 # -- finite-difference oracle ----------------------------------------------

@@ -417,14 +417,14 @@ class Geometry:
     @cached_property
     def wv_christoffel(self):
         dgamma = self.partials(self.induced_metric)
-        return christoffel_from_metric(self.induced_metric, dgamma)
+        return christoffel_from_metric(self.inverse_induced_metric, dgamma)
 
     @cached_property
     def intrinsic_riemann(self):
         g = self.induced_metric
         dg = self.partials(g)
         ddg = self.partials(dg)
-        return riemann_from_metric(g, dg, ddg)
+        return riemann_from_metric(g, self.inverse_induced_metric, dg, ddg)
 
     @cached_property
     def intrinsic_scalar_curvature(self):

@@ -118,18 +118,22 @@ def _cauchy(pairs, prod):
     return s
 
 
-def _require(name, value, positive):
+_OUTSIDE = {"nonzero": lambda v: v == 0, "positive": lambda v: v <= 0,
+            "non-negative": lambda v: v < 0}
+
+
+def _require(name, value, kind):
     """Raise DomainError unless ``value`` (the innermost value of a nested
-    jet) is nonzero, or positive if ``positive``, at every index."""
+    jet) is of ``kind`` ("nonzero", "positive" or "non-negative") at every
+    index."""
     while _is_jet(value):
         value = value.c[0]
     v = np.asarray(value)
-    bad = v <= 0 if positive else v == 0
+    bad = _OUTSIDE[kind](v)
     if np.any(bad):
         idx = tuple(int(t) for t in np.argwhere(bad)[0])
-        raise DomainError(
-            f"{name} needs a {'positive' if positive else 'nonzero'} jet value; "
-            f"it is {float(v[idx])!r} at index {idx}")
+        raise DomainError(f"{name} needs a {kind} value; "
+                          f"it is {float(v[idx])!r} at index {idx}")
 
 
 def _is_jet(x) -> bool:
@@ -263,6 +267,7 @@ class Jet:
     def __truediv__(self, other):
         if _is_jet(other):
             return self * other._reciprocal()
+        _require("division", other, "nonzero")
         return self * (1.0 / other)
 
     def __rtruediv__(self, other):
@@ -278,10 +283,10 @@ class Jet:
             for _ in range(int(p) - 1):
                 out = out * self
             return out
-        # the slope of a real power needs a positive value
-        positive = bool(self.order) and not integer
-        if positive or p < 0:
-            _require(f"x ** {p}", self.c[0], positive)
+        # a real power needs a positive value, or a non-negative one at
+        # order 0 (no slope); a negative integer power a nonzero one
+        _require(f"x ** {p}", self.c[0], "nonzero" if integer else
+                 "positive" if self.order or p < 0 else "non-negative")
         return self._compose("pow", self.c[0] ** p, p=p)
 
     # -- analytic functions, by degree recurrence -------------------------
@@ -339,20 +344,19 @@ class Jet:
         return Jet(self.nvars, self.order, f if kind in ("sin", "sinh") else g)
 
     def _reciprocal(self):
-        _require("reciprocal", self.c[0], positive=False)
+        _require("reciprocal", self.c[0], "nonzero")
         return self._compose("pow", 1.0 / self.c[0], p=-1.0)
 
     def sqrt(self):
-        if self.order:
-            _require("sqrt", self.c[0], positive=True)
+        _require("sqrt", self.c[0],
+                 "positive" if self.order else "non-negative")
         return self._compose("pow", sqrt(self.c[0]), p=0.5)
 
     def exp(self):
         return self._compose("exp", exp(self.c[0]))
 
     def log(self):
-        if self.order:
-            _require("log", self.c[0], positive=True)
+        _require("log", self.c[0], "positive")
         return self._compose("log", log(self.c[0]))
 
     def sin(self):
@@ -474,7 +478,11 @@ def jet_rearrange(spec, a):
 
 
 def jet_einsum(spec, a, b):
-    """einsum over the tensor axes of two jets (or a jet and an array)."""
+    """einsum over the tensor axes of two jets (or a jet and an array).
+
+    Two jets whose coefficients are tensor jets (dual numbers over them, for
+    instance) contract coefficient by coefficient with `jet_einsum` itself.
+    """
     if not _is_jet(a):
         a_arr, bj = np.asarray(a, float), b
         return bj.map_coeffs(lambda x: np.einsum(spec, a_arr, np.asarray(x, float)))
@@ -482,9 +490,13 @@ def jet_einsum(spec, a, b):
         b_arr = np.asarray(b, float)
         return a.map_coeffs(lambda x: np.einsum(spec, np.asarray(x, float), b_arr))
     aj, bj = a._align(b)
-    ac = [np.asarray(x, float) for x in aj.c]
-    bc = [np.asarray(x, float) for x in bj.c]
-    prod = lambda i, j: np.einsum(spec, ac[i], bc[j])  # noqa: E731
+    if _is_jet(aj.c[0]) or _is_jet(bj.c[0]):
+        ac, bc, contract = aj.c, bj.c, jet_einsum
+    else:
+        ac = [np.asarray(x, float) for x in aj.c]
+        bc = [np.asarray(x, float) for x in bj.c]
+        contract = np.einsum
+    prod = lambda i, j: contract(spec, ac[i], bc[j])  # noqa: E731
     return Jet(aj.nvars, aj.order,
                [_cauchy(p, prod) for p in _tables(aj.nvars, aj.order)[3]])
 

@@ -14,6 +14,12 @@ from branelab import jets
 from branelab import models as mdl
 from branelab import strings_gb as sgb
 from branelab import symplectic as sym
+from branelab.cli import (
+    RADIAL_WAVE,
+    WAVE_PAIRS,
+    gauge_angle,
+    tangential_string_field,
+)
 
 
 def verdict(num, label, ok, detail=""):
@@ -24,46 +30,9 @@ def verdict(num, label, ok, detail=""):
     assert ok, line
 
 
-# -- shared probe fields ---------------------------------------------------------
+# -- shared probe fields: the CLI's ----------------------------------------------
 
-FZ1 = sym.chart_field(lambda t, s: (
-    0.0 * t, 0.0 * t, 0.0 * t, jets.sin(s) * jets.cos(t)))
-FZ2 = sym.chart_field(lambda t, s: (
-    0.0 * t, 0.0 * t, 0.0 * t, jets.sin(s) * jets.sin(t)))
-FZ3 = sym.chart_field(lambda t, s: (
-    0.0 * t, 0.0 * t, 0.0 * t, 0.3 * jets.sin(2 * s) * jets.cos(2 * t)))
-
-FRAD1 = sym.chart_field(lambda t, s: (
-    0.0 * t,
-    (0.2 + 0.1 * jets.sin(t)) * jets.cos(s),
-    (0.2 + 0.1 * jets.sin(t)) * jets.sin(s),
-    0.0 * t,
-))
-FRAD2 = sym.chart_field(lambda t, s: (
-    0.0 * t,
-    (0.3 * jets.cos(t) + 0.1 * jets.sin(2 * s)) * jets.cos(s),
-    (0.3 * jets.cos(t) + 0.1 * jets.sin(2 * s)) * jets.sin(s),
-    0.0 * t,
-))
-
-RADIAL = sym.chart_field(lambda t, s: (
-    0.0 * t,
-    (0.2 * jets.cos(t) + 0.1 * jets.sin(2 * s)) * jets.cos(s),
-    (0.2 * jets.cos(t) + 0.1 * jets.sin(2 * s)) * jets.sin(s),
-    0.0 * t,
-))
-
-
-def tangential_field(geom):
-    t, s = geom.params
-    comp = jets.jet_stack(
-        [0.2 + 0.1 * jets.sin(s), -0.3 + 0.1 * jets.cos(t)],
-        template=geom.X)
-    return jets.jet_einsum("am...,a...->m...", geom.tangents, comp)
-
-
-def gauge_angle(t, s):
-    return 0.4 * jets.sin(s) - 0.2 * jets.cos(t)
+(_, FZ1, FZ2), (_, FRAD1, FRAD2), (_, FZ3, _) = WAVE_PAIRS
 
 
 # -- 1: geometry sanity ----------------------------------------------------------
@@ -264,8 +233,8 @@ def test_criterion_6_canonical_pairing():
         p = sym.dng_canonical_pairing(E, slc, f1, f2, sigma0=1.0)
         worst = max(worst, abs(w - p))
     tan = max(
-        abs(sym.symplectic_form(model, E, slc, tangential_field, FZ1)),
-        abs(sym.symplectic_form(model, E, slc, FZ1, tangential_field)),
+        abs(sym.symplectic_form(model, E, slc, tangential_string_field, FZ1)),
+        abs(sym.symplectic_form(model, E, slc, FZ1, tangential_string_field)),
     )
     ok = worst < 1e-6 and tan < 1e-6
     verdict(6, "canonical-pairing", ok,
@@ -278,9 +247,9 @@ def test_criterion_6_canonical_pairing():
 def test_criterion_7_gb_sector():
     E = emb.static_string(1.0)
     geom = E.geometry(emb.make_grid(E, (8, 24)).mesh, 4)
-    dr = sgb.rotation_connection_delta(geom, RADIAL)
+    dr = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
     psi = sgb.gb_potential(geom, None, dr, 0.9)
-    dr_g = sgb.rotation_connection_delta(geom, RADIAL, theta=gauge_angle)
+    dr_g = sgb.rotation_connection_delta(geom, RADIAL_WAVE, theta=gauge_angle)
     psi_g = sgb.gb_potential(geom, gauge_angle, dr_g, 0.9)
     mag = float(np.max(np.abs(psi)))
     shift = float(np.max(np.abs(psi - psi_g)))
@@ -306,7 +275,7 @@ def test_criterion_8_combined_system():
     E = emb.static_string(1.0)
     geom = E.geometry(emb.make_grid(E, (8, 20)).mesh, 4)
     worst_dec = 0.0
-    for vfield in (FZ1, RADIAL):
+    for vfield in (FZ1, RADIAL_WAVE):
         V = vfield(geom)
         total = sgb.dnggb_potential(geom, V, sigma0=1.2, sigma1=0.9)
         sheet = sym.symplectic_potential(mdl.DNG(mu=1.2), geom, V)

@@ -278,15 +278,40 @@ def test_varied_geometry_keeps_base_coefficients_bit_for_bit(E, shape, fn):
                 err_msg=f"{name} {alpha}")
 
 
-@pytest.mark.parametrize("name", ["sqrt_det", "k_squared", "k_dot_k"])
-def test_exact_variation_matches_chain_rule(name):
-    geom = emb.ellipsoid().geometry([np.array([0.7, 1.9]),
-                                     np.array([0.4, 2.5])], 4)
-    phi = dfm.normal_field(geom, lambda t, p: 0.3 + 0.2 * jets.sin(t + p))
+INVARIANT_NAMES = ["sqrt_det", "det_metric", "k_squared", "k_dot_k",
+                   "gradk_full", "gradk_mean"]
+# (id prefix, embedding, points, normal components of phi); the S^2 x S^2
+# patch has codimension 2 and the ambient curvature that rpair carries
+EXACT_CASES = [
+    ("", emb.ellipsoid(), [np.array([0.7, 1.9]), np.array([0.4, 2.5])],
+     [lambda t, p: 0.3 + 0.2 * jets.sin(t + p)]),
+    ("s2xs2-", emb.surface_s2xs2(),
+     [np.array([0.2, -0.1]), np.array([-0.3, 0.25])],
+     [lambda u, v: 0.25 + 0.2 * u - 0.1 * v,
+      lambda u, v: -0.15 + 0.1 * jets.sin(u) + 0.2 * v]),
+]
+
+
+@pytest.mark.parametrize("E, pts, fns, name", [
+    pytest.param(E, pts, fns, name, id=prefix + name)
+    for prefix, E, pts, fns in EXACT_CASES for name in INVARIANT_NAMES])
+def test_exact_variation_matches_chain_rule(E, pts, fns, name):
+    geom = E.geometry(pts, 5)
+    phi = dfm.normal_field(geom, *fns)
     vg = dfm.varied_geometry(geom, dfm.deformation_vector(geom, phi))
     exact = dfm.variation(vg, dfm.scalar_invariant(vg, name))
     pred = np.asarray(dfm.predicted_delta_scalar(geom, phi, name).value, float)
     np.testing.assert_allclose(exact, pred, rtol=1e-12, atol=1e-12)
+
+
+def test_invariants_match_geometry_scalars():
+    geom = emb.surface_s2xs2().geometry(EXACT_CASES[1][2], 4)
+    for name, scalar in (("k_squared", "k_squared_scalar"),
+                         ("k_dot_k", "k_dot_k_scalar"),
+                         ("gradk_mean", "gradk_squared_scalar")):
+        np.testing.assert_allclose(dfm.scalar_invariant(geom, name).value,
+                                   getattr(geom, scalar).value,
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_variation_preconditions():

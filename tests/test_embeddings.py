@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from branelab import backgrounds
 from branelab import embeddings as emb
 from branelab import jets
 from branelab import models as mdl
@@ -235,6 +236,11 @@ def test_domain_and_rank_validation():
             map_fn=lambda t: (t, t, 0.0 * t),
         )
         bad.geometry([0.3], 2).normals
+    # the intrinsic connection and curvature read the checked inverse
+    null = bad.geometry([0.3], 3)
+    for name in ("wv_christoffel", "intrinsic_riemann"):
+        with pytest.raises(DegenerateGeometryError):
+            getattr(null, name)
 
 
 def test_rframe_constant_curvature_form():
@@ -414,6 +420,24 @@ def test_inverse_metric_value_independent_of_order():
                                   high.inverse_induced_metric.value)
     np.testing.assert_array_equal(low.k_squared_scalar.value,
                                   high.k_squared_scalar.value)
+
+
+def test_induced_metric_inverted_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return jets.jet_matinv(g)
+
+    for module in (emb, backgrounds):
+        monkeypatch.setattr(module, "jet_matinv", counted)
+    g = emb.sphere_polar(1.0).geometry([0.9, 1.2], order=4)
+    g.intrinsic_scalar_curvature, g.grad_extrinsic
+    assert len(calls) == 1
+    E = emb.surface_s2xs2()
+    g = E.geometry(small_grid(E, (2, 3)).mesh, 6)
+    mdl.eom_density(mdl.SyntheticGradK(beta=0.6), g)
+    assert len(calls) == 2
 
 
 def test_product_sphere_geometry_extracts_nothing(monkeypatch):

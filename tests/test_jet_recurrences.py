@@ -6,6 +6,7 @@ recurrences; it stays here as their reference, as the central differences
 of `test_backgrounds` do for the closed-form connections.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,12 +146,18 @@ def test_sqrt_domain():
     with pytest.raises(DomainError, match=r"sqrt .* 0\.0 at index \(0,\)"):
         jets.sqrt(u + 1.0)
     assert jets.sqrt(Jet.constant(0.0, 1, 0)).value == 0.0  # order 0: no slope
+    with pytest.raises(DomainError, match=r"sqrt .* -1\.0 at index \(1,\)"):
+        Jet.constant(np.array([0.0, -1.0]), 1, 0).sqrt()
 
 
 def test_log_domain():
     u = Jet.variable(0, np.array([[2.0, 1.0], [0.5, -3.0]]), 2, 2)
     with pytest.raises(DomainError, match=r"log .* -3\.0 at index \(1, 1\)"):
         u.log()
+    with pytest.raises(DomainError, match=r"log .* 0\.0 at index \(1,\)"):
+        Jet.constant(np.array([1.0, 0.0]), 1, 0).log()
+    with pytest.raises(DomainError, match=r"log .* -2\.0 at index \(\)"):
+        Jet.constant(-2.0, 1, 0).log()
 
 
 def test_reciprocal_domain():
@@ -176,6 +183,23 @@ def test_fractional_power_domain():
     with pytest.raises(DomainError, match=r"\*\* 1\.5 .* -0\.5 at index \(1,\)"):
         u ** 1.5
     np.testing.assert_array_equal((u ** 2).value, [9.0, 0.25])
+    low = Jet.constant(np.array([0.0, -0.5]), 1, 0)
+    with pytest.raises(DomainError, match=r"\*\* 1\.5 .* -0\.5 at index \(1,\)"):
+        low ** 1.5
+    with pytest.raises(DomainError, match=r"\*\* -0\.5 .* 0\.0 at index \(0,\)"):
+        low ** -0.5
+    np.testing.assert_array_equal(((low + 1.0) ** 1.5).value, [1.0, 0.5 ** 1.5])
+
+
+@pytest.mark.parametrize("divisor, index", [
+    (0.0, "()"), (np.float64(0.0), "()"), (np.array([2.0, 0.0, 0.0]), "(1,)")],
+    ids=["float", "float64", "array"])
+def test_division_by_zero_number(divisor, index):
+    u = Jet.variable(0, np.array([1.0, 2.0, 3.0]), 1, 2)
+    with pytest.raises(DomainError,
+                       match=rf"division .* nonzero .* at index {re.escape(index)}"):
+        u / divisor
+    np.testing.assert_array_equal((u / -2.0).value, [-0.5, -1.0, -1.5])
 
 
 def test_nested_values_checked_recursively():

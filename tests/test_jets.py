@@ -192,6 +192,21 @@ def test_nested_jets():
     assert np.allclose(fts, expected)
 
 
+def test_einsum_contracts_dual_numbers_over_tensor_jets():
+    # Jet(1, 1, [value, variation]) with tensor-jet coefficients: the eps
+    # coefficient of a contraction is the product rule's two terms
+    rng = np.random.default_rng(5)
+    a, da, b, db = (Jet(2, 2, list(rng.normal(size=(6, 3, 3, 4))))
+                    for _ in range(4))
+    spec = "ab...,bc...->ac..."
+    out = jet_einsum(spec, Jet(1, 1, [a, da]), Jet(1, 1, [b, db]))
+    want = (jet_einsum(spec, a, b),
+            jet_einsum(spec, a, db) + jet_einsum(spec, da, b))
+    for got, ref in zip(out.c, want):
+        for x, y in zip(got.c, ref.c):
+            np.testing.assert_array_equal(x, y)
+
+
 def test_truncate_is_prefix():
     x, y = jets.variables([1.1, 0.4], order=4)
     f = jets.exp(x * y)

@@ -7,6 +7,7 @@ from branelab import jets
 from branelab import models as mdl
 from branelab import strings_gb as sgb
 from branelab import symplectic as sym
+from branelab.cli import RADIAL_WAVE, WAVE_PAIRS, gauge_angle
 from branelab.errors import (
     DegenerateGeometryError,
     ParameterError,
@@ -31,15 +32,8 @@ def frame_dots(geom, frame):
     return d00, d11, d01
 
 
-RADIAL = sym.chart_field(lambda t, s: (
-    0.0 * t,
-    (0.2 * jets.cos(t) + 0.1 * jets.sin(2 * s)) * jets.cos(s),
-    (0.2 * jets.cos(t) + 0.1 * jets.sin(2 * s)) * jets.sin(s),
-    0.0 * t,
-))
-
-ZMODE = sym.chart_field(lambda t, s: (
-    0.0 * t, 0.0 * t, 0.0 * t, jets.sin(s) * jets.cos(t)))
+# RADIAL_WAVE, the z-wave FZ1 and gauge_angle are the CLI's probe fields
+(_, FZ1, _) = WAVE_PAIRS[0]
 
 TIMEMODE = sym.chart_field(lambda t, s: (
     0.2 * jets.sin(2 * s) * jets.cos(t), 0.0 * t, 0.0 * t, 0.0 * t))
@@ -50,10 +44,6 @@ MATCHED_RADIAL = sym.chart_field(lambda t, s: (
     0.2 * jets.sin(2 * s) * jets.sin(t) * jets.sin(s),
     0.0 * t,
 ))
-
-
-def gauge_angle(t, s):
-    return 0.4 * jets.sin(s) - 0.2 * jets.cos(t)
 
 
 # -- tangent frames ------------------------------------------------------------
@@ -154,9 +144,9 @@ def test_frame_functions_take_a_geometry():
     calls = [
         lambda: sgb.tangent_frame(E),
         lambda: sgb.rotation_connection(E),
-        lambda: sgb.rotation_connection_delta(E, RADIAL),
+        lambda: sgb.rotation_connection_delta(E, RADIAL_WAVE),
         lambda: sgb.gb_potential(E, None, np.zeros((2, 8, 20)), 0.9),
-        lambda: sgb.dnggb_potential(E, RADIAL, sigma0=1.2, sigma1=0.9),
+        lambda: sgb.dnggb_potential(E, RADIAL_WAVE, sigma0=1.2, sigma1=0.9),
     ]
     for call in calls:
         with pytest.raises(ParameterError, match="Geometry"):
@@ -215,11 +205,11 @@ def test_connection_curl_is_curvature_density():
 
 def test_connection_response_sectors():
     geom, _ = string_geometry()
-    dr_rad = sgb.rotation_connection_delta(geom, RADIAL)
+    dr_rad = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
     assert np.max(np.abs(dr_rad)) > 1e-2
     # zero-curvature normal direction and pure reparameterizations leave
     # the induced geometry unchanged at first order
-    dr_z = sgb.rotation_connection_delta(geom, ZMODE)
+    dr_z = sgb.rotation_connection_delta(geom, FZ1)
     np.testing.assert_allclose(dr_z, 0.0, atol=1e-12)
     dr_t = sgb.rotation_connection_delta(geom, TIMEMODE)
     np.testing.assert_allclose(dr_t, 0.0, atol=1e-12)
@@ -227,8 +217,8 @@ def test_connection_response_sectors():
 
 def test_connection_response_gauge_invariant():
     geom, _ = string_geometry()
-    dr = sgb.rotation_connection_delta(geom, RADIAL)
-    dr_g = sgb.rotation_connection_delta(geom, RADIAL, theta=gauge_angle)
+    dr = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
+    dr_g = sgb.rotation_connection_delta(geom, RADIAL_WAVE, theta=gauge_angle)
     np.testing.assert_allclose(dr, dr_g, atol=1e-10)
 
 
@@ -243,10 +233,10 @@ def test_gb_potential_zero_response():
 
 def test_gb_potential_nonzero_and_gauge_invariant():
     geom, _ = string_geometry()
-    drho = sgb.rotation_connection_delta(geom, RADIAL)
+    drho = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
     psi = sgb.gb_potential(geom, None, drho, sigma1=0.9)
     assert np.max(np.abs(psi)) > 1e-2
-    drho_g = sgb.rotation_connection_delta(geom, RADIAL, theta=gauge_angle)
+    drho_g = sgb.rotation_connection_delta(geom, RADIAL_WAVE, theta=gauge_angle)
     psi_g = sgb.gb_potential(geom, gauge_angle, drho_g, sigma1=0.9)
     np.testing.assert_allclose(psi, psi_g, atol=1e-10)
 
@@ -273,7 +263,7 @@ def test_gb_form_needs_time_sector():
     # an ambient time component survive
     E = emb.static_string(1.0)
     slc = sym.CauchySlice("tau", 0.9, 48)
-    w_spatial = sgb.gb_symplectic_form(E, slc, RADIAL, MATCHED_RADIAL, 0.9)
+    w_spatial = sgb.gb_symplectic_form(E, slc, RADIAL_WAVE, MATCHED_RADIAL, 0.9)
     assert abs(w_spatial) < 1e-10
     w = sgb.gb_symplectic_form(E, slc, TIMEMODE, MATCHED_RADIAL, 0.9)
     assert abs(w) > 1e-3
@@ -297,7 +287,7 @@ def test_combined_eom_is_mean_curvature():
     np.testing.assert_allclose(res, 0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("vfield", [ZMODE, RADIAL, TIMEMODE],
+@pytest.mark.parametrize("vfield", [FZ1, RADIAL_WAVE, TIMEMODE],
                          ids=["z-mode", "radial", "time"])
 def test_combined_potential_decomposes(vfield):
     geom, _ = string_geometry()
@@ -348,10 +338,10 @@ def test_combined_pair_needs_tension():
 def test_combined_form_reduction_and_split():
     E = emb.static_string(1.0)
     slc = sym.CauchySlice("tau", 0.9, 48)
-    w_red = sgb.dnggb_symplectic_form(E, slc, RADIAL, MATCHED_RADIAL,
+    w_red = sgb.dnggb_symplectic_form(E, slc, RADIAL_WAVE, MATCHED_RADIAL,
                                       sigma0=1.2, sigma1=0.0)
     w_dng = sym.symplectic_form(mdl.DNG(mu=1.2), E, slc,
-                                RADIAL, MATCHED_RADIAL)
+                                RADIAL_WAVE, MATCHED_RADIAL)
     assert abs(w_red - w_dng) < 1e-9
     # the curvature contribution matches the stand-alone flux form
     w_full = sgb.dnggb_symplectic_form(E, slc, TIMEMODE, MATCHED_RADIAL,
@@ -406,8 +396,8 @@ def fd_delta(geom, V, extract):
     return dfm.finite_difference_delta(geom, V, extract).estimate
 
 
-@pytest.mark.parametrize("field, theta", [(RADIAL, None),
-                                          (RADIAL, gauge_angle),
+@pytest.mark.parametrize("field, theta", [(RADIAL_WAVE, None),
+                                          (RADIAL_WAVE, gauge_angle),
                                           (TIMEMODE, None)],
                          ids=["radial", "radial-gauge", "time"])
 def test_connection_response_matches_finite_difference(field, theta):

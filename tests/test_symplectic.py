@@ -6,6 +6,7 @@ from branelab import embeddings as emb
 from branelab import jets
 from branelab import models as mdl
 from branelab import symplectic as sym
+from branelab.cli import WAVE_PAIRS, tangential_string_field
 from branelab.errors import (
     DegenerateGeometryError,
     DomainError,
@@ -161,34 +162,8 @@ def test_variation_identity_pointwise(E, model, vfield, n):
 
 # -- the current and its slice integrals --------------------------------------
 
-def zmode(fn):
-    return sym.chart_field(lambda t, s: (0.0 * t, 0.0 * t, 0.0 * t, fn(t, s)))
-
-
-FZ1 = zmode(lambda t, s: jets.sin(s) * jets.cos(t))
-FZ2 = zmode(lambda t, s: jets.sin(s) * jets.sin(t))
-FZ3 = zmode(lambda t, s: 0.3 * jets.sin(2 * s) * jets.cos(2 * t))
-
-FRAD1 = sym.chart_field(lambda t, s: (
-    0.0 * t,
-    (0.2 + 0.1 * jets.sin(t)) * jets.cos(s),
-    (0.2 + 0.1 * jets.sin(t)) * jets.sin(s),
-    0.0 * t,
-))
-FRAD2 = sym.chart_field(lambda t, s: (
-    0.0 * t,
-    (0.3 * jets.cos(t) + 0.1 * jets.sin(2 * s)) * jets.cos(s),
-    (0.3 * jets.cos(t) + 0.1 * jets.sin(2 * s)) * jets.sin(s),
-    0.0 * t,
-))
-
-
-def tangential_string_field(geom):
-    t, s = geom.params
-    comp = jets.jet_stack(
-        [0.2 + 0.1 * jets.sin(s), -0.3 + 0.1 * jets.cos(t)],
-        template=geom.X)
-    return jet_einsum("am...,a...->m...", geom.tangents, comp)
+# the CLI's probe fields
+(_, FZ1, FZ2), (_, FRAD1, FRAD2), (_, FZ3, _) = WAVE_PAIRS
 
 
 def test_current_antisymmetry():
