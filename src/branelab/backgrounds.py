@@ -8,9 +8,12 @@ truncated Taylor jets, so coordinate derivatives of the metric are exact.
 
 All tensor-returning methods accept coordinates that are plain numbers,
 arrays, or jets (the geometry pipeline passes worldvolume-parameter jets),
-and return tensor jets whose leading axes are the tensor indices.  Metric
-component functions must build their output from the coordinate arguments
-they receive; closures over pre-built jets are not supported.
+and return tensor jets whose leading axes are the tensor indices, stacked
+from the nested component lists by `jets.jet_stack`.  A tensor whose
+components are all constants (a flat metric) carries no grid axes and
+broadcasts through einsum's ``...``.  Metric component functions must
+build their output from the coordinate arguments they receive; closures
+over pre-built jets are not supported.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .jets import (
     jet_einsum,
     jet_matinv,
     jet_rearrange,
+    jet_stack,
 )
 
 __all__ = [
@@ -37,71 +41,19 @@ __all__ = [
     "product_spheres_background",
     "christoffel_from_metric",
     "riemann_from_metric",
-    "assemble_tensor",
 ]
 
 
 def _normalize_coords(coords):
-    """Lift all coordinates to jets sharing one (nvars, order); return template."""
-    template = None
-    for c in coords:
-        if isinstance(c, Jet):
-            if template is not None and (c.nvars, c.order) != (
-                template.nvars,
-                template.order,
-            ):
-                raise PreconditionError("coordinate jets must share nvars and order")
-            template = c
-    if template is None:
-        template = Jet.constant(0.0, 1, 0)
-    out = [
-        c
-        if isinstance(c, Jet)
-        else Jet.constant(np.asarray(c, float), template.nvars, template.order)
-        for c in coords
-    ]
-    return out, template
-
-
-def assemble_tensor(entries, template):
-    """Stack nested sequences of scalars/jets into one tensor jet.
-
-    The leaves fill one array per Taylor coefficient in row-major order,
-    each broadcast onto the template's grid shape so that constant and
-    grid-valued components stack consistently.  The result has the lowest
-    order among the leaf jets (the template's if there are none).
-    """
-    shape, leaves = [], []
-
-    def walk(e, depth):
-        if isinstance(e, (list, tuple)):
-            if depth == len(shape):
-                shape.append(len(e))
-            for x in e:
-                walk(x, depth + 1)
-        else:
-            leaves.append(e)
-
-    walk(entries, 0)
-    lead = min((e for e in leaves if isinstance(e, Jet)),
-               key=lambda e: e.order, default=template)
-    grid = np.shape(template.c[0])
-    out = []
-    for k in range(len(lead.c)):
-        # constant leaves have no coefficient beyond the value
-        vals = [(i, np.asarray(e.c[k] if isinstance(e, Jet) else e, float))
-                for i, e in enumerate(leaves) if k == 0 or isinstance(e, Jet)]
-        full = np.broadcast_shapes(grid, *(a.shape for _i, a in vals))
-        flat = np.zeros((len(leaves),) + full)
-        for i, a in vals:
-            flat[i] = a
-        out.append(flat.reshape(tuple(shape) + full))
-    return Jet(template.nvars, lead.order, out)
-
-
-def _zeros_jet(tensor_shape, template):
-    base = np.zeros(tuple(tensor_shape) + np.shape(template.c[0]))
-    return Jet.constant(base, template.nvars, template.order)
+    """Lift all coordinates to jets sharing one (nvars, order); return them
+    and the first as the template."""
+    kinds = {(c.nvars, c.order) for c in coords if isinstance(c, Jet)}
+    if len(kinds) > 1:
+        raise PreconditionError("coordinate jets must share nvars and order")
+    nvars, order = kinds.pop() if kinds else (1, 0)
+    out = [c if isinstance(c, Jet)
+           else Jet.constant(np.asarray(c, float), nvars, order) for c in coords]
+    return out, out[0]
 
 
 def _extract(entry, alpha, dim, order):
@@ -140,15 +92,15 @@ class BackgroundMetric:
     # -- tensor-jet interface (used by the geometry pipeline) ------------
     def metric_tensor(self, coords):
         coords, template = _normalize_coords(coords)
-        return assemble_tensor(self.metric_fn(*coords), template)
+        return jet_stack(self.metric_fn(*coords), template)
 
     def christoffel_tensor(self, coords):
         """Connection G^r_{m n}(x) with axes (r, m, n)."""
         coords, template = _normalize_coords(coords)
         if self.flat:
-            return _zeros_jet((self.dim,) * 3, template)
+            return jet_stack(_zeros(self.dim, 3), template)
         if self.christoffel_fn is not None:
-            return assemble_tensor(self.christoffel_fn(*coords), template)
+            return jet_stack(self.christoffel_fn(*coords), template)
         g, dg, _ = self._metric_derivs(coords, template, nderiv=1)
         return christoffel_from_metric(jet_matinv(g), dg)
 
@@ -156,9 +108,9 @@ class BackgroundMetric:
         """All-lower curvature R_{a b m n}(x)."""
         coords, template = _normalize_coords(coords)
         if self.flat:
-            return _zeros_jet((self.dim,) * 4, template)
+            return jet_stack(_zeros(self.dim, 4), template)
         if self.riemann_fn is not None:
-            return assemble_tensor(self.riemann_fn(*coords), template)
+            return jet_stack(self.riemann_fn(*coords), template)
         g, dg, ddg = self._metric_derivs(coords, template, nderiv=2)
         return riemann_from_metric(g, jet_matinv(g), dg, ddg)
 
@@ -185,11 +137,11 @@ class BackgroundMetric:
         def esum(a, b):
             return tuple(x + y for x, y in zip(e(a), e(b)))
 
-        g = assemble_tensor(comp((0,) * D), template)
-        dg = assemble_tensor([comp(e(a)) for a in range(D)], template)
+        g = jet_stack(comp((0,) * D), template)
+        dg = jet_stack([comp(e(a)) for a in range(D)], template)
         ddg = None
         if nderiv >= 2:
-            ddg = assemble_tensor(
+            ddg = jet_stack(
                 [[comp(esum(a, b)) for b in range(D)] for a in range(D)],
                 template)
         return g, dg, ddg

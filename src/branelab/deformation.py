@@ -18,9 +18,10 @@ components phi^i, the first variations of the induced objects are:
       + dw_a^i_j K_bc^j
 
 The variation of a curvature scalar follows from these by the chain rule.
-Each invariant is written once, as a function of gamma^{ab} and K_ab^i or
-grad_a K_bc^i; `predicted_delta_scalar` evaluates it on dual numbers
-Jet(1, 1, [jet, closed-form variation]) and reads their eps coefficient.
+Each invariant is written once, in `embeddings.INVARIANTS`, as a function
+of gamma^{ab} and K_ab^i or grad_a K_bc^i; `predicted_delta_scalar`
+evaluates it on dual numbers Jet(1, 1, [jet, closed-form variation]) and
+reads their eps coefficient.
 
 Every formula is pinned by finite-difference oracles in the test suite:
 scalars are compared directly, frame-carried tensors on codimension-1
@@ -30,10 +31,10 @@ codimension-2 worldvolumes through gauge-invariant scalar contractions.
 Both sides deform the embedding map in background chart components,
 X_eps = X + eps * V with V = phi^i n_i frozen on the base worldvolume;
 first derivatives in eps agree with covariant deformation families.
-`varied_geometry` seeds eps as one more jet variable, so the eps
-coefficient of any quantity is its exact first variation; the
-finite-difference oracle re-embeds at a halving schedule of steps instead
-and stays independent of that jet path.
+`varied_geometry` seeds eps as one more jet variable (`Jet.lift` with
+the fields as slopes), so the eps coefficient of any quantity is its
+exact first variation; the finite-difference oracle re-embeds at a
+halving schedule of steps instead and stays independent of that jet path.
 """
 from __future__ import annotations
 
@@ -44,12 +45,13 @@ from typing import Callable
 import numpy as np
 
 from .conventions import S_DOMEGA_K, S_DOMEGA_R
-from .embeddings import Geometry
+from .embeddings import INVARIANTS, Geometry
 from .errors import ParameterError, PreconditionError
-from .jets import Jet, _tables, jet_einsum, jet_rearrange, jet_stack
+from .jets import Jet, jet_einsum, jet_rearrange, jet_stack
 
 __all__ = [
     "normal_field",
+    "resolve_field",
     "deformation_vector",
     "decompose_vector",
     "deformed_geometry",
@@ -82,6 +84,12 @@ def normal_field(geom: Geometry, *fns):
         raise PreconditionError("geometry carries no parameter jets")
     comps = [f(*geom.params) for f in fns]
     return jet_stack(comps, template=geom.X)
+
+
+def resolve_field(vfield, geom: Geometry):
+    """A deformation argument on ``geom``: a callable is evaluated there,
+    anything else is taken as the ambient vector jet itself."""
+    return vfield(geom) if callable(vfield) else vfield
 
 
 def deformation_vector(geom: Geometry, phi):
@@ -117,23 +125,8 @@ def varied_geometry(geom: Geometry, *fields) -> Geometry:
     """
     if geom.params is None:
         raise PreconditionError("geometry carries no parameter jets")
-    nv, order = geom.X.nvars, geom.order
-    n = nv + len(fields)
-    position = _tables(n, order)[1]
-    c = list(geom.X.lift(n).c)
-    for k, V in enumerate(fields):
-        if V.nvars != nv:
-            raise PreconditionError(
-                "deformation field and geometry have different jet variables")
-        if V.order < order - 1:
-            raise PreconditionError(
-                f"deformation field has jet order {V.order}; an order-{order}"
-                f" geometry needs >= {order - 1}")
-        unit = tuple(int(m == k) for m in range(len(fields)))
-        for alpha, coef in zip(_tables(nv, V.order)[0], V.c):
-            if sum(alpha) < order:
-                c[position[alpha + unit]] = coef
-    return Geometry(geom.background, Jet(n, order, c),
+    n = geom.X.nvars + len(fields)
+    return Geometry(geom.background, geom.X.lift(n, *fields),
                     params=[p.lift(n) for p in geom.params],
                     embedding=geom.embedding)
 
@@ -226,41 +219,9 @@ def delta_grad_extrinsic(geom: Geometry, phi):
 
 # -- scalar invariants and their predicted variations ----------------------
 
-def _k_squared(gi, K):
-    """K^i K_i (mean curvature squared)."""
-    m = jet_einsum("ab...,abi...->i...", gi, K)
-    return jet_einsum("i...,i...->...", m, m)
-
-
-def _k_dot_k(gi, K):
-    """K_{ab}^i K^{ab}_i."""
-    k_mixed = jet_einsum("ac...,cbi...->abi...", gi, K)
-    k_raised = jet_einsum("bd...,adi...->abi...", gi, k_mixed)
-    return jet_einsum("abi...,abi...->...", K, k_raised)
-
-
-def _gradk_full(gi, gk):
-    """grad_a K_bc^i grad^a K^{bc}_i."""
-    up = jet_einsum("ad...,dbci...->abci...", gi, gk)
-    up = jet_einsum("be...,aeci...->abci...", gi, up)
-    up = jet_einsum("cf...,abfi...->abci...", gi, up)
-    return jet_einsum("abci...,abci...->...", gk, up)
-
-
-def _gradk_mean(gi, gk):
-    """grad_a K^i grad^a K_i, with grad_a K^i = gamma^{bc} grad_a K_bc^i."""
-    gm = jet_einsum("bc...,abci...->ai...", gi, gk)
-    gm_up = jet_einsum("ab...,bi...->ai...", gi, gm)
-    return jet_einsum("ai...,ai...->...", gm, gm_up)
-
-
-# name -> (invariant, the Geometry tensor it reads, that tensor's variation)
-_INVARIANTS = {
-    "k_squared": (_k_squared, "extrinsic_curvature", delta_extrinsic),
-    "k_dot_k": (_k_dot_k, "extrinsic_curvature", delta_extrinsic),
-    "gradk_full": (_gradk_full, "grad_extrinsic", delta_grad_extrinsic),
-    "gradk_mean": (_gradk_mean, "grad_extrinsic", delta_grad_extrinsic),
-}
+# the closed-form variation of each Geometry tensor an invariant reads
+_TENSOR_VARIATIONS = {"extrinsic_curvature": delta_extrinsic,
+                      "grad_extrinsic": delta_grad_extrinsic}
 
 
 def scalar_invariant(geom: Geometry, name: str):
@@ -269,9 +230,9 @@ def scalar_invariant(geom: Geometry, name: str):
         return geom.det_induced_metric
     if name == "sqrt_det":
         return geom.sqrt_abs_det
-    if name not in _INVARIANTS:
+    if name not in INVARIANTS:
         raise ParameterError(f"unknown scalar invariant '{name}'")
-    fn, tensor, _delta = _INVARIANTS[name]
+    fn, tensor = INVARIANTS[name]
     return fn(geom.inverse_induced_metric, getattr(geom, tensor))
 
 
@@ -283,12 +244,13 @@ def predicted_delta_scalar(geom: Geometry, phi, name: str):
         return 2.0 * geom.det_induced_metric * kphi
     if name == "sqrt_det":
         return delta_sqrt_det(geom, phi)
-    if name not in _INVARIANTS:
+    if name not in INVARIANTS:
         raise ParameterError(f"no predicted variation for '{name}'")
-    fn, tensor, delta = _INVARIANTS[name]
+    fn, tensor = INVARIANTS[name]
     gi = Jet(1, 1, [geom.inverse_induced_metric,
                     delta_inverse_metric(geom, phi)])
-    return fn(gi, Jet(1, 1, [getattr(geom, tensor), delta(geom, phi)])).c[1]
+    dual = Jet(1, 1, [getattr(geom, tensor), _TENSOR_VARIATIONS[tensor](geom, phi)])
+    return fn(gi, dual).c[1]
 
 
 # -- finite-difference oracle ----------------------------------------------

@@ -15,7 +15,10 @@ multiplication sweeps a whole grid.  Coefficients may even be Jets themselves
 background provides no closed-form connection.
 
 Conventions: coefficients are stored in graded order (total degree, then
-lexicographic), so truncating to a lower order is a prefix slice.
+lexicographic), so truncating to a lower order is a prefix slice.  Only
+this module reads that layout: `jet_stack` builds every stacked tensor
+jet from nested leaves, and `Jet.lift` adds jet variables (and the eps_k
+V_k terms of a varied embedding) by moving coefficients.
 
 Arithmetic: a product sums, for each output slot k, the coefficient products
 a_i b_j over the pairs (i, j) -> k, adding each term into the fresh array of
@@ -49,7 +52,6 @@ __all__ = [
     "jet_stack",
     "jet_matinv",
     "jet_det",
-    "jet_concat",
 ]
 
 
@@ -196,22 +198,39 @@ class Jet:
         n = _tables(self.nvars, self.order)[2][order]
         return Jet(self.nvars, order, self.c[:n])
 
-    def lift(self, nvars):
-        """The same jet in ``nvars`` variables, the new ones last.
+    def lift(self, nvars, *slopes):
+        """The same jet in ``nvars`` variables, the new ones last, plus
+        sum_k eps_k V_k over the ``slopes`` V_k, eps_k the new variable k.
 
-        Each coefficient moves to its own multi-index padded with zeros; the
-        slots that involve a new variable are zero.  No arithmetic is done,
-        so ``a.lift(n) * b.lift(n)`` equals ``(a * b).lift(n)`` bit for bit.
+        Each coefficient moves to its own multi-index padded with zeros, and
+        each coefficient alpha of V_k of degree below ``order`` to alpha
+        plus eps_k; the other slots that involve a new variable are zero.  No
+        arithmetic is done, so ``a.lift(n) * b.lift(n)`` equals
+        ``(a * b).lift(n)`` bit for bit.  A slope must be a jet in this
+        jet's variables of order at least ``order - 1``, which is all that
+        the eps slots hold.
         """
-        if nvars < self.nvars:
+        if nvars < self.nvars + len(slopes):
             raise ValueError("cannot drop jet variables by lifting")
         if nvars == self.nvars:
             return self
-        pad = (0,) * (nvars - self.nvars)
         position = _tables(nvars, self.order)[1]
+        pads = [(0,) * (nvars - self.nvars)]
+        pads += [tuple(int(m == k) for m in range(nvars - self.nvars))
+                 for k in range(len(slopes))]
         out = [_zero_like(self.c[0])] * len(position)
-        for alpha, coef in zip(_tables(self.nvars, self.order)[0], self.c):
-            out[position[alpha + pad]] = coef
+        for pad, V in zip(pads, (self,) + slopes):
+            if V.nvars != self.nvars:
+                raise PreconditionError(
+                    f"a slope in {V.nvars} jet variables cannot lift a jet "
+                    f"in {self.nvars}")
+            if V.order < self.order - 1:
+                raise PreconditionError(
+                    f"a slope of jet order {V.order} cannot lift an "
+                    f"order-{self.order} jet; it needs >= {self.order - 1}")
+            for alpha, coef in zip(_tables(V.nvars, V.order)[0], V.c):
+                if sum(alpha) + sum(pad) <= self.order:
+                    out[position[alpha + pad]] = coef
         return Jet(nvars, self.order, out)
 
     def partial(self, d):
@@ -439,37 +458,47 @@ def cosh(x):
 #
 # A "tensor jet" is a Jet whose coefficients are arrays shaped
 # (tensor axes..., grid axes...).  The helpers below contract and stack
-# them; einsum specs must route grid axes through '...'.
+# them; `jet_stack` is the one builder that lays out a stacked tensor jet's
+# coefficients.  einsum specs must route grid axes through '...'.
 
-def jet_stack(jets, template=None):
-    """Stack scalar jets along a new leading tensor axis.
+def _flatten(entries, depth, shape, leaves):
+    """Append the leaves of nested sequences to ``leaves`` in row-major
+    order and the length of each nesting level to ``shape``."""
+    if isinstance(entries, (list, tuple)):
+        if depth == len(shape):
+            shape.append(len(entries))
+        for e in entries:
+            _flatten(e, depth + 1, shape, leaves)
+    else:
+        leaves.append(entries)
 
-    Plain numbers are promoted to constant jets matching the first Jet found
-    (or ``template``).
+
+def jet_stack(entries, template=None):
+    """Stack nested sequences of jets, numbers and arrays into one tensor jet.
+
+    The nesting gives the leading axes; each leaf's coefficients, which may
+    carry tensor axes of their own, are broadcast against the others'.  The
+    result has the lowest order among the leaf jets, and a number or array
+    leaf is a constant: it writes only the value.  ``template`` gives nvars
+    and order when no leaf is a jet; it adds no grid axes, so a tensor made
+    only of constants broadcasts through einsum's ``...``.
     """
-    proto = None
-    for j in jets:
-        if _is_jet(j):
-            proto = j
-            break
-    if proto is None:
-        proto = template
-    if proto is None:
+    shape, leaves = [], []
+    _flatten(entries, 0, shape, leaves)
+    lead = min((e for e in leaves if _is_jet(e)), key=lambda e: e.order,
+               default=template)
+    if lead is None:
         raise ValueError("jet_stack needs at least one Jet or a template")
-    m = min((j.order for j in jets if _is_jet(j)), default=proto.order)
-    lifted = []
-    for j in jets:
-        if _is_jet(j):
-            lifted.append(j.truncated(m))
-        else:
-            lifted.append(Jet.constant(np.asarray(j, float), proto.nvars, m))
-    ncoef = len(lifted[0].c)
     out = []
-    for k in range(ncoef):
-        layers = [np.asarray(j.c[k], float) for j in lifted]
-        shape = np.broadcast_shapes(*[a.shape for a in layers])
-        out.append(np.stack([np.broadcast_to(a, shape) for a in layers]))
-    return Jet(proto.nvars, m, out)
+    for k in range(len(lead.c)):
+        vals = [(i, np.asarray(e.c[k] if _is_jet(e) else e, float))
+                for i, e in enumerate(leaves) if k == 0 or _is_jet(e)]
+        full = np.broadcast_shapes(*(a.shape for _i, a in vals))
+        flat = np.zeros((len(leaves),) + full)
+        for i, a in vals:
+            flat[i] = a
+        out.append(flat.reshape(tuple(shape) + full))
+    return Jet(lead.nvars, lead.order, out)
 
 
 def jet_rearrange(spec, a):
@@ -499,20 +528,6 @@ def jet_einsum(spec, a, b):
     prod = lambda i, j: contract(spec, ac[i], bc[j])  # noqa: E731
     return Jet(aj.nvars, aj.order,
                [_cauchy(p, prod) for p in _tables(aj.nvars, aj.order)[3]])
-
-
-def jet_concat(parts):
-    """Concatenate tensor jets along their existing leading axis."""
-    m = min(p.order for p in parts)
-    parts = [p.truncated(m) for p in parts]
-    out = []
-    for k in range(len(parts[0].c)):
-        layers = [np.asarray(p.c[k], float) for p in parts]
-        tail = np.broadcast_shapes(*[a.shape[1:] for a in layers])
-        out.append(
-            np.concatenate([np.broadcast_to(a, a.shape[:1] + tail) for a in layers])
-        )
-    return Jet(parts[0].nvars, m, out)
 
 
 def jet_matinv(g):

@@ -50,7 +50,6 @@ import numpy as np
 from . import deformation as dfm
 from .embeddings import Embedding, Geometry, Grid, integrate
 from .errors import (
-    DegenerateGeometryError,
     ParameterError,
     PreconditionError,
     UnsupportedConfigurationError,
@@ -405,22 +404,11 @@ def eom_residual(model: LagrangianModel, target,
 
 # -- action and its variation -------------------------------------------------
 
-def _check_nondegenerate(geom: Geometry):
-    det = np.asarray(geom.det_induced_metric.value, float)
-    bad = ~np.isfinite(det) | (np.abs(det) < 1e-14)
-    if np.any(bad):
-        idx = np.argwhere(bad)[:8].tolist()
-        raise DegenerateGeometryError(
-            f"degenerate induced metric at grid indices {idx}"
-            + ("" if np.count_nonzero(bad) <= 8 else " (truncated)")
-        )
-
-
 def action(model: LagrangianModel, embedding: Embedding, grid: Grid) -> float:
     """Quadrature of sqrt|gamma| L over the grid."""
     geom = embedding.geometry(grid.mesh, model.action_order)
     model.check_geometry(geom)
-    _check_nondegenerate(geom)
+    geom.check_nondegenerate()
     dens = geom.sqrt_abs_det * model.lagrangian(geom)
     return float(integrate(np.asarray(dens.value, float), grid))
 
@@ -472,7 +460,7 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
     """
     geom = embedding.geometry(grid.mesh, model.jet_order)
     model.check_geometry(geom)
-    V = vfield(geom) if callable(vfield) else vfield
+    V = dfm.resolve_field(vfield, geom)
     _require_interior_support(embedding, grid, V)
     _t, phi = dfm.decompose_vector(geom, V)
     E = eom_density(model, geom)
@@ -484,7 +472,7 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
     # cheaper low-order geometry over the same nodes; one extra order pays
     # for the normal frame inside the deformation jet
     geom_fd = embedding.geometry(grid.mesh, model.action_order + 1)
-    V_fd = vfield(geom_fd) if callable(vfield) else vfield
+    V_fd = dfm.resolve_field(vfield, geom_fd)
 
     def action_of(g2):
         dens = g2.sqrt_abs_det * model.lagrangian(g2)

@@ -46,7 +46,6 @@ from .models import _resolve_geometry
 from .symplectic import (
     CanonicalPair,
     CauchySlice,
-    _resolve_field,
     _slice_geometry,
     _variation_pair,
     dng_momentum_density,
@@ -133,8 +132,7 @@ class TangentFramePair:
                             geom.inverse_induced_metric, low)
             return jet_einsum("a...,a...->...", up, w)
 
-        return (jet_einsum("m...,...->m...", self.iota0, along(self.iota1))
-                - jet_einsum("m...,...->m...", self.iota1, along(self.iota0)))
+        return self.iota0 * along(self.iota1) - self.iota1 * along(self.iota0)
 
 
 def tangent_frame(geom: Geometry, theta=None) -> TangentFramePair:
@@ -151,16 +149,16 @@ def tangent_frame(geom: Geometry, theta=None) -> TangentFramePair:
             raise DegenerateGeometryError(
                 "first chart direction is not timelike; cannot seed the frame"
             )
-        i0 = jet_einsum("...,m...->m...", 1.0 / (-1.0 * n00).sqrt(), e0)
+        i0 = 1.0 / (-1.0 * n00).sqrt() * e0
         # g(i0, i0) = -1, so subtracting the projection adds +g(e1,i0) i0
-        w = e1 + jet_einsum("...,m...->m...", geom._dot(e1, i0), i0)
+        w = e1 + geom._dot(e1, i0) * i0
     else:
-        i0 = jet_einsum("...,m...->m...", 1.0 / n00.sqrt(), e0)
-        w = e1 - jet_einsum("...,m...->m...", geom._dot(e1, i0), i0)
+        i0 = 1.0 / n00.sqrt() * e0
+        w = e1 - geom._dot(e1, i0) * i0
     n11 = geom._dot(w, w)
     if np.any(np.asarray(n11.value, float) <= 0.0):
         raise DegenerateGeometryError("frame complement is not spacelike")
-    i1 = jet_einsum("...,m...->m...", 1.0 / n11.sqrt(), w)
+    i1 = 1.0 / n11.sqrt() * w
     th = _resolve_gauge(theta, geom)
     if th is not None:
         if sig < 0:
@@ -211,7 +209,7 @@ def rotation_connection_delta(geom: Geometry, vfield,
     parameters while the embedding moves.
     """
     _require_worldsheet(geom)
-    vg = dfm.varied_geometry(geom, _resolve_field(vfield, geom))
+    vg = dfm.varied_geometry(geom, dfm.resolve_field(vfield, geom))
     return dfm.variation(vg, rotation_connection(vg, theta).jet)
 
 
@@ -242,7 +240,7 @@ def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
     eps_low = jet_einsum("mn...,nl...->ml...", frame.epsilon,
                          geom.ambient_metric)
     p = jet_einsum("ml...,m...->l...", eps_low, tau)
-    p = float(sigma1) * jet_einsum("...,l...->l...", geom.sqrt_abs_det, p)
+    p = float(sigma1) * (geom.sqrt_abs_det * p)
     rho_up = jet_einsum("ab...,b...->a...", geom.inverse_induced_metric,
                         rho.jet)
     q = jet_einsum("am...,a...->m...", geom.tangents, rho_up)
@@ -273,8 +271,8 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     def fluxes(vg, _fields):
         rho = rotation_connection(vg, theta)
         dens = float(sigma1) * vg.sqrt_abs_det
-        return [jet_einsum("...,m...->m...", dens, rho.frame.contract(
-            vg, rho.jet.partial(vg.dim + j))) for j in (0, 1)]
+        return [dens * rho.frame.contract(vg, rho.jet.partial(vg.dim + j))
+                for j in (0, 1)]
 
     _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
     dens = np.einsum("m...,m...->...", conormal, d2 - d1)
@@ -303,7 +301,7 @@ def dnggb_potential(geom: Geometry, vfield, sigma0: float, sigma1: float,
                                 + sigma1 eps^{mu nu} drho_nu ].
     """
     _require_worldsheet(geom)
-    V = _resolve_field(vfield, geom)
+    V = dfm.resolve_field(vfield, geom)
     t, _phi = dfm.decompose_vector(geom, V)
     tangential = jet_einsum("am...,a...->m...", geom.tangents, t)
     dens = np.asarray(geom.sqrt_abs_det.value, float)
@@ -424,6 +422,5 @@ def two_d_einstein_identity(target, grid: Grid | None = None) -> float:
     gi = geom.inverse_induced_metric
     ricci = jet_einsum("am...,abmn...->bn...", gi, geom.intrinsic_riemann)
     scal = jet_einsum("bn...,bn...->...", gi, ricci)
-    einstein = ricci - 0.5 * jet_einsum("...,bn...->bn...", scal,
-                                        geom.induced_metric)
+    einstein = ricci - 0.5 * (scal * geom.induced_metric)
     return float(np.max(np.abs(np.asarray(einstein.value, float))))

@@ -88,16 +88,6 @@ def chart_field(fn):
     return build
 
 
-def _resolve_field(vfield, geom: Geometry):
-    return vfield(geom) if callable(vfield) else vfield
-
-
-def _smul(scalar, vec):
-    if isinstance(scalar, Jet):
-        return jet_einsum("...,a...->a...", scalar, vec)
-    return scalar * vec
-
-
 @dataclass
 class SymplecticPotentialField:
     """Boundary-kernel vector density Psi^a for one deformation."""
@@ -120,11 +110,11 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry,
                          vfield) -> SymplecticPotentialField:
     """Evaluate the kernel table for one deformation on one geometry."""
     model.check_geometry(geom)
-    V = _resolve_field(vfield, geom)
+    V = dfm.resolve_field(vfield, geom)
     t, phi = dfm.decompose_vector(geom, V)
     gi = geom.inverse_induced_metric
 
-    psi = _smul(model.lagrangian(geom), t)                             # T00
+    psi = model.lagrangian(geom) * t                                   # T00
 
     HK = model.h_k(geom)
     HG = model.h_gradk(geom)
@@ -175,7 +165,7 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry,
         w12 = jet_einsum("dij...,adj...->ai...", m11, Kmix)
         psi = psi - jet_einsum("ai...,i...->a...", w12, phi)           # T12
 
-    psi = jet_einsum("...,a...->a...", geom.sqrt_abs_det, psi)
+    psi = geom.sqrt_abs_det * psi
     return SymplecticPotentialField(jet=psi, values=np.asarray(psi.value, float))
 
 
@@ -189,8 +179,8 @@ def _variation_pair(geom: Geometry, vf1, vf2, quantities):
     returns the quantity's jets (Q[V1], Q[V2]) on that geometry, with the
     fields lifted onto it; returns (V1, V2, D_{V1} Q[V2], D_{V2} Q[V1]).
     """
-    V1 = _resolve_field(vf1, geom)
-    V2 = _resolve_field(vf2, geom)
+    V1 = dfm.resolve_field(vf1, geom)
+    V2 = dfm.resolve_field(vf2, geom)
     vg = dfm.varied_geometry(geom, V1, V2)
     n = vg.X.nvars
     q1, q2 = quantities(vg, (V1.lift(n), V2.lift(n)))
@@ -274,16 +264,14 @@ def unit_timelike_tangent(geom: Geometry):
             "slice tangent is not timelike everywhere; cannot normalize"
         )
     e = geom.tangents[0]
-    inv = 1.0 / (-1.0 * norm2).sqrt()
-    return jet_einsum("...,m...->m...", inv, e)
+    return 1.0 / (-1.0 * norm2).sqrt() * e
 
 
 def dng_momentum_density(geom: Geometry, sigma0: float):
     """Covector density p_hat_alpha = sqrt(-gamma) sigma0 tau_alpha."""
     iota0 = unit_timelike_tangent(geom)
     tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, iota0)
-    return float(sigma0) * jet_einsum("...,m...->m...",
-                                      geom.sqrt_abs_det, tau)
+    return float(sigma0) * (geom.sqrt_abs_det * tau)
 
 
 @dataclass

@@ -278,6 +278,36 @@ def test_varied_geometry_keeps_base_coefficients_bit_for_bit(E, shape, fn):
                 err_msg=f"{name} {alpha}")
 
 
+def _eps_seeded_by_hand(X, fields):
+    """X + sum_k eps_k V_k, each V_k coefficient placed by multi-index at
+    alpha + e_k (the reference for `Jet.lift` with slopes)."""
+    nv, order = X.nvars, X.order
+    n = nv + len(fields)
+    position = jets._tables(n, order)[1]
+    c = list(X.lift(n).c)
+    for k, V in enumerate(fields):
+        unit = tuple(int(m == k) for m in range(len(fields)))
+        for alpha, coef in zip(jets._tables(nv, V.order)[0], V.c):
+            if sum(alpha) < order:
+                c[position[alpha + unit]] = coef
+    return c
+
+
+@pytest.mark.parametrize("E, shape, fn", VARIED_CASES,
+                         ids=[c[0].name for c in VARIED_CASES])
+def test_lift_with_slopes_matches_placement_by_hand(E, shape, fn):
+    geom = E.geometry(emb.make_grid(E, shape).mesh, 3)
+    V = jets.jet_stack(list(fn(*geom.params)), template=geom.X)
+    W = dfm.deformation_vector(geom, dfm.normal_field(
+        geom, *[lambda *ps: 0.1 + 0.0 * ps[0]] * geom.codim))
+    want = _eps_seeded_by_hand(geom.X, [V, W])
+    for got in (geom.X.lift(geom.dim + 2, V, W).c,
+                dfm.varied_geometry(geom, V, W).X.c):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x is y or np.array_equal(x, y)
+
+
 INVARIANT_NAMES = ["sqrt_det", "det_metric", "k_squared", "k_dot_k",
                    "gradk_full", "gradk_mean"]
 # (id prefix, embedding, points, normal components of phi); the S^2 x S^2

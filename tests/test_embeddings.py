@@ -243,6 +243,26 @@ def test_domain_and_rank_validation():
             getattr(null, name)
 
 
+@pytest.mark.parametrize("naxes", [0, 4])
+def test_embedding_needs_one_to_three_axes(naxes):
+    axes = tuple(emb.ParamAxis(f"u{a}", 0.0, 1.0) for a in range(naxes))
+    with pytest.raises(ParameterError, match="1 to 3 axes"):
+        emb.Embedding(name="bad", background=emb.euclidean(5), axes=axes,
+                      map_fn=lambda *us: us)
+
+
+def test_singular_metric_names_grid_indices():
+    pinched = emb.Embedding(
+        name="pinched",
+        background=emb.euclidean(3),
+        axes=(emb.ParamAxis("u", -1.0, 1.0), emb.ParamAxis("v", -1.0, 1.0)),
+        map_fn=lambda u, v: (u * u * u, v, 0.0 * u),
+    )
+    geom = pinched.geometry(emb.make_grid(pinched, (5, 4)).mesh, 2)
+    with pytest.raises(DegenerateGeometryError, match=r"grid indices \[\[2, 0\]"):
+        geom.inverse_induced_metric
+
+
 def test_rframe_constant_curvature_form():
     g = emb.s3_curve(radius=1.4).geometry(
         [np.linspace(0, 2 * np.pi, 5, endpoint=False)], 2

@@ -1,9 +1,14 @@
+import ast
+import gc
 import math
+import pathlib
+import weakref
 
 import numpy as np
 import pytest
 
 from branelab import jets
+from branelab.errors import PreconditionError
 from branelab.jets import Jet, jet_det, jet_einsum, jet_matinv, jet_stack
 
 
@@ -116,6 +121,70 @@ def test_jet_stack_and_einsum():
     h = 1e-6
     fd = (expect(0.7 + h, -0.2) - expect(0.7 - h, -0.2)) / (2 * h)
     assert np.allclose(dot.derivative((1, 0)), fd, atol=1e-8)
+
+
+def test_jet_stack_nests_and_mixes_leaves():
+    grid = np.array([0.5, 0.7, 0.9])
+    x, y = jets.variables([grid, 1.0 + grid], order=3)
+    t = jet_stack([[x * y, 2.0], [y.truncated(2), np.array([1.0, 2.0, 3.0])]])
+    assert (t.nvars, t.order, t.value.shape) == (2, 2, (2, 2, 3))
+    for k in range(len(t.c)):
+        np.testing.assert_array_equal(t.c[k][0, 0], (x * y).c[k])
+        np.testing.assert_array_equal(t.c[k][1, 0], y.c[k])
+    # a constant leaf writes only the value
+    np.testing.assert_array_equal(t.value[0, 1], 2.0)
+    np.testing.assert_array_equal(t.value[1, 1], [1.0, 2.0, 3.0])
+    for c in t.c[1:]:
+        np.testing.assert_array_equal(c[:, 1], 0.0)
+    # a scalar leaf broadcasts against a tensor leaf's axes
+    vec = jet_stack([x, y])
+    m = jet_stack([vec, x])
+    assert m.value.shape == (2, 2, 3)
+    for k in range(len(m.c)):
+        np.testing.assert_array_equal(m.c[k][0], vec.c[k])
+        np.testing.assert_array_equal(m.c[k][1], [x.c[k], x.c[k]])
+
+
+def test_jet_stack_of_constants_takes_no_grid_from_template():
+    (x,) = jets.variables([np.linspace(0.0, 1.0, 4)], order=2)
+    eye = jet_stack([[1.0, 0.0], [0.0, 1.0]], template=x)
+    assert (eye.nvars, eye.order) == (1, 2)
+    np.testing.assert_array_equal(eye.value, np.eye(2))
+    for c in eye.c[1:]:
+        np.testing.assert_array_equal(c, np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        jet_stack([1.0, 2.0])
+
+
+def test_jet_stack_keeps_no_leaf_alive():
+    # with the cycle collector off, only reference counting frees the leaves
+    (x,) = jets.variables([np.linspace(0.0, 1.0, 5)], order=2)
+    gc.disable()
+    try:
+        leaf = x * x
+        ref = weakref.ref(leaf.c[1])
+        out = jet_stack([[leaf, 1.0], [x, 0.0]])
+        del leaf
+        assert ref() is None
+        assert out.value.shape == (2, 2, 5)
+    finally:
+        gc.enable()
+
+
+def test_only_jets_touches_private_jet_names():
+    src = pathlib.Path(jets.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "jets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
+                    "jets"):
+                bad = [a.name for a in node.names if a.name.startswith("_")]
+                assert not bad, f"{path.name} imports {bad} from jets"
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "jets"):
+                raise AssertionError(f"{path.name} reads jets.{node.attr}")
 
 
 def test_matinv_exact():
@@ -287,6 +356,29 @@ def test_lift_places_coefficients_by_multi_index():
     assert a.lift(2) is a
     with pytest.raises(ValueError):
         a.lift(1)
+
+
+def test_lift_places_slopes_in_the_new_variables():
+    a = _random_jet(2, 3, (5,), 11)
+    v = _random_jet(2, 2, (5,), 12)
+    w = _random_jet(2, 4, (5,), 13)
+    lifted = a.lift(5, v, w)
+    assert (lifted.nvars, lifted.order) == (5, 3)
+    for alpha in jets._tables(5, 3)[0]:
+        head, eps = alpha[:2], alpha[2:]
+        want = {(0, 0, 0): a, (1, 0, 0): v, (0, 1, 0): w}.get(eps)
+        want = 0.0 if want is None else want.coefficient(head)
+        np.testing.assert_array_equal(lifted.coefficient(alpha), want)
+
+
+def test_lift_rejects_mismatched_slopes():
+    a = _random_jet(2, 3, (5,), 11)
+    with pytest.raises(PreconditionError, match="jet variables"):
+        a.lift(3, _random_jet(1, 3, (5,), 12))
+    with pytest.raises(PreconditionError, match="order"):
+        a.lift(3, _random_jet(2, 1, (5,), 12))
+    with pytest.raises(ValueError):
+        a.lift(3, a, a)
 
 
 @pytest.mark.parametrize("nvars, order, extra", [(1, 4, 1), (2, 3, 2),
