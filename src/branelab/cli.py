@@ -61,6 +61,15 @@ MODELS = {
 
 COUPLING_KEYS = ("mu", "alpha", "beta", "sigma0", "sigma1")
 
+# scenarios whose probe fields live on particular embeddings (the radial
+# probe of gb-gauge-invariance in the four-component string chart)
+SCENARIO_EMBEDDINGS = {
+    "symplectic-conservation": ("static-string", "traveling-wave"),
+    "canonical-darboux": ("static-string",),
+    "gb-gauge-invariance": ("static-string",),
+    "dnggb-reduction": ("static-string", "traveling-wave"),
+}
+
 EULER_NUMBERS = {
     "sphere": 2.0,
     "perturbed-sphere": 2.0,
@@ -239,15 +248,33 @@ def _grid(cfg, E, default):
     return emb.make_grid(E, shape)
 
 
-def _slice_nodes(cfg, default_n):
-    return cfg.grid[0] if cfg.grid else default_n
+# the slice scenarios: default node count and tau values of their slices
+SLICE_DEFAULTS = {
+    "symplectic-conservation": (256, (0.3, 1.1, 2.0)),
+    "canonical-darboux": (160, (0.9,)),
+    "dnggb-reduction": (64, (0.9,)),
+    "mass-shell": (64, (0.9,)),
+}
 
 
-def _coord_columns(grid):
+def _cauchy_slices(cfg):
+    """The constant-tau slices the scenario integrates over: every
+    configured value for symplectic-conservation, the first for the rest;
+    [run] grid sets their node count."""
+    n, taus = SLICE_DEFAULTS[cfg.scenario]
+    taus = cfg.slices or taus
+    if cfg.scenario != "symplectic-conservation":
+        taus = taus[:1]
+    n = cfg.grid[0] if cfg.grid else n
+    return [sym.CauchySlice("tau", tv, n) for tv in taus]
+
+
+def _coord_columns(grid, label, values):
+    """--dump-fields columns: the grid's coordinates, then ``values``."""
     names = [f"param{k}" for k in range(len(grid.mesh))]
     cols = [np.ravel(m) for m in np.broadcast_arrays(*grid.mesh)] \
         if len(grid.mesh) > 1 else [np.ravel(grid.mesh[0])]
-    return names, cols
+    return names + [label], cols + [np.ravel(values)]
 
 
 def run_eom_check(cfg):
@@ -258,10 +285,9 @@ def run_eom_check(cfg):
     tol = cfg.tol if cfg.tol is not None else 1e-8
     checks = [Check("field-equation-residual", float(res.max_abs()), 0.0,
                     tol, "extremal-surface")]
-    names, cols = _coord_columns(grid)
     norm = np.sqrt(np.einsum("i...,i...->...", res.values, res.values))
-    fields = (names + ["residual-norm"], cols + [np.ravel(norm)])
-    return checks, [("model", model.name)], fields
+    return checks, [("model", model.name)], \
+        _coord_columns(grid, "residual-norm", norm)
 
 
 def run_deformation_oracle(cfg):
@@ -330,9 +356,8 @@ def run_action_variation(cfg):
     notes = [("model", model.name),
              ("numeric", repr(float(rep.numeric))),
              ("assembled", repr(float(rep.assembled)))]
-    names, cols = _coord_columns(grid)
-    return checks, notes, (names + ["variation-density"],
-                           cols + [np.ravel(rep.integrand)])
+    return checks, notes, _coord_columns(grid, "variation-density",
+                                         rep.integrand)
 
 
 def run_gauss_bonnet(cfg):
@@ -347,55 +372,35 @@ def run_gauss_bonnet(cfg):
     tol = cfg.tol if cfg.tol is not None else 1e-3
     checks = [Check("euler-characteristic", chi,
                     EULER_NUMBERS[cfg.embedding], tol, "topological")]
-    names, cols = _coord_columns(grid)
-    return checks, [("nodes", n)], (names + ["curvature-density"],
-                                    cols + [np.ravel(dens)])
-
-
-def _conservation_setup(cfg):
-    E = cfg.build_embedding()
-    if cfg.embedding == "static-string":
-        f1, f2 = WAVE_PAIRS[0][1], WAVE_PAIRS[0][2]
-    elif cfg.embedding == "traveling-wave":
-        f1, f2 = LEFT_MOVERS
-    else:
-        raise ConfigError(
-            "symplectic-conservation runs on static-string or traveling-wave"
-        )
-    return E, f1, f2
+    return checks, [("nodes", n)], \
+        _coord_columns(grid, "curvature-density", dens)
 
 
 def run_symplectic_conservation(cfg):
-    E, f1, f2 = _conservation_setup(cfg)
+    E = cfg.build_embedding()
+    f1, f2 = WAVE_PAIRS[0][1:] if cfg.embedding == "static-string" \
+        else LEFT_MOVERS
     model = cfg.build_model() or mdl.DNG(mu=1.0)
-    n = _slice_nodes(cfg, 256)
-    slices = cfg.slices or (0.3, 1.1, 2.0)
+    slices = _cauchy_slices(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-6
-    currents = [sym.slice_current(model, E, sym.CauchySlice("tau", tv, n),
-                                  f1, f2)
-                for tv in slices]
+    currents = [sym.slice_current(model, E, slc, f1, f2) for slc in slices]
     vals = [float(emb.integrate(J, grid)) for J, grid in currents]
     checks = [Check("slice-independence", max(vals) - min(vals), 0.0, tol,
                     "conserved-current")]
     if cfg.embedding == "static-string" and isinstance(model, mdl.DNG):
         checks.append(Check("wave-pair-form", vals[0], model.mu * np.pi,
                             tol, "separable-wave-closed-form"))
-    notes = [("model", model.name), ("slices", ",".join(repr(v)
-                                                        for v in slices))]
+    notes = [("model", model.name), ("slices", ",".join(repr(slc.value)
+                                                        for slc in slices))]
     J, grid = currents[0]
-    names, cols = _coord_columns(grid)
-    return checks, notes, (names + ["current-density"],
-                           cols + [np.ravel(J)])
+    return checks, notes, _coord_columns(grid, "current-density", J)
 
 
 def run_canonical_darboux(cfg):
-    if cfg.embedding != "static-string":
-        raise ConfigError("canonical-darboux runs on static-string")
     E = cfg.build_embedding()
     sigma0 = cfg.coupling("mu", cfg.coupling("sigma0", 1.0))
     model = mdl.DNG(mu=sigma0)
-    n = _slice_nodes(cfg, 160)
-    slc = sym.CauchySlice("tau", (cfg.slices or (0.9,))[0], n)
+    slc, = _cauchy_slices(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-6
     checks = []
     currents = [sym.slice_current(model, E, slc, f1, f2)
@@ -410,15 +415,11 @@ def run_canonical_darboux(cfg):
     checks.append(Check("tangential-drop-out", w_tan, 0.0, tol,
                         "reparameterization"))
     J, grid = currents[0]
-    names, cols = _coord_columns(grid)
     return checks, [("sigma0", repr(sigma0))], \
-        (names + ["current-density"], cols + [np.ravel(J)])
+        _coord_columns(grid, "current-density", J)
 
 
 def run_gb_gauge_invariance(cfg):
-    # the pinned radial probe lives in the four-component chart
-    if cfg.embedding != "static-string":
-        raise ConfigError("gb-gauge-invariance runs on static-string")
     E = cfg.build_embedding()
     sigma1 = cfg.coupling("sigma1", 0.9)
     grid = _grid(cfg, E, (8, 24))
@@ -437,21 +438,15 @@ def run_gb_gauge_invariance(cfg):
         Check("flux-magnitude", float(np.max(np.abs(psi))), "nonzero",
               1e-2, "curvature-response"),
     ]
-    names, cols = _coord_columns(grid)
     shift = np.sqrt(np.einsum("m...,m...->...", psi - psi_g, psi - psi_g))
     return checks, [("sigma1", repr(sigma1))], \
-        (names + ["flux-shift-norm"], cols + [np.ravel(shift)])
+        _coord_columns(grid, "flux-shift-norm", shift)
 
 
 def run_dnggb_reduction(cfg):
-    if cfg.embedding not in ("static-string", "traveling-wave"):
-        raise ConfigError(
-            "dnggb-reduction runs on static-string or traveling-wave"
-        )
     E = cfg.build_embedding()
     sigma0 = cfg.coupling("sigma0", 1.2)
-    n = _slice_nodes(cfg, 64)
-    slc = sym.CauchySlice("tau", (cfg.slices or (0.9,))[0], n)
+    slc, = _cauchy_slices(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-12
     red = sgb.dnggb_canonical(E, slc, sigma0=sigma0, sigma1=0.0)
     ref = sym.dng_canonical_pair(E, slc, sigma0)
@@ -462,27 +457,22 @@ def run_dnggb_reduction(cfg):
         Check("momentum-reduces", dp, 0.0, tol, "limit-reduction"),
     ]
     grid, _k = slc.grid(E)
-    names, cols = _coord_columns(grid)
     gap = np.max(np.abs(red.position - ref.position), axis=0)
     return checks, [("sigma0", repr(sigma0))], \
-        (names + ["position-gap"], cols + [np.ravel(gap)])
+        _coord_columns(grid, "position-gap", gap)
 
 
 def run_mass_shell(cfg):
     E = cfg.build_embedding()
-    if E.dim != 2:
-        raise ConfigError("mass-shell needs a two-axis worldsheet")
     sigma0 = cfg.coupling("sigma0", 2.0)
-    n = _slice_nodes(cfg, 64)
-    slc = sym.CauchySlice("tau", (cfg.slices or (0.9,))[0], n)
+    slc, = _cauchy_slices(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-10
     res = sym.mass_shell_check(E, slc, sigma0)
     checks = [Check("mass-shell-residual", float(np.max(np.abs(res))), 0.0,
                     tol, "unit-normalization")]
     grid, _k = slc.grid(E)
-    names, cols = _coord_columns(grid)
     return checks, [("sigma0", repr(sigma0))], \
-        (names + ["residual"], cols + [np.ravel(res)])
+        _coord_columns(grid, "residual", res)
 
 
 SCENARIOS = {
@@ -649,6 +639,9 @@ def resolve_config(args) -> ScenarioConfig:
     embedding = raw.get("embedding", defaults["embedding"])
     if embedding not in EMBEDDINGS:
         raise ConfigError(f"unknown embedding '{embedding}'")
+    allowed = SCENARIO_EMBEDDINGS.get(scenario, (embedding,))
+    if embedding not in allowed:
+        raise ConfigError(f"{scenario} runs on {' or '.join(allowed)}")
     model = raw.get("model", defaults.get("model"))
     if model is not None and model not in MODELS:
         raise ConfigError(f"unknown model '{model}'")
@@ -692,13 +685,17 @@ def resolve_config(args) -> ScenarioConfig:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     try:
         dfm.validate_eps_schedule(cfg.eps)
-        dim = cfg.build_embedding().dim
+        E = cfg.build_embedding()
         cfg.build_model()
+        if scenario in SLICE_DEFAULTS:
+            # the runners' own slice checks: axis, range, a two-axis chart
+            for slc in _cauchy_slices(cfg):
+                slc.grid(E)
     except (TypeError, BranelabError) as ex:
         raise ConfigError(str(ex)) from ex
-    if len(cfg.grid) > dim:
+    if len(cfg.grid) > E.dim:
         raise ConfigError(f"grid has {len(cfg.grid)} entries for a "
-                          f"{dim}-axis embedding")
+                          f"{E.dim}-axis embedding")
     return cfg
 
 

@@ -541,14 +541,29 @@ class Geometry:
             out = out + jet_einsum(spec, self.twist, fld)
         return out
 
-    def lower(self, T, n_wv):
-        """Lower the first ``n_wv`` worldvolume indices of ``T`` with the
-        induced metric, one slot at a time; later tensor axes pass through."""
-        idx = string.ascii_lowercase[:np.ndim(T.value) - len(self.grid_shape)]
-        for p in range(n_wv):
-            spec = f"{idx[p]}z...,{idx[:p]}z{idx[p + 1:]}...->{idx}..."
-            T = jet_einsum(spec, self.induced_metric, T)
-        return T
+    def divergence(self, T, n_up, n_nor):
+        """Covariant divergence grad_a T^{a...} on the first index.
+
+        ``T`` has ``n_up`` leading worldvolume (upper) indices followed by
+        ``n_nor`` normal-frame indices; the result keeps all but the first,
+        in order.  Each connection term of `covariant_grad` is traced
+        inside its contraction: + G^p_{az} T^{..z..} per upper slot,
+        + w_a^q_z T^{..z..} per normal slot.
+        """
+        letters = list(string.ascii_lowercase[:n_up + n_nor])
+        rest = "".join(letters[1:])
+        out = sum(T[a].partial(a) for a in range(self.dim))
+        for p in range(n_up):
+            repl = letters.copy()
+            repl[p] = "z"
+            spec = f"{letters[p]}az...,{''.join(repl)}...->{rest}..."
+            out = out + jet_einsum(spec, self.wv_christoffel, T)
+        for q in range(n_up, n_up + n_nor):
+            repl = letters.copy()
+            repl[q] = "z"
+            spec = f"a{letters[q]}z...,{''.join(repl)}...->{rest}..."
+            out = out + jet_einsum(spec, self.twist, T)
+        return out
 
     @cached_property
     def grad_extrinsic(self):

@@ -38,8 +38,10 @@ integration-by-parts product of the anchored variation formulas in
 
 Every sign is pinned by the finite-difference action oracle in the tests;
 the curvature couplings E05/E08/E14 are only visible on a product
-background, which the test battery includes.  The divergence kernel
-Theta^a lives in `symplectic`.
+background, which the test battery includes.  Every divergence is taken
+of an upper-index tensor (`Geometry.divergence`), and entries that differ
+only in slot order and sign are summed before their shared contraction:
+E09-E11 and E12+E13.  The divergence kernel Theta^a lives in `symplectic`.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .jets import Jet, jet_einsum
+from .jets import Jet, jet_einsum, jet_rearrange
 
 __all__ = [
     "LagrangianModel",
@@ -63,6 +65,7 @@ __all__ = [
     "EinsteinHilbert",
     "SyntheticGradK",
     "h_tensors",
+    "hg_contractions",
     "action",
     "eom_density",
     "eom_residual",
@@ -290,15 +293,35 @@ def _require_order(geom: Geometry, need: int, what: str):
         )
 
 
+def hg_contractions(geom: Geometry, HG):
+    """The contractions of HG^{abc}_i that both `eom_density` and
+    `symplectic.symplectic_potential` read, as the tuple
+
+        div1[b, c, i]  = grad_a HG^{abc}_i
+        div2[c, i]     = grad_b grad_a HG^{abc}_i
+        wsum[a, b, e]  = W^{abe} + W^{bae} - W^{bea},
+                         W^{abe} = HG^{abc}_l K^e_c^l       (E09-E11, T08-T10)
+        m[a, i, j]     = HG^{abc}_i K_bc^j                  (E14)
+        anti[d, i]     = (m[a, i, j] - m[a, j, i]) K^d_a^j  (E12+E13, T11+T12)
+    """
+    Kmix = geom.k_mixed
+    div1 = geom.divergence(HG, 3, 1)
+    W = jet_einsum("abcl...,ecl...->abe...", HG, Kmix)
+    wsum = (W + jet_rearrange("bae...->abe...", W)
+            - jet_rearrange("bea...->abe...", W))
+    m = jet_einsum("abci...,bcj...->aij...", HG, geom.extrinsic_curvature)
+    anti = jet_einsum("aij...,daj...->di...",
+                      m - jet_rearrange("aji...->aij...", m), Kmix)
+    return div1, geom.divergence(div1, 2, 1), wsum, m, anti
+
+
 def eom_density(model: LagrangianModel, geom: Geometry):
     """Raw Euler-Lagrange density E_i (a jet over the geometry's grid)."""
     model.check_geometry(geom)
     _require_order(geom, model.jet_order, f"{model.name} field equations")
-    gi = geom.inverse_induced_metric
     K = geom.extrinsic_curvature
-    mean = geom.mean_curvature
 
-    E = model.lagrangian(geom) * mean                               # E01
+    E = model.lagrangian(geom) * geom.mean_curvature                # E01
 
     H = model.h_gamma(geom)
     if H is not None:
@@ -306,56 +329,26 @@ def eom_density(model: LagrangianModel, geom: Geometry):
 
     HK = model.h_k(geom)
     if HK is not None:
-        block_tn = geom.rblock("nttn")                              # (i,a,b,j)
-        hk_low = geom.lower(HK, 2)
-        g1 = geom.covariant_grad(hk_low, 2, 1)                      # (c,a,b,i)
-        s1 = jet_einsum("cb...,cabi...->ai...", gi, g1)
-        g2 = geom.covariant_grad(s1, 1, 1)                          # (e,a,i)
-        E = E - jet_einsum("ea...,eai...->i...", gi, g2)            # E03
+        div_hk = geom.divergence(HK, 2, 1)                          # (b,i)
+        E = E - geom.divergence(div_hk, 1, 1)                       # E03
         u4 = jet_einsum("abj...,adj...->bd...", HK, K)
         E = E + jet_einsum("bd...,dbi...->i...", u4, geom.k_mixed)  # E04
+        block_tn = geom.rblock("nttn")                              # (i,a,b,j)
         E = E + jet_einsum("iabj...,abj...->i...", block_tn, HK)    # E05
 
     HG = model.h_gradk(geom)
     if HG is not None:
+        div1, div2, wsum, m, anti = hg_contractions(geom, HG)
+        E = E + geom.divergence(div2, 1, 1)                         # E06
+        u7 = jet_einsum("bcj...,bdj...->cd...", div1, K)
+        E = E - jet_einsum("cd...,dci...->i...", u7, geom.k_mixed)  # E07
         block_tn = geom.rblock("nttn")
+        E = E - jet_einsum("ibcj...,bcj...->i...", block_tn, div1)  # E08
+        dw = geom.divergence(wsum, 3, 0)                            # (b,e)
+        E = E + 2.0 * jet_einsum("be...,bei...->i...", dw, K)       # E09-E11
+        E = E + geom.divergence(anti, 1, 1)                         # E12+E13
         block_tnnn = geom.rblock("tnnn")                            # (a,i,j,l)
-        Kup, Kmix = geom.k_raised, geom.k_mixed
-        hg_low = geom.lower(HG, 3)
-        g1 = geom.covariant_grad(hg_low, 3, 1)                      # (e,a,b,c,i)
-        a_low = jet_einsum("ea...,eabci...->bci...", gi, g1)        # grad.HG
-        t = jet_einsum("be...,eci...->bci...", gi, a_low)
-        a_up = jet_einsum("cf...,bfi...->bci...", gi, t)
-        g2 = geom.covariant_grad(a_low, 2, 1)                       # (e,b,c,i)
-        s2 = jet_einsum("eb...,ebci...->ci...", gi, g2)
-        g3 = geom.covariant_grad(s2, 1, 1)                          # (e,c,i)
-        E = E + jet_einsum("ec...,eci...->i...", gi, g3)            # E06
-        u7 = jet_einsum("bcj...,bdj...->cd...", a_up, K)
-        E = E - jet_einsum("cd...,dci...->i...", u7, Kmix)          # E07
-        E = E - jet_einsum("ibcj...,bcj...->i...", block_tn, a_up)  # E08
-
-        W = jet_einsum("abcl...,ecl...->abe...", HG, Kmix)
-        w_low = geom.lower(W, 3)
-        gw = geom.covariant_grad(w_low, 3, 0)                       # (f,a,b,e)
-        d1 = jet_einsum("fa...,fabe...->be...", gi, gw)
-        d2 = jet_einsum("fb...,fabe...->ae...", gi, gw)
-        d3 = jet_einsum("fe...,fabe...->ab...", gi, gw)
-        E = E + 2.0 * jet_einsum("be...,bei...->i...", d1, Kup)     # E09
-        E = E + 2.0 * jet_einsum("ae...,aei...->i...", d2, Kup)     # E10
-        E = E - 2.0 * jet_einsum("ab...,abi...->i...", d3, Kup)     # E11
-
-        v12 = jet_einsum("abcj...,daj...->dbc...", HG, Kmix)
-        f12 = jet_einsum("dbc...,bci...->di...", v12, K)
-        gf = geom.covariant_grad(geom.lower(f12, 1), 1, 1)          # (e,d,i)
-        E = E - jet_einsum("ed...,edi...->i...", gi, gf)            # E12
-
-        v13 = jet_einsum("abci...,bcj...->aij...", HG, K)
-        f13 = jet_einsum("aij...,daj...->di...", v13, Kmix)
-        gf = geom.covariant_grad(geom.lower(f13, 1), 1, 1)
-        E = E + jet_einsum("ed...,edi...->i...", gi, gf)            # E13
-
-        m14 = jet_einsum("abcl...,bcj...->ajl...", HG, K)
-        E = E + jet_einsum("aijl...,ajl...->i...", block_tnnn, m14)  # E14
+        E = E + jet_einsum("aijl...,alj...->i...", block_tnnn, m)   # E14
 
     return E
 

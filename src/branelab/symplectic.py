@@ -24,7 +24,9 @@ part, phi its normal part; HK/HG as in `models`):
     T12  - HG^{dbc}_i K_{bc j} K_d^{a j} phi^i
 
 The pointwise identity above is pinned in the test suite against the
-re-embedding finite-difference oracle, which checks every entry.
+re-embedding finite-difference oracle, which checks every entry.  As in
+`models`, the divergences are taken of upper-index tensors, and T08-T10
+and T11+T12 are summed before their shared contraction.
 
 On top of Psi sit the phase-space structures: the two-argument current
 
@@ -59,7 +61,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .jets import Jet, jet_einsum, jet_stack
-from .models import LagrangianModel
+from .models import LagrangianModel, hg_contractions
 
 __all__ = [
     "SymplecticPotentialField",
@@ -112,58 +114,34 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry,
     model.check_geometry(geom)
     V = dfm.resolve_field(vfield, geom)
     t, phi = dfm.decompose_vector(geom, V)
-    gi = geom.inverse_induced_metric
 
     psi = model.lagrangian(geom) * t                                   # T00
 
     HK = model.h_k(geom)
     HG = model.h_gradk(geom)
     if HK is not None or HG is not None:
-        K = geom.extrinsic_curvature
-        Kmix = geom.k_mixed
         gphi = geom.covariant_grad(phi, 0, 1)                          # (b,i)
     if HK is not None:
         psi = psi - jet_einsum("abi...,bi...->a...", HK, gphi)         # T01
-        g1 = geom.covariant_grad(geom.lower(HK, 2), 2, 1)              # (e,b,a,i)
-        s = jet_einsum("eb...,ebai...->ai...", gi, g1)
-        div_up = jet_einsum("ac...,ci...->ai...", gi, s)
-        psi = psi + jet_einsum("ai...,i...->a...", div_up, phi)        # T02
+        div_hk = geom.divergence(HK, 2, 1)                             # (a,i)
+        psi = psi + jet_einsum("ai...,i...->a...", div_hk, phi)        # T02
 
     if HG is not None:
-        blk = geom.rblock("nttn")                                      # (j,b,c,i)
+        K = geom.extrinsic_curvature
+        div1, div2, wsum, _m, anti = hg_contractions(geom, HG)
         gg2 = geom.covariant_grad(gphi, 1, 1)                          # (b,c,i)
         psi = psi - jet_einsum("abci...,bci...->a...", HG, gg2)        # T03
         u = jet_einsum("abci...,dbi...->adc...", HG, K)
-        w = jet_einsum("adc...,dcj...->aj...", u, Kmix)
+        w = jet_einsum("adc...,dcj...->aj...", u, geom.k_mixed)
         psi = psi + jet_einsum("aj...,j...->a...", w, phi)             # T04
+        blk = geom.rblock("nttn")                                      # (j,b,c,i)
         rlam = jet_einsum("jbci...,j...->bci...", blk, phi)
         psi = psi + jet_einsum("abci...,bci...->a...", HG, rlam)       # T05
-
-        gA = geom.covariant_grad(geom.lower(HG, 3), 3, 1)              # (e,b,a,c,i)
-        s = jet_einsum("eb...,ebaci...->aci...", gi, gA)  # grad_b HG_{b..}
-        su = jet_einsum("am...,mci...->aci...", gi, s)
-        su = jet_einsum("cn...,ani...->aci...", gi, su)
-        psi = psi + jet_einsum("aci...,ci...->a...", su, gphi)         # T06
-        gB = geom.covariant_grad(s, 2, 1)                              # (e,b,a,i)
-        divB = jet_einsum("eb...,ebai...->ai...", gi, gB)
-        divB_up = jet_einsum("ac...,ci...->ai...", gi, divB)
-        psi = psi - jet_einsum("ai...,i...->a...", divB_up, phi)       # T07
-
-        u8 = jet_einsum("abcl...,gcl...->abg...", HG, Kmix)
-        w8 = jet_einsum("abg...,gbj...->aj...", u8, K)
-        psi = psi - 2.0 * jet_einsum("aj...,j...->a...", w8, phi)      # T08
-        u9 = jet_einsum("bacl...,gcl...->abg...", HG, Kmix)
-        w9 = jet_einsum("abg...,gbj...->aj...", u9, K)
-        psi = psi - 2.0 * jet_einsum("aj...,j...->a...", w9, phi)      # T09
-        u10 = jet_einsum("gbcl...,acl...->gba...", HG, Kmix)
-        w10 = jet_einsum("gba...,gbj...->aj...", u10, K)
-        psi = psi + 2.0 * jet_einsum("aj...,j...->a...", w10, phi)     # T10
-
-        m11 = jet_einsum("dbci...,bcj...->dij...", HG, K)
-        w11 = jet_einsum("dij...,adi...->aj...", m11, Kmix)
-        psi = psi + jet_einsum("aj...,j...->a...", w11, phi)           # T11
-        w12 = jet_einsum("dij...,adj...->ai...", m11, Kmix)
-        psi = psi - jet_einsum("ai...,i...->a...", w12, phi)           # T12
+        psi = psi + jet_einsum("aci...,ci...->a...", div1, gphi)       # T06
+        psi = psi - jet_einsum("ai...,i...->a...", div2, phi)          # T07
+        w8 = jet_einsum("abe...,bej...->aj...", wsum, K)
+        psi = psi - 2.0 * jet_einsum("aj...,j...->a...", w8, phi)      # T08-T10
+        psi = psi - jet_einsum("aj...,j...->a...", anti, phi)          # T11+T12
 
     psi = geom.sqrt_abs_det * psi
     return SymplecticPotentialField(jet=psi, values=np.asarray(psi.value, float))

@@ -10,6 +10,7 @@ import pytest
 from branelab import cli
 from branelab import embeddings as emb
 from branelab import symplectic as sym
+from branelab.errors import DegenerateGeometryError
 
 SCENARIO_NAMES = [
     "eom-check",
@@ -184,12 +185,38 @@ def test_tightened_tolerance_fails_run(capsys):
     assert "result: fail" in capsys.readouterr().out
 
 
-def test_runtime_domain_error_becomes_failed_check(tmp_path, capsys):
+def _config_error(tmp_path, capsys, text):
+    """Exit status and stderr of the CLI on a mass-shell config + ``text``;
+    a configuration error prints no report."""
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("[scenario]\nname = mass-shell\n\n[run]\nslices = 3.0\n")
-    assert cli.main(["--config", str(cfg)]) == 1
+    cfg.write_text("[scenario]\nname = mass-shell\n\n" + text)
+    code = cli.main(["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_out_of_range_slice_is_a_config_error(tmp_path, capsys):
+    code, err = _config_error(tmp_path, capsys, "[run]\nslices = 3.0\n")
+    assert code == 2
+    assert "slice tau=3.0 lies outside (0.0, 2.5)" in err
+
+
+def test_slice_without_tau_axis_is_a_config_error(tmp_path, capsys):
+    code, err = _config_error(tmp_path, capsys, "[embedding]\nid = sphere\n")
+    assert code == 2
+    assert "no axis named 'tau'" in err
+
+
+def test_library_error_during_a_run_becomes_failed_check(monkeypatch, capsys):
+    def degenerate(cfg):
+        raise DegenerateGeometryError("induced metric is singular")
+
+    _run, *rest = cli.SCENARIOS["mass-shell"]
+    monkeypatch.setitem(cli.SCENARIOS, "mass-shell", (degenerate, *rest))
+    assert cli.main(["--scenario", "mass-shell"]) == 1
     out = capsys.readouterr().out
-    assert "aborted:DomainError" in out
+    assert "aborted:DegenerateGeometryError" in out
     assert "result: fail" in out
 
 

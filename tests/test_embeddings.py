@@ -310,10 +310,68 @@ def test_lower_undoes_raised_extrinsic_curvature():
     E = emb.ellipsoid()
     g = E.geometry(small_grid(E, (5, 6)).mesh, 3)
     K = np.asarray(g.extrinsic_curvature.value)
-    np.testing.assert_allclose(g.lower(g.k_raised, 2).value, K, atol=1e-13)
-    np.testing.assert_allclose(g.lower(g.k_mixed, 1).value, K, atol=1e-13)
+    gam = np.asarray(g.induced_metric.value)
+    low2 = np.einsum("ac...,bd...,cdi...->abi...", gam, gam,
+                     np.asarray(g.k_raised.value))
+    low1 = np.einsum("ac...,cbi...->abi...", gam, np.asarray(g.k_mixed.value))
+    np.testing.assert_allclose(low2, K, atol=1e-13)
+    np.testing.assert_allclose(low1, K, atol=1e-13)
     mean = np.einsum("aai...->i...", np.asarray(g.k_mixed.value))
     np.testing.assert_allclose(mean, g.mean_curvature.value, atol=1e-13)
+
+
+def reference_divergence(g, T, n_up, n_nor):
+    """grad_a T^{a...} the long way: lower every worldvolume slot with
+    gamma_ab, take the full covariant gradient, trace the new index with
+    the first slot through gamma^{ab}, and raise the other slots again."""
+    idx = "abcdefgh"[:n_up + n_nor]
+    gam, gi = g.induced_metric, g.inverse_induced_metric
+    for p in range(n_up):
+        spec = f"{idx[p]}z...,{idx[:p]}z{idx[p + 1:]}...->{idx}..."
+        T = jets.jet_einsum(spec, gam, T)
+    grad = g.covariant_grad(T, n_up, n_nor)
+    rest = idx[1:]
+    out = jets.jet_einsum(f"ya...,y{idx}...->{rest}...", gi, grad)
+    for p in range(n_up - 1):
+        spec = f"{rest[p]}z...,{rest[:p]}z{rest[p + 1:]}...->{rest}..."
+        out = jets.jet_einsum(spec, gi, out)
+    return out
+
+
+def upper_test_tensors(g):
+    """One upper-index tensor per (n_up, n_nor), built from g's own jets
+    and with no symmetry between its worldvolume slots."""
+    gi = g.inverse_induced_metric
+    u = jets.jet_einsum("ab...,b...->a...", gi,
+                        g.partials(g.k_squared_scalar))
+    G, Kr = g.grad_mean_up, g.k_raised
+    return {
+        (1, 0): u,
+        (1, 1): G,
+        (2, 1): Kr + jets.jet_einsum("a...,bi...->abi...", u, G),
+        (3, 0): jets.jet_einsum("abi...,ci...->abc...", Kr, G),
+        (3, 1): jets.jet_einsum("abi...,c...->abci...", Kr, u)
+        + jets.jet_einsum("a...,bci...->abci...", u, Kr),
+    }
+
+
+@pytest.mark.parametrize("name", ["s2xs2", "ellipsoid"])
+def test_divergence_matches_lowered_gradient_trace(name):
+    E = emb.surface_s2xs2() if name == "s2xs2" else emb.ellipsoid()
+    g = E.geometry(small_grid(E, (4, 5)).mesh, 5)
+    if name == "s2xs2":
+        assert g.codim == 2 and not g.background.flat
+        assert np.max(np.abs(np.asarray(g.twist.value))) > 1e-2
+    for (n_up, n_nor), T in upper_test_tensors(g).items():
+        got = g.divergence(T, n_up, n_nor)
+        ref = reference_divergence(g, T, n_up, n_nor)
+        order = min(got.order, ref.order)
+        assert order >= 1
+        for a, b in zip(got.truncated(order).c, ref.truncated(order).c):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape
+            scale = max(np.max(np.abs(b)), 1e-300)
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale, (n_up, n_nor)
 
 
 def loop_normals(g):

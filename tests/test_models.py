@@ -362,3 +362,27 @@ def test_gradk_field_equations_raise_mean_gradient_once(monkeypatch):
     # the boundary kernel reuses the cached grad^a K^i
     sym.symplectic_potential(model, geom, lambda g: g.normals[0])
     assert sum(map(len, counts)) == 1
+
+
+def test_hg_tables_contract_hg_with_mixed_curvature_once(monkeypatch):
+    geom = small_geometry(emb.surface_s2xs2(), 6, S2XS2_PTS)
+    made = []
+    h_gradk = mdl.SyntheticGradK.h_gradk
+
+    def recording_h_gradk(self, g):
+        made.append(h_gradk(self, g))
+        return made[-1]
+
+    monkeypatch.setattr(mdl.SyntheticGradK, "h_gradk", recording_h_gradk)
+
+    def hg_with_k_mixed(spec, a, b):
+        return (any(a is hg for hg in made)
+                and b is geom.__dict__.get("k_mixed"))
+
+    counts = [_counting(monkeypatch, owner, "jet_einsum", hg_with_k_mixed)
+              for owner in (emb, mdl, sym)]
+    model = mdl.SyntheticGradK(beta=0.6)
+    mdl.eom_density(model, geom)
+    assert sum(map(len, counts)) == 1
+    sym.symplectic_potential(model, geom, lambda g: g.normals[0])
+    assert sum(map(len, counts)) == 2
