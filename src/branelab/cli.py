@@ -61,15 +61,6 @@ MODELS = {
 
 COUPLING_KEYS = ("mu", "alpha", "beta", "sigma0", "sigma1")
 
-# scenarios whose probe fields live on particular embeddings (the radial
-# probe of gb-gauge-invariance in the four-component string chart)
-SCENARIO_EMBEDDINGS = {
-    "symplectic-conservation": ("static-string", "traveling-wave"),
-    "canonical-darboux": ("static-string",),
-    "gb-gauge-invariance": ("static-string",),
-    "dnggb-reduction": ("static-string", "traveling-wave"),
-}
-
 EULER_NUMBERS = {
     "sphere": 2.0,
     "perturbed-sphere": 2.0,
@@ -107,9 +98,7 @@ class ScenarioConfig:
     def build_model(self):
         if self.model is None:
             return None
-        cls, names = MODELS[self.model]
-        args = {k: v for k, v in self.couplings.items() if k in names}
-        return cls(**args)
+        return MODELS[self.model][0](**self.couplings)
 
     def coupling(self, name, default):
         return float(self.couplings.get(name, default))
@@ -239,34 +228,22 @@ def _windowed_field(geom):
 
 # -- scenario runners -----------------------------------------------------------
 
-def _grid(cfg, E, default):
-    """The configured grid, else ``default``; one entry n means n nodes on
-    every axis of E."""
-    shape = cfg.grid or default
-    if len(shape) == 1:
-        shape = shape[0]
-    return emb.make_grid(E, shape)
+def _grid(cfg, E):
+    """The configured grid, else the scenario's; one entry n means n nodes
+    on every axis of E."""
+    shape = cfg.grid or SCENARIOS[cfg.scenario].grid
+    return emb.make_grid(E, shape[0] if len(shape) == 1 else shape)
 
 
-# the slice scenarios: default node count and tau values of their slices
-SLICE_DEFAULTS = {
-    "symplectic-conservation": (256, (0.3, 1.1, 2.0)),
-    "canonical-darboux": (160, (0.9,)),
-    "dnggb-reduction": (64, (0.9,)),
-    "mass-shell": (64, (0.9,)),
-}
+def _nodes(cfg):
+    """The configured node count, else the scenario's."""
+    return cfg.grid[0] if cfg.grid else SCENARIOS[cfg.scenario].grid
 
 
 def _cauchy_slices(cfg):
-    """The constant-tau slices the scenario integrates over: every
-    configured value for symplectic-conservation, the first for the rest;
-    [run] grid sets their node count."""
-    n, taus = SLICE_DEFAULTS[cfg.scenario]
-    taus = cfg.slices or taus
-    if cfg.scenario != "symplectic-conservation":
-        taus = taus[:1]
-    n = cfg.grid[0] if cfg.grid else n
-    return [sym.CauchySlice("tau", tv, n) for tv in taus]
+    """The constant-tau slices the scenario integrates over."""
+    taus = cfg.slices or SCENARIOS[cfg.scenario].slices
+    return [sym.CauchySlice("tau", tv, _nodes(cfg)) for tv in taus]
 
 
 def _coord_columns(grid, label, values):
@@ -277,12 +254,10 @@ def _coord_columns(grid, label, values):
     return names + [label], cols + [np.ravel(values)]
 
 
-def run_eom_check(cfg):
-    E = cfg.build_embedding()
-    model = cfg.build_model() or mdl.DNG(mu=1.0)
-    grid = _grid(cfg, E, (48,))
+def run_eom_check(cfg, E, tol):
+    model = cfg.build_model()
+    grid = _grid(cfg, E)
     res = mdl.eom_residual(model, E, grid)
-    tol = cfg.tol if cfg.tol is not None else 1e-8
     checks = [Check("field-equation-residual", float(res.max_abs()), 0.0,
                     tol, "extremal-surface")]
     norm = np.sqrt(np.einsum("i...,i...->...", res.values, res.values))
@@ -290,13 +265,12 @@ def run_eom_check(cfg):
         _coord_columns(grid, "residual-norm", norm)
 
 
-def run_deformation_oracle(cfg):
+def run_deformation_oracle(cfg, E, tol):
     """One random interior chart point and one random normal field per
     trial, batched along a single point axis.  Non-periodic axes are
     sampled away from their ends, where chart degeneracy (poles) makes the
     finite-difference side ill-conditioned; the formulas themselves are
     pointwise."""
-    E = cfg.build_embedding()
     rng = np.random.default_rng(cfg.seed)
     pts = []
     for ax in E.axes:
@@ -316,8 +290,8 @@ def run_deformation_oracle(cfg):
             return out
         return fn
 
-    tol = cfg.tol if cfg.tol is not None else max(1e-6,
-                                                  10.0 * min(cfg.eps) ** 2)
+    if tol is None:
+        tol = max(1e-6, 10.0 * min(cfg.eps) ** 2)
     checks = []
     gap_cols = []
     for name, order in (("k_squared", 3), ("k_dot_k", 3), ("gradk_full", 4)):
@@ -344,14 +318,13 @@ def run_deformation_oracle(cfg):
         (names, cols)
 
 
-def run_action_variation(cfg):
-    E = cfg.build_embedding()
-    model = cfg.build_model() or mdl.QuadraticK(alpha=0.8)
-    grid = _grid(cfg, E, (24,))
+def run_action_variation(cfg, E, tol):
+    model = cfg.build_model()
+    grid = _grid(cfg, E)
     rep = mdl.action_variation_check(model, E, grid, _windowed_field,
                                      eps_list=cfg.eps)
-    tol = cfg.tol if cfg.tol is not None else rep.tolerance()
-    checks = [Check("first-variation-gap", float(rep.gap), 0.0, tol,
+    checks = [Check("first-variation-gap", float(rep.gap), 0.0,
+                    rep.tolerance() if tol is None else tol,
                     "finite-difference-oracle")]
     notes = [("model", model.name),
              ("numeric", repr(float(rep.numeric))),
@@ -360,29 +333,21 @@ def run_action_variation(cfg):
                                          rep.integrand)
 
 
-def run_gauss_bonnet(cfg):
-    E = cfg.build_embedding()
-    if cfg.embedding not in EULER_NUMBERS:
-        raise ConfigError(
-            f"no pinned Euler number for embedding '{cfg.embedding}'"
-        )
-    n = cfg.grid[0] if cfg.grid else 128
+def run_gauss_bonnet(cfg, E, tol):
+    n = _nodes(cfg)
     dens, grid = sgb.curvature_density(E, n)
     chi = float(emb.integrate(dens, grid)) / (4 * np.pi)
-    tol = cfg.tol if cfg.tol is not None else 1e-3
     checks = [Check("euler-characteristic", chi,
                     EULER_NUMBERS[cfg.embedding], tol, "topological")]
     return checks, [("nodes", n)], \
         _coord_columns(grid, "curvature-density", dens)
 
 
-def run_symplectic_conservation(cfg):
-    E = cfg.build_embedding()
+def run_symplectic_conservation(cfg, E, tol):
     f1, f2 = WAVE_PAIRS[0][1:] if cfg.embedding == "static-string" \
         else LEFT_MOVERS
-    model = cfg.build_model() or mdl.DNG(mu=1.0)
+    model = cfg.build_model()
     slices = _cauchy_slices(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-6
     currents = [sym.slice_current(model, E, slc, f1, f2) for slc in slices]
     vals = [float(emb.integrate(J, grid)) for J, grid in currents]
     checks = [Check("slice-independence", max(vals) - min(vals), 0.0, tol,
@@ -396,12 +361,10 @@ def run_symplectic_conservation(cfg):
     return checks, notes, _coord_columns(grid, "current-density", J)
 
 
-def run_canonical_darboux(cfg):
-    E = cfg.build_embedding()
+def run_canonical_darboux(cfg, E, tol):
     sigma0 = cfg.coupling("mu", cfg.coupling("sigma0", 1.0))
     model = mdl.DNG(mu=sigma0)
     slc, = _cauchy_slices(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-6
     checks = []
     currents = [sym.slice_current(model, E, slc, f1, f2)
                 for _label, f1, f2 in WAVE_PAIRS]
@@ -419,12 +382,10 @@ def run_canonical_darboux(cfg):
         _coord_columns(grid, "current-density", J)
 
 
-def run_gb_gauge_invariance(cfg):
-    E = cfg.build_embedding()
+def run_gb_gauge_invariance(cfg, E, tol):
     sigma1 = cfg.coupling("sigma1", 0.9)
-    grid = _grid(cfg, E, (8, 24))
+    grid = _grid(cfg, E)
     geom = E.geometry(grid.mesh, 4)
-    tol = cfg.tol if cfg.tol is not None else 1e-10
     dr = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
     psi = sgb.gb_potential(geom, None, dr, sigma1)
     dr_g = sgb.rotation_connection_delta(geom, RADIAL_WAVE,
@@ -443,11 +404,9 @@ def run_gb_gauge_invariance(cfg):
         _coord_columns(grid, "flux-shift-norm", shift)
 
 
-def run_dnggb_reduction(cfg):
-    E = cfg.build_embedding()
+def run_dnggb_reduction(cfg, E, tol):
     sigma0 = cfg.coupling("sigma0", 1.2)
     slc, = _cauchy_slices(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-12
     red = sgb.dnggb_canonical(E, slc, sigma0=sigma0, sigma1=0.0)
     ref = sym.dng_canonical_pair(E, slc, sigma0)
     dq = float(np.max(np.abs(red.position - ref.position)))
@@ -462,11 +421,9 @@ def run_dnggb_reduction(cfg):
         _coord_columns(grid, "position-gap", gap)
 
 
-def run_mass_shell(cfg):
-    E = cfg.build_embedding()
+def run_mass_shell(cfg, E, tol):
     sigma0 = cfg.coupling("sigma0", 2.0)
     slc, = _cauchy_slices(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-10
     res = sym.mass_shell_check(E, slc, sigma0)
     checks = [Check("mass-shell-residual", float(np.max(np.abs(res))), 0.0,
                     tol, "unit-normalization")]
@@ -475,77 +432,104 @@ def run_mass_shell(cfg):
         _coord_columns(grid, "residual", res)
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """One CLI scenario: its runner, its two catalog lines, its defaults and
+    the inputs it reads.  `resolve_config` rejects every other input."""
+    run: object  # (cfg, E, tol) -> (checks, notes, --dump-fields columns)
+    desc: str
+    capability: str
+    embedding: str
+    model: str | None = None  # None: it takes no [model] id
+    embeddings: tuple = ()    # the embeddings it runs on; () for any
+    grid: tuple | int = ()    # per-axis default grid, or one node count
+    tol: float | None = None  # None: the runner derives one from eps
+    slices: tuple = ()        # default tau slices; one: it reads one
+    reads: tuple = ()         # the [run] keys it reads
+    couplings: tuple = ()     # the couplings it reads without a model
+
+    def reads_line(self) -> str:
+        shape = {"grid": "=n" if isinstance(self.grid, int) else "=n[,m]",
+                 "slices": "=t" if len(self.slices) == 1 else "=t1,t2,..."}
+        model = "id + its couplings" if self.model else \
+            " ".join(self.couplings) or "-"
+        return (f"[run] {' '.join(k + shape.get(k, '') for k in self.reads)}"
+                f"; [model] {model}"
+                f"; [embedding] id {'|'.join(self.embeddings) or 'any'}")
+
+
 SCENARIOS = {
-    "eom-check": (
+    "eom-check": Scenario(
         run_eom_check,
         "field-equation residual of a model on an embedding",
         "bulk term of the first variation",
-        {"embedding": "traveling-wave", "model": "dng"},
-    ),
-    "deformation-oracle": (
+        embedding="traveling-wave", model="dng", grid=(48,), tol=1e-8,
+        reads=("grid", "tol")),
+    "deformation-oracle": Scenario(
         run_deformation_oracle,
         "finite-difference check of curvature-invariant variations",
         "normal-deformation response of K.K, K_ab.K^ab, gradK.gradK",
-        {"embedding": "sphere"},
-    ),
-    "action-variation": (
+        embedding="sphere", reads=("eps", "tol", "seed", "trials")),
+    "action-variation": Scenario(
         run_action_variation,
         "integrated first variation against the assembled bulk density",
         "equality of numeric and assembled action derivatives",
-        {"embedding": "torus", "model": "quadratic-k"},
-    ),
-    "gauss-bonnet": (
+        embedding="torus", model="quadratic-k", grid=(24,),
+        reads=("grid", "eps", "tol")),
+    "gauss-bonnet": Scenario(
         run_gauss_bonnet,
         "curvature quadrature over a closed surface",
         "Euler characteristic from the induced metric",
-        {"embedding": "sphere"},
-    ),
-    "symplectic-conservation": (
+        embedding="sphere", embeddings=tuple(EULER_NUMBERS), grid=128,
+        tol=1e-3, reads=("grid", "tol")),
+    "symplectic-conservation": Scenario(
         run_symplectic_conservation,
         "slice independence of the boundary-current form",
         "conservation of the symplectic current",
-        {"embedding": "static-string", "model": "dng"},
-    ),
-    "canonical-darboux": (
+        embedding="static-string", model="dng",
+        embeddings=("static-string", "traveling-wave"), grid=256, tol=1e-6,
+        slices=(0.3, 1.1, 2.0), reads=("grid", "tol", "slices")),
+    "canonical-darboux": Scenario(
         run_canonical_darboux,
         "slice form against the position-momentum pairing",
         "canonical conjugacy of chart position and momentum density",
-        {"embedding": "static-string"},
-    ),
-    "gb-gauge-invariance": (
+        embedding="static-string", embeddings=("static-string",),
+        grid=160, tol=1e-6, slices=(0.9,), reads=("grid", "tol", "slices"),
+        couplings=("mu", "sigma0")),
+    "gb-gauge-invariance": Scenario(
         run_gb_gauge_invariance,
         "frame-gauge shift of the curvature flux",
         "gauge invariance of the rotation-connection response",
-        {"embedding": "static-string"},
-    ),
-    "dnggb-reduction": (
+        embedding="static-string", embeddings=("static-string",),
+        grid=(8, 24), tol=1e-10, reads=("grid", "tol"), couplings=("sigma1",)),
+    "dnggb-reduction": Scenario(
         run_dnggb_reduction,
         "combined-system pair at vanishing curvature coupling",
         "reduction of the combined canonical pair to the minimal one",
-        {"embedding": "static-string"},
-    ),
-    "mass-shell": (
+        embedding="static-string",
+        embeddings=("static-string", "traveling-wave"), grid=64, tol=1e-12,
+        slices=(0.9,), reads=("grid", "tol", "slices"), couplings=("sigma0",)),
+    "mass-shell": Scenario(
         run_mass_shell,
         "momentum normalization on a spacelike slice",
         "p.p + sigma0^2 = 0 for the unit timelike momentum",
-        {"embedding": "static-string"},
-    ),
+        embedding="static-string", grid=64, tol=1e-10, slices=(0.9,),
+        reads=("grid", "tol", "slices"), couplings=("sigma0",)),
 }
 
 
 def list_scenarios() -> str:
     lines = ["available scenarios:"]
-    for name in SCENARIOS:
-        _run, desc, capability, defaults = SCENARIOS[name]
-        lines.append(f"  {name}")
-        lines.append(f"    {desc}")
-        lines.append(f"    exercises: {capability}")
-        pairs = " ".join(f"{k}={v}" for k, v in sorted(defaults.items()))
-        lines.append(f"    defaults: {pairs}")
+    for name, sc in SCENARIOS.items():
+        model = f" model={sc.model}" if sc.model else ""
+        lines += [f"  {name}", f"    {sc.desc}",
+                  f"    exercises: {sc.capability}",
+                  f"    defaults: embedding={sc.embedding}{model}",
+                  f"    reads: {sc.reads_line()}"]
     lines.append("")
     lines.append("config sections: [scenario] name; [embedding] id + "
-                 "parameters; [model] id + couplings; [run] grid, eps, tol, "
-                 "seed, slices, trials")
+                 "parameters; [model] id + couplings; [run] "
+                 + ", ".join(RUN_KEYS))
     return "\n".join(lines) + "\n"
 
 
@@ -583,10 +567,9 @@ def _parse_grid(text):
     return grid
 
 
-RUN_KEYS = ("grid", "eps", "tol", "seed", "slices", "trials")
-
-# the scenarios that take an eps schedule: the two finite-difference oracles
-EPS_SCENARIOS = ("deformation-oracle", "action-variation")
+# the [run] keys, each with what it sets
+RUN_KEYS = {"grid": "grid", "eps": "eps schedule", "tol": "tolerance",
+            "seed": "seed", "slices": "slices", "trials": "trials"}
 
 
 def load_config(path) -> dict:
@@ -627,7 +610,11 @@ def load_config(path) -> dict:
 
 
 def resolve_config(args) -> ScenarioConfig:
+    """The config file with the flags over it; an input the scenario's
+    `Scenario` record does not read, or the library rejects, is an error."""
     raw = load_config(args.config) if args.config else {}
+    raw.update((k, v) for k, v in (("grid", args.grid), ("eps", args.eps),
+                                   ("tol", args.tol)) if v is not None)
     scenario = args.scenario or raw.get("scenario")
     if not scenario:
         raise ConfigError("no scenario given (use --scenario or a config)")
@@ -635,19 +622,26 @@ def resolve_config(args) -> ScenarioConfig:
         raise ConfigError(
             f"unknown scenario '{scenario}'; try --list"
         )
-    defaults = SCENARIOS[scenario][3]
-    embedding = raw.get("embedding", defaults["embedding"])
+    sc = SCENARIOS[scenario]
+    for key in RUN_KEYS:
+        if key in raw and key not in sc.reads:
+            raise ConfigError(f"{scenario} takes no {RUN_KEYS[key]}: it "
+                              f"reads [run] {', '.join(sc.reads)}")
+    embedding = raw.get("embedding", sc.embedding)
     if embedding not in EMBEDDINGS:
         raise ConfigError(f"unknown embedding '{embedding}'")
-    allowed = SCENARIO_EMBEDDINGS.get(scenario, (embedding,))
-    if embedding not in allowed:
-        raise ConfigError(f"{scenario} runs on {' or '.join(allowed)}")
-    model = raw.get("model", defaults.get("model"))
+    if sc.embeddings and embedding not in sc.embeddings:
+        raise ConfigError(f"{scenario} runs on {' or '.join(sc.embeddings)}")
+    if "model" in raw and sc.model is None:
+        raise ConfigError(f"{scenario} takes no [model] id")
+    model = raw.get("model", sc.model)
     if model is not None and model not in MODELS:
         raise ConfigError(f"unknown model '{model}'")
-    bad = sorted(set(raw.get("couplings", {})) - set(COUPLING_KEYS))
+    reads = sc.couplings + (MODELS[model][1] if model else ())
+    bad = sorted(set(raw.get("couplings", {})) - set(reads))
     if bad:
-        raise ConfigError(f"unknown couplings: {', '.join(bad)}")
+        raise ConfigError(f"{f'model {model!r}' if model else scenario} "
+                          f"does not take {', '.join(bad)}")
     cfg = ScenarioConfig(
         scenario=scenario,
         embedding=embedding,
@@ -655,23 +649,14 @@ def resolve_config(args) -> ScenarioConfig:
         model=model,
         couplings=raw.get("couplings", {}),
     )
-    if args.grid:
-        cfg.grid = _parse_grid(args.grid)
-    elif "grid" in raw:
+    if "grid" in raw:
         cfg.grid = _parse_grid(raw["grid"])
-    if cfg.grid and scenario == "deformation-oracle":
-        raise ConfigError("deformation-oracle takes no grid: it samples "
-                          "[run] trials random points")
-    eps = args.eps or raw.get("eps")
-    if eps is not None:
-        if scenario not in EPS_SCENARIOS:
-            raise ConfigError(f"{scenario} takes no eps schedule: only "
-                              f"{' and '.join(EPS_SCENARIOS)} take finite "
-                              "differences")
-        cfg.eps = _parse_floats(eps)
-    if args.tol is not None:
-        cfg.tol = args.tol
-    elif "tol" in raw:
+        if isinstance(sc.grid, int) and len(cfg.grid) > 1:
+            raise ConfigError(f"{scenario} reads one node count, got grid "
+                              f"{raw['grid']}")
+    if "eps" in raw:
+        cfg.eps = _parse_floats(raw["eps"])
+    if "tol" in raw:
         cfg.tol = _as_float("tol", raw["tol"])
     if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol >= 0):
         raise ConfigError(f"tol must be a finite number >= 0, got {cfg.tol!r}")
@@ -679,6 +664,9 @@ def resolve_config(args) -> ScenarioConfig:
         cfg.seed = _as_int("seed", raw["seed"])
     if "slices" in raw:
         cfg.slices = _parse_floats(raw["slices"])
+        if len(cfg.slices) > 1 and len(sc.slices) == 1:
+            raise ConfigError(f"{scenario} integrates over one slice, got "
+                              f"slices {raw['slices']}")
     if "trials" in raw:
         cfg.trials = _as_int("trials", raw["trials"])
     if cfg.trials < 1:
@@ -687,10 +675,8 @@ def resolve_config(args) -> ScenarioConfig:
         dfm.validate_eps_schedule(cfg.eps)
         E = cfg.build_embedding()
         cfg.build_model()
-        if scenario in SLICE_DEFAULTS:
-            # the runners' own slice checks: axis, range, a two-axis chart
-            for slc in _cauchy_slices(cfg):
-                slc.grid(E)
+        for slc in _cauchy_slices(cfg):  # axis, range, a two-axis chart
+            slc.grid(E)
     except (TypeError, BranelabError) as ex:
         raise ConfigError(str(ex)) from ex
     if len(cfg.grid) > E.dim:
@@ -702,10 +688,12 @@ def resolve_config(args) -> ScenarioConfig:
 # -- orchestration ---------------------------------------------------------------
 
 def run_scenario(cfg: ScenarioConfig) -> tuple:
-    runner = SCENARIOS[cfg.scenario][0]
+    sc = SCENARIOS[cfg.scenario]
+    E = cfg.build_embedding()
     start = time.perf_counter()
     try:
-        checks, notes, fields = runner(cfg)
+        checks, notes, fields = sc.run(cfg, E,
+                                       sc.tol if cfg.tol is None else cfg.tol)
     except BranelabError as ex:
         checks = [Check("execution", float("nan"), 0.0, 0.0,
                         f"aborted:{type(ex).__name__}")]
@@ -714,11 +702,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple:
     duration = time.perf_counter() - start
     header = [
         ("scenario", cfg.scenario),
-        ("embedding", cfg.build_embedding().name),
+        ("embedding", E.name),
         ("model", cfg.model or "-"),
         ("grid", ",".join(str(n) for n in cfg.grid) if cfg.grid else "default"),
         ("eps", ",".join(repr(e) for e in cfg.eps)
-         if cfg.scenario in EPS_SCENARIOS else "-"),
+         if "eps" in sc.reads else "-"),
         ("conventions", _conventions_line()),
     ]
     return Report(header=header, notes=notes, checks=checks,
@@ -745,7 +733,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="key-value config file")
     parser.add_argument("--grid", help="grid size n or n,m")
     parser.add_argument("--eps", help="comma-separated step schedule "
-                        "(deformation-oracle, action-variation)")
+                        "(see --list)")
     parser.add_argument("--tol", type=float, help="override check tolerance")
     parser.add_argument("--out", help="write the report to this path")
     parser.add_argument("--dump-fields", metavar="PATH.CSV",

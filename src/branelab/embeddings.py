@@ -205,7 +205,8 @@ def integrate(values, grid: Grid):
 #
 # Each invariant is written once, as a function of gamma^{ab} and K_ab^i or
 # grad_a K_bc^i, so it evaluates on a Geometry's jets and on the dual
-# numbers of `deformation.predicted_delta_scalar` alike.
+# numbers of `deformation.predicted_delta_scalar` alike.  `Geometry` makes
+# the last contraction of the first two itself, on its cached partners.
 
 def _k_squared(gi, K):
     """K^i K_i (mean curvature squared)."""
@@ -597,13 +598,15 @@ class Geometry:
 
     @cached_property
     def k_squared_scalar(self):
-        """K^i K_i (mean curvature squared)."""
-        return _k_squared(self.inverse_induced_metric, self.extrinsic_curvature)
+        """K^i K_i, as ``_k_squared`` on the cached mean curvature."""
+        m = self.mean_curvature
+        return jet_einsum("i...,i...->...", m, m)
 
     @cached_property
     def k_dot_k_scalar(self):
-        """K_{ab}^i K^{ab}_i."""
-        return _k_dot_k(self.inverse_induced_metric, self.extrinsic_curvature)
+        """K_{ab}^i K^{ab}_i, as ``_k_dot_k`` on the cached ``k_raised``."""
+        K = self.extrinsic_curvature
+        return jet_einsum("abi...,abi...->...", K, self.k_raised)
 
     @cached_property
     def grad_mean_up(self):

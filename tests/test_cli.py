@@ -1,6 +1,7 @@
 """Exit codes, config handling, and report determinism of the CLI."""
 
 import csv
+import dataclasses
 import importlib.util
 import pathlib
 
@@ -209,15 +210,52 @@ def test_slice_without_tau_axis_is_a_config_error(tmp_path, capsys):
 
 
 def test_library_error_during_a_run_becomes_failed_check(monkeypatch, capsys):
-    def degenerate(cfg):
+    def degenerate(cfg, E, tol):
         raise DegenerateGeometryError("induced metric is singular")
 
-    _run, *rest = cli.SCENARIOS["mass-shell"]
-    monkeypatch.setitem(cli.SCENARIOS, "mass-shell", (degenerate, *rest))
+    monkeypatch.setitem(cli.SCENARIOS, "mass-shell", dataclasses.replace(
+        cli.SCENARIOS["mass-shell"], run=degenerate))
     assert cli.main(["--scenario", "mass-shell"]) == 1
     out = capsys.readouterr().out
     assert "aborted:DegenerateGeometryError" in out
     assert "result: fail" in out
+
+
+README_CONFIG = ("[embedding]\nid = static-string\nradius = 1.0\n\n"
+                 "[model]\nid = dng\nmu = 1.0\n\n"
+                 "[run]\ngrid = 256\nslices = 0.3,1.1,2.0\nseed = 7\n")
+
+
+@pytest.mark.parametrize("scenario, text, argv, key", [
+    pytest.param("mass-shell", "[run]\nslices = 0.9,3.0\n", [], "slices",
+                 id="second-slice"),
+    pytest.param("gauss-bonnet", "", ["--grid", "64,128"], "grid",
+                 id="gauss-bonnet-two-node-counts"),
+    pytest.param("mass-shell", "", ["--grid", "64,3"], "grid",
+                 id="slice-two-node-counts"),
+    pytest.param("mass-shell", "[model]\nid = quadratic-k\n", [], "model",
+                 id="model-on-a-modelless-scenario"),
+    pytest.param("eom-check", "[model]\nid = dng\nalpha = 5\n", [], "alpha",
+                 id="coupling-the-model-does-not-read"),
+    pytest.param("gauss-bonnet", "[run]\nseed = 7\n", [], "seed",
+                 id="gauss-bonnet-seed"),
+    pytest.param("gauss-bonnet", "[run]\ntrials = 3\n", [], "trials",
+                 id="gauss-bonnet-trials"),
+    pytest.param("gauss-bonnet", "[run]\nslices = 0.9\n", [], "slices",
+                 id="gauss-bonnet-slices"),
+    pytest.param("symplectic-conservation", README_CONFIG, [], "seed",
+                 id="readme-example-seed"),
+    pytest.param("gauss-bonnet", "[embedding]\nid = plane\n", [], "sphere",
+                 id="gauss-bonnet-without-euler-number"),
+])
+def test_input_the_scenario_would_not_read_is_a_usage_error(
+        tmp_path, capsys, scenario, text, argv, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\nname = {scenario}\n\n{text}")
+    assert cli.main(["--config", str(cfg)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
 
 
 def test_config_overrides_defaults(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Fuzz of the CLI configuration boundary: every config file and argv
-either resolves to a `ScenarioConfig` or raises `ConfigError` (exit 2),
-never another exception."""
+either resolves to a `ScenarioConfig` that uses only inputs its scenario
+reads, or raises `ConfigError` (exit 2), never another exception."""
 import argparse
 
 from hypothesis import HealthCheck, given, settings
@@ -92,3 +92,11 @@ def test_config_resolves_or_is_a_usage_error(tmp_path, text, argv):
         return
     assert cfg.scenario in cli.SCENARIOS
     assert cfg.embedding in cli.EMBEDDINGS
+    # every input that resolved is one the scenario's record reads
+    sc = cli.SCENARIOS[cfg.scenario]
+    raw = {} if skip_config else cli.load_config(path)
+    used = {k for k in cli.RUN_KEYS if k in raw or argv.get(k) is not None}
+    assert used <= set(sc.reads)
+    assert (cfg.model is None) == (sc.model is None)
+    model_reads = cli.MODELS[cfg.model][1] if cfg.model else ()
+    assert set(raw.get("couplings", {})) <= set(sc.couplings + model_reads)

@@ -1,16 +1,16 @@
-"""Write the nine default CLI report bodies, two product-background report
-bodies, one traveling-wave report body, their --dump-fields CSVs and the
-printed output of every demo.
+"""Write the CLI's --list catalog, the nine default CLI report bodies, two
+product-background report bodies, one traveling-wave report body, their
+--dump-fields CSVs and the printed output of every demo.
 
 Usage: PYTHONPATH=src python3 tools/cli_bodies.py OUTDIR
 
-Each scenario runs with its defaults; OUTDIR gets <scenario>.txt (the
-report without its `duration-s:` line) and <scenario>.csv.  No default
-builds a product background, the only catalog ambient on which the
-curvature couplings E05/E08/E14 are visible, so `action-variation` also
-runs on the S2xS2 patch for each model in S2XS2_MODELS, through a --config
-file in a temporary directory; OUTDIR gets
-action-variation-s2xs2-<model>.txt and .csv.  No default runs
+OUTDIR gets list.txt, the --list output.  Each scenario runs with its
+defaults; OUTDIR gets <scenario>.txt (the report without its `duration-s:`
+line) and <scenario>.csv.  No default builds a product background, the
+only catalog ambient on which the curvature couplings E05/E08/E14 are
+visible, so `action-variation` also runs on the S2xS2 patch for each
+model in S2XS2_MODELS, through a --config file in a temporary directory;
+OUTDIR gets action-variation-s2xs2-<model>.txt and .csv.  No default runs
 `symplectic-conservation` on its traveling-wave branch (the left-moving
 probe pair), so it also runs there through a --config file; OUTDIR gets
 symplectic-conservation-traveling-wave.txt and .csv.  Each script in
@@ -66,6 +66,10 @@ def write_config_body(outdir, tmp, stem, text):
 
 def main(outdir):
     os.makedirs(outdir, exist_ok=True)
+    catalog = io.StringIO()
+    with contextlib.redirect_stdout(catalog):
+        cli.main(["--list"])
+    pathlib.Path(outdir, "list.txt").write_text(catalog.getvalue())
     for name in cli.SCENARIOS:
         write_body(outdir, name, ["--scenario", name])
     with tempfile.TemporaryDirectory() as tmp:
