@@ -19,8 +19,8 @@ print("curl of the rotation connection = sqrt(g) R / 2, pointwise:")
 S = emb.sphere_polar(1.0)
 grid = emb.make_grid(S, 48)
 geom = S.geometry(grid.mesh, 3)
-rho = sgb.rotation_connection(geom)
-lhs = rho.curl()
+rho, _frame = sgb.rotation_connection(geom)
+lhs = np.asarray((rho[1].partial(0) - rho[0].partial(1)).value, float)
 rhs = 0.5 * np.asarray(
     (geom.sqrt_abs_det * geom.intrinsic_scalar_curvature).value, float)
 print(f"  max |curl rho - sqrt(g) R/2| = {np.max(np.abs(lhs - rhs)):.2e}")
@@ -39,8 +39,8 @@ print("\na frame gauge rotation shifts rho by an exact gradient:")
 W = emb.static_string(1.0)
 g2 = W.geometry(emb.make_grid(W, (8, 24)).mesh, 3)
 theta = lambda t, s: 0.3 * jets.sin(s) + 0.1 * jets.cos(t)  # noqa: E731
-base = sgb.rotation_connection(g2).values
-turned = sgb.rotation_connection(g2, theta).values
+base = sgb.rotation_connection(g2)[0].value
+turned = sgb.rotation_connection(g2, theta)[0].value
 t, s = [np.asarray(p.value, float) for p in g2.params]
 grad = np.stack([-0.1 * np.sin(t), 0.3 * np.cos(s)])
 print(f"  max |rho| on the static string      = {np.max(np.abs(base)):.2e}")

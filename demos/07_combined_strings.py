@@ -38,7 +38,7 @@ V = RADIAL(geom)
 total = sgb.dnggb_potential(geom, V, sigma0=1.2, sigma1=0.9)
 sheet = sym.symplectic_potential(mdl.DNG(mu=1.2), geom, V)
 push = np.einsum("am...,a...->m...",
-                 np.asarray(geom.tangents.value, float), sheet.values)
+                 np.asarray(geom.tangents.value, float), sheet.value)
 gb = sgb.gb_potential(geom, None,
                       sgb.rotation_connection_delta(geom, V), 0.9)
 print(f"  max |total - (tension + curvature)| = "

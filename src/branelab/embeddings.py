@@ -123,10 +123,7 @@ class Embedding:
                 f"{self.name} expects {self.dim} parameters, got {len(params)}"
             )
         self.validate_params(params)
-        xi = [
-            Jet.variable(a, np.asarray(p, float), self.dim, order)
-            for a, p in enumerate(params)
-        ]
+        xi = jets.variables(params, order)
         comps = list(self.map_fn(*xi))
         if len(comps) != self.background.dim:
             raise PreconditionError(
@@ -498,9 +495,10 @@ class Geometry:
         tangent slots first (0..dim-1), then normals.
 
         Built at jet order min(frame order, 1).  E05/E08/E14, Codazzi,
-        Gauss and `delta_twist` read its value; only T05 under
-        `SymplecticPotentialField.divergence` and `delta_extrinsic` under
-        `delta_grad_extrinsic` differentiate it, once each.
+        Gauss and `delta_twist` read its value; only T05 under a
+        coordinate divergence of the `symplectic_potential` jet and
+        `delta_extrinsic` under `delta_grad_extrinsic` differentiate it,
+        once each.
         """
         F = self.frame.truncated(self._curvature_order)
         R = self.ambient_riemann

@@ -56,7 +56,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .jets import Jet, jet_einsum, jet_rearrange
+from .jets import jet_einsum, jet_rearrange
 
 __all__ = [
     "LagrangianModel",
@@ -64,12 +64,10 @@ __all__ = [
     "QuadraticK",
     "EinsteinHilbert",
     "SyntheticGradK",
-    "h_tensors",
     "hg_contractions",
     "action",
     "eom_density",
     "eom_residual",
-    "EomResidualField",
     "action_variation_check",
     "VariationReport",
 ]
@@ -267,25 +265,6 @@ class SyntheticGradK(LagrangianModel):
 
 # -- assembly ----------------------------------------------------------------
 
-def _zero_jet(geom: Geometry, shape):
-    base = np.zeros(shape + geom.grid_shape)
-    return Jet.constant(base, geom.X.nvars, geom.X.order)
-
-
-def h_tensors(model: LagrangianModel, geom: Geometry):
-    """The (H_ab, HK^{ab}_i, HG^{abc}_i) triple, zeros materialized."""
-    model.check_geometry(geom)
-    d, k = geom.dim, geom.codim
-    h = model.h_gamma(geom)
-    hk = model.h_k(geom)
-    hg = model.h_gradk(geom)
-    return (
-        h if h is not None else _zero_jet(geom, (d, d)),
-        hk if hk is not None else _zero_jet(geom, (d, d, k)),
-        hg if hg is not None else _zero_jet(geom, (d, d, d, k)),
-    )
-
-
 def _require_order(geom: Geometry, need: int, what: str):
     if geom.X.order < need:
         raise PreconditionError(
@@ -353,19 +332,6 @@ def eom_density(model: LagrangianModel, geom: Geometry):
     return E
 
 
-@dataclass
-class EomResidualField:
-    """Per-point field equations: raw density and coupling-normalized values."""
-
-    values: np.ndarray   # raw / scale
-    raw: np.ndarray
-    scale: float
-    model: str
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
 def _resolve_geometry(target, grid, order):
     if isinstance(target, Geometry):
         return target
@@ -377,22 +343,15 @@ def _resolve_geometry(target, grid, order):
 
 
 def eom_residual(model: LagrangianModel, target,
-                 grid: Grid | None = None) -> EomResidualField:
-    """Field-equation residual of the model on a grid or prebuilt geometry.
-
-    ``values`` divides out the model's leading coupling normalization
-    (DNG: residual = mu K^i; QuadraticK: a closed quartic form, checked in
-    the tests).
+                 grid: Grid | None = None) -> np.ndarray:
+    """Field-equation residual of the model on a grid or prebuilt geometry:
+    the values of `eom_density` divided by the model's leading coupling
+    normalization ``eom_scale``, shape (codim,) + grid (DNG: residual =
+    mu K^i; QuadraticK: a closed quartic form, checked in the tests).
     """
     geom = _resolve_geometry(target, grid, model.jet_order)
     E = eom_density(model, geom)
-    raw = np.asarray(E.value, float)
-    return EomResidualField(
-        values=raw / model.eom_scale,
-        raw=raw,
-        scale=model.eom_scale,
-        model=model.name,
-    )
+    return np.asarray(E.value, float) / model.eom_scale
 
 
 # -- action and its variation -------------------------------------------------

@@ -53,7 +53,6 @@ from .symplectic import (
 
 __all__ = [
     "TangentFramePair",
-    "RotationConnection",
     "tangent_frame",
     "rotation_connection",
     "rotation_connection_delta",
@@ -110,7 +109,6 @@ class TangentFramePair:
 
     iota0: object
     iota1: object
-    signature: int
 
     @property
     def epsilon(self):
@@ -167,37 +165,19 @@ def tangent_frame(geom: Geometry, theta=None) -> TangentFramePair:
         else:
             c, s = cos(th), sin(th)
             i0, i1 = c * i0 + s * i1, c * i1 - s * i0
-    return TangentFramePair(iota0=i0, iota1=i1, signature=sig)
+    return TangentFramePair(iota0=i0, iota1=i1)
 
 
-@dataclass
-class RotationConnection:
-    """Frame gauge connection rho_a over the grid (chart covector), with
-    the frame it was built from."""
+def rotation_connection(geom: Geometry, theta=None):
+    """rho_a = -g(iota1, D_a iota0) for the gauge-rotated frame.
 
-    jet: object
-    values: np.ndarray
-    frame: TangentFramePair
-
-    def curl(self) -> np.ndarray:
-        """Antisymmetrized plain derivative d_0 rho_1 - d_1 rho_0.
-
-        On a closed Riemannian surface this equals the curvature density
-        sqrt(g) R / 2 (Gauss-Bonnet anchoring of the sign of rho).
-        """
-        r0 = self.jet.map_coeffs(lambda x: x[0])
-        r1 = self.jet.map_coeffs(lambda x: x[1])
-        return np.asarray((r1.partial(0) - r0.partial(1)).value, float)
-
-
-def rotation_connection(geom: Geometry, theta=None) -> RotationConnection:
-    """rho_a = -g(iota1, D_a iota0) for the gauge-rotated frame."""
+    Returns (rho, frame): the jet of the chart covector rho_a, shape
+    (2,) + grid, and the `TangentFramePair` it was built from.
+    """
     frame = tangent_frame(geom, theta)
     Di0 = geom.ambient_covariant(frame.iota0)
     gi1 = jet_einsum("mn...,n...->m...", geom.ambient_metric, frame.iota1)
-    rho = -1.0 * jet_einsum("am...,m...->a...", Di0, gi1)
-    return RotationConnection(jet=rho, values=np.asarray(rho.value, float),
-                              frame=frame)
+    return -1.0 * jet_einsum("am...,m...->a...", Di0, gi1), frame
 
 
 def rotation_connection_delta(geom: Geometry, vfield,
@@ -210,7 +190,7 @@ def rotation_connection_delta(geom: Geometry, vfield,
     """
     _require_worldsheet(geom)
     vg = dfm.varied_geometry(geom, dfm.resolve_field(vfield, geom))
-    return dfm.variation(vg, rotation_connection(vg, theta).jet)
+    return dfm.variation(vg, rotation_connection(vg, theta)[0])
 
 
 def gb_potential(geom: Geometry, theta, drho: np.ndarray,
@@ -234,15 +214,13 @@ def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
     eps^{mu}{}_{nu} tau_mu = -sigma1 sqrt(-gamma) (iota1)_nu.
     """
     geom, _grid, _k = _slice_geometry(embedding, slc, 3)
-    rho = rotation_connection(geom, theta)
-    frame = rho.frame
+    rho, frame = rotation_connection(geom, theta)
     tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, frame.iota0)
     eps_low = jet_einsum("mn...,nl...->ml...", frame.epsilon,
                          geom.ambient_metric)
     p = jet_einsum("ml...,m...->l...", eps_low, tau)
     p = float(sigma1) * (geom.sqrt_abs_det * p)
-    rho_up = jet_einsum("ab...,b...->a...", geom.inverse_induced_metric,
-                        rho.jet)
+    rho_up = jet_einsum("ab...,b...->a...", geom.inverse_induced_metric, rho)
     q = jet_einsum("am...,a...->m...", geom.tangents, rho_up)
     return CanonicalPair(position=np.asarray(q.value, float),
                          momentum=np.asarray(p.value, float))
@@ -269,9 +247,9 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     conormal = np.asarray(dual.value, float)[k]
 
     def fluxes(vg, _fields):
-        rho = rotation_connection(vg, theta)
+        rho, frame = rotation_connection(vg, theta)
         dens = float(sigma1) * vg.sqrt_abs_det
-        return [dens * rho.frame.contract(vg, rho.jet.partial(vg.dim + j))
+        return [dens * frame.contract(vg, rho.partial(vg.dim + j))
                 for j in (0, 1)]
 
     _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
@@ -334,9 +312,8 @@ def _dnggb_pair(geom: Geometry, sigma0: float, sigma1: float, theta):
     phat = dng_momentum_density(geom, sigma0)
     Q = geom.X
     if sigma1 != 0.0:
-        rho = rotation_connection(geom, theta)
-        Q = Q - (float(sigma1) / float(sigma0)) * rho.frame.contract(
-            geom, rho.jet)
+        rho, frame = rotation_connection(geom, theta)
+        Q = Q - (float(sigma1) / float(sigma0)) * frame.contract(geom, rho)
     return Q, phat
 
 

@@ -60,11 +60,10 @@ from .errors import (
     ParameterError,
     UnsupportedConfigurationError,
 )
-from .jets import Jet, jet_einsum, jet_stack
+from .jets import jet_einsum, jet_stack
 from .models import LagrangianModel, hg_contractions
 
 __all__ = [
-    "SymplecticPotentialField",
     "CauchySlice",
     "CanonicalPair",
     "chart_field",
@@ -90,27 +89,9 @@ def chart_field(fn):
     return build
 
 
-@dataclass
-class SymplecticPotentialField:
-    """Boundary-kernel vector density Psi^a for one deformation."""
-
-    jet: Jet
-    values: np.ndarray        # (dim,) + grid
-
-    def divergence(self) -> np.ndarray:
-        """Plain coordinate divergence d_a Psi^a (exact jet partials)."""
-        dim = self.values.shape[0]
-        out = None
-        for a in range(dim):
-            comp = self.jet.map_coeffs(lambda x, a=a: x[a]).partial(a)
-            term = np.asarray(comp.value, float)
-            out = term if out is None else out + term
-        return out
-
-
-def symplectic_potential(model: LagrangianModel, geom: Geometry,
-                         vfield) -> SymplecticPotentialField:
-    """Evaluate the kernel table for one deformation on one geometry."""
+def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
+    """Evaluate the kernel table for one deformation on one geometry: the
+    jet of the vector density sqrt|gamma| Psi^a, shape (dim,) + grid."""
     model.check_geometry(geom)
     V = dfm.resolve_field(vfield, geom)
     t, phi = dfm.decompose_vector(geom, V)
@@ -143,8 +124,7 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry,
         psi = psi - 2.0 * jet_einsum("aj...,j...->a...", w8, phi)      # T08-T10
         psi = psi - jet_einsum("aj...,j...->a...", anti, phi)          # T11+T12
 
-    psi = geom.sqrt_abs_det * psi
-    return SymplecticPotentialField(jet=psi, values=np.asarray(psi.value, float))
+    return geom.sqrt_abs_det * psi
 
 
 # -- phase-space structures ---------------------------------------------------
@@ -175,7 +155,7 @@ def symplectic_current(model: LagrangianModel, geom: Geometry, vf1,
     """
     _V1, _V2, d1, d2 = _variation_pair(
         geom, vf1, vf2,
-        lambda vg, fields: [symplectic_potential(model, vg, V).jet
+        lambda vg, fields: [symplectic_potential(model, vg, V)
                             for V in fields])
     return d2 - d1
 

@@ -247,6 +247,8 @@ README_CONFIG = ("[embedding]\nid = static-string\nradius = 1.0\n\n"
                  id="readme-example-seed"),
     pytest.param("gauss-bonnet", "[embedding]\nid = plane\n", [], "sphere",
                  id="gauss-bonnet-without-euler-number"),
+    pytest.param("canonical-darboux", "[model]\nmu = 1.0\nsigma0 = 3.0\n",
+                 [], "mu", id="darboux-mu"),
 ])
 def test_input_the_scenario_would_not_read_is_a_usage_error(
         tmp_path, capsys, scenario, text, argv, key):
@@ -256,6 +258,17 @@ def test_input_the_scenario_would_not_read_is_a_usage_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+def test_canonical_darboux_reads_sigma0(tmp_path, capsys):
+    assert cli.SCENARIOS["canonical-darboux"].couplings == ("sigma0",)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = canonical-darboux\n\n"
+                   "[model]\nsigma0 = 3.0\n\n[run]\ngrid = 64\n")
+    assert cli.main(["--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "note: sigma0=3.0\n" in out
+    assert "result: pass" in out
 
 
 def test_config_overrides_defaults(tmp_path, capsys):

@@ -100,3 +100,39 @@ def test_config_resolves_or_is_a_usage_error(tmp_path, text, argv):
     assert (cfg.model is None) == (sc.model is None)
     model_reads = cli.MODELS[cfg.model][1] if cfg.model else ()
     assert set(raw.get("couplings", {})) <= set(sc.couplings + model_reads)
+
+
+COUPLED = [name for name, sc in cli.SCENARIOS.items()
+           if sc.couplings or sc.model]
+
+
+@st.composite
+def coupled_config(draw):
+    """Config text naming a scenario that reads couplings, with a [model]
+    section holding a nonempty subset of them (its record's, or its
+    default model's), each a finite positive value, and sometimes the
+    default model's id; and the drawn couplings."""
+    name = draw(st.sampled_from(COUPLED))
+    sc = cli.SCENARIOS[name]
+    reads = sc.couplings + (cli.MODELS[sc.model][1] if sc.model else ())
+    keys = draw(st.lists(st.sampled_from(reads), min_size=1, unique=True))
+    value = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    lines = [f"[scenario]\nname = {name}\n[model]"]
+    if sc.model and draw(st.booleans()):
+        lines.append(f"id = {sc.model}")
+    couplings = {key: draw(value) for key in keys}
+    lines += [f"{key} = {val!r}" for key, val in couplings.items()]
+    return "\n".join(lines) + "\n", couplings
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=coupled_config())
+def test_couplings_the_scenario_reads_resolve(tmp_path, drawn):
+    text, couplings = drawn
+    path = tmp_path / "coupled.ini"
+    path.write_text(text)
+    args = argparse.Namespace(config=str(path), scenario=None, grid=None,
+                              eps=None, tol=None)
+    cfg = cli.resolve_config(args)
+    assert cfg.couplings == couplings

@@ -114,8 +114,8 @@ def test_array_gauge_angle_matches_scalar(builder):
         np.testing.assert_allclose(np.asarray(leg_arr.value, float),
                                    np.asarray(leg.value, float),
                                    rtol=1e-15, atol=1e-15)
-    np.testing.assert_allclose(sgb.rotation_connection(geom, arr).values,
-                               sgb.rotation_connection(geom, 0.6).values,
+    np.testing.assert_allclose(sgb.rotation_connection(geom, arr)[0].value,
+                               sgb.rotation_connection(geom, 0.6)[0].value,
                                rtol=1e-15, atol=1e-15)
 
 
@@ -175,17 +175,17 @@ def test_canonical_pairs_build_one_frame(monkeypatch):
 
 def test_connection_vanishes_on_static_string():
     geom, _ = string_geometry()
-    rho = sgb.rotation_connection(geom)
-    np.testing.assert_allclose(rho.values, 0.0, atol=1e-15)
+    rho, _frame = sgb.rotation_connection(geom)
+    np.testing.assert_allclose(rho.value, 0.0, atol=1e-15)
 
 
 def test_gauge_angle_shifts_connection_by_gradient():
     geom, grid = string_geometry()
     tm, sm = grid.mesh
-    rho0 = sgb.rotation_connection(geom)
-    rho1 = sgb.rotation_connection(
+    rho0, _frame = sgb.rotation_connection(geom)
+    rho1, _frame = sgb.rotation_connection(
         geom, lambda t, s: 0.3 * jets.sin(s) + 0.1 * jets.cos(t))
-    shift = rho1.values - rho0.values
+    shift = rho1.value - rho0.value
     np.testing.assert_allclose(shift[0], 0.1 * np.sin(tm), atol=1e-13)
     np.testing.assert_allclose(shift[1], -0.3 * np.cos(sm), atol=1e-13)
 
@@ -195,7 +195,9 @@ def test_connection_curl_is_curvature_density():
     E = emb.sphere_polar(1.0)
     grid = emb.make_grid(E, 48)
     geom = E.geometry(grid.mesh, 3)
-    curl = sgb.rotation_connection(geom).curl()
+    rho, _frame = sgb.rotation_connection(geom)
+    # antisymmetrized plain derivative d_0 rho_1 - d_1 rho_0
+    curl = np.asarray((rho[1].partial(0) - rho[0].partial(1)).value, float)
     half_density = np.asarray(
         (geom.sqrt_abs_det * geom.intrinsic_scalar_curvature).value,
         float) / 2.0
@@ -295,7 +297,7 @@ def test_combined_potential_decomposes(vfield):
     total = sgb.dnggb_potential(geom, V, sigma0=1.2, sigma1=0.9)
     sheet = sym.symplectic_potential(mdl.DNG(mu=1.2), geom, V)
     push = np.einsum("am...,a...->m...",
-                     np.asarray(geom.tangents.value, float), sheet.values)
+                     np.asarray(geom.tangents.value, float), sheet.value)
     drho = sgb.rotation_connection_delta(geom, V)
     gb = sgb.gb_potential(geom, None, drho, 0.9)
     np.testing.assert_allclose(total, push + gb, atol=1e-12)
@@ -404,7 +406,7 @@ def test_connection_response_matches_finite_difference(field, theta):
     geom, _ = string_geometry()
     th = None if theta is None else theta(*geom.params)
     oracle = fd_delta(geom, field(geom),
-                      lambda g2: sgb.rotation_connection(g2, th).values)
+                      lambda g2: sgb.rotation_connection(g2, th)[0].value)
     exact = sgb.rotation_connection_delta(geom, field, theta)
     np.testing.assert_allclose(exact, oracle, atol=1e-10)
 
@@ -425,7 +427,7 @@ def nested_fd_gb_form(E, slc, vf1, vf2, sigma1, theta=None):
 
     def flux(g2, V_inner):
         dr = fd_delta(g2, V_inner,
-                      lambda g3: sgb.rotation_connection(g3, th).values)
+                      lambda g3: sgb.rotation_connection(g3, th)[0].value)
         return sgb.gb_potential(g2, th, dr, sigma1)
 
     d1 = fd_delta(geom, V1, lambda g2: flux(g2, V2))
