@@ -47,12 +47,13 @@ __all__ = [
 def _normalize_coords(coords):
     """Lift all coordinates to jets sharing one (nvars, order); return them
     and the first as the template."""
-    kinds = {(c.nvars, c.order) for c in coords if isinstance(c, Jet)}
+    kinds = {(c.nvars, c.order, c.caps) for c in coords if isinstance(c, Jet)}
     if len(kinds) > 1:
-        raise PreconditionError("coordinate jets must share nvars and order")
-    nvars, order = kinds.pop() if kinds else (1, 0)
+        raise PreconditionError(
+            "coordinate jets must share nvars, order and eps caps")
+    kind = kinds.pop() if kinds else (1, 0)
     out = [c if isinstance(c, Jet)
-           else Jet.constant(np.asarray(c, float), nvars, order) for c in coords]
+           else Jet.constant(np.asarray(c, float), *kind) for c in coords]
     return out, out[0]
 
 

@@ -35,6 +35,8 @@ first derivatives in eps agree with covariant deformation families.
 the fields as slopes), so the eps coefficient of any quantity is its
 exact first variation; the finite-difference oracle re-embeds at a
 halving schedule of steps instead and stays independent of that jet path.
+Each eps_k is carried to degree 1 only: a first variation reads eps_k, a
+mixed second one eps_1 eps_2, and no reader needs eps_k**2.
 """
 from __future__ import annotations
 
@@ -134,7 +136,12 @@ def varied_geometry(geom: Geometry, *fields) -> Geometry:
 def variation(vgeom: Geometry, q, k: int = 0) -> np.ndarray:
     """Grid values of the exact first variation of ``q``, a quantity on
     ``vgeom = varied_geometry(geom, V_0, ...)``, along V_k: its eps_k
-    Taylor coefficient."""
+    Taylor coefficient.  ``k`` must index one of the fields."""
+    neps = vgeom.X.nvars - vgeom.dim
+    if not (isinstance(k, (int, np.integer)) and 0 <= k < neps):
+        raise ParameterError(
+            f"variation index k={k!r} is outside the {neps} deformation "
+            f"variable(s) of the varied geometry")
     if q.order < 1:
         raise PreconditionError(
             "a first variation needs a jet of order >= 1; build the varied "

@@ -386,7 +386,7 @@ class Geometry:
         grid = self.grid_shape
         eye = np.eye(D).reshape((D, D) + (1,) * len(grid))
         U = Jet.constant(np.broadcast_to(eye, (D, D) + grid).copy(),
-                         self.X.nvars, self.X.order)
+                         self.X.nvars, self.X.order, self.X.caps)
         t = jet_einsum("am...,mk...->ak...", e, g)         # <e_a, u_k>
         proj = jet_einsum("ab...,bk...->ak...", self.inverse_induced_metric, t)
         R = U - jet_einsum("ak...,am...->mk...", proj, e)

@@ -18,11 +18,18 @@ Conventions: coefficients are stored in graded order (total degree, then
 lexicographic), so truncating to a lower order is a prefix slice.  Only
 this module reads that layout: `jet_stack` builds every stacked tensor
 jet from nested leaves, and `Jet.lift` adds jet variables (and the eps_k
-V_k terms of a varied embedding) by moving coefficients.
+V_k terms of a varied embedding) by moving coefficients.  The variables
+`Jet.lift` appends are eps variables, each capped at degree 1
+(``Jet.caps``; hyper-dual numbers, Fike and Alonso), while the others keep
+the total-degree truncation.  Reading a monomial a jet does not carry
+raises `PreconditionError`.
 
 Arithmetic: a product sums, for each output slot k, the coefficient products
 a_i b_j over the pairs (i, j) -> k, adding each term into the fresh array of
-the first.  Every analytic function (exp, sin, cos, sinh, cosh, log, sqrt,
+the first.  A capped slot is fed by the same pairs, in the same order, as
+without the cap, so every carried coefficient is bit-identical to the
+uncapped one.  `jet_einsum` contracts a constant tensor jet as its value.
+Every analytic function (exp, sin, cos, sinh, cosh, log, sqrt,
 the reciprocal and real powers) is one degree recurrence in `Jet._compose`,
 about one product's work; a lower order is a bit-identical prefix.  Inputs
 outside a function's domain raise `DomainError`.
@@ -35,7 +42,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, ParameterError, PreconditionError
 
 __all__ = [
     "Jet",
@@ -56,8 +63,12 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _tables(nvars: int, order: int):
-    """Multi-index bookkeeping for (nvars, order), cached.
+def _tables(nvars: int, order: int, caps: tuple = ()):
+    """Multi-index bookkeeping for (nvars, order, caps), cached.
+
+    The last ``len(caps)`` variables are eps variables; eps_k appears to
+    degree at most caps[k].  The carried monomials are those of total
+    degree <= ``order`` within the caps.
 
     Returns (indices, position, prefix_counts, products, partial_maps,
     degrees):
@@ -67,12 +78,22 @@ def _tables(nvars: int, order: int):
       products[k]: the pairs (i, j) with indices[i] + indices[j] ==
         indices[k], i ascending, so the first is (0, k) and the last (k, 0);
         every other j comes before k in graded order
-      partial_maps[d]: tuple of (dst, src, factor) for d/dx_d
+      partial_maps[d]: for d/dx_d, the (src, factor) of each slot of the
+        result, whose order is one less and whose cap on x_d (an eps
+        variable) one lower
       degrees[k]: total degree of indices[k], as a float
     """
-    if nvars < 1 or order < 0:
-        raise ValueError("need nvars >= 1 and order >= 0")
-    raw = [a for a in product(range(order + 1), repeat=nvars) if sum(a) <= order]
+    head = nvars - len(caps)
+    if head < 0 or nvars < 1 or order < 0 or min(caps, default=0) < 0:
+        raise ParameterError(
+            f"need nvars >= 1, order >= 0 and at most nvars non-negative eps "
+            f"caps; got nvars={nvars}, order={order}, caps={caps}")
+
+    def carried(a, top, cap):
+        return sum(a) <= top and all(x <= c for x, c in zip(a[head:], cap))
+
+    raw = [a for a in product(range(order + 1), repeat=nvars)
+           if carried(a, order, caps)]
     raw.sort(key=lambda a: (sum(a), a))
     indices = tuple(raw)
     position = {a: i for i, a in enumerate(indices)}
@@ -82,19 +103,15 @@ def _tables(nvars: int, order: int):
     products = [[] for _ in indices]
     for i, a in enumerate(indices):
         for j, b in enumerate(indices):
-            s = tuple(x + y for x, y in zip(a, b))
-            if sum(s) <= order:
-                products[position[s]].append((i, j))
+            k = position.get(tuple(x + y for x, y in zip(a, b)))
+            if k is not None:
+                products[k].append((i, j))
     partial_maps = []
     for d in range(nvars):
-        ops = []
-        for a in indices:
-            if sum(a) >= order:
-                continue  # target slot must exist at order-1
-            src = list(a)
-            src[d] += 1
-            ops.append((position[a], position[tuple(src)], float(a[d] + 1)))
-        partial_maps.append(tuple(ops))
+        cap = tuple(c - (m == d - head) for m, c in enumerate(caps))
+        partial_maps.append(tuple(
+            (position[a[:d] + (a[d] + 1,) + a[d + 1:]], float(a[d] + 1))
+            for a in indices if carried(a, order - 1, cap)))
     return (indices, position, prefix_counts, tuple(tuple(p) for p in products),
             tuple(partial_maps), tuple(float(sum(a)) for a in indices))
 
@@ -143,25 +160,28 @@ def _is_jet(x) -> bool:
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar in ``nvars`` variables."""
+    """Truncated Taylor expansion of a scalar in ``nvars`` variables, the
+    last ``len(caps)`` of them eps variables capped at ``caps`` (`_tables`).
+    """
 
-    __slots__ = ("nvars", "order", "c")
+    __slots__ = ("nvars", "order", "c", "caps")
 
     # keep numpy from absorbing jets into object arrays; arithmetic with
     # ndarrays then falls through to the __r*__ methods below
     __array_ufunc__ = None
 
-    def __init__(self, nvars, order, coeffs):
+    def __init__(self, nvars, order, coeffs, caps=()):
         self.nvars = nvars
         self.order = order
         self.c = coeffs
+        self.caps = caps
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def constant(value, nvars, order):
-        n = _tables(nvars, order)[2][order]
+    def constant(value, nvars, order, caps=()):
+        n = _tables(nvars, order, caps)[2][order]
         c = [value] + [_zero_like(value)] * (n - 1)
-        return Jet(nvars, order, c)
+        return Jet(nvars, order, c, caps)
 
     @staticmethod
     def variable(i, value, nvars, order):
@@ -178,10 +198,16 @@ class Jet:
         return self.c[0]
 
     def coefficient(self, alpha):
-        """Taylor coefficient for multi-index alpha (zero if above order)."""
-        if sum(alpha) > self.order:
-            return _zero_like(self.c[0])
-        return self.c[_tables(self.nvars, self.order)[1][tuple(alpha)]]
+        """Taylor coefficient for multi-index alpha.
+
+        Raises `PreconditionError` for a monomial the jet does not carry:
+        one above its order or its eps caps, or an alpha of another length.
+        """
+        slot = _tables(self.nvars, self.order, self.caps)[1].get(tuple(alpha))
+        if slot is None:
+            raise PreconditionError(
+                f"{self._kind()} carries no coefficient {tuple(alpha)}")
+        return self.c[slot]
 
     def derivative(self, alpha):
         """Partial derivative d^alpha f for multi-index alpha."""
@@ -192,79 +218,115 @@ class Jet:
 
     def truncated(self, order):
         if order > self.order:
-            raise ValueError("cannot raise jet order by truncation")
+            raise PreconditionError(
+                f"cannot raise jet order {self.order} to {order} by truncation")
         if order == self.order:
             return self
-        n = _tables(self.nvars, self.order)[2][order]
-        return Jet(self.nvars, order, self.c[:n])
+        n = _tables(self.nvars, self.order, self.caps)[2][order]
+        return Jet(self.nvars, order, self.c[:n], self.caps)
+
+    def _project(self, order, caps):
+        """The coefficients of the monomials of (order, caps), which must
+        be carried by this jet."""
+        if caps == self.caps:
+            return self.truncated(order)
+        src = _tables(self.nvars, self.order, self.caps)[1]
+        return Jet(self.nvars, order,
+                   [self.c[src[a]] for a in _tables(self.nvars, order, caps)[0]],
+                   caps)
+
+    def _kind(self):
+        return (f"a jet of order {self.order} in {self.nvars} variables "
+                f"with eps caps {self.caps}")
 
     def lift(self, nvars, *slopes):
         """The same jet in ``nvars`` variables, the new ones last, plus
         sum_k eps_k V_k over the ``slopes`` V_k, eps_k the new variable k.
 
-        Each coefficient moves to its own multi-index padded with zeros, and
-        each coefficient alpha of V_k of degree below ``order`` to alpha
-        plus eps_k; the other slots that involve a new variable are zero.  No
+        Every new variable is an eps variable capped at degree 1: the
+        result carries the monomials at most linear in each, the only ones
+        a first variation or a mixed second one reads.  Each coefficient
+        moves to its own multi-index padded with zeros, and each
+        coefficient alpha of V_k of degree below ``order`` to alpha plus
+        eps_k; the other slots that involve a new variable are zero.  No
         arithmetic is done, so ``a.lift(n) * b.lift(n)`` equals
         ``(a * b).lift(n)`` bit for bit.  A slope must be a jet in this
-        jet's variables of order at least ``order - 1``, which is all that
-        the eps slots hold.
+        jet's variables and caps, of order at least ``order - 1``, which is
+        all that the eps slots hold.
         """
         if nvars < self.nvars + len(slopes):
-            raise ValueError("cannot drop jet variables by lifting")
+            raise PreconditionError(
+                f"cannot lift {self._kind()} and {len(slopes)} slopes to "
+                f"{nvars} variables")
         if nvars == self.nvars:
             return self
-        position = _tables(nvars, self.order)[1]
+        caps = self.caps + (1,) * (nvars - self.nvars)
+        position = _tables(nvars, self.order, caps)[1]
         pads = [(0,) * (nvars - self.nvars)]
         pads += [tuple(int(m == k) for m in range(nvars - self.nvars))
                  for k in range(len(slopes))]
         out = [_zero_like(self.c[0])] * len(position)
         for pad, V in zip(pads, (self,) + slopes):
-            if V.nvars != self.nvars:
+            if (V.nvars, V.caps) != (self.nvars, self.caps):
                 raise PreconditionError(
-                    f"a slope in {V.nvars} jet variables cannot lift a jet "
-                    f"in {self.nvars}")
+                    f"a slope in {V.nvars} jet variables with eps caps "
+                    f"{V.caps} cannot lift {self._kind()}")
             if V.order < self.order - 1:
                 raise PreconditionError(
                     f"a slope of jet order {V.order} cannot lift an "
                     f"order-{self.order} jet; it needs >= {self.order - 1}")
-            for alpha, coef in zip(_tables(V.nvars, V.order)[0], V.c):
+            for alpha, coef in zip(_tables(V.nvars, V.order, V.caps)[0], V.c):
                 if sum(alpha) + sum(pad) <= self.order:
                     out[position[alpha + pad]] = coef
-        return Jet(nvars, self.order, out)
+        return Jet(nvars, self.order, out, caps)
 
     def partial(self, d):
-        """d/dx_d as a jet of one order less."""
+        """d/dx_d as a jet of one order less.
+
+        Along an eps variable the result's cap on it is one lower: with
+        cap 1, its eps_d slots would stand for the eps_d**2 terms that the
+        jet does not carry, so the result carries none.
+        """
         if self.order < 1:
             raise PreconditionError(
                 f"cannot differentiate an order-{self.order} jet; the "
                 "geometry needs a higher jet order")
-        tab = _tables(self.nvars, self.order)
-        n_out = tab[2][self.order - 1]
-        out = [0.0] * n_out
-        for dst, src, fct in tab[4][d]:
-            out[dst] = self.c[src] * fct
-        return Jet(self.nvars, self.order - 1, out)
+        caps, k = self.caps, d - self.nvars + len(self.caps)
+        if k >= 0:
+            if caps[k] < 1:
+                raise PreconditionError(
+                    f"{self._kind()} carries no term in its variable {d}")
+            caps = caps[:k] + (caps[k] - 1,) + caps[k + 1:]
+        ops = _tables(self.nvars, self.order, self.caps)[4][d]
+        return Jet(self.nvars, self.order - 1,
+                   [self.c[src] * fct for src, fct in ops], caps)
 
     # -- arithmetic ----------------------------------------------------
     def _align(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("jet variable-count mismatch")
+        """Both jets on their common monomials: the lower order and, for
+        each eps variable, the lower cap."""
+        if self.nvars != other.nvars or len(self.caps) != len(other.caps):
+            raise PreconditionError(
+                f"cannot combine {self._kind()} with {other._kind()}")
         m = min(self.order, other.order)
-        return self.truncated(m), other.truncated(m)
+        if self.caps == other.caps:
+            return self.truncated(m), other.truncated(m)
+        caps = tuple(map(min, self.caps, other.caps))
+        return self._project(m, caps), other._project(m, caps)
 
     def __add__(self, other):
         if _is_jet(other):
             a, b = self._align(other)
-            return Jet(a.nvars, a.order, [x + y for x, y in zip(a.c, b.c)])
+            return Jet(a.nvars, a.order, [x + y for x, y in zip(a.c, b.c)],
+                       a.caps)
         c = list(self.c)
         c[0] = c[0] + other
-        return Jet(self.nvars, self.order, c)
+        return Jet(self.nvars, self.order, c, self.caps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, [-x for x in self.c])
+        return Jet(self.nvars, self.order, [-x for x in self.c], self.caps)
 
     def __sub__(self, other):
         return self + (-other if _is_jet(other) else -1.0 * other)
@@ -277,9 +339,11 @@ class Jet:
             a, b = self._align(other)
             ac, bc = a.c, b.c
             prod = lambda i, j: ac[i] * bc[j]  # noqa: E731
-            return Jet(a.nvars, a.order,
-                       [_cauchy(p, prod) for p in _tables(a.nvars, a.order)[3]])
-        return Jet(self.nvars, self.order, [x * other for x in self.c])
+            pairs = _tables(a.nvars, a.order, a.caps)[3]
+            return Jet(a.nvars, a.order, [_cauchy(p, prod) for p in pairs],
+                       a.caps)
+        return Jet(self.nvars, self.order, [x * other for x in self.c],
+                   self.caps)
 
     __rmul__ = __mul__
 
@@ -297,7 +361,8 @@ class Jet:
         if integer and p >= 0:
             # repeated products, which hold at a zero value too
             if p == 0:
-                return Jet.constant(_one_like(self.c[0]), self.nvars, self.order)
+                return Jet.constant(_one_like(self.c[0]), self.nvars,
+                                    self.order, self.caps)
             out = self
             for _ in range(int(p) - 1):
                 out = out * self
@@ -330,7 +395,7 @@ class Jet:
         recurse through their own arithmetic.
         """
         u = self.c
-        tab = _tables(self.nvars, self.order)
+        tab = _tables(self.nvars, self.order, self.caps)
         pairs, deg = tab[3], tab[5]
         f = [f0]
         if self.order and kind in ("pow", "log"):
@@ -341,18 +406,18 @@ class Jet:
             for k in range(1, len(u)):
                 f.append((u[k] - _cauchy(pairs[k][1:], prod) / deg[k]) * r)
                 df.append(deg[k] * f[k])
-            return Jet(self.nvars, self.order, f)
+            return Jet(self.nvars, self.order, f, self.caps)
         if kind == "pow":
             prod = lambda i, j: (p * deg[i] - deg[j]) * u[i] * f[j]  # noqa: E731
             for k in range(1, len(u)):
                 f.append(_cauchy(pairs[k][1:], prod) * r / deg[k])
-            return Jet(self.nvars, self.order, f)
+            return Jet(self.nvars, self.order, f, self.caps)
         du = [None] + [d * x for d, x in zip(deg[1:], u[1:])]
         if kind == "exp":
             prod = lambda i, j: du[i] * f[j]  # noqa: E731
             for k in range(1, len(u)):
                 f.append(_cauchy(pairs[k][1:], prod) / deg[k])
-            return Jet(self.nvars, self.order, f)
+            return Jet(self.nvars, self.order, f, self.caps)
         g = [g0]
         sign = -1.0 if kind in ("sin", "cos") else 1.0
         f_prod = lambda i, j: du[i] * g[j]  # noqa: E731
@@ -360,7 +425,8 @@ class Jet:
         for k in range(1, len(u)):
             f.append(_cauchy(pairs[k][1:], f_prod) / deg[k])
             g.append(_cauchy(pairs[k][1:], g_prod) / (sign * deg[k]))
-        return Jet(self.nvars, self.order, f if kind in ("sin", "sinh") else g)
+        return Jet(self.nvars, self.order, f if kind in ("sin", "sinh") else g,
+                   self.caps)
 
     def _reciprocal(self):
         _require("reciprocal", self.c[0], "nonzero")
@@ -392,7 +458,7 @@ class Jet:
 
     # -- structural helpers for array-valued coefficients ---------------
     def map_coeffs(self, fn):
-        return Jet(self.nvars, self.order, [fn(x) for x in self.c])
+        return Jet(self.nvars, self.order, [fn(x) for x in self.c], self.caps)
 
     def __getitem__(self, idx):
         """Slice the leading (tensor) axes of every coefficient array."""
@@ -404,7 +470,7 @@ class Jet:
 
 def _zero_like(v):
     if _is_jet(v):
-        return Jet.constant(_zero_like(v.c[0]), v.nvars, v.order)
+        return Jet.constant(_zero_like(v.c[0]), v.nvars, v.order, v.caps)
     if isinstance(v, np.ndarray):
         return np.zeros_like(v, dtype=float)
     return 0.0
@@ -412,7 +478,7 @@ def _zero_like(v):
 
 def _one_like(v):
     if _is_jet(v):
-        return Jet.constant(_one_like(v.c[0]), v.nvars, v.order)
+        return Jet.constant(_one_like(v.c[0]), v.nvars, v.order, v.caps)
     if isinstance(v, np.ndarray):
         return np.ones_like(v, dtype=float)
     return 1.0
@@ -478,17 +544,22 @@ def jet_stack(entries, template=None):
 
     The nesting gives the leading axes; each leaf's coefficients, which may
     carry tensor axes of their own, are broadcast against the others'.  The
-    result has the lowest order among the leaf jets, and a number or array
-    leaf is a constant: it writes only the value.  ``template`` gives nvars
-    and order when no leaf is a jet; it adds no grid axes, so a tensor made
-    only of constants broadcasts through einsum's ``...``.
+    result has the lowest order and eps caps among the leaf jets, and a
+    number or array leaf is a constant: it writes only the value.
+    ``template`` gives nvars, order and caps when no leaf is a jet; it adds
+    no grid axes, so a tensor made only of constants broadcasts through
+    einsum's ``...``.
     """
     shape, leaves = [], []
     _flatten(entries, 0, shape, leaves)
-    lead = min((e for e in leaves if _is_jet(e)), key=lambda e: e.order,
-               default=template)
+    jl = [e for e in leaves if _is_jet(e)]
+    lead = min(jl, key=lambda e: e.order, default=template)
     if lead is None:
-        raise ValueError("jet_stack needs at least one Jet or a template")
+        raise PreconditionError("jet_stack needs at least one Jet or a template")
+    if any(e.caps != lead.caps for e in jl):
+        for e in jl:
+            lead = lead._align(e)[0]
+        leaves = [e._align(lead)[0] if _is_jet(e) else e for e in leaves]
     out = []
     for k in range(len(lead.c)):
         vals = [(i, np.asarray(e.c[k] if _is_jet(e) else e, float))
@@ -498,7 +569,7 @@ def jet_stack(entries, template=None):
         for i, a in vals:
             flat[i] = a
         out.append(flat.reshape(tuple(shape) + full))
-    return Jet(lead.nvars, lead.order, out)
+    return Jet(lead.nvars, lead.order, out, lead.caps)
 
 
 def jet_rearrange(spec, a):
@@ -506,28 +577,44 @@ def jet_rearrange(spec, a):
     return a.map_coeffs(lambda x: np.einsum(spec, np.asarray(x, float)))
 
 
+def _is_constant(j):
+    """True for a constant tensor jet: order >= 1, an ndarray value and
+    all-zero arrays in every later coefficient (NaN is not zero)."""
+    return (j.order >= 1 and type(j.c[0]) is np.ndarray
+            and all(type(x) is np.ndarray and not x.any() for x in j.c[1:]))
+
+
 def jet_einsum(spec, a, b):
     """einsum over the tensor axes of two jets (or a jet and an array).
 
-    Two jets whose coefficients are tensor jets (dual numbers over them, for
-    instance) contract coefficient by coefficient with `jet_einsum` itself.
+    A constant tensor jet contracts as its value array, one contraction per
+    coefficient of the other jet: each of its other Cauchy terms is an
+    exact zero for finite coefficients.  Two jets whose coefficients are
+    tensor jets (dual numbers over them, for instance) contract coefficient
+    by coefficient with `jet_einsum` itself.
     """
+    if _is_jet(a) and _is_jet(b):
+        a, b = a._align(b)
+        nested = _is_jet(a.c[0]) or _is_jet(b.c[0])
+        if not nested and _is_constant(a):
+            a = a.c[0]
+        elif not nested and _is_constant(b):
+            b = b.c[0]
     if not _is_jet(a):
-        a_arr, bj = np.asarray(a, float), b
-        return bj.map_coeffs(lambda x: np.einsum(spec, a_arr, np.asarray(x, float)))
+        a_arr = np.asarray(a, float)
+        return b.map_coeffs(lambda x: np.einsum(spec, a_arr, np.asarray(x, float)))
     if not _is_jet(b):
         b_arr = np.asarray(b, float)
         return a.map_coeffs(lambda x: np.einsum(spec, np.asarray(x, float), b_arr))
-    aj, bj = a._align(b)
-    if _is_jet(aj.c[0]) or _is_jet(bj.c[0]):
-        ac, bc, contract = aj.c, bj.c, jet_einsum
+    if nested:
+        ac, bc, contract = a.c, b.c, jet_einsum
     else:
-        ac = [np.asarray(x, float) for x in aj.c]
-        bc = [np.asarray(x, float) for x in bj.c]
+        ac = [np.asarray(x, float) for x in a.c]
+        bc = [np.asarray(x, float) for x in b.c]
         contract = np.einsum
     prod = lambda i, j: contract(spec, ac[i], bc[j])  # noqa: E731
-    return Jet(aj.nvars, aj.order,
-               [_cauchy(p, prod) for p in _tables(aj.nvars, aj.order)[3]])
+    pairs = _tables(a.nvars, a.order, a.caps)[3]
+    return Jet(a.nvars, a.order, [_cauchy(p, prod) for p in pairs], a.caps)
 
 
 def jet_matinv(g):
@@ -545,10 +632,10 @@ def jet_matinv(g):
     gc = [np.asarray(c, float) for c in g.c]
     neg, x = -x0, [x0]
     prod = lambda i, j: np.einsum("ab...,bc...->ac...", gc[i], x[j])  # noqa: E731
-    for pairs in _tables(g.nvars, g.order)[3][1:]:
+    for pairs in _tables(g.nvars, g.order, g.caps)[3][1:]:
         x.append(np.einsum("ab...,bc...->ac...", neg, _cauchy(pairs[1:], prod),
                            order="C"))
-    return Jet(g.nvars, g.order, x)
+    return Jet(g.nvars, g.order, x, g.caps)
 
 
 def jet_det(g):
@@ -564,5 +651,5 @@ def jet_det(g):
             - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
             + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0])
         )
-    raise ValueError("jet_det supports matrices up to 3x3")
+    raise PreconditionError(f"jet_det supports matrices up to 3x3, not {n}x{n}")
 

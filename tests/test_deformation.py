@@ -280,10 +280,11 @@ def test_varied_geometry_keeps_base_coefficients_bit_for_bit(E, shape, fn):
 
 def _eps_seeded_by_hand(X, fields):
     """X + sum_k eps_k V_k, each V_k coefficient placed by multi-index at
-    alpha + e_k (the reference for `Jet.lift` with slopes)."""
+    alpha + e_k (the reference for `Jet.lift` with slopes), on the slots
+    at most linear in each eps_k."""
     nv, order = X.nvars, X.order
     n = nv + len(fields)
-    position = jets._tables(n, order)[1]
+    position = jets._tables(n, order, (1,) * len(fields))[1]
     c = list(X.lift(n).c)
     for k, V in enumerate(fields):
         unit = tuple(int(m == k) for m in range(len(fields)))

@@ -1,0 +1,241 @@
+"""The two levers that skip known zeros in the jet kernel, checked to be
+exact on random jets.
+
+* eps caps: a jet whose last variables are eps variables carries only the
+  monomials at most linear in each.  Projecting an isotropic jet onto those
+  monomials must commute, bit for bit, with every kernel operation.
+* constant operands: `jet_einsum` contracts a constant tensor jet as its
+  value array, and must equal the full Cauchy sum.
+
+The reference products here are built from the multi-indices alone, not
+from the product pairs of `jets._tables`, so a pair dropped there fails.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from branelab import deformation as dfm
+from branelab import embeddings as emb
+from branelab import jets
+from branelab.errors import ParameterError, PreconditionError
+from branelab.jets import Jet, jet_einsum, jet_matinv, jet_stack
+
+GRID = (3,)
+MATMUL = "ab...,bc...->ac..."
+
+# (worldvolume variables, order, seed); as many eps variables as
+# worldvolume ones: 1+1 and 2+2 variables
+CASES = st.tuples(st.sampled_from([1, 2]), st.integers(1, 5),
+                  st.integers(0, 2**32 - 1))
+EXACT = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+def iso_jet(nvars, order, rng, shape=GRID, value=0.0):
+    """An isotropic jet with random coefficients; ``value`` shifts its
+    value, so it can be kept positive or a matrix kept invertible."""
+    n = len(jets._tables(nvars, order)[0])
+    c = [rng.normal(size=shape) for _ in range(n)]
+    c[0] = c[0] + value
+    return Jet(nvars, order, c)
+
+
+def project(j, caps):
+    """The coefficients of ``j`` on the monomials of its order and
+    ``caps``, read one multi-index at a time."""
+    idx = jets._tables(j.nvars, j.order, caps)[0]
+    return Jet(j.nvars, j.order, [j.coefficient(a) for a in idx], caps)
+
+
+def assert_bits(got, want):
+    assert (got.nvars, got.order, got.caps) == (want.nvars, want.order, want.caps)
+    assert len(got.c) == len(want.c)
+    for k, (x, y) in enumerate(zip(got.c, want.c)):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), k
+
+
+def cauchy(a, b, contract=np.multiply):
+    """Slot k of the product sums contract(a_i, b_j) over every pair of
+    carried multi-indices alpha_i + alpha_j = alpha_k, i ascending, each
+    later term added to the first."""
+    idx = jets._tables(a.nvars, a.order, a.caps)[0]
+    pos = {alpha: n for n, alpha in enumerate(idx)}
+    out = []
+    for gamma in idx:
+        s = None
+        for i, alpha in enumerate(idx):
+            j = pos.get(tuple(g - x for g, x in zip(gamma, alpha)))
+            if j is not None:
+                t = contract(a.c[i], b.c[j])
+                s = t if s is None else s + t
+        out.append(s)
+    return Jet(a.nvars, a.order, out, a.caps)
+
+
+def _setup(case):
+    nw, order, seed = case
+    n, caps = 2 * nw, (1,) * nw
+    return nw, n, order, caps, np.random.default_rng(seed)
+
+
+@EXACT
+@given(case=CASES)
+def test_projection_commutes_with_products(case):
+    nw, n, order, caps, rng = _setup(case)
+    a, b = iso_jet(n, order, rng), iso_jet(n, order, rng)
+    assert_bits(project(a, caps) * project(b, caps), project(a * b, caps))
+    assert_bits(project(a, caps) * project(b, caps),
+                cauchy(project(a, caps), project(b, caps)))
+    assert_bits(a * b, cauchy(a, b))
+    A, B = (iso_jet(n, order, rng, shape=(2, 2) + GRID) for _ in range(2))
+    got = jet_einsum(MATMUL, project(A, caps), project(B, caps))
+    assert_bits(got, project(jet_einsum(MATMUL, A, B), caps))
+    contract = lambda x, y: np.einsum(MATMUL, x, y)  # noqa: E731
+    assert_bits(got, cauchy(project(A, caps), project(B, caps), contract))
+
+
+@EXACT
+@given(case=CASES)
+def test_projection_commutes_with_matinv(case):
+    nw, n, order, caps, rng = _setup(case)
+    eye = np.eye(3).reshape((3, 3, 1))
+    g = iso_jet(n, order, rng, shape=(3, 3) + GRID, value=4.0 * eye)
+    assert_bits(jet_matinv(project(g, caps)), project(jet_matinv(g), caps))
+
+
+COMPOSE = [Jet.exp, Jet.log, Jet.sqrt, Jet._reciprocal, Jet.sin, Jet.cos,
+           Jet.sinh, Jet.cosh, lambda u: u ** 1.7, lambda u: u ** -2,
+           lambda u: u ** -0.5, lambda u: u ** 3]
+
+
+@EXACT
+@given(case=CASES, fn=st.sampled_from(COMPOSE))
+def test_projection_commutes_with_compose(case, fn):
+    nw, n, order, caps, rng = _setup(case)
+    u = iso_jet(n, order, rng)
+    u.c[0] = 1.0 + np.abs(u.c[0])            # inside every function's domain
+    assert_bits(fn(project(u, caps)), project(fn(u), caps))
+
+
+@EXACT
+@given(case=CASES)
+def test_projection_commutes_with_partial_truncation_and_stack(case):
+    nw, n, order, caps, rng = _setup(case)
+    a, b = iso_jet(n, order, rng), iso_jet(n, order - 1, rng)
+    for d in range(nw):                      # worldvolume variables
+        assert_bits(project(a, caps).partial(d), project(a.partial(d), caps))
+    for k in range(nw):                      # eps variables: one cap lower
+        low = caps[:k] + (0,) + caps[k + 1:]
+        assert_bits(project(a, caps).partial(nw + k), project(a.partial(nw + k), low))
+    for m in range(order + 1):
+        assert_bits(project(a, caps).truncated(m), project(a.truncated(m), caps))
+    assert_bits(jet_stack([[project(a, caps), 1.0], [project(b, caps), 2.0]]),
+                project(jet_stack([[a, 1.0], [b, 2.0]]), caps))
+
+
+@EXACT
+@given(case=CASES, capped=st.booleans(), left=st.booleans())
+def test_constant_operand_equals_the_full_cauchy_sum(case, capped, left):
+    nw, n, order, caps, rng = _setup(case)
+    caps = caps if capped else ()
+    B = project(iso_jet(n, order, rng, shape=(2, 2) + GRID), caps)
+    A = Jet.constant(rng.normal(size=(2, 2) + GRID), n, order, caps)
+    assert jets._is_constant(A) and not jets._is_constant(B)
+    a, b = (A, B) if left else (B, A)
+    contract = lambda x, y: np.einsum(MATMUL, x, y)  # noqa: E731
+    assert_bits(jet_einsum(MATMUL, a, b), cauchy(a, b, contract))
+    # a NaN in a later coefficient is not a zero: the full sum runs and
+    # carries it into every slot above it
+    A.c[-1] = A.c[-1].copy()
+    A.c[-1][0, 0, 0] = np.nan
+    assert not jets._is_constant(A)
+    got = jet_einsum(MATMUL, a, b)
+    assert np.isnan(got.c[-1]).any()
+    for x, y in zip(got.c, cauchy(a, b, contract).c):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_constant_path_is_one_call(monkeypatch):
+    calls = []
+    inner = jets.jet_einsum
+
+    def counted(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(jets, "jet_einsum", counted)
+    x = jets.variables([np.linspace(0.0, 1.0, 4)], order=3)[0]
+    eye = Jet.constant(np.eye(2).reshape(2, 2, 1), 1, 3)
+    vec = jet_stack([x, x * x])
+    jets.jet_einsum("ab...,b...->a...", eye, vec)
+    assert calls == ["ab...,b...->a..."]
+
+
+def test_nested_values_are_not_constants():
+    (x,) = jets.variables([0.3], order=2)
+    dual = Jet(1, 1, [x, Jet.constant(0.0, 1, 2)])
+    assert not jets._is_constant(dual)
+    assert not jets._is_constant(Jet.constant(np.ones(3), 1, 0))
+
+
+# -- what the caps do not carry ---------------------------------------------------
+
+def test_uncarried_monomials_raise():
+    rng = np.random.default_rng(0)
+    a = iso_jet(2, 3, rng).lift(4)
+    np.testing.assert_array_equal(a.coefficient((1, 0, 0, 1)), 0.0)
+    for alpha in [(0, 0, 2, 0), (0, 0, 1, 2), (2, 2, 0, 0), (1, 0, 0), (0,) * 5]:
+        with pytest.raises(PreconditionError, match="carries no coefficient"):
+            a.coefficient(alpha)
+        with pytest.raises(PreconditionError):
+            a.derivative(alpha)
+
+
+def test_eps_partial_leaves_its_own_eps_unreadable():
+    rng = np.random.default_rng(1)
+    base = iso_jet(2, 4, rng)
+    slope = iso_jet(2, 4, rng)
+    vg = base.lift(4, slope, slope)
+    d0 = vg.partial(2)
+    assert d0.caps == (0, 1)
+    with pytest.raises(PreconditionError, match="carries no coefficient"):
+        d0.coefficient((0, 0, 1, 0))
+    with pytest.raises(PreconditionError, match="no term"):
+        d0.partial(2)
+    # combining it with a cap-1 jet projects that one onto (0, 1)
+    prod = d0 * vg.truncated(3)
+    assert prod.caps == (0, 1)
+    np.testing.assert_array_equal(
+        prod.coefficient((0, 0, 0, 1)),
+        d0.value * vg.coefficient((0, 0, 0, 1))
+        + d0.coefficient((0, 0, 0, 1)) * vg.value)
+
+
+def test_align_rejects_other_eps_variables():
+    rng = np.random.default_rng(2)
+    a = iso_jet(2, 2, rng).lift(4)
+    b = iso_jet(4, 2, rng)
+    with pytest.raises(PreconditionError,
+                       match=r"4 variables with eps caps \(1, 1\).*4 variables "
+                             r"with eps caps \(\)"):
+        a * b
+    with pytest.raises(PreconditionError):
+        jet_stack([a, b])
+
+
+def test_tables_reject_bad_shapes():
+    for nvars, order, caps in [(0, 1, ()), (1, -1, ()), (1, 1, (1, 1)),
+                               (2, 1, (-1,))]:
+        with pytest.raises(ParameterError):
+            jets._tables(nvars, order, caps)
+
+
+def test_variation_checks_the_eps_index():
+    E = emb.static_string(1.0)
+    geom = E.geometry(emb.make_grid(E, (4, 5)).mesh, 2)
+    vg = dfm.varied_geometry(geom, geom.tangents[0])
+    assert dfm.variation(vg, vg.X, 0).shape == np.asarray(geom.X.value).shape
+    for k in (-1, 1, 5):
+        with pytest.raises(ParameterError, match="variation index"):
+            dfm.variation(vg, vg.X, k)

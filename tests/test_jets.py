@@ -152,7 +152,7 @@ def test_jet_stack_of_constants_takes_no_grid_from_template():
     np.testing.assert_array_equal(eye.value, np.eye(2))
     for c in eye.c[1:]:
         np.testing.assert_array_equal(c, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="template"):
         jet_stack([1.0, 2.0])
 
 
@@ -349,13 +349,22 @@ def _random_jet(nvars, order, grid, seed):
 def test_lift_places_coefficients_by_multi_index():
     a = _random_jet(2, 3, (5,), 11)
     lifted = a.lift(4)
-    assert (lifted.nvars, lifted.order) == (4, 3)
-    for alpha in jets._tables(4, 3)[0]:
+    assert (lifted.nvars, lifted.order, lifted.caps) == (4, 3, (1, 1))
+    for alpha in jets._tables(4, 3, (1, 1))[0]:
         want = a.coefficient(alpha[:2]) if alpha[2:] == (0, 0) else 0.0
         np.testing.assert_array_equal(lifted.coefficient(alpha), want)
     assert a.lift(2) is a
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="lift"):
         a.lift(1)
+
+
+@pytest.mark.parametrize("order, slots", [(2, 13), (3, 25), (4, 41), (6, 85)])
+def test_lift_carries_the_eps_multilinear_slots(order, slots):
+    # 2 worldvolume variables to total degree, 2 eps variables to degree 1
+    lifted = _random_jet(2, order, (3,), 5).lift(4)
+    assert len(lifted.c) == slots
+    assert all(max(alpha[2:]) <= 1 for alpha in jets._tables(4, order, (1, 1))[0])
+    assert len(jets._tables(4, order)[0]) > slots
 
 
 def test_lift_places_slopes_in_the_new_variables():
@@ -363,8 +372,8 @@ def test_lift_places_slopes_in_the_new_variables():
     v = _random_jet(2, 2, (5,), 12)
     w = _random_jet(2, 4, (5,), 13)
     lifted = a.lift(5, v, w)
-    assert (lifted.nvars, lifted.order) == (5, 3)
-    for alpha in jets._tables(5, 3)[0]:
+    assert (lifted.nvars, lifted.order, lifted.caps) == (5, 3, (1, 1, 1))
+    for alpha in jets._tables(5, 3, (1, 1, 1))[0]:
         head, eps = alpha[:2], alpha[2:]
         want = {(0, 0, 0): a, (1, 0, 0): v, (0, 1, 0): w}.get(eps)
         want = 0.0 if want is None else want.coefficient(head)
@@ -377,8 +386,10 @@ def test_lift_rejects_mismatched_slopes():
         a.lift(3, _random_jet(1, 3, (5,), 12))
     with pytest.raises(PreconditionError, match="order"):
         a.lift(3, _random_jet(2, 1, (5,), 12))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="lift"):
         a.lift(3, a, a)
+    with pytest.raises(PreconditionError, match="eps caps"):
+        a.lift(3).lift(4, _random_jet(3, 3, (5,), 12))
 
 
 @pytest.mark.parametrize("nvars, order, extra", [(1, 4, 1), (2, 3, 2),
