@@ -72,36 +72,22 @@ EULER_NUMBERS = {
 
 # -- configuration -------------------------------------------------------------
 
-@dataclass
-class ScenarioConfig:
+@dataclass(frozen=True)
+class Run:
+    """One CLI run with every input resolved: what each runner reads."""
     scenario: str
-    embedding: str
-    emb_params: dict = field(default_factory=dict)
-    model: str | None = None
-    couplings: dict = field(default_factory=dict)
-    grid: tuple = ()
-    eps: tuple = dfm.EPS_SCHEDULE
-    tol: float | None = None
-    seed: int = 7
-    slices: tuple = ()
-    trials: int = 4
-
-    def build_embedding(self):
-        factory, names = EMBEDDINGS[self.embedding]
-        bad = sorted(set(self.emb_params) - set(names))
-        if bad:
-            raise ConfigError(
-                f"embedding '{self.embedding}' does not take {', '.join(bad)}"
-            )
-        return factory(**self.emb_params)
-
-    def build_model(self):
-        if self.model is None:
-            return None
-        return MODELS[self.model][0](**self.couplings)
-
-    def coupling(self, name, default):
-        return float(self.couplings.get(name, default))
+    embedding_id: str
+    embedding: emb.Embedding
+    model_id: str | None
+    model: object            # the built model; None without a [model] id
+    grid: int | tuple        # one node count, or one per axis
+    grid_line: str           # the `grid:` header: the grid given, or default
+    eps: tuple
+    tol: float | None        # None: the runner derives one from eps
+    seed: int
+    trials: int
+    slices: tuple            # the CauchySlices it integrates over
+    couplings: dict          # the record's defaults under the given ones
 
 
 @dataclass
@@ -207,7 +193,10 @@ def tangential_string_field(geom):
 
 
 def _windowed_field(geom):
-    """Boundary-localized two-sided window times a generic normal profile."""
+    """Boundary-localized two-sided window times a generic normal field:
+    phi n in codimension 1, else the normal part of a smooth ambient field
+    (`Geometry.normals` picks its frame point by point, so phi^i n_i
+    would jump between nodes)."""
     wins = []
     for k, p in enumerate(geom.params):
         ax = geom.embedding.axes[k]
@@ -219,32 +208,18 @@ def _windowed_field(geom):
         lambda *ps: 0.4 + 0.3 * jets.sin(ps[0]) + 0.2 * jets.cos(ps[-1]),
         lambda *ps: 0.1 - 0.2 * jets.sin(ps[-1]) + 0.3 * jets.cos(ps[0]),
     ]
-    phi = dfm.normal_field(geom,
-                           *[fns[k % 2] for k in range(geom.codim)])
+    if geom.codim == 1:
+        phi = dfm.normal_field(geom, fns[0])
+    else:
+        W = jets.jet_stack([fns[mu % 2](*geom.params) for mu in
+                            range(geom.ambient_dim)], template=geom.X)
+        phi = dfm.decompose_vector(geom, W)[1]
     for w in wins:
         phi = w * phi
     return dfm.deformation_vector(geom, phi)
 
 
 # -- scenario runners -----------------------------------------------------------
-
-def _grid(cfg, E):
-    """The configured grid, else the scenario's; one entry n means n nodes
-    on every axis of E."""
-    shape = cfg.grid or SCENARIOS[cfg.scenario].grid
-    return emb.make_grid(E, shape[0] if len(shape) == 1 else shape)
-
-
-def _nodes(cfg):
-    """The configured node count, else the scenario's."""
-    return cfg.grid[0] if cfg.grid else SCENARIOS[cfg.scenario].grid
-
-
-def _cauchy_slices(cfg):
-    """The constant-tau slices the scenario integrates over."""
-    taus = cfg.slices or SCENARIOS[cfg.scenario].slices
-    return [sym.CauchySlice("tau", tv, _nodes(cfg)) for tv in taus]
-
 
 def _coord_columns(grid, label, values):
     """--dump-fields columns: the grid's coordinates, then ``values``."""
@@ -254,31 +229,31 @@ def _coord_columns(grid, label, values):
     return names + [label], cols + [np.ravel(values)]
 
 
-def run_eom_check(cfg, E, tol):
-    model = cfg.build_model()
-    grid = _grid(cfg, E)
-    res = mdl.eom_residual(model, E, grid)
+def run_eom_check(run):
+    grid = emb.make_grid(run.embedding, run.grid)
+    res = mdl.eom_residual(run.model, run.embedding, grid)
     checks = [Check("field-equation-residual", float(np.max(np.abs(res))),
-                    0.0, tol, "extremal-surface")]
+                    0.0, run.tol, "extremal-surface")]
     norm = np.sqrt(np.einsum("i...,i...->...", res, res))
-    return checks, [("model", model.name)], \
+    return checks, [("model", run.model.name)], \
         _coord_columns(grid, "residual-norm", norm)
 
 
-def run_deformation_oracle(cfg, E, tol):
+def run_deformation_oracle(run):
     """One random interior chart point and one random normal field per
     trial, batched along a single point axis.  Non-periodic axes are
     sampled away from their ends, where chart degeneracy (poles) makes the
     finite-difference side ill-conditioned; the formulas themselves are
     pointwise."""
-    rng = np.random.default_rng(cfg.seed)
+    E = run.embedding
+    rng = np.random.default_rng(run.seed)
     pts = []
     for ax in E.axes:
         span = ax.hi - ax.lo
         lo = ax.lo if ax.periodic else ax.lo + 0.12 * span
         hi = ax.hi if ax.periodic else ax.hi - 0.12 * span
-        pts.append(rng.uniform(lo, hi, cfg.trials))
-    coefs = rng.uniform(-0.6, 0.6, size=(E.codim, 4, cfg.trials))
+        pts.append(rng.uniform(lo, hi, run.trials))
+    coefs = rng.uniform(-0.6, 0.6, size=(E.codim, 4, run.trials))
 
     def maker(row):
         a, b, c, d = row
@@ -290,8 +265,7 @@ def run_deformation_oracle(cfg, E, tol):
             return out
         return fn
 
-    if tol is None:
-        tol = max(1e-6, 10.0 * min(cfg.eps) ** 2)
+    tol = max(1e-6, 10.0 * min(run.eps) ** 2) if run.tol is None else run.tol
     checks = []
     gap_cols = []
     for name, order in (("k_squared", 3), ("k_dot_k", 3), ("gradk_full", 4)):
@@ -304,7 +278,7 @@ def run_deformation_oracle(cfg, E, tol):
             geom, V,
             lambda g2: np.asarray(dfm.scalar_invariant(g2, name).value,
                                   float),
-            cfg.eps)
+            run.eps)
         gaps = np.abs(np.asarray(got.estimate, float) - pred)
         checks.append(Check(f"{name}-max-gap", float(np.max(gaps)), 0.0, tol,
                             "chain-rule-oracle"))
@@ -314,78 +288,75 @@ def run_deformation_oracle(cfg, E, tol):
         gap_cols.append((f"{name}-gap", gaps))
     names = [f"param{k}" for k in range(E.dim)] + [n for n, _g in gap_cols]
     cols = pts + [g for _n, g in gap_cols]
-    return checks, [("trials", cfg.trials), ("seed", cfg.seed)], \
+    return checks, [("trials", run.trials), ("seed", run.seed)], \
         (names, cols)
 
 
-def run_action_variation(cfg, E, tol):
-    model = cfg.build_model()
-    grid = _grid(cfg, E)
-    rep = mdl.action_variation_check(model, E, grid, _windowed_field,
-                                     eps_list=cfg.eps)
+def run_action_variation(run):
+    grid = emb.make_grid(run.embedding, run.grid)
+    rep = mdl.action_variation_check(run.model, run.embedding, grid,
+                                     _windowed_field, eps_list=run.eps)
     checks = [Check("first-variation-gap", float(rep.gap), 0.0,
-                    rep.tolerance() if tol is None else tol,
+                    rep.tolerance() if run.tol is None else run.tol,
                     "finite-difference-oracle")]
-    notes = [("model", model.name),
+    notes = [("model", run.model.name),
              ("numeric", repr(float(rep.numeric))),
              ("assembled", repr(float(rep.assembled)))]
     return checks, notes, _coord_columns(grid, "variation-density",
                                          rep.integrand)
 
 
-def run_gauss_bonnet(cfg, E, tol):
-    n = _nodes(cfg)
-    dens, grid = sgb.curvature_density(E, n)
+def run_gauss_bonnet(run):
+    dens, grid = sgb.curvature_density(run.embedding, run.grid)
     chi = float(emb.integrate(dens, grid)) / (4 * np.pi)
     checks = [Check("euler-characteristic", chi,
-                    EULER_NUMBERS[cfg.embedding], tol, "topological")]
-    return checks, [("nodes", n)], \
+                    EULER_NUMBERS[run.embedding_id], run.tol, "topological")]
+    return checks, [("nodes", run.grid)], \
         _coord_columns(grid, "curvature-density", dens)
 
 
-def run_symplectic_conservation(cfg, E, tol):
-    f1, f2 = WAVE_PAIRS[0][1:] if cfg.embedding == "static-string" \
-        else LEFT_MOVERS
-    model = cfg.build_model()
-    slices = _cauchy_slices(cfg)
-    currents = [sym.slice_current(model, E, slc, f1, f2) for slc in slices]
+def run_symplectic_conservation(run):
+    string = run.embedding_id == "static-string"
+    f1, f2 = WAVE_PAIRS[0][1:] if string else LEFT_MOVERS
+    currents = [sym.slice_current(run.model, run.embedding, slc, f1, f2)
+                for slc in run.slices]
     vals = [float(emb.integrate(J, grid)) for J, grid in currents]
-    checks = [Check("slice-independence", max(vals) - min(vals), 0.0, tol,
+    checks = [Check("slice-independence", max(vals) - min(vals), 0.0, run.tol,
                     "conserved-current")]
-    if cfg.embedding == "static-string" and isinstance(model, mdl.DNG):
-        checks.append(Check("wave-pair-form", vals[0], model.mu * np.pi,
-                            tol, "separable-wave-closed-form"))
-    notes = [("model", model.name), ("slices", ",".join(repr(slc.value)
-                                                        for slc in slices))]
+    if string and isinstance(run.model, mdl.DNG):
+        checks.append(Check("wave-pair-form", vals[0], run.model.mu * np.pi,
+                            run.tol, "separable-wave-closed-form"))
+    notes = [("model", run.model.name),
+             ("slices", ",".join(repr(slc.value) for slc in run.slices))]
     J, grid = currents[0]
     return checks, notes, _coord_columns(grid, "current-density", J)
 
 
-def run_canonical_darboux(cfg, E, tol):
-    sigma0 = cfg.coupling("sigma0", 1.0)
+def run_canonical_darboux(run):
+    E, sigma0 = run.embedding, run.couplings["sigma0"]
     model = mdl.DNG(mu=sigma0)
-    slc, = _cauchy_slices(cfg)
+    slc, = run.slices
     checks = []
     currents = [sym.slice_current(model, E, slc, f1, f2)
                 for _label, f1, f2 in WAVE_PAIRS]
     for (label, f1, f2), (J, grid) in zip(WAVE_PAIRS, currents):
         w = float(emb.integrate(J, grid))
         p = sym.dng_canonical_pairing(E, slc, f1, f2, sigma0)
-        checks.append(Check(f"pairing-match-{label}", w - p, 0.0, tol,
+        checks.append(Check(f"pairing-match-{label}", w - p, 0.0, run.tol,
                             "position-momentum-pairing"))
     w_tan = sym.symplectic_form(model, E, slc, tangential_string_field,
                                 WAVE_PAIRS[0][1])
-    checks.append(Check("tangential-drop-out", w_tan, 0.0, tol,
+    checks.append(Check("tangential-drop-out", w_tan, 0.0, run.tol,
                         "reparameterization"))
     J, grid = currents[0]
     return checks, [("sigma0", repr(sigma0))], \
         _coord_columns(grid, "current-density", J)
 
 
-def run_gb_gauge_invariance(cfg, E, tol):
-    sigma1 = cfg.coupling("sigma1", 0.9)
-    grid = _grid(cfg, E)
-    geom = E.geometry(grid.mesh, 4)
+def run_gb_gauge_invariance(run):
+    sigma1, tol = run.couplings["sigma1"], run.tol
+    grid = emb.make_grid(run.embedding, run.grid)
+    geom = run.embedding.geometry(grid.mesh, 4)
     dr = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
     psi = sgb.gb_potential(geom, None, dr, sigma1)
     dr_g = sgb.rotation_connection_delta(geom, RADIAL_WAVE,
@@ -404,16 +375,17 @@ def run_gb_gauge_invariance(cfg, E, tol):
         _coord_columns(grid, "flux-shift-norm", shift)
 
 
-def run_dnggb_reduction(cfg, E, tol):
-    sigma0 = cfg.coupling("sigma0", 1.2)
-    slc, = _cauchy_slices(cfg)
+def run_dnggb_reduction(run):
+    E, sigma0 = run.embedding, run.couplings["sigma0"]
+    slc, = run.slices
     red = sgb.dnggb_canonical(E, slc, sigma0=sigma0, sigma1=0.0)
     ref = sym.dng_canonical_pair(E, slc, sigma0)
     dq = float(np.max(np.abs(red.position - ref.position)))
     dp = float(np.max(np.abs(red.momentum - ref.momentum)))
     checks = [
-        Check("position-reduces-to-chart", dq, 0.0, tol, "limit-reduction"),
-        Check("momentum-reduces", dp, 0.0, tol, "limit-reduction"),
+        Check("position-reduces-to-chart", dq, 0.0, run.tol,
+              "limit-reduction"),
+        Check("momentum-reduces", dp, 0.0, run.tol, "limit-reduction"),
     ]
     grid, _k = slc.grid(E)
     gap = np.max(np.abs(red.position - ref.position), axis=0)
@@ -421,13 +393,13 @@ def run_dnggb_reduction(cfg, E, tol):
         _coord_columns(grid, "position-gap", gap)
 
 
-def run_mass_shell(cfg, E, tol):
-    sigma0 = cfg.coupling("sigma0", 2.0)
-    slc, = _cauchy_slices(cfg)
-    res = sym.mass_shell_check(E, slc, sigma0)
+def run_mass_shell(run):
+    sigma0 = run.couplings["sigma0"]
+    slc, = run.slices
+    res = sym.mass_shell_check(run.embedding, slc, sigma0)
     checks = [Check("mass-shell-residual", float(np.max(np.abs(res))), 0.0,
-                    tol, "unit-normalization")]
-    grid, _k = slc.grid(E)
+                    run.tol, "unit-normalization")]
+    grid, _k = slc.grid(run.embedding)
     return checks, [("sigma0", repr(sigma0))], \
         _coord_columns(grid, "residual", res)
 
@@ -436,7 +408,7 @@ def run_mass_shell(cfg, E, tol):
 class Scenario:
     """One CLI scenario: its runner, its two catalog lines, its defaults and
     the inputs it reads.  `resolve_config` rejects every other input."""
-    run: object  # (cfg, E, tol) -> (checks, notes, --dump-fields columns)
+    run: object  # Run -> (checks, notes, --dump-fields columns)
     desc: str
     capability: str
     embedding: str
@@ -446,7 +418,7 @@ class Scenario:
     tol: float | None = None  # None: the runner derives one from eps
     slices: tuple = ()        # default tau slices; one: it reads one
     reads: tuple = ()         # the [run] keys it reads
-    couplings: tuple = ()     # the couplings it reads without a model
+    couplings: dict = field(default_factory=dict)  # no model: name -> default
 
     def reads_line(self) -> str:
         shape = {"grid": "=n" if isinstance(self.grid, int) else "=n[,m]",
@@ -495,26 +467,26 @@ SCENARIOS = {
         "canonical conjugacy of chart position and momentum density",
         embedding="static-string", embeddings=("static-string",),
         grid=160, tol=1e-6, slices=(0.9,), reads=("grid", "tol", "slices"),
-        couplings=("sigma0",)),
+        couplings={"sigma0": 1.0}),
     "gb-gauge-invariance": Scenario(
         run_gb_gauge_invariance,
         "frame-gauge shift of the curvature flux",
         "gauge invariance of the rotation-connection response",
-        embedding="static-string", embeddings=("static-string",),
-        grid=(8, 24), tol=1e-10, reads=("grid", "tol"), couplings=("sigma1",)),
+        embedding="static-string", embeddings=("static-string",), tol=1e-10,
+        grid=(8, 24), reads=("grid", "tol"), couplings={"sigma1": 0.9}),
     "dnggb-reduction": Scenario(
         run_dnggb_reduction,
         "combined-system pair at vanishing curvature coupling",
         "reduction of the combined canonical pair to the minimal one",
-        embedding="static-string",
+        embedding="static-string", couplings={"sigma0": 1.2},
         embeddings=("static-string", "traveling-wave"), grid=64, tol=1e-12,
-        slices=(0.9,), reads=("grid", "tol", "slices"), couplings=("sigma0",)),
+        slices=(0.9,), reads=("grid", "tol", "slices")),
     "mass-shell": Scenario(
         run_mass_shell,
         "momentum normalization on a spacelike slice",
         "p.p + sigma0^2 = 0 for the unit timelike momentum",
         embedding="static-string", grid=64, tol=1e-10, slices=(0.9,),
-        reads=("grid", "tol", "slices"), couplings=("sigma0",)),
+        reads=("grid", "tol", "slices"), couplings={"sigma0": 2.0}),
 }
 
 
@@ -549,7 +521,17 @@ def _as_int(key, text):
         raise ConfigError(f"{key} must be an integer, got {text!r}") from ex
 
 
-def _parse_floats(text):
+def _at_least(parse, low, what):
+    """``parse``, then reject a value that is below ``low`` or not finite."""
+    def checked(key, text):
+        val = parse(key, text)
+        if not low <= val < np.inf:
+            raise ConfigError(f"{key} must be {what}, got {val!r}")
+        return val
+    return checked
+
+
+def _parse_floats(_key, text):
     try:
         return tuple(float(x) for x in str(text).split(","))
     except ValueError as ex:
@@ -557,7 +539,7 @@ def _parse_floats(text):
             from ex
 
 
-def _parse_grid(text):
+def _parse_grid(_key, text):
     try:
         grid = tuple(int(x) for x in str(text).split(","))
     except ValueError as ex:
@@ -567,9 +549,15 @@ def _parse_grid(text):
     return grid
 
 
-# the [run] keys, each with what it sets
-RUN_KEYS = {"grid": "grid", "eps": "eps schedule", "tol": "tolerance",
-            "seed": "seed", "slices": "slices", "trials": "trials"}
+# the [run] keys, each with what it sets, its parser and its default
+# (None: the scenario record's)
+RUN_KEYS = {"grid": ("grid", _parse_grid, ()),
+            "eps": ("eps schedule", _parse_floats, dfm.EPS_SCHEDULE),
+            "tol": ("tolerance", _at_least(_as_float, 0, "a finite number >= 0"),
+                    None),
+            "seed": ("seed", _as_int, 7),
+            "slices": ("slices", _parse_floats, None),
+            "trials": ("trials", _at_least(_as_int, 1, ">= 1"), 4)}
 
 
 def load_config(path) -> dict:
@@ -586,32 +574,25 @@ def load_config(path) -> dict:
         if section not in ("scenario", "embedding", "model", "run"):
             raise ConfigError(f"unknown config section [{section}]")
         for key, val in parser.items(section):
-            if section == "scenario":
-                if key != "name":
-                    raise ConfigError(f"unknown key '{key}' in [scenario]")
+            if section == "scenario" and key == "name":
                 out["scenario"] = val
+            elif section in ("embedding", "model") and key == "id":
+                out[section] = val
             elif section == "embedding":
-                if key == "id":
-                    out["embedding"] = val
-                else:
-                    out.setdefault("emb_params", {})[key] = _as_float(key, val)
-            elif section == "model":
-                if key == "id":
-                    out["model"] = val
-                elif key in COUPLING_KEYS:
-                    out.setdefault("couplings", {})[key] = _as_float(key, val)
-                else:
-                    raise ConfigError(f"unknown key '{key}' in [model]")
-            else:
-                if key not in RUN_KEYS:
-                    raise ConfigError(f"unknown key '{key}' in [run]")
+                out.setdefault("emb_params", {})[key] = _as_float(key, val)
+            elif section == "model" and key in COUPLING_KEYS:
+                out.setdefault("couplings", {})[key] = _as_float(key, val)
+            elif section == "run" and key in RUN_KEYS:
                 out[key] = val
+            else:
+                raise ConfigError(f"unknown key '{key}' in [{section}]")
     return out
 
 
-def resolve_config(args) -> ScenarioConfig:
-    """The config file with the flags over it; an input the scenario's
-    `Scenario` record does not read, or the library rejects, is an error."""
+def resolve_config(args) -> Run:
+    """The config file with the flags over it, resolved against the
+    scenario's `Scenario` record; an input the record does not read, or
+    the library rejects, is an error."""
     raw = load_config(args.config) if args.config else {}
     raw.update((k, v) for k, v in (("grid", args.grid), ("eps", args.eps),
                                    ("tol", args.tol)) if v is not None)
@@ -623,9 +604,9 @@ def resolve_config(args) -> ScenarioConfig:
             f"unknown scenario '{scenario}'; try --list"
         )
     sc = SCENARIOS[scenario]
-    for key in RUN_KEYS:
+    for key, (what, _parse, _default) in RUN_KEYS.items():
         if key in raw and key not in sc.reads:
-            raise ConfigError(f"{scenario} takes no {RUN_KEYS[key]}: it "
+            raise ConfigError(f"{scenario} takes no {what}: it "
                               f"reads [run] {', '.join(sc.reads)}")
     embedding = raw.get("embedding", sc.embedding)
     if embedding not in EMBEDDINGS:
@@ -637,63 +618,56 @@ def resolve_config(args) -> ScenarioConfig:
     model = raw.get("model", sc.model)
     if model is not None and model not in MODELS:
         raise ConfigError(f"unknown model '{model}'")
-    reads = sc.couplings + (MODELS[model][1] if model else ())
-    bad = sorted(set(raw.get("couplings", {})) - set(reads))
+    couplings = raw.get("couplings", {})
+    reads = tuple(sc.couplings) + (MODELS[model][1] if model else ())
+    bad = sorted(set(couplings) - set(reads))
     if bad:
         raise ConfigError(f"{f'model {model!r}' if model else scenario} "
                           f"does not take {', '.join(bad)}")
-    cfg = ScenarioConfig(
-        scenario=scenario,
-        embedding=embedding,
-        emb_params=raw.get("emb_params", {}),
-        model=model,
-        couplings=raw.get("couplings", {}),
-    )
-    if "grid" in raw:
-        cfg.grid = _parse_grid(raw["grid"])
-        if isinstance(sc.grid, int) and len(cfg.grid) > 1:
-            raise ConfigError(f"{scenario} reads one node count, got grid "
-                              f"{raw['grid']}")
-    if "eps" in raw:
-        cfg.eps = _parse_floats(raw["eps"])
-    if "tol" in raw:
-        cfg.tol = _as_float("tol", raw["tol"])
-    if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol >= 0):
-        raise ConfigError(f"tol must be a finite number >= 0, got {cfg.tol!r}")
-    if "seed" in raw:
-        cfg.seed = _as_int("seed", raw["seed"])
-    if "slices" in raw:
-        cfg.slices = _parse_floats(raw["slices"])
-        if len(cfg.slices) > 1 and len(sc.slices) == 1:
-            raise ConfigError(f"{scenario} integrates over one slice, got "
-                              f"slices {raw['slices']}")
-    if "trials" in raw:
-        cfg.trials = _as_int("trials", raw["trials"])
-    if cfg.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
+    # the [run] keys of which the record reads a single entry
+    single = {"grid": isinstance(sc.grid, int) and "reads one node count",
+              "slices": len(sc.slices) == 1 and "integrates over one slice"}
+    val = {}
+    for key, (_what, parse, default) in RUN_KEYS.items():
+        if key not in raw:
+            val[key] = getattr(sc, key) if default is None else default
+            continue
+        val[key] = parse(key, raw[key])
+        if single.get(key) and len(val[key]) > 1:
+            raise ConfigError(f"{scenario} {single[key]}, got {key} "
+                              f"{raw[key]}")
+    shape = val["grid"] or sc.grid  # one entry n: n nodes on every axis
+    grid = shape[0] if isinstance(shape, tuple) and len(shape) == 1 else shape
+    factory, names = EMBEDDINGS[embedding]
+    bad = sorted(set(raw.get("emb_params", {})) - set(names))
     try:
-        dfm.validate_eps_schedule(cfg.eps)
-        E = cfg.build_embedding()
-        cfg.build_model()
-        for slc in _cauchy_slices(cfg):  # axis, range, a two-axis chart
+        dfm.validate_eps_schedule(val["eps"])
+        if bad:
+            raise ConfigError(
+                f"embedding '{embedding}' does not take {', '.join(bad)}")
+        E = factory(**raw.get("emb_params", {}))
+        built = MODELS[model][0](**couplings) if model else None
+        slices = tuple(sym.CauchySlice("tau", tv, grid)
+                       for tv in val["slices"])
+        for slc in slices:  # axis, range, a two-axis chart
             slc.grid(E)
     except (TypeError, BranelabError) as ex:
         raise ConfigError(str(ex)) from ex
-    if len(cfg.grid) > E.dim:
-        raise ConfigError(f"grid has {len(cfg.grid)} entries for a "
+    if len(val["grid"]) > E.dim:
+        raise ConfigError(f"grid has {len(val['grid'])} entries for a "
                           f"{E.dim}-axis embedding")
-    return cfg
+    return Run(scenario, embedding, E, model, built, grid,
+               ",".join(str(n) for n in val["grid"]) or "default", val["eps"],
+               val["tol"], val["seed"], val["trials"], slices,
+               {**sc.couplings, **couplings})
 
 
 # -- orchestration ---------------------------------------------------------------
 
-def run_scenario(cfg: ScenarioConfig) -> tuple:
-    sc = SCENARIOS[cfg.scenario]
-    E = cfg.build_embedding()
+def run_scenario(run: Run) -> tuple:
     start = time.perf_counter()
     try:
-        checks, notes, fields = sc.run(cfg, E,
-                                       sc.tol if cfg.tol is None else cfg.tol)
+        checks, notes, fields = SCENARIOS[run.scenario].run(run)
     except BranelabError as ex:
         checks = [Check("execution", float("nan"), 0.0, 0.0,
                         f"aborted:{type(ex).__name__}")]
@@ -701,12 +675,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple:
         fields = None
     duration = time.perf_counter() - start
     header = [
-        ("scenario", cfg.scenario),
-        ("embedding", E.name),
-        ("model", cfg.model or "-"),
-        ("grid", ",".join(str(n) for n in cfg.grid) if cfg.grid else "default"),
-        ("eps", ",".join(repr(e) for e in cfg.eps)
-         if "eps" in sc.reads else "-"),
+        ("scenario", run.scenario),
+        ("embedding", run.embedding.name),
+        ("model", run.model_id or "-"),
+        ("grid", run.grid_line),
+        ("eps", ",".join(repr(e) for e in run.eps)
+         if "eps" in SCENARIOS[run.scenario].reads else "-"),
         ("conventions", _conventions_line()),
     ]
     return Report(header=header, notes=notes, checks=checks,
@@ -746,8 +720,7 @@ def main(argv=None) -> int:
         sys.stdout.write(list_scenarios())
         return 0
     try:
-        cfg = resolve_config(args)
-        report, fields = run_scenario(cfg)
+        report, fields = run_scenario(resolve_config(args))
         if args.dump_fields:
             write_fields(args.dump_fields, fields)
     except ConfigError as ex:

@@ -82,8 +82,6 @@ def normal_field(geom: Geometry, *fns):
         raise ParameterError(
             f"need {geom.codim} normal components, got {len(fns)}"
         )
-    if geom.params is None:
-        raise PreconditionError("geometry carries no parameter jets")
     comps = [f(*geom.params) for f in fns]
     return jet_stack(comps, template=geom.X)
 
@@ -113,7 +111,8 @@ def decompose_vector(geom: Geometry, V):
 
 def deformed_geometry(geom: Geometry, V, eps: float) -> Geometry:
     """Geometry of the chart-shifted embedding X + eps V."""
-    return Geometry(geom.background, geom.X + eps * V)
+    return Geometry(geom.background, geom.X + eps * V, geom.params,
+                    geom.embedding)
 
 
 def varied_geometry(geom: Geometry, *fields) -> Geometry:
@@ -125,8 +124,6 @@ def varied_geometry(geom: Geometry, *fields) -> Geometry:
     The eps_k coefficient of any quantity on the result is its exact first
     variation along V_k (`variation`); the eps-free ones are ``geom``'s.
     """
-    if geom.params is None:
-        raise PreconditionError("geometry carries no parameter jets")
     n = geom.X.nvars + len(fields)
     return Geometry(geom.background, geom.X.lift(n, *fields),
                     params=[p.lift(n) for p in geom.params],

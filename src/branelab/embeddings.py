@@ -262,18 +262,18 @@ class Geometry:
     Sums and contractions align jets to the lower order, so a result that
     involves ``rframe`` is a jet of order at most 1.
 
-    The worldvolume variables are the first ``dim`` jet variables: one per
-    parameter jet in ``params``, or all of ``X``'s when there are none.
+    The worldvolume variables are the first ``dim`` jet variables, one per
+    parameter jet in ``params``; ``embedding`` is the chart they live on.
     Any later variables (the deformation parameters of
     `deformation.varied_geometry`) ride along undifferentiated.
     """
 
-    def __init__(self, background, X, params=None, embedding=None):
+    def __init__(self, background, X, params, embedding):
         self.background = background
         self.X = X
         self.params = params
         self.embedding = embedding
-        self.dim = X.nvars if params is None else len(params)
+        self.dim = len(params)
         self.ambient_dim = int(np.asarray(X.value).shape[0])
         self.codim = self.ambient_dim - self.dim
         if self.codim < 1:

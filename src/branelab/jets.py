@@ -556,8 +556,8 @@ def jet_stack(entries, template=None):
     lead = min(jl, key=lambda e: e.order, default=template)
     if lead is None:
         raise PreconditionError("jet_stack needs at least one Jet or a template")
-    if any(e.caps != lead.caps for e in jl):
-        for e in jl:
+    if any(e.caps != lead.caps or e.nvars != lead.nvars for e in jl):
+        for e in jl:  # _align rejects other variable or eps-variable counts
             lead = lead._align(e)[0]
         leaves = [e._align(lead)[0] if _is_jet(e) else e for e in leaves]
     out = []

@@ -50,13 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import deformation as dfm
-from .embeddings import Embedding, Geometry, Grid, integrate
+from .embeddings import INVARIANTS, Embedding, Geometry, Grid, integrate
 from .errors import (
     ParameterError,
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .jets import jet_einsum, jet_rearrange
+from .jets import Jet, jet_einsum, jet_rearrange
 
 __all__ = [
     "LagrangianModel",
@@ -111,6 +111,12 @@ class LagrangianModel:
         raise NotImplementedError
 
 
+def _invariant_values(name, ginv, t):
+    """The `INVARIANTS` entry ``name`` on raw value arrays (order-0 jets)."""
+    return INVARIANTS[name][0](Jet.constant(ginv, 1, 0),
+                               Jet.constant(t, 1, 0)).value
+
+
 @dataclass(frozen=True)
 class DNG(LagrangianModel):
     """Constant density L = -mu: the action is -mu times the worldvolume
@@ -152,8 +158,7 @@ class QuadraticK(LagrangianModel):
         return self.alpha * geom.k_squared_scalar
 
     def density_values(self, ginv, k, gradk):
-        m = np.einsum("ab...,abi...->i...", ginv, k)
-        return self.alpha * np.einsum("i...,i...->...", m, m)
+        return self.alpha * _invariant_values("k_squared", ginv, k)
 
     def h_gamma(self, geom):
         return 2.0 * self.alpha * jet_einsum(
@@ -199,11 +204,8 @@ class EinsteinHilbert(LagrangianModel):
         return self.sigma1 * (geom.k_squared_scalar - geom.k_dot_k_scalar)
 
     def density_values(self, ginv, k, gradk):
-        m = np.einsum("ab...,abi...->i...", ginv, k)
-        ksq = np.einsum("i...,i...->...", m, m)
-        kup = np.einsum("ac...,bd...,cdi...->abi...", ginv, ginv, k)
-        kdk = np.einsum("abi...,abi...->...", kup, k)
-        return self.sigma1 * (ksq - kdk)
+        return self.sigma1 * (_invariant_values("k_squared", ginv, k)
+                              - _invariant_values("k_dot_k", ginv, k))
 
     def h_gamma(self, geom):
         t1 = jet_einsum("i...,abi...->ab...", geom.mean_curvature,
@@ -240,9 +242,7 @@ class SyntheticGradK(LagrangianModel):
         return self.beta * geom.gradk_squared_scalar
 
     def density_values(self, ginv, k, gradk):
-        m = np.einsum("bc...,abci...->ai...", ginv, gradk)
-        up = np.einsum("ad...,di...->ai...", ginv, m)
-        return self.beta * np.einsum("ai...,ai...->...", m, up)
+        return self.beta * _invariant_values("gradk_mean", ginv, gradk)
 
     def h_gamma(self, geom):
         gm = geom.grad_mean

@@ -95,10 +95,6 @@ def _resolve_gauge(theta, geom: Geometry):
     if theta is None:
         return None
     if callable(theta):
-        if geom.params is None:
-            raise PreconditionError(
-                "a parameter-dependent gauge angle needs chart parameters"
-            )
         return theta(*geom.params)
     return theta
 

@@ -10,6 +10,7 @@ import pytest
 
 from branelab import cli
 from branelab import embeddings as emb
+from branelab import models as mdl
 from branelab import symplectic as sym
 from branelab.errors import DegenerateGeometryError
 
@@ -210,7 +211,7 @@ def test_slice_without_tau_axis_is_a_config_error(tmp_path, capsys):
 
 
 def test_library_error_during_a_run_becomes_failed_check(monkeypatch, capsys):
-    def degenerate(cfg, E, tol):
+    def degenerate(run):
         raise DegenerateGeometryError("induced metric is singular")
 
     monkeypatch.setitem(cli.SCENARIOS, "mass-shell", dataclasses.replace(
@@ -261,7 +262,7 @@ def test_input_the_scenario_would_not_read_is_a_usage_error(
 
 
 def test_canonical_darboux_reads_sigma0(tmp_path, capsys):
-    assert cli.SCENARIOS["canonical-darboux"].couplings == ("sigma0",)
+    assert cli.SCENARIOS["canonical-darboux"].couplings == {"sigma0": 1.0}
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[scenario]\nname = canonical-darboux\n\n"
                    "[model]\nsigma0 = 3.0\n\n[run]\ngrid = 64\n")
@@ -408,6 +409,39 @@ def test_one_axis_embedding_gets_a_one_axis_default_grid(tmp_path, capsys,
     assert "grid: default" in out
     if scenario == "action-variation":
         assert code == 0 and "result: pass" in out
+
+
+@pytest.mark.parametrize("embedding", ["graph-surface", "flat-torus"])
+def test_action_variation_passes_in_codimension_two(tmp_path, capsys,
+                                                    embedding):
+    # Geometry.normals picks its frame point by point; the probe must not
+    # follow it from node to node
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = action-variation\n\n"
+                   f"[embedding]\nid = {embedding}\n")
+    assert cli.main(["--config", str(cfg)]) == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_a_run_builds_its_embedding_and_model_once(monkeypatch, capsys,
+                                                   scenario):
+    built = []
+    for name, (factory, keys) in list(cli.EMBEDDINGS.items()):
+        def counted(*args, _factory=factory, **kwargs):
+            built.append("embedding")
+            return _factory(*args, **kwargs)
+        monkeypatch.setitem(cli.EMBEDDINGS, name, (counted, keys))
+    for cls in (mdl.DNG, mdl.QuadraticK, mdl.EinsteinHilbert,
+                mdl.SyntheticGradK):
+        def post_init(self, _post=cls.__post_init__):
+            built.append("model")
+            _post(self)
+        monkeypatch.setattr(cls, "__post_init__", post_init)
+    assert cli.main(["--scenario", scenario]) == 0
+    capsys.readouterr()
+    assert built.count("embedding") == 1
+    assert built.count("model") <= 1
 
 
 def test_cli_bodies_compare(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Fuzz of the CLI configuration boundary: every config file and argv
-either resolves to a `ScenarioConfig` that uses only inputs its scenario
-reads, or raises `ConfigError` (exit 2), never another exception."""
+either resolves to a `Run` that uses only inputs its scenario reads,
+or raises `ConfigError` (exit 2), never another exception."""
 import argparse
 
 from hypothesis import HealthCheck, given, settings
@@ -87,19 +87,19 @@ def test_config_resolves_or_is_a_usage_error(tmp_path, text, argv):
     skip_config = argv.pop("skip_config")
     args = argparse.Namespace(config=None if skip_config else str(path), **argv)
     try:
-        cfg = cli.resolve_config(args)
+        run = cli.resolve_config(args)
     except cli.ConfigError:
         return
-    assert cfg.scenario in cli.SCENARIOS
-    assert cfg.embedding in cli.EMBEDDINGS
+    assert run.scenario in cli.SCENARIOS
+    assert run.embedding_id in cli.EMBEDDINGS
     # every input that resolved is one the scenario's record reads
-    sc = cli.SCENARIOS[cfg.scenario]
+    sc = cli.SCENARIOS[run.scenario]
     raw = {} if skip_config else cli.load_config(path)
     used = {k for k in cli.RUN_KEYS if k in raw or argv.get(k) is not None}
     assert used <= set(sc.reads)
-    assert (cfg.model is None) == (sc.model is None)
-    model_reads = cli.MODELS[cfg.model][1] if cfg.model else ()
-    assert set(raw.get("couplings", {})) <= set(sc.couplings + model_reads)
+    assert (run.model_id is None) == (sc.model is None) == (run.model is None)
+    model_reads = cli.MODELS[run.model_id][1] if run.model_id else ()
+    assert set(raw.get("couplings", {})) <= set(sc.couplings) | set(model_reads)
 
 
 COUPLED = [name for name, sc in cli.SCENARIOS.items()
@@ -114,7 +114,7 @@ def coupled_config(draw):
     default model's id; and the drawn couplings."""
     name = draw(st.sampled_from(COUPLED))
     sc = cli.SCENARIOS[name]
-    reads = sc.couplings + (cli.MODELS[sc.model][1] if sc.model else ())
+    reads = tuple(sc.couplings) + (cli.MODELS[sc.model][1] if sc.model else ())
     keys = draw(st.lists(st.sampled_from(reads), min_size=1, unique=True))
     value = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     lines = [f"[scenario]\nname = {name}\n[model]"]
@@ -134,5 +134,9 @@ def test_couplings_the_scenario_reads_resolve(tmp_path, drawn):
     path.write_text(text)
     args = argparse.Namespace(config=str(path), scenario=None, grid=None,
                               eps=None, tol=None)
-    cfg = cli.resolve_config(args)
-    assert cfg.couplings == couplings
+    run = cli.resolve_config(args)
+    assert run.couplings == {**cli.SCENARIOS[run.scenario].couplings, **couplings}
+    # each drawn coupling reaches the model, or the runner through run.couplings
+    held = run.couplings if run.model is None else vars(run.model)
+    for key, val in couplings.items():
+        assert held[key] == val

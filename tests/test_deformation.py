@@ -357,8 +357,9 @@ def test_variation_preconditions():
     assert abs(dfm.variation(vg, vg.sqrt_abs_det)) > 0.1
     with pytest.raises(PreconditionError):
         dfm.variation(vg, vg.extrinsic_curvature)
-    with pytest.raises(PreconditionError):
-        dfm.varied_geometry(dfm.deformed_geometry(geom, V, 1e-3), V)
+    # a re-embedded geometry keeps the chart and its parameter jets
+    moved = dfm.deformed_geometry(geom, V, 1e-3)
+    assert moved.params is geom.params and moved.embedding is geom.embedding
     low = emb.sphere_polar(1.0).geometry([0.9, 1.2], order=3)
     with pytest.raises(PreconditionError):
         dfm.varied_geometry(low, V)

@@ -224,6 +224,16 @@ def test_align_rejects_other_eps_variables():
         jet_stack([a, b])
 
 
+def test_jet_stack_projects_leaves_onto_the_lowest_caps():
+    rng = np.random.default_rng(3)
+    vg = iso_jet(2, 4, rng).lift(4, iso_jet(2, 4, rng), iso_jet(2, 4, rng))
+    d0, full = vg.partial(2), vg.truncated(3)
+    assert (d0.caps, full.caps) == ((0, 1), (1, 1))
+    for leaves in ([d0, full], [full, d0]):
+        want = jet_stack([project(e, (0, 1)) for e in leaves])
+        assert_bits(jet_stack(leaves), want)
+
+
 def test_tables_reject_bad_shapes():
     for nvars, order, caps in [(0, 1, ()), (1, -1, ()), (1, 1, (1, 1)),
                                (2, 1, (-1,))]:

@@ -156,6 +156,15 @@ def test_jet_stack_of_constants_takes_no_grid_from_template():
         jet_stack([1.0, 2.0])
 
 
+def test_jet_stack_rejects_other_variable_counts():
+    grid = np.linspace(0.0, 1.0, 4)
+    (x,) = jets.variables([grid], order=2)
+    y = jets.variables([grid, grid], order=2)[1]
+    for leaves in ([x, y], [y, x]):
+        with pytest.raises(PreconditionError, match="cannot combine"):
+            jet_stack(leaves)
+
+
 def test_jet_stack_keeps_no_leaf_alive():
     # with the cycle collector off, only reference counting frees the leaves
     (x,) = jets.variables([np.linspace(0.0, 1.0, 5)], order=2)

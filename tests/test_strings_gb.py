@@ -363,6 +363,8 @@ def test_combined_form_reduction_and_split():
 def test_euler_characteristic_values():
     assert abs(sgb.euler_characteristic(emb.sphere_polar(1.0), 128) - 2.0) \
         < 2e-3
+    assert abs(sgb.euler_characteristic(emb.perturbed_sphere(), 128) - 2.0) \
+        < 1e-3
     assert abs(sgb.euler_characteristic(emb.flat_torus_e4(), 64)) < 1e-6
     assert abs(sgb.euler_characteristic(emb.bumpy_torus_e4(), 96)) < 1e-3
 
