@@ -77,7 +77,12 @@ EPS_SCHEDULE = (1e-3, 5e-4, 2.5e-4)
 
 
 def normal_field(geom: Geometry, *fns):
-    """Stack per-normal scalar functions of the parameters into one jet."""
+    """Stack per-normal scalar functions of the parameters into one jet.
+
+    The components are read in ``geom.normals``, which in codimension >= 2
+    is picked point by point and can jump between grid nodes: smooth
+    phi^i then give a discontinuous phi^i n_i (see `deformation_vector`).
+    """
     if len(fns) != geom.codim:
         raise ParameterError(
             f"need {geom.codim} normal components, got {len(fns)}"
@@ -93,7 +98,14 @@ def resolve_field(vfield, geom: Geometry):
 
 
 def deformation_vector(geom: Geometry, phi):
-    """Ambient components of the deformation: V^mu = phi^i n_i^mu."""
+    """Ambient components of the deformation: V^mu = phi^i n_i^mu.
+
+    In codimension >= 2, phi^i n_i depends on the pointwise frame of
+    ``geom.normals``; pointwise uses are unaffected.  The normal part of
+    an ambient field W, ``deformation_vector(geom, decompose_vector(geom,
+    W)[1])``, is W minus its tangential part and does not depend on that
+    frame, so a smooth W gives a smooth deformation.
+    """
     return jet_einsum("i...,im...->m...", phi, geom.normals)
 
 

@@ -372,27 +372,37 @@ class Geometry:
     def sqrt_abs_det(self):
         return (self.metric_sign * self.det_induced_metric).sqrt()
 
+    def _off_tangent(self, cols, order):
+        """The 0/1 fields ``cols``, each (D, grid...), as the columns w_k of a
+        constant jet of order ``order``, projected off the tangent space:
+        r_k = w_k - e_a gamma^{ab} <e_b, w_k>, a (D, k) jet."""
+        shape = (self.ambient_dim,) + self.grid_shape
+        W = Jet.constant(np.stack([np.broadcast_to(c, shape) for c in cols], 1)
+                         .astype(float), self.X.nvars, order, self.X.caps)
+        e = self.tangents
+        t = jet_einsum("am...,mk...->ak...", e,
+                       jet_einsum("mn...,nk...->mk...", self.ambient_metric, W))
+        proj = jet_einsum("ab...,bk...->ak...", self.inverse_induced_metric, t)
+        return W - jet_einsum("ak...,am...->mk...", proj, e)
+
     @cached_property
     def normals(self):
         """Orthonormal spacelike normal frame, orientation-fixed.
 
-        Every ambient basis vector u_k is projected off the tangent space at
-        once, r_k = u_k - e_a gamma^{ab} <e_b, u_k>, as the columns of one
-        (D, D) jet.  Each normal is the pointwise longest column, normalized,
-        and is then removed from every column.
+        The frame is picked on values first: every ambient basis vector is
+        projected off the tangent space at once, at jet order 0; each
+        normal is the pointwise longest column, normalized, and is then
+        removed from every column.  Only the k picked basis fields are then
+        projected at full order, and orthonormalized column by column.  In
+        codimension >= 2 the pick can jump between neighbouring nodes.
         """
         D, d, k = self.ambient_dim, self.dim, self.codim
         e, g = self.tangents, self.ambient_metric
         grid = self.grid_shape
-        eye = np.eye(D).reshape((D, D) + (1,) * len(grid))
-        U = Jet.constant(np.broadcast_to(eye, (D, D) + grid).copy(),
-                         self.X.nvars, self.X.order, self.X.caps)
-        t = jet_einsum("am...,mk...->ak...", e, g)         # <e_a, u_k>
-        proj = jet_einsum("ab...,bk...->ak...", self.inverse_induced_metric, t)
-        R = U - jet_einsum("ak...,am...->mk...", proj, e)
-        g0 = np.asarray(g.value, float)
         slot = np.arange(D).reshape((D,) + (1,) * len(grid))
-        normals = []
+        R = self._off_tangent([slot == m for m in range(D)], 0)
+        g0 = np.asarray(g.value, float)
+        picks = []
         for _ in range(k):
             r0 = np.asarray(R.value, float)
             norm_arr = np.einsum("mk...,mk...->k...", r0,
@@ -401,14 +411,21 @@ class Geometry:
                 raise DegenerateGeometryError(
                     "no spacelike normal direction found (degenerate frame)"
                 )
-            pick = (slot == np.argmax(norm_arr, axis=0)).astype(float)
-            blended = jet_einsum("mk...,k...->m...", R, pick)
-            n = blended / (self._dot(blended, blended)).sqrt()
-            normals.append(n)
-            if len(normals) < k:
+            picks.append(slot == np.argmax(norm_arr, axis=0))
+            if len(picks) < k:
+                n = jet_einsum("mk...,k...->m...", R, picks[-1].astype(float))
+                n = n / self._dot(n, n).sqrt()
                 coef = jet_einsum("m...,mk...->k...", n,
                                   jet_einsum("mn...,nk...->mk...", g, R))
                 R = R - jet_einsum("k...,m...->mk...", coef, n)
+
+        R = self._off_tangent(picks, self.X.order)
+        normals = []
+        for i in range(k):
+            r = R[:, i]
+            for n_prev in normals:
+                r = r - self._dot(n_prev, r) * n_prev
+            normals.append(r / self._dot(r, r).sqrt())
 
         frame_vals = [np.broadcast_to(np.asarray(v.value, float), (D,) + grid)
                       for v in (e[a] for a in range(d))]

@@ -127,8 +127,8 @@ class DNG(LagrangianModel):
     jet_order = 2  # the field equations stop at the mean curvature
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ParameterError("tension mu must be positive")
+        if not 0 < self.mu < np.inf:
+            raise ParameterError("tension mu must be positive and finite")
 
     def lagrangian(self, geom):
         return -self.mu
@@ -151,8 +151,8 @@ class QuadraticK(LagrangianModel):
     name = "quadratic-k"
 
     def __post_init__(self):
-        if self.alpha == 0:
-            raise ParameterError("rigidity alpha must be nonzero")
+        if not 0 < abs(self.alpha) < np.inf:
+            raise ParameterError("rigidity alpha must be nonzero and finite")
 
     def lagrangian(self, geom):
         return self.alpha * geom.k_squared_scalar
@@ -189,8 +189,8 @@ class EinsteinHilbert(LagrangianModel):
     name = "einstein-hilbert"
 
     def __post_init__(self):
-        if self.sigma1 == 0:
-            raise ParameterError("coupling sigma1 must be nonzero")
+        if not 0 < abs(self.sigma1) < np.inf:
+            raise ParameterError("coupling sigma1 must be nonzero and finite")
 
     def check_geometry(self, geom):
         if not geom.background.flat:
@@ -235,8 +235,8 @@ class SyntheticGradK(LagrangianModel):
     action_order = 3
 
     def __post_init__(self):
-        if self.beta == 0:
-            raise ParameterError("coupling beta must be nonzero")
+        if not 0 < abs(self.beta) < np.inf:
+            raise ParameterError("coupling beta must be nonzero and finite")
 
     def lagrangian(self, geom):
         return self.beta * geom.gradk_squared_scalar
@@ -405,32 +405,31 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
     deformation.
 
     ``vfield`` maps a geometry to an ambient vector jet over the grid (or
-    is such a jet); its normal part drives the assembled side, the full
-    vector drives the re-embedding finite difference.  The divergence term
-    integrates to zero precisely because the support stays interior, which
-    is enforced as a precondition.
+    is such a jet).  A callable is evaluated once, on the low-order
+    geometry of the finite-difference side (order ``action_order + 1``,
+    one above the action's, for the normal frame inside the deformation
+    jet); the full vector drives the re-embedding finite difference, and
+    the normal components of its value, phi^i = <V, n^i>, drive the
+    assembled side on the order-``jet_order`` geometry.  The divergence
+    term integrates to zero precisely because the support stays interior,
+    which is enforced as a precondition.
     """
     geom = embedding.geometry(grid.mesh, model.jet_order)
     model.check_geometry(geom)
-    V = dfm.resolve_field(vfield, geom)
+    geom_fd = embedding.geometry(grid.mesh, model.action_order + 1)
+    V = dfm.resolve_field(vfield, geom_fd)
     _require_interior_support(embedding, grid, V)
-    _t, phi = dfm.decompose_vector(geom, V)
+    _t, phi = dfm.decompose_vector(geom, V.truncated(0))
     E = eom_density(model, geom)
     integrand = geom.sqrt_abs_det * jet_einsum("i...,i...->...", E, phi)
     integrand = np.asarray(integrand.value, float)
     assembled = float(integrate(integrand, grid))
 
-    # the finite-difference side only needs action values, so it runs on a
-    # cheaper low-order geometry over the same nodes; one extra order pays
-    # for the normal frame inside the deformation jet
-    geom_fd = embedding.geometry(grid.mesh, model.action_order + 1)
-    V_fd = dfm.resolve_field(vfield, geom_fd)
-
     def action_of(g2):
         dens = g2.sqrt_abs_det * model.lagrangian(g2)
         return np.asarray(integrate(np.asarray(dens.value, float), grid))
 
-    res = dfm.finite_difference_delta(geom_fd, V_fd, action_of, eps_list)
+    res = dfm.finite_difference_delta(geom_fd, V, action_of, eps_list)
     numeric = float(res.estimate)
     return VariationReport(
         numeric=numeric,

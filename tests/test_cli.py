@@ -336,6 +336,29 @@ def test_nonpositive_trials_is_usage_error(tmp_path, capsys, trials):
     assert "trials" in capsys.readouterr().err
 
 
+def test_trials_has_an_upper_bound(tmp_path, capsys):
+    # checked by the [run] parser alone: no run starts, nothing is allocated
+    parse = cli.RUN_KEYS["trials"][1]
+    assert parse("trials", str(cli.MAX_TRIALS)) == cli.MAX_TRIALS
+    for text in (str(cli.MAX_TRIALS + 1), "99999999999999999999999999"):
+        with pytest.raises(cli.ConfigError, match="trials"):
+            parse("trials", text)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = deformation-oracle\n\n"
+                   "[run]\ntrials = 99999999999999999999999999\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_coupling_is_usage_error(tmp_path, capsys, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = action-variation\n\n"
+                   f"[model]\nid = quadratic-k\nalpha = {value}\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario, grid", [
     ("gauss-bonnet", "0"),
     ("eom-check", "-4"),

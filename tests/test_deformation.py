@@ -170,6 +170,38 @@ def test_decompose_roundtrip():
     np.testing.assert_allclose(np.asarray(rebuilt.value, float), comp, atol=1e-12)
 
 
+@pytest.mark.parametrize("E, shape", [
+    (emb.graph_surface_e4(), (12, 10)),
+    (emb.flat_torus_e4(), (12, 10)),
+    (emb.surface_s2xs2(), (12, 10)),
+], ids=["graph-surface", "flat-torus", "s2xs2"])
+def test_normal_part_of_an_ambient_field_does_not_depend_on_the_frame(
+        E, shape, rotated_normals_copy):
+    # in codimension 2 the normal frame is picked point by point and jumps
+    # between nodes; W = t^a e_a + phi^i n_i still holds at every node, and
+    # the normal part phi^i n_i is the same in a frame turned node by node
+    g = E.geometry(emb.make_grid(E, shape).mesh, 4)
+    u, v = g.params
+    W = jets.jet_stack([0.4 + 0.3 * jets.sin(u), 0.2 * jets.cos(v) - 0.1,
+                        0.3 * jets.sin(u + v), 0.5 + 0.2 * jets.cos(u)],
+                       template=g.X)
+    t, phi = dfm.decompose_vector(g, W)
+    normal = dfm.deformation_vector(g, phi)
+    rebuilt = jets.jet_einsum("a...,am...->m...", t, g.tangents) + normal
+    for got, want in zip(rebuilt.c, W.truncated(rebuilt.order).c):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    theta = np.random.default_rng(5).uniform(-np.pi, np.pi, shape)
+    turned = rotated_normals_copy(g, theta)
+    turned_normal = dfm.deformation_vector(
+        turned, dfm.decompose_vector(turned, W)[1])
+    for got, want in zip(turned_normal.c, normal.c):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the components themselves do depend on the frame
+    turned_phi = dfm.decompose_vector(turned, W)[1]
+    assert np.max(np.abs(np.asarray(turned_phi.value)
+                         - np.asarray(phi.value))) > 1e-2
+
+
 @pytest.mark.parametrize("eps", [
     (1e-3, 5e-4),                  # too short
     (1e-3, 1e-4, 1e-5),            # not halving

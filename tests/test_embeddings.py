@@ -405,12 +405,19 @@ def loop_normals(g):
     return normals
 
 
-@pytest.mark.parametrize("E", [emb.torus_e3(), emb.graph_surface_e4(),
-                               emb.static_string(), emb.s3_curve(),
-                               emb.surface_s2xs2()],
-                         ids=["torus", "graph4", "string", "s3curve", "s2xs2"])
-def test_batched_normals_equal_basis_vector_loop(E):
-    g = E.geometry(small_grid(E, (5, 6)[:E.dim]).mesh, 3)
+@pytest.mark.parametrize("E, order", [
+    pytest.param(emb.torus_e3(), 3, id="torus"),
+    pytest.param(emb.graph_surface_e4(), 3, id="graph4"),
+    pytest.param(emb.static_string(), 3, id="string"),
+    pytest.param(emb.s3_curve(), 3, id="s3curve"),
+    pytest.param(emb.surface_s2xs2(), 3, id="s2xs2"),
+    pytest.param(emb.graph_surface_e4(), 4, id="graph4-order4"),
+    pytest.param(emb.graph_surface_e4(), 6, id="graph4-order6"),
+    pytest.param(emb.surface_s2xs2(), 4, id="s2xs2-order4"),
+    pytest.param(emb.surface_s2xs2(), 6, id="s2xs2-order6"),
+])
+def test_batched_normals_equal_basis_vector_loop(E, order):
+    g = E.geometry(small_grid(E, (5, 6)[:E.dim]).mesh, order)
     ref = loop_normals(g)
     for i, n in enumerate(ref[:-1]):
         for got, want in zip(g.normals[i].c, n.c):
@@ -420,6 +427,19 @@ def test_batched_normals_equal_basis_vector_loop(E):
                              ref[-1].value))
     for got, want in zip(g.normals[-1].c, ref[-1].c):
         np.testing.assert_array_equal(got, want * sign)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("E", [emb.torus_e3(), emb.graph_surface_e4(),
+                               emb.s3_curve(), emb.surface_s2xs2()],
+                         ids=["torus", "graph4", "s3curve", "s2xs2"])
+def test_normals_at_a_lower_order_are_a_prefix(E, order):
+    mesh = small_grid(E, (7, 9)[:E.dim]).mesh
+    low = E.geometry(mesh, order).normals
+    high = E.geometry(mesh, order + 2).normals
+    assert len(low.c) < len(high.c)
+    for got, want in zip(low.c, high.c):
+        np.testing.assert_array_equal(got, want)
 
 
 # -- order-on-demand ambient tensors ----------------------------------------

@@ -275,6 +275,31 @@ def test_tangential_deformation_leaves_action_fixed():
     assert abs(rep.numeric) < 1e-6
 
 
+@pytest.mark.parametrize("model, E, vfield, n", [
+    (mdl.QuadraticK(alpha=0.8), emb.torus_e3(), torus_vfield, 12),
+    (mdl.SyntheticGradK(beta=0.6), emb.surface_s2xs2(), windowed_vfield, 24),
+], ids=["torus-quadratic-k", "s2xs2-synthetic-gradk"])
+def test_action_variation_builds_its_field_once(model, E, vfield, n):
+    grid = emb.make_grid(E, n)
+    orders = []
+
+    def counted(geom):
+        orders.append(geom.order)
+        return vfield(geom)
+
+    rep = mdl.action_variation_check(model, E, grid, counted)
+    assert orders == [model.action_order + 1]
+    # the assembled side equals, bit for bit, the one from the field
+    # built on the geometry of the field equations
+    geom = E.geometry(grid.mesh, model.jet_order)
+    _t, phi = dfm.decompose_vector(geom, vfield(geom))
+    dens = geom.sqrt_abs_det * jet_einsum("i...,i...->...",
+                                          mdl.eom_density(model, geom), phi)
+    integrand = np.asarray(dens.value, float)
+    np.testing.assert_array_equal(rep.integrand, integrand)
+    assert rep.assembled == float(emb.integrate(integrand, grid))
+
+
 def test_variation_requires_interior_support():
     E = emb.ellipsoid()
 
@@ -298,6 +323,17 @@ def test_parameter_guards():
         mdl.EinsteinHilbert(sigma1=0.0)
     with pytest.raises(ParameterError):
         mdl.SyntheticGradK(beta=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [
+    lambda x: mdl.DNG(mu=x), lambda x: mdl.QuadraticK(alpha=x),
+    lambda x: mdl.EinsteinHilbert(sigma1=x),
+    lambda x: mdl.SyntheticGradK(beta=x),
+], ids=["dng", "quadratic-k", "einstein-hilbert", "synthetic-gradk"])
+def test_non_finite_couplings_are_rejected(make, bad):
+    with pytest.raises(ParameterError):
+        make(bad)
 
 
 def test_order_guard():
