@@ -277,10 +277,11 @@ def run_deformation_oracle(run):
                                         float) for n in names]),
         run.eps)
     checks, gaps = [], []
+    lam = dfm.delta_extrinsic(geom, phi)
     for name, est, ratio in zip(names, got.estimate,
                                 got.convergence_ratio()):
         pred = np.asarray(
-            dfm.predicted_delta_scalar(geom, phi, name).value, float)
+            dfm.predicted_delta_scalar(geom, phi, name, lam).value, float)
         gaps.append(np.abs(est - pred))
         checks.append(Check(f"{name}-max-gap", float(np.max(gaps[-1])), 0.0,
                             tol, "chain-rule-oracle"))

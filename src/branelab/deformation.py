@@ -220,9 +220,10 @@ def delta_wv_christoffel(geom: Geometry, phi):
     return jet_einsum("de...,eab...->dab...", geom.inverse_induced_metric, combo)
 
 
-def delta_grad_extrinsic(geom: Geometry, phi):
-    """Frame-covariant first variation of grad_a K_bc^i."""
-    lam = delta_extrinsic(geom, phi)
+def delta_grad_extrinsic(geom: Geometry, phi, lam=None):
+    """Frame-covariant first variation of grad_a K_bc^i; ``lam``, if
+    given, is ``delta_extrinsic(geom, phi)``."""
+    lam = delta_extrinsic(geom, phi) if lam is None else lam
     out = geom.covariant_grad(lam, 2, 1)            # (a, b, c, i)
     dG = delta_wv_christoffel(geom, phi)
     K = geom.extrinsic_curvature
@@ -234,10 +235,6 @@ def delta_grad_extrinsic(geom: Geometry, phi):
 
 
 # -- scalar invariants and their predicted variations ----------------------
-
-# the closed-form variation of each Geometry tensor an invariant reads
-_TENSOR_VARIATIONS = {"extrinsic_curvature": delta_extrinsic,
-                      "grad_extrinsic": delta_grad_extrinsic}
 
 
 def scalar_invariant(geom: Geometry, name: str):
@@ -252,9 +249,13 @@ def scalar_invariant(geom: Geometry, name: str):
     return fn(geom.inverse_induced_metric, getattr(geom, tensor))
 
 
-def predicted_delta_scalar(geom: Geometry, phi, name: str):
+def predicted_delta_scalar(geom: Geometry, phi, name: str, lam=None):
     """Chain-rule variation of a named scalar: for a curvature invariant,
-    the eps coefficient of its value on dual numbers."""
+    the eps coefficient of its value on dual numbers.
+
+    Every curvature invariant reads ``lam = delta_extrinsic(geom, phi)``;
+    pass it to compute it once for several names.
+    """
     if name == "det_metric":
         kphi = jet_einsum("i...,i...->...", geom.mean_curvature, phi)
         return 2.0 * geom.det_induced_metric * kphi
@@ -263,10 +264,12 @@ def predicted_delta_scalar(geom: Geometry, phi, name: str):
     if name not in INVARIANTS:
         raise ParameterError(f"no predicted variation for '{name}'")
     fn, tensor = INVARIANTS[name]
+    lam = delta_extrinsic(geom, phi) if lam is None else lam
+    delta = (delta_grad_extrinsic(geom, phi, lam)
+             if tensor == "grad_extrinsic" else lam)
     gi = Jet(1, 1, [geom.inverse_induced_metric,
                     delta_inverse_metric(geom, phi)])
-    dual = Jet(1, 1, [getattr(geom, tensor), _TENSOR_VARIATIONS[tensor](geom, phi)])
-    return fn(gi, dual).c[1]
+    return fn(gi, Jet(1, 1, [getattr(geom, tensor), delta])).c[1]
 
 
 # -- finite-difference oracle ----------------------------------------------

@@ -153,8 +153,9 @@ class Grid:
 
 
 def _axis_nodes(ax: ParamAxis, n: int):
-    if n < 1:
-        raise ParameterError("grid needs at least one point per axis")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError(
+            f"grid needs a whole number >= 1 of points per axis, got {n!r}")
     h = (ax.hi - ax.lo) / n
     if ax.periodic:
         pts = ax.lo + h * np.arange(n)
@@ -164,10 +165,12 @@ def _axis_nodes(ax: ParamAxis, n: int):
 
 
 def make_grid(embedding: Embedding, shape) -> Grid:
-    if isinstance(shape, int):
+    if isinstance(shape, (int, np.integer)):
         shape = (shape,) * embedding.dim
-    if len(shape) != embedding.dim:
-        raise ParameterError("grid shape rank must match worldvolume dimension")
+    if np.ndim(shape) != 1 or len(shape) != embedding.dim:
+        raise ParameterError(
+            f"grid shape must be a point count or {embedding.dim} of them, "
+            f"got {shape!r}")
     pts, hs = zip(*[_axis_nodes(ax, n) for ax, n in zip(embedding.axes, shape)])
     mesh = np.meshgrid(*pts, indexing="ij") if len(pts) > 1 else [pts[0]]
     w = np.ones(tuple(len(p) for p in pts))
@@ -178,6 +181,9 @@ def make_grid(embedding: Embedding, shape) -> Grid:
 
 def line_grid(embedding: Embedding, axis: int, n: int, fixed: dict) -> Grid:
     """1-d grid along one axis with the remaining parameters held fixed."""
+    if not isinstance(axis, (int, np.integer)) or not 0 <= axis < embedding.dim:
+        raise ParameterError(
+            f"line_grid: axis {axis!r} is not one of the {embedding.dim} axes")
     ax = embedding.axes[axis]
     pts, h = _axis_nodes(ax, n)
     mesh = []
@@ -194,6 +200,9 @@ def line_grid(embedding: Embedding, axis: int, n: int, fixed: dict) -> Grid:
 def integrate(values, grid: Grid):
     """Quadrature sum of pointwise values over the grid."""
     vals = np.asarray(values, float)
+    if vals.shape[vals.ndim - grid.weight.ndim:] != grid.shape:
+        raise ParameterError(f"integrate: values of shape {vals.shape} do not "
+                             f"end in the grid shape {grid.shape}")
     axes = tuple(range(vals.ndim - grid.weight.ndim, vals.ndim))
     return (vals * grid.weight).sum(axis=axes)
 
@@ -252,15 +261,15 @@ class Geometry:
       tangents[a, mu], normals[i, mu], induced_metric[a, b],
       extrinsic_curvature[a, b, i], twist[a, i, j],
       grad_extrinsic[a, b, c, i] (worldvolume-covariant derivative),
-      rframe[A, B, C, D] (all-lower ambient curvature projected on the
-      combined frame: indices 0..dim-1 are tangents, dim.. are normals;
-      read it by named blocks with ``rblock``).
+      rframe(order)[A, B, C, D] (all-lower ambient curvature projected on
+      the combined frame: indices 0..dim-1 are tangents, dim.. are
+      normals; read it by named blocks with ``rblock``).
 
-    Each ambient tensor is built at the lowest jet order its consumers
-    read: the metric at the map's order, the connection at the tangents'
-    order (one lower), the curvature and ``rframe`` at min(frame order, 1).
-    Sums and contractions align jets to the lower order, so a result that
-    involves ``rframe`` is a jet of order at most 1.
+    Sums and contractions align jets to the lower order, so each term is
+    built at the order of the sum it joins: a derivative's connection term
+    at the order of the partials (one below the field), the ambient
+    connection two below the map, and ``rframe`` at the order its caller
+    asks for, at most min(frame order, 1).
 
     The worldvolume variables are the first ``dim`` jet variables, one per
     parameter jet in ``params``; ``embedding`` is the chart they live on.
@@ -273,6 +282,7 @@ class Geometry:
         self.X = X
         self.params = params
         self.embedding = embedding
+        self._rframe = None          # highest-order rframe built so far
         self.dim = len(params)
         self.ambient_dim = int(np.asarray(X.value).shape[0])
         self.codim = self.ambient_dim - self.dim
@@ -303,24 +313,13 @@ class Geometry:
 
     @cached_property
     def ambient_christoffel(self):
-        """Connection G^r_{mn} along the map, at the tangents' jet order.
+        """Connection G^r_{mn} along the map, one order below the tangents.
 
-        It only enters contracted with tangents or normals, which sit one
-        order below X, so a higher order would be truncated away.
+        It only enters `ambient_covariant`'s connection term, which joins
+        partials of a field on the tangents' order, one order lower still.
         """
         return self.background.christoffel_tensor(
-            self._x_components(self.tangents.order))
-
-    @property
-    def _curvature_order(self):
-        """Jet order of ``ambient_riemann`` and ``rframe`` (see ``rframe``)."""
-        return min(self.frame.order, 1)
-
-    @cached_property
-    def ambient_riemann(self):
-        """All-lower R_{abmn} along the map, at ``_curvature_order``."""
-        return self.background.riemann_tensor(
-            self._x_components(self._curvature_order))
+            self._x_components(max(self.tangents.order - 1, 0)))
 
     @cached_property
     def tangents(self):
@@ -459,9 +458,9 @@ class Geometry:
         others: (k..., mu) -> (a, k..., mu).
         """
         k = "bcd"[:np.ndim(W.value) - len(self.grid_shape) - 1]
-        corr = jet_einsum(f"mas...,{k}s...->a{k}m...",
-                          self._christoffel_tangents, W)
-        return self.partials(W) + corr
+        dW = self.partials(W)
+        return dW + jet_einsum(f"mas...,{k}s...->a{k}m...",
+                               self._christoffel_tangents, W.truncated(dW.order))
 
     @cached_property
     def second_fundamental(self):
@@ -504,35 +503,38 @@ class Geometry:
         t = jet_einsum("am...,abmn...->bn...", gi, self.intrinsic_riemann)
         return jet_einsum("bn...,bn...->...", gi, t)
 
-    @cached_property
-    def rframe(self):
-        """Ambient curvature fully projected on the combined frame.
+    def rframe(self, order):
+        """Ambient curvature projected on the combined frame, as a jet of
+        order min(``order``, frame order, 1): rframe[A, B, C, E] =
+        R_{abmn} F_A^a F_B^b F_C^m F_E^n, tangent slots first, then normals.
 
-        rframe[A, B, C, E] = R_{a b m n} F_A^a F_B^b F_C^m F_E^n with
-        tangent slots first (0..dim-1), then normals.
-
-        Built at jet order min(frame order, 1).  E05/E08/E14, Codazzi,
-        Gauss and `delta_twist` read its value; only T05 under a
-        coordinate divergence of the `symplectic_potential` jet and
-        `delta_extrinsic` under `delta_grad_extrinsic` differentiate it,
-        once each.
+        R and F are built at that order; the highest order built so far is
+        kept and a lower one read as its prefix.  The field equations ask
+        for ``geom.order - model.jet_order``; every other reader asks for 1,
+        which only T05 and `delta_extrinsic` (under `delta_grad_extrinsic`)
+        differentiate.
         """
-        F = self.frame.truncated(self._curvature_order)
-        R = self.ambient_riemann
-        R = jet_einsum("abmn...,Aa...->Abmn...", R, F)
-        R = jet_einsum("Abmn...,Bb...->ABmn...", R, F)
-        R = jet_einsum("ABmn...,Cm...->ABCn...", R, F)
-        return jet_einsum("ABCn...,En...->ABCE...", R, F)
+        if order < 0:
+            raise PreconditionError(f"rframe needs an order >= 0, got {order}")
+        order = min(order, self.frame.order, 1)
+        if self._rframe is None or self._rframe.order < order:
+            F = self.frame.truncated(order)
+            R = self.background.riemann_tensor(self._x_components(order))
+            R = jet_einsum("abmn...,Aa...->Abmn...", R, F)
+            R = jet_einsum("Abmn...,Bb...->ABmn...", R, F)
+            R = jet_einsum("ABmn...,Cm...->ABCn...", R, F)
+            self._rframe = jet_einsum("ABCn...,En...->ABCE...", R, F)
+        return self._rframe.truncated(order)
 
-    def rblock(self, legs):
-        """Block of ``rframe`` with each slot on tangents ('t') or normals
-        ('n'): rblock("nttn")[i, a, b, j] = R(n_i, e_a, e_b, n_j)."""
+    def rblock(self, legs, order=1):
+        """Block of ``rframe(order)`` with each slot on tangents ('t') or
+        normals ('n'): rblock("nttn")[i, a, b, j] = R(n_i, e_a, e_b, n_j)."""
         if len(legs) != 4 or set(legs) - {"t", "n"}:
             raise ParameterError(
                 f"rblock legs must be four of 't'/'n', got {legs!r}")
         cut = {"t": slice(None, self.dim), "n": slice(self.dim, None)}
         idx = tuple(cut[leg] for leg in legs)
-        return self.rframe.map_coeffs(lambda x: x[idx])
+        return self.rframe(order).map_coeffs(lambda x: x[idx])
 
     def covariant_grad(self, fld, n_wv, n_nor):
         """Worldvolume-covariant derivative, new lower index first.
@@ -545,6 +547,7 @@ class Geometry:
             raise PreconditionError("field rank too large")
         base = "".join(letters)
         out = self.partials(fld)
+        fld = fld.truncated(out.order)     # the connection terms' order
         for p in range(n_wv):
             repl = letters.copy()
             repl[p] = "z"
@@ -569,6 +572,7 @@ class Geometry:
         letters = list(string.ascii_lowercase[:n_up + n_nor])
         rest = "".join(letters[1:])
         out = sum(T[a].partial(a) for a in range(self.dim))
+        T = T.truncated(out.order)         # the connection terms' order
         for p in range(n_up):
             repl = letters.copy()
             repl[p] = "z"
@@ -662,17 +666,31 @@ from .backgrounds import (  # noqa: E402
 )
 
 
+def _finite(name, *values):
+    """The parameters ``values`` as floats; `ParameterError` unless each is
+    a finite number."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name}: parameters must be numbers, got "
+                             f"{values}") from exc
+    if not np.all(np.isfinite(out)):
+        raise ParameterError(f"{name}: parameters must be finite, got {values}")
+    return out
+
+
 def plane(size: float = 1.0) -> Embedding:
+    (s,) = _finite("plane", size)
     return Embedding(
         name="plane",
         background=euclidean(3),
-        axes=(ParamAxis("u", -size, size), ParamAxis("v", -size, size)),
+        axes=(ParamAxis("u", -s, s), ParamAxis("v", -s, s)),
         map_fn=lambda u, v: (u, v, 0.0 * u),
     )
 
 
 def sphere_polar(radius: float = 1.0) -> Embedding:
-    r = float(radius)
+    (r,) = _finite("sphere", radius)
     return Embedding(
         name=f"sphere(r={radius})",
         background=euclidean(3),
@@ -689,13 +707,13 @@ def sphere_polar(radius: float = 1.0) -> Embedding:
 
 
 def cylinder(radius: float = 1.0, height: float = 1.0) -> Embedding:
-    r = float(radius)
+    r, h = _finite("cylinder", radius, height)
     return Embedding(
         name=f"cylinder(r={radius})",
         background=euclidean(3),
         axes=(
             ParamAxis("phi", 0.0, 2 * np.pi, periodic=True),
-            ParamAxis("z", -height, height),
+            ParamAxis("z", -h, h),
         ),
         map_fn=lambda p, z: (r * jets.cos(p), r * jets.sin(p), z),
     )
@@ -703,7 +721,7 @@ def cylinder(radius: float = 1.0, height: float = 1.0) -> Embedding:
 
 def ellipsoid(ax: float = 1.0, ay: float = 1.15, az: float = 1.3) -> Embedding:
     """Triaxial ellipsoid: nonconstant curvature, so grad K is nonzero."""
-    a, b, c = float(ax), float(ay), float(az)
+    a, b, c = _finite("ellipsoid", ax, ay, az)
     return Embedding(
         name=f"ellipsoid({a},{b},{c})",
         background=euclidean(3),
@@ -720,7 +738,13 @@ def ellipsoid(ax: float = 1.0, ay: float = 1.15, az: float = 1.3) -> Embedding:
 
 
 def torus_e3(big_radius: float = 2.0, small_radius: float = 0.5) -> Embedding:
-    R, r = float(big_radius), float(small_radius)
+    """Torus of revolution; its chart is singular where R + r cos v = 0, so
+    |small_radius| must be below |big_radius|."""
+    R, r = _finite("torus", big_radius, small_radius)
+    if not abs(r) < abs(R):
+        raise ParameterError(
+            f"torus: |small_radius| {r} must be below |big_radius| {R}; the "
+            "chart is singular where R + r cos v = 0")
     return Embedding(
         name=f"torus(R={R},r={r})",
         background=euclidean(3),
@@ -737,7 +761,7 @@ def torus_e3(big_radius: float = 2.0, small_radius: float = 0.5) -> Embedding:
 
 
 def flat_torus_e4(r1: float = 1.0, r2: float = 1.0) -> Embedding:
-    a, b = float(r1), float(r2)
+    a, b = _finite("flat-torus", r1, r2)
     return Embedding(
         name=f"flat-torus(r1={a},r2={b})",
         background=euclidean(4),
@@ -752,7 +776,7 @@ def flat_torus_e4(r1: float = 1.0, r2: float = 1.0) -> Embedding:
 
 
 def bumpy_torus_e4(r1: float = 1.0, r2: float = 1.0, amp: float = 0.3) -> Embedding:
-    a, b, c = float(r1), float(r2), float(amp)
+    a, b, c = _finite("bumpy-torus", r1, r2, amp)
     return Embedding(
         name=f"bumpy-torus(amp={c})",
         background=euclidean(4),
@@ -770,7 +794,7 @@ def bumpy_torus_e4(r1: float = 1.0, r2: float = 1.0, amp: float = 0.3) -> Embedd
 
 
 def graph_surface_e4(f_amp: float = 0.3, g_amp: float = 0.2) -> Embedding:
-    fa, ga = float(f_amp), float(g_amp)
+    fa, ga = _finite("graph-surface", f_amp, g_amp)
     return Embedding(
         name="graph-surface",
         background=euclidean(4),
@@ -785,7 +809,7 @@ def graph_surface_e4(f_amp: float = 0.3, g_amp: float = 0.2) -> Embedding:
 
 
 def static_string(radius: float = 1.0) -> Embedding:
-    r = float(radius)
+    (r,) = _finite("static-string", radius)
     return Embedding(
         name=f"static-string(r={radius})",
         background=minkowski(4),
@@ -798,7 +822,7 @@ def static_string(radius: float = 1.0) -> Embedding:
 
 
 def traveling_wave(amplitude: float = 0.3) -> Embedding:
-    A = float(amplitude)
+    (A,) = _finite("traveling-wave", amplitude)
     return Embedding(
         name=f"traveling-wave(A={A})",
         background=minkowski(3),
@@ -811,7 +835,7 @@ def traveling_wave(amplitude: float = 0.3) -> Embedding:
 
 
 def perturbed_sphere(radius: float = 1.0, amp: float = 0.05) -> Embedding:
-    r, a = float(radius), float(amp)
+    r, a = _finite("perturbed-sphere", radius, amp)
     return Embedding(
         name=f"perturbed-sphere(amp={a})",
         background=euclidean(3),
@@ -833,6 +857,7 @@ def perturbed_sphere(radius: float = 1.0, amp: float = 0.05) -> Embedding:
 def s3_curve(chi0: float = 1.0, theta0: float = 1.1, a: float = 0.2,
              b: float = 0.3, radius: float = 1.0) -> Embedding:
     """Closed curve inside a round 3-sphere: codimension 2, curved ambient."""
+    chi0, theta0, a, b, radius = _finite("s3-curve", chi0, theta0, a, b, radius)
     return Embedding(
         name="s3-curve",
         background=round_sphere_background(3, radius),
@@ -847,11 +872,12 @@ def s3_curve(chi0: float = 1.0, theta0: float = 1.1, a: float = 0.2,
 
 def s2_latitude(theta0: float = 0.8, radius: float = 1.0) -> Embedding:
     """Latitude circle inside a round 2-sphere: codimension 1, curved ambient."""
+    t0, r = _finite("s2-latitude", theta0, radius)
     return Embedding(
         name=f"s2-latitude(theta0={theta0})",
-        background=round_sphere_background(2, radius),
+        background=round_sphere_background(2, r),
         axes=(ParamAxis("xi", 0.0, 2 * np.pi, periodic=True),),
-        map_fn=lambda x: (theta0 + 0.0 * x, x),
+        map_fn=lambda x: (t0 + 0.0 * x, x),
     )
 
 
@@ -864,6 +890,7 @@ def surface_s2xs2(r1: float = 1.0, r2: float = 1.3) -> Embedding:
     curvature couplings that are invisible on flat or single-sphere
     backgrounds.  The map is deliberately generic (no isometries left).
     """
+    r1, r2 = _finite("s2xs2", r1, r2)
     return Embedding(
         name="s2xs2-patch",
         background=product_spheres_background(r1, r2),

@@ -312,7 +312,7 @@ def eom_density(model: LagrangianModel, geom: Geometry):
         E = E - geom.divergence(div_hk, 1, 1)                       # E03
         u4 = jet_einsum("abj...,adj...->bd...", HK, K)
         E = E + jet_einsum("bd...,dbi...->i...", u4, geom.k_mixed)  # E04
-        block_tn = geom.rblock("nttn")                              # (i,a,b,j)
+        block_tn = geom.rblock("nttn", geom.order - model.jet_order)  # (i,a,b,j)
         E = E + jet_einsum("iabj...,abj...->i...", block_tn, HK)    # E05
 
     HG = model.h_gradk(geom)
@@ -321,12 +321,12 @@ def eom_density(model: LagrangianModel, geom: Geometry):
         E = E + geom.divergence(div2, 1, 1)                         # E06
         u7 = jet_einsum("bcj...,bdj...->cd...", div1, K)
         E = E - jet_einsum("cd...,dci...->i...", u7, geom.k_mixed)  # E07
-        block_tn = geom.rblock("nttn")
+        block_tn = geom.rblock("nttn", geom.order - model.jet_order)
         E = E - jet_einsum("ibcj...,bcj...->i...", block_tn, div1)  # E08
         dw = geom.divergence(wsum, 3, 0)                            # (b,e)
         E = E + 2.0 * jet_einsum("be...,bei...->i...", dw, K)       # E09-E11
         E = E + geom.divergence(anti, 1, 1)                         # E12+E13
-        block_tnnn = geom.rblock("tnnn")                            # (a,i,j,l)
+        block_tnnn = geom.rblock("tnnn", geom.order - model.jet_order)  # (a,i,j,l)
         E = E + jet_einsum("aijl...,alj...->i...", block_tnnn, m)   # E14
 
     return E

@@ -4,11 +4,13 @@ import csv
 import dataclasses
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 from branelab import cli
+from branelab import deformation as dfm
 from branelab import embeddings as emb
 from branelab import models as mdl
 from branelab import symplectic as sym
@@ -489,3 +491,33 @@ def test_cli_bodies_compare(tmp_path, capsys):
     assert "verdicts DIFFER" in capsys.readouterr().out
     (dirs["new"] / "b.txt").write_text("x\n")
     assert tool.compare(dirs["old"], dirs["new"]) == 1
+
+
+def test_deformation_oracle_computes_delta_extrinsic_once(capsys):
+    # count calls of the function's code, whatever name or table calls it
+    code, calls = dfm.delta_extrinsic.__code__, []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    sys.setprofile(count)
+    try:
+        assert cli.main(["--scenario", "deformation-oracle"]) == 0
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("section", [
+    "[embedding]\nid = sphere\nradius = inf\n",
+    "[embedding]\nid = sphere\nradius = nan\n",
+    "[embedding]\nid = torus\nbig_radius = 1.0\nsmall_radius = 2.0\n",
+])
+def test_bad_embedding_value_is_usage_error(tmp_path, capsys, section):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\nname = gauss-bonnet\n\n{section}")
+    assert cli.main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err

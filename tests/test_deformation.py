@@ -136,7 +136,7 @@ def test_product_background_scalar_oracles():
     # normal-connection variation that flat and single-sphere cases skip
     g = emb.surface_s2xs2().geometry([0.2, -0.3], order=4)
     d = g.dim
-    blk = np.asarray(g.rframe.value)[:d, d:, d:, d:]
+    blk = np.asarray(g.rframe(1).value)[:d, d:, d:, d:]
     assert np.max(np.abs(blk)) > 1e-2
     phi = dfm.normal_field(
         g,
@@ -395,3 +395,16 @@ def test_variation_preconditions():
     low = emb.sphere_polar(1.0).geometry([0.9, 1.2], order=3)
     with pytest.raises(PreconditionError):
         dfm.varied_geometry(low, V)
+
+
+@pytest.mark.parametrize("prefix, E, pts, fns", EXACT_CASES,
+                         ids=[case[0] or "ellipsoid" for case in EXACT_CASES])
+def test_predicted_delta_scalar_reuses_a_given_delta_extrinsic(prefix, E, pts,
+                                                               fns):
+    geom = E.geometry(pts, 5)
+    phi = dfm.normal_field(geom, *fns)
+    lam = dfm.delta_extrinsic(geom, phi)
+    for name in INVARIANT_NAMES:
+        np.testing.assert_array_equal(
+            dfm.predicted_delta_scalar(geom, phi, name, lam).value,
+            dfm.predicted_delta_scalar(geom, phi, name).value, err_msg=name)

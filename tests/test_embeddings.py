@@ -144,7 +144,7 @@ def test_codazzi_residual_product_background():
     # so this checks the full statement, not just the symmetric part
     g = emb.surface_s2xs2().geometry([0.2, -0.3], order=4)
     d = g.dim
-    rproj = np.asarray(g.rframe.value)[d:, :d, :d, :d]
+    rproj = np.asarray(g.rframe(1).value)[d:, :d, :d, :d]
     assert np.max(np.abs(rproj)) > 1e-3
     res = np.asarray(g.codazzi_residual().value)
     assert np.max(np.abs(res)) < 1e-10
@@ -267,7 +267,7 @@ def test_rframe_constant_curvature_form():
     g = emb.s3_curve(radius=1.4).geometry(
         [np.linspace(0, 2 * np.pi, 5, endpoint=False)], 2
     )
-    R = np.asarray(g.rframe.value)
+    R = np.asarray(g.rframe(1).value)
     # projected on an orthonormal-ish frame: R_ABCE = (h_AC h_BE - h_AE h_BC)/r^2
     F = g.frame
     gf = jets.jet_einsum("mn...,Bn...->Bm...", g.ambient_metric, F)
@@ -298,7 +298,7 @@ def test_combined_frame_positively_oriented_in_codim_2(E):
 
 def test_rblock_slices_tangent_and_normal_slots():
     g = emb.surface_s2xs2().geometry(small_grid(emb.surface_s2xs2(), (3, 4)).mesh, 2)
-    R, d = np.asarray(g.rframe.value), g.dim
+    R, d = np.asarray(g.rframe(1).value), g.dim
     np.testing.assert_array_equal(g.rblock("nttn").value, R[d:, :d, :d, d:])
     np.testing.assert_array_equal(g.rblock("tnnn").value, R[:d, d:, d:, d:])
     for legs in ("ntt", "nttx"):
@@ -480,9 +480,9 @@ ORDER_CASES = [(emb.surface_s2xs2(), (3, 4)), (emb.s3_curve(), (7,)),
                          ids=["s2xs2", "s3curve", "s2latitude"])
 def test_low_order_ambient_tensors_match_full_order_reference(E, shape):
     g = E.geometry(small_grid(E, shape).mesh, 6)
-    assert g.rframe.order == 1
+    assert g.rframe(1).order == 1
     # value and first derivatives: all that T05 and delta_extrinsic read
-    assert_coeffs_close(g.rframe, full_order_rframe(g), 1 + g.dim)
+    assert_coeffs_close(g.rframe(1), full_order_rframe(g), 1 + g.dim)
     sf = full_order_covariant(g, g.tangents)
     assert g.second_fundamental.order == sf.order == 4
     assert_coeffs_close(g.second_fundamental, sf, len(sf.c))
@@ -505,7 +505,7 @@ def test_ambient_tensors_built_at_the_order_their_consumers_read(monkeypatch):
     E = emb.surface_s2xs2()
     g = E.geometry(small_grid(E, (2, 3)).mesh, 6)
     mdl.eom_density(mdl.SyntheticGradK(beta=0.6), g)
-    assert orders == {"riemann_tensor": [1], "christoffel_tensor": [5]}
+    assert orders == {"riemann_tensor": [0], "christoffel_tensor": [4]}
 
 
 def test_inverse_metric_value_independent_of_order():
@@ -546,4 +546,116 @@ def test_product_sphere_geometry_extracts_nothing(monkeypatch):
     E = emb.surface_s2xs2()
     g = E.geometry(small_grid(E, (2, 3)).mesh, 6)
     mdl.eom_density(mdl.SyntheticGradK(beta=0.6), g)
-    assert np.all(np.isfinite(np.asarray(g.rframe.value)))
+    assert np.all(np.isfinite(np.asarray(g.rframe(1).value)))
+
+
+# -- connection terms and rframe at the order of the sum they join -----------
+
+def assert_jets_identical(got, want):
+    assert (got.order, len(got.c)) == (want.order, len(want.c))
+    for a, b in zip(got.c, want.c):
+        np.testing.assert_array_equal(a, b)
+
+
+ORDER_RULE_CASES = [(emb.surface_s2xs2(), (3, 4)), (emb.torus_e3(), (4, 3))]
+
+
+@pytest.mark.parametrize("E,shape", ORDER_RULE_CASES, ids=["s2xs2", "torus"])
+def test_connection_terms_equal_the_untruncated_formula(E, shape):
+    g = E.geometry(small_grid(E, shape).mesh, 5)
+    for W in (g.tangents, g.normals):
+        assert_jets_identical(g.ambient_covariant(W), full_order_covariant(g, W))
+    K, G, w = g.extrinsic_curvature, g.wv_christoffel, g.twist
+    want = (g.partials(K)
+            - jets.jet_einsum("zya...,zbc...->yabc...", G, K)
+            - jets.jet_einsum("zyb...,azc...->yabc...", G, K)
+            + jets.jet_einsum("ycz...,abz...->yabc...", w, K))
+    assert_jets_identical(g.covariant_grad(K, 2, 1), want)
+    T = g.k_raised
+    want = (T[0].partial(0) + T[1].partial(1)
+            + jets.jet_einsum("aaz...,zbc...->bc...", G, T)
+            + jets.jet_einsum("baz...,azc...->bc...", G, T)
+            + jets.jet_einsum("acz...,abz...->bc...", w, T))
+    assert_jets_identical(g.divergence(T, 2, 1), want)
+
+
+@pytest.mark.parametrize("E,shape", ORDER_RULE_CASES, ids=["s2xs2", "torus"])
+def test_rframe_at_order_0_is_the_value_of_order_1(E, shape):
+    mesh = small_grid(E, shape).mesh
+    low, high = E.geometry(mesh, 4), E.geometry(mesh, 4)
+    r0 = low.rframe(0)
+    assert r0.order == 0 and high.rframe(1).order == 1
+    np.testing.assert_array_equal(r0.value, high.rframe(1).value)
+    # a higher request builds again; a lower one reads the prefix
+    assert_jets_identical(low.rframe(1), high.rframe(1))
+    assert_jets_identical(high.rframe(0), r0)
+    assert low.rframe(5).order == 1
+
+
+@pytest.mark.parametrize("E,shape", ORDER_RULE_CASES, ids=["s2xs2", "torus"])
+@pytest.mark.parametrize("model", [mdl.QuadraticK(0.7), mdl.SyntheticGradK(0.6)],
+                         ids=["quadratic-k", "synthetic-gradk"])
+def test_eom_density_one_order_up_keeps_the_value(E, shape, model):
+    mesh = small_grid(E, shape).mesh
+    low = mdl.eom_density(model, E.geometry(mesh, model.jet_order))
+    high = mdl.eom_density(model, E.geometry(mesh, model.jet_order + 1))
+    assert (low.order, high.order) == (0, 1)
+    np.testing.assert_array_equal(high.value, low.value)
+
+
+def test_eom_density_builds_rframe_once(monkeypatch):
+    built = []
+    original = BackgroundMetric.riemann_tensor
+
+    def counted(self, coords):
+        built.append(coords[0].order)
+        return original(self, coords)
+
+    monkeypatch.setattr(BackgroundMetric, "riemann_tensor", counted)
+    E = emb.surface_s2xs2()
+    g = E.geometry(small_grid(E, (2, 3)).mesh, 7)
+    mdl.eom_density(mdl.SyntheticGradK(beta=0.6), g)   # E05 is off; E08, E14
+    assert built == [1]
+    mdl.eom_density(mdl.QuadraticK(alpha=0.7), g)      # E05: a prefix
+    assert built == [1]
+
+
+# -- parameters and grids at the boundary --------------------------------------
+
+@pytest.mark.parametrize("factory, args", [
+    (emb.sphere_polar, (np.inf,)),
+    (emb.plane, (np.nan,)),
+    (emb.cylinder, (1.0, -np.inf)),
+    (emb.torus_e3, (np.inf, 0.5)),
+    (emb.graph_surface_e4, (0.3, np.nan)),
+    (emb.surface_s2xs2, (np.inf, 1.3)),
+    (emb.s3_curve, (1.0, 1.1, 0.2, 0.3, np.nan)),
+    (emb.s2_latitude, (np.nan,)),
+    (emb.sphere_polar, ("big",)),
+    (emb.static_string, (None,)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_embedding_factories_reject_non_finite_parameters(factory, args):
+    with pytest.raises(ParameterError, match="parameters must be"):
+        factory(*args)
+
+
+@pytest.mark.parametrize("big, small", [(1.0, 2.0), (1.0, 1.0), (2.0, -2.5)])
+def test_torus_rejects_a_singular_chart(big, small):
+    with pytest.raises(ParameterError, match="singular"):
+        emb.torus_e3(big, small)
+
+
+def test_grid_builders_raise_parameter_errors():
+    E = emb.sphere_polar()
+    with pytest.raises(ParameterError, match="grid shape"):
+        emb.make_grid(E, 2.5)
+    with pytest.raises(ParameterError, match="points per axis"):
+        emb.make_grid(E, (4, 2.0))
+    with pytest.raises(ParameterError, match="axis 5"):
+        emb.line_grid(E, 5, 3, {})
+    with pytest.raises(ParameterError, match="grid shape"):
+        emb.integrate(np.zeros((3, 5)), emb.make_grid(E, 4))
+    # leading axes are summed over the grid axes they end in
+    grid = emb.make_grid(E, (4, 5))
+    np.testing.assert_allclose(emb.integrate(np.ones((2, 4, 5)), grid),
+                               [2 * np.pi**2] * 2)
