@@ -212,29 +212,28 @@ def riemann_from_metric(g, ginv, dg, ddg):
 
 # -- catalog ---------------------------------------------------------------
 
+def _check_dim(name, dim, least):
+    if not isinstance(dim, (int, np.integer)) or dim < least:
+        raise ParameterError(
+            f"{name} needs an integer dim >= {least}, got {dim!r}")
+
+
+def _flat(name, dim, first):
+    """Constant diagonal metric diag(first, 1, ..., 1)."""
+    _check_dim(f"{name} background", dim, 1)
+    eta = np.diag([first] + [1.0] * (dim - 1))
+    return BackgroundMetric(name=f"{name}{dim}", dim=dim, flat=True,
+                            metric_fn=lambda *coords: eta.tolist())
+
+
 def minkowski(dim: int) -> BackgroundMetric:
     """Flat (-,+,...,+) space in inertial coordinates."""
-    eta = np.diag([-1.0] + [1.0] * (dim - 1))
-
-    def metric_fn(*coords):
-        return [[eta[m, n] for n in range(dim)] for m in range(dim)]
-
-    return BackgroundMetric(
-        name=f"minkowski{dim}", dim=dim, metric_fn=metric_fn,
-        flat=True,
-    )
+    return _flat("minkowski", dim, -1.0)
 
 
 def euclidean(dim: int) -> BackgroundMetric:
     """Flat euclidean space in cartesian coordinates."""
-
-    def metric_fn(*coords):
-        return [[1.0 if m == n else 0.0 for n in range(dim)] for m in range(dim)]
-
-    return BackgroundMetric(
-        name=f"euclidean{dim}", dim=dim, metric_fn=metric_fn,
-        flat=True,
-    )
+    return _flat("euclidean", dim, 1.0)
 
 
 def round_sphere_background(dim: int, radius: float = 1.0) -> BackgroundMetric:
@@ -243,10 +242,10 @@ def round_sphere_background(dim: int, radius: float = 1.0) -> BackgroundMetric:
     Coordinates (x_1, ..., x_dim) with metric
     g_ii = radius^2 * prod_{k<i} sin^2(x_k); the final angle is periodic.
     """
-    if dim < 2:
-        raise ParameterError("round sphere background needs dim >= 2")
-    if radius <= 0:
-        raise ParameterError("radius must be positive")
+    _check_dim("round sphere background", dim, 2)
+    if not 0.0 < radius < np.inf:
+        raise ParameterError(
+            f"radius must be positive and finite, got {radius!r}")
     r2 = float(radius) ** 2
 
     def metric_fn(*coords):

@@ -15,7 +15,7 @@ or compactly supported integrands converge superalgebraically.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -679,6 +679,16 @@ def _finite(name, *values):
     return out
 
 
+# chart axes shared by the catalog
+_POLAR = (ParamAxis("theta", 0.0, np.pi),
+          ParamAxis("phi", 0.0, 2 * np.pi, periodic=True))
+_TORUS = (ParamAxis("u", 0.0, 2 * np.pi, periodic=True),
+          ParamAxis("v", 0.0, 2 * np.pi, periodic=True))
+_SHEET = (ParamAxis("tau", 0.0, 2.5),
+          ParamAxis("sigma", 0.0, 2 * np.pi, periodic=True))
+_BOX = (ParamAxis("u", -1.0, 1.0), ParamAxis("v", -1.0, 1.0))
+
+
 def plane(size: float = 1.0) -> Embedding:
     (s,) = _finite("plane", size)
     return Embedding(
@@ -686,23 +696,6 @@ def plane(size: float = 1.0) -> Embedding:
         background=euclidean(3),
         axes=(ParamAxis("u", -s, s), ParamAxis("v", -s, s)),
         map_fn=lambda u, v: (u, v, 0.0 * u),
-    )
-
-
-def sphere_polar(radius: float = 1.0) -> Embedding:
-    (r,) = _finite("sphere", radius)
-    return Embedding(
-        name=f"sphere(r={radius})",
-        background=euclidean(3),
-        axes=(
-            ParamAxis("theta", 0.0, np.pi),
-            ParamAxis("phi", 0.0, 2 * np.pi, periodic=True),
-        ),
-        map_fn=lambda t, p: (
-            r * jets.sin(t) * jets.cos(p),
-            r * jets.sin(t) * jets.sin(p),
-            r * jets.cos(t),
-        ),
     )
 
 
@@ -725,16 +718,19 @@ def ellipsoid(ax: float = 1.0, ay: float = 1.15, az: float = 1.3) -> Embedding:
     return Embedding(
         name=f"ellipsoid({a},{b},{c})",
         background=euclidean(3),
-        axes=(
-            ParamAxis("theta", 0.0, np.pi),
-            ParamAxis("phi", 0.0, 2 * np.pi, periodic=True),
-        ),
+        axes=_POLAR,
         map_fn=lambda t, p: (
             a * jets.sin(t) * jets.cos(p),
             b * jets.sin(t) * jets.sin(p),
             c * jets.cos(t),
         ),
     )
+
+
+def sphere_polar(radius: float = 1.0) -> Embedding:
+    """Round sphere: the ellipsoid with its three semi-axes equal."""
+    (r,) = _finite("sphere", radius)
+    return replace(ellipsoid(r, r, r), name=f"sphere(r={radius})")
 
 
 def torus_e3(big_radius: float = 2.0, small_radius: float = 0.5) -> Embedding:
@@ -748,10 +744,7 @@ def torus_e3(big_radius: float = 2.0, small_radius: float = 0.5) -> Embedding:
     return Embedding(
         name=f"torus(R={R},r={r})",
         background=euclidean(3),
-        axes=(
-            ParamAxis("u", 0.0, 2 * np.pi, periodic=True),
-            ParamAxis("v", 0.0, 2 * np.pi, periodic=True),
-        ),
+        axes=_TORUS,
         map_fn=lambda u, v: (
             (R + r * jets.cos(v)) * jets.cos(u),
             (R + r * jets.cos(v)) * jets.sin(u),
@@ -765,10 +758,7 @@ def flat_torus_e4(r1: float = 1.0, r2: float = 1.0) -> Embedding:
     return Embedding(
         name=f"flat-torus(r1={a},r2={b})",
         background=euclidean(4),
-        axes=(
-            ParamAxis("u", 0.0, 2 * np.pi, periodic=True),
-            ParamAxis("v", 0.0, 2 * np.pi, periodic=True),
-        ),
+        axes=_TORUS,
         map_fn=lambda u, v: (
             a * jets.cos(u), a * jets.sin(u), b * jets.cos(v), b * jets.sin(v),
         ),
@@ -780,10 +770,7 @@ def bumpy_torus_e4(r1: float = 1.0, r2: float = 1.0, amp: float = 0.3) -> Embedd
     return Embedding(
         name=f"bumpy-torus(amp={c})",
         background=euclidean(4),
-        axes=(
-            ParamAxis("u", 0.0, 2 * np.pi, periodic=True),
-            ParamAxis("v", 0.0, 2 * np.pi, periodic=True),
-        ),
+        axes=_TORUS,
         map_fn=lambda u, v: (
             (a + c * jets.cos(v)) * jets.cos(u),
             (a + c * jets.cos(v)) * jets.sin(u),
@@ -798,7 +785,7 @@ def graph_surface_e4(f_amp: float = 0.3, g_amp: float = 0.2) -> Embedding:
     return Embedding(
         name="graph-surface",
         background=euclidean(4),
-        axes=(ParamAxis("u", -1.0, 1.0), ParamAxis("v", -1.0, 1.0)),
+        axes=_BOX,
         map_fn=lambda u, v: (
             u,
             v,
@@ -813,10 +800,7 @@ def static_string(radius: float = 1.0) -> Embedding:
     return Embedding(
         name=f"static-string(r={radius})",
         background=minkowski(4),
-        axes=(
-            ParamAxis("tau", 0.0, 2.5),
-            ParamAxis("sigma", 0.0, 2 * np.pi, periodic=True),
-        ),
+        axes=_SHEET,
         map_fn=lambda t, s: (t, r * jets.cos(s), r * jets.sin(s), 0.0 * t),
     )
 
@@ -826,25 +810,25 @@ def traveling_wave(amplitude: float = 0.3) -> Embedding:
     return Embedding(
         name=f"traveling-wave(A={A})",
         background=minkowski(3),
-        axes=(
-            ParamAxis("tau", 0.0, 2.5),
-            ParamAxis("sigma", 0.0, 2 * np.pi, periodic=True),
-        ),
+        axes=_SHEET,
         map_fn=lambda t, s: (t, s, A * jets.sin(s - t)),
     )
 
 
 def perturbed_sphere(radius: float = 1.0, amp: float = 0.05) -> Embedding:
+    """Sphere with radius r (1 + amp cos 2 theta); its chart is singular
+    where 1 + amp cos 2 theta = 0, so |amp| must be below 1."""
     r, a = _finite("perturbed-sphere", radius, amp)
+    if not abs(a) < 1.0:
+        raise ParameterError(
+            f"perturbed-sphere: |amp| {a} must be below 1; the chart is "
+            "singular where 1 + amp cos 2 theta = 0")
     return Embedding(
         name=f"perturbed-sphere(amp={a})",
         background=euclidean(3),
-        axes=(
-            ParamAxis("theta", 0.0, np.pi),
-            ParamAxis("phi", 0.0, 2 * np.pi, periodic=True),
-        ),
+        axes=_POLAR,
         map_fn=lambda t, p: tuple(
-            (r * (1.0 + a * jets.cos(2.0 * t)) )* comp
+            (r * (1.0 + a * jets.cos(2.0 * t))) * comp
             for comp in (
                 jets.sin(t) * jets.cos(p),
                 jets.sin(t) * jets.sin(p),
@@ -894,10 +878,7 @@ def surface_s2xs2(r1: float = 1.0, r2: float = 1.3) -> Embedding:
     return Embedding(
         name="s2xs2-patch",
         background=product_spheres_background(r1, r2),
-        axes=(
-            ParamAxis("u", -1.0, 1.0),
-            ParamAxis("v", -1.0, 1.0),
-        ),
+        axes=_BOX,
         map_fn=lambda u, v: (
             1.10 + 0.30 * u + 0.10 * jets.sin(v),
             0.40 + 0.50 * v + 0.15 * jets.sin(u),

@@ -49,6 +49,7 @@ from .symplectic import (
     _slice_geometry,
     _variation_pair,
     dng_momentum_density,
+    unit_timelike_tangent,
 )
 
 __all__ = [
@@ -135,19 +136,14 @@ def tangent_frame(geom: Geometry, theta=None) -> TangentFramePair:
     """
     _require_worldsheet(geom)
     sig = _sheet_signature(geom)
-    e0 = geom.tangents.map_coeffs(lambda x: x[0])
     e1 = geom.tangents.map_coeffs(lambda x: x[1])
-    n00 = geom._dot(e0, e0)
     if sig < 0:
-        if np.any(np.asarray(n00.value, float) >= 0.0):
-            raise DegenerateGeometryError(
-                "first chart direction is not timelike; cannot seed the frame"
-            )
-        i0 = 1.0 / (-1.0 * n00).sqrt() * e0
+        i0 = unit_timelike_tangent(geom)
         # g(i0, i0) = -1, so subtracting the projection adds +g(e1,i0) i0
         w = e1 + geom._dot(e1, i0) * i0
     else:
-        i0 = 1.0 / n00.sqrt() * e0
+        e0 = geom.tangents.map_coeffs(lambda x: x[0])
+        i0 = 1.0 / geom._dot(e0, e0).sqrt() * e0
         w = e1 - geom._dot(e1, i0) * i0
     n11 = geom._dot(w, w)
     if np.any(np.asarray(n11.value, float) <= 0.0):
@@ -209,7 +205,7 @@ def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
     index pushed to the ambient tangent, p_nu = sigma1 sqrt(-gamma)
     eps^{mu}{}_{nu} tau_mu = -sigma1 sqrt(-gamma) (iota1)_nu.
     """
-    geom, _grid, _k = _slice_geometry(embedding, slc, 3)
+    geom, _grid, _k = _slice_geometry(embedding, slc, 2)
     rho, frame = rotation_connection(geom, theta)
     tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, frame.iota0)
     eps_low = jet_einsum("mn...,nl...->ml...", frame.epsilon,
@@ -293,18 +289,16 @@ def dnggb_canonical(embedding: Embedding, slc: CauchySlice, sigma0: float,
 
     Setting sigma1 = 0 recovers the minimal-area pair exactly.
     """
-    if sigma0 == 0.0:
-        raise ParameterError(
-            "sigma0 = 0 leaves the position variable undefined"
-        )
-    geom, _grid, _k = _slice_geometry(embedding, slc, 3)
+    geom, _grid, _k = _slice_geometry(embedding, slc, 2)
     Q, phat = _dnggb_pair(geom, sigma0, sigma1, theta)
     return CanonicalPair(position=np.asarray(Q.value, float),
                          momentum=np.asarray(phat.value, float))
 
 
 def _dnggb_pair(geom: Geometry, sigma0: float, sigma1: float, theta):
-    """Jets of (Q, Phat) for `dnggb_canonical`."""
+    """Jets of (Q, Phat) for `dnggb_canonical` and `dnggb_symplectic_form`."""
+    if sigma0 == 0.0:
+        raise ParameterError("sigma0 = 0 leaves the position variable undefined")
     phat = dng_momentum_density(geom, sigma0)
     Q = geom.X
     if sigma1 != 0.0:
@@ -323,8 +317,6 @@ def dnggb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     Position-first ordering keeps the sigma1 -> 0 limit equal to the
     minimal-area slice form.
     """
-    if sigma0 == 0.0:
-        raise ParameterError("sigma0 = 0 leaves the pair undefined")
     geom, grid, _k = _slice_geometry(embedding, slc, 3)
 
     def qp(vg, _fields):

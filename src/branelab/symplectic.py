@@ -242,7 +242,7 @@ class CanonicalPair:
 
 def dng_canonical_pair(embedding: Embedding, slc: CauchySlice,
                        sigma0: float) -> CanonicalPair:
-    geom, _grid, _k = _slice_geometry(embedding, slc, 3)
+    geom, _grid, _k = _slice_geometry(embedding, slc, 1)
     phat = dng_momentum_density(geom, sigma0)
     return CanonicalPair(position=np.asarray(geom.X.value, float),
                          momentum=np.asarray(phat.value, float))
@@ -279,6 +279,5 @@ def mass_shell_check(embedding: Embedding, slc: CauchySlice,
     """
     geom, _grid, _k = _slice_geometry(embedding, slc, 2)
     iota0 = unit_timelike_tangent(geom)
-    tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, iota0)
-    pp = jet_einsum("m...,m...->...", tau, iota0)  # = g(iota0, iota0)
+    pp = geom._dot(iota0, iota0)
     return float(sigma0) ** 2 * (np.asarray(pp.value, float) + 1.0)

@@ -67,6 +67,9 @@ def test_flat_backgrounds():
     np.testing.assert_allclose(mink.riemann_at([0.1, 0.2, 0.3, 0.4]), 0.0)
     eu = euclidean(3)
     np.testing.assert_allclose(eu.metric_at([1.0, 2.0, 3.0]), np.eye(3))
+    # numpy integers are integers; the smallest flat space has one axis
+    assert minkowski(np.int64(3)).name == "minkowski3"
+    np.testing.assert_array_equal(minkowski(1).metric_at([0.4]), [[-1.0]])
 
 
 def test_sphere2_christoffel_closed_form():
@@ -168,11 +171,27 @@ def test_validation_errors():
         round_sphere_background(1)
     with pytest.raises(ParameterError):
         round_sphere_background(2, radius=-1.0)
+    with pytest.raises(ParameterError):
+        minkowski(0)
     bg = round_sphere_background(2)
     a = jets.Jet.variable(0, 0.5, nvars=1, order=2)
     b = jets.Jet.variable(0, 0.5, nvars=2, order=2)
     with pytest.raises(PreconditionError):
         bg.metric_tensor([a, b])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: round_sphere_background(2, np.nan),
+    lambda: round_sphere_background(2, np.inf),
+    lambda: round_sphere_background(2.5),
+    lambda: euclidean(2.5),
+    lambda: minkowski(3.0),
+    lambda: euclidean("3"),
+], ids=["sphere-nan-radius", "sphere-inf-radius", "sphere-dim-2.5",
+        "euclidean-dim-2.5", "minkowski-dim-3.0", "euclidean-dim-str"])
+def test_catalog_rejects_non_integer_dims_and_non_finite_radii(build):
+    with pytest.raises(ParameterError):
+        build()
 
 
 def _jet_coords(dim, order):

@@ -352,6 +352,14 @@ def test_trials_has_an_upper_bound(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_singular_perturbed_sphere_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = gauss-bonnet\n\n"
+                   "[embedding]\nid = perturbed-sphere\namp = 1.5\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "singular" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_coupling_is_usage_error(tmp_path, capsys, value):
     cfg = tmp_path / "c.cfg"

@@ -645,6 +645,12 @@ def test_torus_rejects_a_singular_chart(big, small):
         emb.torus_e3(big, small)
 
 
+@pytest.mark.parametrize("amp", [1.5, 1.0, -1.0])
+def test_perturbed_sphere_rejects_a_singular_chart(amp):
+    with pytest.raises(ParameterError, match="singular"):
+        emb.perturbed_sphere(1.0, amp)
+
+
 def test_grid_builders_raise_parameter_errors():
     E = emb.sphere_polar()
     with pytest.raises(ParameterError, match="grid shape"):

@@ -335,6 +335,9 @@ def test_combined_pair_needs_tension():
     slc = sym.CauchySlice("tau", 0.9, 16)
     with pytest.raises(ParameterError):
         sgb.dnggb_canonical(E, slc, sigma0=0.0, sigma1=0.9)
+    with pytest.raises(ParameterError):
+        sgb.dnggb_symplectic_form(E, slc, RADIAL_WAVE, MATCHED_RADIAL,
+                                  sigma0=0.0, sigma1=0.9)
 
 
 def test_combined_form_reduction_and_split():

@@ -13,7 +13,12 @@ model in S2XS2_MODELS, through a --config file in a temporary directory;
 OUTDIR gets action-variation-s2xs2-<model>.txt and .csv.  No default runs
 `symplectic-conservation` on its traveling-wave branch (the left-moving
 probe pair), so it also runs there through a --config file; OUTDIR gets
-symplectic-conservation-traveling-wave.txt and .csv.  Each script in
+symplectic-conservation-traveling-wave.txt and .csv.  No default reaches
+the perturbed-sphere, flat-torus or bumpy-torus charts, nor the
+ellipsoid, so `gauss-bonnet` runs on each of the first three
+(gauss-bonnet-<embedding>.txt and .csv) and `deformation-oracle` on the
+ellipsoid (deformation-oracle-ellipsoid.txt and .csv), again through
+--config files.  Each script in
 demos/ runs in its own interpreter, which inherits PYTHONPATH, so the
 library under test is the one on the path; OUTDIR gets demo-<stem>.txt
 with its stdout.
@@ -42,6 +47,7 @@ from branelab import cli
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 S2XS2_MODELS = ("quadratic-k", "synthetic-gradk")
+CLOSED_CHARTS = ("perturbed-sphere", "flat-torus", "bumpy-torus")
 
 
 def write_body(outdir, stem, argv):
@@ -82,6 +88,13 @@ def main(outdir):
         write_config_body(outdir, tmp, "symplectic-conservation-traveling-wave",
                           "[scenario]\nname = symplectic-conservation\n"
                           "[embedding]\nid = traveling-wave\n")
+        for chart in CLOSED_CHARTS:
+            write_config_body(outdir, tmp, f"gauss-bonnet-{chart}",
+                              "[scenario]\nname = gauss-bonnet\n"
+                              f"[embedding]\nid = {chart}\n")
+        write_config_body(outdir, tmp, "deformation-oracle-ellipsoid",
+                          "[scenario]\nname = deformation-oracle\n"
+                          "[embedding]\nid = ellipsoid\n")
     for demo in sorted(DEMOS.glob("*.py")):
         run = subprocess.run([sys.executable, str(demo)], capture_output=True,
                              text=True, check=True)
