@@ -33,8 +33,7 @@ for E in (emb.sphere_polar(), emb.ellipsoid(), emb.s3_curve()):
             for row in coefs
         ])
         V = dfm.deformation_vector(geom, phi)
-        pred = np.asarray(
-            dfm.predicted_delta_scalar(geom, phi, name).value, float)
+        pred = dfm.predicted_delta_scalar(geom, phi, name)
         got = dfm.finite_difference_delta(
             geom, V,
             lambda g2: np.asarray(dfm.scalar_invariant(g2, name).value,

@@ -17,6 +17,7 @@ over pre-built jets are not supported.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -87,8 +88,7 @@ class BackgroundMetric:
     flat: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterError("background dimension must be positive")
+        _check_dim(f"background {self.name}", self.dim, 1)
 
     # -- tensor-jet interface (used by the geometry pipeline) ------------
     def metric_tensor(self, coords):
@@ -243,9 +243,9 @@ def round_sphere_background(dim: int, radius: float = 1.0) -> BackgroundMetric:
     g_ii = radius^2 * prod_{k<i} sin^2(x_k); the final angle is periodic.
     """
     _check_dim("round sphere background", dim, 2)
-    if not 0.0 < radius < np.inf:
+    if not isinstance(radius, numbers.Real) or not 0.0 < radius < np.inf:
         raise ParameterError(
-            f"radius must be positive and finite, got {radius!r}")
+            f"radius must be a positive finite number, got {radius!r}")
     r2 = float(radius) ** 2
 
     def metric_fn(*coords):

@@ -280,8 +280,7 @@ def run_deformation_oracle(run):
     lam = dfm.delta_extrinsic(geom, phi)
     for name, est, ratio in zip(names, got.estimate,
                                 got.convergence_ratio()):
-        pred = np.asarray(
-            dfm.predicted_delta_scalar(geom, phi, name, lam).value, float)
+        pred = dfm.predicted_delta_scalar(geom, phi, name, lam)
         gaps.append(np.abs(est - pred))
         checks.append(Check(f"{name}-max-gap", float(np.max(gaps[-1])), 0.0,
                             tol, "chain-rule-oracle"))

@@ -20,8 +20,8 @@ components phi^i, the first variations of the induced objects are:
 The variation of a curvature scalar follows from these by the chain rule.
 Each invariant is written once, in `embeddings.INVARIANTS`, as a function
 of gamma^{ab} and K_ab^i or grad_a K_bc^i; `predicted_delta_scalar`
-evaluates it on dual numbers Jet(1, 1, [jet, closed-form variation]) and
-reads their eps coefficient.
+evaluates it on the dual numbers Jet(1, 1, [value, closed-form variation])
+of their grid values and returns the eps coefficient.
 
 Every formula is pinned by finite-difference oracles in the test suite:
 scalars are compared directly, frame-carried tensors on codimension-1
@@ -115,10 +115,8 @@ def decompose_vector(geom: Geometry, V):
     Returns (t, phi) with t^a = gamma^{ab} <V, e_b> and phi^i = <V, n^i>.
     """
     gV = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
-    t_low = jet_einsum("am...,m...->a...", geom.tangents, gV)
-    t = jet_einsum("ab...,b...->a...", geom.inverse_induced_metric, t_low)
     phi = jet_einsum("im...,m...->i...", geom.normals, gV)
-    return t, phi
+    return geom.chart_components(V), phi
 
 
 def deformed_geometry(geom: Geometry, V, eps: float) -> Geometry:
@@ -250,26 +248,27 @@ def scalar_invariant(geom: Geometry, name: str):
 
 
 def predicted_delta_scalar(geom: Geometry, phi, name: str, lam=None):
-    """Chain-rule variation of a named scalar: for a curvature invariant,
-    the eps coefficient of its value on dual numbers.
+    """Grid values of the chain-rule variation of a named scalar: for a
+    curvature invariant, the eps coefficient of its dual-number value.
 
     Every curvature invariant reads ``lam = delta_extrinsic(geom, phi)``;
     pass it to compute it once for several names.
     """
     if name == "det_metric":
         kphi = jet_einsum("i...,i...->...", geom.mean_curvature, phi)
-        return 2.0 * geom.det_induced_metric * kphi
+        return np.asarray((2.0 * geom.det_induced_metric * kphi).value, float)
     if name == "sqrt_det":
-        return delta_sqrt_det(geom, phi)
+        return np.asarray(delta_sqrt_det(geom, phi).value, float)
     if name not in INVARIANTS:
         raise ParameterError(f"no predicted variation for '{name}'")
     fn, tensor = INVARIANTS[name]
     lam = delta_extrinsic(geom, phi) if lam is None else lam
     delta = (delta_grad_extrinsic(geom, phi, lam)
              if tensor == "grad_extrinsic" else lam)
-    gi = Jet(1, 1, [geom.inverse_induced_metric,
-                    delta_inverse_metric(geom, phi)])
-    return fn(gi, Jet(1, 1, [getattr(geom, tensor), delta])).c[1]
+    gi = Jet(1, 1, [geom.inverse_induced_metric.value,
+                    delta_inverse_metric(geom, phi).value])
+    dual = Jet(1, 1, [getattr(geom, tensor).value, delta.value])
+    return np.asarray(fn(gi, dual).c[1], float)
 
 
 # -- finite-difference oracle ----------------------------------------------

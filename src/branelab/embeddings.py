@@ -54,6 +54,7 @@ __all__ = [
     "plane",
     "sphere_polar",
     "cylinder",
+    "ellipsoid",
     "torus_e3",
     "flat_torus_e4",
     "bumpy_torus_e4",
@@ -63,6 +64,7 @@ __all__ = [
     "perturbed_sphere",
     "s3_curve",
     "s2_latitude",
+    "surface_s2xs2",
 ]
 
 _RESIDUAL_FLOOR = 1e-10
@@ -210,9 +212,9 @@ def integrate(values, grid: Grid):
 # -- curvature invariants ---------------------------------------------------
 #
 # Each invariant is written once, as a function of gamma^{ab} and K_ab^i or
-# grad_a K_bc^i, so it evaluates on a Geometry's jets and on the dual
-# numbers of `deformation.predicted_delta_scalar` alike.  `Geometry` makes
-# the last contraction of the first two itself, on its cached partners.
+# grad_a K_bc^i: it evaluates on a Geometry's jets and on the grid-value dual
+# numbers of `deformation.predicted_delta_scalar`.  `Geometry` repeats the
+# last contraction of the first two on its cached partners.
 
 def _k_squared(gi, K):
     """K^i K_i (mean curvature squared)."""
@@ -371,6 +373,13 @@ class Geometry:
     def sqrt_abs_det(self):
         return (self.metric_sign * self.det_induced_metric).sqrt()
 
+    def chart_components(self, W):
+        """Chart components gamma^{ab} <e_b, W> of an ambient vector jet W,
+        (mu, ...) -> (a, ...); further axes ride through einsum's ``...``."""
+        gW = jet_einsum("mn...,n...->m...", self.ambient_metric, W)
+        low = jet_einsum("bm...,m...->b...", self.tangents, gW)
+        return jet_einsum("ab...,b...->a...", self.inverse_induced_metric, low)
+
     def _off_tangent(self, cols, order):
         """The 0/1 fields ``cols``, each (D, grid...), as the columns w_k of a
         constant jet of order ``order``, projected off the tangent space:
@@ -378,11 +387,8 @@ class Geometry:
         shape = (self.ambient_dim,) + self.grid_shape
         W = Jet.constant(np.stack([np.broadcast_to(c, shape) for c in cols], 1)
                          .astype(float), self.X.nvars, order, self.X.caps)
-        e = self.tangents
-        t = jet_einsum("am...,mk...->ak...", e,
-                       jet_einsum("mn...,nk...->mk...", self.ambient_metric, W))
-        proj = jet_einsum("ab...,bk...->ak...", self.inverse_induced_metric, t)
-        return W - jet_einsum("ak...,am...->mk...", proj, e)
+        return W - jet_einsum("ak...,am...->mk...", self.chart_components(W),
+                              self.tangents)
 
     @cached_property
     def normals(self):

@@ -12,7 +12,8 @@ geometry pipeline vectorizes: a single scalar jet can carry one coefficient
 array per Taylor term, shaped ``(tensor indices..., grid...)``, so one jet
 multiplication sweeps a whole grid.  Coefficients may even be Jets themselves
 (nested jets), which is how metric derivatives are extracted when a
-background provides no closed-form connection.
+background provides no closed-form connection; `Jet` arithmetic and the
+analytic functions recurse through them, and `jet_einsum` rejects them.
 
 Conventions: coefficients are stored in graded order (total degree, then
 lexicographic), so truncating to a lower order is a prefix slice.  Only
@@ -589,9 +590,8 @@ def jet_einsum(spec, a, b):
 
     A constant tensor jet contracts as its value array, one contraction per
     coefficient of the other jet: each of its other Cauchy terms is an
-    exact zero for finite coefficients.  Two jets whose coefficients are
-    tensor jets (dual numbers over them, for instance) contract coefficient
-    by coefficient with `jet_einsum` itself.
+    exact zero for finite coefficients.  Coefficients must be arrays or
+    numbers; a jet whose coefficients are jets raises `PreconditionError`.
     """
     if _is_jet(a) and _is_jet(b):
         a, b = a._align(b)
@@ -600,19 +600,19 @@ def jet_einsum(spec, a, b):
             a = a.c[0]
         elif not nested and _is_constant(b):
             b = b.c[0]
+    else:
+        nested = _is_jet((a if _is_jet(a) else b).c[0])
+    if nested:
+        raise PreconditionError("jet_einsum cannot contract jets of jets")
     if not _is_jet(a):
         a_arr = np.asarray(a, float)
         return b.map_coeffs(lambda x: np.einsum(spec, a_arr, np.asarray(x, float)))
     if not _is_jet(b):
         b_arr = np.asarray(b, float)
         return a.map_coeffs(lambda x: np.einsum(spec, np.asarray(x, float), b_arr))
-    if nested:
-        ac, bc, contract = a.c, b.c, jet_einsum
-    else:
-        ac = [np.asarray(x, float) for x in a.c]
-        bc = [np.asarray(x, float) for x in b.c]
-        contract = np.einsum
-    prod = lambda i, j: contract(spec, ac[i], bc[j])  # noqa: E731
+    ac = [np.asarray(x, float) for x in a.c]
+    bc = [np.asarray(x, float) for x in b.c]
+    prod = lambda i, j: np.einsum(spec, ac[i], bc[j])  # noqa: E731
     pairs = _tables(a.nvars, a.order, a.caps)[3]
     return Jet(a.nvars, a.order, [_cauchy(p, prod) for p in pairs], a.caps)
 

@@ -41,11 +41,12 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .jets import cos, cosh, jet_einsum, jet_stack, sin, sinh
+from .jets import cos, cosh, jet_einsum, sin, sinh
 from .models import _resolve_geometry
 from .symplectic import (
     CanonicalPair,
     CauchySlice,
+    _darboux_form,
     _slice_geometry,
     _variation_pair,
     dng_momentum_density,
@@ -120,12 +121,7 @@ class TangentFramePair:
         iota^a = gamma^{ab} g(e_b, iota)."""
 
         def along(leg):
-            low = jet_einsum("bm...,m...->b...", geom.tangents,
-                             jet_einsum("mn...,n...->m...",
-                                        geom.ambient_metric, leg))
-            up = jet_einsum("ab...,b...->a...",
-                            geom.inverse_induced_metric, low)
-            return jet_einsum("a...,a...->...", up, w)
+            return jet_einsum("a...,a...->...", geom.chart_components(leg), w)
 
         return self.iota0 * along(self.iota1) - self.iota1 * along(self.iota0)
 
@@ -244,7 +240,7 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
         return [dens * frame.contract(vg, rho.partial(vg.dim + j))
                 for j in (0, 1)]
 
-    _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
+    d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
     dens = np.einsum("m...,m...->...", conormal, d2 - d1)
     return float(integrate(dens, grid))
 
@@ -272,8 +268,8 @@ def dnggb_potential(geom: Geometry, vfield, sigma0: float, sigma1: float,
     """
     _require_worldsheet(geom)
     V = dfm.resolve_field(vfield, geom)
-    t, _phi = dfm.decompose_vector(geom, V)
-    tangential = jet_einsum("am...,a...->m...", geom.tangents, t)
+    tangential = jet_einsum("am...,a...->m...", geom.tangents,
+                            geom.chart_components(V))
     dens = np.asarray(geom.sqrt_abs_det.value, float)
     dng_part = -float(sigma0) * dens * np.asarray(tangential.value, float)
     drho = rotation_connection_delta(geom, V, theta)
@@ -315,18 +311,10 @@ def dnggb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
 
     with both variations exact, read off one varied geometry.
     Position-first ordering keeps the sigma1 -> 0 limit equal to the
-    minimal-area slice form.
+    minimal-area slice form; it is `dng_canonical_pairing`'s integral.
     """
-    geom, grid, _k = _slice_geometry(embedding, slc, 3)
-
-    def qp(vg, _fields):
-        pair = jet_stack(_dnggb_pair(vg, sigma0, sigma1, theta))
-        return pair, pair
-
-    _V1, _V2, d1, d2 = _variation_pair(geom, vf1, vf2, qp)
-    dens = np.einsum("m...,m...->...", d1[0], d2[1]) \
-        - np.einsum("m...,m...->...", d2[0], d1[1])
-    return float(integrate(dens, grid))
+    return _darboux_form(embedding, slc, 3, vf1, vf2,
+                         lambda vg: _dnggb_pair(vg, sigma0, sigma1, theta))
 
 
 # -- topology and the two-dimensional identity ---------------------------------

@@ -135,14 +135,14 @@ def _variation_pair(geom: Geometry, vf1, vf2, quantities):
     Both fields are resolved once on the base geometry and held fixed on
     one geometry of X + eps1 V1 + eps2 V2.  ``quantities(vg, (V1, V2))``
     returns the quantity's jets (Q[V1], Q[V2]) on that geometry, with the
-    fields lifted onto it; returns (V1, V2, D_{V1} Q[V2], D_{V2} Q[V1]).
+    fields lifted onto it; returns (D_{V1} Q[V2], D_{V2} Q[V1]).
     """
     V1 = dfm.resolve_field(vf1, geom)
     V2 = dfm.resolve_field(vf2, geom)
     vg = dfm.varied_geometry(geom, V1, V2)
     n = vg.X.nvars
     q1, q2 = quantities(vg, (V1.lift(n), V2.lift(n)))
-    return V1, V2, dfm.variation(vg, q2, 0), dfm.variation(vg, q1, 1)
+    return dfm.variation(vg, q2, 0), dfm.variation(vg, q1, 1)
 
 
 def symplectic_current(model: LagrangianModel, geom: Geometry, vf1,
@@ -153,7 +153,7 @@ def symplectic_current(model: LagrangianModel, geom: Geometry, vf1,
     deformation while the embedding moves along the other; ``geom`` needs
     one jet order above what the potential's value needs.
     """
-    _V1, _V2, d1, d2 = _variation_pair(
+    d1, d2 = _variation_pair(
         geom, vf1, vf2,
         lambda vg, fields: [symplectic_potential(model, vg, V)
                             for V in fields])
@@ -248,6 +248,18 @@ def dng_canonical_pair(embedding: Embedding, slc: CauchySlice,
                          momentum=np.asarray(phat.value, float))
 
 
+def _darboux_form(embedding, slc, order: int, vf1, vf2, pair) -> float:
+    """Slice integral of delta1 Q . delta2 P - delta2 Q . delta1 P for the
+    jets (Q, P) = pair(vg), both variations exact and read off one varied
+    geometry of the slice at jet order ``order``."""
+    geom, grid, _k = _slice_geometry(embedding, slc, order)
+    d1, d2 = _variation_pair(geom, vf1, vf2,
+                             lambda vg, _fields: [jet_stack(pair(vg))] * 2)
+    dens = np.einsum("m...,m...->...", d1[0], d2[1]) \
+        - np.einsum("m...,m...->...", d2[0], d1[1])
+    return float(integrate(dens, grid))
+
+
 def dng_canonical_pairing(embedding: Embedding, slc: CauchySlice, vf1, vf2,
                           sigma0: float) -> float:
     """Darboux pairing of two deformations against the momentum density:
@@ -258,16 +270,8 @@ def dng_canonical_pairing(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     with delta(phat) the exact variation, as for the current; equals the
     symplectic form of the minimal-area model.
     """
-    geom, grid, _k = _slice_geometry(embedding, slc, 2)
-
-    def momentum(vg, _fields):
-        phat = dng_momentum_density(vg, sigma0)
-        return phat, phat
-
-    V1, V2, d1, d2 = _variation_pair(geom, vf1, vf2, momentum)
-    dens = np.einsum("m...,m...->...", np.asarray(V1.value, float), d2) \
-        - np.einsum("m...,m...->...", np.asarray(V2.value, float), d1)
-    return float(integrate(dens, grid))
+    return _darboux_form(embedding, slc, 2, vf1, vf2,
+                         lambda vg: (vg.X, dng_momentum_density(vg, sigma0)))
 
 
 def mass_shell_check(embedding: Embedding, slc: CauchySlice,

@@ -187,8 +187,11 @@ def test_validation_errors():
     lambda: euclidean(2.5),
     lambda: minkowski(3.0),
     lambda: euclidean("3"),
+    lambda: round_sphere_background(2, "1"),
+    lambda: BackgroundMetric("x", 2.5, lambda *c: [[1.0, 0.0], [0.0, 1.0]]),
 ], ids=["sphere-nan-radius", "sphere-inf-radius", "sphere-dim-2.5",
-        "euclidean-dim-2.5", "minkowski-dim-3.0", "euclidean-dim-str"])
+        "euclidean-dim-2.5", "minkowski-dim-3.0", "euclidean-dim-str",
+        "sphere-str-radius", "metric-dim-2.5"])
 def test_catalog_rejects_non_integer_dims_and_non_finite_radii(build):
     with pytest.raises(ParameterError):
         build()

@@ -14,7 +14,7 @@ def oracle_vs_prediction(geom, phi, name, tol=TOL):
     res = dfm.finite_difference_delta(
         geom, V, lambda g: np.asarray(dfm.scalar_invariant(g, name).value, float)
     )
-    pred = np.asarray(dfm.predicted_delta_scalar(geom, phi, name).value, float)
+    pred = dfm.predicted_delta_scalar(geom, phi, name)
     scale = max(1.0, np.max(np.abs(pred)))
     err = np.max(np.abs(res.estimate - pred)) / scale
     assert err < tol, f"{name}: oracle mismatch {err:.3e}"
@@ -40,8 +40,8 @@ def test_sphere_scalar_closed_forms():
     c = 0.41
     g = emb.sphere_polar(1.0).geometry([1.1, 0.3], order=3)
     phi = dfm.normal_field(g, lambda t, p: c + 0.0 * t)
-    dkk = np.asarray(dfm.predicted_delta_scalar(g, phi, "k_dot_k").value, float)
-    dk2 = np.asarray(dfm.predicted_delta_scalar(g, phi, "k_squared").value, float)
+    dkk = dfm.predicted_delta_scalar(g, phi, "k_dot_k")
+    dk2 = dfm.predicted_delta_scalar(g, phi, "k_squared")
     np.testing.assert_allclose(dkk, -4.0 * c, atol=1e-10)
     np.testing.assert_allclose(dk2, -8.0 * c, atol=1e-10)
     oracle_vs_prediction(g, phi, "k_dot_k")
@@ -363,7 +363,7 @@ def test_exact_variation_matches_chain_rule(E, pts, fns, name):
     phi = dfm.normal_field(geom, *fns)
     vg = dfm.varied_geometry(geom, dfm.deformation_vector(geom, phi))
     exact = dfm.variation(vg, dfm.scalar_invariant(vg, name))
-    pred = np.asarray(dfm.predicted_delta_scalar(geom, phi, name).value, float)
+    pred = dfm.predicted_delta_scalar(geom, phi, name)
     np.testing.assert_allclose(exact, pred, rtol=1e-12, atol=1e-12)
 
 
@@ -406,5 +406,5 @@ def test_predicted_delta_scalar_reuses_a_given_delta_extrinsic(prefix, E, pts,
     lam = dfm.delta_extrinsic(geom, phi)
     for name in INVARIANT_NAMES:
         np.testing.assert_array_equal(
-            dfm.predicted_delta_scalar(geom, phi, name, lam).value,
-            dfm.predicted_delta_scalar(geom, phi, name).value, err_msg=name)
+            dfm.predicted_delta_scalar(geom, phi, name, lam),
+            dfm.predicted_delta_scalar(geom, phi, name), err_msg=name)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from branelab import backgrounds
+from branelab import deformation as dfm
 from branelab import embeddings as emb
 from branelab import jets
 from branelab import models as mdl
@@ -577,6 +578,28 @@ def test_connection_terms_equal_the_untruncated_formula(E, shape):
             + jets.jet_einsum("baz...,azc...->bc...", G, T)
             + jets.jet_einsum("acz...,abz...->bc...", w, T))
     assert_jets_identical(g.divergence(T, 2, 1), want)
+
+
+@pytest.mark.parametrize("E,shape,varied", [
+    case + (False,) for case in ORDER_RULE_CASES] + [
+    (emb.static_string(1.0), (3, 5), True)],
+    ids=["s2xs2", "torus", "varied-string"])
+def test_chart_components_equal_the_written_out_formula(E, shape, varied):
+    g = E.geometry(small_grid(E, shape).mesh, 4)
+    u, v = g.params
+    W1, W2 = (jets.jet_stack([0.2 * jets.sin(u + m * v) + 0.1 * (m + k)
+                              for m in range(g.ambient_dim)], template=g.X)
+              for k in (0, 1))
+    if varied:
+        g = dfm.varied_geometry(g, W2)
+        W1, W2 = W1.lift(g.X.nvars), W2.lift(g.X.nvars)
+    block = jets.jet_rearrange("km...->mk...", jets.jet_stack([W1, W2]))
+    for W, k in ((W1, ""), (block, "k")):
+        gW = jets.jet_einsum(f"mn...,n{k}...->m{k}...", g.ambient_metric, W)
+        low = jets.jet_einsum(f"am...,m{k}...->a{k}...", g.tangents, gW)
+        want = jets.jet_einsum(f"ab...,b{k}...->a{k}...",
+                               g.inverse_induced_metric, low)
+        assert_jets_identical(g.chart_components(W), want)
 
 
 @pytest.mark.parametrize("E,shape", ORDER_RULE_CASES, ids=["s2xs2", "torus"])

@@ -270,19 +270,18 @@ def test_nested_jets():
     assert np.allclose(fts, expected)
 
 
-def test_einsum_contracts_dual_numbers_over_tensor_jets():
-    # Jet(1, 1, [value, variation]) with tensor-jet coefficients: the eps
-    # coefficient of a contraction is the product rule's two terms
+def test_einsum_rejects_jets_of_jets():
+    # a jet whose coefficients are tensor jets is refused in each branch:
+    # jet by jet (either or both nested), array by jet and jet by array
     rng = np.random.default_rng(5)
-    a, da, b, db = (Jet(2, 2, list(rng.normal(size=(6, 3, 3, 4))))
-                    for _ in range(4))
+    a, da = (Jet(2, 2, list(rng.normal(size=(6, 3, 3, 4)))) for _ in range(2))
+    arr = rng.normal(size=(3, 3, 4))
+    nested, flat = Jet(1, 1, [a, da]), Jet(1, 1, [arr, 2.0 * arr])
     spec = "ab...,bc...->ac..."
-    out = jet_einsum(spec, Jet(1, 1, [a, da]), Jet(1, 1, [b, db]))
-    want = (jet_einsum(spec, a, b),
-            jet_einsum(spec, a, db) + jet_einsum(spec, da, b))
-    for got, ref in zip(out.c, want):
-        for x, y in zip(got.c, ref.c):
-            np.testing.assert_array_equal(x, y)
+    for x, y in ((nested, nested), (flat, nested), (nested, flat),
+                 (arr, nested), (nested, arr)):
+        with pytest.raises(PreconditionError, match="jets of jets"):
+            jet_einsum(spec, x, y)
 
 
 def test_truncate_is_prefix():

@@ -340,6 +340,21 @@ def test_combined_pair_needs_tension():
                                   sigma0=0.0, sigma1=0.9)
 
 
+(_, _, FZ2), (_, FRAD1, FRAD2), (_, FZ3, _) = WAVE_PAIRS
+
+
+@pytest.mark.parametrize("f1, f2", [
+    (FZ1, FZ2), (FZ1, FZ3), (FZ3, FZ2), (FRAD1, FRAD2), (FRAD1, FZ1)],
+    ids=["z1-z2", "z1-z3", "z3-z2", "rad1-rad2", "rad1-z1"])
+def test_combined_form_at_zero_curvature_is_the_minimal_pairing(f1, f2):
+    # both are the one Darboux integral; a lower jet order is a
+    # bit-identical prefix, so sigma1 = 0 gives the pairing exactly
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 48)
+    assert sgb.dnggb_symplectic_form(E, slc, f1, f2, sigma0=1.2, sigma1=0.0) \
+        == sym.dng_canonical_pairing(E, slc, f1, f2, sigma0=1.2)
+
+
 def test_combined_form_reduction_and_split():
     E = emb.static_string(1.0)
     slc = sym.CauchySlice("tau", 0.9, 48)
