@@ -180,7 +180,13 @@ def christoffel_from_metric(ginv, dg):
 
 def riemann_from_metric(g, ginv, dg, ddg):
     """All-lower R_{a b m n} from the metric, its inverse, gradient and
-    hessian jets."""
+    hessian jets, as a jet of ``ddg``'s order.
+
+    Every term joins a sum with the ``ddg`` term, so g, ginv and dg are
+    contracted truncated to that order (a lower jet order is a
+    bit-identical prefix).  On an induced metric, whose partials each lose
+    an order, that is one order below dg."""
+    g, ginv, dg = (j.truncated(ddg.order) for j in (g, ginv, dg))
     low = _gamma_lower(dg)
     gamma = jet_einsum("rl...,lmn...->rmn...", ginv, low)
     # d_a G_{l m n} with ddg[a,b] = d_a d_b g

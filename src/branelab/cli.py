@@ -266,10 +266,11 @@ def run_deformation_oracle(run):
         return fn
 
     tol = max(1e-6, 10.0 * min(run.eps) ** 2) if run.tol is None else run.tol
-    # one geometry at grad K's order serves all three invariants (a lower
-    # jet order is a bit-identical prefix), and one sweep differences them
+    # one order-4 geometry serves all three invariants (a lower jet order
+    # is a bit-identical prefix): its varied geometries are order 3, grad
+    # K's value needs exactly that, and one sweep differences them
     names = ("k_squared", "k_dot_k", "gradk_full")
-    geom = E.geometry(pts, 5)
+    geom = E.geometry(pts, 4)
     phi = dfm.normal_field(geom, *[maker(row) for row in coefs])
     got = dfm.finite_difference_delta(
         geom, dfm.deformation_vector(geom, phi),
@@ -355,7 +356,7 @@ def run_canonical_darboux(run):
 def run_gb_gauge_invariance(run):
     sigma1, tol = run.couplings["sigma1"], run.tol
     grid = emb.make_grid(run.embedding, run.grid)
-    geom = run.embedding.geometry(grid.mesh, 4)
+    geom = run.embedding.geometry(grid.mesh, 3)  # rho at order 1, varied once
     dr = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
     psi = sgb.gb_potential(geom, None, dr, sigma1)
     dr_g = sgb.rotation_connection_delta(geom, RADIAL_WAVE,
@@ -538,17 +539,28 @@ def _parse_floats(_key, text):
             from ex
 
 
+# points per grid axis.  gauss-bonnet, the scenario a finer grid serves,
+# holds about 2.4 kB per node at jet order 3, so its largest grid, 1024^2
+# nodes, takes about 2.5 GB.  eom-check holds 1.2 kB per node;
+# action-variation 8.5 kB on the torus and up to 61 kB on the S2xS2 patch,
+# where its default is 24 points per axis.
+MAX_GRID = 1024
+
+
 def _parse_grid(_key, text):
     try:
         grid = tuple(int(x) for x in str(text).split(","))
     except ValueError as ex:
         raise ConfigError(f"expected n or n,m grid, got {text!r}") from ex
-    if min(grid) < 1:
-        raise ConfigError(f"grid entries must be >= 1, got {text!r}")
+    if not all(1 <= n <= MAX_GRID for n in grid):
+        raise ConfigError(
+            f"grid entries must be between 1 and {MAX_GRID}, got {text!r}")
     return grid
 
 
-# deformation-oracle holds about 14 kB per trial point at jet order 5
+# deformation-oracle holds about 10.6 kB per trial point at jet order 4 on
+# the codimension-1 surfaces and 30 kB on the S2xS2 patch, so 10000 trials
+# take at most about 300 MB
 MAX_TRIALS = 10_000
 
 # the [run] keys, each with what it sets, its parser and its default

@@ -115,8 +115,8 @@ def decompose_vector(geom: Geometry, V):
     Returns (t, phi) with t^a = gamma^{ab} <V, e_b> and phi^i = <V, n^i>.
     """
     gV = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
-    phi = jet_einsum("im...,m...->i...", geom.normals, gV)
-    return geom.chart_components(V), phi
+    return (geom._chart_of_lowered(gV),
+            jet_einsum("im...,m...->i...", geom.normals, gV))
 
 
 def deformed_geometry(geom: Geometry, V, eps: float) -> Geometry:

@@ -270,8 +270,10 @@ class Geometry:
     Sums and contractions align jets to the lower order, so each term is
     built at the order of the sum it joins: a derivative's connection term
     at the order of the partials (one below the field), the ambient
-    connection two below the map, and ``rframe`` at the order its caller
-    asks for, at most min(frame order, 1).
+    connection two below the map, the intrinsic curvature's products at
+    the order of the metric's second partials (three below the map), and
+    ``rframe`` at the order its caller asks for, at most
+    min(frame order, 1).
 
     The worldvolume variables are the first ``dim`` jet variables, one per
     parameter jet in ``params``; ``embedding`` is the chart they live on.
@@ -376,7 +378,11 @@ class Geometry:
     def chart_components(self, W):
         """Chart components gamma^{ab} <e_b, W> of an ambient vector jet W,
         (mu, ...) -> (a, ...); further axes ride through einsum's ``...``."""
-        gW = jet_einsum("mn...,n...->m...", self.ambient_metric, W)
+        return self._chart_of_lowered(
+            jet_einsum("mn...,n...->m...", self.ambient_metric, W))
+
+    def _chart_of_lowered(self, gW):
+        """`chart_components` of W from its lowering gW = g_{mn} W^n."""
         low = jet_einsum("bm...,m...->b...", self.tangents, gW)
         return jet_einsum("ab...,b...->a...", self.inverse_induced_metric, low)
 
@@ -468,16 +474,30 @@ class Geometry:
         return dW + jet_einsum(f"mas...,{k}s...->a{k}m...",
                                self._christoffel_tangents, W.truncated(dW.order))
 
-    @cached_property
+    @property
     def second_fundamental(self):
-        """Ambient-covariant second derivative of the map: (a, b, mu)."""
+        """Ambient-covariant second derivative of the map: (a, b, mu).
+
+        Only K reads it, so it is not kept past K's build."""
         return self.ambient_covariant(self.tangents)
+
+    @cached_property
+    def _lowered_normals(self):
+        """g_{mn} n^n with axes (i, m), shared by K and the twist, at the
+        twist's order (the tangents'), the higher of the two.
+
+        Kept as one block: its many small coefficient arrays, held for the
+        geometry's life, fragment the heap (peak RSS +3.5 MiB on the
+        ``curved-high-order`` bench workload)."""
+        gn = jet_einsum("mn...,in...->im...", self.ambient_metric,
+                        self.normals.truncated(self.tangents.order))
+        return Jet(gn.nvars, gn.order, list(np.stack(gn.c)), gn.caps)
 
     @cached_property
     def extrinsic_curvature(self):
         """K[a, b, i] = -<n^i, D_a e_b>."""
-        gn = jet_einsum("mn...,in...->im...", self.ambient_metric, self.normals)
-        return -1.0 * jet_einsum("abm...,im...->abi...", self.second_fundamental, gn)
+        return -1.0 * jet_einsum("abm...,im...->abi...", self.second_fundamental,
+                                 self._lowered_normals)
 
     @cached_property
     def mean_curvature(self):
@@ -488,8 +508,7 @@ class Geometry:
     def twist(self):
         """Normal-bundle connection w[a, i, j] = <n^i, D_a n^j>."""
         Dn = self.ambient_covariant(self.normals)    # (a, j, mu)
-        gn = jet_einsum("mn...,in...->im...", self.ambient_metric, self.normals)
-        return jet_einsum("ajm...,im...->aij...", Dn, gn)
+        return jet_einsum("ajm...,im...->aij...", Dn, self._lowered_normals)
 
     @cached_property
     def wv_christoffel(self):

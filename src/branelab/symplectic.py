@@ -281,7 +281,7 @@ def mass_shell_check(embedding: Embedding, slc: CauchySlice,
     Zero everywhere by the unit-timelike normalization; the residual
     reports rounding only.  Degenerate (non-timelike) slices raise.
     """
-    geom, _grid, _k = _slice_geometry(embedding, slc, 2)
+    geom, _grid, _k = _slice_geometry(embedding, slc, 1)  # tangents' value
     iota0 = unit_timelike_tangent(geom)
     pp = geom._dot(iota0, iota0)
     return float(sigma0) ** 2 * (np.asarray(pp.value, float) + 1.0)

@@ -352,6 +352,36 @@ def test_trials_has_an_upper_bound(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_grid_has_an_upper_bound(tmp_path, capsys):
+    # checked by the [run] parser alone: no run starts, nothing is allocated
+    parse = cli.RUN_KEYS["grid"][1]
+    assert parse("grid", f"{cli.MAX_GRID},2") == (cli.MAX_GRID, 2)
+    huge = "99999999999999999999"
+    for text in (str(cli.MAX_GRID + 1), huge, f"{huge},2", f"2,{huge}"):
+        with pytest.raises(cli.ConfigError, match="grid"):
+            parse("grid", text)
+    for scenario, grid in (("gauss-bonnet", huge), ("eom-check", f"{huge},2")):
+        assert cli.main(["--scenario", scenario, "--grid", grid]) == 2
+        assert "grid" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\nname = gauss-bonnet\n\n[run]\ngrid = {huge}\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["deformation-oracle",
+                                      "gb-gauge-invariance", "mass-shell"])
+def test_geometry_order_is_the_lowest_that_runs(monkeypatch, capsys, scenario):
+    # each runner builds one geometry at the lowest order its result keeps;
+    # one order lower, the run aborts
+    build = emb.Embedding.geometry
+    monkeypatch.setattr(emb.Embedding, "geometry",
+                        lambda self, params, order: build(self, params,
+                                                          order - 1))
+    assert cli.main(["--scenario", scenario]) == 1
+    assert "aborted:PreconditionError" in capsys.readouterr().out
+
+
 def test_singular_perturbed_sphere_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[scenario]\nname = gauss-bonnet\n\n"

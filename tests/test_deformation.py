@@ -170,6 +170,50 @@ def test_decompose_roundtrip():
     np.testing.assert_allclose(np.asarray(rebuilt.value, float), comp, atol=1e-12)
 
 
+DECOMPOSE_CASES = [(emb.graph_surface_e4(), (3, 4)), (emb.surface_s2xs2(), (4, 3)),
+                   (emb.torus_e3(), (3, 3))]
+
+
+def ambient_field(g):
+    u, v = g.params
+    return jets.jet_stack([0.3 * jets.sin(u + m * v) + 0.1 * m
+                           for m in range(g.ambient_dim)], template=g.X)
+
+
+@pytest.mark.parametrize("E, shape", DECOMPOSE_CASES,
+                         ids=["graph-surface", "s2xs2", "torus"])
+def test_decompose_vector_equals_the_written_out_formula(E, shape):
+    g = E.geometry(emb.make_grid(E, shape).mesh, 4)
+    V = ambient_field(g)
+    t, phi = dfm.decompose_vector(g, V)
+    gV = jets.jet_einsum("mn...,n...->m...", g.ambient_metric, V)
+    low = jets.jet_einsum("bm...,m...->b...", g.tangents, gV)
+    for got, want in ((t, jets.jet_einsum("ab...,b...->a...",
+                                          g.inverse_induced_metric, low)),
+                      (phi, jets.jet_einsum("im...,m...->i...", g.normals, gV))):
+        assert (got.order, len(got.c)) == (want.order, len(want.c))
+        for a, b in zip(got.c, want.c):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("E, shape", DECOMPOSE_CASES,
+                         ids=["graph-surface", "s2xs2", "torus"])
+def test_decompose_vector_lowers_once(E, shape, monkeypatch):
+    g = E.geometry(emb.make_grid(E, shape).mesh, 4)
+    V = ambient_field(g)
+    g.normals, g.inverse_induced_metric
+    specs = []
+
+    def counted(spec, a, b):
+        specs.append(spec)
+        return jets.jet_einsum(spec, a, b)
+
+    for module in (dfm, emb):
+        monkeypatch.setattr(module, "jet_einsum", counted)
+    dfm.decompose_vector(g, V)
+    assert specs.count("mn...,n...->m...") == 1
+
+
 @pytest.mark.parametrize("E, shape", [
     (emb.graph_surface_e4(), (12, 10)),
     (emb.flat_torus_e4(), (12, 10)),

@@ -602,6 +602,56 @@ def test_chart_components_equal_the_written_out_formula(E, shape, varied):
         assert_jets_identical(g.chart_components(W), want)
 
 
+def test_k_and_twist_share_one_lowering_of_the_normals(monkeypatch):
+    specs = []
+
+    def counted(spec, a, b):
+        specs.append(spec)
+        return jets.jet_einsum(spec, a, b)
+
+    monkeypatch.setattr(emb, "jet_einsum", counted)
+    E = emb.surface_s2xs2()
+    g = E.geometry(small_grid(E, (2, 3)).mesh, 6)
+    mdl.eom_density(mdl.SyntheticGradK(beta=0.6), g)
+    assert specs.count("mn...,in...->im...") == 1
+    gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric, g.normals)
+    assert_jets_identical(g.extrinsic_curvature, -1.0 * jets.jet_einsum(
+        "abm...,im...->abi...", g.second_fundamental, gn))
+    assert_jets_identical(g.twist, jets.jet_einsum(
+        "ajm...,im...->aij...", g.ambient_covariant(g.normals), gn))
+
+
+INTRINSIC_CASES = [(emb.sphere_polar(1.0), (4, 5)), (emb.torus_e3(), (4, 3))]
+
+
+@pytest.mark.parametrize("E,shape", INTRINSIC_CASES, ids=["sphere", "torus"])
+def test_intrinsic_curvature_at_order_3_is_the_prefix_of_order_5(E, shape):
+    mesh = small_grid(E, shape).mesh
+    low, high = E.geometry(mesh, 3), E.geometry(mesh, 5)
+    for name in ("intrinsic_riemann", "intrinsic_scalar_curvature"):
+        got, want = getattr(low, name), getattr(high, name)
+        assert (got.order, want.order) == (0, 2)
+        assert_jets_identical(got, want.truncated(0))
+
+
+@pytest.mark.parametrize("E,shape", INTRINSIC_CASES, ids=["sphere", "torus"])
+def test_intrinsic_curvature_contracts_at_the_order_it_keeps(E, shape,
+                                                             monkeypatch):
+    # every product of riemann_from_metric joins a sum with the metric's
+    # second partials, three orders below the map
+    orders = []
+
+    def recorded(spec, a, b):
+        orders.append(max(a.order, b.order))
+        return jets.jet_einsum(spec, a, b)
+
+    monkeypatch.setattr(backgrounds, "jet_einsum", recorded)
+    g = E.geometry(small_grid(E, shape).mesh, 5)
+    g.induced_metric, g.inverse_induced_metric
+    assert g.intrinsic_riemann.order == 2
+    assert orders and set(orders) == {2}
+
+
 @pytest.mark.parametrize("E,shape", ORDER_RULE_CASES, ids=["s2xs2", "torus"])
 def test_rframe_at_order_0_is_the_value_of_order_1(E, shape):
     mesh = small_grid(E, shape).mesh
