@@ -452,8 +452,8 @@ SCENARIOS = {
         run_gauss_bonnet,
         "curvature quadrature over a closed surface",
         "Euler characteristic from the induced metric",
-        embedding="sphere", embeddings=tuple(EULER_NUMBERS), grid=128,
-        tol=1e-3, reads=("grid", "tol")),
+        embedding="sphere", embeddings=tuple(EULER_NUMBERS), grid=32,
+        tol=1e-12, reads=("grid", "tol")),
     "symplectic-conservation": Scenario(
         run_symplectic_conservation,
         "slice independence of the boundary-current form",
@@ -539,11 +539,11 @@ def _parse_floats(_key, text):
             from ex
 
 
-# points per grid axis.  gauss-bonnet, the scenario a finer grid serves,
-# holds about 2.4 kB per node at jet order 3, so its largest grid, 1024^2
-# nodes, takes about 2.5 GB.  eom-check holds 1.2 kB per node;
-# action-variation 8.5 kB on the torus and up to 61 kB on the S2xS2 patch,
-# where its default is 24 points per axis.
+# points per grid axis.  gauss-bonnet holds about 2.4 kB per node at jet
+# order 3, so its largest grid, 1024^2 nodes, takes about 2.5 GB, though
+# its default 32^2 already gives chi to round-off.  eom-check holds 1.2 kB
+# per node; action-variation 8.5 kB on the torus and up to 61 kB on the
+# S2xS2 patch, where its default is 24 points per axis.
 MAX_GRID = 1024
 
 
@@ -596,7 +596,9 @@ def load_config(path) -> dict:
             elif section == "embedding":
                 out.setdefault("emb_params", {})[key] = _as_float(key, val)
             elif section == "model" and key in COUPLING_KEYS:
-                out.setdefault("couplings", {})[key] = _as_float(key, val)
+                out.setdefault("couplings", {})[key] = _within(
+                    _as_float, -sys.float_info.max, sys.float_info.max,
+                    "a finite number")(key, val)
             elif section == "run" and key in RUN_KEYS:
                 out[key] = val
             else:

@@ -161,8 +161,10 @@ def variation(vgeom: Geometry, q, k: int = 0) -> np.ndarray:
 def poly_window(u):
     """Polynomial window (1 - u^2)^10 on [-1, 1].
 
-    Vanishes at u = +-1 together with its first nine derivatives, so
-    midpoint quadrature of windowed integrands converges at high order.
+    Vanishes at u = +-1 together with its first nine derivatives, so a
+    windowed field has interior support, and a polynomial, so a windowed
+    analytic integrand stays analytic and its Gauss-Legendre quadrature
+    converges exponentially.
     """
     w = 1.0 - u * u
     out = w

@@ -7,16 +7,17 @@ orthonormal normal frame, induced metric, extrinsic curvature, twist
 connection, covariant derivatives, intrinsic and pulled-back ambient
 curvature) are computed lazily and exactly at the chosen expansion order.
 
-Grids pair parameter meshes with quadrature weights: midpoint rule on
-bounded directions (which keeps chart-boundary points such as sphere poles
-off the stencil) and uniform weights on periodic ones, so smooth periodic
-or compactly supported integrands converge superalgebraically.
+Grids pair parameter meshes with quadrature weights, one rule per kind of
+axis: Gauss-Legendre on bounded axes (its nodes lie strictly inside the
+interval, which keeps chart-boundary points such as sphere poles off the
+stencil) and the uniform trapezoid rule on periodic ones, so analytic
+integrands converge exponentially on both.
 """
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -124,6 +125,10 @@ class Embedding:
             raise ParameterError(
                 f"{self.name} expects {self.dim} parameters, got {len(params)}"
             )
+        if not isinstance(order, (int, np.integer)) or order < 0:
+            raise ParameterError(
+                f"{self.name}: jet order must be a whole number >= 0, "
+                f"got {order!r}")
         self.validate_params(params)
         xi = jets.variables(params, order)
         comps = list(self.map_fn(*xi))
@@ -138,16 +143,28 @@ class Embedding:
         X, xi = self.embedding_jet(params, order)
         return Geometry(self.background, X, params=xi, embedding=self)
 
+    def grid_geometry(self, grid, order):
+        """`geometry` on the nodes of ``grid``, which must be built on this
+        chart's axes."""
+        if grid.axes != self.axes:
+            raise ParameterError(
+                f"{self.name}: the grid was built on axes "
+                f"{[ax.name for ax in grid.axes]}, not on this chart's "
+                f"{[ax.name for ax in self.axes]}")
+        return self.geometry(grid.mesh, order)
+
 
 # -- quadrature grids -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Parameter mesh plus quadrature weights (midpoint/periodic-uniform)."""
+    """Parameter mesh plus quadrature weights (Gauss-Legendre on bounded
+    axes, uniform on periodic ones) and the chart axes it was built on."""
 
     mesh: tuple            # broadcast grid arrays, indexing="ij"
     weight: np.ndarray     # full quadrature weight array
+    axes: tuple            # the embedding's ParamAxis tuple
 
     @property
     def shape(self):
@@ -155,15 +172,20 @@ class Grid:
 
 
 def _axis_nodes(ax: ParamAxis, n: int):
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    """Nodes and weights of n points on one axis: the uniform rule on a
+    periodic axis, Gauss-Legendre mapped to [lo, hi] on a bounded one."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(
             f"grid needs a whole number >= 1 of points per axis, got {n!r}")
-    h = (ax.hi - ax.lo) / n
     if ax.periodic:
-        pts = ax.lo + h * np.arange(n)
-    else:
-        pts = ax.lo + h * (np.arange(n) + 0.5)
-    return pts, h
+        h = (ax.hi - ax.lo) / n
+        return ax.lo + h * np.arange(n), np.full(n, h)
+    # imported here: an import of the package that builds no bounded grid
+    # does not pay for numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(n)
+    half = 0.5 * (ax.hi - ax.lo)
+    return 0.5 * (ax.hi + ax.lo) + half * x, half * w
 
 
 def make_grid(embedding: Embedding, shape) -> Grid:
@@ -173,12 +195,10 @@ def make_grid(embedding: Embedding, shape) -> Grid:
         raise ParameterError(
             f"grid shape must be a point count or {embedding.dim} of them, "
             f"got {shape!r}")
-    pts, hs = zip(*[_axis_nodes(ax, n) for ax, n in zip(embedding.axes, shape)])
+    pts, ws = zip(*[_axis_nodes(ax, n) for ax, n in zip(embedding.axes, shape)])
     mesh = np.meshgrid(*pts, indexing="ij") if len(pts) > 1 else [pts[0]]
-    w = np.ones(tuple(len(p) for p in pts))
-    for h in hs:
-        w = w * h
-    return Grid(mesh=tuple(mesh), weight=w)
+    return Grid(mesh=tuple(mesh), weight=reduce(np.multiply.outer, ws),
+                axes=embedding.axes)
 
 
 def line_grid(embedding: Embedding, axis: int, n: int, fixed: dict) -> Grid:
@@ -186,8 +206,7 @@ def line_grid(embedding: Embedding, axis: int, n: int, fixed: dict) -> Grid:
     if not isinstance(axis, (int, np.integer)) or not 0 <= axis < embedding.dim:
         raise ParameterError(
             f"line_grid: axis {axis!r} is not one of the {embedding.dim} axes")
-    ax = embedding.axes[axis]
-    pts, h = _axis_nodes(ax, n)
+    pts, w = _axis_nodes(embedding.axes[axis], n)
     mesh = []
     for a, axx in enumerate(embedding.axes):
         if a == axis:
@@ -195,8 +214,9 @@ def line_grid(embedding: Embedding, axis: int, n: int, fixed: dict) -> Grid:
         else:
             if axx.name not in fixed:
                 raise ParameterError(f"line_grid: missing fixed value for {axx.name}")
-            mesh.append(np.full_like(pts, float(fixed[axx.name])))
-    return Grid(mesh=tuple(mesh), weight=np.full(pts.shape, h))
+            (val,) = _finite(f"line_grid: fixed {axx.name}", fixed[axx.name])
+            mesh.append(np.full_like(pts, val))
+    return Grid(mesh=tuple(mesh), weight=w, axes=embedding.axes)
 
 
 def integrate(values, grid: Grid):

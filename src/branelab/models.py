@@ -338,7 +338,7 @@ def _resolve_geometry(target, grid, order):
     if isinstance(target, Embedding):
         if grid is None:
             raise ParameterError("a grid is required with an embedding")
-        return target.geometry(grid.mesh, order)
+        return target.grid_geometry(grid, order)
     raise ParameterError("target must be an Embedding or a Geometry")
 
 
@@ -358,7 +358,7 @@ def eom_residual(model: LagrangianModel, target,
 
 def action(model: LagrangianModel, embedding: Embedding, grid: Grid) -> float:
     """Quadrature of sqrt|gamma| L over the grid."""
-    geom = embedding.geometry(grid.mesh, model.action_order)
+    geom = embedding.grid_geometry(grid, model.action_order)
     model.check_geometry(geom)
     geom.check_nondegenerate()
     dens = geom.sqrt_abs_det * model.lagrangian(geom)
@@ -414,9 +414,9 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
     term integrates to zero precisely because the support stays interior,
     which is enforced as a precondition.
     """
-    geom = embedding.geometry(grid.mesh, model.jet_order)
+    geom = embedding.grid_geometry(grid, model.jet_order)
     model.check_geometry(geom)
-    geom_fd = embedding.geometry(grid.mesh, model.action_order + 1)
+    geom_fd = embedding.grid_geometry(grid, model.action_order + 1)
     V = dfm.resolve_field(vfield, geom_fd)
     _require_interior_support(embedding, grid, V)
     _t, phi = dfm.decompose_vector(geom, V.truncated(0))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import deformation as dfm
-from .embeddings import Embedding, Geometry, Grid, integrate, make_grid
+from .embeddings import Embedding, Geometry, Grid, _finite, integrate, make_grid
 from .errors import (
     DegenerateGeometryError,
     ParameterError,
@@ -201,6 +201,7 @@ def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
     index pushed to the ambient tangent, p_nu = sigma1 sqrt(-gamma)
     eps^{mu}{}_{nu} tau_mu = -sigma1 sqrt(-gamma) (iota1)_nu.
     """
+    (sigma1,) = _finite("gb_canonical: sigma1", sigma1)
     geom, _grid, _k = _slice_geometry(embedding, slc, 2)
     rho, frame = rotation_connection(geom, theta)
     tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, frame.iota0)
@@ -285,6 +286,7 @@ def dnggb_canonical(embedding: Embedding, slc: CauchySlice, sigma0: float,
 
     Setting sigma1 = 0 recovers the minimal-area pair exactly.
     """
+    sigma0, sigma1 = _finite("dnggb_canonical: sigma0, sigma1", sigma0, sigma1)
     geom, _grid, _k = _slice_geometry(embedding, slc, 2)
     Q, phat = _dnggb_pair(geom, sigma0, sigma1, theta)
     return CanonicalPair(position=np.asarray(Q.value, float),
@@ -340,7 +342,7 @@ def _require_closed(embedding: Embedding, n_probe: int = 33):
                 )
 
 
-def curvature_density(embedding: Embedding, n: int = 128):
+def curvature_density(embedding: Embedding, n: int = 32):
     """Gauss-Bonnet integrand sqrt(g) R of a closed Riemannian surface on
     an n x n grid: (values, grid)."""
     if embedding.dim != 2:
@@ -358,7 +360,7 @@ def curvature_density(embedding: Embedding, n: int = 128):
     return np.asarray(dens.value, float), grid
 
 
-def euler_characteristic(embedding: Embedding, n: int = 128) -> float:
+def euler_characteristic(embedding: Embedding, n: int = 32) -> float:
     """(1/4 pi) integral of sqrt(g) R over a closed Riemannian surface."""
     values, grid = curvature_density(embedding, n)
     return float(integrate(values, grid)) / (4 * np.pi)

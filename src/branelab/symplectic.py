@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import deformation as dfm
-from .embeddings import Embedding, Geometry, integrate, line_grid
+from .embeddings import Embedding, Geometry, _finite, integrate, line_grid
 from .errors import (
     DegenerateGeometryError,
     DomainError,
@@ -281,6 +281,7 @@ def mass_shell_check(embedding: Embedding, slc: CauchySlice,
     Zero everywhere by the unit-timelike normalization; the residual
     reports rounding only.  Degenerate (non-timelike) slices raise.
     """
+    (sigma0,) = _finite("mass_shell_check: sigma0", sigma0)
     geom, _grid, _k = _slice_geometry(embedding, slc, 1)  # tangents' value
     iota0 = unit_timelike_tangent(geom)
     pp = geom._dot(iota0, iota0)

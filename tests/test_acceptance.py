@@ -262,7 +262,7 @@ def test_criterion_7_gb_sector():
     sph = total_curvature(emb.sphere_polar(1.0), 128)
     tor = total_curvature(emb.flat_torus_e4(), 64)
     ok = (mag > 1e-2 and shift < 1e-10
-          and abs(sph - 8 * np.pi) < 1e-3 * 8 * np.pi and abs(tor) < 1e-3)
+          and abs(sph - 8 * np.pi) < 1e-12 * 8 * np.pi and abs(tor) < 1e-12)
     verdict(7, "gb-sector", ok,
             f"flux magnitude {mag:.2f}, gauge shift {shift:.1e}, "
             f"sphere {sph:.6f} vs {8 * np.pi:.6f}, torus {tor:.1e}")

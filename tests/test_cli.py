@@ -183,10 +183,17 @@ def test_scenario_embedding_mismatch_is_usage_error(tmp_path, capsys):
     assert "static-string" in capsys.readouterr().err
 
 
-def test_tightened_tolerance_fails_run(capsys):
-    # chi on the 128-node sphere carries ~5e-5 quadrature error
-    assert cli.main(["--scenario", "gauss-bonnet", "--tol", "1e-9"]) == 1
-    assert "result: fail" in capsys.readouterr().out
+def test_tightened_tolerance_fails_run(tmp_path, capsys):
+    # chi on the perturbed sphere at 8 nodes per axis carries ~1.6e-5
+    # quadrature error, far above a 1e-9 tolerance
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = gauss-bonnet\n\n"
+                   "[embedding]\nid = perturbed-sphere\n\n"
+                   "[run]\ngrid = 8\ntol = 1e-9\n")
+    assert cli.main(["--config", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "result: fail" in out
+    assert 1e-6 < abs(_computed(out, "euler-characteristic") - 2.0) < 1e-4
 
 
 def _config_error(tmp_path, capsys, text):
@@ -397,6 +404,21 @@ def test_non_finite_coupling_is_usage_error(tmp_path, capsys, value):
                    f"[model]\nid = quadratic-k\nalpha = {value}\n")
     assert cli.main(["--config", str(cfg)]) == 2
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, coupling", [
+    ("mass-shell", "sigma0"), ("dnggb-reduction", "sigma0"),
+    ("canonical-darboux", "sigma0"), ("gb-gauge-invariance", "sigma1")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_scenario_coupling_is_usage_error(tmp_path, capsys,
+                                                    scenario, coupling, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\nname = {scenario}\n\n"
+                   f"[model]\n{coupling} = {value}\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{coupling} must be a finite number" in captured.err
 
 
 @pytest.mark.parametrize("scenario, grid", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from branelab import backgrounds
+from branelab import cli
 from branelab import deformation as dfm
 from branelab import embeddings as emb
 from branelab import jets
@@ -210,7 +211,7 @@ def test_sphere_area_quadrature():
     grid = emb.make_grid(e, (128, 128))
     g = e.geometry(grid.mesh, 1)
     area = emb.integrate(np.asarray(g.sqrt_abs_det.value), grid)
-    assert abs(area - 4 * np.pi) / (4 * np.pi) < 1e-4
+    assert abs(area - 4 * np.pi) / (4 * np.pi) < 1e-12
 
 
 def test_line_grid_slices():
@@ -220,6 +221,98 @@ def test_line_grid_slices():
     np.testing.assert_allclose(lg.mesh[0], 0.7)
     total = emb.integrate(np.ones(16), lg)
     np.testing.assert_allclose(total, 2 * np.pi)
+
+
+# -- the quadrature rule: Gauss-Legendre on bounded axes, uniform on periodic
+
+def _interval(lo, hi):
+    return emb.Embedding(name="interval", background=emb.euclidean(2),
+                         axes=(emb.ParamAxis("u", lo, hi),),
+                         map_fn=lambda u: (u, 0.0 * u))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_bounded_axis_integrates_polynomials_to_degree_2n_minus_1(n):
+    lo, hi = -0.4, 1.7
+    grid = emb.make_grid(_interval(lo, hi), n)
+    u = grid.mesh[0]
+
+    def error(k):
+        exact = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        return abs(emb.integrate(u ** k, grid) - exact) / abs(exact)
+
+    assert max(error(k) for k in range(2 * n)) < 1e-13
+    assert error(2 * n) > 1e-9  # the rule is Gauss, of degree exactly 2n-1
+
+
+def test_two_axis_weight_is_the_outer_product_of_the_axis_rules():
+    E = emb.sphere_polar(1.0)  # Gauss in theta, uniform in phi
+    grid = emb.make_grid(E, (5, 7))
+    w_theta = np.polynomial.legendre.leggauss(5)[1] * (np.pi / 2)
+    np.testing.assert_array_equal(grid.weight,
+                                  np.multiply.outer(w_theta,
+                                                    np.full(7, 2 * np.pi / 7)))
+    grid = emb.make_grid(E, (12, 7))
+    theta, phi = grid.mesh
+    total = emb.integrate(np.sin(theta) * (1 + np.cos(phi) ** 2), grid)
+    assert abs(total - 6 * np.pi) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1023, cli.MAX_GRID])
+def test_bounded_nodes_lie_inside_and_weights_sum_to_the_length(n):
+    lo, hi = 0.0, np.pi  # the polar chart's theta: poles stay off the grid
+    grid = emb.make_grid(_interval(lo, hi), n)
+    u = grid.mesh[0]
+    assert lo < u.min() and u.max() < hi
+    assert np.all(np.diff(u) > 0)
+    assert abs(grid.weight.sum() - (hi - lo)) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (24, 24), (7, 64)])
+def test_periodic_nodes_and_weights_match_the_uniform_rule_bit_for_bit(shape):
+    E = emb.torus_e3()
+    grid = emb.make_grid(E, shape)
+    pts, h = [], []
+    for ax, n in zip(E.axes, shape):  # the rule as written before
+        h.append((ax.hi - ax.lo) / n)
+        pts.append(ax.lo + h[-1] * np.arange(n))
+    for got, want in zip(grid.mesh, np.meshgrid(*pts, indexing="ij")):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(grid.weight, np.ones(shape) * h[0] * h[1])
+
+
+def test_line_grid_on_a_bounded_axis_uses_gauss_weights():
+    E = emb.static_string(1.0)
+    lg = emb.line_grid(E, axis=0, n=6, fixed={"sigma": 0.3})
+    x, w = np.polynomial.legendre.leggauss(6)
+    np.testing.assert_array_equal(lg.mesh[0], 1.25 + 1.25 * x)
+    np.testing.assert_array_equal(lg.weight, 1.25 * w)
+    np.testing.assert_array_equal(lg.mesh[1], 0.3)
+    assert lg.axes == E.axes
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, "x"])
+def test_line_grid_rejects_a_fixed_value_that_is_not_finite(value):
+    E = emb.static_string(1.0)
+    with pytest.raises(ParameterError, match="sigma"):
+        emb.line_grid(E, axis=0, n=5, fixed={"sigma": value})
+
+
+@pytest.mark.parametrize("order", [2.5, "3", -1, None])
+def test_geometry_rejects_an_order_that_is_not_a_whole_number(order):
+    E = emb.sphere_polar(1.0)
+    with pytest.raises(ParameterError, match="order"):
+        E.geometry(emb.make_grid(E, 4).mesh, order)
+
+
+def test_grid_geometry_rejects_a_grid_of_another_chart():
+    sphere, string = emb.sphere_polar(1.0), emb.static_string(1.0)
+    with pytest.raises(ParameterError, match="theta"):
+        sphere.grid_geometry(emb.make_grid(string, 4), 2)
+    # a grid of the same chart serves any embedding on it
+    ellipsoid = emb.ellipsoid(1.0, 1.2, 0.8)
+    g = ellipsoid.grid_geometry(emb.make_grid(sphere, 4), 1)
+    assert g.grid_shape == (4, 4)
 
 
 def test_domain_and_rank_validation():
@@ -730,6 +823,8 @@ def test_grid_builders_raise_parameter_errors():
         emb.make_grid(E, 2.5)
     with pytest.raises(ParameterError, match="points per axis"):
         emb.make_grid(E, (4, 2.0))
+    with pytest.raises(ParameterError, match="points per axis"):
+        emb.make_grid(E, (True, 4))  # a bool is not a node count
     with pytest.raises(ParameterError, match="axis 5"):
         emb.line_grid(E, 5, 3, {})
     with pytest.raises(ParameterError, match="grid shape"):

@@ -196,13 +196,25 @@ def test_action_values_on_closed_surfaces():
     sphere = emb.sphere_polar(1.0)
     grid = emb.make_grid(sphere, 128)
     s = mdl.action(mdl.DNG(mu=1.0), sphere, grid)
-    np.testing.assert_allclose(s, -4.0 * np.pi, rtol=1e-4)
+    np.testing.assert_allclose(s, -4.0 * np.pi, rtol=1e-12)
     s = mdl.action(mdl.EinsteinHilbert(sigma1=1.0), sphere, grid)
-    np.testing.assert_allclose(s, 8.0 * np.pi, rtol=1e-3)
+    np.testing.assert_allclose(s, 8.0 * np.pi, rtol=1e-12)
 
     torus = emb.torus_e3(2.0, 0.5)
     s = mdl.action(mdl.DNG(mu=1.0), torus, emb.make_grid(torus, 64))
     np.testing.assert_allclose(s, -4.0 * np.pi**2 * 2.0 * 0.5, rtol=1e-6)
+
+
+def test_grid_of_another_chart_is_rejected():
+    sphere, string = emb.sphere_polar(1.0), emb.static_string(1.0)
+    grid = emb.make_grid(string, 4)
+    with pytest.raises(ParameterError, match="tau"):
+        mdl.action(mdl.DNG(), sphere, grid)
+    with pytest.raises(ParameterError, match="tau"):
+        mdl.eom_residual(mdl.DNG(), sphere, grid)
+    with pytest.raises(ParameterError, match="tau"):
+        mdl.action_variation_check(mdl.DNG(), sphere, grid,
+                                   lambda geom: geom.X)
 
 
 def test_action_rejects_degenerate_metric():

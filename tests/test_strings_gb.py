@@ -7,7 +7,14 @@ from branelab import jets
 from branelab import models as mdl
 from branelab import strings_gb as sgb
 from branelab import symplectic as sym
-from branelab.cli import RADIAL_WAVE, WAVE_PAIRS, gauge_angle
+from branelab.cli import (
+    EMBEDDINGS,
+    EULER_NUMBERS,
+    RADIAL_WAVE,
+    SCENARIOS,
+    WAVE_PAIRS,
+    gauge_angle,
+)
 from branelab.errors import (
     DegenerateGeometryError,
     ParameterError,
@@ -380,11 +387,28 @@ def test_combined_form_reduction_and_split():
 
 def test_euler_characteristic_values():
     assert abs(sgb.euler_characteristic(emb.sphere_polar(1.0), 128) - 2.0) \
-        < 2e-3
+        < 1e-12
     assert abs(sgb.euler_characteristic(emb.perturbed_sphere(), 128) - 2.0) \
-        < 1e-3
-    assert abs(sgb.euler_characteristic(emb.flat_torus_e4(), 64)) < 1e-6
-    assert abs(sgb.euler_characteristic(emb.bumpy_torus_e4(), 96)) < 1e-3
+        < 1e-12
+    assert abs(sgb.euler_characteristic(emb.flat_torus_e4(), 64)) < 1e-12
+    assert abs(sgb.euler_characteristic(emb.bumpy_torus_e4(), 96)) < 1e-12
+
+
+@pytest.mark.parametrize("name", EULER_NUMBERS)
+def test_euler_characteristic_at_the_default_nodes(name):
+    chi = sgb.euler_characteristic(EMBEDDINGS[name][0]())
+    assert abs(chi - EULER_NUMBERS[name]) <= SCENARIOS["gauss-bonnet"].tol
+
+
+@pytest.mark.parametrize("sigma0, sigma1", [
+    (np.nan, 0.9), (np.inf, 0.9), (1.2, np.nan), (1.2, -np.inf)])
+def test_canonical_pairs_reject_non_finite_couplings(sigma0, sigma1):
+    E, slc = emb.static_string(1.0), sym.CauchySlice("tau", 0.9, 16)
+    with pytest.raises(ParameterError, match="finite"):
+        sgb.dnggb_canonical(E, slc, sigma0=sigma0, sigma1=sigma1)
+    if np.isfinite(sigma0):
+        with pytest.raises(ParameterError, match="finite"):
+            sgb.gb_canonical(E, slc, sigma1=sigma1)
 
 
 def test_euler_characteristic_rejects_open_surfaces():

@@ -292,6 +292,13 @@ def test_mass_shell_residuals():
     np.testing.assert_allclose(res, 0.0, atol=0.0)
 
 
+@pytest.mark.parametrize("sigma0", [np.nan, np.inf, -np.inf])
+def test_mass_shell_rejects_a_non_finite_coupling(sigma0):
+    with pytest.raises(ParameterError, match="finite"):
+        sym.mass_shell_check(emb.static_string(1.0),
+                             sym.CauchySlice("tau", 0.9, 16), sigma0)
+
+
 def test_mass_shell_rejects_spacelike_slicing():
     sideways = emb.Embedding(
         name="sideways-sheet",

@@ -138,6 +138,25 @@ def largest_change(old, new):
     return worst
 
 
+def file_report(name, old, new):
+    """`compare`'s line for one file holding ``old`` then ``new``, whether
+    the file fails (a verdict differs or the numbers cannot be paired), and
+    the largest change as (relative change, where) or None."""
+    same = verdicts(old) == verdicts(new)
+    change = largest_change(old, new)
+    worst = None
+    if change is None:
+        digits = "text between the numbers differs"
+    else:
+        rel, line, x, y = change
+        digits = f"largest relative change {rel:.2e}"
+        if rel:
+            digits += f" (line {line}: {x} -> {y})"
+            worst = (rel, f"{name} line {line}: {x} -> {y}")
+    text = f"{name}: verdicts {'identical' if same else 'DIFFER'}; {digits}"
+    return text, not same or change is None, worst
+
+
 def compare(old_dir, new_dir):
     """Print the per-file verdict and digit report; return the exit code."""
     old_files = set(os.listdir(old_dir))
@@ -148,21 +167,12 @@ def compare(old_dir, new_dir):
             print(f"{name}: only in {old_dir if name in old_files else new_dir}")
             status = 1
             continue
-        old = pathlib.Path(old_dir, name).read_text()
-        new = pathlib.Path(new_dir, name).read_text()
-        same = verdicts(old) == verdicts(new)
-        change = largest_change(old, new)
-        if not same or change is None:
-            status = 1
-        if change is None:
-            digits = "text between the numbers differs"
-        else:
-            rel, line, x, y = change
-            digits = f"largest relative change {rel:.2e}"
-            if rel:
-                digits += f" (line {line}: {x} -> {y})"
-                overall = max(overall, (rel, f"{name} line {line}: {x} -> {y}"))
-        print(f"{name}: verdicts {'identical' if same else 'DIFFER'}; {digits}")
+        text, failed, worst = file_report(
+            name, pathlib.Path(old_dir, name).read_text(),
+            pathlib.Path(new_dir, name).read_text())
+        status = 1 if failed else status
+        overall = max(overall, worst or overall)
+        print(text)
     print(f"largest relative change overall: {overall[0]:.2e} ({overall[1]})")
     return status
 
