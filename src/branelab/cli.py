@@ -419,6 +419,7 @@ class Scenario:
     slices: tuple = ()        # default tau slices; one: it reads one
     reads: tuple = ()         # the [run] keys it reads
     couplings: dict = field(default_factory=dict)  # no model: name -> default
+    node_kb: float = 0.0      # heap per grid node, kB (see MAX_GRID)
 
     def reads_line(self) -> str:
         shape = {"grid": "=n" if isinstance(self.grid, int) else "=n[,m]",
@@ -436,7 +437,7 @@ SCENARIOS = {
         "field-equation residual of a model on an embedding",
         "bulk term of the first variation",
         embedding="traveling-wave", model="dng", grid=(48,), tol=1e-8,
-        reads=("grid", "tol")),
+        reads=("grid", "tol"), node_kb=40.0),
     "deformation-oracle": Scenario(
         run_deformation_oracle,
         "finite-difference check of curvature-invariant variations",
@@ -447,46 +448,49 @@ SCENARIOS = {
         "integrated first variation against the assembled bulk density",
         "equality of numeric and assembled action derivatives",
         embedding="torus", model="quadratic-k", grid=(24,),
-        reads=("grid", "eps", "tol")),
+        reads=("grid", "eps", "tol"), node_kb=46.0),
     "gauss-bonnet": Scenario(
         run_gauss_bonnet,
         "curvature quadrature over a closed surface",
         "Euler characteristic from the induced metric",
         embedding="sphere", embeddings=tuple(EULER_NUMBERS), grid=32,
-        tol=1e-12, reads=("grid", "tol")),
+        tol=1e-12, reads=("grid", "tol"), node_kb=2.6),
     "symplectic-conservation": Scenario(
         run_symplectic_conservation,
         "slice independence of the boundary-current form",
         "conservation of the symplectic current",
         embedding="static-string", model="dng",
         embeddings=("static-string", "traveling-wave"), grid=256, tol=1e-6,
-        slices=(0.3, 1.1, 2.0), reads=("grid", "tol", "slices")),
+        slices=(0.3, 1.1, 2.0), reads=("grid", "tol", "slices"),
+        node_kb=78.0),
     "canonical-darboux": Scenario(
         run_canonical_darboux,
         "slice form against the position-momentum pairing",
         "canonical conjugacy of chart position and momentum density",
         embedding="static-string", embeddings=("static-string",),
         grid=160, tol=1e-6, slices=(0.9,), reads=("grid", "tol", "slices"),
-        couplings={"sigma0": 1.0}),
+        couplings={"sigma0": 1.0}, node_kb=2.2),
     "gb-gauge-invariance": Scenario(
         run_gb_gauge_invariance,
         "frame-gauge shift of the curvature flux",
         "gauge invariance of the rotation-connection response",
         embedding="static-string", embeddings=("static-string",), tol=1e-10,
-        grid=(8, 24), reads=("grid", "tol"), couplings={"sigma1": 0.9}),
+        grid=(8, 24), reads=("grid", "tol"), couplings={"sigma1": 0.9},
+        node_kb=4.5),
     "dnggb-reduction": Scenario(
         run_dnggb_reduction,
         "combined-system pair at vanishing curvature coupling",
         "reduction of the combined canonical pair to the minimal one",
         embedding="static-string", couplings={"sigma0": 1.2},
         embeddings=("static-string", "traveling-wave"), grid=64, tol=1e-12,
-        slices=(0.9,), reads=("grid", "tol", "slices")),
+        slices=(0.9,), reads=("grid", "tol", "slices"), node_kb=0.8),
     "mass-shell": Scenario(
         run_mass_shell,
         "momentum normalization on a spacelike slice",
         "p.p + sigma0^2 = 0 for the unit timelike momentum",
         embedding="static-string", grid=64, tol=1e-10, slices=(0.9,),
-        reads=("grid", "tol", "slices"), couplings={"sigma0": 2.0}),
+        reads=("grid", "tol", "slices"), couplings={"sigma0": 2.0},
+        node_kb=0.3),
 }
 
 
@@ -539,12 +543,14 @@ def _parse_floats(_key, text):
             from ex
 
 
-# points per grid axis.  gauss-bonnet holds about 2.4 kB per node at jet
-# order 3, so its largest grid, 1024^2 nodes, takes about 2.5 GB, though
-# its default 32^2 already gives chi to round-off.  eom-check holds 1.2 kB
-# per node; action-variation 8.5 kB on the torus and up to 61 kB on the
-# S2xS2 patch, where its default is 24 points per axis.
+# points per grid axis.  A run's nodes are bounded too, before anything is
+# built: nodes times the scenario's `node_kb` (the tracemalloc peak's slope
+# between two grid sizes, at its worst embedding and model) may not exceed
+# NODE_BUDGET.  So action-variation (46 kB per node with synthetic-gradk on
+# S2xS2) takes at most 208^2 nodes and gauss-bonnet (2.6 kB) 877^2.  The
+# slice scenarios count one node per slice point; MAX_GRID binds them first.
 MAX_GRID = 1024
+NODE_BUDGET = 2e9  # bytes
 
 
 def _parse_grid(_key, text):
@@ -673,6 +679,12 @@ def resolve_config(args) -> Run:
     if len(val["grid"]) > E.dim:
         raise ConfigError(f"grid has {len(val['grid'])} entries for a "
                           f"{E.dim}-axis embedding")
+    axes = 1 if sc.slices else E.dim  # one node per slice point
+    nodes = int(np.prod(grid if isinstance(grid, tuple) else (grid,) * axes))
+    if nodes * sc.node_kb * 1e3 > NODE_BUDGET:
+        raise ConfigError(f"{scenario} grid of {nodes} nodes needs about "
+                          f"{nodes * sc.node_kb / 1e6:.2f} GB, over the "
+                          f"{NODE_BUDGET / 1e9:g} GB bound")
     return Run(scenario, embedding, E, model, built, grid,
                ",".join(str(n) for n in val["grid"]) or "default", val["eps"],
                val["tol"], val["seed"], val["trials"], slices,

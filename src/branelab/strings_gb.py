@@ -30,6 +30,7 @@ gauge angles, Psi is frame-gauge invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,10 +104,13 @@ def _resolve_gauge(theta, geom: Geometry):
 
 @dataclass
 class TangentFramePair:
-    """Orthonormal tangent frame (iota0, iota1) and its area bivector."""
+    """Orthonormal tangent frame (iota0, iota1) on ``geom`` and its area
+    bivector.  Its chart legs are projected once, on the first `contract`,
+    and shared by every later one."""
 
     iota0: object
     iota1: object
+    geom: Geometry
 
     @property
     def epsilon(self):
@@ -115,15 +119,18 @@ class TangentFramePair:
         flip = jet_einsum("m...,n...->mn...", self.iota1, self.iota0)
         return outer - flip
 
-    def contract(self, geom: Geometry, w):
+    @cached_property
+    def _chart_legs(self):
+        """(iota0^a, iota1^a) with iota^a = gamma^{ab} g(e_b, iota)."""
+        return tuple(self.geom.chart_components(leg)
+                     for leg in (self.iota0, self.iota1))
+
+    def contract(self, w):
         """eps^{mu a} w_a as a jet, for a chart covector w (a jet or grid
-        values), with the legs in the chart basis
-        iota^a = gamma^{ab} g(e_b, iota)."""
-
-        def along(leg):
-            return jet_einsum("a...,a...->...", geom.chart_components(leg), w)
-
-        return self.iota0 * along(self.iota1) - self.iota1 * along(self.iota0)
+        values), with the legs in the chart basis."""
+        a0, a1 = (jet_einsum("a...,a...->...", leg, w)
+                  for leg in self._chart_legs)
+        return self.iota0 * a1 - self.iota1 * a0
 
 
 def tangent_frame(geom: Geometry, theta=None) -> TangentFramePair:
@@ -153,7 +160,7 @@ def tangent_frame(geom: Geometry, theta=None) -> TangentFramePair:
         else:
             c, s = cos(th), sin(th)
             i0, i1 = c * i0 + s * i1, c * i1 - s * i0
-    return TangentFramePair(iota0=i0, iota1=i1)
+    return TangentFramePair(iota0=i0, iota1=i1, geom=geom)
 
 
 def rotation_connection(geom: Geometry, theta=None):
@@ -191,7 +198,7 @@ def gb_potential(geom: Geometry, theta, drho: np.ndarray,
     """
     frame = tangent_frame(geom, theta)
     dens = np.asarray(geom.sqrt_abs_det.value, float)
-    shift = np.asarray(frame.contract(geom, drho).value, float)
+    shift = np.asarray(frame.contract(drho).value, float)
     return float(sigma1) * dens * shift
 
 
@@ -238,7 +245,7 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     def fluxes(vg, _fields):
         rho, frame = rotation_connection(vg, theta)
         dens = float(sigma1) * vg.sqrt_abs_det
-        return [dens * frame.contract(vg, rho.partial(vg.dim + j))
+        return [dens * frame.contract(rho.partial(vg.dim + j))
                 for j in (0, 1)]
 
     d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
@@ -301,7 +308,7 @@ def _dnggb_pair(geom: Geometry, sigma0: float, sigma1: float, theta):
     Q = geom.X
     if sigma1 != 0.0:
         rho, frame = rotation_connection(geom, theta)
-        Q = Q - (float(sigma1) / float(sigma0)) * frame.contract(geom, rho)
+        Q = Q - (float(sigma1) / float(sigma0)) * frame.contract(rho)
     return Q, phat
 
 

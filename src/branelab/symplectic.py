@@ -91,16 +91,21 @@ def chart_field(fn):
 
 def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
     """Evaluate the kernel table for one deformation on one geometry: the
-    jet of the vector density sqrt|gamma| Psi^a, shape (dim,) + grid."""
+    jet of the vector density sqrt|gamma| Psi^a, shape (dim,) + grid.
+
+    V is lowered once; T00 reads only its tangential part t^a, so the
+    normal part phi^i = <V, n^i>, and with it the geometry's normal frame,
+    is built only for a model with HK or HG (not for DNG)."""
     model.check_geometry(geom)
     V = dfm.resolve_field(vfield, geom)
-    t, phi = dfm.decompose_vector(geom, V)
+    gV = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
 
-    psi = model.lagrangian(geom) * t                                   # T00
+    psi = model.lagrangian(geom) * geom._chart_of_lowered(gV)          # T00
 
     HK = model.h_k(geom)
     HG = model.h_gradk(geom)
     if HK is not None or HG is not None:
+        phi = jet_einsum("im...,m...->i...", geom.normals, gV)
         gphi = geom.covariant_grad(phi, 0, 1)                          # (b,i)
     if HK is not None:
         psi = psi - jet_einsum("abi...,bi...->a...", HK, gphi)         # T01

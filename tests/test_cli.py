@@ -1,8 +1,10 @@
 """Exit codes, config handling, and report determinism of the CLI."""
 
+import argparse
 import csv
 import dataclasses
 import importlib.util
+import math
 import pathlib
 import sys
 
@@ -374,6 +376,47 @@ def test_grid_has_an_upper_bound(tmp_path, capsys):
     cfg.write_text(f"[scenario]\nname = gauss-bonnet\n\n[run]\ngrid = {huge}\n")
     assert cli.main(["--config", str(cfg)]) == 2
     assert "grid" in capsys.readouterr().err
+
+
+def _resolve(scenario, grid):
+    return cli.resolve_config(argparse.Namespace(
+        config=None, scenario=scenario, grid=grid, eps=None, tol=None))
+
+
+@pytest.mark.parametrize("scenario", [
+    name for name, sc in cli.SCENARIOS.items() if "grid" in sc.reads])
+def test_grid_nodes_are_bounded_by_the_memory_budget(scenario):
+    # through the parser only: a rejected grid is refused before any build
+    sc = cli.SCENARIOS[scenario]
+    assert sc.node_kb > 0
+    _resolve(scenario, None)  # the default fits
+    if sc.slices:  # one node per slice point: MAX_GRID binds first
+        assert cli.MAX_GRID * sc.node_kb * 1e3 <= cli.NODE_BUDGET
+        _resolve(scenario, str(cli.MAX_GRID))
+        return
+    n = math.isqrt(int(cli.NODE_BUDGET // (sc.node_kb * 1e3)))  # n x n nodes
+    assert _resolve(scenario, str(n)).grid == n
+    per_axis = isinstance(sc.grid, tuple)  # it also reads n,m
+    for text in [str(n + 1)] + [f"{n + 1},{n + 1}"] * per_axis:
+        with pytest.raises(cli.ConfigError, match="GB"):
+            _resolve(scenario, text)
+
+
+def test_action_variation_at_the_largest_axis_grid_is_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    # 1024^2 nodes at 46 kB each would need about 48 GB: no run may start
+    def no_run(run):
+        raise AssertionError(f"{run.scenario} started at grid {run.grid}")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    assert cli.main(["--scenario", "action-variation", "--grid", "1024"]) == 2
+    assert "GB" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = action-variation\n\n[embedding]\n"
+                   "id = s2xs2\n\n[model]\nid = synthetic-gradk\n\n"
+                   "[run]\ngrid = 1024\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "GB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario", ["deformation-oracle",

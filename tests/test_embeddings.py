@@ -258,6 +258,21 @@ def test_two_axis_weight_is_the_outer_product_of_the_axis_rules():
     assert abs(total - 6 * np.pi) < 1e-12
 
 
+def test_gauss_legendre_rule_is_computed_once_per_n_and_read_only():
+    E = emb.sphere_polar(1.0)  # Gauss in theta
+    emb._leggauss.cache_clear()
+    first, second = emb.make_grid(E, 17), emb.make_grid(E, 17)
+    info = emb._leggauss.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for a, b in zip(first.mesh + (first.weight,),
+                    second.mesh + (second.weight,)):
+        assert a is not b
+        np.testing.assert_array_equal(a, b)
+    for arr in emb._leggauss(17):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 1023, cli.MAX_GRID])
 def test_bounded_nodes_lie_inside_and_weights_sum_to_the_length(n):
     lo, hi = 0.0, np.pi  # the polar chart's theta: poles stay off the grid
@@ -712,6 +727,23 @@ def test_k_and_twist_share_one_lowering_of_the_normals(monkeypatch):
         "abm...,im...->abi...", g.second_fundamental, gn))
     assert_jets_identical(g.twist, jets.jet_einsum(
         "ajm...,im...->aij...", g.ambient_covariant(g.normals), gn))
+
+
+def test_flat_background_skips_the_zero_connection_term():
+    # the reference is minkowski4 without the flat flag: its closed-form
+    # connection is zero, so it takes the connection path
+    flat = backgrounds.minkowski(4)
+    unflagged = BackgroundMetric(
+        name="minkowski4-unflagged", dim=4, metric_fn=flat.metric_fn,
+        christoffel_fn=lambda *x: backgrounds._zeros(4, 3),
+        riemann_fn=lambda *x: backgrounds._zeros(4, 4))
+    E = emb.static_string(1.0)
+    g = E.geometry(small_grid(E, (3, 5)).mesh, 4)
+    ref = emb.Geometry(unflagged, g.X, g.params, E)
+    for W in (g.tangents, g.normals, g.normals[0]):
+        assert_jets_identical(g.ambient_covariant(W), ref.ambient_covariant(W))
+    assert "_christoffel_tangents" not in vars(g)
+    assert "_christoffel_tangents" in vars(ref)
 
 
 INTRINSIC_CASES = [(emb.sphere_polar(1.0), (4, 5)), (emb.torus_e3(), (4, 3))]

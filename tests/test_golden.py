@@ -3,19 +3,23 @@
 
 `tests/golden/` holds the text files the tool writes (the --list catalog,
 the report bodies without their `duration-s:` line, and the demo outputs)
-and `csv.sha256`, the sha256 of each --dump-fields CSV, which are too
-large to commit.  The files hold for the einsum summation order of the
-x86-64 OpenBLAS numpy build they were written with; another CPU may sum
-einsum terms in another order and move the last digits of some bodies.
+and `csv.sha256`, the manifest of the --dump-fields CSVs, which are too
+large to commit: the sha256 of each, and per column its row count,
+largest |value| and sum.  The files hold for the einsum summation order
+of the x86-64 OpenBLAS numpy build they were written with; another CPU
+may sum einsum terms in another order and move the last digits of some
+bodies.
 The failure message then prints `tools/cli_bodies.py --compare`'s
 verdict and digit report for each changed text file, which shows
-whether any verdict moved.
+whether any verdict moved, and for each changed CSV the columns whose
+statistics moved, with their largest relative change.
 
 A change that moves a body on purpose rewrites the golden files:
 
     PYTHONPATH=src python3 tools/cli_bodies.py OUT
     cp OUT/*.txt tests/golden/
-    (cd OUT && sha256sum *.csv) > tests/golden/csv.sha256
+    PYTHONPATH=src python3 tools/cli_bodies.py --manifest OUT \
+        > tests/golden/csv.sha256
 """
 import hashlib
 import importlib.util
@@ -39,8 +43,7 @@ def test_report_bodies_match_golden_files(tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     tool = _cli_bodies()
     tool.main(tmp_path)
-    want_csv = dict(reversed(line.split()) for line in
-                    MANIFEST.read_text().splitlines())
+    want_csv = tool.read_manifest(MANIFEST.read_text())
     want_txt = {p.name for p in GOLDEN.glob("*.txt")}
     got_txt = {p.name for p in tmp_path.glob("*.txt")}
     got_csv = {p.name for p in tmp_path.glob("*.csv")}
@@ -57,7 +60,24 @@ def test_report_bodies_match_golden_files(tmp_path, monkeypatch):
             problems.append(tool.file_report(name, old, new)[0])
     for name in sorted(set(want_csv) & got_csv):
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        if digest != want_csv[name]:
-            problems.append(f"{name}: sha256 {digest} differs from "
-                            f"csv.sha256")
+        want_digest, want_stats = want_csv[name]
+        if digest != want_digest:
+            problems.append(tool.csv_report(
+                name, want_stats, tool.csv_stats(tmp_path / name)))
     assert not problems, "\n".join(problems)
+
+
+def test_a_moved_csv_names_its_columns_and_their_change(tmp_path):
+    tool = _cli_bodies()
+    _digest, want = tool.read_manifest(MANIFEST.read_text())["mass-shell.csv"]
+    got = dict(want)
+    rows, big, total = want["residual"]
+    got["residual"] = (rows, big, total + 1e-3)
+    line = tool.csv_report("mass-shell.csv", want, got)
+    assert line.startswith("mass-shell.csv: sha256 differs")
+    assert "residual sum" in line and "param0" not in line
+    assert "relative change 1.00e+00" in line
+    got["param0"] = (rows + 1,) + want["param0"][1:]
+    assert "param0 rows" in tool.csv_report("mass-shell.csv", want, got)
+    unmoved = tool.csv_report("mass-shell.csv", want, want)
+    assert "csv.sha256; no column" in unmoved

@@ -549,3 +549,20 @@ def test_gb_form_builds_two_geometries(monkeypatch):
     sgb.dnggb_symplectic_form(E, slc, TIMEMODE, MATCHED_RADIAL, sigma0=1.2,
                               sigma1=0.9)
     assert len(builds) == 2
+
+
+def test_gb_form_projects_each_frame_leg_once(monkeypatch):
+    # fluxes contracts one frame twice (j = 0, 1); its two chart legs are
+    # projected on the first contraction and reused by the second
+    legs = []
+    original = emb.Geometry.chart_components
+
+    def counting(self, W):
+        legs.append(W)
+        return original(self, W)
+
+    monkeypatch.setattr(emb.Geometry, "chart_components", counting)
+    sgb.gb_symplectic_form(emb.static_string(1.0),
+                           sym.CauchySlice("tau", 0.9, 16), TIMEMODE,
+                           MATCHED_RADIAL, 0.9)
+    assert len(legs) == len({id(leg) for leg in legs}) == 2

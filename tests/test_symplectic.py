@@ -418,3 +418,26 @@ def test_slice_form_builds_two_geometries(monkeypatch):
     builds.clear()
     sym.dng_canonical_pairing(E, slc, FZ1, FZ2, 1.0)
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("model, reads_phi", [
+    (mdl.DNG(mu=1.0), False),
+    (mdl.QuadraticK(alpha=0.7), True),
+    (mdl.SyntheticGradK(beta=0.6), True),
+], ids=["dng", "quadratic-k", "synthetic-gradk"])
+def test_potential_builds_normals_only_for_hk_and_hg_models(monkeypatch, model,
+                                                            reads_phi):
+    # DNG's kernel table is T00 alone, which reads the tangential part t^a
+    builds = []
+    original = emb.Geometry.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(emb.Geometry, "__init__", counting)
+    sym.symplectic_form(model, emb.static_string(1.0),
+                        sym.CauchySlice("tau", 0.9, 32), FZ1, FZ2)
+    base, varied = builds
+    assert "normals" not in vars(base)
+    assert ("normals" in vars(varied)) == reads_phi

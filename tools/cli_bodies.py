@@ -32,8 +32,17 @@ the numbers of the two files in order.  It exits 1 if a verdict differs,
 a file is in one directory only, or the text between the numbers differs
 (then the numbers cannot be paired); else 0.  `diff -r` still shows
 byte identity.
+
+Usage: python3 tools/cli_bodies.py --manifest OUTDIR > tests/golden/csv.sha256
+
+prints the manifest of the CSVs in OUTDIR: per file its sha256 line, in
+`sha256sum`'s format, then one indented line per column with its row
+count, largest |value| and exactly rounded sum.  `csv_report` names the
+columns whose statistics moved between a manifest and a new CSV.
 """
 import contextlib
+import csv
+import hashlib
 import io
 import math
 import os
@@ -117,6 +126,15 @@ def verdicts(text):
     return out
 
 
+def relative_change(x, y):
+    """|x - y| over the larger magnitude; 0 for equal numbers or two NaNs."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if math.isnan(x) or math.isnan(y):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
 def largest_change(old, new):
     """(relative change, line, old number, new number) of the number that
     moved most, or None when the text between the numbers differs."""
@@ -126,13 +144,7 @@ def largest_change(old, new):
     worst, line = (0.0, 0, "", ""), 1
     for k in range(1, len(a), 2):
         line += a[k - 1].count("\n")
-        x, y = float(a[k]), float(b[k])
-        if x == y or (math.isnan(x) and math.isnan(y)):
-            rel = 0.0
-        elif math.isnan(x) or math.isnan(y):
-            rel = math.inf
-        else:
-            rel = abs(x - y) / max(abs(x), abs(y))
+        rel = relative_change(float(a[k]), float(b[k]))
         if rel > worst[0]:
             worst = (rel, line, a[k], b[k])
     return worst
@@ -177,7 +189,65 @@ def compare(old_dir, new_dir):
     return status
 
 
+def csv_stats(path):
+    """{column: (rows, max |value|, sum)} of a --dump-fields CSV."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    cols = zip(*([float(x) for x in row] for row in rows))
+    return {name: (len(rows), max(map(abs, col)), math.fsum(col))
+            for name, col in zip(header, cols)}
+
+
+def manifest(outdir):
+    """The `--manifest` text of the CSVs in ``outdir``."""
+    lines = []
+    for path in sorted(pathlib.Path(outdir).glob("*.csv")):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {path.name}")
+        lines += [f"  {name} rows={rows} max_abs={big!r} sum={total!r}"
+                  for name, (rows, big, total) in csv_stats(path).items()]
+    return "".join(line + "\n" for line in lines)
+
+
+def read_manifest(text):
+    """{file: (sha256, {column: (rows, max |value|, sum)})} of a manifest."""
+    out = {}
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            digest, name = line.split()
+            out[name] = (digest, {})
+            continue
+        column, *fields = line.split()
+        rows, big, total = (v.split("=", 1)[1] for v in fields)
+        out[name][1][column] = (int(rows), float(big), float(total))
+    return out
+
+
+def csv_report(name, want, got):
+    """The line naming each column of ``name`` whose statistics moved from
+    ``want`` to ``got`` (both `csv_stats` dicts) and its largest relative
+    change."""
+    moved = [f"{col} only in {'the manifest' if col in want else 'the run'}"
+             for col in sorted(set(want) ^ set(got))]
+    for col in [c for c in want if c in got]:
+        (n0, *old), (n1, *new) = want[col], got[col]
+        if n0 != n1:
+            moved.append(f"{col} rows {n0} -> {n1}")
+            continue
+        rel, what, x, y = max((relative_change(x, y), what, x, y)
+                              for what, x, y in zip(("max_abs", "sum"), old,
+                                                    new))
+        if rel:
+            moved.append(f"{col} {what} {x!r} -> {y!r} "
+                         f"(relative change {rel:.2e})")
+    return f"{name}: sha256 differs from csv.sha256; " + (
+        "; ".join(moved) or "no column's row count, max |value| or sum moved")
+
+
 if __name__ == "__main__":
     if sys.argv[1] == "--compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
-    main(sys.argv[1])
+    elif sys.argv[1] == "--manifest":
+        sys.stdout.write(manifest(sys.argv[2]))
+    else:
+        main(sys.argv[1])
