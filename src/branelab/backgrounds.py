@@ -1,19 +1,17 @@
 """Ambient metrics with their connection and curvature.
 
 A :class:`BackgroundMetric` describes the space an embedded worldvolume
-lives in: a metric component function plus, optionally, closed-form
-connection and curvature functions.  When closed forms are missing they are
-extracted from the metric function itself by reseeding the coordinates as
-truncated Taylor jets, so coordinate derivatives of the metric are exact.
+lives in: a metric component function plus closed-form connection and
+curvature functions.  A ``flat`` background has zero connection and
+curvature and needs neither; a curved one must supply both, as every
+catalog background does.  Nothing is extracted from the metric function.
 
 All tensor-returning methods accept coordinates that are plain numbers,
 arrays, or jets (the geometry pipeline passes worldvolume-parameter jets),
 and return tensor jets whose leading axes are the tensor indices, stacked
 from the nested component lists by `jets.jet_stack`.  A tensor whose
 components are all constants (a flat metric) carries no grid axes and
-broadcasts through einsum's ``...``.  Metric component functions must
-build their output from the coordinate arguments they receive; closures
-over pre-built jets are not supported.
+broadcasts through einsum's ``...``.
 """
 from __future__ import annotations
 
@@ -28,7 +26,6 @@ from .errors import ParameterError, PreconditionError
 from .jets import (
     Jet,
     jet_einsum,
-    jet_matinv,
     jet_rearrange,
     jet_stack,
 )
@@ -58,26 +55,16 @@ def _normalize_coords(coords):
     return out, out[0]
 
 
-def _extract(entry, alpha, dim, order):
-    """Ambient-derivative coefficient of one metric component."""
-    if isinstance(entry, Jet):
-        if entry.nvars != dim or entry.order != order:
-            raise PreconditionError(
-                "metric components must be built from the coordinate arguments"
-            )
-        return entry.derivative(alpha)
-    return entry if sum(alpha) == 0 else 0.0
-
-
 @dataclass
 class BackgroundMetric:
-    """Ambient space: metric components plus optional closed-form geometry.
+    """Ambient space: metric components plus closed-form geometry.
 
     metric_fn(*coords) returns a dim x dim nested sequence of components;
     christoffel_fn returns [rho][mu][nu] (upper first index); riemann_fn
     returns the all-lower R_{a b m n}.  ``flat`` short-circuits connection
-    and curvature to zero.  Missing closed forms are extracted exactly from
-    jet derivatives of ``metric_fn``.
+    and curvature to zero.  A curved background must bring both closed
+    forms: connection and curvature are not derived from ``metric_fn``, and
+    construction without them raises `ParameterError`.
     """
 
     name: str
@@ -89,6 +76,11 @@ class BackgroundMetric:
 
     def __post_init__(self):
         _check_dim(f"background {self.name}", self.dim, 1)
+        if not self.flat and (self.christoffel_fn is None
+                              or self.riemann_fn is None):
+            raise ParameterError(
+                f"curved background {self.name} needs closed-form "
+                "christoffel_fn and riemann_fn")
 
     # -- tensor-jet interface (used by the geometry pipeline) ------------
     def metric_tensor(self, coords):
@@ -100,52 +92,14 @@ class BackgroundMetric:
         coords, template = _normalize_coords(coords)
         if self.flat:
             return jet_stack(_zeros(self.dim, 3), template)
-        if self.christoffel_fn is not None:
-            return jet_stack(self.christoffel_fn(*coords), template)
-        g, dg, _ = self._metric_derivs(coords, template, nderiv=1)
-        return christoffel_from_metric(jet_matinv(g), dg)
+        return jet_stack(self.christoffel_fn(*coords), template)
 
     def riemann_tensor(self, coords):
         """All-lower curvature R_{a b m n}(x)."""
         coords, template = _normalize_coords(coords)
         if self.flat:
             return jet_stack(_zeros(self.dim, 4), template)
-        if self.riemann_fn is not None:
-            return jet_stack(self.riemann_fn(*coords), template)
-        g, dg, ddg = self._metric_derivs(coords, template, nderiv=2)
-        return riemann_from_metric(g, jet_matinv(g), dg, ddg)
-
-    def _metric_derivs(self, coords, template, nderiv):
-        """Metric and its ambient partials at jet coordinates.
-
-        Returns (g, dg, ddg) as tensor jets with axes (m,n), (a,m,n) and
-        (a,b,m,n); dg[a] = d_a g, ddg[a,b] = d_a d_b g.  ddg is None for
-        nderiv < 2.  Works by reseeding each coordinate as a jet variable
-        whose value is the incoming (possibly jet-valued) coordinate, so
-        parameter dependence rides along in the coefficients.
-        """
-        D = self.dim
-        ys = [Jet.variable(mu, c, D, nderiv) for mu, c in enumerate(coords)]
-        rows = self.metric_fn(*ys)
-
-        def comp(alpha):
-            return [[_extract(rows[m][n], alpha, D, nderiv) for n in range(D)]
-                    for m in range(D)]
-
-        def e(a):
-            return tuple(1 if i == a else 0 for i in range(D))
-
-        def esum(a, b):
-            return tuple(x + y for x, y in zip(e(a), e(b)))
-
-        g = jet_stack(comp((0,) * D), template)
-        dg = jet_stack([comp(e(a)) for a in range(D)], template)
-        ddg = None
-        if nderiv >= 2:
-            ddg = jet_stack(
-                [[comp(esum(a, b)) for b in range(D)] for a in range(D)],
-                template)
-        return g, dg, ddg
+        return jet_stack(self.riemann_fn(*coords), template)
 
     # -- point-value interface -------------------------------------------
     def metric_at(self, point):
@@ -161,7 +115,7 @@ class BackgroundMetric:
         return np.asarray(self.riemann_tensor(coords).value, float)
 
 
-# -- metric -> connection -> curvature (shared with intrinsic geometry) ---
+# -- metric -> connection -> curvature (of the induced metric, in Geometry) --
 
 def _gamma_lower(dg):
     # G_{r m n} = (d_m g_{rn} + d_n g_{rm} - d_r g_{mn}) / 2, dg[a] = d_a g
@@ -313,9 +267,8 @@ def product_background(*factors: BackgroundMetric) -> BackgroundMetric:
     The metric, the connection G^r_{mn} and the all-lower Riemann tensor of
     a product are block diagonal: an entry vanishes unless all its indices
     lie in one factor, where it is that factor's entry.  Connection and
-    curvature are assembled from the factors' closed forms (a flat factor
-    contributes zeros); when a curved factor has no closed form, that
-    tensor is extracted from the product metric instead.
+    curvature are assembled from the factors' closed forms; a flat factor
+    contributes zeros.
     """
     if not factors:
         raise ParameterError("a product background needs at least one factor")
@@ -332,10 +285,8 @@ def product_background(*factors: BackgroundMetric) -> BackgroundMetric:
         return fn
 
     def closed_form(attr, rank):
-        fns = [None if f.flat else getattr(f, attr) for f in factors]
-        if any(fn is None and not f.flat for f, fn in zip(factors, fns)):
-            return None
-        return block_diagonal(fns, rank)
+        return block_diagonal(
+            [None if f.flat else getattr(f, attr) for f in factors], rank)
 
     return BackgroundMetric(
         name="x".join(f.name for f in factors),

@@ -213,7 +213,7 @@ def _windowed_field(geom):
     else:
         W = jets.jet_stack([fns[mu % 2](*geom.params) for mu in
                             range(geom.ambient_dim)], template=geom.X)
-        phi = dfm.decompose_vector(geom, W)[1]
+        phi = dfm.normal_components(geom, W)
     for w in wins:
         phi = w * phi
     return dfm.deformation_vector(geom, phi)

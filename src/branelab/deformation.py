@@ -55,7 +55,7 @@ __all__ = [
     "normal_field",
     "resolve_field",
     "deformation_vector",
-    "decompose_vector",
+    "normal_components",
     "deformed_geometry",
     "varied_geometry",
     "variation",
@@ -102,21 +102,20 @@ def deformation_vector(geom: Geometry, phi):
 
     In codimension >= 2, phi^i n_i depends on the pointwise frame of
     ``geom.normals``; pointwise uses are unaffected.  The normal part of
-    an ambient field W, ``deformation_vector(geom, decompose_vector(geom,
-    W)[1])``, is W minus its tangential part and does not depend on that
-    frame, so a smooth W gives a smooth deformation.
+    an ambient field W, ``deformation_vector(geom, normal_components(geom,
+    W))``, is W minus its tangential part e_a ``geom.chart_components(W)``
+    and does not depend on that frame, so a smooth W gives a smooth
+    deformation.
     """
     return jet_einsum("i...,im...->m...", phi, geom.normals)
 
 
-def decompose_vector(geom: Geometry, V):
-    """Split an ambient vector jet into tangential and normal components.
-
-    Returns (t, phi) with t^a = gamma^{ab} <V, e_b> and phi^i = <V, n^i>.
-    """
+def normal_components(geom: Geometry, V):
+    """Normal components phi^i = <V, n^i> of an ambient vector jet V, from
+    one lowering of V.  Its tangential components are
+    ``geom.chart_components(V)``."""
     gV = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
-    return (geom._chart_of_lowered(gV),
-            jet_einsum("im...,m...->i...", geom.normals, gV))
+    return jet_einsum("im...,m...->i...", geom.normals, gV)
 
 
 def deformed_geometry(geom: Geometry, V, eps: float) -> Geometry:

@@ -10,10 +10,9 @@ finite-difference noise.
 Coefficients may be scalars or numpy arrays.  Array coefficients are how the
 geometry pipeline vectorizes: a single scalar jet can carry one coefficient
 array per Taylor term, shaped ``(tensor indices..., grid...)``, so one jet
-multiplication sweeps a whole grid.  Coefficients may even be Jets themselves
-(nested jets), which is how metric derivatives are extracted when a
-background provides no closed-form connection; `Jet` arithmetic and the
-analytic functions recurse through them, and `jet_einsum` rejects them.
+multiplication sweeps a whole grid.  Coefficients are never jets:
+`Jet.constant` and `Jet.variable` reject a jet value, and `jet_einsum` a
+jet whose coefficients are jets.
 
 Conventions: coefficients are stored in graded order (total degree, then
 lexicographic), so truncating to a lower order is a prefix slice.  Only
@@ -123,7 +122,7 @@ def _cauchy(pairs, prod):
     ``prod`` must return a new object, as a product does.  Each later term
     is added into the array made by the first product, so no input
     coefficient is written; a term that would broadcast the sum to a larger
-    shape or another dtype (or a jet or scalar term) is added out of place.
+    shape or another dtype (or a scalar term) is added out of place.
     """
     it = iter(pairs)
     s = prod(*next(it))
@@ -143,12 +142,13 @@ _OUTSIDE = {"nonzero": lambda v: v == 0, "positive": lambda v: v <= 0,
 
 
 def _require(name, value, kind):
-    """Raise DomainError unless ``value`` (the innermost value of a nested
-    jet) is of ``kind`` ("nonzero", "positive" or "non-negative") at every
-    index."""
-    while _is_jet(value):
-        value = value.c[0]
+    """Raise DomainError unless ``value`` is of ``kind`` ("nonzero",
+    "positive" or "non-negative") at every index.  A value that is not
+    numeric, such as a jet, raises `PreconditionError`."""
     v = np.asarray(value)
+    if v.dtype == object:
+        raise PreconditionError(
+            f"{name} needs a numeric value, not {type(value).__name__}")
     bad = _OUTSIDE[kind](v)
     if np.any(bad):
         idx = tuple(int(t) for t in np.argwhere(bad)[0])
@@ -180,6 +180,8 @@ class Jet:
     # -- constructors -------------------------------------------------
     @staticmethod
     def constant(value, nvars, order, caps=()):
+        if _is_jet(value):
+            raise PreconditionError("a jet's coefficients cannot be jets")
         n = _tables(nvars, order, caps)[2][order]
         c = [value] + [_zero_like(value)] * (n - 1)
         return Jet(nvars, order, c, caps)
@@ -392,8 +394,7 @@ class Jet:
                 c(value), and ``kind`` names the one returned.
 
         These are the Taylor-arithmetic tables of Griewank and Walther,
-        Evaluating Derivatives, ch. 13.  Nested (jet-valued) coefficients
-        recurse through their own arithmetic.
+        Evaluating Derivatives, ch. 13.
         """
         u = self.c
         tab = _tables(self.nvars, self.order, self.caps)
@@ -470,16 +471,12 @@ class Jet:
 
 
 def _zero_like(v):
-    if _is_jet(v):
-        return Jet.constant(_zero_like(v.c[0]), v.nvars, v.order, v.caps)
     if isinstance(v, np.ndarray):
         return np.zeros_like(v, dtype=float)
     return 0.0
 
 
 def _one_like(v):
-    if _is_jet(v):
-        return Jet.constant(_one_like(v.c[0]), v.nvars, v.order, v.caps)
     if isinstance(v, np.ndarray):
         return np.ones_like(v, dtype=float)
     return 1.0

@@ -12,6 +12,8 @@ from branelab.errors import ParameterError, PreconditionError
 
 
 def strip_closed_forms(bg):
+    """``bg`` as a curved background given only its metric, which
+    construction rejects."""
     return BackgroundMetric(
         name=bg.name + "-raw",
         dim=bg.dim,
@@ -21,8 +23,8 @@ def strip_closed_forms(bg):
 
 
 def fd_christoffel_at(bg, point, step=1e-5):
-    """Central-difference connection from metric_at: an oracle for the jet
-    extraction."""
+    """Central-difference connection from metric_at: an oracle for the
+    closed forms."""
     point = np.asarray(point, float)
     ginv = np.linalg.inv(bg.metric_at(point))
     dg = _central_grad(lambda p: bg.metric_at(p), point, step)
@@ -106,43 +108,42 @@ def test_sphere_radius_scaling():
     assert scal == pytest.approx(3 * 2 / rho**2, rel=1e-12)  # n(n-1)/rho^2
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_jet_extraction_matches_closed_forms(dim):
-    bg = round_sphere_background(dim, radius=1.3)
-    raw = strip_closed_forms(bg)
+S2XS2 = backgrounds.product_spheres_background(1.0, 1.3)
+S2XS3 = backgrounds.product_background(round_sphere_background(2, 0.9),
+                                       round_sphere_background(3, 1.4))
+CURVED = [round_sphere_background(2, radius=1.3),
+          round_sphere_background(3, radius=1.3), S2XS2, S2XS3]
+CURVED_IDS = ["sphere2", "sphere3", "s2xs2", "s2xs3"]
+
+
+@pytest.mark.parametrize("bg", CURVED, ids=CURVED_IDS)
+def test_closed_forms_match_central_differences(bg):
     rng = np.random.default_rng(5)
-    for _ in range(4):
-        pt = rng.uniform(0.4, 2.2, size=dim)
-        np.testing.assert_allclose(raw.christoffel_at(pt), bg.christoffel_at(pt),
-                                   atol=1e-12)
-        np.testing.assert_allclose(raw.riemann_at(pt), bg.riemann_at(pt),
-                                   atol=1e-11)
+    for _ in range(3):
+        pt = rng.uniform(0.5, 2.0, size=bg.dim)
+        np.testing.assert_allclose(fd_christoffel_at(bg, pt),
+                                   bg.christoffel_at(pt), atol=1e-7)
+        np.testing.assert_allclose(fd_riemann_at(bg, pt), bg.riemann_at(pt),
+                                   atol=1e-4)
 
 
 def test_extracted_riemann_symmetries_and_bianchi():
-    bg = strip_closed_forms(round_sphere_background(3, radius=0.9))
+    # the closed-form curvature, which is all a background has
     rng = np.random.default_rng(17)
-    for _ in range(3):
-        pt = rng.uniform(0.5, 2.0, size=3)
-        R = bg.riemann_at(pt)
-        np.testing.assert_allclose(R, -np.einsum("abmn->bamn", R), atol=1e-10)
-        np.testing.assert_allclose(R, -np.einsum("abmn->abnm", R), atol=1e-10)
-        np.testing.assert_allclose(R, np.einsum("abmn->mnab", R), atol=1e-10)
-        cyc = (R
-               + np.einsum("amnb->abmn", R)
-               + np.einsum("anbm->abmn", R))
-        np.testing.assert_allclose(cyc, 0.0, atol=1e-10)
-
-
-def test_fd_mode_cross_checks_jet_mode():
-    bg = round_sphere_background(2, radius=1.0)
-    raw = strip_closed_forms(bg)
-    pt = np.array([0.8, 0.5])
-    for ref in (raw, bg):  # jet extraction, then closed forms
-        np.testing.assert_allclose(fd_christoffel_at(raw, pt),
-                                   ref.christoffel_at(pt), atol=1e-7)
-        np.testing.assert_allclose(fd_riemann_at(raw, pt), ref.riemann_at(pt),
-                                   atol=1e-4)
+    for bg in (round_sphere_background(3, radius=0.9), S2XS3):
+        for _ in range(3):
+            pt = rng.uniform(0.5, 2.0, size=bg.dim)
+            R = bg.riemann_at(pt)
+            np.testing.assert_allclose(R, -np.einsum("abmn->bamn", R),
+                                       atol=1e-10)
+            np.testing.assert_allclose(R, -np.einsum("abmn->abnm", R),
+                                       atol=1e-10)
+            np.testing.assert_allclose(R, np.einsum("abmn->mnab", R),
+                                       atol=1e-10)
+            cyc = (R
+                   + np.einsum("amnb->abmn", R)
+                   + np.einsum("anbm->abmn", R))
+            np.testing.assert_allclose(cyc, 0.0, atol=1e-10)
 
 
 def test_metric_tensor_accepts_jet_coords():
@@ -189,9 +190,16 @@ def test_validation_errors():
     lambda: euclidean("3"),
     lambda: round_sphere_background(2, "1"),
     lambda: BackgroundMetric("x", 2.5, lambda *c: [[1.0, 0.0], [0.0, 1.0]]),
+    lambda: BackgroundMetric("x", 2, round_sphere_background(2).metric_fn),
+    lambda: BackgroundMetric("x", 2, round_sphere_background(2).metric_fn,
+                             christoffel_fn=round_sphere_background(2)
+                             .christoffel_fn),
+    lambda: backgrounds.product_background(
+        euclidean(1), strip_closed_forms(round_sphere_background(2))),
 ], ids=["sphere-nan-radius", "sphere-inf-radius", "sphere-dim-2.5",
         "euclidean-dim-2.5", "minkowski-dim-3.0", "euclidean-dim-str",
-        "sphere-str-radius", "metric-dim-2.5"])
+        "sphere-str-radius", "metric-dim-2.5", "curved-metric-only",
+        "curved-no-riemann", "product-of-stripped-factor"])
 def test_catalog_rejects_non_integer_dims_and_non_finite_radii(build):
     with pytest.raises(ParameterError):
         build()
@@ -206,21 +214,32 @@ def _jet_coords(dim, order):
             for k in range(dim)]
 
 
-@pytest.mark.parametrize("bg", [
-    backgrounds.product_spheres_background(1.0, 1.3),
-    backgrounds.product_background(round_sphere_background(2, 0.9),
-                                   round_sphere_background(3, 1.4)),
+@pytest.mark.parametrize("bg, factors", [
+    (S2XS2, [round_sphere_background(2, 1.0),
+             round_sphere_background(2, 1.3)]),
+    (S2XS3, [round_sphere_background(2, 0.9),
+             round_sphere_background(3, 1.4)]),
 ], ids=["s2xs2", "s2xs3"])
-def test_product_closed_forms_match_extraction(bg):
-    raw = strip_closed_forms(bg)
+def test_product_closed_forms_are_factor_blocks(bg, factors):
+    # each diagonal block is its factor's closed form, coefficient by
+    # coefficient; every entry off the blocks is exactly 0
     for order in (0, 2, 3):
         coords = _jet_coords(bg.dim, order)
-        for tensor in ("christoffel_tensor", "riemann_tensor"):
+        for tensor, rank in (("christoffel_tensor", 3), ("riemann_tensor", 4)):
             closed = getattr(bg, tensor)(coords)
-            extracted = getattr(raw, tensor)(coords)
-            assert closed.order == extracted.order == order
-            for a, b in zip(closed.c, extracted.c):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+            assert closed.order == order
+            off = np.ones((bg.dim,) * rank, bool)
+            o = 0
+            for f in factors:
+                block = (slice(o, o + f.dim),) * rank
+                want = getattr(f, tensor)(coords[o:o + f.dim])
+                assert want.order == order
+                for got, w in zip(closed.c, want.c):
+                    np.testing.assert_array_equal(got[block], w)
+                off[block] = False
+                o += f.dim
+            for got in closed.c:
+                np.testing.assert_array_equal(got[off], 0.0)
 
 
 def test_product_background_blocks_and_names():
@@ -236,11 +255,10 @@ def test_product_background_blocks_and_names():
     np.testing.assert_array_equal(R[2:, 2:, 2:, 2:], s2.riemann_at(pt[2:]))
     np.testing.assert_array_equal(mixed.christoffel_at(pt)[2:, 2:, 2:],
                                   s2.christoffel_at(pt[2:]))
-    # a curved factor without closed forms: the product extracts instead
-    ext = backgrounds.product_background(euclidean(1), strip_closed_forms(s2))
-    assert ext.christoffel_fn is None and ext.riemann_fn is None
-    np.testing.assert_allclose(ext.christoffel_at(pt[1:])[1:, 1:, 1:],
-                               s2.christoffel_at(pt[2:]), atol=1e-12)
+    # a curved factor without closed forms cannot be built, so no product
+    # has one
+    with pytest.raises(ParameterError, match="closed-form"):
+        backgrounds.product_background(euclidean(1), strip_closed_forms(s2))
     with pytest.raises(ParameterError):
         backgrounds.product_background()
     with pytest.raises(ParameterError):

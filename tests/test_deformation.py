@@ -164,7 +164,7 @@ def test_decompose_roundtrip():
     rng = np.random.default_rng(3)
     comp = rng.normal(size=4)
     V = jets.Jet.constant(comp, 2, 3)
-    t, phi = dfm.decompose_vector(g, V)
+    t, phi = g.chart_components(V), dfm.normal_components(g, V)
     rebuilt = (jets.jet_einsum("a...,am...->m...", t, g.tangents)
                + jets.jet_einsum("i...,im...->m...", phi, g.normals))
     np.testing.assert_allclose(np.asarray(rebuilt.value, float), comp, atol=1e-12)
@@ -183,9 +183,10 @@ def ambient_field(g):
 @pytest.mark.parametrize("E, shape", DECOMPOSE_CASES,
                          ids=["graph-surface", "s2xs2", "torus"])
 def test_decompose_vector_equals_the_written_out_formula(E, shape):
+    # t^a = gamma^{ab} <V, e_b> and phi^i = <V, n^i>
     g = E.geometry(emb.make_grid(E, shape).mesh, 4)
     V = ambient_field(g)
-    t, phi = dfm.decompose_vector(g, V)
+    t, phi = g.chart_components(V), dfm.normal_components(g, V)
     gV = jets.jet_einsum("mn...,n...->m...", g.ambient_metric, V)
     low = jets.jet_einsum("bm...,m...->b...", g.tangents, gV)
     for got, want in ((t, jets.jet_einsum("ab...,b...->a...",
@@ -210,7 +211,7 @@ def test_decompose_vector_lowers_once(E, shape, monkeypatch):
 
     for module in (dfm, emb):
         monkeypatch.setattr(module, "jet_einsum", counted)
-    dfm.decompose_vector(g, V)
+    dfm.normal_components(g, V)
     assert specs.count("mn...,n...->m...") == 1
 
 
@@ -229,7 +230,7 @@ def test_normal_part_of_an_ambient_field_does_not_depend_on_the_frame(
     W = jets.jet_stack([0.4 + 0.3 * jets.sin(u), 0.2 * jets.cos(v) - 0.1,
                         0.3 * jets.sin(u + v), 0.5 + 0.2 * jets.cos(u)],
                        template=g.X)
-    t, phi = dfm.decompose_vector(g, W)
+    t, phi = g.chart_components(W), dfm.normal_components(g, W)
     normal = dfm.deformation_vector(g, phi)
     rebuilt = jets.jet_einsum("a...,am...->m...", t, g.tangents) + normal
     for got, want in zip(rebuilt.c, W.truncated(rebuilt.order).c):
@@ -237,11 +238,11 @@ def test_normal_part_of_an_ambient_field_does_not_depend_on_the_frame(
     theta = np.random.default_rng(5).uniform(-np.pi, np.pi, shape)
     turned = rotated_normals_copy(g, theta)
     turned_normal = dfm.deformation_vector(
-        turned, dfm.decompose_vector(turned, W)[1])
+        turned, dfm.normal_components(turned, W))
     for got, want in zip(turned_normal.c, normal.c):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     # the components themselves do depend on the frame
-    turned_phi = dfm.decompose_vector(turned, W)[1]
+    turned_phi = dfm.normal_components(turned, W)
     assert np.max(np.abs(np.asarray(turned_phi.value)
                          - np.asarray(phi.value))) > 1e-2
 

@@ -256,20 +256,6 @@ def test_eval_map_stacks_components():
     assert np.allclose(X.partial(0).value[2], -math.sin(0.6))
 
 
-def test_nested_jets():
-    # outer jet in t whose coefficients are inner jets in s:
-    # f(t; s) = sin(t * s); d2f/dt ds at t=0.3, s=0.7
-    s_inner = Jet.variable(0, 0.7, nvars=1, order=2)
-    t = Jet.variable(0, Jet.constant(0.3, 1, 2), nvars=1, order=2)
-    s_lift = Jet.constant(s_inner, nvars=1, order=2)  # constant in t
-    f = (t * s_lift).sin()
-    ft = f.partial(0)  # jet in t, coefficients are jets in s
-    fts = ft.value.partial(0).value
-    expected = math.cos(0.21) - 0.3 * 0.7 * math.sin(0.21)  # d/ds [s cos(ts)]... at t fixed
-    # d/dt sin(ts) = s cos(ts); d/ds of that = cos(ts) - ts sin(ts)
-    assert np.allclose(fts, expected)
-
-
 def test_einsum_rejects_jets_of_jets():
     # a jet whose coefficients are tensor jets is refused in each branch:
     # jet by jet (either or both nested), array by jet and jet by array

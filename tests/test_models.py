@@ -304,7 +304,7 @@ def test_action_variation_builds_its_field_once(model, E, vfield, n):
     # the assembled side equals, bit for bit, the one from the field
     # built on the geometry of the field equations
     geom = E.geometry(grid.mesh, model.jet_order)
-    _t, phi = dfm.decompose_vector(geom, vfield(geom))
+    phi = dfm.normal_components(geom, vfield(geom))
     dens = geom.sqrt_abs_det * jet_einsum("i...,i...->...",
                                           mdl.eom_density(model, geom), phi)
     integrand = np.asarray(dens.value, float)

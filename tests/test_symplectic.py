@@ -46,7 +46,7 @@ def test_minimal_model_flux_is_tangential():
     model = mdl.DNG(mu=1.3)
     V = GENERIC_E4(geom)
     field = sym.symplectic_potential(model, geom, V)
-    t, _phi = dfm.decompose_vector(geom, V)
+    t = geom.chart_components(V)
     dens = np.asarray(geom.sqrt_abs_det.value, float)
     expected = -1.3 * dens * np.asarray(t.value, float)
     np.testing.assert_allclose(field.value, expected, atol=1e-13)
@@ -67,7 +67,7 @@ def test_quadratic_potential_matches_closed_form():
 
         V = sym.chart_field(fn)(geom)
         field = sym.symplectic_potential(model, geom, V)
-        t, phi = dfm.decompose_vector(geom, V)
+        t, phi = geom.chart_components(V), dfm.normal_components(geom, V)
         ginv = geom.inverse_induced_metric
         K = geom.mean_curvature
         gradk_up = jet_einsum("ab...,bi...->ai...", ginv,
@@ -140,7 +140,7 @@ def variation_identity_residual(model, geom, vfield):
     """
     V = vfield(geom)
     pot = sym.symplectic_potential(model, geom, V)
-    _t, phi = dfm.decompose_vector(geom, V)
+    phi = dfm.normal_components(geom, V)
     E = mdl.eom_density(model, geom)
     bulk = jet_einsum("...,i...->i...", geom.sqrt_abs_det, E)
     bulk = np.asarray(jet_einsum("i...,i...->...", bulk, phi).value, float)
