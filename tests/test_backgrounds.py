@@ -50,6 +50,21 @@ def fd_riemann_at(bg, point, step=1e-5):
     return np.einsum("rk,ksmn->rsmn", bg.metric_at(point), upper)
 
 
+def jet_extracted_at(bg, point):
+    """Connection and all-lower curvature at ``point`` from an order-2 jet
+    of the metric alone, through christoffel_from_metric and
+    riemann_from_metric: the path the induced metric of a brane takes."""
+    coords = jets.variables(list(np.asarray(point, float)), order=2)
+    g = bg.metric_tensor(coords)
+    ginv = jets.jet_matinv(g)
+    partials = lambda j: jets.jet_stack([j.partial(d) for d in range(bg.dim)])  # noqa: E731
+    dg = partials(g)
+    ddg = partials(dg)
+    gamma = backgrounds.christoffel_from_metric(ginv, dg)
+    riemann = backgrounds.riemann_from_metric(g, ginv, dg, ddg)
+    return (np.asarray(gamma.value, float), np.asarray(riemann.value, float))
+
+
 def _central_grad(fn, point, step):
     out = []
     for a in range(point.size):
@@ -124,6 +139,29 @@ def test_closed_forms_match_central_differences(bg):
         np.testing.assert_allclose(fd_christoffel_at(bg, pt),
                                    bg.christoffel_at(pt), atol=1e-7)
         np.testing.assert_allclose(fd_riemann_at(bg, pt), bg.riemann_at(pt),
+                                   atol=1e-4)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_jet_extraction_matches_closed_forms(dim):
+    bg = round_sphere_background(dim, radius=1.3)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        pt = rng.uniform(0.4, 2.2, size=dim)
+        gamma, riemann = jet_extracted_at(bg, pt)
+        np.testing.assert_allclose(gamma, bg.christoffel_at(pt), atol=1e-12)
+        np.testing.assert_allclose(riemann, bg.riemann_at(pt), atol=1e-11)
+
+
+def test_fd_mode_cross_checks_jet_mode():
+    bg = round_sphere_background(2, radius=1.0)
+    pt = np.array([0.8, 0.5])
+    gamma, riemann = jet_extracted_at(bg, pt)
+    for ref_gamma, ref_riemann in ((gamma, riemann),  # jet extraction
+                                   (bg.christoffel_at(pt), bg.riemann_at(pt))):
+        np.testing.assert_allclose(fd_christoffel_at(bg, pt), ref_gamma,
+                                   atol=1e-7)
+        np.testing.assert_allclose(fd_riemann_at(bg, pt), ref_riemann,
                                    atol=1e-4)
 
 
