@@ -115,7 +115,7 @@ def normal_components(geom: Geometry, V):
     one lowering of V.  Its tangential components are
     ``geom.chart_components(V)``."""
     gV = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
-    return jet_einsum("im...,m...->i...", geom.normals, gV)
+    return jet_einsum("im...,m...->i...", geom.normal_frame(gV.order), gV)
 
 
 def deformed_geometry(geom: Geometry, V, eps: float) -> Geometry:

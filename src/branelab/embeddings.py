@@ -290,19 +290,23 @@ class Geometry:
 
     Tensor index layout (leading axes before the grid axes):
       tangents[a, mu], normals[i, mu], induced_metric[a, b],
-      extrinsic_curvature[a, b, i], twist[a, i, j],
+      extrinsic_curvature[a, b, i], twist(order)[a, i, j],
       grad_extrinsic[a, b, c, i] (worldvolume-covariant derivative),
-      rframe(order)[A, B, C, D] (all-lower ambient curvature projected on
-      the combined frame: indices 0..dim-1 are tangents, dim.. are
-      normals; read it by named blocks with ``rblock``).
+      frame(order)[A, mu] and rframe(order)[A, B, C, D] (all-lower
+      ambient curvature projected on the combined frame: indices
+      0..dim-1 are tangents, dim.. are normals; read it by named blocks
+      with ``rblock``).
 
     Sums and contractions align jets to the lower order, so each term is
     built at the order of the sum it joins: a derivative's connection term
     at the order of the partials (one below the field), the ambient
-    connection two below the map, the intrinsic curvature's products at
-    the order of the metric's second partials (three below the map), and
-    ``rframe`` at the order its caller asks for, at most
-    min(frame order, 1).
+    metric at the tangents' order (one below the map) and its connection
+    two below the map, the intrinsic curvature's products at the order of
+    the metric's second partials (three below the map).  The normal
+    frame, its lowering, the twist and ``rframe`` are built at the order
+    their caller asks for (`_at_order`): K reads the frame and its
+    lowering two below the map, ``twist(order)`` is built from the frame
+    at order + 1, and ``rframe`` reads it at order 1 or lower.
 
     The worldvolume variables are the first ``dim`` jet variables, one per
     parameter jet in ``params``; ``embedding`` is the chart they live on.
@@ -315,7 +319,7 @@ class Geometry:
         self.X = X
         self.params = params
         self.embedding = embedding
-        self._rframe = None          # highest-order rframe built so far
+        self._held = {}              # name -> highest-order jet built (`_at_order`)
         self.dim = len(params)
         self.ambient_dim = int(np.asarray(X.value).shape[0])
         self.codim = self.ambient_dim - self.dim
@@ -325,6 +329,18 @@ class Geometry:
     @property
     def order(self):
         return self.X.order
+
+    def _at_order(self, name, order, top, build):
+        """``build(m)`` at m = min(``order``, ``top``).  The highest m built
+        so far is kept under ``name``, and a lower m is read as its prefix,
+        which in truncated Taylor arithmetic is bit-identical."""
+        if order < 0:
+            raise PreconditionError(f"{name} needs an order >= 0, got {order}")
+        order = min(order, top)
+        held = self._held.get(name)
+        if held is None or held.order < order:
+            held = self._held[name] = build(order)
+        return held.truncated(order)
 
     def partials(self, j):
         """First partials of a tensor jet in the worldvolume variables,
@@ -342,7 +358,10 @@ class Geometry:
 
     @cached_property
     def ambient_metric(self):
-        return self.background.metric_tensor(self._x_components(self.order))
+        """g_{mn} along the map at the tangents' order: every reader
+        contracts it with a tangent or a field of that order at most."""
+        return self.background.metric_tensor(
+            self._x_components(self.tangents.order))
 
     @cached_property
     def ambient_christoffel(self):
@@ -426,20 +445,16 @@ class Geometry:
                               self.tangents)
 
     @cached_property
-    def normals(self):
-        """Orthonormal spacelike normal frame, orientation-fixed.
-
-        The frame is picked on values first: every ambient basis vector is
-        projected off the tangent space at once, at jet order 0; each
-        normal is the pointwise longest column, normalized, and is then
-        removed from every column.  Only the k picked basis fields are then
-        projected at full order, and orthonormalized column by column.  In
-        codimension >= 2 the pick can jump between neighbouring nodes.
-        """
-        D, d, k = self.ambient_dim, self.dim, self.codim
-        e, g = self.tangents, self.ambient_metric
-        grid = self.grid_shape
-        slot = np.arange(D).reshape((D,) + (1,) * len(grid))
+    def _normal_picks(self):
+        """The 0/1 fields (D, grid...) of the k basis vectors the normal
+        frame projects, picked on values: every ambient basis vector is
+        projected off the tangent space at once, at jet order 0; each pick
+        is the pointwise longest column, which is then normalized and
+        removed from every column.  In codimension >= 2 the pick can jump
+        between neighbouring nodes."""
+        D, k = self.ambient_dim, self.codim
+        g = self.ambient_metric
+        slot = np.arange(D).reshape((D,) + (1,) * len(self.grid_shape))
         R = self._off_tangent([slot == m for m in range(D)], 0)
         g0 = np.asarray(g.value, float)
         picks = []
@@ -458,8 +473,20 @@ class Geometry:
                 coef = jet_einsum("m...,mk...->k...", n,
                                   jet_einsum("mn...,nk...->mk...", g, R))
                 R = R - jet_einsum("k...,m...->mk...", coef, n)
+        return picks
 
-        R = self._off_tangent(picks, self.X.order)
+    def normal_frame(self, order):
+        """Orthonormal spacelike normal frame (i, mu), orientation-fixed: the
+        `_normal_picks` projected off the tangent space at order
+        min(``order``, the tangents' order) and orthonormalized column by
+        column (`_at_order`)."""
+        return self._at_order("normal_frame", order, self.tangents.order,
+                              self._build_normal_frame)
+
+    def _build_normal_frame(self, order):
+        D, d, k = self.ambient_dim, self.dim, self.codim
+        grid = self.grid_shape
+        R = self._off_tangent(self._normal_picks, order)
         normals = []
         for i in range(k):
             r = R[:, i]
@@ -468,7 +495,7 @@ class Geometry:
             normals.append(r / self._dot(r, r).sqrt())
 
         frame_vals = [np.broadcast_to(np.asarray(v.value, float), (D,) + grid)
-                      for v in (e[a] for a in range(d))]
+                      for v in (self.tangents[a] for a in range(d))]
         frame_vals += [np.broadcast_to(np.asarray(n.value, float), (D,) + grid)
                        for n in normals]
         M = np.stack(frame_vals, axis=-1)          # (mu, grid..., A)
@@ -480,9 +507,15 @@ class Geometry:
         return jet_stack(normals, template=self.X)
 
     @cached_property
-    def frame(self):
-        """Tangent rows then normal rows, stacked: (A, mu)."""
-        e, n = self.tangents, self.normals
+    def normals(self):
+        """The normal frame at the tangents' order, which a deformation
+        field phi^i n_i needs (`deformation.deformation_vector`)."""
+        return self.normal_frame(self.tangents.order)
+
+    def frame(self, order):
+        """Tangent rows then normal rows, stacked: (A, mu), at order
+        min(``order``, the tangents' order)."""
+        e, n = self.tangents, self.normal_frame(order)
         return jet_stack([e[a] for a in range(self.dim)]
                          + [n[i] for i in range(self.codim)])
 
@@ -514,34 +547,41 @@ class Geometry:
         Only K reads it, so it is not kept past K's build."""
         return self.ambient_covariant(self.tangents)
 
-    @cached_property
-    def _lowered_normals(self):
-        """g_{mn} n^n with axes (i, m), shared by K and the twist, at the
-        twist's order (the tangents'), the higher of the two.
+    def _lowered_normals(self, order):
+        """g_{mn} n^n with axes (i, m), shared by K and the twist, at order
+        min(``order``, the tangents' order) (`_at_order`).
 
         Kept as one block: its many small coefficient arrays, held for the
         geometry's life, fragment the heap (peak RSS +3.5 MiB on the
         ``curved-high-order`` bench workload)."""
-        gn = jet_einsum("mn...,in...->im...", self.ambient_metric,
-                        self.normals.truncated(self.tangents.order))
-        return Jet(gn.nvars, gn.order, list(np.stack(gn.c)), gn.caps)
+        def build(order):
+            gn = jet_einsum("mn...,in...->im...", self.ambient_metric,
+                            self.normal_frame(order))
+            return Jet(gn.nvars, gn.order, list(np.stack(gn.c)), gn.caps)
+        return self._at_order("_lowered_normals", order, self.tangents.order,
+                              build)
 
     @cached_property
     def extrinsic_curvature(self):
-        """K[a, b, i] = -<n^i, D_a e_b>."""
-        return -1.0 * jet_einsum("abm...,im...->abi...", self.second_fundamental,
-                                 self._lowered_normals)
+        """K[a, b, i] = -<n^i, D_a e_b>, with the frame at K's order."""
+        sf = self.second_fundamental
+        return -1.0 * jet_einsum("abm...,im...->abi...", sf,
+                                 self._lowered_normals(sf.order))
 
     @cached_property
     def mean_curvature(self):
         return jet_einsum("ab...,abi...->i...", self.inverse_induced_metric,
                           self.extrinsic_curvature)
 
-    @cached_property
-    def twist(self):
-        """Normal-bundle connection w[a, i, j] = <n^i, D_a n^j>."""
-        Dn = self.ambient_covariant(self.normals)    # (a, j, mu)
-        return jet_einsum("ajm...,im...->aij...", Dn, self._lowered_normals)
+    def twist(self, order):
+        """Normal-bundle connection w[a, i, j] = <n^i, D_a n^j> at order
+        min(``order``, one below the tangents'), built from the frame at
+        order + 1 (`_at_order`)."""
+        def build(order):
+            Dn = self.ambient_covariant(self.normal_frame(order + 1))  # (a, j, mu)
+            return jet_einsum("ajm...,im...->aij...", Dn,
+                              self._lowered_normals(order))
+        return self._at_order("twist", order, self.tangents.order - 1, build)
 
     @cached_property
     def wv_christoffel(self):
@@ -563,26 +603,23 @@ class Geometry:
 
     def rframe(self, order):
         """Ambient curvature projected on the combined frame, as a jet of
-        order min(``order``, frame order, 1): rframe[A, B, C, E] =
+        order min(``order``, the tangents' order, 1): rframe[A, B, C, E] =
         R_{abmn} F_A^a F_B^b F_C^m F_E^n, tangent slots first, then normals.
 
-        R and F are built at that order; the highest order built so far is
-        kept and a lower one read as its prefix.  The field equations ask
-        for ``geom.order - model.jet_order``; every other reader asks for 1,
-        which only T05 and `delta_extrinsic` (under `delta_grad_extrinsic`)
-        differentiate.
+        R and F are built at that order (`_at_order`).  The field
+        equations ask for ``geom.order - model.jet_order``; every other
+        reader asks for 1, which only T05 and `delta_extrinsic` (under
+        `delta_grad_extrinsic`) differentiate.
         """
-        if order < 0:
-            raise PreconditionError(f"rframe needs an order >= 0, got {order}")
-        order = min(order, self.frame.order, 1)
-        if self._rframe is None or self._rframe.order < order:
-            F = self.frame.truncated(order)
+        def build(order):
+            F = self.frame(order)
             R = self.background.riemann_tensor(self._x_components(order))
             R = jet_einsum("abmn...,Aa...->Abmn...", R, F)
             R = jet_einsum("Abmn...,Bb...->ABmn...", R, F)
             R = jet_einsum("ABmn...,Cm...->ABCn...", R, F)
-            self._rframe = jet_einsum("ABCn...,En...->ABCE...", R, F)
-        return self._rframe.truncated(order)
+            return jet_einsum("ABCn...,En...->ABCE...", R, F)
+        return self._at_order("rframe", order, min(self.tangents.order, 1),
+                              build)
 
     def rblock(self, legs, order=1):
         """Block of ``rframe(order)`` with each slot on tangents ('t') or
@@ -615,7 +652,7 @@ class Geometry:
             repl = letters.copy()
             repl[q] = "z"
             spec = f"y{letters[q]}z...,{''.join(repl)}...->y{base}..."
-            out = out + jet_einsum(spec, self.twist, fld)
+            out = out + jet_einsum(spec, self.twist(out.order), fld)
         return out
 
     def divergence(self, T, n_up, n_nor):
@@ -640,7 +677,7 @@ class Geometry:
             repl = letters.copy()
             repl[q] = "z"
             spec = f"a{letters[q]}z...,{''.join(repl)}...->{rest}..."
-            out = out + jet_einsum(spec, self.twist, T)
+            out = out + jet_einsum(spec, self.twist(out.order), T)
         return out
 
     @cached_property

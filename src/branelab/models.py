@@ -419,8 +419,8 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
     geom_fd = embedding.grid_geometry(grid, model.action_order + 1)
     V = dfm.resolve_field(vfield, geom_fd)
     _require_interior_support(embedding, grid, V)
+    E = eom_density(model, geom)           # before phi: one frame build
     phi = dfm.normal_components(geom, V.truncated(0))
-    E = eom_density(model, geom)
     integrand = geom.sqrt_abs_det * jet_einsum("i...,i...->...", E, phi)
     integrand = np.asarray(integrand.value, float)
     assembled = float(integrate(integrand, grid))

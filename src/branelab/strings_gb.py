@@ -263,7 +263,8 @@ def dnggb_eom_residual(target, grid: Grid | None = None) -> np.ndarray:
     """
     geom = _resolve_geometry(target, grid, 2)
     _require_worldsheet(geom)
-    k = jet_einsum("i...,im...->m...", geom.mean_curvature, geom.normals)
+    K = geom.mean_curvature
+    k = jet_einsum("i...,im...->m...", K, geom.normal_frame(K.order))
     return np.asarray(k.value, float)
 
 

@@ -105,7 +105,7 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
     HK = model.h_k(geom)
     HG = model.h_gradk(geom)
     if HK is not None or HG is not None:
-        phi = jet_einsum("im...,m...->i...", geom.normals, gV)
+        phi = jet_einsum("im...,m...->i...", geom.normal_frame(gV.order), gV)
         gphi = geom.covariant_grad(phi, 0, 1)                          # (b,i)
     if HK is not None:
         psi = psi - jet_einsum("abi...,bi...->a...", HK, gphi)         # T01

@@ -13,7 +13,8 @@ def _rotated_normals_copy(geom, theta):
     c, s = jets.cos(theta), jets.sin(theta)
     new = Geometry(geom.background, geom.X, params=geom.params,
                    embedding=geom.embedding)
-    new.__dict__["normals"] = jets.jet_stack(
+    # every reader of the frame, at any order, reads a prefix of this one
+    new._held["normal_frame"] = jets.jet_stack(
         [c * n[0] - s * n[1], s * n[0] + c * n[1]], template=geom.X)
     return new
 

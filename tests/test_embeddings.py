@@ -25,7 +25,7 @@ def small_grid(e, shape):
 
 
 def frame_orthonormality_residual(g):
-    F = g.frame
+    F = g.frame(g.order)
     gf = jets.jet_einsum("mn...,Bn...->Bm...", g.ambient_metric, F)
     gram = jets.jet_einsum("Am...,Bm...->AB...", F, gf).value
     d, D = g.dim, g.ambient_dim
@@ -118,7 +118,7 @@ def test_twist_antisymmetric():
     e = emb.graph_surface_e4()
     grid = small_grid(e, (4, 4))
     g = geom_of(e, grid.mesh, order=3)
-    w = np.asarray(g.twist.value)
+    w = np.asarray(g.twist(0).value)
     np.testing.assert_allclose(w, -np.swapaxes(w, 1, 2), atol=1e-10)
     assert np.max(np.abs(w)) > 1e-3  # genuinely twisted frame
 
@@ -185,8 +185,8 @@ def test_normal_rotation_shifts_twist(rotated_normals_copy):
     g = geom_of(e, grid.mesh, order=3)
     theta = 0.3 * g.params[0] + 0.7 * g.params[1] * g.params[1]
     g2 = rotated_normals_copy(g, theta)
-    w1 = np.asarray(g.twist.value)
-    w2 = np.asarray(g2.twist.value)
+    w1 = np.asarray(g.twist(0).value)
+    w2 = np.asarray(g2.twist(0).value)
     dtheta = np.stack([np.asarray(theta.partial(a).value)
                        * np.ones(g.grid_shape) for a in range(2)])
     # rotating (n0, n1) by theta shifts w_a^{01} by +d_a theta
@@ -378,7 +378,7 @@ def test_rframe_constant_curvature_form():
     )
     R = np.asarray(g.rframe(1).value)
     # projected on an orthonormal-ish frame: R_ABCE = (h_AC h_BE - h_AE h_BC)/r^2
-    F = g.frame
+    F = g.frame(1)
     gf = jets.jet_einsum("mn...,Bn...->Bm...", g.ambient_metric, F)
     h = np.asarray(jets.jet_einsum("Am...,Bm...->AB...", F, gf).value)
     expect = (np.einsum("AC...,BE...->ABCE...", h, h)
@@ -399,7 +399,7 @@ def test_low_order_geometry_names_missing_order():
 def test_combined_frame_positively_oriented_in_codim_2(E):
     g = E.geometry(small_grid(E, (7, 9)).mesh, 2)
     assert g.codim == 2
-    F = np.asarray(g.frame.value)                   # (A, mu, grid...)
+    F = np.asarray(g.frame(0).value)                # (A, mu, grid...)
     det = np.linalg.det(np.moveaxis(F, (0, 1), (-1, -2)))
     assert det.shape == (7, 9)
     assert np.all(det > 0)
@@ -470,7 +470,7 @@ def test_divergence_matches_lowered_gradient_trace(name):
     g = E.geometry(small_grid(E, (4, 5)).mesh, 5)
     if name == "s2xs2":
         assert g.codim == 2 and not g.background.flat
-        assert np.max(np.abs(np.asarray(g.twist.value))) > 1e-2
+        assert np.max(np.abs(np.asarray(g.twist(0).value))) > 1e-2
     for (n_up, n_nor), T in upper_test_tensors(g).items():
         got = g.divergence(T, n_up, n_nor)
         ref = reference_divergence(g, T, n_up, n_nor)
@@ -551,13 +551,48 @@ def test_normals_at_a_lower_order_are_a_prefix(E, order):
         np.testing.assert_array_equal(got, want)
 
 
+def _varied_s2xs2():
+    E = emb.surface_s2xs2()
+    g = E.geometry(small_grid(E, (3, 4)).mesh, 4)
+    u, v = g.params
+    V, W = (jets.jet_stack([0.2 * jets.sin(u + m * v) + 0.1 * (m + k)
+                            for m in range(g.ambient_dim)], template=g.X)
+            for k in (0, 1))
+    return dfm.varied_geometry(g, V, W)
+
+
+def _catalog_geometry(factory):
+    E = factory()
+    return E.geometry(small_grid(E, (3, 4)[:E.dim]).mesh, 4)
+
+
+PREFIX_CASES = [pytest.param(lambda f=f: _catalog_geometry(f), id=name)
+                for name, (f, _keys) in cli.EMBEDDINGS.items()]
+PREFIX_CASES += [pytest.param(lambda: _catalog_geometry(emb.s2_latitude),
+                              id="s2-latitude"),
+                 pytest.param(_varied_s2xs2, id="varied-s2xs2")]
+
+
+@pytest.mark.parametrize("make", PREFIX_CASES)
+def test_frame_and_twist_built_low_are_prefixes_of_the_full_build(make):
+    # each lower order is built on a fresh geometry, not read as a prefix
+    full = make()
+    top = full.tangents.order
+    frame, twist = full.normal_frame(top), full.twist(top - 1)
+    assert (frame.order, twist.order) == (top, top - 1)
+    for k in range(top):
+        assert_jets_identical(make().normal_frame(k), frame.truncated(k))
+        assert_jets_identical(make().twist(k), twist.truncated(k))
+    assert make().normal_frame(top + 3).order == top
+
+
 # -- order-on-demand ambient tensors ----------------------------------------
 
 def full_order_rframe(g):
     """Reference: ambient curvature at the map's own jet order, projected on
     the untruncated frame."""
     R = g.background.riemann_tensor([g.X[mu] for mu in range(g.ambient_dim)])
-    F = g.frame
+    F = g.frame(g.order)
     R = jets.jet_einsum("abmn...,Aa...->Abmn...", R, F)
     R = jets.jet_einsum("Abmn...,Bb...->ABmn...", R, F)
     R = jets.jet_einsum("ABmn...,Cm...->ABCn...", R, F)
@@ -598,7 +633,7 @@ def test_low_order_ambient_tensors_match_full_order_reference(E, shape):
     Dn = full_order_covariant(g, g.normals)
     gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric, g.normals)
     twist = jets.jet_einsum("ajm...,im...->aij...", Dn, gn)
-    assert_coeffs_close(g.twist, twist, len(twist.c))
+    assert_coeffs_close(g.twist(g.order - 2), twist, len(twist.c))
 
 
 def test_ambient_tensors_built_at_the_order_their_consumers_read(monkeypatch):
@@ -662,7 +697,7 @@ def test_connection_terms_equal_the_untruncated_formula(E, shape):
     g = E.geometry(small_grid(E, shape).mesh, 5)
     for W in (g.tangents, g.normals):
         assert_jets_identical(g.ambient_covariant(W), full_order_covariant(g, W))
-    K, G, w = g.extrinsic_curvature, g.wv_christoffel, g.twist
+    K, G, w = g.extrinsic_curvature, g.wv_christoffel, g.twist(g.order - 2)
     want = (g.partials(K)
             - jets.jet_einsum("zya...,zbc...->yabc...", G, K)
             - jets.jet_einsum("zyb...,azc...->yabc...", G, K)
@@ -713,7 +748,7 @@ def test_k_and_twist_share_one_lowering_of_the_normals(monkeypatch):
     gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric, g.normals)
     assert_jets_identical(g.extrinsic_curvature, -1.0 * jets.jet_einsum(
         "abm...,im...->abi...", g.second_fundamental, gn))
-    assert_jets_identical(g.twist, jets.jet_einsum(
+    assert_jets_identical(g.twist(g.order - 2), jets.jet_einsum(
         "ajm...,im...->aij...", g.ambient_covariant(g.normals), gn))
 
 

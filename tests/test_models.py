@@ -287,6 +287,26 @@ def test_tangential_deformation_leaves_action_fixed():
     assert abs(rep.numeric) < 1e-6
 
 
+def test_action_variation_projects_each_frame_once_at_its_readers_order(
+        monkeypatch):
+    # (geometry order, frame order) of each projection of the normal frame
+    built = []
+    original = emb.Geometry._build_normal_frame
+
+    def counted(self, order):
+        built.append((self.order, order))
+        return original(self, order)
+
+    monkeypatch.setattr(emb.Geometry, "_build_normal_frame", counted)
+    model, E = mdl.SyntheticGradK(beta=0.6), emb.surface_s2xs2()
+    mdl.action_variation_check(model, E, emb.make_grid(E, 12), windowed_vfield)
+    # the field on the finite-difference geometry (the tangents' order),
+    # then K and the twist on the order-6 geometry (K's order, N - 2),
+    # then K and the twist of each of the four re-embedded geometries
+    # (two central differences)
+    assert built == [(4, 3), (6, 4)] + [(3, 1)] * 4
+
+
 @pytest.mark.parametrize("model, E, vfield, n", [
     (mdl.QuadraticK(alpha=0.8), emb.torus_e3(), torus_vfield, 12),
     (mdl.SyntheticGradK(beta=0.6), emb.surface_s2xs2(), windowed_vfield, 24),

@@ -439,5 +439,5 @@ def test_potential_builds_normals_only_for_hk_and_hg_models(monkeypatch, model,
     sym.symplectic_form(model, emb.static_string(1.0),
                         sym.CauchySlice("tau", 0.9, 32), FZ1, FZ2)
     base, varied = builds
-    assert "normals" not in vars(base)
-    assert ("normals" in vars(varied)) == reads_phi
+    assert "normal_frame" not in base._held
+    assert ("normal_frame" in varied._held) == reads_phi
