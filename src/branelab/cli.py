@@ -16,7 +16,7 @@ import configparser
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,12 +52,8 @@ EMBEDDINGS = {
     "s3-curve": (emb.s3_curve, ("chi0", "theta0", "a", "b", "radius")),
 }
 
-MODELS = {
-    "dng": (mdl.DNG, ("mu",)),
-    "quadratic-k": (mdl.QuadraticK, ("alpha",)),
-    "einstein-hilbert": (mdl.EinsteinHilbert, ("sigma1",)),
-    "synthetic-gradk": (mdl.SyntheticGradK, ("beta",)),
-}
+MODELS = {m.name: (m, tuple(f.name for f in fields(m))) for m in (
+    mdl.DNG, mdl.QuadraticK, mdl.EinsteinHilbert, mdl.SyntheticGradK)}
 
 COUPLING_KEYS = ("mu", "alpha", "beta", "sigma0", "sigma1")
 

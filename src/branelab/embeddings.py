@@ -111,9 +111,12 @@ class Embedding:
 
     def validate_params(self, params):
         for ax, p in zip(self.axes, params):
+            vals = np.asarray(p, float)
+            if not np.all(np.isfinite(vals)):
+                raise DomainError(f"{self.name}: parameter {ax.name} must be "
+                                  "finite")
             if ax.periodic:
                 continue
-            vals = np.asarray(p, float)
             if np.any(vals < ax.lo - 1e-12) or np.any(vals > ax.hi + 1e-12):
                 raise DomainError(
                     f"{self.name}: parameter {ax.name} outside [{ax.lo}, {ax.hi}]"

@@ -8,9 +8,12 @@ derivative grad_a K_bc^i.  Its constitutive data are the three partials
     HK^{ab}_i  = dL / d K_ab^i            (upper worldvolume indices)
     HG^{abc}_i = dL / d (grad_a K_bc^i)
 
-evaluated holding the other, lower-index arguments fixed.  Each evaluator
-is checked against entrywise finite differences of the density in the
-tests.
+evaluated holding the other, lower-index arguments fixed.  A model is
+its coupling times a signed sum of `embeddings.INVARIANTS`, e.g.
+``EinsteinHilbert.density = (("k_squared", 1.0), ("k_dot_k", -1.0))``;
+`PARTIALS` writes each invariant's value and partials once (only DNG's
+constant -mu is written by hand).  The tests check H, HK and HG against
+finite differences of the declared density on raw values.
 
 The first variation of S = integral sqrt|gamma| L under a normal
 deformation phi^i splits into a bulk density and a divergence,
@@ -45,18 +48,18 @@ E09-E11 and E12+E13.  The divergence kernel Theta^a lives in `symplectic`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import deformation as dfm
-from .embeddings import INVARIANTS, Embedding, Geometry, Grid, integrate
+from .embeddings import Embedding, Geometry, Grid, _finite, integrate
 from .errors import (
     ParameterError,
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .jets import Jet, jet_einsum, jet_rearrange
+from .jets import jet_einsum, jet_rearrange
 
 __all__ = [
     "LagrangianModel",
@@ -75,46 +78,92 @@ __all__ = [
 
 # -- model interface ---------------------------------------------------------
 
-class LagrangianModel:
-    """Base interface: a scalar density of (gamma^{ab}, K, grad K).
+# name in `INVARIANTS` -> (I, dI/dgamma^{ab}, dI/dK_ab^i, dI/d(grad_a K_bc^i))
+# as functions of a Geometry; None where a partial vanishes identically.
+# Each value is the Geometry's cached scalar of that invariant.
+PARTIALS = {
+    "k_squared": (
+        lambda g: g.k_squared_scalar,
+        lambda g: 2.0 * jet_einsum("i...,abi...->ab...", g.mean_curvature,
+                                   g.extrinsic_curvature),
+        lambda g: 2.0 * jet_einsum("ab...,i...->abi...",
+                                   g.inverse_induced_metric, g.mean_curvature),
+        None),
+    "k_dot_k": (
+        lambda g: g.k_dot_k_scalar,
+        lambda g: 2.0 * jet_einsum("aci...,cbi...->ab...",
+                                   g.extrinsic_curvature, g.k_mixed),
+        lambda g: 2.0 * g.k_raised,
+        None),
+    "gradk_mean": (
+        lambda g: g.gradk_squared_scalar,
+        lambda g: (jet_einsum("ai...,bi...->ab...", g.grad_mean, g.grad_mean)
+                   + 2.0 * jet_einsum("pi...,pabi...->ab...", g.grad_mean_up,
+                                      g.grad_extrinsic)),
+        None,
+        lambda g: 2.0 * jet_einsum("bc...,ai...->abci...",
+                                   g.inverse_induced_metric, g.grad_mean_up)),
+}
 
-    Subclasses set the couplings and override the evaluators; ``h_*``
-    return None when the corresponding tensor vanishes identically, which
-    lets the assembly skip whole term groups.
+
+class LagrangianModel:
+    """Base interface: L = coupling * sum of sign * I over ``density``.
+
+    A subclass is a frozen dataclass whose one field is the coupling, and
+    ``density`` holds its (name in `PARTIALS`, +1.0 or -1.0) terms.  L and
+    each ``h_*`` are the coupling times the signed sum of the terms' entries;
+    ``h_*`` return None when every entry is None, which lets the assembly
+    skip whole term groups.
     """
 
     name = "model"
+    density = ()
+    positive = False    # the coupling must be > 0, not only nonzero
     jet_order = 4       # jet order needed by the field equations
     action_order = 2    # jet order needed by plain action quadrature
+
+    def __post_init__(self):
+        (field,) = fields(self)
+        (c,) = _finite(f"{self.name}: coupling {field.name}", self.coupling)
+        if not (c > 0.0 if self.positive else c != 0.0):
+            raise ParameterError(f"{self.name}: coupling {field.name} must be "
+                                 f"{'positive' if self.positive else 'nonzero'}")
+
+    @property
+    def coupling(self) -> float:
+        return getattr(self, fields(self)[0].name)
 
     def check_geometry(self, geom: Geometry) -> None:
         pass
 
-    def lagrangian(self, geom: Geometry):
-        raise NotImplementedError
+    def _signed_sum(self, geom: Geometry, slot: int):
+        """coupling * sum of sign * PARTIALS[name][slot](geom): the signed
+        terms are summed first (a - b is a + (-b) on jets), and the sum
+        never starts from 0, which would turn -0.0 into +0.0."""
+        total = None
+        for name, sign in self.density:
+            part = PARTIALS[name][slot]
+            if part is not None:
+                t = part(geom) if sign > 0 else -part(geom)
+                total = t if total is None else total + t
+        return None if total is None else self.coupling * total
 
-    def density_values(self, ginv, k, gradk):
-        """L from raw value arrays; the reference for the H finite-diff tests."""
-        raise NotImplementedError
+    def lagrangian(self, geom: Geometry):
+        return self._signed_sum(geom, 0)
 
     def h_gamma(self, geom: Geometry):
-        return None
+        return self._signed_sum(geom, 1)
 
     def h_k(self, geom: Geometry):
-        return None
+        return self._signed_sum(geom, 2)
 
     def h_gradk(self, geom: Geometry):
-        return None
+        return self._signed_sum(geom, 3)
 
     @property
     def eom_scale(self) -> float:
-        raise NotImplementedError
-
-
-def _invariant_values(name, ginv, t):
-    """The `INVARIANTS` entry ``name`` on raw value arrays (order-0 jets)."""
-    return INVARIANTS[name][0](Jet.constant(ginv, 1, 0),
-                               Jet.constant(t, 1, 0)).value
+        """The leading coupling normalization of E_i: residual = E / scale."""
+        return -2.0 * self.coupling
 
 
 @dataclass(frozen=True)
@@ -124,18 +173,11 @@ class DNG(LagrangianModel):
 
     mu: float = 1.0
     name = "dng"
+    positive = True
     jet_order = 2  # the field equations stop at the mean curvature
-
-    def __post_init__(self):
-        if not 0 < self.mu < np.inf:
-            raise ParameterError("tension mu must be positive and finite")
 
     def lagrangian(self, geom):
         return -self.mu
-
-    def density_values(self, ginv, k, gradk):
-        grid = np.asarray(ginv).shape[2:]
-        return np.full(grid, -self.mu)
 
     @property
     def eom_scale(self):
@@ -145,37 +187,12 @@ class DNG(LagrangianModel):
 
 @dataclass(frozen=True)
 class QuadraticK(LagrangianModel):
-    """Squared mean curvature (rigidity) density L = alpha K^i K_i."""
+    """Squared mean curvature (rigidity) density L = alpha K^i K_i; its
+    residual is lap K^i - R-coupling + K K K combinations."""
 
     alpha: float = 1.0
     name = "quadratic-k"
-
-    def __post_init__(self):
-        if not 0 < abs(self.alpha) < np.inf:
-            raise ParameterError("rigidity alpha must be nonzero and finite")
-
-    def lagrangian(self, geom):
-        return self.alpha * geom.k_squared_scalar
-
-    def density_values(self, ginv, k, gradk):
-        return self.alpha * _invariant_values("k_squared", ginv, k)
-
-    def h_gamma(self, geom):
-        return 2.0 * self.alpha * jet_einsum(
-            "i...,abi...->ab...", geom.mean_curvature, geom.extrinsic_curvature
-        )
-
-    def h_k(self, geom):
-        return 2.0 * self.alpha * jet_einsum(
-            "ab...,i...->abi...",
-            geom.inverse_induced_metric,
-            geom.mean_curvature,
-        )
-
-    @property
-    def eom_scale(self):
-        # residual = raw / scale = lap K^i - R-coupling + K K K combinations
-        return -2.0 * self.alpha
+    density = (("k_squared", 1.0),)
 
 
 @dataclass(frozen=True)
@@ -187,10 +204,7 @@ class EinsteinHilbert(LagrangianModel):
 
     sigma1: float = 1.0
     name = "einstein-hilbert"
-
-    def __post_init__(self):
-        if not 0 < abs(self.sigma1) < np.inf:
-            raise ParameterError("coupling sigma1 must be nonzero and finite")
+    density = (("k_squared", 1.0), ("k_dot_k", -1.0))
 
     def check_geometry(self, geom):
         if not geom.background.flat:
@@ -200,29 +214,6 @@ class EinsteinHilbert(LagrangianModel):
                 " curved ones"
             )
 
-    def lagrangian(self, geom):
-        return self.sigma1 * (geom.k_squared_scalar - geom.k_dot_k_scalar)
-
-    def density_values(self, ginv, k, gradk):
-        return self.sigma1 * (_invariant_values("k_squared", ginv, k)
-                              - _invariant_values("k_dot_k", ginv, k))
-
-    def h_gamma(self, geom):
-        t1 = jet_einsum("i...,abi...->ab...", geom.mean_curvature,
-                        geom.extrinsic_curvature)
-        t2 = jet_einsum("aci...,cbi...->ab...", geom.extrinsic_curvature,
-                        geom.k_mixed)
-        return 2.0 * self.sigma1 * (t1 - t2)
-
-    def h_k(self, geom):
-        t1 = jet_einsum("ab...,i...->abi...", geom.inverse_induced_metric,
-                        geom.mean_curvature)
-        return 2.0 * self.sigma1 * (t1 - geom.k_raised)
-
-    @property
-    def eom_scale(self):
-        return -2.0 * self.sigma1
-
 
 @dataclass(frozen=True)
 class SyntheticGradK(LagrangianModel):
@@ -231,36 +222,9 @@ class SyntheticGradK(LagrangianModel):
 
     beta: float = 1.0
     name = "synthetic-gradk"
+    density = (("gradk_mean", 1.0),)
     jet_order = 6
     action_order = 3
-
-    def __post_init__(self):
-        if not 0 < abs(self.beta) < np.inf:
-            raise ParameterError("coupling beta must be nonzero and finite")
-
-    def lagrangian(self, geom):
-        return self.beta * geom.gradk_squared_scalar
-
-    def density_values(self, ginv, k, gradk):
-        return self.beta * _invariant_values("gradk_mean", ginv, gradk)
-
-    def h_gamma(self, geom):
-        gm = geom.grad_mean
-        t1 = jet_einsum("ai...,bi...->ab...", gm, gm)
-        t2 = jet_einsum("pi...,pabi...->ab...", geom.grad_mean_up,
-                        geom.grad_extrinsic)
-        return self.beta * (t1 + 2.0 * t2)
-
-    def h_gradk(self, geom):
-        return 2.0 * self.beta * jet_einsum(
-            "bc...,ai...->abci...",
-            geom.inverse_induced_metric,
-            geom.grad_mean_up,
-        )
-
-    @property
-    def eom_scale(self):
-        return -2.0 * self.beta
 
 
 # -- assembly ----------------------------------------------------------------

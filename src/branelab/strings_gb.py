@@ -196,10 +196,11 @@ def gb_potential(geom: Geometry, theta, drho: np.ndarray,
     as produced by `rotation_connection_delta`; its chart index is
     contracted through the frame legs.
     """
+    (sigma1,) = _finite("gb_potential: sigma1", sigma1)
     frame = tangent_frame(geom, theta)
     dens = np.asarray(geom.sqrt_abs_det.value, float)
     shift = np.asarray(frame.contract(drho).value, float)
-    return float(sigma1) * dens * shift
+    return sigma1 * dens * shift
 
 
 def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
@@ -237,6 +238,7 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     of phi_k carries drho = d rho / d eps_k, and its variation along the
     other deformation is the other eps coefficient.
     """
+    (sigma1,) = _finite("gb_symplectic_form: sigma1", sigma1)
     geom, grid, k = _slice_geometry(embedding, slc, 4)
     low = jet_einsum("am...,mn...->an...", geom.tangents, geom.ambient_metric)
     dual = jet_einsum("ab...,bn...->an...", geom.inverse_induced_metric, low)
@@ -244,7 +246,7 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
 
     def fluxes(vg, _fields):
         rho, frame = rotation_connection(vg, theta)
-        dens = float(sigma1) * vg.sqrt_abs_det
+        dens = sigma1 * vg.sqrt_abs_det
         return [dens * frame.contract(rho.partial(vg.dim + j))
                 for j in (0, 1)]
 
@@ -275,12 +277,13 @@ def dnggb_potential(geom: Geometry, vfield, sigma0: float, sigma1: float,
         Psi^mu = sqrt(-gamma) [ -sigma0 (tangential projection of V)^mu
                                 + sigma1 eps^{mu nu} drho_nu ].
     """
+    sigma0, sigma1 = _finite("dnggb_potential: sigma0, sigma1", sigma0, sigma1)
     _require_worldsheet(geom)
     V = dfm.resolve_field(vfield, geom)
     tangential = jet_einsum("am...,a...->m...", geom.tangents,
                             geom.chart_components(V))
     dens = np.asarray(geom.sqrt_abs_det.value, float)
-    dng_part = -float(sigma0) * dens * np.asarray(tangential.value, float)
+    dng_part = -sigma0 * dens * np.asarray(tangential.value, float)
     drho = rotation_connection_delta(geom, V, theta)
     return dng_part + gb_potential(geom, theta, drho, sigma1)
 
@@ -294,7 +297,6 @@ def dnggb_canonical(embedding: Embedding, slc: CauchySlice, sigma0: float,
 
     Setting sigma1 = 0 recovers the minimal-area pair exactly.
     """
-    sigma0, sigma1 = _finite("dnggb_canonical: sigma0, sigma1", sigma0, sigma1)
     geom, _grid, _k = _slice_geometry(embedding, slc, 2)
     Q, phat = _dnggb_pair(geom, sigma0, sigma1, theta)
     return CanonicalPair(position=np.asarray(Q.value, float),
@@ -303,13 +305,14 @@ def dnggb_canonical(embedding: Embedding, slc: CauchySlice, sigma0: float,
 
 def _dnggb_pair(geom: Geometry, sigma0: float, sigma1: float, theta):
     """Jets of (Q, Phat) for `dnggb_canonical` and `dnggb_symplectic_form`."""
+    sigma0, sigma1 = _finite("dnggb: sigma0, sigma1", sigma0, sigma1)
     if sigma0 == 0.0:
         raise ParameterError("sigma0 = 0 leaves the position variable undefined")
     phat = dng_momentum_density(geom, sigma0)
     Q = geom.X
     if sigma1 != 0.0:
         rho, frame = rotation_connection(geom, theta)
-        Q = Q - (float(sigma1) / float(sigma0)) * frame.contract(rho)
+        Q = Q - (sigma1 / sigma0) * frame.contract(rho)
     return Q, phat
 
 

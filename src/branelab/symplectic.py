@@ -232,9 +232,10 @@ def unit_timelike_tangent(geom: Geometry):
 
 def dng_momentum_density(geom: Geometry, sigma0: float):
     """Covector density p_hat_alpha = sqrt(-gamma) sigma0 tau_alpha."""
+    (sigma0,) = _finite("dng_momentum_density: sigma0", sigma0)
     iota0 = unit_timelike_tangent(geom)
     tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, iota0)
-    return float(sigma0) * (geom.sqrt_abs_det * tau)
+    return sigma0 * (geom.sqrt_abs_det * tau)
 
 
 @dataclass

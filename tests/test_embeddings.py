@@ -330,6 +330,18 @@ def test_grid_geometry_rejects_a_grid_of_another_chart():
     assert g.grid_shape == (4, 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", cli.EMBEDDINGS)
+def test_non_finite_chart_parameters_are_rejected(name, bad):
+    # a periodic axis has no range to fail, and NaN fails no comparison
+    E = cli.EMBEDDINGS[name][0]()
+    mid = [np.array([0.5 * (ax.lo + ax.hi)]) for ax in E.axes]
+    for k in range(E.dim):
+        params = mid[:k] + [np.array([bad])] + mid[k + 1:]
+        with pytest.raises(DomainError, match="finite"):
+            E.geometry(params, 2)
+
+
 def test_domain_and_rank_validation():
     e = emb.sphere_polar(1.0)
     with pytest.raises(DomainError):

@@ -49,8 +49,24 @@ def test_h_tensor_symmetries():
                                            atol=1e-12)
 
 
+def declared_density(model, ginv, k, gradk):
+    """The model's declared density on raw value arrays: its coupling times
+    the signed sum of its terms, each evaluated through `INVARIANTS` on
+    order-0 jets.  DNG declares no term; its density is the constant -mu."""
+    if not model.density:
+        return np.full(np.shape(ginv)[2:], -model.mu)
+    reads = {"extrinsic_curvature": k, "grad_extrinsic": gradk}
+    total = 0.0
+    for name, sign in model.density:
+        invariant, tensor = emb.INVARIANTS[name]
+        total = total + sign * invariant(
+            jets.Jet.constant(ginv, 1, 0),
+            jets.Jet.constant(reads[tensor], 1, 0)).value
+    return model.coupling * total
+
+
 def finite_diff_h(model, ginv, k, gradk):
-    """Entrywise central differences of the raw density."""
+    """Entrywise central differences of the declared density."""
     base = (np.array(ginv), np.array(k), np.array(gradk))
     outs = []
     for which, arr in enumerate(base):
@@ -62,7 +78,7 @@ def finite_diff_h(model, ginv, k, gradk):
             for sgn in (+1.0, -1.0):
                 pert = [np.array(a) for a in base]
                 pert[which][idx] += sgn * h
-                val = model.density_values(*pert)
+                val = declared_density(model, *pert)
                 grad[idx] += sgn * val / (2.0 * h)
         outs.append(grad)
     return outs
@@ -81,6 +97,26 @@ def test_h_tensors_match_density_finite_difference(model):
     for h, fd in zip(h_values(model, g), fds):
         np.testing.assert_allclose(np.zeros_like(fd) if h is None else h, fd,
                                    atol=1e-8, rtol=1e-6)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("E, pts", [
+    (emb.graph_surface_e4(), (np.array([0.3]), np.array([-0.4]))),
+    (emb.surface_s2xs2(), (np.array([0.2, -0.3]), np.array([0.1, 0.4]))),
+], ids=["graph-surface", "s2xs2"])
+def test_lagrangian_equals_the_declared_density(model, E, pts):
+    # SyntheticGradK's L reads grad_mean on the geometry and the trace form
+    # _gradk_mean on raw values: the two must agree
+    assert set(mdl.PARTIALS) <= set(emb.INVARIANTS)
+    g = small_geometry(E, 4, pts)
+    ref = declared_density(model, *(
+        np.asarray(t.value, float) for t in (
+            g.inverse_induced_metric, g.extrinsic_curvature,
+            g.grad_extrinsic)))
+    lag = model.lagrangian(g)
+    lag = np.asarray(getattr(lag, "value", lag), float)
+    np.testing.assert_allclose(np.broadcast_to(lag, ref.shape), ref,
+                               rtol=1e-12, atol=0.0)
 
 
 # -- field equations --------------------------------------------------------
@@ -346,15 +382,14 @@ def test_variation_requires_interior_support():
 
 # -- guards -------------------------------------------------------------------
 
-def test_parameter_guards():
-    with pytest.raises(ParameterError):
-        mdl.DNG(mu=0.0)
-    with pytest.raises(ParameterError):
-        mdl.QuadraticK(alpha=0.0)
-    with pytest.raises(ParameterError):
-        mdl.EinsteinHilbert(sigma1=0.0)
-    with pytest.raises(ParameterError):
-        mdl.SyntheticGradK(beta=0.0)
+@pytest.mark.parametrize("model, bad", [
+    (model, bad) for model in ALL_MODELS for bad in ("x", None, 0.0)
+] + [(mdl.DNG(), -1.0)], ids=lambda v: getattr(v, "name", repr(v)))
+def test_couplings_are_checked_at_construction(model, bad):
+    # one check on the base class: DNG's tension is positive, every other
+    # coupling is nonzero, and each is a finite number
+    with pytest.raises(ParameterError, match="coupling"):
+        type(model)(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

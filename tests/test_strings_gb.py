@@ -411,6 +411,34 @@ def test_canonical_pairs_reject_non_finite_couplings(sigma0, sigma1):
             sgb.gb_canonical(E, slc, sigma1=sigma1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda E, slc, x: sym.dng_canonical_pair(E, slc, x),
+    lambda E, slc, x: sym.dng_canonical_pairing(E, slc, FZ1, RADIAL_WAVE, x),
+    lambda E, slc, x: sgb.gb_potential(
+        E.geometry(slc.grid(E)[0].mesh, 2), None, np.zeros((2, 16)), x),
+    lambda E, slc, x: sgb.gb_symplectic_form(E, slc, TIMEMODE,
+                                             MATCHED_RADIAL, x),
+    lambda E, slc, x: sgb.dnggb_symplectic_form(E, slc, TIMEMODE,
+                                                MATCHED_RADIAL, 1.2, x),
+    lambda E, slc, x: sgb.dnggb_symplectic_form(E, slc, TIMEMODE,
+                                                MATCHED_RADIAL, x, 0.9),
+    lambda E, slc, x: sgb.dnggb_potential(
+        E.geometry(slc.grid(E)[0].mesh, 3), RADIAL_WAVE, x, 0.9),
+    lambda E, slc, x: sgb.dnggb_potential(
+        E.geometry(slc.grid(E)[0].mesh, 3), RADIAL_WAVE, 1.2, x),
+], ids=["dng_canonical_pair", "dng_canonical_pairing", "gb_potential",
+        "gb_symplectic_form", "dnggb_symplectic_form-sigma1",
+        "dnggb_symplectic_form-sigma0", "dnggb_potential-sigma0",
+        "dnggb_potential-sigma1"])
+def test_phase_space_functions_reject_non_finite_couplings(call, bad):
+    # each coupling is checked where it enters, so a NaN or infinite one
+    # raises instead of reaching a NaN result
+    E, slc = emb.static_string(1.0), sym.CauchySlice("tau", 0.9, 16)
+    with pytest.raises(ParameterError, match="finite"):
+        call(E, slc, bad)
+
+
 def test_euler_characteristic_rejects_open_surfaces():
     with pytest.raises(PreconditionError):
         sgb.euler_characteristic(emb.plane(), 16)
