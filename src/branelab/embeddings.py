@@ -309,7 +309,10 @@ class Geometry:
     frame, its lowering, the twist and ``rframe`` are built at the order
     their caller asks for (`_at_order`): K reads the frame and its
     lowering two below the map, ``twist(order)`` is built from the frame
-    at order + 1, and ``rframe`` reads it at order 1 or lower.
+    at order + 1, and ``rframe`` reads it at order 1 or lower.  So each
+    cached tensor sits a fixed number of orders below the map (or at 0),
+    and in truncated Taylor arithmetic the same worldvolume at a lower
+    order is a prefix of this one, bit for bit (`truncated`).
 
     The worldvolume variables are the first ``dim`` jet variables, one per
     parameter jet in ``params``; ``embedding`` is the chart they live on.
@@ -344,6 +347,25 @@ class Geometry:
         if held is None or held.order < order:
             held = self._held[name] = build(order)
         return held.truncated(order)
+
+    def truncated(self, order):
+        """The same worldvolume at jet order ``order``, reading as prefixes
+        the tensors built here: each cached jet cut by the drop in order
+        (unbuilt below 0), the value-only ones as they are (unbuilt if the
+        view has no tangents), and a copy of ``_held``."""
+        drop = self.order - order
+        view = Geometry(self.background, self.X.truncated(order),
+                        [p.truncated(order) for p in self.params],
+                        self.embedding)
+        for name, val in vars(self).items():
+            if not isinstance(getattr(Geometry, name, None), cached_property):
+                continue
+            if isinstance(val, Jet) and val.order >= drop:
+                view.__dict__[name] = val.truncated(val.order - drop)
+            elif not isinstance(val, Jet) and order >= 1:  # has tangents
+                view.__dict__[name] = val
+        view._held = dict(self._held)
+        return view
 
     def partials(self, j):
         """First partials of a tensor jet in the worldvolume variables,
@@ -766,8 +788,10 @@ from .backgrounds import (  # noqa: E402
 
 def _finite(name, *values):
     """The parameters ``values`` as floats; `ParameterError` unless each is
-    a finite number."""
+    a finite number (a str, bytes or bool is not one)."""
     try:
+        if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in values):
+            raise TypeError("not a number")
         out = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{name}: parameters must be numbers, got "

@@ -220,9 +220,9 @@ class Jet:
         return self.coefficient(alpha) * fact
 
     def truncated(self, order):
-        if order > self.order:
+        if not 0 <= order <= self.order:
             raise PreconditionError(
-                f"cannot raise jet order {self.order} to {order} by truncation")
+                f"cannot truncate a jet of order {self.order} to {order}")
         if order == self.order:
             return self
         n = _tables(self.nvars, self.order, self.caps)[2][order]

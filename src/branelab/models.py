@@ -44,7 +44,9 @@ the curvature couplings E05/E08/E14 are only visible on a product
 background, which the test battery includes.  Every divergence is taken
 of an upper-index tensor (`Geometry.divergence`), and entries that differ
 only in slot order and sign are summed before their shared contraction:
-E09-E11 and E12+E13.  The divergence kernel Theta^a lives in `symplectic`.
+E09-E11 and E12+E13.  Each term is built at the order E keeps (one above
+where a divergence follows; L and H_ab on a `Geometry.truncated` prefix).
+The divergence kernel Theta^a lives in `symplectic`.
 """
 from __future__ import annotations
 
@@ -236,9 +238,10 @@ def _require_order(geom: Geometry, need: int, what: str):
         )
 
 
-def hg_contractions(geom: Geometry, HG):
+def hg_contractions(geom: Geometry, HG, order):
     """The contractions of HG^{abc}_i that both `eom_density` and
-    `symplectic.symplectic_potential` read, as the tuple
+    `symplectic.symplectic_potential` read, wsum, m and anti at jet order
+    ``order``, as the tuple
 
         div1[b, c, i]  = grad_a HG^{abc}_i
         div2[c, i]     = grad_b grad_a HG^{abc}_i
@@ -249,48 +252,51 @@ def hg_contractions(geom: Geometry, HG):
     """
     Kmix = geom.k_mixed
     div1 = geom.divergence(HG, 3, 1)
-    W = jet_einsum("abcl...,ecl...->abe...", HG, Kmix)
+    hg = HG.truncated(order)
+    W = jet_einsum("abcl...,ecl...->abe...", hg, Kmix)
     wsum = (W + jet_rearrange("bae...->abe...", W)
             - jet_rearrange("bea...->abe...", W))
-    m = jet_einsum("abci...,bcj...->aij...", HG, geom.extrinsic_curvature)
+    m = jet_einsum("abci...,bcj...->aij...", hg, geom.extrinsic_curvature)
     anti = jet_einsum("aij...,daj...->di...",
                       m - jet_rearrange("aji...->aij...", m), Kmix)
     return div1, geom.divergence(div1, 2, 1), wsum, m, anti
 
 
 def eom_density(model: LagrangianModel, geom: Geometry):
-    """Raw Euler-Lagrange density E_i (a jet over the geometry's grid)."""
+    """Raw Euler-Lagrange density E_i, a jet over the geometry's grid of
+    order top = geom.order - model.jet_order (see the module docstring)."""
     model.check_geometry(geom)
     _require_order(geom, model.jet_order, f"{model.name} field equations")
+    top = geom.order - model.jet_order
     K = geom.extrinsic_curvature
+    HK, HG = model.h_k(geom), model.h_gradk(geom)
+    low = geom.truncated(top + model.action_order)   # L and H_ab at top
 
-    E = model.lagrangian(geom) * geom.mean_curvature                # E01
+    E = model.lagrangian(low) * low.mean_curvature                  # E01
 
-    H = model.h_gamma(geom)
+    H = model.h_gamma(low)
     if H is not None:
-        E = E - 2.0 * jet_einsum("abi...,ab...->i...", geom.k_raised, H)  # E02
+        E = E - 2.0 * jet_einsum("abi...,ab...->i...", low.k_raised, H)  # E02
 
-    HK = model.h_k(geom)
     if HK is not None:
         div_hk = geom.divergence(HK, 2, 1)                          # (b,i)
         E = E - geom.divergence(div_hk, 1, 1)                       # E03
-        u4 = jet_einsum("abj...,adj...->bd...", HK, K)
+        u4 = jet_einsum("abj...,adj...->bd...", HK.truncated(top), K)
         E = E + jet_einsum("bd...,dbi...->i...", u4, geom.k_mixed)  # E04
-        block_tn = geom.rblock("nttn", geom.order - model.jet_order)  # (i,a,b,j)
+        block_tn = geom.rblock("nttn", top)                         # (i,a,b,j)
         E = E + jet_einsum("iabj...,abj...->i...", block_tn, HK)    # E05
 
-    HG = model.h_gradk(geom)
     if HG is not None:
-        div1, div2, wsum, m, anti = hg_contractions(geom, HG)
+        div1, div2, wsum, m, anti = hg_contractions(geom, HG, top + 1)
         E = E + geom.divergence(div2, 1, 1)                         # E06
-        u7 = jet_einsum("bcj...,bdj...->cd...", div1, K)
+        u7 = jet_einsum("bcj...,bdj...->cd...", div1.truncated(top), K)
         E = E - jet_einsum("cd...,dci...->i...", u7, geom.k_mixed)  # E07
-        block_tn = geom.rblock("nttn", geom.order - model.jet_order)
+        block_tn = geom.rblock("nttn", top)
         E = E - jet_einsum("ibcj...,bcj...->i...", block_tn, div1)  # E08
         dw = geom.divergence(wsum, 3, 0)                            # (b,e)
         E = E + 2.0 * jet_einsum("be...,bei...->i...", dw, K)       # E09-E11
         E = E + geom.divergence(anti, 1, 1)                         # E12+E13
-        block_tnnn = geom.rblock("tnnn", geom.order - model.jet_order)  # (a,i,j,l)
+        block_tnnn = geom.rblock("tnnn", top)                       # (a,i,j,l)
         E = E + jet_einsum("aijl...,alj...->i...", block_tnnn, m)   # E14
 
     return E
@@ -368,22 +374,22 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
     """Check delta S = int sqrt|gamma| E_i phi^i for a compactly supported
     deformation.
 
-    ``vfield`` maps a geometry to an ambient vector jet over the grid (or
-    is such a jet).  A callable is evaluated once, on the low-order
-    geometry of the finite-difference side (order ``action_order + 1``,
-    one above the action's, for the normal frame inside the deformation
-    jet); the full vector drives the re-embedding finite difference, and
-    the normal components of its value, phi^i = <V, n^i>, drive the
-    assembled side on the order-``jet_order`` geometry.  The divergence
-    term integrates to zero precisely because the support stays interior,
-    which is enforced as a precondition.
+    One geometry is built, of order max(jet_order, action_order + 1), and
+    E is assembled on it first, so its normal frame is projected once, at
+    K's order.  ``vfield``, an ambient vector jet or a callable
+    that maps a geometry to one, is evaluated once, on the prefix of order
+    ``action_order + 1`` that drives the re-embedding finite difference;
+    phi^i = <V, n^i> of its value drive the assembled side.  The
+    divergence term integrates to zero because the support stays interior,
+    which is checked before any re-embedding.
     """
-    geom = embedding.grid_geometry(grid, model.jet_order)
+    geom = embedding.grid_geometry(
+        grid, max(model.jet_order, model.action_order + 1))
     model.check_geometry(geom)
-    geom_fd = embedding.grid_geometry(grid, model.action_order + 1)
+    E = eom_density(model, geom)           # first: one frame build
+    geom_fd = geom.truncated(model.action_order + 1)
     V = dfm.resolve_field(vfield, geom_fd)
     _require_interior_support(embedding, grid, V)
-    E = eom_density(model, geom)           # before phi: one frame build
     phi = dfm.normal_components(geom, V.truncated(0))
     integrand = geom.sqrt_abs_det * jet_einsum("i...,i...->...", E, phi)
     integrand = np.asarray(integrand.value, float)

@@ -114,7 +114,7 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
 
     if HG is not None:
         K = geom.extrinsic_curvature
-        div1, div2, wsum, _m, anti = hg_contractions(geom, HG)
+        div1, div2, wsum, _m, anti = hg_contractions(geom, HG, HG.order)
         gg2 = geom.covariant_grad(gphi, 1, 1)                          # (b,c,i)
         psi = psi - jet_einsum("abci...,bci...->a...", HG, gg2)        # T03
         u = jet_einsum("abci...,dbi...->adc...", HG, K)

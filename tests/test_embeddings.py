@@ -1,3 +1,6 @@
+import inspect
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from branelab import jets
 from branelab import models as mdl
 from branelab.backgrounds import BackgroundMetric
 from branelab.errors import (
+    BranelabError,
     DegenerateGeometryError,
     DomainError,
     ParameterError,
@@ -342,6 +346,26 @@ def test_non_finite_chart_parameters_are_rejected(name, bad):
             E.geometry(params, 2)
 
 
+NUMBER_TAKERS = {**cli.MODELS, **cli.EMBEDDINGS}
+
+
+@pytest.mark.parametrize("bad", ["1.5", b"1.5", True, np.bool_(True)],
+                         ids=["str", "bytes", "bool", "numpy-bool"])
+@pytest.mark.parametrize("name", NUMBER_TAKERS)
+def test_strings_and_bools_are_not_numbers(name, bad):
+    # float() would take each of them: "1.5" -> 1.5, True -> 1.0
+    make, keys = NUMBER_TAKERS[name]
+    defaults = inspect.signature(make).parameters
+    for key in keys:
+        with pytest.raises(ParameterError, match="numbers"):
+            make(**{key: bad})
+        # numpy floats and ints are numbers
+        value = defaults[key].default
+        make(**{key: np.float64(value)})
+        if float(value).is_integer():
+            make(**{key: int(value)})
+
+
 def test_domain_and_rank_validation():
     e = emb.sphere_polar(1.0)
     with pytest.raises(DomainError):
@@ -563,14 +587,23 @@ def test_normals_at_a_lower_order_are_a_prefix(E, order):
         np.testing.assert_array_equal(got, want)
 
 
+def _geometry_maker(E, shape, varied):
+    """order -> a fresh geometry of E on a small grid, varied along two
+    ambient fields (eps caps) if ``varied``."""
+    def make(order):
+        g = E.geometry(small_grid(E, shape).mesh, order)
+        if not varied:
+            return g
+        u, v = g.params
+        V, W = (jets.jet_stack([0.2 * jets.sin(u + m * v) + 0.1 * (m + k)
+                                for m in range(g.ambient_dim)], template=g.X)
+                for k in (0, 1))
+        return dfm.varied_geometry(g, V, W)
+    return make
+
+
 def _varied_s2xs2():
-    E = emb.surface_s2xs2()
-    g = E.geometry(small_grid(E, (3, 4)).mesh, 4)
-    u, v = g.params
-    V, W = (jets.jet_stack([0.2 * jets.sin(u + m * v) + 0.1 * (m + k)
-                            for m in range(g.ambient_dim)], template=g.X)
-            for k in (0, 1))
-    return dfm.varied_geometry(g, V, W)
+    return _geometry_maker(emb.surface_s2xs2(), (3, 4), True)(4)
 
 
 def _catalog_geometry(factory):
@@ -851,6 +884,63 @@ def test_eom_density_builds_rframe_once(monkeypatch):
     assert built == [1]
     mdl.eom_density(mdl.QuadraticK(alpha=0.7), g)      # E05: a prefix
     assert built == [1]
+
+
+# -- a geometry at a lower order reads its tensors as prefixes ----------------
+
+CACHED = [name for name, attr in vars(emb.Geometry).items()
+          if isinstance(attr, cached_property)]
+AT_ORDER = ("normal_frame", "_lowered_normals", "twist", "rframe")
+
+
+def _read(fn):
+    try:
+        return fn()
+    except BranelabError as exc:
+        return type(exc)
+
+
+def _touch(g):
+    """The map, its parameters, every cached property and every `_at_order`
+    tensor at the geometry's order, by name; a read that raises a package
+    error gives its type."""
+    out = {"X": g.X, **{f"param{a}": p for a, p in enumerate(g.params)}}
+    out.update({name: _read(lambda: getattr(g, name)) for name in CACHED})
+    out.update({name: _read(lambda: getattr(g, name)(g.order))
+                for name in AT_ORDER})
+    return out
+
+
+def assert_reads_identical(got, want):
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        if isinstance(w, jets.Jet):
+            assert_jets_identical(got[name], w)
+            assert got[name].caps == w.caps, name
+        elif isinstance(w, type):
+            assert got[name] is w, name
+        else:           # grid_shape, metric_sign, _normal_picks
+            np.testing.assert_array_equal(got[name], w, err_msg=name)
+
+
+@pytest.mark.parametrize("E,shape,varied", [
+    case + (False,) for case in ORDER_RULE_CASES] + [
+    (emb.surface_s2xs2(), (3, 4), True)],
+    ids=["s2xs2", "torus", "varied-s2xs2"])
+def test_truncated_geometry_equals_a_fresh_build(E, shape, varied):
+    make, top = _geometry_maker(E, shape, varied), 5
+    full = make(top)
+    _touch(full)
+    for order in range(top):
+        want = _touch(make(order))
+        assert_reads_identical(_touch(full.truncated(order)), want)
+        # a view of a view, and a view taken before anything is built
+        assert_reads_identical(
+            _touch(full.truncated(order + 1).truncated(order)), want)
+        assert_reads_identical(_touch(make(top).truncated(order)), want)
+    for bad in (-1, top + 1):
+        with pytest.raises(PreconditionError):
+            full.truncated(bad)
 
 
 # -- parameters and grids at the boundary --------------------------------------

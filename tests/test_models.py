@@ -336,17 +336,19 @@ def test_action_variation_projects_each_frame_once_at_its_readers_order(
     monkeypatch.setattr(emb.Geometry, "_build_normal_frame", counted)
     model, E = mdl.SyntheticGradK(beta=0.6), emb.surface_s2xs2()
     mdl.action_variation_check(model, E, emb.make_grid(E, 12), windowed_vfield)
-    # the field on the finite-difference geometry (the tangents' order),
-    # then K and the twist on the order-6 geometry (K's order, N - 2),
-    # then K and the twist of each of the four re-embedded geometries
-    # (two central differences)
-    assert built == [(4, 3), (6, 4)] + [(3, 1)] * 4
+    # K and the twist on the one order-6 geometry (K's order, N - 2); the
+    # field on its order-4 prefix reads that frame's prefix; then K and the
+    # twist of each of the four re-embedded geometries (two central
+    # differences)
+    assert built == [(6, 4)] + [(3, 1)] * 4
 
 
 @pytest.mark.parametrize("model, E, vfield, n", [
     (mdl.QuadraticK(alpha=0.8), emb.torus_e3(), torus_vfield, 12),
     (mdl.SyntheticGradK(beta=0.6), emb.surface_s2xs2(), windowed_vfield, 24),
-], ids=["torus-quadratic-k", "s2xs2-synthetic-gradk"])
+    # DNG's geometry order is set by action_order + 1 = 3, not jet_order 2
+    (mdl.DNG(mu=1.3), emb.torus_e3(), torus_vfield, 12),
+], ids=["torus-quadratic-k", "s2xs2-synthetic-gradk", "torus-dng"])
 def test_action_variation_builds_its_field_once(model, E, vfield, n):
     grid = emb.make_grid(E, n)
     orders = []
@@ -357,27 +359,41 @@ def test_action_variation_builds_its_field_once(model, E, vfield, n):
 
     rep = mdl.action_variation_check(model, E, grid, counted)
     assert orders == [model.action_order + 1]
-    # the assembled side equals, bit for bit, the one from the field
-    # built on the geometry of the field equations
+    # the whole report equals, bit for bit, the one from two geometries:
+    # one of order jet_order for E, and one of order action_order + 1 for
+    # the field and the finite difference
     geom = E.geometry(grid.mesh, model.jet_order)
-    phi = dfm.normal_components(geom, vfield(geom))
+    geom_fd = E.geometry(grid.mesh, model.action_order + 1)
+    V = vfield(geom_fd)
+    phi = dfm.normal_components(geom, V.truncated(0))
     dens = geom.sqrt_abs_det * jet_einsum("i...,i...->...",
                                           mdl.eom_density(model, geom), phi)
     integrand = np.asarray(dens.value, float)
     np.testing.assert_array_equal(rep.integrand, integrand)
     assert rep.assembled == float(emb.integrate(integrand, grid))
 
+    def action_of(g):
+        dens = g.sqrt_abs_det * model.lagrangian(g)
+        return np.asarray(emb.integrate(np.asarray(dens.value, float), grid))
 
-def test_variation_requires_interior_support():
+    res = dfm.finite_difference_delta(geom_fd, V, action_of)
+    assert (rep.numeric, rep.eps) == (float(res.estimate), tuple(res.eps))
+    assert rep.gap == abs(rep.numeric - rep.assembled)
+
+
+def test_variation_requires_interior_support(monkeypatch):
     E = emb.ellipsoid()
 
     def leaky(geom):
         phi = dfm.normal_field(geom, lambda t, p: 1.0 + 0.0 * t)
         return dfm.deformation_vector(geom, phi)
 
+    # fail fast: the leaky field triggers no re-embedding
+    calls = _counting(monkeypatch, dfm, "deformed_geometry")
     with pytest.raises(PreconditionError):
         mdl.action_variation_check(mdl.DNG(mu=1.0), E,
                                    emb.make_grid(E, 12), leaky)
+    assert calls == []
 
 
 # -- guards -------------------------------------------------------------------
@@ -480,14 +496,23 @@ def test_hg_tables_contract_hg_with_mixed_curvature_once(monkeypatch):
 
     monkeypatch.setattr(mdl.SyntheticGradK, "h_gradk", recording_h_gradk)
 
+    orders = []
+
     def hg_with_k_mixed(spec, a, b):
-        return (any(a is hg for hg in made)
-                and b is geom.__dict__.get("k_mixed"))
+        # HG itself or a truncation of it, which shares its coefficients
+        if b is geom.__dict__.get("k_mixed") and any(
+                all(x is y for x, y in zip(a.c, hg.c)) for hg in made):
+            orders.append(a.order)
+            return True
+        return False
 
     counts = [_counting(monkeypatch, owner, "jet_einsum", hg_with_k_mixed)
               for owner in (emb, mdl, sym)]
     model = mdl.SyntheticGradK(beta=0.6)
     mdl.eom_density(model, geom)
-    assert sum(map(len, counts)) == 1
+    # one W, at one above E's order (0 on an order-6 geometry): one
+    # divergence follows it
+    assert sum(map(len, counts)) == 1 and orders == [1]
     sym.symplectic_potential(model, geom, lambda g: g.normals[0])
-    assert sum(map(len, counts)) == 2
+    # the boundary kernel's W keeps HG's full order
+    assert sum(map(len, counts)) == 2 and orders == [1, made[-1].order]
