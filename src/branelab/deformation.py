@@ -7,8 +7,8 @@ components phi^i, the first variations of the induced objects are:
   delta gamma^{ab}      = -2 K^{ab}_i phi^i
   delta sqrt|gamma|     = sqrt|gamma| K^i phi_i
   covariant delta K_bc^i (frame-covariant part):
-      L_bc^i = -grad_b grad_c phi^i + K_bd^i K^d_c_j phi^j
-               + rpair(e_b, n_j; e_c, n^i) phi^j
+      L_bc^i = -grad_b grad_c phi^i + J[b, c, i, j] phi^j  (`Geometry.jacobi`),
+      J[b, c, i, j] = K_bd^i K^d_c_j + rpair(e_b, n_j; e_c, n^i)
   delta twist w_a^{ij}  = K_a^{d i} grad_d phi^j - K_a^{d j} grad_d phi^i
                + rpair(n_k, e_a; n^j, n^i) phi^k
   delta wv connection   dG^d_{ab} = gamma^{de}(grad_a P_eb + grad_b P_ea
@@ -188,14 +188,10 @@ def delta_sqrt_det(geom: Geometry, phi):
 
 
 def delta_extrinsic(geom: Geometry, phi):
-    """Frame-covariant first variation of K_bc^i."""
+    """Frame-covariant first variation of K_bc^i: J phi - grad grad phi."""
     ddphi = geom.covariant_grad(geom.covariant_grad(phi, 0, 1), 1, 1)
-    kk = jet_einsum("bdi...,dcj...->bcij...", geom.extrinsic_curvature,
-                    geom.k_mixed)
-    kk_term = jet_einsum("bcij...,j...->bci...", kk, phi)
-    # rpair(e_b, n_j; e_c, n^i) = rframe[n_j, e_b, e_c, n_i]
-    r_term = jet_einsum("jbci...,j...->bci...", geom.rblock("nttn"), phi)
-    return -1.0 * ddphi + kk_term + r_term
+    J = geom.jacobi(ddphi.order)
+    return jet_einsum("bcij...,j...->bci...", J, phi) - ddphi
 
 
 def delta_twist(geom: Geometry, phi):

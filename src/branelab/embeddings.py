@@ -298,7 +298,7 @@ class Geometry:
       frame(order)[A, mu] and rframe(order)[A, B, C, D] (all-lower
       ambient curvature projected on the combined frame: indices
       0..dim-1 are tangents, dim.. are normals; read it by named blocks
-      with ``rblock``).
+      with ``rblock``), jacobi(order)[b, c, i, j].
 
     Sums and contractions align jets to the lower order, so each term is
     built at the order of the sum it joins: a derivative's connection term
@@ -632,9 +632,9 @@ class Geometry:
         R_{abmn} F_A^a F_B^b F_C^m F_E^n, tangent slots first, then normals.
 
         R and F are built at that order (`_at_order`).  The field
-        equations ask for ``geom.order - model.jet_order``; every other
-        reader asks for 1, which only T05 and `delta_extrinsic` (under
-        `delta_grad_extrinsic`) differentiate.
+        equations ask for ``geom.order - model.jet_order``, `delta_extrinsic`
+        for grad grad phi's, every other reader for 1; only delta K
+        (`delta_grad_extrinsic`, T03-T05) differentiates it.
         """
         def build(order):
             F = self.frame(order)
@@ -655,6 +655,14 @@ class Geometry:
         cut = {"t": slice(None, self.dim), "n": slice(self.dim, None)}
         idx = tuple(cut[leg] for leg in legs)
         return self.rframe(order).map_coeffs(lambda x: x[idx])
+
+    def jacobi(self, order):
+        """J[b, c, i, j] = K_bd^i K^d_c_j + R(n_j, e_b, e_c, n^i) at order
+        min(``order``, K's order, 1): delta K_bc^i = J phi - grad grad phi."""
+        m = min(order, self.extrinsic_curvature.order, 1)
+        kk = jet_einsum("bdi...,dcj...->bcij...",
+                        self.extrinsic_curvature.truncated(m), self.k_mixed)
+        return kk + jet_rearrange("jbci...->bcij...", self.rblock("nttn", m))
 
     def covariant_grad(self, fld, n_wv, n_nor):
         """Worldvolume-covariant derivative, new lower index first.

@@ -44,8 +44,9 @@ the curvature couplings E05/E08/E14 are only visible on a product
 background, which the test battery includes.  Every divergence is taken
 of an upper-index tensor (`Geometry.divergence`), and entries that differ
 only in slot order and sign are summed before their shared contraction:
-E09-E11 and E12+E13.  Each term is built at the order E keeps (one above
-where a divergence follows; L and H_ab on a `Geometry.truncated` prefix).
+E09-E11 and E12+E13; E03-E05 and E06-E08 are one adjoint of delta K
+(`_adjoint`).  Each term is built at the order E keeps (one above where a
+divergence follows; L and H_ab on a `Geometry.truncated` prefix).
 The divergence kernel Theta^a lives in `symplectic`.
 """
 from __future__ import annotations
@@ -238,13 +239,20 @@ def _require_order(geom: Geometry, need: int, what: str):
         )
 
 
+def _adjoint(geom: Geometry, X, order):
+    """X^{bc}_j J[b, c, j, i] - grad_b grad_c X^{bc}_i at jet order ``order``:
+    the adjoint of delta K (`Geometry.jacobi`), E03-E05 on HK, E06-E08 on
+    -div1."""
+    XJ = jet_einsum("bcj...,bcji...->i...", X, geom.jacobi(order))
+    return XJ - geom.divergence(geom.divergence(X, 2, 1), 1, 1)
+
+
 def hg_contractions(geom: Geometry, HG, order):
     """The contractions of HG^{abc}_i that both `eom_density` and
     `symplectic.symplectic_potential` read, wsum, m and anti at jet order
     ``order``, as the tuple
 
-        div1[b, c, i]  = grad_a HG^{abc}_i
-        div2[c, i]     = grad_b grad_a HG^{abc}_i
+        div1[b, c, i]  = grad_a HG^{abc}_i                  (E06-E08, T06, T07)
         wsum[a, b, e]  = W^{abe} + W^{bae} - W^{bea},
                          W^{abe} = HG^{abc}_l K^e_c^l       (E09-E11, T08-T10)
         m[a, i, j]     = HG^{abc}_i K_bc^j                  (E14)
@@ -259,7 +267,7 @@ def hg_contractions(geom: Geometry, HG, order):
     m = jet_einsum("abci...,bcj...->aij...", hg, geom.extrinsic_curvature)
     anti = jet_einsum("aij...,daj...->di...",
                       m - jet_rearrange("aji...->aij...", m), Kmix)
-    return div1, geom.divergence(div1, 2, 1), wsum, m, anti
+    return div1, wsum, m, anti
 
 
 def eom_density(model: LagrangianModel, geom: Geometry):
@@ -279,20 +287,11 @@ def eom_density(model: LagrangianModel, geom: Geometry):
         E = E - 2.0 * jet_einsum("abi...,ab...->i...", low.k_raised, H)  # E02
 
     if HK is not None:
-        div_hk = geom.divergence(HK, 2, 1)                          # (b,i)
-        E = E - geom.divergence(div_hk, 1, 1)                       # E03
-        u4 = jet_einsum("abj...,adj...->bd...", HK.truncated(top), K)
-        E = E + jet_einsum("bd...,dbi...->i...", u4, geom.k_mixed)  # E04
-        block_tn = geom.rblock("nttn", top)                         # (i,a,b,j)
-        E = E + jet_einsum("iabj...,abj...->i...", block_tn, HK)    # E05
+        E = E + _adjoint(geom, HK, top)                             # E03-E05
 
     if HG is not None:
-        div1, div2, wsum, m, anti = hg_contractions(geom, HG, top + 1)
-        E = E + geom.divergence(div2, 1, 1)                         # E06
-        u7 = jet_einsum("bcj...,bdj...->cd...", div1.truncated(top), K)
-        E = E - jet_einsum("cd...,dci...->i...", u7, geom.k_mixed)  # E07
-        block_tn = geom.rblock("nttn", top)
-        E = E - jet_einsum("ibcj...,bcj...->i...", block_tn, div1)  # E08
+        div1, wsum, m, anti = hg_contractions(geom, HG, top + 1)
+        E = E - _adjoint(geom, div1, top)                           # E06-E08
         dw = geom.divergence(wsum, 3, 0)                            # (b,e)
         E = E + 2.0 * jet_einsum("be...,bei...->i...", dw, K)       # E09-E11
         E = E + geom.divergence(anti, 1, 1)                         # E12+E13

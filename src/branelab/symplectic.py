@@ -26,7 +26,8 @@ part, phi its normal part; HK/HG as in `models`):
 The pointwise identity above is pinned in the test suite against the
 re-embedding finite-difference oracle, which checks every entry.  As in
 `models`, the divergences are taken of upper-index tensors, and T08-T10
-and T11+T12 are summed before their shared contraction.
+and T11+T12 are summed before their shared contraction.  T03-T05 are
+HG^{abc}_i delta K_bc^i, and HG's tables are contracted at its order (<= 1).
 
 On top of Psi sit the phase-space structures: the two-argument current
 
@@ -113,19 +114,14 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
         psi = psi + jet_einsum("ai...,i...->a...", div_hk, phi)        # T02
 
     if HG is not None:
-        K = geom.extrinsic_curvature
-        div1, div2, wsum, _m, anti = hg_contractions(geom, HG, HG.order)
-        gg2 = geom.covariant_grad(gphi, 1, 1)                          # (b,c,i)
-        psi = psi - jet_einsum("abci...,bci...->a...", HG, gg2)        # T03
-        u = jet_einsum("abci...,dbi...->adc...", HG, K)
-        w = jet_einsum("adc...,dcj...->aj...", u, geom.k_mixed)
-        psi = psi + jet_einsum("aj...,j...->a...", w, phi)             # T04
-        blk = geom.rblock("nttn")                                      # (j,b,c,i)
-        rlam = jet_einsum("jbci...,j...->bci...", blk, phi)
-        psi = psi + jet_einsum("abci...,bci...->a...", HG, rlam)       # T05
+        lam = dfm.delta_extrinsic(geom, phi)                           # (b,c,i)
+        div1, wsum, _m, anti = hg_contractions(geom, HG, lam.order)
+        psi = psi + jet_einsum("abci...,bci...->a...", HG, lam)        # T03-T05
         psi = psi + jet_einsum("aci...,ci...->a...", div1, gphi)       # T06
+        div2 = geom.divergence(div1, 2, 1)                             # (a,i)
         psi = psi - jet_einsum("ai...,i...->a...", div2, phi)          # T07
-        w8 = jet_einsum("abe...,bej...->aj...", wsum, K)
+        w8 = jet_einsum("abe...,bej...->aj...", wsum,
+                        geom.extrinsic_curvature)
         psi = psi - 2.0 * jet_einsum("aj...,j...->a...", w8, phi)      # T08-T10
         psi = psi - jet_einsum("aj...,j...->a...", anti, phi)          # T11+T12
 

@@ -221,6 +221,44 @@ def test_slice_without_tau_axis_is_a_config_error(tmp_path, capsys):
     assert "no axis named 'tau'" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[scenario]\nname = deformation-oracle\n\n[run]\nseed = x\n",
+     "seed must be an integer, got 'x'"),
+    ("[scenario]\nname = mass-shell\n\n[run]\nslices = a,b\n",
+     "expected comma-separated numbers, got 'a,b'"),
+    ("[scenario]\nname = mass-shell\n\n[embedding]\nid = warp\n",
+     "unknown embedding 'warp'"),
+    ("[scenario]\nname = eom-check\n\n[model]\nid = warp\n",
+     "unknown model 'warp'"),
+], ids=["seed", "slices", "embedding", "model"])
+def test_unreadable_config_values_are_config_errors(tmp_path, capsys, text,
+                                                    message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    assert cli.main(["--config", str(tmp_path / "absent.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot read config" in captured.err
+
+
+def test_dump_fields_of_an_aborted_run_is_a_config_error(tmp_path, capsys):
+    # einstein-hilbert refuses a curved background, so eom-check aborts
+    # before any per-point field exists
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario]\nname = eom-check\n\n[embedding]\nid = s2xs2"
+                   "\n\n[model]\nid = einstein-hilbert\n")
+    path = tmp_path / "fields.csv"
+    assert cli.main(["--config", str(cfg), "--dump-fields", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "this scenario produced no per-point fields" in captured.err
+    assert not path.exists()
+
+
 def test_library_error_during_a_run_becomes_failed_check(monkeypatch, capsys):
     def degenerate(run):
         raise DegenerateGeometryError("induced metric is singular")

@@ -99,6 +99,40 @@ def test_delta_extrinsic_symmetric_codim2():
     np.testing.assert_allclose(lam, np.swapaxes(lam, 0, 1), atol=1e-10)
 
 
+def test_unknown_names_and_component_counts_are_rejected():
+    g = emb.graph_surface_e4().geometry([0.3, -0.4], order=3)
+    with pytest.raises(ParameterError, match="need 2 normal components, got 1"):
+        dfm.normal_field(g, lambda u, v: 0.1 + 0.0 * u)
+    phi = dfm.normal_field(g, lambda u, v: 0.1 + 0.0 * u,
+                           lambda u, v: 0.2 + 0.0 * v)
+    with pytest.raises(ParameterError, match="unknown scalar invariant 'warp'"):
+        dfm.scalar_invariant(g, "warp")
+    with pytest.raises(ParameterError, match="no predicted variation for 'warp'"):
+        dfm.predicted_delta_scalar(g, phi, "warp")
+
+
+@pytest.mark.parametrize("E", [emb.torus_e3(), emb.graph_surface_e4(),
+                               emb.ellipsoid()],
+                         ids=["torus", "graph4", "ellipsoid"])
+def test_flat_delta_extrinsic_equals_the_three_term_form(E):
+    # -grad grad phi + (K K) phi + R phi, each term contracted on its own:
+    # on a flat background J's zero curvature term changes no bit
+    g = E.geometry(emb.make_grid(E, (3, 4)).mesh, 4)
+    phi = dfm.normal_field(g, *[
+        lambda u, v, k=k: 0.2 + 0.1 * jets.sin(u + (k + 1) * v) * u
+        for k in range(g.codim)])
+    ddphi = g.covariant_grad(g.covariant_grad(phi, 0, 1), 1, 1)
+    kk = jets.jet_einsum("bdi...,dcj...->bcij...", g.extrinsic_curvature,
+                         g.k_mixed)
+    kk_term = jets.jet_einsum("bcij...,j...->bci...", kk, phi)
+    r_term = jets.jet_einsum("jbci...,j...->bci...", g.rblock("nttn"), phi)
+    want = -1.0 * ddphi + kk_term + r_term
+    got = dfm.delta_extrinsic(g, phi)
+    assert (got.order, len(got.c)) == (want.order, len(want.c)) == (1, 3)
+    for a, b in zip(got.c, want.c):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_graph_surface_scalar_oracles():
     g = emb.graph_surface_e4().geometry([0.25, -0.35], order=4)
     phi = dfm.normal_field(

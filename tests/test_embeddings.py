@@ -396,6 +396,28 @@ def test_embedding_needs_one_to_three_axes(naxes):
                       map_fn=lambda *us: us)
 
 
+def test_map_with_the_wrong_component_count_is_rejected():
+    short = emb.Embedding(name="short", background=emb.euclidean(3),
+                          axes=(emb.ParamAxis("u", 0.0, 1.0),
+                                emb.ParamAxis("v", 0.0, 1.0)),
+                          map_fn=lambda u, v: (u, v))
+    with pytest.raises(PreconditionError,
+                       match="map returned 2 components, background has "
+                             "dimension 3"):
+        short.geometry([0.3, 0.4], 2)
+
+
+def test_line_grid_needs_every_other_axis_fixed():
+    with pytest.raises(ParameterError, match="missing fixed value for phi"):
+        emb.line_grid(emb.sphere_polar(), 0, 8, {})
+
+
+def test_twist_rejects_a_negative_order():
+    g = emb.torus_e3().geometry([0.3, 0.4], 3)
+    with pytest.raises(PreconditionError, match="twist needs an order >= 0"):
+        g.twist(-1)
+
+
 def test_singular_metric_names_grid_indices():
     pinched = emb.Embedding(
         name="pinched",
@@ -449,6 +471,47 @@ def test_rblock_slices_tangent_and_normal_slots():
     for legs in ("ntt", "nttx"):
         with pytest.raises(ParameterError, match="legs"):
             g.rblock(legs)
+
+
+JACOBI_CASES = [(emb.torus_e3(), (3, 4)), (emb.surface_s2xs2(), (3, 4)),
+                (emb.s3_curve(), (5,))]
+JACOBI_IDS = ["torus", "s2xs2", "s3curve"]
+
+
+@pytest.mark.parametrize("E,shape", JACOBI_CASES, ids=JACOBI_IDS)
+def test_jacobi_is_k_k_plus_the_normal_tangent_curvature_block(E, shape):
+    # J[b, c, i, j] = K_bd^i K^d_c_j + R(n_j, e_b, e_c, n^i), entry by
+    # entry through jet products and sums, not through an einsum spec
+    g = E.geometry(small_grid(E, shape).mesh, 4)
+    K, Kmix = g.extrinsic_curvature, g.k_mixed
+    for m in (0, 1):
+        J, R = g.jacobi(m), g.rblock("nttn", m)
+        assert J.order == m
+        for b, c, i, j in np.ndindex(g.dim, g.dim, g.codim, g.codim):
+            want = R[j, b, c, i]
+            for d in range(g.dim):
+                want = want + K[b, d, i] * Kmix[d, c, j]
+            got = J[b, c, i, j]
+            assert got.order == want.order == m
+            assert_coeffs_close(got, want, len(want.c))
+    assert g.jacobi(5).order == 1            # the curvature's cap
+    low = E.geometry(small_grid(E, shape).mesh, 2)
+    assert low.jacobi(1).order == 0          # K's order
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda E=E, s=s: E.geometry(small_grid(E, s).mesh, 4), id=name)
+    for (E, s), name in zip(JACOBI_CASES, JACOBI_IDS)
+] + [pytest.param(lambda: _varied_s2xs2(), id="varied-s2xs2")])
+def test_jacobi_at_order_0_is_the_prefix_of_order_1(make):
+    # on fresh geometries, and on one geometry that builds order 0 first
+    one = make().jacobi(1)
+    assert one.order == 1
+    assert_jets_identical(make().jacobi(0), one.truncated(0))
+    g = make()
+    zero = g.jacobi(0)
+    assert_jets_identical(g.jacobi(1), one)
+    assert_jets_identical(zero, one.truncated(0))
 
 
 def test_lower_undoes_raised_extrinsic_curvature():

@@ -237,6 +237,28 @@ def test_det_derivative():
     assert np.allclose(d.derivative((1,)), np.trace(a))
 
 
+def test_det_rejects_a_matrix_above_3x3():
+    with pytest.raises(PreconditionError, match="up to 3x3, not 4x4"):
+        jet_det(Jet.constant(np.eye(4), nvars=1, order=2))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Jet(1, 3, [0.7, 1.0, 0.0, 0.0]), id="scalar"),
+    pytest.param(lambda: _random_jet(2, 3, (5,), 7), id="array"),
+    pytest.param(lambda: _random_jet(2, 3, (5,), 7).lift(4), id="eps-capped"),
+])
+def test_zeroth_power_is_the_constant_one(make):
+    x = make()
+    for p in (0, 0.0):
+        one = x ** p
+        assert (one.nvars, one.order, one.caps) == (x.nvars, x.order, x.caps)
+        assert len(one.c) == len(x.c)
+        np.testing.assert_array_equal(one.value, np.ones_like(x.value))
+        assert np.shape(one.value) == np.shape(x.value)
+        for c in one.c[1:]:
+            np.testing.assert_array_equal(c, np.zeros_like(x.value))
+
+
 def eval_map(fn, values, order):
     """Evaluate a python map on jet variables; stack its outputs on the
     leading axis."""

@@ -253,6 +253,16 @@ def test_grid_of_another_chart_is_rejected():
                                    lambda geom: geom.X)
 
 
+def test_eom_residual_needs_a_grid_and_a_geometry_or_embedding():
+    with pytest.raises(ParameterError, match="a grid is required"):
+        mdl.eom_residual(mdl.DNG(), emb.sphere_polar(1.0))
+    grid = emb.make_grid(emb.sphere_polar(1.0), 4)
+    for target in ("sphere", grid):
+        with pytest.raises(ParameterError,
+                           match="must be an Embedding or a Geometry"):
+            mdl.eom_residual(mdl.DNG(), target, grid)
+
+
 def test_action_rejects_degenerate_metric():
     pinched = emb.Embedding(
         name="pinched",
@@ -514,5 +524,5 @@ def test_hg_tables_contract_hg_with_mixed_curvature_once(monkeypatch):
     # divergence follows it
     assert sum(map(len, counts)) == 1 and orders == [1]
     sym.symplectic_potential(model, geom, lambda g: g.normals[0])
-    # the boundary kernel's W keeps HG's full order
-    assert sum(map(len, counts)) == 2 and orders == [1, made[-1].order]
+    # the boundary kernel's W at the order of its delta K term (T03-T05)
+    assert sum(map(len, counts)) == 2 and orders == [1, 1]

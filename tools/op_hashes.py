@@ -12,12 +12,16 @@ so two trees whose results agree bit for bit print the same lines:
     diff old.txt new.txt
 
 The library is the one on PYTHONPATH; the workloads are read from this
-checkout's bench/ directory, which the script does not modify.
+checkout's bench/ directory.  The script writes no bytecode, so neither
+bench/ nor the library's directory gains a __pycache__, and a checkout's
+bytecode state (which shifts the benchmark's set-up time) stays as it was.
 """
 import hashlib
 import os
 import pathlib
 import sys
+
+sys.dont_write_bytecode = True      # before bench/ and the library load
 
 # one BLAS/OpenMP thread, as the benchmark pins it, before numpy loads
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
