@@ -45,7 +45,7 @@ __all__ = [
 def _normalize_coords(coords):
     """Lift all coordinates to jets sharing one (nvars, order); return them
     and the first as the template."""
-    kinds = {(c.nvars, c.order, c.caps) for c in coords if isinstance(c, Jet)}
+    kinds = {(c.nvars, c.order, c.eps) for c in coords if isinstance(c, Jet)}
     if len(kinds) > 1:
         raise PreconditionError(
             "coordinate jets must share nvars, order and eps caps")

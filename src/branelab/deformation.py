@@ -35,8 +35,10 @@ first derivatives in eps agree with covariant deformation families.
 the fields as slopes), so the eps coefficient of any quantity is its
 exact first variation; the finite-difference oracle re-embeds at a
 halving schedule of steps instead and stays independent of that jet path.
-Each eps_k is carried to degree 1 only: a first variation reads eps_k, a
-mixed second one eps_1 eps_2, and no reader needs eps_k**2.
+The eps variables do not count toward the jet order, and a varied
+geometry carries only the eps monomials its reader takes: each eps_k to
+degree 1, and eps_1 eps_2 only at ``degree`` 2, for a mixed second
+variation.  No reader needs eps_k**2.
 """
 from __future__ import annotations
 
@@ -124,34 +126,51 @@ def deformed_geometry(geom: Geometry, V, eps: float) -> Geometry:
                     geom.embedding)
 
 
-def varied_geometry(geom: Geometry, *fields) -> Geometry:
+def varied_geometry(geom: Geometry, *fields, degree: int = 1) -> Geometry:
     """Geometry of X + sum_k eps_k V_k, each eps_k one more jet variable.
 
-    Each field, an ambient vector jet on ``geom``, is held fixed as a
-    function of the parameters; the eps_k slots of an order-N jet hold it
-    to order N - 1, so a field built from the tangents or normals will do.
-    The eps_k coefficient of any quantity on the result is its exact first
+    The result is ``degree`` orders below ``geom`` and carries each eps_k
+    to degree 1 and the eps variables together to ``degree``: 1 for first
+    variations, 2 for the mixed second variation of two fields.  Each
+    quantity on it carries the eps coefficients that ``geom``'s order
+    leaves room for, and no chart-degree terms above them.  Each field,
+    an ambient vector jet on ``geom`` of order at least
+    ``geom.order - 1``, is held fixed as a function of the parameters, so
+    a field built from the tangents or normals will do.  The eps_k
+    coefficient of any quantity on the result is its exact first
     variation along V_k (`variation`); the eps-free ones are ``geom``'s.
     """
-    n = geom.X.nvars + len(fields)
-    return Geometry(geom.background, geom.X.lift(n, *fields),
-                    params=[p.lift(n) for p in geom.params],
+    if not (isinstance(degree, int)
+            and 1 <= degree <= min(len(fields), geom.order)):
+        raise ParameterError(
+            f"a varied geometry's degree must be an int of at least 1 and at "
+            f"most the number of fields ({len(fields)}) and the geometry's "
+            f"order ({geom.order}); got {degree!r}")
+    for V in fields:
+        if not (isinstance(V, Jet) and V.order >= geom.order - 1):
+            got = (f"order {V.order}" if isinstance(V, Jet)
+                   else type(V).__name__)
+            raise PreconditionError(
+                f"a field that varies an order-{geom.order} geometry must be "
+                f"a jet of order >= {geom.order - 1}, not {got}")
+    top, n = geom.order - degree, geom.X.nvars + len(fields)
+    return Geometry(geom.background,
+                    geom.X.truncated(top).lift(n, *fields, joint=degree),
+                    params=[p.truncated(top).lift(n, joint=degree)
+                            for p in geom.params],
                     embedding=geom.embedding)
 
 
 def variation(vgeom: Geometry, q, k: int = 0) -> np.ndarray:
     """Grid values of the exact first variation of ``q``, a quantity on
     ``vgeom = varied_geometry(geom, V_0, ...)``, along V_k: its eps_k
-    Taylor coefficient.  ``k`` must index one of the fields."""
+    Taylor coefficient.  ``k`` must index one of the fields; a coefficient
+    ``q`` does not carry raises `PreconditionError`."""
     neps = vgeom.X.nvars - vgeom.dim
     if not (isinstance(k, (int, np.integer)) and 0 <= k < neps):
         raise ParameterError(
             f"variation index k={k!r} is outside the {neps} deformation "
             f"variable(s) of the varied geometry")
-    if q.order < 1:
-        raise PreconditionError(
-            "a first variation needs a jet of order >= 1; build the varied "
-            "geometry one order higher")
     alpha = [0] * q.nvars
     alpha[vgeom.dim + k] = 1
     return np.asarray(q.coefficient(alpha), float)
@@ -187,9 +206,12 @@ def delta_sqrt_det(geom: Geometry, phi):
     return geom.sqrt_abs_det * kphi
 
 
-def delta_extrinsic(geom: Geometry, phi):
-    """Frame-covariant first variation of K_bc^i: J phi - grad grad phi."""
-    ddphi = geom.covariant_grad(geom.covariant_grad(phi, 0, 1), 1, 1)
+def delta_extrinsic(geom: Geometry, phi, gphi=None):
+    """Frame-covariant first variation of K_bc^i: J phi - grad grad phi;
+    ``gphi``, if given, is grad phi, ``geom.covariant_grad(phi, 0, 1)``, or
+    a prefix of it."""
+    gphi = geom.covariant_grad(phi, 0, 1) if gphi is None else gphi
+    ddphi = geom.covariant_grad(gphi, 1, 1)
     J = geom.jacobi(ddphi.order)
     return jet_einsum("bcij...,j...->bci...", J, phi) - ddphi
 

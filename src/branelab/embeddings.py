@@ -465,7 +465,7 @@ class Geometry:
         r_k = w_k - e_a gamma^{ab} <e_b, w_k>, a (D, k) jet."""
         shape = (self.ambient_dim,) + self.grid_shape
         W = Jet.constant(np.stack([np.broadcast_to(c, shape) for c in cols], 1)
-                         .astype(float), self.X.nvars, order, self.X.caps)
+                         .astype(float), self.X.nvars, order, self.X.eps)
         return W - jet_einsum("ak...,am...->mk...", self.chart_components(W),
                               self.tangents)
 
@@ -582,7 +582,7 @@ class Geometry:
         def build(order):
             gn = jet_einsum("mn...,in...->im...", self.ambient_metric,
                             self.normal_frame(order))
-            return Jet(gn.nvars, gn.order, list(np.stack(gn.c)), gn.caps)
+            return Jet(gn.nvars, gn.order, list(np.stack(gn.c)), gn.eps)
         return self._at_order("_lowered_normals", order, self.tangents.order,
                               build)
 

@@ -14,21 +14,28 @@ multiplication sweeps a whole grid.  Coefficients are never jets:
 `Jet.constant` and `Jet.variable` reject a jet value, and `jet_einsum` a
 jet whose coefficients are jets.
 
-Conventions: coefficients are stored in graded order (total degree, then
-lexicographic), so truncating to a lower order is a prefix slice.  Only
-this module reads that layout: `jet_stack` builds every stacked tensor
-jet from nested leaves, and `Jet.lift` adds jet variables (and the eps_k
-V_k terms of a varied embedding) by moving coefficients.  The variables
-`Jet.lift` appends are eps variables, each capped at degree 1
-(``Jet.caps``; hyper-dual numbers, Fike and Alonso), while the others keep
-the total-degree truncation.  Reading a monomial a jet does not carry
-raises `PreconditionError`.
+Eps variables: the variables `Jet.lift` appends (the eps_k V_k terms of
+a varied embedding) are eps variables, hyper-dual numbers after Fike and
+Alonso.  They do not count toward the order: a jet of order N carries its
+worldvolume (non-eps) variables to total degree N, each eps_k to its cap
+(``Jet.caps``, 1 from `Jet.lift`) and the eps variables together to the
+joint cap ``Jet.joint``: 1 for first variations, 2 for a mixed second
+one.  ``Jet.eps`` holds (caps, joint), or () for a jet without eps
+variables.  Reading a monomial a jet does not carry raises
+`PreconditionError`.
+
+Conventions: coefficients are stored by worldvolume degree, then total
+degree, then lexicographic order, so truncating to a lower order is a
+prefix slice; without eps variables this is the graded order.  Only this
+module reads that layout: `jet_stack` builds every stacked tensor jet from
+nested leaves, and `Jet.lift` adds jet variables by moving coefficients.
 
 Arithmetic: a product sums, for each output slot k, the coefficient products
 a_i b_j over the pairs (i, j) -> k, adding each term into the fresh array of
-the first.  A capped slot is fed by the same pairs, in the same order, as
-without the cap, so every carried coefficient is bit-identical to the
-uncapped one.  `jet_einsum` contracts a constant tensor jet as its value.
+the first.  A slot is fed by the same pairs, in the same (graded) order of
+i, whatever the caps, so every carried coefficient is bit-identical to the
+one of a jet that counts the eps variables as ordinary ones to the same
+total degree.  `jet_einsum` contracts a constant tensor jet as its value.
 Every analytic function (exp, sin, cos, sinh, cosh, log, sqrt,
 the reciprocal and real powers) is one degree recurrence in `Jet._compose`,
 about one product's work; a lower order is a bit-identical prefix.  Inputs
@@ -63,55 +70,69 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _tables(nvars: int, order: int, caps: tuple = ()):
-    """Multi-index bookkeeping for (nvars, order, caps), cached.
+def _tables(nvars: int, order: int, eps: tuple = ()):
+    """Multi-index bookkeeping for (nvars, order, eps), cached.
 
-    The last ``len(caps)`` variables are eps variables; eps_k appears to
-    degree at most caps[k].  The carried monomials are those of total
-    degree <= ``order`` within the caps.
+    ``eps`` is () or (caps, joint).  The last ``len(caps)`` variables are
+    eps variables, the others worldvolume variables.  The carried monomials
+    are those of worldvolume degree <= ``order`` whose degree in eps_k is
+    at most caps[k] and whose joint eps degree is at most ``joint``
+    (<= sum(caps)).
 
     Returns (indices, position, prefix_counts, products, partial_maps,
     degrees):
-      indices: tuple of multi-index tuples in graded order
+      indices: tuple of multi-index tuples by worldvolume degree, then
+        graded (total degree, then lexicographic) order
       position: dict multi-index -> coefficient slot
       prefix_counts[k]: number of coefficients of a jet of order k
       products[k]: the pairs (i, j) with indices[i] + indices[j] ==
-        indices[k], i ascending, so the first is (0, k) and the last (k, 0);
-        every other j comes before k in graded order
+        indices[k], in the graded order of indices[i], so the first is
+        (0, k) and the last (k, 0); every other j comes before k
       partial_maps[d]: for d/dx_d, the (src, factor) of each slot of the
-        result, whose order is one less and whose cap on x_d (an eps
-        variable) one lower
+        result: one order less along a worldvolume variable, the same
+        order with the cap on x_d and the joint cap one lower along an
+        eps variable
       degrees[k]: total degree of indices[k], as a float
     """
+    caps, joint = eps or ((), 0)
     head = nvars - len(caps)
-    if head < 0 or nvars < 1 or order < 0 or min(caps, default=0) < 0:
+    if (head < 0 or nvars < 1 or order < 0 or min(caps, default=0) < 0
+            or not 0 <= joint <= sum(caps)):
         raise ParameterError(
-            f"need nvars >= 1, order >= 0 and at most nvars non-negative eps "
-            f"caps; got nvars={nvars}, order={order}, caps={caps}")
+            f"need nvars >= 1, order >= 0, at most nvars non-negative eps "
+            f"caps and a joint cap from 0 to their sum; got nvars={nvars}, "
+            f"order={order}, caps={caps}, joint={joint}")
 
-    def carried(a, top, cap):
-        return sum(a) <= top and all(x <= c for x, c in zip(a[head:], cap))
+    def carried(a, top, cap, most):
+        eps = a[head:]
+        return (sum(a[:head]) <= top and sum(eps) <= most
+                and all(x <= c for x, c in zip(eps, cap)))
 
-    raw = [a for a in product(range(order + 1), repeat=nvars)
-           if carried(a, order, caps)]
-    raw.sort(key=lambda a: (sum(a), a))
+    def graded(a):
+        return sum(a), a
+
+    ranges = [range(order + 1)] * head + [range(c + 1) for c in caps]
+    raw = [a for a in product(*ranges) if carried(a, order, caps, joint)]
+    raw.sort(key=lambda a: (sum(a[:head]),) + graded(a))
     indices = tuple(raw)
     position = {a: i for i, a in enumerate(indices)}
     prefix_counts = tuple(
-        sum(1 for a in indices if sum(a) <= k) for k in range(order + 1)
+        sum(1 for a in indices if sum(a[:head]) <= k) for k in range(order + 1)
     )
     products = [[] for _ in indices]
-    for i, a in enumerate(indices):
+    for i, a in sorted(enumerate(indices), key=lambda ia: graded(ia[1])):
         for j, b in enumerate(indices):
             k = position.get(tuple(x + y for x, y in zip(a, b)))
             if k is not None:
                 products[k].append((i, j))
     partial_maps = []
     for d in range(nvars):
+        eps = d >= head
         cap = tuple(c - (m == d - head) for m, c in enumerate(caps))
+        top, most = order - (not eps), joint - eps
         partial_maps.append(tuple(
             (position[a[:d] + (a[d] + 1,) + a[d + 1:]], float(a[d] + 1))
-            for a in indices if carried(a, order - 1, cap)))
+            for a in indices if carried(a, top, cap, most)))
     return (indices, position, prefix_counts, tuple(tuple(p) for p in products),
             tuple(partial_maps), tuple(float(sum(a)) for a in indices))
 
@@ -162,29 +183,30 @@ def _is_jet(x) -> bool:
 
 class Jet:
     """Truncated Taylor expansion of a scalar in ``nvars`` variables, the
-    last ``len(caps)`` of them eps variables capped at ``caps`` (`_tables`).
+    last ``len(caps)`` of them eps variables capped at ``caps`` and, all
+    together, at ``joint``; ``eps`` is (caps, joint), or () (`_tables`).
     """
 
-    __slots__ = ("nvars", "order", "c", "caps")
+    __slots__ = ("nvars", "order", "c", "eps")
 
     # keep numpy from absorbing jets into object arrays; arithmetic with
     # ndarrays then falls through to the __r*__ methods below
     __array_ufunc__ = None
 
-    def __init__(self, nvars, order, coeffs, caps=()):
+    def __init__(self, nvars, order, coeffs, eps=()):
         self.nvars = nvars
         self.order = order
         self.c = coeffs
-        self.caps = caps
+        self.eps = eps
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def constant(value, nvars, order, caps=()):
+    def constant(value, nvars, order, eps=()):
         if _is_jet(value):
             raise PreconditionError("a jet's coefficients cannot be jets")
-        n = _tables(nvars, order, caps)[2][order]
+        n = _tables(nvars, order, eps)[2][order]
         c = [value] + [_zero_like(value)] * (n - 1)
-        return Jet(nvars, order, c, caps)
+        return Jet(nvars, order, c, eps)
 
     @staticmethod
     def variable(i, value, nvars, order):
@@ -197,6 +219,14 @@ class Jet:
 
     # -- basic queries -------------------------------------------------
     @property
+    def caps(self):
+        return self.eps[0] if self.eps else ()
+
+    @property
+    def joint(self):
+        return self.eps[1] if self.eps else 0
+
+    @property
     def value(self):
         return self.c[0]
 
@@ -204,9 +234,10 @@ class Jet:
         """Taylor coefficient for multi-index alpha.
 
         Raises `PreconditionError` for a monomial the jet does not carry:
-        one above its order or its eps caps, or an alpha of another length.
+        one above its order, its eps caps or its joint cap, or an alpha of
+        another length.
         """
-        slot = _tables(self.nvars, self.order, self.caps)[1].get(tuple(alpha))
+        slot = _tables(self.nvars, self.order, self.eps)[1].get(tuple(alpha))
         if slot is None:
             raise PreconditionError(
                 f"{self._kind()} carries no coefficient {tuple(alpha)}")
@@ -225,111 +256,115 @@ class Jet:
                 f"cannot truncate a jet of order {self.order} to {order}")
         if order == self.order:
             return self
-        n = _tables(self.nvars, self.order, self.caps)[2][order]
-        return Jet(self.nvars, order, self.c[:n], self.caps)
+        n = _tables(self.nvars, self.order, self.eps)[2][order]
+        return Jet(self.nvars, order, self.c[:n], self.eps)
 
-    def _project(self, order, caps):
-        """The coefficients of the monomials of (order, caps), which must
-        be carried by this jet."""
-        if caps == self.caps:
+    def _project(self, order, eps):
+        """The coefficients of the monomials of (order, eps), which must be
+        carried by this jet."""
+        if eps == self.eps:
             return self.truncated(order)
-        src = _tables(self.nvars, self.order, self.caps)[1]
+        src = _tables(self.nvars, self.order, self.eps)[1]
         return Jet(self.nvars, order,
-                   [self.c[src[a]] for a in _tables(self.nvars, order, caps)[0]],
-                   caps)
+                   [self.c[src[a]] for a in _tables(self.nvars, order, eps)[0]],
+                   eps)
 
     def _kind(self):
+        eps = f" and joint eps degree {self.joint}" if self.caps else ""
         return (f"a jet of order {self.order} in {self.nvars} variables "
-                f"with eps caps {self.caps}")
+                f"with eps caps {self.caps}{eps}")
 
-    def lift(self, nvars, *slopes):
+    def lift(self, nvars, *slopes, joint=1):
         """The same jet in ``nvars`` variables, the new ones last, plus
         sum_k eps_k V_k over the ``slopes`` V_k, eps_k the new variable k.
 
-        Every new variable is an eps variable capped at degree 1: the
-        result carries the monomials at most linear in each, the only ones
-        a first variation or a mixed second one reads.  Each coefficient
+        The new variables are eps variables, each capped at degree 1 and
+        together at ``joint``: the result carries this jet's order in the
+        old variables times the eps monomials that first variations
+        (``joint`` 1) or a mixed second one (2) read.  Each coefficient
         moves to its own multi-index padded with zeros, and each
-        coefficient alpha of V_k of degree below ``order`` to alpha plus
-        eps_k; the other slots that involve a new variable are zero.  No
-        arithmetic is done, so ``a.lift(n) * b.lift(n)`` equals
-        ``(a * b).lift(n)`` bit for bit.  A slope must be a jet in this
-        jet's variables and caps, of order at least ``order - 1``, which is
-        all that the eps slots hold.
+        coefficient alpha of V_k up to ``order`` to alpha plus eps_k; the
+        other slots that involve a new variable are zero.  No arithmetic is
+        done, so ``a.lift(n) * b.lift(n)`` equals ``(a * b).lift(n)`` bit
+        for bit.  This jet must have no eps variables, and a slope must be
+        a jet in its variables of order at least ``order``.
         """
-        if nvars < self.nvars + len(slopes):
+        new = nvars - self.nvars
+        if (self.eps or new < len(slopes)
+                or not (new == 0 or 1 <= joint <= new)):
             raise PreconditionError(
                 f"cannot lift {self._kind()} and {len(slopes)} slopes to "
-                f"{nvars} variables")
-        if nvars == self.nvars:
+                f"{nvars} variables with joint eps degree {joint}")
+        if new == 0:
             return self
-        caps = self.caps + (1,) * (nvars - self.nvars)
-        position = _tables(nvars, self.order, caps)[1]
-        pads = [(0,) * (nvars - self.nvars)]
-        pads += [tuple(int(m == k) for m in range(nvars - self.nvars))
-                 for k in range(len(slopes))]
+        eps = ((1,) * new, joint)
+        position = _tables(nvars, self.order, eps)[1]
+        pads = [(0,) * new] + [tuple(int(m == k) for m in range(new))
+                               for k in range(len(slopes))]
         out = [_zero_like(self.c[0])] * len(position)
         for pad, V in zip(pads, (self,) + slopes):
-            if (V.nvars, V.caps) != (self.nvars, self.caps):
+            if (V.nvars, V.eps) != (self.nvars, ()):
                 raise PreconditionError(
                     f"a slope in {V.nvars} jet variables with eps caps "
                     f"{V.caps} cannot lift {self._kind()}")
-            if V.order < self.order - 1:
+            if V.order < self.order:
                 raise PreconditionError(
                     f"a slope of jet order {V.order} cannot lift an "
-                    f"order-{self.order} jet; it needs >= {self.order - 1}")
-            for alpha, coef in zip(_tables(V.nvars, V.order, V.caps)[0], V.c):
-                if sum(alpha) + sum(pad) <= self.order:
-                    out[position[alpha + pad]] = coef
-        return Jet(nvars, self.order, out, caps)
+                    f"order-{self.order} jet; it needs >= {self.order}")
+            for alpha, coef in zip(_tables(self.nvars, self.order)[0], V.c):
+                out[position[alpha + pad]] = coef
+        return Jet(nvars, self.order, out, eps)
 
     def partial(self, d):
-        """d/dx_d as a jet of one order less.
+        """d/dx_d: one order less along a worldvolume variable.
 
-        Along an eps variable the result's cap on it is one lower: with
-        cap 1, its eps_d slots would stand for the eps_d**2 terms that the
-        jet does not carry, so the result carries none.
+        Along an eps variable the order stays, and the cap on it and the
+        joint cap are one lower: with cap 1, its eps_d slots would stand
+        for the eps_d**2 terms that the jet does not carry, so the result
+        carries none.
         """
-        if self.order < 1:
+        caps, eps, k = self.caps, self.eps, d - self.nvars + len(self.caps)
+        order = self.order - (k < 0)
+        if order < 0:
             raise PreconditionError(
                 f"cannot differentiate an order-{self.order} jet; the "
                 "geometry needs a higher jet order")
-        caps, k = self.caps, d - self.nvars + len(self.caps)
         if k >= 0:
-            if caps[k] < 1:
+            if caps[k] < 1 or self.joint < 1:
                 raise PreconditionError(
                     f"{self._kind()} carries no term in its variable {d}")
-            caps = caps[:k] + (caps[k] - 1,) + caps[k + 1:]
-        ops = _tables(self.nvars, self.order, self.caps)[4][d]
-        return Jet(self.nvars, self.order - 1,
-                   [self.c[src] * fct for src, fct in ops], caps)
+            eps = (caps[:k] + (caps[k] - 1,) + caps[k + 1:], self.joint - 1)
+        ops = _tables(self.nvars, self.order, self.eps)[4][d]
+        return Jet(self.nvars, order, [self.c[src] * fct for src, fct in ops],
+                   eps)
 
     # -- arithmetic ----------------------------------------------------
     def _align(self, other):
         """Both jets on their common monomials: the lower order and, for
-        each eps variable, the lower cap."""
+        each eps variable and for the joint eps degree, the lower cap."""
+        m = min(self.order, other.order)
+        if self.nvars == other.nvars and self.eps == other.eps:
+            return self.truncated(m), other.truncated(m)
         if self.nvars != other.nvars or len(self.caps) != len(other.caps):
             raise PreconditionError(
                 f"cannot combine {self._kind()} with {other._kind()}")
-        m = min(self.order, other.order)
-        if self.caps == other.caps:
-            return self.truncated(m), other.truncated(m)
         caps = tuple(map(min, self.caps, other.caps))
-        return self._project(m, caps), other._project(m, caps)
+        eps = (caps, min(self.joint, other.joint, sum(caps)))
+        return self._project(m, eps), other._project(m, eps)
 
     def __add__(self, other):
         if _is_jet(other):
             a, b = self._align(other)
             return Jet(a.nvars, a.order, [x + y for x, y in zip(a.c, b.c)],
-                       a.caps)
+                       a.eps)
         c = list(self.c)
         c[0] = c[0] + other
-        return Jet(self.nvars, self.order, c, self.caps)
+        return Jet(self.nvars, self.order, c, self.eps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, [-x for x in self.c], self.caps)
+        return Jet(self.nvars, self.order, [-x for x in self.c], self.eps)
 
     def __sub__(self, other):
         return self + (-other if _is_jet(other) else -1.0 * other)
@@ -342,11 +377,11 @@ class Jet:
             a, b = self._align(other)
             ac, bc = a.c, b.c
             prod = lambda i, j: ac[i] * bc[j]  # noqa: E731
-            pairs = _tables(a.nvars, a.order, a.caps)[3]
+            pairs = _tables(a.nvars, a.order, a.eps)[3]
             return Jet(a.nvars, a.order, [_cauchy(p, prod) for p in pairs],
-                       a.caps)
+                       a.eps)
         return Jet(self.nvars, self.order, [x * other for x in self.c],
-                   self.caps)
+                   self.eps)
 
     __rmul__ = __mul__
 
@@ -365,15 +400,16 @@ class Jet:
             # repeated products, which hold at a zero value too
             if p == 0:
                 return Jet.constant(_one_like(self.c[0]), self.nvars,
-                                    self.order, self.caps)
+                                    self.order, self.eps)
             out = self
             for _ in range(int(p) - 1):
                 out = out * self
             return out
-        # a real power needs a positive value, or a non-negative one at
-        # order 0 (no slope); a negative integer power a nonzero one
+        # a real power needs a positive value, or a non-negative one if the
+        # jet carries only its value (no slope); a negative integer power a
+        # nonzero one
         _require(f"x ** {p}", self.c[0], "nonzero" if integer else
-                 "positive" if self.order or p < 0 else "non-negative")
+                 "positive" if len(self.c) > 1 or p < 0 else "non-negative")
         return self._compose("pow", self.c[0] ** p, p=p)
 
     # -- analytic functions, by degree recurrence -------------------------
@@ -397,10 +433,10 @@ class Jet:
         Evaluating Derivatives, ch. 13.
         """
         u = self.c
-        tab = _tables(self.nvars, self.order, self.caps)
+        tab = _tables(self.nvars, self.order, self.eps)
         pairs, deg = tab[3], tab[5]
         f = [f0]
-        if self.order and kind in ("pow", "log"):
+        if len(u) > 1 and kind in ("pow", "log"):
             r = 1.0 / u[0]
         if kind == "log":
             df = [0.0]  # df[j] = |j| f_j
@@ -408,18 +444,18 @@ class Jet:
             for k in range(1, len(u)):
                 f.append((u[k] - _cauchy(pairs[k][1:], prod) / deg[k]) * r)
                 df.append(deg[k] * f[k])
-            return Jet(self.nvars, self.order, f, self.caps)
+            return Jet(self.nvars, self.order, f, self.eps)
         if kind == "pow":
             prod = lambda i, j: (p * deg[i] - deg[j]) * u[i] * f[j]  # noqa: E731
             for k in range(1, len(u)):
                 f.append(_cauchy(pairs[k][1:], prod) * r / deg[k])
-            return Jet(self.nvars, self.order, f, self.caps)
+            return Jet(self.nvars, self.order, f, self.eps)
         du = [None] + [d * x for d, x in zip(deg[1:], u[1:])]
         if kind == "exp":
             prod = lambda i, j: du[i] * f[j]  # noqa: E731
             for k in range(1, len(u)):
                 f.append(_cauchy(pairs[k][1:], prod) / deg[k])
-            return Jet(self.nvars, self.order, f, self.caps)
+            return Jet(self.nvars, self.order, f, self.eps)
         g = [g0]
         sign = -1.0 if kind in ("sin", "cos") else 1.0
         f_prod = lambda i, j: du[i] * g[j]  # noqa: E731
@@ -428,7 +464,7 @@ class Jet:
             f.append(_cauchy(pairs[k][1:], f_prod) / deg[k])
             g.append(_cauchy(pairs[k][1:], g_prod) / (sign * deg[k]))
         return Jet(self.nvars, self.order, f if kind in ("sin", "sinh") else g,
-                   self.caps)
+                   self.eps)
 
     def _reciprocal(self):
         _require("reciprocal", self.c[0], "nonzero")
@@ -436,7 +472,7 @@ class Jet:
 
     def sqrt(self):
         _require("sqrt", self.c[0],
-                 "positive" if self.order else "non-negative")
+                 "positive" if len(self.c) > 1 else "non-negative")
         return self._compose("pow", sqrt(self.c[0]), p=0.5)
 
     def exp(self):
@@ -460,7 +496,7 @@ class Jet:
 
     # -- structural helpers for array-valued coefficients ---------------
     def map_coeffs(self, fn):
-        return Jet(self.nvars, self.order, [fn(x) for x in self.c], self.caps)
+        return Jet(self.nvars, self.order, [fn(x) for x in self.c], self.eps)
 
     def __getitem__(self, idx):
         """Slice the leading (tensor) axes of every coefficient array."""
@@ -554,7 +590,7 @@ def jet_stack(entries, template=None):
     lead = min(jl, key=lambda e: e.order, default=template)
     if lead is None:
         raise PreconditionError("jet_stack needs at least one Jet or a template")
-    if any(e.caps != lead.caps or e.nvars != lead.nvars for e in jl):
+    if any(e.eps != lead.eps or e.nvars != lead.nvars for e in jl):
         for e in jl:  # _align rejects other variable or eps-variable counts
             lead = lead._align(e)[0]
         leaves = [e._align(lead)[0] if _is_jet(e) else e for e in leaves]
@@ -567,7 +603,7 @@ def jet_stack(entries, template=None):
         for i, a in vals:
             flat[i] = a
         out.append(flat.reshape(tuple(shape) + full))
-    return Jet(lead.nvars, lead.order, out, lead.caps)
+    return Jet(lead.nvars, lead.order, out, lead.eps)
 
 
 def jet_rearrange(spec, a):
@@ -576,9 +612,9 @@ def jet_rearrange(spec, a):
 
 
 def _is_constant(j):
-    """True for a constant tensor jet: order >= 1, an ndarray value and
-    all-zero arrays in every later coefficient (NaN is not zero)."""
-    return (j.order >= 1 and type(j.c[0]) is np.ndarray
+    """True for a constant tensor jet: more than a value, an ndarray value
+    and all-zero arrays in every later coefficient (NaN is not zero)."""
+    return (len(j.c) > 1 and type(j.c[0]) is np.ndarray
             and all(type(x) is np.ndarray and not x.any() for x in j.c[1:]))
 
 
@@ -610,8 +646,8 @@ def jet_einsum(spec, a, b):
     ac = [np.asarray(x, float) for x in a.c]
     bc = [np.asarray(x, float) for x in b.c]
     prod = lambda i, j: np.einsum(spec, ac[i], bc[j])  # noqa: E731
-    pairs = _tables(a.nvars, a.order, a.caps)[3]
-    return Jet(a.nvars, a.order, [_cauchy(p, prod) for p in pairs], a.caps)
+    pairs = _tables(a.nvars, a.order, a.eps)[3]
+    return Jet(a.nvars, a.order, [_cauchy(p, prod) for p in pairs], a.eps)
 
 
 def jet_matinv(g):
@@ -619,7 +655,7 @@ def jet_matinv(g):
 
     Degree recurrence of Taylor arithmetic: x_0 = inv(g_0), then
     x_k = -x_0 sum g_i x_j over the products (i, j) -> k with i != 0, in
-    graded order, so every x_j read is already known.  The value is
+    slot order, so every x_j read is already known.  The value is
     inv(g_0) at every jet order, and a lower-order inverse is a prefix of a
     higher-order one.  Coefficients are C-contiguous.
     """
@@ -629,10 +665,10 @@ def jet_matinv(g):
     gc = [np.asarray(c, float) for c in g.c]
     neg, x = -x0, [x0]
     prod = lambda i, j: np.einsum("ab...,bc...->ac...", gc[i], x[j])  # noqa: E731
-    for pairs in _tables(g.nvars, g.order, g.caps)[3][1:]:
+    for pairs in _tables(g.nvars, g.order, g.eps)[3][1:]:
         x.append(np.einsum("ab...,bc...->ac...", neg, _cauchy(pairs[1:], prod),
                            order="C"))
-    return Jet(g.nvars, g.order, x, g.caps)
+    return Jet(g.nvars, g.order, x, g.eps)
 
 
 def jet_det(g):

@@ -250,7 +250,7 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
         return [dens * frame.contract(rho.partial(vg.dim + j))
                 for j in (0, 1)]
 
-    d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
+    d1, d2 = _variation_pair(geom, vf1, vf2, fluxes, degree=2)
     dens = np.einsum("m...,m...->...", conormal, d2 - d1)
     return float(integrate(dens, grid))
 

@@ -62,7 +62,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .jets import jet_einsum, jet_stack
-from .models import LagrangianModel, hg_contractions
+from .models import LagrangianModel, _require_order, hg_contractions
 
 __all__ = [
     "CauchySlice",
@@ -92,20 +92,30 @@ def chart_field(fn):
 
 def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
     """Evaluate the kernel table for one deformation on one geometry: the
-    jet of the vector density sqrt|gamma| Psi^a, shape (dim,) + grid.
+    jet of the vector density sqrt|gamma| Psi^a, shape (dim,) + grid, of
+    order at most top = geom.order - model.jet_order + 1 (its value needs
+    one order below the field equations).
 
     V is lowered once; T00 reads only its tangential part t^a, so the
     normal part phi^i = <V, n^i>, and with it the geometry's normal frame,
-    is built only for a model with HK or HG (not for DNG)."""
+    is built only for a model with HK or HG (not for DNG).  Each piece is
+    built at the order the potential keeps: the lowering of V and phi at
+    top plus the derivatives phi takes (one for HK, two for HG's
+    grad grad phi), grad phi once, and each product at top."""
     model.check_geometry(geom)
+    _require_order(geom, model.jet_order - 1, f"{model.name} potential")
+    top = geom.order - model.jet_order + 1
     V = dfm.resolve_field(vfield, geom)
-    gV = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
-
-    psi = model.lagrangian(geom) * geom._chart_of_lowered(gV)          # T00
-
     HK = model.h_k(geom)
     HG = model.h_gradk(geom)
-    if HK is not None or HG is not None:
+    reach = 2 if HG is not None else int(HK is not None)
+    gV = jet_einsum("mn...,n...->m...",
+                    geom.ambient_metric.truncated(top + reach), V)
+
+    psi = model.lagrangian(geom) * geom._chart_of_lowered(
+        gV.truncated(min(top, gV.order)))                              # T00
+
+    if reach:
         phi = jet_einsum("im...,m...->i...", geom.normal_frame(gV.order), gV)
         gphi = geom.covariant_grad(phi, 0, 1)                          # (b,i)
     if HK is not None:
@@ -114,10 +124,11 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
         psi = psi + jet_einsum("ai...,i...->a...", div_hk, phi)        # T02
 
     if HG is not None:
-        lam = dfm.delta_extrinsic(geom, phi)                           # (b,c,i)
+        lam = dfm.delta_extrinsic(geom, phi, gphi)                    # (b,c,i)
         div1, wsum, _m, anti = hg_contractions(geom, HG, lam.order)
         psi = psi + jet_einsum("abci...,bci...->a...", HG, lam)        # T03-T05
-        psi = psi + jet_einsum("aci...,ci...->a...", div1, gphi)       # T06
+        psi = psi + jet_einsum("aci...,ci...->a...", div1,
+                               gphi.truncated(lam.order))              # T06
         div2 = geom.divergence(div1, 2, 1)                             # (a,i)
         psi = psi - jet_einsum("ai...,i...->a...", div2, phi)          # T07
         w8 = jet_einsum("abe...,bej...->aj...", wsum,
@@ -130,19 +141,23 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
 
 # -- phase-space structures ---------------------------------------------------
 
-def _variation_pair(geom: Geometry, vf1, vf2, quantities):
+def _variation_pair(geom: Geometry, vf1, vf2, quantities, degree=1):
     """Vary a quantity of each deformation along the other one.
 
     Both fields are resolved once on the base geometry and held fixed on
-    one geometry of X + eps1 V1 + eps2 V2.  ``quantities(vg, (V1, V2))``
-    returns the quantity's jets (Q[V1], Q[V2]) on that geometry, with the
-    fields lifted onto it; returns (D_{V1} Q[V2], D_{V2} Q[V1]).
+    one geometry of X + eps1 V1 + eps2 V2, varied at ``degree``
+    (`deformation.varied_geometry`): 1 when Q reads no eps coefficient
+    itself, 2 when it reads one, whose variation is then the mixed term.
+    ``quantities(vg, (V1, V2))`` returns the quantity's jets (Q[V1],
+    Q[V2]) on that geometry, with the fields lifted onto it; returns
+    (D_{V1} Q[V2], D_{V2} Q[V1]).
     """
     V1 = dfm.resolve_field(vf1, geom)
     V2 = dfm.resolve_field(vf2, geom)
-    vg = dfm.varied_geometry(geom, V1, V2)
+    vg = dfm.varied_geometry(geom, V1, V2, degree=degree)
     n = vg.X.nvars
-    q1, q2 = quantities(vg, (V1.lift(n), V2.lift(n)))
+    q1, q2 = quantities(vg, (V1.lift(n, joint=degree),
+                             V2.lift(n, joint=degree)))
     return dfm.variation(vg, q2, 0), dfm.variation(vg, q1, 1)
 
 

@@ -373,36 +373,40 @@ VARIED_CASES = [
 @pytest.mark.parametrize("E, shape, fn", VARIED_CASES,
                          ids=[c[0].name for c in VARIED_CASES])
 def test_varied_geometry_keeps_base_coefficients_bit_for_bit(E, shape, fn):
-    geom = E.geometry(emb.make_grid(E, shape).mesh, 3)
+    geom = E.geometry(emb.make_grid(E, shape).mesh, 4)
     V = jets.jet_stack(list(fn(*geom.params)), template=geom.X)
     W = dfm.deformation_vector(geom, dfm.normal_field(
         geom, *[lambda *ps: 0.1 + 0.0 * ps[0]] * geom.codim))
-    vg = dfm.varied_geometry(geom, V, W)
-    assert (vg.dim, vg.order, vg.X.nvars) == (geom.dim, 3, geom.dim + 2)
-    for name in ("normals", "extrinsic_curvature", "sqrt_abs_det",
-                 "inverse_induced_metric", "twist"):
-        base, varied = (g.twist(g.order - 2) if name == "twist"
-                        else getattr(g, name) for g in (geom, vg))
-        assert base.order == varied.order
-        for alpha in jets._tables(geom.dim, base.order)[0]:
-            np.testing.assert_array_equal(
-                varied.coefficient(alpha + (0, 0)), base.coefficient(alpha),
-                err_msg=f"{name} {alpha}")
+    for degree in (1, 2):
+        vg = dfm.varied_geometry(geom, V, W, degree=degree)
+        assert ((vg.dim, vg.order, vg.X.nvars, vg.X.caps, vg.X.joint)
+                == (geom.dim, 4 - degree, geom.dim + 2, (1, 1), degree))
+        for name in ("normals", "extrinsic_curvature", "sqrt_abs_det",
+                     "inverse_induced_metric", "twist"):
+            base, varied = (g.twist(g.order - 2) if name == "twist"
+                            else getattr(g, name) for g in (geom, vg))
+            # each tensor sits as far below the map as on ``geom``
+            assert varied.order == base.order - degree
+            for alpha in jets._tables(geom.dim, varied.order)[0]:
+                np.testing.assert_array_equal(
+                    varied.coefficient(alpha + (0, 0)),
+                    base.coefficient(alpha), err_msg=f"{name} {alpha}")
 
 
-def _eps_seeded_by_hand(X, fields):
-    """X + sum_k eps_k V_k, each V_k coefficient placed by multi-index at
-    alpha + e_k (the reference for `Jet.lift` with slopes), on the slots
-    at most linear in each eps_k."""
+def _eps_seeded_by_hand(X, fields, joint):
+    """X + sum_k eps_k V_k, each coefficient of X placed by multi-index at
+    alpha and each of V_k at alpha + e_k up to X's order (the reference
+    for `Jet.lift` with slopes); every other slot of the order, the eps
+    caps (1 each) and ``joint`` is zero."""
     nv, order = X.nvars, X.order
     n = nv + len(fields)
-    position = jets._tables(n, order, (1,) * len(fields))[1]
-    c = list(X.lift(n).c)
-    for k, V in enumerate(fields):
-        unit = tuple(int(m == k) for m in range(len(fields)))
+    position = jets._tables(n, order, ((1,) * len(fields), joint))[1]
+    c = [np.zeros_like(X.c[0])] * len(position)
+    for k, V in enumerate([X] + list(fields)):
+        pad = tuple(int(m == k - 1) for m in range(len(fields)))
         for alpha, coef in zip(jets._tables(nv, V.order)[0], V.c):
-            if sum(alpha) < order:
-                c[position[alpha + unit]] = coef
+            if sum(alpha) <= order:
+                c[position[alpha + pad]] = coef
     return c
 
 
@@ -413,12 +417,17 @@ def test_lift_with_slopes_matches_placement_by_hand(E, shape, fn):
     V = jets.jet_stack(list(fn(*geom.params)), template=geom.X)
     W = dfm.deformation_vector(geom, dfm.normal_field(
         geom, *[lambda *ps: 0.1 + 0.0 * ps[0]] * geom.codim))
-    want = _eps_seeded_by_hand(geom.X, [V, W])
-    for got in (geom.X.lift(geom.dim + 2, V, W).c,
-                dfm.varied_geometry(geom, V, W).X.c):
-        assert len(got) == len(want)
-        for x, y in zip(got, want):
-            assert x is y or np.array_equal(x, y)
+    n = geom.dim + 2
+    for joint in (1, 2):
+        for got, want in (
+                (geom.X.truncated(2).lift(n, V, W, joint=joint).c,
+                 _eps_seeded_by_hand(geom.X.truncated(2), [V, W], joint)),
+                (dfm.varied_geometry(geom, V, W, degree=joint).X.c,
+                 _eps_seeded_by_hand(geom.X.truncated(3 - joint), [V, W],
+                                     joint))):
+            assert len(got) == len(want)
+            for x, y in zip(got, want):
+                assert x is y or np.array_equal(x, y)
 
 
 INVARIANT_NAMES = ["sqrt_det", "det_metric", "k_squared", "k_dot_k",

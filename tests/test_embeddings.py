@@ -651,10 +651,11 @@ def test_normals_at_a_lower_order_are_a_prefix(E, order):
 
 
 def _geometry_maker(E, shape, varied):
-    """order -> a fresh geometry of E on a small grid, varied along two
-    ambient fields (eps caps) if ``varied``."""
+    """order -> a fresh geometry of E on a small grid, of jet order
+    ``order``; if ``varied``, the varied geometry (eps caps) of one of
+    order + 1 along two ambient fields."""
     def make(order):
-        g = E.geometry(small_grid(E, shape).mesh, order)
+        g = E.geometry(small_grid(E, shape).mesh, order + varied)
         if not varied:
             return g
         u, v = g.params
@@ -979,7 +980,7 @@ def assert_reads_identical(got, want):
     for name, w in want.items():
         if isinstance(w, jets.Jet):
             assert_jets_identical(got[name], w)
-            assert got[name].caps == w.caps, name
+            assert got[name].eps == w.eps, name
         elif isinstance(w, type):
             assert got[name] is w, name
         else:           # grid_shape, metric_sign, _normal_picks

@@ -3,6 +3,7 @@ import gc
 import math
 import pathlib
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ def test_zeroth_power_is_the_constant_one(make):
     x = make()
     for p in (0, 0.0):
         one = x ** p
-        assert (one.nvars, one.order, one.caps) == (x.nvars, x.order, x.caps)
+        assert (one.nvars, one.order, one.eps) == (x.nvars, x.order, x.eps)
         assert len(one.c) == len(x.c)
         np.testing.assert_array_equal(one.value, np.ones_like(x.value))
         assert np.shape(one.value) == np.shape(x.value)
@@ -364,36 +365,46 @@ def _random_jet(nvars, order, grid, seed):
 
 def test_lift_places_coefficients_by_multi_index():
     a = _random_jet(2, 3, (5,), 11)
-    lifted = a.lift(4)
-    assert (lifted.nvars, lifted.order, lifted.caps) == (4, 3, (1, 1))
-    for alpha in jets._tables(4, 3, (1, 1))[0]:
-        want = a.coefficient(alpha[:2]) if alpha[2:] == (0, 0) else 0.0
-        np.testing.assert_array_equal(lifted.coefficient(alpha), want)
+    for joint in (1, 2):
+        lifted = a.lift(4, joint=joint)
+        assert ((lifted.nvars, lifted.order, lifted.caps, lifted.joint)
+                == (4, 3, (1, 1), joint))
+        for alpha in jets._tables(4, 3, ((1, 1), joint))[0]:
+            want = a.coefficient(alpha[:2]) if alpha[2:] == (0, 0) else 0.0
+            np.testing.assert_array_equal(lifted.coefficient(alpha), want)
     assert a.lift(2) is a
     with pytest.raises(PreconditionError, match="lift"):
         a.lift(1)
 
 
-@pytest.mark.parametrize("order, slots", [(2, 13), (3, 25), (4, 41), (6, 85)])
-def test_lift_carries_the_eps_multilinear_slots(order, slots):
-    # 2 worldvolume variables to total degree, 2 eps variables to degree 1
-    lifted = _random_jet(2, order, (3,), 5).lift(4)
+@pytest.mark.parametrize("order, joint, slots", [
+    (0, 1, 3), (2, 1, 18), (2, 2, 24), (3, 1, 30), (4, 2, 60), (6, 1, 84)])
+def test_lift_carries_the_eps_multilinear_slots(order, joint, slots):
+    # 2 worldvolume variables to total degree ``order``, 2 eps variables to
+    # degree 1 each and ``joint`` together: C(order + 2, 2) worldvolume
+    # monomials times 1 + 2 (+ 1 for eps_1 eps_2 at joint 2)
+    lifted = _random_jet(2, order, (3,), 5).lift(4, joint=joint)
     assert len(lifted.c) == slots
-    assert all(max(alpha[2:]) <= 1 for alpha in jets._tables(4, order, (1, 1))[0])
-    assert len(jets._tables(4, order)[0]) > slots
+    want = [alpha for alpha in product(range(order + 1), repeat=2)
+            for alpha in [alpha + eps for eps in product((0, 1), repeat=2)]
+            if sum(alpha[:2]) <= order and sum(alpha[2:]) <= joint]
+    assert sorted(jets._tables(4, order, ((1, 1), joint))[0]) == sorted(want)
 
 
 def test_lift_places_slopes_in_the_new_variables():
     a = _random_jet(2, 3, (5,), 11)
-    v = _random_jet(2, 2, (5,), 12)
+    v = _random_jet(2, 3, (5,), 12)
     w = _random_jet(2, 4, (5,), 13)
-    lifted = a.lift(5, v, w)
-    assert (lifted.nvars, lifted.order, lifted.caps) == (5, 3, (1, 1, 1))
-    for alpha in jets._tables(5, 3, (1, 1, 1))[0]:
-        head, eps = alpha[:2], alpha[2:]
-        want = {(0, 0, 0): a, (1, 0, 0): v, (0, 1, 0): w}.get(eps)
-        want = 0.0 if want is None else want.coefficient(head)
-        np.testing.assert_array_equal(lifted.coefficient(alpha), want)
+    for joint in (1, 2, 3):
+        lifted = a.lift(5, v, w, joint=joint)
+        assert ((lifted.nvars, lifted.order, lifted.caps, lifted.joint)
+                == (5, 3, (1, 1, 1), joint))
+        for alpha in jets._tables(5, 3, ((1, 1, 1), joint))[0]:
+            head, eps = alpha[:2], alpha[2:]
+            want = {(0, 0, 0): a, (1, 0, 0): v, (0, 1, 0): w}.get(eps)
+            # every slope coefficient up to the order, the top one included
+            want = 0.0 if want is None else want.coefficient(head)
+            np.testing.assert_array_equal(lifted.coefficient(alpha), want)
 
 
 def test_lift_rejects_mismatched_slopes():
@@ -401,11 +412,14 @@ def test_lift_rejects_mismatched_slopes():
     with pytest.raises(PreconditionError, match="jet variables"):
         a.lift(3, _random_jet(1, 3, (5,), 12))
     with pytest.raises(PreconditionError, match="order"):
-        a.lift(3, _random_jet(2, 1, (5,), 12))
+        a.lift(3, _random_jet(2, 2, (5,), 12))
     with pytest.raises(PreconditionError, match="lift"):
         a.lift(3, a, a)
     with pytest.raises(PreconditionError, match="eps caps"):
         a.lift(3).lift(4, _random_jet(3, 3, (5,), 12))
+    for joint in (0, 3):
+        with pytest.raises(PreconditionError, match="joint eps degree"):
+            a.lift(4, a, joint=joint)
 
 
 @pytest.mark.parametrize("nvars, order, extra", [(1, 4, 1), (2, 3, 2),

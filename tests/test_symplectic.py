@@ -11,6 +11,7 @@ from branelab.errors import (
     DegenerateGeometryError,
     DomainError,
     ParameterError,
+    PreconditionError,
     UnsupportedConfigurationError,
 )
 from branelab.jets import jet_einsum
@@ -441,3 +442,73 @@ def test_potential_builds_normals_only_for_hk_and_hg_models(monkeypatch, model,
     base, varied = builds
     assert "normal_frame" not in base._held
     assert ("normal_frame" in varied._held) == reads_phi
+
+
+def test_potential_needs_one_order_below_the_field_equations():
+    geom, _ = torus_geometry(4, n=6)
+    with pytest.raises(PreconditionError, match="synthetic-gradk potential "
+                                                "needs jet order >= 5"):
+        sym.symplectic_potential(mdl.SyntheticGradK(beta=0.6), geom,
+                                 GENERIC_E3)
+    assert sym.symplectic_potential(mdl.QuadraticK(alpha=0.7), geom,
+                                    GENERIC_E3).order == 1
+
+
+def _hg_potential_at_full_order(model, geom, V):
+    """The HG model's kernel table with each piece at the order its inputs
+    allow and grad phi built twice (once inside `delta_extrinsic`)."""
+    gV = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
+    psi = model.lagrangian(geom) * geom._chart_of_lowered(gV)          # T00
+    HG = model.h_gradk(geom)
+    phi = jet_einsum("im...,m...->i...", geom.normal_frame(gV.order), gV)
+    gphi = geom.covariant_grad(phi, 0, 1)
+    lam = dfm.delta_extrinsic(geom, phi)
+    div1, wsum, _m, anti = mdl.hg_contractions(geom, HG, lam.order)
+    psi = psi + jet_einsum("abci...,bci...->a...", HG, lam)            # T03-T05
+    psi = psi + jet_einsum("aci...,ci...->a...", div1, gphi)           # T06
+    psi = psi - jet_einsum("ai...,i...->a...", geom.divergence(div1, 2, 1),
+                           phi)                                        # T07
+    w8 = jet_einsum("abe...,bej...->aj...", wsum, geom.extrinsic_curvature)
+    psi = psi - 2.0 * jet_einsum("aj...,j...->a...", w8, phi)          # T08-T10
+    psi = psi - jet_einsum("aj...,j...->a...", anti, phi)              # T11+T12
+    return geom.sqrt_abs_det * psi
+
+
+def test_hg_potential_builds_each_piece_at_the_order_it_keeps(monkeypatch):
+    # on an order-6 geometry the potential is of order 1: the lowering of V
+    # and phi are built at 3, grad phi once at 2 and T00's chart components
+    # and T06 at 1, with every coefficient as in the full-order assembly
+    E = emb.surface_s2xs2()
+    mesh = emb.make_grid(E, (4, 5)).mesh
+    model = mdl.SyntheticGradK(beta=0.6)
+    geom = E.geometry(mesh, 6)
+    u, v = geom.params
+    V = jets.jet_stack([0.2 * jets.sin(u + m * v) + 0.1 * m
+                        for m in range(geom.ambient_dim)], template=geom.X)
+    # the geometry's own tensors first, so the record holds the potential's
+    geom.normal_frame(geom.order - 1)
+    geom.twist(geom.order - 2)
+    geom.jacobi(geom.order - 3)
+    model.lagrangian(geom)
+    made = {}
+
+    def recording(spec, a, b):
+        out = jets.jet_einsum(spec, a, b)
+        made.setdefault(spec, []).append(out.order)
+        return out
+
+    for module in (sym, dfm, emb, mdl):
+        monkeypatch.setattr(module, "jet_einsum", recording)
+    got = sym.symplectic_potential(model, geom, V)
+    monkeypatch.undo()
+    assert got.order == 1
+    assert made["mn...,n...->m..."] == [3]          # the lowering of V
+    assert made["im...,m...->i..."] == [3]          # phi
+    assert made["yaz...,z...->ya..."] == [2]        # grad phi, once
+    assert made["zya...,zb...->yab..."] == [1]      # grad grad phi
+    assert made["bm...,m...->b..."] == [1]          # T00's chart components
+    assert made["aci...,ci...->a..."] == [1]        # T06
+    want = _hg_potential_at_full_order(model, E.geometry(mesh, 6), V)
+    assert (got.order, len(got.c)) == (want.order, len(want.c))
+    for x, y in zip(got.c, want.c):
+        assert x.tobytes() == y.tobytes()

@@ -1,0 +1,83 @@
+"""Print the jet kernel's work in one benchmark pass, one line per workload.
+
+Usage: PYTHONPATH=src python3 tools/work_counts.py SEED
+
+Builds each workload of bench/workloads.py with SEED, runs one warm-up
+pass (which fills the caches a pass reuses), then counts, over a second
+pass, where the coefficient products are made:
+
+    einsum   every np.einsum call made in branelab/jets.py, the constant
+             path of jet_einsum included
+    cauchy   every coefficient product that jets._cauchy sums (the terms
+             of Jet.__mul__, jet_einsum, the degree recurrences of
+             Jet._compose and jet_matinv)
+
+and prints `<workload> einsum <calls> cauchy <terms>`.  The counts are
+deterministic, so two trees compare by a diff of their lines:
+
+    PYTHONPATH=OLD/src python3 tools/work_counts.py 1 > old.txt
+    PYTHONPATH=NEW/src python3 tools/work_counts.py 1 > new.txt
+
+The library is the one on PYTHONPATH; the workloads are read from this
+checkout's bench/ directory.  Like op_hashes.py, the script writes no
+bytecode.
+"""
+import os
+import pathlib
+import sys
+
+sys.dont_write_bytecode = True      # before bench/ and the library load
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+from branelab import jets  # noqa: E402
+
+
+class _Counts:
+    """numpy as jets.py sees it, with its einsum calls counted, and a
+    counting stand-in for jets._cauchy."""
+
+    def __init__(self):
+        self.einsum_calls = 0
+        self.cauchy_terms = 0
+        self._sum = jets._cauchy
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, *args, **kwargs):
+        self.einsum_calls += 1
+        return np.einsum(*args, **kwargs)
+
+    def cauchy(self, pairs, prod):
+        self.cauchy_terms += len(pairs)
+        return self._sum(pairs, prod)
+
+
+def main(argv):
+    if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
+        sys.exit(__doc__.split("\n\n")[1])
+    seed = int(argv[0])
+    for name in workloads._BUILDERS:
+        ops = workloads.build(name, seed)
+        for op in ops:
+            op.call()
+        counts = _Counts()
+        jets.np, jets._cauchy = counts, counts.cauchy
+        try:
+            for op in ops:
+                op.call()
+        finally:
+            jets.np, jets._cauchy = np, counts._sum
+        print(name, "einsum", counts.einsum_calls,
+              "cauchy", counts.cauchy_terms)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
