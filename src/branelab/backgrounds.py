@@ -48,7 +48,7 @@ def _normalize_coords(coords):
     kinds = {(c.nvars, c.order, c.eps) for c in coords if isinstance(c, Jet)}
     if len(kinds) > 1:
         raise PreconditionError(
-            "coordinate jets must share nvars, order and eps caps")
+            "coordinate jets must share nvars, order and eps variables")
     kind = kinds.pop() if kinds else (1, 0)
     out = [c if isinstance(c, Jet)
            else Jet.constant(np.asarray(c, float), *kind) for c in coords]

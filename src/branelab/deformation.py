@@ -36,9 +36,8 @@ the fields as slopes), so the eps coefficient of any quantity is its
 exact first variation; the finite-difference oracle re-embeds at a
 halving schedule of steps instead and stays independent of that jet path.
 The eps variables do not count toward the jet order, and a varied
-geometry carries only the eps monomials its reader takes: each eps_k to
-degree 1, and eps_1 eps_2 only at ``degree`` 2, for a mixed second
-variation.  No reader needs eps_k**2.
+geometry carries each eps_k to degree 1 and no eps_1 eps_2 term: every
+result reads first variations only.
 """
 from __future__ import annotations
 
@@ -126,26 +125,22 @@ def deformed_geometry(geom: Geometry, V, eps: float) -> Geometry:
                     geom.embedding)
 
 
-def varied_geometry(geom: Geometry, *fields, degree: int = 1) -> Geometry:
+def varied_geometry(geom: Geometry, *fields) -> Geometry:
     """Geometry of X + sum_k eps_k V_k, each eps_k one more jet variable.
 
-    The result is ``degree`` orders below ``geom`` and carries each eps_k
-    to degree 1 and the eps variables together to ``degree``: 1 for first
-    variations, 2 for the mixed second variation of two fields.  Each
-    quantity on it carries the eps coefficients that ``geom``'s order
-    leaves room for, and no chart-degree terms above them.  Each field,
-    an ambient vector jet on ``geom`` of order at least
+    The result is one order below ``geom`` and carries each eps_k to
+    degree 1: each quantity on it carries the first variations that
+    ``geom``'s order leaves room for, and no chart-degree terms above
+    them.  Each field, an ambient vector jet on ``geom`` of order at least
     ``geom.order - 1``, is held fixed as a function of the parameters, so
     a field built from the tangents or normals will do.  The eps_k
     coefficient of any quantity on the result is its exact first
     variation along V_k (`variation`); the eps-free ones are ``geom``'s.
     """
-    if not (isinstance(degree, int)
-            and 1 <= degree <= min(len(fields), geom.order)):
+    if not fields or geom.order < 1:
         raise ParameterError(
-            f"a varied geometry's degree must be an int of at least 1 and at "
-            f"most the number of fields ({len(fields)}) and the geometry's "
-            f"order ({geom.order}); got {degree!r}")
+            f"a varied geometry needs at least one field and a geometry of "
+            f"order >= 1; got {len(fields)} fields and order {geom.order}")
     for V in fields:
         if not (isinstance(V, Jet) and V.order >= geom.order - 1):
             got = (f"order {V.order}" if isinstance(V, Jet)
@@ -153,11 +148,10 @@ def varied_geometry(geom: Geometry, *fields, degree: int = 1) -> Geometry:
             raise PreconditionError(
                 f"a field that varies an order-{geom.order} geometry must be "
                 f"a jet of order >= {geom.order - 1}, not {got}")
-    top, n = geom.order - degree, geom.X.nvars + len(fields)
+    top, n = geom.order - 1, geom.X.nvars + len(fields)
     return Geometry(geom.background,
-                    geom.X.truncated(top).lift(n, *fields, joint=degree),
-                    params=[p.truncated(top).lift(n, joint=degree)
-                            for p in geom.params],
+                    geom.X.truncated(top).lift(n, *fields),
+                    params=[p.truncated(top).lift(n) for p in geom.params],
                     embedding=geom.embedding)
 
 

@@ -17,12 +17,11 @@ jet whose coefficients are jets.
 Eps variables: the variables `Jet.lift` appends (the eps_k V_k terms of
 a varied embedding) are eps variables, hyper-dual numbers after Fike and
 Alonso.  They do not count toward the order: a jet of order N carries its
-worldvolume (non-eps) variables to total degree N, each eps_k to its cap
-(``Jet.caps``, 1 from `Jet.lift`) and the eps variables together to the
-joint cap ``Jet.joint``: 1 for first variations, 2 for a mixed second
-one.  ``Jet.eps`` holds (caps, joint), or () for a jet without eps
-variables.  Reading a monomial a jet does not carry raises
-`PreconditionError`.
+worldvolume (non-eps) variables to total degree N and the eps variables
+to total degree 1, the first variations; ``Jet.eps`` is the number of
+eps variables (0 for none).  Reading a monomial a jet does not carry
+raises `PreconditionError`, and so does a partial derivative along an eps
+variable: its eps coefficient is read with `Jet.coefficient` instead.
 
 Conventions: coefficients are stored by worldvolume degree, then total
 degree, then lexicographic order, so truncating to a lower order is a
@@ -33,9 +32,9 @@ nested leaves, and `Jet.lift` adds jet variables by moving coefficients.
 Arithmetic: a product sums, for each output slot k, the coefficient products
 a_i b_j over the pairs (i, j) -> k, adding each term into the fresh array of
 the first.  A slot is fed by the same pairs, in the same (graded) order of
-i, whatever the caps, so every carried coefficient is bit-identical to the
-one of a jet that counts the eps variables as ordinary ones to the same
-total degree.  `jet_einsum` contracts a constant tensor jet as its value.
+i, as without eps variables, so every carried coefficient is bit-identical
+to the one of a jet that counts the eps variables as ordinary ones to the
+same total degree.  `jet_einsum` contracts a constant tensor jet as its value.
 Every analytic function (exp, sin, cos, sinh, cosh, log, sqrt,
 the reciprocal and real powers) is one degree recurrence in `Jet._compose`,
 about one product's work; a lower order is a bit-identical prefix.  Inputs
@@ -70,14 +69,12 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _tables(nvars: int, order: int, eps: tuple = ()):
+def _tables(nvars: int, order: int, eps: int = 0):
     """Multi-index bookkeeping for (nvars, order, eps), cached.
 
-    ``eps`` is () or (caps, joint).  The last ``len(caps)`` variables are
-    eps variables, the others worldvolume variables.  The carried monomials
-    are those of worldvolume degree <= ``order`` whose degree in eps_k is
-    at most caps[k] and whose joint eps degree is at most ``joint``
-    (<= sum(caps)).
+    The last ``eps`` variables are eps variables, the others worldvolume
+    variables.  The carried monomials are those of worldvolume degree
+    <= ``order`` and eps degree <= 1.
 
     Returns (indices, position, prefix_counts, products, partial_maps,
     degrees):
@@ -88,31 +85,22 @@ def _tables(nvars: int, order: int, eps: tuple = ()):
       products[k]: the pairs (i, j) with indices[i] + indices[j] ==
         indices[k], in the graded order of indices[i], so the first is
         (0, k) and the last (k, 0); every other j comes before k
-      partial_maps[d]: for d/dx_d, the (src, factor) of each slot of the
-        result: one order less along a worldvolume variable, the same
-        order with the cap on x_d and the joint cap one lower along an
-        eps variable
+      partial_maps[d]: for d/dx_d along a worldvolume variable, the
+        (src, factor) of each slot of the result, one order less
       degrees[k]: total degree of indices[k], as a float
     """
-    caps, joint = eps or ((), 0)
-    head = nvars - len(caps)
-    if (head < 0 or nvars < 1 or order < 0 or min(caps, default=0) < 0
-            or not 0 <= joint <= sum(caps)):
+    head = nvars - eps
+    if nvars < 1 or order < 0 or not 0 <= eps < nvars:
         raise ParameterError(
-            f"need nvars >= 1, order >= 0, at most nvars non-negative eps "
-            f"caps and a joint cap from 0 to their sum; got nvars={nvars}, "
-            f"order={order}, caps={caps}, joint={joint}")
-
-    def carried(a, top, cap, most):
-        eps = a[head:]
-        return (sum(a[:head]) <= top and sum(eps) <= most
-                and all(x <= c for x, c in zip(eps, cap)))
+            f"need nvars >= 1, order >= 0 and from 0 to nvars - 1 eps "
+            f"variables; got nvars={nvars}, order={order}, eps={eps}")
 
     def graded(a):
         return sum(a), a
 
-    ranges = [range(order + 1)] * head + [range(c + 1) for c in caps]
-    raw = [a for a in product(*ranges) if carried(a, order, caps, joint)]
+    ranges = [range(order + 1)] * head + [range(2)] * eps
+    raw = [a for a in product(*ranges)
+           if sum(a[:head]) <= order and sum(a[head:]) <= 1]
     raw.sort(key=lambda a: (sum(a[:head]),) + graded(a))
     indices = tuple(raw)
     position = {a: i for i, a in enumerate(indices)}
@@ -125,16 +113,12 @@ def _tables(nvars: int, order: int, eps: tuple = ()):
             k = position.get(tuple(x + y for x, y in zip(a, b)))
             if k is not None:
                 products[k].append((i, j))
-    partial_maps = []
-    for d in range(nvars):
-        eps = d >= head
-        cap = tuple(c - (m == d - head) for m, c in enumerate(caps))
-        top, most = order - (not eps), joint - eps
-        partial_maps.append(tuple(
-            (position[a[:d] + (a[d] + 1,) + a[d + 1:]], float(a[d] + 1))
-            for a in indices if carried(a, top, cap, most)))
+    partial_maps = tuple(
+        tuple((position[a[:d] + (a[d] + 1,) + a[d + 1:]], float(a[d] + 1))
+              for a in indices if sum(a[:head]) < order)
+        for d in range(head))
     return (indices, position, prefix_counts, tuple(tuple(p) for p in products),
-            tuple(partial_maps), tuple(float(sum(a)) for a in indices))
+            partial_maps, tuple(float(sum(a)) for a in indices))
 
 
 def _cauchy(pairs, prod):
@@ -183,9 +167,7 @@ def _is_jet(x) -> bool:
 
 class Jet:
     """Truncated Taylor expansion of a scalar in ``nvars`` variables, the
-    last ``len(caps)`` of them eps variables capped at ``caps`` and, all
-    together, at ``joint``; ``eps`` is (caps, joint), or () (`_tables`).
-    """
+    last ``eps`` of them eps variables (`_tables`)."""
 
     __slots__ = ("nvars", "order", "c", "eps")
 
@@ -193,7 +175,7 @@ class Jet:
     # ndarrays then falls through to the __r*__ methods below
     __array_ufunc__ = None
 
-    def __init__(self, nvars, order, coeffs, eps=()):
+    def __init__(self, nvars, order, coeffs, eps=0):
         self.nvars = nvars
         self.order = order
         self.c = coeffs
@@ -201,7 +183,7 @@ class Jet:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def constant(value, nvars, order, eps=()):
+    def constant(value, nvars, order, eps=0):
         if _is_jet(value):
             raise PreconditionError("a jet's coefficients cannot be jets")
         n = _tables(nvars, order, eps)[2][order]
@@ -219,14 +201,6 @@ class Jet:
 
     # -- basic queries -------------------------------------------------
     @property
-    def caps(self):
-        return self.eps[0] if self.eps else ()
-
-    @property
-    def joint(self):
-        return self.eps[1] if self.eps else 0
-
-    @property
     def value(self):
         return self.c[0]
 
@@ -234,8 +208,8 @@ class Jet:
         """Taylor coefficient for multi-index alpha.
 
         Raises `PreconditionError` for a monomial the jet does not carry:
-        one above its order, its eps caps or its joint cap, or an alpha of
-        another length.
+        one above its order or of eps degree above 1, or an alpha of another
+        length.
         """
         slot = _tables(self.nvars, self.order, self.eps)[1].get(tuple(alpha))
         if slot is None:
@@ -259,98 +233,74 @@ class Jet:
         n = _tables(self.nvars, self.order, self.eps)[2][order]
         return Jet(self.nvars, order, self.c[:n], self.eps)
 
-    def _project(self, order, eps):
-        """The coefficients of the monomials of (order, eps), which must be
-        carried by this jet."""
-        if eps == self.eps:
-            return self.truncated(order)
-        src = _tables(self.nvars, self.order, self.eps)[1]
-        return Jet(self.nvars, order,
-                   [self.c[src[a]] for a in _tables(self.nvars, order, eps)[0]],
-                   eps)
-
     def _kind(self):
-        eps = f" and joint eps degree {self.joint}" if self.caps else ""
         return (f"a jet of order {self.order} in {self.nvars} variables "
-                f"with eps caps {self.caps}{eps}")
+                f"with {self.eps} eps variables")
 
-    def lift(self, nvars, *slopes, joint=1):
+    def lift(self, nvars, *slopes):
         """The same jet in ``nvars`` variables, the new ones last, plus
         sum_k eps_k V_k over the ``slopes`` V_k, eps_k the new variable k.
 
-        The new variables are eps variables, each capped at degree 1 and
-        together at ``joint``: the result carries this jet's order in the
-        old variables times the eps monomials that first variations
-        (``joint`` 1) or a mixed second one (2) read.  Each coefficient
-        moves to its own multi-index padded with zeros, and each
-        coefficient alpha of V_k up to ``order`` to alpha plus eps_k; the
-        other slots that involve a new variable are zero.  No arithmetic is
-        done, so ``a.lift(n) * b.lift(n)`` equals ``(a * b).lift(n)`` bit
-        for bit.  This jet must have no eps variables, and a slope must be
-        a jet in its variables of order at least ``order``.
+        The new variables are eps variables: the result carries this jet's
+        order in the old variables times the eps monomials of degree at
+        most 1, which first variations read.  Each coefficient moves to its
+        own multi-index padded with zeros, and each coefficient alpha of V_k
+        up to ``order`` to alpha plus eps_k; the other slots that involve a
+        new variable are zero.  No arithmetic is done, so
+        ``a.lift(n) * b.lift(n)`` equals ``(a * b).lift(n)`` bit for bit.
+        This jet must have no eps variables, and a slope must be a jet in
+        its variables, without eps variables, of order at least ``order``.
         """
         new = nvars - self.nvars
-        if (self.eps or new < len(slopes)
-                or not (new == 0 or 1 <= joint <= new)):
+        if self.eps or new < len(slopes):
             raise PreconditionError(
                 f"cannot lift {self._kind()} and {len(slopes)} slopes to "
-                f"{nvars} variables with joint eps degree {joint}")
+                f"{nvars} variables")
         if new == 0:
             return self
-        eps = ((1,) * new, joint)
-        position = _tables(nvars, self.order, eps)[1]
+        position = _tables(nvars, self.order, new)[1]
         pads = [(0,) * new] + [tuple(int(m == k) for m in range(new))
                                for k in range(len(slopes))]
         out = [_zero_like(self.c[0])] * len(position)
         for pad, V in zip(pads, (self,) + slopes):
-            if (V.nvars, V.eps) != (self.nvars, ()):
+            if (V.nvars, V.eps) != (self.nvars, 0):
                 raise PreconditionError(
-                    f"a slope in {V.nvars} jet variables with eps caps "
-                    f"{V.caps} cannot lift {self._kind()}")
+                    f"{V._kind()} is no slope to lift {self._kind()}")
             if V.order < self.order:
                 raise PreconditionError(
                     f"a slope of jet order {V.order} cannot lift an "
                     f"order-{self.order} jet; it needs >= {self.order}")
             for alpha, coef in zip(_tables(self.nvars, self.order)[0], V.c):
                 out[position[alpha + pad]] = coef
-        return Jet(nvars, self.order, out, eps)
+        return Jet(nvars, self.order, out, new)
 
     def partial(self, d):
-        """d/dx_d: one order less along a worldvolume variable.
+        """d/dx_d along a worldvolume variable: a jet of one order less.
 
-        Along an eps variable the order stays, and the cap on it and the
-        joint cap are one lower: with cap 1, its eps_d slots would stand
-        for the eps_d**2 terms that the jet does not carry, so the result
-        carries none.
+        An eps variable has no partial here: its first variation is an eps
+        coefficient, read with `coefficient` (`deformation.variation`).
         """
-        caps, eps, k = self.caps, self.eps, d - self.nvars + len(self.caps)
-        order = self.order - (k < 0)
-        if order < 0:
+        if not 0 <= d < self.nvars - self.eps:
+            raise PreconditionError(
+                f"{self._kind()} has no worldvolume variable {d}; read an "
+                "eps coefficient with Jet.coefficient or "
+                "deformation.variation")
+        if self.order < 1:
             raise PreconditionError(
                 f"cannot differentiate an order-{self.order} jet; the "
                 "geometry needs a higher jet order")
-        if k >= 0:
-            if caps[k] < 1 or self.joint < 1:
-                raise PreconditionError(
-                    f"{self._kind()} carries no term in its variable {d}")
-            eps = (caps[:k] + (caps[k] - 1,) + caps[k + 1:], self.joint - 1)
         ops = _tables(self.nvars, self.order, self.eps)[4][d]
-        return Jet(self.nvars, order, [self.c[src] * fct for src, fct in ops],
-                   eps)
+        return Jet(self.nvars, self.order - 1,
+                   [self.c[src] * fct for src, fct in ops], self.eps)
 
     # -- arithmetic ----------------------------------------------------
     def _align(self, other):
-        """Both jets on their common monomials: the lower order and, for
-        each eps variable and for the joint eps degree, the lower cap."""
-        m = min(self.order, other.order)
-        if self.nvars == other.nvars and self.eps == other.eps:
-            return self.truncated(m), other.truncated(m)
-        if self.nvars != other.nvars or len(self.caps) != len(other.caps):
+        """Both jets at the lower order; they must share their variables."""
+        if self.nvars != other.nvars or self.eps != other.eps:
             raise PreconditionError(
                 f"cannot combine {self._kind()} with {other._kind()}")
-        caps = tuple(map(min, self.caps, other.caps))
-        eps = (caps, min(self.joint, other.joint, sum(caps)))
-        return self._project(m, eps), other._project(m, eps)
+        m = min(self.order, other.order)
+        return self.truncated(m), other.truncated(m)
 
     def __add__(self, other):
         if _is_jet(other):
@@ -578,11 +528,11 @@ def jet_stack(entries, template=None):
 
     The nesting gives the leading axes; each leaf's coefficients, which may
     carry tensor axes of their own, are broadcast against the others'.  The
-    result has the lowest order and eps caps among the leaf jets, and a
-    number or array leaf is a constant: it writes only the value.
-    ``template`` gives nvars, order and caps when no leaf is a jet; it adds
-    no grid axes, so a tensor made only of constants broadcasts through
-    einsum's ``...``.
+    leaf jets must share their variables; the result has the lowest order
+    among them, and a number or array leaf is a constant: it writes only
+    the value.  ``template`` gives nvars, order and eps when no leaf is a
+    jet; it adds no grid axes, so a tensor made only of constants
+    broadcasts through einsum's ``...``.
     """
     shape, leaves = [], []
     _flatten(entries, 0, shape, leaves)
@@ -590,10 +540,9 @@ def jet_stack(entries, template=None):
     lead = min(jl, key=lambda e: e.order, default=template)
     if lead is None:
         raise PreconditionError("jet_stack needs at least one Jet or a template")
-    if any(e.eps != lead.eps or e.nvars != lead.nvars for e in jl):
-        for e in jl:  # _align rejects other variable or eps-variable counts
-            lead = lead._align(e)[0]
-        leaves = [e._align(lead)[0] if _is_jet(e) else e for e in leaves]
+    for e in jl:
+        if e.eps != lead.eps or e.nvars != lead.nvars:
+            lead._align(e)          # raises: the variables differ
     out = []
     for k in range(len(lead.c)):
         vals = [(i, np.asarray(e.c[k] if _is_jet(e) else e, float))

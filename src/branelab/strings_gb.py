@@ -225,21 +225,25 @@ def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
 
 def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
                        sigma1: float, theta=None) -> float:
-    """Slice integral of the antisymmetrized second variation of the
-    curvature flux, D2 Psi[phi1] - D1 Psi[phi2], contracted with the dual
-    chart covector of the slice axis.
+    """Slice integral of the antisymmetrized variation of the curvature
+    flux, D2 Psi[phi1] - D1 Psi[phi2], contracted with the dual chart
+    covector of the slice axis.
 
-    In chart components the flux is sigma1 eps~^{ab} drho_b with the bare
-    permutation symbol, so commuting second variations cancel and only
-    the variation of the frame legs e_a^mu survives: deformations without
-    an ambient time component give exactly zero here.
+    The flux of phi_k is F d_k rho with F = sigma1 sqrt|gamma| eps^{mu a}
+    and d_k rho the connection response, so
 
-    Both variations are exact and come from one varied geometry: the flux
-    of phi_k carries drho = d rho / d eps_k, and its variation along the
-    other deformation is the other eps coefficient.
+        D_j (F d_k rho) = (d_j F) d_k rho + F d_j d_k rho.
+
+    The second term is symmetric in (j, k) and cancels in the form, which
+    therefore reads first variations only: the flux of phi_k holds d_k rho
+    fixed as grid values and varies F along the other deformation.  In
+    chart components F is sigma1 eps~^{ab} with the bare permutation
+    symbol, so only the variation of the frame legs e_a^mu survives:
+    deformations without an ambient time component give exactly zero.
+    Both variations are exact and come from one varied geometry.
     """
     (sigma1,) = _finite("gb_symplectic_form: sigma1", sigma1)
-    geom, grid, k = _slice_geometry(embedding, slc, 4)
+    geom, grid, k = _slice_geometry(embedding, slc, 3)
     low = jet_einsum("am...,mn...->an...", geom.tangents, geom.ambient_metric)
     dual = jet_einsum("ab...,bn...->an...", geom.inverse_induced_metric, low)
     conormal = np.asarray(dual.value, float)[k]
@@ -247,10 +251,10 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     def fluxes(vg, _fields):
         rho, frame = rotation_connection(vg, theta)
         dens = sigma1 * vg.sqrt_abs_det
-        return [dens * frame.contract(rho.partial(vg.dim + j))
+        return [dens * frame.contract(dfm.variation(vg, rho, j))
                 for j in (0, 1)]
 
-    d1, d2 = _variation_pair(geom, vf1, vf2, fluxes, degree=2)
+    d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
     dens = np.einsum("m...,m...->...", conormal, d2 - d1)
     return float(integrate(dens, grid))
 

@@ -141,23 +141,20 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
 
 # -- phase-space structures ---------------------------------------------------
 
-def _variation_pair(geom: Geometry, vf1, vf2, quantities, degree=1):
+def _variation_pair(geom: Geometry, vf1, vf2, quantities):
     """Vary a quantity of each deformation along the other one.
 
     Both fields are resolved once on the base geometry and held fixed on
-    one geometry of X + eps1 V1 + eps2 V2, varied at ``degree``
-    (`deformation.varied_geometry`): 1 when Q reads no eps coefficient
-    itself, 2 when it reads one, whose variation is then the mixed term.
+    one geometry of X + eps1 V1 + eps2 V2 (`deformation.varied_geometry`).
     ``quantities(vg, (V1, V2))`` returns the quantity's jets (Q[V1],
     Q[V2]) on that geometry, with the fields lifted onto it; returns
-    (D_{V1} Q[V2], D_{V2} Q[V1]).
+    (D_{V1} Q[V2], D_{V2} Q[V1]), each a first variation.
     """
     V1 = dfm.resolve_field(vf1, geom)
     V2 = dfm.resolve_field(vf2, geom)
-    vg = dfm.varied_geometry(geom, V1, V2, degree=degree)
+    vg = dfm.varied_geometry(geom, V1, V2)
     n = vg.X.nvars
-    q1, q2 = quantities(vg, (V1.lift(n, joint=degree),
-                             V2.lift(n, joint=degree)))
+    q1, q2 = quantities(vg, (V1.lift(n), V2.lift(n)))
     return dfm.variation(vg, q2, 0), dfm.variation(vg, q1, 1)
 
 

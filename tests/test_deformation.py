@@ -377,30 +377,29 @@ def test_varied_geometry_keeps_base_coefficients_bit_for_bit(E, shape, fn):
     V = jets.jet_stack(list(fn(*geom.params)), template=geom.X)
     W = dfm.deformation_vector(geom, dfm.normal_field(
         geom, *[lambda *ps: 0.1 + 0.0 * ps[0]] * geom.codim))
-    for degree in (1, 2):
-        vg = dfm.varied_geometry(geom, V, W, degree=degree)
-        assert ((vg.dim, vg.order, vg.X.nvars, vg.X.caps, vg.X.joint)
-                == (geom.dim, 4 - degree, geom.dim + 2, (1, 1), degree))
-        for name in ("normals", "extrinsic_curvature", "sqrt_abs_det",
-                     "inverse_induced_metric", "twist"):
-            base, varied = (g.twist(g.order - 2) if name == "twist"
-                            else getattr(g, name) for g in (geom, vg))
-            # each tensor sits as far below the map as on ``geom``
-            assert varied.order == base.order - degree
-            for alpha in jets._tables(geom.dim, varied.order)[0]:
-                np.testing.assert_array_equal(
-                    varied.coefficient(alpha + (0, 0)),
-                    base.coefficient(alpha), err_msg=f"{name} {alpha}")
+    vg = dfm.varied_geometry(geom, V, W)
+    assert ((vg.dim, vg.order, vg.X.nvars, vg.X.eps)
+            == (geom.dim, 3, geom.dim + 2, 2))
+    for name in ("normals", "extrinsic_curvature", "sqrt_abs_det",
+                 "inverse_induced_metric", "twist"):
+        base, varied = (g.twist(g.order - 2) if name == "twist"
+                        else getattr(g, name) for g in (geom, vg))
+        # each tensor sits as far below the map as on ``geom``
+        assert varied.order == base.order - 1
+        for alpha in jets._tables(geom.dim, varied.order)[0]:
+            np.testing.assert_array_equal(
+                varied.coefficient(alpha + (0, 0)),
+                base.coefficient(alpha), err_msg=f"{name} {alpha}")
 
 
-def _eps_seeded_by_hand(X, fields, joint):
+def _eps_seeded_by_hand(X, fields):
     """X + sum_k eps_k V_k, each coefficient of X placed by multi-index at
     alpha and each of V_k at alpha + e_k up to X's order (the reference
-    for `Jet.lift` with slopes); every other slot of the order, the eps
-    caps (1 each) and ``joint`` is zero."""
+    for `Jet.lift` with slopes); every other slot of the order and of eps
+    degree at most 1 is zero."""
     nv, order = X.nvars, X.order
     n = nv + len(fields)
-    position = jets._tables(n, order, ((1,) * len(fields), joint))[1]
+    position = jets._tables(n, order, len(fields))[1]
     c = [np.zeros_like(X.c[0])] * len(position)
     for k, V in enumerate([X] + list(fields)):
         pad = tuple(int(m == k - 1) for m in range(len(fields)))
@@ -418,16 +417,14 @@ def test_lift_with_slopes_matches_placement_by_hand(E, shape, fn):
     W = dfm.deformation_vector(geom, dfm.normal_field(
         geom, *[lambda *ps: 0.1 + 0.0 * ps[0]] * geom.codim))
     n = geom.dim + 2
-    for joint in (1, 2):
-        for got, want in (
-                (geom.X.truncated(2).lift(n, V, W, joint=joint).c,
-                 _eps_seeded_by_hand(geom.X.truncated(2), [V, W], joint)),
-                (dfm.varied_geometry(geom, V, W, degree=joint).X.c,
-                 _eps_seeded_by_hand(geom.X.truncated(3 - joint), [V, W],
-                                     joint))):
-            assert len(got) == len(want)
-            for x, y in zip(got, want):
-                assert x is y or np.array_equal(x, y)
+    for got, want in (
+            (geom.X.truncated(1).lift(n, V, W).c,
+             _eps_seeded_by_hand(geom.X.truncated(1), [V, W])),
+            (dfm.varied_geometry(geom, V, W).X.c,
+             _eps_seeded_by_hand(geom.X.truncated(2), [V, W]))):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x is y or np.array_equal(x, y)
 
 
 INVARIANT_NAMES = ["sqrt_det", "det_metric", "k_squared", "k_dot_k",

@@ -1,12 +1,11 @@
 """The two levers that skip known zeros in the jet kernel, checked to be
 exact on random jets.
 
-* eps caps: a jet whose last variables are eps variables carries its other
-  (worldvolume) variables to its order, each eps variable to degree 1 and
-  the eps variables together to a joint cap.  An isotropic jet of order N
-  carries every monomial of a capped jet of order N - joint, and
-  projecting it onto them must commute, bit for bit, with every kernel
-  operation.
+* eps variables: a jet whose last variables are eps variables carries its
+  other (worldvolume) variables to its order and the eps variables to
+  total degree 1.  An isotropic jet of order N + 1 carries every monomial
+  of an eps jet of order N, and projecting it onto them must commute, bit
+  for bit, with every kernel operation.
 * constant operands: `jet_einsum` contracts a constant tensor jet as its
   value array, and must equal the full Cauchy sum.
 
@@ -31,20 +30,17 @@ from branelab.jets import Jet, jet_einsum, jet_matinv, jet_stack
 GRID = (3,)
 MATMUL = "ab...,bc...->ac..."
 
-# (worldvolume variables, order, joint cap, seed); as many eps variables as
-# worldvolume ones (1+1 and 2+2 variables), the joint cap at most their
-# number
-CASES = st.tuples(st.sampled_from([1, 2]), st.integers(0, 4),
-                  st.integers(0, 2), st.integers(0, 2**32 - 1))
+# (worldvolume variables, eps variables, order of the eps jets, seed)
+CASES = st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+                  st.integers(0, 4), st.integers(0, 2**32 - 1))
 EXACT = settings(max_examples=40, derandomize=True, deadline=None)
 
 
-def carried(nvars, order, caps, joint):
-    """The monomials of (nvars, order, caps, joint), by their definition."""
-    head = nvars - len(caps)
-    return {a for a in product(range(order + joint + 1), repeat=nvars)
-            if sum(a[:head]) <= order and sum(a[head:]) <= joint
-            and all(x <= c for x, c in zip(a[head:], caps))}
+def carried(nvars, order, eps):
+    """The monomials of (nvars, order, eps), by their definition."""
+    head = nvars - eps
+    return {a for a in product(range(order + 2), repeat=nvars)
+            if sum(a[:head]) <= order and sum(a[head:]) <= (1 if eps else 0)}
 
 
 def iso_jet(nvars, order, rng, shape=GRID, value=0.0):
@@ -56,14 +52,13 @@ def iso_jet(nvars, order, rng, shape=GRID, value=0.0):
     return Jet(nvars, order, c)
 
 
-def project(j, caps, joint):
+def project(j, eps):
     """The coefficients of the isotropic jet ``j`` of order N on the
-    monomials of (N - ``joint``, ``caps``, ``joint``), read one
-    multi-index at a time."""
-    order = j.order - joint
-    eps = (caps, joint) if caps else ()
+    monomials of an eps jet of order N - 1 (of order N without eps
+    variables), read one multi-index at a time."""
+    order = j.order - (eps > 0)
     idx = jets._tables(j.nvars, order, eps)[0]
-    assert set(idx) == carried(j.nvars, order, caps, joint)
+    assert set(idx) == carried(j.nvars, order, eps)
     return Jet(j.nvars, order, [j.coefficient(a) for a in idx], eps)
 
 
@@ -96,19 +91,17 @@ def cauchy(a, b, contract=np.multiply):
 
 def _setup(case):
     """(worldvolume variables, all variables, the isotropic jets' order,
-    caps, joint cap, rng): the isotropic order is the capped one plus the
-    joint cap."""
-    nw, order, joint, seed = case
-    joint = min(joint, nw)
-    return (nw, 2 * nw, order + joint, (1,) * nw, joint,
-            np.random.default_rng(seed))
+    eps variables, rng): the isotropic order is the eps jets' order plus
+    one, the eps degree they carry."""
+    nw, neps, order, seed = case
+    return nw, nw + neps, order + 1, neps, np.random.default_rng(seed)
 
 
 @EXACT
 @given(case=CASES)
 def test_projection_commutes_with_products(case):
-    nw, n, order, caps, joint, rng = _setup(case)
-    P = lambda j: project(j, caps, joint)  # noqa: E731
+    nw, n, order, eps, rng = _setup(case)
+    P = lambda j: project(j, eps)  # noqa: E731
     a, b = iso_jet(n, order, rng), iso_jet(n, order, rng)
     assert_bits(P(a) * P(b), P(a * b))
     assert_bits(P(a) * P(b), cauchy(P(a), P(b)))
@@ -123,11 +116,10 @@ def test_projection_commutes_with_products(case):
 @EXACT
 @given(case=CASES)
 def test_projection_commutes_with_matinv(case):
-    nw, n, order, caps, joint, rng = _setup(case)
+    nw, n, order, eps, rng = _setup(case)
     eye = np.eye(3).reshape((3, 3, 1))
     g = iso_jet(n, order, rng, shape=(3, 3) + GRID, value=4.0 * eye)
-    assert_bits(jet_matinv(project(g, caps, joint)),
-                project(jet_matinv(g), caps, joint))
+    assert_bits(jet_matinv(project(g, eps)), project(jet_matinv(g), eps))
 
 
 COMPOSE = [Jet.exp, Jet.log, Jet.sqrt, Jet._reciprocal, Jet.sin, Jet.cos,
@@ -138,45 +130,39 @@ COMPOSE = [Jet.exp, Jet.log, Jet.sqrt, Jet._reciprocal, Jet.sin, Jet.cos,
 @EXACT
 @given(case=CASES, fn=st.sampled_from(COMPOSE))
 def test_projection_commutes_with_compose(case, fn):
-    nw, n, order, caps, joint, rng = _setup(case)
+    nw, n, order, eps, rng = _setup(case)
     u = iso_jet(n, order, rng)
     u.c[0] = 1.0 + np.abs(u.c[0])            # inside every function's domain
-    assert_bits(fn(project(u, caps, joint)), project(fn(u), caps, joint))
+    assert_bits(fn(project(u, eps)), project(fn(u), eps))
 
 
 @EXACT
 @given(case=CASES)
 def test_projection_commutes_with_partial_truncation_and_stack(case):
-    nw, n, order, caps, joint, rng = _setup(case)
-    P = lambda j: project(j, caps, joint)  # noqa: E731
-    a, b = iso_jet(n, order, rng), iso_jet(n, max(order - 1, joint), rng)
+    nw, n, order, eps, rng = _setup(case)
+    P = lambda j: project(j, eps)  # noqa: E731
+    a, b = iso_jet(n, order, rng), iso_jet(n, max(order - 1, 1), rng)
     for d in range(nw):                      # worldvolume variables
-        if order > joint:
+        if order > 1:
             assert_bits(P(a).partial(d), P(a.partial(d)))
         else:
             with pytest.raises(PreconditionError, match="order-0"):
                 P(a).partial(d)
-    for k in range(nw):                      # eps variables: one cap lower
-        low = caps[:k] + (0,) + caps[k + 1:]
-        if joint:
-            assert_bits(P(a).partial(nw + k),
-                        project(a.partial(nw + k), low, joint - 1))
-        else:
-            with pytest.raises(PreconditionError, match="no term"):
-                P(a).partial(nw + k)
-    for m in range(order - joint + 1):
-        assert_bits(P(a).truncated(m), P(a.truncated(m + joint)))
+    for d in range(nw, n):                   # eps variables: no partial
+        with pytest.raises(PreconditionError, match="eps coefficient"):
+            P(a).partial(d)
+    for m in range(order):
+        assert_bits(P(a).truncated(m), P(a.truncated(m + 1)))
     assert_bits(jet_stack([[P(a), 1.0], [P(b), 2.0]]),
                 P(jet_stack([[a, 1.0], [b, 2.0]])))
 
 
 @EXACT
-@given(case=CASES, capped=st.booleans(), left=st.booleans())
-def test_constant_operand_equals_the_full_cauchy_sum(case, capped, left):
-    nw, n, order, caps, joint, rng = _setup(case)
-    caps, joint = (caps, joint) if capped else ((), 0)
-    B = project(iso_jet(n, max(order, 1), rng, shape=(2, 2) + GRID), caps,
-                joint)
+@given(case=CASES, with_eps=st.booleans(), left=st.booleans())
+def test_constant_operand_equals_the_full_cauchy_sum(case, with_eps, left):
+    nw, n, order, eps, rng = _setup(case)
+    eps = eps if with_eps else 0
+    B = project(iso_jet(n, order, rng, shape=(2, 2) + GRID), eps)
     A = Jet.constant(rng.normal(size=(2, 2) + GRID), n, B.order, B.eps)
     assert jets._is_constant(A) and not jets._is_constant(B)
     a, b = (A, B) if left else (B, A)
@@ -216,7 +202,7 @@ def test_nested_values_are_not_constants():
     assert not jets._is_constant(Jet.constant(np.ones(3), 1, 0))
 
 
-# -- what the caps do not carry ---------------------------------------------------
+# -- what an eps jet does not carry ------------------------------------------
 
 def test_uncarried_monomials_raise():
     rng = np.random.default_rng(0)
@@ -224,95 +210,75 @@ def test_uncarried_monomials_raise():
     # the eps variables do not count toward the order
     for alpha in [(1, 0, 0, 1), (3, 0, 1, 0), (0, 3, 0, 1)]:
         np.testing.assert_array_equal(a.coefficient(alpha), 0.0)
-    for alpha in [(0, 0, 2, 0), (0, 0, 1, 2), (2, 2, 0, 0), (1, 0, 0), (0,) * 5]:
+    # eps_k**2 and the mixed eps_1 eps_2 term are second variations
+    for alpha in [(0, 0, 2, 0), (0, 0, 1, 1), (1, 0, 1, 1), (2, 2, 0, 0),
+                  (1, 0, 0), (0,) * 5]:
         with pytest.raises(PreconditionError, match="carries no coefficient"):
             a.coefficient(alpha)
         with pytest.raises(PreconditionError):
             a.derivative(alpha)
-    # the mixed term is above the joint cap of a first-variation jet
-    with pytest.raises(PreconditionError, match="joint eps degree 1 carries "
-                                                "no coefficient"):
-        a.coefficient((0, 0, 1, 1))
-    np.testing.assert_array_equal(
-        iso_jet(2, 3, rng).lift(4, joint=2).coefficient((0, 0, 1, 1)), 0.0)
 
 
-def test_eps_partial_leaves_its_own_eps_unreadable():
+def test_partial_along_an_eps_variable_raises():
     rng = np.random.default_rng(1)
-    base = iso_jet(2, 4, rng)
-    slope = iso_jet(2, 4, rng)
-    for joint in (1, 2):
-        vg = base.lift(4, slope, slope, joint=joint)
-        d0 = vg.partial(2)
-        assert (d0.order, d0.caps, d0.joint) == (4, (0, 1), joint - 1)
-        with pytest.raises(PreconditionError, match="carries no coefficient"):
-            d0.coefficient((0, 0, 1, 0))
-        with pytest.raises(PreconditionError, match="no term"):
-            d0.partial(2)
-    # at joint 1, no eps_1 term either: that would be the mixed one
-    d0 = base.lift(4, slope, slope).partial(2)
-    with pytest.raises(PreconditionError,
-                       match="joint eps degree 0 carries no coefficient"):
-        d0.coefficient((0, 0, 0, 1))
-    with pytest.raises(PreconditionError, match="no term"):
-        d0.partial(3)
-    # at joint 2, combining it with a cap-1 jet projects that one onto (0, 1)
-    d0 = vg.partial(2)
-    prod = d0 * vg.truncated(3)
-    assert (prod.caps, prod.joint) == ((0, 1), 1)
-    np.testing.assert_array_equal(
-        prod.coefficient((0, 0, 0, 1)),
-        d0.value * vg.coefficient((0, 0, 0, 1))
-        + d0.coefficient((0, 0, 0, 1)) * vg.value)
+    base, slope = iso_jet(2, 4, rng), iso_jet(2, 4, rng)
+    vg = base.lift(4, slope, slope)
+    for d in (2, 3, 4, -1):
+        with pytest.raises(PreconditionError,
+                           match="Jet.coefficient or deformation.variation"):
+            vg.partial(d)
+    # along a worldvolume variable the eps coefficients are differentiated
+    # with the rest, and the eps variables stay
+    d0 = vg.partial(0)
+    assert (d0.order, d0.eps) == (3, 2)
+    want = slope.partial(0)
+    for alpha in jets._tables(2, 3)[0]:
+        for eps in ((1, 0), (0, 1)):
+            np.testing.assert_array_equal(d0.coefficient(alpha + eps),
+                                          want.coefficient(alpha))
 
 
 def test_domain_checks_read_the_eps_slopes():
     # an order-0 jet with eps variables carries slopes; at a zero value
     # they make sqrt and real powers singular
     zero, one = np.zeros(GRID), np.ones(GRID)
-    u = Jet(2, 0, [zero, one], ((1,), 1))
+    u = Jet(2, 0, [zero, one], 1)
     for fn in (Jet.sqrt, lambda x: x ** 0.5):
         with pytest.raises(DomainError):
             fn(u)
-    assert_bits(Jet(2, 0, [zero], ((1,), 0)).sqrt(),
-                Jet(2, 0, [zero], ((1,), 0)))
-    assert jets._is_constant(Jet.constant(one, 2, 0, ((1,), 1)))
+    assert_bits(Jet(1, 0, [zero]).sqrt(), Jet(1, 0, [zero]))
+    assert jets._is_constant(Jet.constant(one, 2, 0, 1))
 
 
 def test_align_rejects_other_eps_variables():
     rng = np.random.default_rng(2)
     a = iso_jet(2, 2, rng).lift(4)
-    b = iso_jet(4, 2, rng)
-    with pytest.raises(PreconditionError,
-                       match=r"4 variables with eps caps \(1, 1\).*4 variables "
-                             r"with eps caps \(\)"):
-        a * b
-    with pytest.raises(PreconditionError):
-        jet_stack([a, b])
+    for b, want in ((iso_jet(4, 2, rng), 0),
+                    (iso_jet(3, 2, rng).lift(4), 1)):
+        with pytest.raises(PreconditionError,
+                           match=rf"4 variables with 2 eps variables.*4 "
+                                 rf"variables with {want} eps variables"):
+            a * b
+        with pytest.raises(PreconditionError, match="cannot combine"):
+            jet_stack([a, b])
 
 
-def test_jet_stack_projects_leaves_onto_the_lowest_caps():
+def test_jet_stack_truncates_eps_leaves_to_the_lowest_order():
     rng = np.random.default_rng(3)
-    vg = iso_jet(2, 4, rng).lift(4, iso_jet(2, 4, rng), iso_jet(2, 4, rng),
-                                 joint=2)
-    d0, full = vg.partial(2), vg.truncated(3)
-    assert ((d0.caps, d0.joint), (full.caps, full.joint)) == (((0, 1), 1),
-                                                              ((1, 1), 2))
-
-    def to_low(e):
-        idx = jets._tables(4, e.order, ((0, 1), 1))[0]
-        return Jet(4, e.order, [e.coefficient(a) for a in idx], ((0, 1), 1))
-
-    for leaves in ([d0, full], [full, d0]):
-        assert_bits(jet_stack(leaves), jet_stack([to_low(e) for e in leaves]))
+    vg = iso_jet(2, 4, rng).lift(4, iso_jet(2, 4, rng), iso_jet(2, 4, rng))
+    low = vg.partial(1)
+    assert (low.order, low.eps) == (3, 2)
+    for leaves in ([low, vg], [vg, low]):
+        got = jet_stack(leaves)
+        assert (got.order, got.eps) == (3, 2)
+        assert_bits(got, jet_stack([e.truncated(3) for e in leaves]))
 
 
 def test_tables_reject_bad_shapes():
-    for nvars, order, caps, joint in [
-            (0, 1, (), 0), (1, -1, (), 0), (1, 1, (1, 1), 0), (2, 1, (-1,), 0),
-            (2, 1, (1,), 2), (2, 1, (1,), -1), (1, 1, (), 1)]:
+    for nvars, order, eps in [(0, 1, 0), (1, -1, 0), (1, 1, 1), (2, 1, 2),
+                              (2, 1, -1), (3, 0, 5)]:
         with pytest.raises(ParameterError):
-            jets._tables(nvars, order, (caps, joint))
+            jets._tables(nvars, order, eps)
 
 
 def test_variation_checks_the_eps_index():

@@ -365,61 +365,72 @@ def _random_jet(nvars, order, grid, seed):
 
 def test_lift_places_coefficients_by_multi_index():
     a = _random_jet(2, 3, (5,), 11)
-    for joint in (1, 2):
-        lifted = a.lift(4, joint=joint)
-        assert ((lifted.nvars, lifted.order, lifted.caps, lifted.joint)
-                == (4, 3, (1, 1), joint))
-        for alpha in jets._tables(4, 3, ((1, 1), joint))[0]:
-            want = a.coefficient(alpha[:2]) if alpha[2:] == (0, 0) else 0.0
-            np.testing.assert_array_equal(lifted.coefficient(alpha), want)
+    lifted = a.lift(4)
+    assert (lifted.nvars, lifted.order, lifted.eps) == (4, 3, 2)
+    for alpha in jets._tables(4, 3, 2)[0]:
+        want = a.coefficient(alpha[:2]) if alpha[2:] == (0, 0) else 0.0
+        np.testing.assert_array_equal(lifted.coefficient(alpha), want)
     assert a.lift(2) is a
     with pytest.raises(PreconditionError, match="lift"):
         a.lift(1)
 
 
-@pytest.mark.parametrize("order, joint, slots", [
+@pytest.mark.parametrize("order, slopes, slots", [
     (0, 1, 3), (2, 1, 18), (2, 2, 24), (3, 1, 30), (4, 2, 60), (6, 1, 84)])
-def test_lift_carries_the_eps_multilinear_slots(order, joint, slots):
-    # 2 worldvolume variables to total degree ``order``, 2 eps variables to
-    # degree 1 each and ``joint`` together: C(order + 2, 2) worldvolume
-    # monomials times 1 + 2 (+ 1 for eps_1 eps_2 at joint 2)
-    lifted = _random_jet(2, order, (3,), 5).lift(4, joint=joint)
+def test_lift_carries_the_eps_multilinear_slots(order, slopes, slots):
+    # 2 worldvolume variables to total degree ``order`` and the eps
+    # variables, one per slope and one more, to total degree 1:
+    # C(order + 2, 2) worldvolume monomials times 1 + slopes + 1; eps_k
+    # holds slope k and the last eps variable zeros
+    n = 2 + slopes + 1
+    a = _random_jet(2, order, (3,), 5)
+    vs = [_random_jet(2, order, (3,), 6 + k) for k in range(slopes)]
+    lifted = a.lift(n, *vs)
     assert len(lifted.c) == slots
     want = [alpha for alpha in product(range(order + 1), repeat=2)
-            for alpha in [alpha + eps for eps in product((0, 1), repeat=2)]
-            if sum(alpha[:2]) <= order and sum(alpha[2:]) <= joint]
-    assert sorted(jets._tables(4, order, ((1, 1), joint))[0]) == sorted(want)
+            for alpha in [alpha + eps
+                          for eps in product((0, 1), repeat=n - 2)]
+            if sum(alpha[:2]) <= order and sum(alpha[2:]) <= 1]
+    assert sorted(jets._tables(n, order, n - 2)[0]) == sorted(want)
+    for k in range(n - 2):
+        pad = tuple(int(m == k) for m in range(n - 2))
+        for alpha in jets._tables(2, order)[0]:
+            np.testing.assert_array_equal(
+                lifted.coefficient(alpha + pad),
+                vs[k].coefficient(alpha) if k < slopes else 0.0)
 
 
 def test_lift_places_slopes_in_the_new_variables():
     a = _random_jet(2, 3, (5,), 11)
     v = _random_jet(2, 3, (5,), 12)
     w = _random_jet(2, 4, (5,), 13)
-    for joint in (1, 2, 3):
-        lifted = a.lift(5, v, w, joint=joint)
-        assert ((lifted.nvars, lifted.order, lifted.caps, lifted.joint)
-                == (5, 3, (1, 1, 1), joint))
-        for alpha in jets._tables(5, 3, ((1, 1, 1), joint))[0]:
-            head, eps = alpha[:2], alpha[2:]
-            want = {(0, 0, 0): a, (1, 0, 0): v, (0, 1, 0): w}.get(eps)
-            # every slope coefficient up to the order, the top one included
-            want = 0.0 if want is None else want.coefficient(head)
-            np.testing.assert_array_equal(lifted.coefficient(alpha), want)
+    lifted = a.lift(5, v, w)
+    assert (lifted.nvars, lifted.order, lifted.eps) == (5, 3, 3)
+    for alpha in jets._tables(5, 3, 3)[0]:
+        head, eps = alpha[:2], alpha[2:]
+        want = {(0, 0, 0): a, (1, 0, 0): v, (0, 1, 0): w}.get(eps)
+        # every slope coefficient up to the order, the top one included
+        want = 0.0 if want is None else want.coefficient(head)
+        np.testing.assert_array_equal(lifted.coefficient(alpha), want)
 
 
 def test_lift_rejects_mismatched_slopes():
     a = _random_jet(2, 3, (5,), 11)
-    with pytest.raises(PreconditionError, match="jet variables"):
+    with pytest.raises(PreconditionError, match="no slope"):
         a.lift(3, _random_jet(1, 3, (5,), 12))
     with pytest.raises(PreconditionError, match="order"):
         a.lift(3, _random_jet(2, 2, (5,), 12))
     with pytest.raises(PreconditionError, match="lift"):
         a.lift(3, a, a)
-    with pytest.raises(PreconditionError, match="eps caps"):
+    # a jet with eps variables neither lifts nor is a slope
+    with pytest.raises(PreconditionError, match="cannot lift .* 1 eps "
+                                                "variables"):
         a.lift(3).lift(4, _random_jet(3, 3, (5,), 12))
-    for joint in (0, 3):
-        with pytest.raises(PreconditionError, match="joint eps degree"):
-            a.lift(4, a, joint=joint)
+    # in a's 2 variables, one of them an eps variable
+    eps_slope = _random_jet(1, 3, (5,), 12).lift(2)
+    with pytest.raises(PreconditionError, match="in 2 variables with 1 eps "
+                                                "variables is no slope"):
+        a.lift(3, eps_slope)
 
 
 @pytest.mark.parametrize("nvars, order, extra", [(1, 4, 1), (2, 3, 2),

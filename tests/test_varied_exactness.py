@@ -1,10 +1,10 @@
 """The varied geometry against a path with no eps variables, and its
 boundary.
 
-`deformation.varied_geometry` carries each eps variable to degree 1 and
-the eps variables together to ``degree``, outside the jet order.  Here the
-same map X + sum_k eps_k V_k is also built with the eps variables as
-ordinary variables at the base geometry's total order N.  That path has
+`deformation.varied_geometry` carries the eps variables to total degree 1,
+outside the jet order.  Here the same map X + sum_k eps_k V_k is also
+built with the eps variables as ordinary variables at the base geometry's
+total order N.  That path has
 no eps variables, so its product tables are the plain graded ones.  Every
 eps coefficient a result reads must agree bit for bit on the two paths,
 which pins the order in which `jets._tables` lists each slot's pairs.
@@ -25,8 +25,8 @@ from branelab.jets import Jet
 # that the order of a sum over pairs shows in its last bits
 E = emb.traveling_wave(0.7)
 
-# two deformations with time components, so the curvature flux's mixed
-# term is not zero
+# two deformations with time components, so the curvature flux's frame
+# legs vary
 FIELDS = (
     sym.chart_field(lambda t, s: (
         0.2 * jets.sin(2 * s) * jets.cos(t) + 0.1 * jets.sin(s),
@@ -74,21 +74,44 @@ def _base(order):
     return geom, [f(geom) for f in FIELDS]
 
 
-def test_curvature_flux_mixed_term_equals_the_plain_path():
-    geom, (V1, V2) = _base(4)
-    vg = dfm.varied_geometry(geom, V1, V2, degree=2)
+def test_curvature_flux_first_variations_equal_the_plain_path(monkeypatch):
+    # record the slice geometry, the fields, the fluxes and the two first
+    # variations of one gb_symplectic_form call
+    seen = []
+    original = sym._variation_pair
+
+    def recording(geom, vf1, vf2, quantities):
+        out = original(geom, vf1, vf2, quantities)
+        seen.append((geom, vf1(geom), vf2(geom), quantities, out))
+        return out
+
+    monkeypatch.setattr(sgb, "_variation_pair", recording)
+    slc = sym.CauchySlice("tau", 0.4, 9)
+    form = sgb.gb_symplectic_form(E, slc, *FIELDS, 0.9)
+    ((geom, V1, V2, fluxes, (d1, d2)),) = seen
+    assert geom.order == 3
+    # the same fluxes on the plain path: the connection response d_k rho
+    # is the eps_k coefficient there too
     pg = _plain_varied(geom, V1, V2)
-    rho, frame = sgb.rotation_connection(vg)
-    prho, pframe = sgb.rotation_connection(pg)
-    assert (rho.order, prho.order) == (0, 2)
-    assert_same_bits(rho.coefficient((0, 0) + _eps(2, 0, 1)),
-                     prho.coefficient((0, 0) + _eps(2, 0, 1)))
-    for j in (0, 1):                # the flux of V_j, varied along the other
-        flux = vg.sqrt_abs_det * frame.contract(rho.partial(2 + j))
-        pflux = pg.sqrt_abs_det * pframe.contract(prho.partial(2 + j))
-        want = pflux.coefficient((0, 0) + _eps(2, 1 - j))
+    n = pg.X.nvars
+    q1, q2 = fluxes(pg, (_plain_lift(V1, n), _plain_lift(V2, n)))
+    for got, q, m in ((d1, q2, 0), (d2, q1, 1)):
+        want = q.coefficient((0, 0) + _eps(2, m))
         assert np.abs(want).max() > 1e-3
-        assert_same_bits(dfm.variation(vg, flux, 1 - j), want)
+        assert_same_bits(got, want)
+    # the mixed eps_1 eps_2 term cancels: with d_k rho read as a partial
+    # on a plain path one order up, each flux carries that term, and the
+    # antisymmetrized variations agree to round-off
+    high = E.geometry(slc.grid(E)[0].mesh, 4)
+    hg = _plain_varied(high, *(f(high) for f in FIELDS))
+    rho, frame = sgb.rotation_connection(hg)
+    mixed = [0.9 * hg.sqrt_abs_det * frame.contract(rho.partial(2 + j))
+             for j in (0, 1)]
+    want = (mixed[0].coefficient((0, 0) + _eps(2, 1))
+            - mixed[1].coefficient((0, 0) + _eps(2, 0)))
+    assert np.abs(rho.coefficient((0, 0, 1, 1))).max() > 1e-3
+    np.testing.assert_allclose(d2 - d1, want, rtol=0.0, atol=1e-15)
+    assert abs(form) > 1e-3
 
 
 @pytest.mark.parametrize("model", [mdl.DNG(mu=1.3), mdl.QuadraticK(alpha=0.7)],
@@ -121,15 +144,14 @@ def test_darboux_pair_variations_equal_the_plain_path():
 
 # -- the boundary -------------------------------------------------------------
 
-def test_varied_geometry_rejects_a_bad_degree_or_field():
+def test_varied_geometry_rejects_a_bad_field_or_geometry():
     geom, (V1, V2) = _base(2)
-    for fields, degree in [((V1,), 0), ((V1,), 2), ((V1, V2), 3),
-                           ((V1, V2), 1.0), ((), 1)]:
-        with pytest.raises(ParameterError, match="degree"):
-            dfm.varied_geometry(geom, *fields, degree=degree)
-    low, (W1, W2) = _base(1)
-    with pytest.raises(ParameterError, match=r"geometry's order \(1\); got 2"):
-        dfm.varied_geometry(low, W1, W2, degree=2)
+    with pytest.raises(ParameterError, match="at least one field"):
+        dfm.varied_geometry(geom)
+    flat = E.geometry(emb.make_grid(E, (3, 5)).mesh, 0)
+    with pytest.raises(ParameterError, match="order >= 1; got 1 fields and "
+                                             "order 0"):
+        dfm.varied_geometry(flat, flat.X)
     high = E.geometry(emb.make_grid(E, (3, 5)).mesh, 4)
     for field in (V1, np.asarray(V1.value)):    # order 2 and no jet at all
         with pytest.raises(PreconditionError, match="order >= 3"):
@@ -141,14 +163,21 @@ def test_varied_geometry_rejects_a_bad_degree_or_field():
 def test_a_first_variation_geometry_carries_no_mixed_term():
     geom, (V1, V2) = _base(3)
     vg = dfm.varied_geometry(geom, V1, V2)
-    with pytest.raises(PreconditionError, match="joint eps degree 1 carries "
-                                                "no coefficient"):
+    assert vg.order == 2
+    with pytest.raises(PreconditionError, match="carries no coefficient"):
         vg.X.coefficient((0, 0, 1, 1))
-    # the variation of an eps coefficient is the mixed term
-    d0 = vg.sqrt_abs_det.partial(vg.dim)
-    with pytest.raises(PreconditionError, match="joint eps degree 0 carries "
-                                                "no coefficient"):
-        dfm.variation(vg, d0, 1)
-    both = dfm.varied_geometry(geom, V1, V2, degree=2)
-    assert np.isfinite(dfm.variation(
-        both, both.sqrt_abs_det.partial(both.dim), 1)).all()
+    # a variation is read as an eps coefficient, never as a partial
+    with pytest.raises(PreconditionError, match="deformation.variation"):
+        vg.sqrt_abs_det.partial(vg.dim)
+    assert np.isfinite(dfm.variation(vg, vg.sqrt_abs_det, 1)).all()
+
+
+def test_gb_form_one_order_lower_aborts(monkeypatch):
+    # the connection reads the tangents' derivative, which a varied
+    # geometry of order 1 (a slice geometry of order 2) does not carry
+    original = sym._slice_geometry
+    monkeypatch.setattr(
+        sgb, "_slice_geometry",
+        lambda embedding, slc, order: original(embedding, slc, order - 1))
+    with pytest.raises(PreconditionError, match="order-0"):
+        sgb.gb_symplectic_form(E, sym.CauchySlice("tau", 0.4, 9), *FIELDS, 0.9)

@@ -80,6 +80,16 @@ def write_config_body(outdir, tmp, stem, text):
 
 
 def main(outdir):
+    write_cli_outputs(outdir)
+    for demo in sorted(DEMOS.glob("*.py")):
+        run = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                             text=True, check=True)
+        with open(os.path.join(outdir, f"demo-{demo.stem}.txt"), "w") as fh:
+            fh.write(run.stdout)
+
+
+def write_cli_outputs(outdir):
+    """Write every file of `main` but the demos' output."""
     os.makedirs(outdir, exist_ok=True)
     catalog = io.StringIO()
     with contextlib.redirect_stdout(catalog):
@@ -104,11 +114,6 @@ def main(outdir):
         write_config_body(outdir, tmp, "deformation-oracle-ellipsoid",
                           "[scenario]\nname = deformation-oracle\n"
                           "[embedding]\nid = ellipsoid\n")
-    for demo in sorted(DEMOS.glob("*.py")):
-        run = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                             text=True, check=True)
-        with open(os.path.join(outdir, f"demo-{demo.stem}.txt"), "w") as fh:
-            fh.write(run.stdout)
 
 
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
