@@ -281,7 +281,7 @@ def predicted_delta_scalar(geom: Geometry, phi, name: str, lam=None):
     gi = Jet(1, 1, [geom.inverse_induced_metric.value,
                     delta_inverse_metric(geom, phi).value])
     dual = Jet(1, 1, [getattr(geom, tensor).value, delta.value])
-    return np.asarray(fn(gi, dual).c[1], float)
+    return np.asarray(fn(gi, dual).coefficient((1,)), float)
 
 
 # -- finite-difference oracle ----------------------------------------------

@@ -576,13 +576,16 @@ class Geometry:
         """g_{mn} n^n with axes (i, m), shared by K and the twist, at order
         min(``order``, the tangents' order) (`_at_order`).
 
-        Kept as one block: its many small coefficient arrays, held for the
-        geometry's life, fragment the heap (peak RSS +3.5 MiB on the
-        ``curved-high-order`` bench workload)."""
+        Its present coefficients are kept as one block: many small arrays,
+        held for the geometry's life, fragment the heap (peak RSS +3.5 MiB
+        on the ``curved-high-order`` bench workload)."""
         def build(order):
             gn = jet_einsum("mn...,in...->im...", self.ambient_metric,
                             self.normal_frame(order))
-            return Jet(gn.nvars, gn.order, list(np.stack(gn.c)), gn.eps)
+            block = iter(np.stack([x for x in gn.c if x is not None]))
+            return Jet(gn.nvars, gn.order,
+                       [None if x is None else next(block) for x in gn.c],
+                       gn.eps)
         return self._at_order("_lowered_normals", order, self.tangents.order,
                               build)
 

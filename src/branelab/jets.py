@@ -25,16 +25,26 @@ variable: its eps coefficient is read with `Jet.coefficient` instead.
 
 Conventions: coefficients are stored by worldvolume degree, then total
 degree, then lexicographic order, so truncating to a lower order is a
-prefix slice; without eps variables this is the graded order.  Only this
-module reads that layout: `jet_stack` builds every stacked tensor jet from
-nested leaves, and `Jet.lift` adds jet variables by moving coefficients.
+prefix slice; without eps variables this is the graded order.  A slot the
+kernel knows to be an exact zero without reading data is absent: it holds
+None.  `Jet.constant` and the padding of `Jet.lift` make absent slots, and
+every operation below carries them on; the value ``c[0]`` is never
+absent.  `Jet.coefficient` and `Jet.derivative` read an absent slot as
+zeros of the value's shape.  Only this module reads that layout:
+`jet_stack` builds every stacked tensor jet from nested leaves, and
+`Jet.lift` adds jet variables by moving coefficients.
 
 Arithmetic: a product sums, for each output slot k, the coefficient products
-a_i b_j over the pairs (i, j) -> k, adding each term into the fresh array of
-the first.  A slot is fed by the same pairs, in the same (graded) order of
-i, as without eps variables, so every carried coefficient is bit-identical
-to the one of a jet that counts the eps variables as ordinary ones to the
-same total degree.  `jet_einsum` contracts a constant tensor jet as its value.
+a_i b_j over the pairs (i, j) -> k whose two factors are present, adding
+each term into the fresh array of the first; a slot with no such pair is
+absent (`_live`).  Skipping a term with an absent factor changes the sum
+at most in the sign of a zero while the other factor is finite (an inf
+or NaN coefficient is present, and meets an absent one as no term).  A
+slot is fed by the same pairs, in the same (graded) order of i, as
+without eps variables, so every carried coefficient is bit-identical to
+the one of a jet that counts the eps variables as ordinary ones to the
+same total degree.  ``+``, ``-``, `Jet.partial`, `Jet.map_coeffs` and
+`jet_stack` pass absence through.
 Every analytic function (exp, sin, cos, sinh, cosh, log, sqrt,
 the reciprocal and real powers) is one degree recurrence in `Jet._compose`,
 about one product's work; a lower order is a bit-identical prefix.  Inputs
@@ -121,6 +131,40 @@ def _tables(nvars: int, order: int, eps: int = 0):
             partial_maps, tuple(float(sum(a)) for a in indices))
 
 
+def _mask(c):
+    """Presence mask of a coefficient list: False at each absent slot."""
+    return tuple([x is not None for x in c])
+
+
+@lru_cache(maxsize=None)
+def _live(nvars, order, eps, a, b):
+    """The product pairs (i, j) -> k of `_tables` whose factors are both
+    present under the masks ``a`` and ``b``, per slot k; () for a slot the
+    product leaves absent.  The pairs are `_tables`' own tuples, so a cached
+    entry holds references, not new pairs."""
+    out = []
+    for p in _tables(nvars, order, eps)[3]:
+        live = tuple(ij for ij in p if a[ij[0]] and b[ij[1]])
+        out.append(p if len(live) == len(p) else live)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _recurrence(nvars, order, eps, u, log=False):
+    """The live pairs (i, j), i != 0, of each slot k >= 1 of a degree
+    recurrence f_k = sum u_i f_j (`Jet._compose`, `jet_matinv`) for the
+    presence mask ``u``; slot 0 gets ().  f_0 is present and f_k is present
+    iff a pair of slot k is live; for ``log`` the factor is |j| f_j, absent
+    at j = 0, and f_k is also present with u_k."""
+    pairs = _tables(nvars, order, eps)[3]
+    f, out = [not log], [()]
+    for k in range(1, len(u)):
+        live = tuple(ij for ij in pairs[k][1:] if u[ij[0]] and f[ij[1]])
+        out.append(live)
+        f.append(bool(live) or (log and u[k]))
+    return tuple(out)
+
+
 def _cauchy(pairs, prod):
     """Sum of prod(i, j) over the non-empty ``pairs``, accumulated in place.
 
@@ -184,14 +228,19 @@ class Jet:
     # -- constructors -------------------------------------------------
     @staticmethod
     def constant(value, nvars, order, eps=0):
+        """The constant ``value``: every slot but the value absent."""
         if _is_jet(value):
             raise PreconditionError("a jet's coefficients cannot be jets")
         n = _tables(nvars, order, eps)[2][order]
-        c = [value] + [_zero_like(value)] * (n - 1)
-        return Jet(nvars, order, c, eps)
+        return Jet(nvars, order, [value] + [None] * (n - 1), eps)
 
     @staticmethod
     def variable(i, value, nvars, order):
+        """Variable ``i`` of ``nvars`` at ``value``: the value and its one
+        first-degree slot present.  ``i`` must name one of the variables."""
+        if not (_is_index(i) and 0 <= i < nvars):
+            raise ParameterError(
+                f"variable index {i!r} is not one of 0..{nvars - 1}")
         j = Jet.constant(value, nvars, order)
         if order >= 1:
             seed = tuple(1 if k == i else 0 for k in range(nvars))
@@ -215,7 +264,8 @@ class Jet:
         if slot is None:
             raise PreconditionError(
                 f"{self._kind()} carries no coefficient {tuple(alpha)}")
-        return self.c[slot]
+        c = self.c[slot]
+        return _zero_like(self.c[0]) if c is None else c
 
     def derivative(self, alpha):
         """Partial derivative d^alpha f for multi-index alpha."""
@@ -225,7 +275,7 @@ class Jet:
         return self.coefficient(alpha) * fact
 
     def truncated(self, order):
-        if not 0 <= order <= self.order:
+        if not (_is_index(order) and 0 <= order <= self.order):
             raise PreconditionError(
                 f"cannot truncate a jet of order {self.order} to {order}")
         if order == self.order:
@@ -246,7 +296,7 @@ class Jet:
         most 1, which first variations read.  Each coefficient moves to its
         own multi-index padded with zeros, and each coefficient alpha of V_k
         up to ``order`` to alpha plus eps_k; the other slots that involve a
-        new variable are zero.  No arithmetic is done, so
+        new variable are absent.  No arithmetic is done, so
         ``a.lift(n) * b.lift(n)`` equals ``(a * b).lift(n)`` bit for bit.
         This jet must have no eps variables, and a slope must be a jet in
         its variables, without eps variables, of order at least ``order``.
@@ -261,7 +311,7 @@ class Jet:
         position = _tables(nvars, self.order, new)[1]
         pads = [(0,) * new] + [tuple(int(m == k) for m in range(new))
                                for k in range(len(slopes))]
-        out = [_zero_like(self.c[0])] * len(position)
+        out = [None] * len(position)
         for pad, V in zip(pads, (self,) + slopes):
             if (V.nvars, V.eps) != (self.nvars, 0):
                 raise PreconditionError(
@@ -278,9 +328,11 @@ class Jet:
         """d/dx_d along a worldvolume variable: a jet of one order less.
 
         An eps variable has no partial here: its first variation is an eps
-        coefficient, read with `coefficient` (`deformation.variation`).
+        coefficient, read with `coefficient` (`deformation.variation`).  An
+        absent slot stays absent, but the value is zeros of this value's
+        shape if its source slot is absent.
         """
-        if not 0 <= d < self.nvars - self.eps:
+        if not (_is_index(d) and 0 <= d < self.nvars - self.eps):
             raise PreconditionError(
                 f"{self._kind()} has no worldvolume variable {d}; read an "
                 "eps coefficient with Jet.coefficient or "
@@ -289,9 +341,12 @@ class Jet:
             raise PreconditionError(
                 f"cannot differentiate an order-{self.order} jet; the "
                 "geometry needs a higher jet order")
-        ops = _tables(self.nvars, self.order, self.eps)[4][d]
-        return Jet(self.nvars, self.order - 1,
-                   [self.c[src] * fct for src, fct in ops], self.eps)
+        c = self.c
+        out = [None if c[src] is None else c[src] * fct
+               for src, fct in _tables(self.nvars, self.order, self.eps)[4][d]]
+        if out[0] is None:
+            out[0] = _zero_like(c[0])
+        return Jet(self.nvars, self.order - 1, out, self.eps)
 
     # -- arithmetic ----------------------------------------------------
     def _align(self, other):
@@ -305,8 +360,9 @@ class Jet:
     def __add__(self, other):
         if _is_jet(other):
             a, b = self._align(other)
-            return Jet(a.nvars, a.order, [x + y for x, y in zip(a.c, b.c)],
-                       a.eps)
+            return Jet(a.nvars, a.order,
+                       [x if y is None else y if x is None else x + y
+                        for x, y in zip(a.c, b.c)], a.eps)
         c = list(self.c)
         c[0] = c[0] + other
         return Jet(self.nvars, self.order, c, self.eps)
@@ -314,7 +370,8 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, [-x for x in self.c], self.eps)
+        return Jet(self.nvars, self.order,
+                   [None if x is None else -x for x in self.c], self.eps)
 
     def __sub__(self, other):
         return self + (-other if _is_jet(other) else -1.0 * other)
@@ -327,10 +384,11 @@ class Jet:
             a, b = self._align(other)
             ac, bc = a.c, b.c
             prod = lambda i, j: ac[i] * bc[j]  # noqa: E731
-            pairs = _tables(a.nvars, a.order, a.eps)[3]
-            return Jet(a.nvars, a.order, [_cauchy(p, prod) for p in pairs],
-                       a.eps)
-        return Jet(self.nvars, self.order, [x * other for x in self.c],
+            live = _live(a.nvars, a.order, a.eps, _mask(ac), _mask(bc))
+            return Jet(a.nvars, a.order,
+                       [_cauchy(p, prod) if p else None for p in live], a.eps)
+        return Jet(self.nvars, self.order,
+                   [None if x is None else x * other for x in self.c],
                    self.eps)
 
     __rmul__ = __mul__
@@ -345,6 +403,10 @@ class Jet:
         return self._reciprocal() * other
 
     def __pow__(self, p):
+        if not (isinstance(p, (int, float, np.integer, np.floating))
+                and math.isfinite(p)):
+            raise ParameterError(
+                f"a jet's power must be a finite real number, not {p!r}")
         integer = float(p).is_integer()
         if integer and p >= 0:
             # repeated products, which hold at a zero value too
@@ -380,39 +442,48 @@ class Jet:
                 c(value), and ``kind`` names the one returned.
 
         These are the Taylor-arithmetic tables of Griewank and Walther,
-        Evaluating Derivatives, ch. 13.
+        Evaluating Derivatives, ch. 13.  Each sum runs over the pairs whose
+        two factors are present (`_recurrence`), and a slot with none is
+        absent.
         """
         u = self.c
-        tab = _tables(self.nvars, self.order, self.eps)
-        pairs, deg = tab[3], tab[5]
+        deg = _tables(self.nvars, self.order, self.eps)[5]
+        live = _recurrence(self.nvars, self.order, self.eps, _mask(u),
+                           kind == "log")
         f = [f0]
         if len(u) > 1 and kind in ("pow", "log"):
             r = 1.0 / u[0]
         if kind == "log":
-            df = [0.0]  # df[j] = |j| f_j
+            df = [None]  # df[j] = |j| f_j
             prod = lambda i, j: u[i] * df[j]  # noqa: E731
             for k in range(1, len(u)):
-                f.append((u[k] - _cauchy(pairs[k][1:], prod) / deg[k]) * r)
-                df.append(deg[k] * f[k])
+                s = _cauchy(live[k], prod) / deg[k] if live[k] else None
+                fk = (u[k] if s is None else -s if u[k] is None
+                      else u[k] - s)
+                f.append(None if fk is None else fk * r)
+                df.append(None if fk is None else deg[k] * f[k])
             return Jet(self.nvars, self.order, f, self.eps)
         if kind == "pow":
             prod = lambda i, j: (p * deg[i] - deg[j]) * u[i] * f[j]  # noqa: E731
             for k in range(1, len(u)):
-                f.append(_cauchy(pairs[k][1:], prod) * r / deg[k])
+                f.append(_cauchy(live[k], prod) * r / deg[k] if live[k]
+                         else None)
             return Jet(self.nvars, self.order, f, self.eps)
-        du = [None] + [d * x for d, x in zip(deg[1:], u[1:])]
+        du = [None] + [None if x is None else d * x
+                       for d, x in zip(deg[1:], u[1:])]
         if kind == "exp":
             prod = lambda i, j: du[i] * f[j]  # noqa: E731
             for k in range(1, len(u)):
-                f.append(_cauchy(pairs[k][1:], prod) / deg[k])
+                f.append(_cauchy(live[k], prod) / deg[k] if live[k] else None)
             return Jet(self.nvars, self.order, f, self.eps)
         g = [g0]
         sign = -1.0 if kind in ("sin", "cos") else 1.0
         f_prod = lambda i, j: du[i] * g[j]  # noqa: E731
         g_prod = lambda i, j: du[i] * f[j]  # noqa: E731
-        for k in range(1, len(u)):
-            f.append(_cauchy(pairs[k][1:], f_prod) / deg[k])
-            g.append(_cauchy(pairs[k][1:], g_prod) / (sign * deg[k]))
+        for k, pairs in enumerate(live[1:], 1):   # f and g share their slots
+            f.append(_cauchy(pairs, f_prod) / deg[k] if pairs else None)
+            g.append(_cauchy(pairs, g_prod) / (sign * deg[k]) if pairs
+                     else None)
         return Jet(self.nvars, self.order, f if kind in ("sin", "sinh") else g,
                    self.eps)
 
@@ -446,7 +517,10 @@ class Jet:
 
     # -- structural helpers for array-valued coefficients ---------------
     def map_coeffs(self, fn):
-        return Jet(self.nvars, self.order, [fn(x) for x in self.c], self.eps)
+        """``fn`` applied to each present coefficient; ``fn`` must map zero
+        to zero, since an absent slot stays absent."""
+        return Jet(self.nvars, self.order,
+                   [None if x is None else fn(x) for x in self.c], self.eps)
 
     def __getitem__(self, idx):
         """Slice the leading (tensor) axes of every coefficient array."""
@@ -454,6 +528,11 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value!r})"
+
+
+def _is_index(k) -> bool:
+    """True for an integer (not a bool), as an order or an index must be."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 def _zero_like(v):
@@ -530,9 +609,10 @@ def jet_stack(entries, template=None):
     carry tensor axes of their own, are broadcast against the others'.  The
     leaf jets must share their variables; the result has the lowest order
     among them, and a number or array leaf is a constant: it writes only
-    the value.  ``template`` gives nvars, order and eps when no leaf is a
-    jet; it adds no grid axes, so a tensor made only of constants
-    broadcasts through einsum's ``...``.
+    the value.  A slot absent in every jet leaf is absent.  ``template``
+    gives nvars, order and eps when no leaf is a jet; it adds no grid
+    axes, so a tensor made only of constants broadcasts through einsum's
+    ``...``.
     """
     shape, leaves = [], []
     _flatten(entries, 0, shape, leaves)
@@ -546,7 +626,11 @@ def jet_stack(entries, template=None):
     out = []
     for k in range(len(lead.c)):
         vals = [(i, np.asarray(e.c[k] if _is_jet(e) else e, float))
-                for i, e in enumerate(leaves) if k == 0 or _is_jet(e)]
+                for i, e in enumerate(leaves)
+                if k == 0 or _is_jet(e) and e.c[k] is not None]
+        if not vals:            # every leaf's slot k is absent
+            out.append(None)
+            continue
         full = np.broadcast_shapes(*(a.shape for _i, a in vals))
         flat = np.zeros((len(leaves),) + full)
         for i, a in vals:
@@ -560,28 +644,18 @@ def jet_rearrange(spec, a):
     return a.map_coeffs(lambda x: np.einsum(spec, np.asarray(x, float)))
 
 
-def _is_constant(j):
-    """True for a constant tensor jet: more than a value, an ndarray value
-    and all-zero arrays in every later coefficient (NaN is not zero)."""
-    return (len(j.c) > 1 and type(j.c[0]) is np.ndarray
-            and all(type(x) is np.ndarray and not x.any() for x in j.c[1:]))
-
-
 def jet_einsum(spec, a, b):
     """einsum over the tensor axes of two jets (or a jet and an array).
 
-    A constant tensor jet contracts as its value array, one contraction per
-    coefficient of the other jet: each of its other Cauchy terms is an
-    exact zero for finite coefficients.  Coefficients must be arrays or
-    numbers; a jet whose coefficients are jets raises `PreconditionError`.
+    Of two jets, each slot sums the contractions of the pairs whose two
+    coefficients are present (`_live`), so a constant jet contracts as its
+    value, once per present coefficient of the other.  Coefficients must be
+    arrays or numbers; a jet whose coefficients are jets raises
+    `PreconditionError`.
     """
     if _is_jet(a) and _is_jet(b):
         a, b = a._align(b)
         nested = _is_jet(a.c[0]) or _is_jet(b.c[0])
-        if not nested and _is_constant(a):
-            a = a.c[0]
-        elif not nested and _is_constant(b):
-            b = b.c[0]
     else:
         nested = _is_jet((a if _is_jet(a) else b).c[0])
     if nested:
@@ -592,31 +666,33 @@ def jet_einsum(spec, a, b):
     if not _is_jet(b):
         b_arr = np.asarray(b, float)
         return a.map_coeffs(lambda x: np.einsum(spec, np.asarray(x, float), b_arr))
-    ac = [np.asarray(x, float) for x in a.c]
-    bc = [np.asarray(x, float) for x in b.c]
+    ac = [None if x is None else np.asarray(x, float) for x in a.c]
+    bc = [None if x is None else np.asarray(x, float) for x in b.c]
     prod = lambda i, j: np.einsum(spec, ac[i], bc[j])  # noqa: E731
-    pairs = _tables(a.nvars, a.order, a.eps)[3]
-    return Jet(a.nvars, a.order, [_cauchy(p, prod) for p in pairs], a.eps)
+    live = _live(a.nvars, a.order, a.eps, _mask(ac), _mask(bc))
+    return Jet(a.nvars, a.order, [_cauchy(p, prod) if p else None for p in live],
+               a.eps)
 
 
 def jet_matinv(g):
     """Inverse of a matrix-valued jet with leading axes (n, n).
 
     Degree recurrence of Taylor arithmetic: x_0 = inv(g_0), then
-    x_k = -x_0 sum g_i x_j over the products (i, j) -> k with i != 0, in
-    slot order, so every x_j read is already known.  The value is
+    x_k = -x_0 sum g_i x_j over the products (i, j) -> k with i != 0 and
+    g_i, x_j present (`_recurrence`), in slot order, so every x_j read is
+    already known; a slot with none is absent.  The value is
     inv(g_0) at every jet order, and a lower-order inverse is a prefix of a
     higher-order one.  Coefficients are C-contiguous.
     """
     val = np.asarray(g.value, float)
     x0 = np.ascontiguousarray(np.moveaxis(
         np.linalg.inv(np.moveaxis(val, (0, 1), (-2, -1))), (-2, -1), (0, 1)))
-    gc = [np.asarray(c, float) for c in g.c]
+    gc = [None if c is None else np.asarray(c, float) for c in g.c]
     neg, x = -x0, [x0]
     prod = lambda i, j: np.einsum("ab...,bc...->ac...", gc[i], x[j])  # noqa: E731
-    for pairs in _tables(g.nvars, g.order, g.eps)[3][1:]:
-        x.append(np.einsum("ab...,bc...->ac...", neg, _cauchy(pairs[1:], prod),
-                           order="C"))
+    for p in _recurrence(g.nvars, g.order, g.eps, _mask(gc))[1:]:
+        x.append(np.einsum("ab...,bc...->ac...", neg, _cauchy(p, prod),
+                           order="C") if p else None)
     return Jet(g.nvars, g.order, x, g.eps)
 
 

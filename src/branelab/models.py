@@ -373,19 +373,22 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
     """Check delta S = int sqrt|gamma| E_i phi^i for a compactly supported
     deformation.
 
-    One geometry is built, of order max(jet_order, action_order + 1), and
-    E is assembled on it first, so its normal frame is projected once, at
-    K's order.  ``vfield``, an ambient vector jet or a callable
-    that maps a geometry to one, is evaluated once, on the prefix of order
-    ``action_order + 1`` that drives the re-embedding finite difference;
-    phi^i = <V, n^i> of its value drive the assembled side.  The
-    divergence term integrates to zero because the support stays interior,
-    which is checked before any re-embedding.
+    One geometry is built, of order max(jet_order, action_order + 1).  Its
+    normal frame is projected once, at the higher of K's order and the
+    order the field reads it at (the tangents' order of the prefix below),
+    and E, assembled first, reads it as a prefix.  ``vfield``, an ambient
+    vector jet or a callable that maps a geometry to one, is evaluated
+    once, on the prefix of order ``action_order + 1`` that drives the
+    re-embedding finite difference; phi^i = <V, n^i> of its value drive
+    the assembled side.  The divergence term integrates to zero because the
+    support stays interior, which is checked before any re-embedding.
     """
     geom = embedding.grid_geometry(
         grid, max(model.jet_order, model.action_order + 1))
     model.check_geometry(geom)
-    E = eom_density(model, geom)           # first: one frame build
+    # K reads the frame at N - 2, the field on geom_fd at action_order
+    geom.normal_frame(max(geom.order - 2, model.action_order))
+    E = eom_density(model, geom)
     geom_fd = geom.truncated(model.action_order + 1)
     V = dfm.resolve_field(vfield, geom_fd)
     _require_interior_support(embedding, grid, V)

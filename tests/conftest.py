@@ -5,6 +5,12 @@ from branelab import jets
 from branelab.embeddings import Geometry
 
 
+def dense(j):
+    """Every coefficient of the jet ``j`` in slot order, each absent slot
+    read through `Jet.coefficient` (zeros of the value's shape)."""
+    return [j.coefficient(a) for a in jets._tables(j.nvars, j.order, j.eps)[0]]
+
+
 def _rotated_normals_copy(geom, theta):
     """Copy of a codimension-2 geometry with its normal frame rotated by
     theta, a scalar jet on the same parameters or a constant."""

@@ -6,8 +6,9 @@ exact on random jets.
   total degree 1.  An isotropic jet of order N + 1 carries every monomial
   of an eps jet of order N, and projecting it onto them must commute, bit
   for bit, with every kernel operation.
-* constant operands: `jet_einsum` contracts a constant tensor jet as its
-  value array, and must equal the full Cauchy sum.
+* absent slots: a product sums only the pairs whose two factors are
+  present, so a constant tensor jet contracts as its value array, and
+  must equal the full Cauchy sum over every slot read as dense.
 
 The reference products and carried sets here are built from the
 multi-indices alone, not from the product pairs or the carried set of
@@ -26,6 +27,7 @@ from branelab import embeddings as emb
 from branelab import jets
 from branelab.errors import DomainError, ParameterError, PreconditionError
 from branelab.jets import Jet, jet_einsum, jet_matinv, jet_stack
+from conftest import dense
 
 GRID = (3,)
 MATMUL = "ab...,bc...->ac..."
@@ -74,16 +76,16 @@ def cauchy(a, b, contract=np.multiply):
     """Slot k of the product sums contract(a_i, b_j) over every pair of
     carried multi-indices alpha_i + alpha_j = alpha_k, alpha_i in graded
     (total degree, then lexicographic) order, each later term added to the
-    first."""
+    first.  An absent slot is read as zeros (`Jet.coefficient`)."""
     pos = {alpha: n for n, alpha in enumerate(
         jets._tables(a.nvars, a.order, a.eps)[0])}
-    out = []
+    ac, bc, out = dense(a), dense(b), []
     for gamma in pos:
         s = None
         for alpha in sorted(pos, key=lambda alpha: (sum(alpha), alpha)):
             j = pos.get(tuple(g - x for g, x in zip(gamma, alpha)))
             if j is not None:
-                t = contract(a.c[pos[alpha]], b.c[j])
+                t = contract(ac[pos[alpha]], bc[j])
                 s = t if s is None else s + t
         out.append(s)
     return Jet(a.nvars, a.order, out, a.eps)
@@ -164,18 +166,18 @@ def test_constant_operand_equals_the_full_cauchy_sum(case, with_eps, left):
     eps = eps if with_eps else 0
     B = project(iso_jet(n, order, rng, shape=(2, 2) + GRID), eps)
     A = Jet.constant(rng.normal(size=(2, 2) + GRID), n, B.order, B.eps)
-    assert jets._is_constant(A) and not jets._is_constant(B)
+    assert A.c[1:] == [None] * (len(A.c) - 1)
+    assert all(x is not None for x in B.c)
     a, b = (A, B) if left else (B, A)
     contract = lambda x, y: np.einsum(MATMUL, x, y)  # noqa: E731
     assert_bits(jet_einsum(MATMUL, a, b), cauchy(a, b, contract))
-    # a NaN in a later coefficient is not a zero: the full sum runs and
-    # carries it into every slot above it
-    A.c[-1] = A.c[-1].copy()
+    # a NaN in a later coefficient is present, not a zero: its terms run
+    # and carry it into its slot
+    A.c[-1] = np.zeros_like(A.c[0])
     A.c[-1][0, 0, 0] = np.nan
-    assert not jets._is_constant(A)
     got = jet_einsum(MATMUL, a, b)
     assert np.isnan(got.c[-1]).any()
-    for x, y in zip(got.c, cauchy(a, b, contract).c):
+    for x, y in zip(dense(got), cauchy(a, b, contract).c):
         np.testing.assert_array_equal(x, y)
 
 
@@ -196,10 +198,16 @@ def test_constant_path_is_one_call(monkeypatch):
 
 
 def test_nested_values_are_not_constants():
+    # a jet of jets beside a constant jet is refused, not contracted as a
+    # constant; an order-0 constant contracts as its value
     (x,) = jets.variables([0.3], order=2)
     dual = Jet(1, 1, [x, Jet.constant(0.0, 1, 2)])
-    assert not jets._is_constant(dual)
-    assert not jets._is_constant(Jet.constant(np.ones(3), 1, 0))
+    const = Jet.constant(np.ones(3), 1, 1)
+    for a, b in ((dual, const), (const, dual)):
+        with pytest.raises(PreconditionError, match="jets of jets"):
+            jet_einsum("...,...->...", a, b)
+    one = Jet.constant(np.ones(3), 1, 0)
+    assert jet_einsum("i,i->", one, one).c == [3.0]
 
 
 # -- what an eps jet does not carry ------------------------------------------
@@ -247,7 +255,10 @@ def test_domain_checks_read_the_eps_slopes():
         with pytest.raises(DomainError):
             fn(u)
     assert_bits(Jet(1, 0, [zero]).sqrt(), Jet(1, 0, [zero]))
-    assert jets._is_constant(Jet.constant(one, 2, 0, 1))
+    # a constant's eps slope is absent, so its square root has none either
+    root = Jet.constant(one, 2, 0, 1).sqrt()
+    assert root.c[1] is None
+    np.testing.assert_array_equal(root.value, one)
 
 
 def test_align_rejects_other_eps_variables():

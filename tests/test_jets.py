@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from branelab import jets
-from branelab.errors import PreconditionError
+from branelab.errors import ParameterError, PreconditionError
 from branelab.jets import Jet, jet_det, jet_einsum, jet_matinv, jet_stack
+from conftest import dense
 
 
 def test_variable_seeding():
@@ -129,21 +130,21 @@ def test_jet_stack_nests_and_mixes_leaves():
     x, y = jets.variables([grid, 1.0 + grid], order=3)
     t = jet_stack([[x * y, 2.0], [y.truncated(2), np.array([1.0, 2.0, 3.0])]])
     assert (t.nvars, t.order, t.value.shape) == (2, 2, (2, 2, 3))
-    for k in range(len(t.c)):
-        np.testing.assert_array_equal(t.c[k][0, 0], (x * y).c[k])
-        np.testing.assert_array_equal(t.c[k][1, 0], y.c[k])
+    for got, xy, yk in zip(dense(t), dense(x * y), dense(y)):
+        np.testing.assert_array_equal(got[0, 0], xy)
+        np.testing.assert_array_equal(got[1, 0], yk)
     # a constant leaf writes only the value
     np.testing.assert_array_equal(t.value[0, 1], 2.0)
     np.testing.assert_array_equal(t.value[1, 1], [1.0, 2.0, 3.0])
-    for c in t.c[1:]:
+    for c in dense(t)[1:]:
         np.testing.assert_array_equal(c[:, 1], 0.0)
     # a scalar leaf broadcasts against a tensor leaf's axes
     vec = jet_stack([x, y])
     m = jet_stack([vec, x])
     assert m.value.shape == (2, 2, 3)
-    for k in range(len(m.c)):
-        np.testing.assert_array_equal(m.c[k][0], vec.c[k])
-        np.testing.assert_array_equal(m.c[k][1], [x.c[k], x.c[k]])
+    for got, v, xk in zip(dense(m), dense(vec), dense(x)):
+        np.testing.assert_array_equal(got[0], v)
+        np.testing.assert_array_equal(got[1], [xk, xk])
 
 
 def test_jet_stack_of_constants_takes_no_grid_from_template():
@@ -151,7 +152,8 @@ def test_jet_stack_of_constants_takes_no_grid_from_template():
     eye = jet_stack([[1.0, 0.0], [0.0, 1.0]], template=x)
     assert (eye.nvars, eye.order) == (1, 2)
     np.testing.assert_array_equal(eye.value, np.eye(2))
-    for c in eye.c[1:]:
+    assert eye.c[1:] == [None] * 2            # absent: exact zeros
+    for c in dense(eye)[1:]:
         np.testing.assert_array_equal(c, np.zeros((2, 2)))
     with pytest.raises(PreconditionError, match="template"):
         jet_stack([1.0, 2.0])
@@ -256,7 +258,9 @@ def test_zeroth_power_is_the_constant_one(make):
         assert len(one.c) == len(x.c)
         np.testing.assert_array_equal(one.value, np.ones_like(x.value))
         assert np.shape(one.value) == np.shape(x.value)
-        for c in one.c[1:]:
+        assert one.c[1:] == [None] * (len(x.c) - 1)
+        for c in dense(one)[1:]:
+            assert np.shape(c) == np.shape(x.value)
             np.testing.assert_array_equal(c, np.zeros_like(x.value))
 
 
@@ -308,11 +312,11 @@ def test_random_identity_properties():
         x, y = jets.variables(list(v), order=3)
         lhs = jets.log(x * y)
         rhs = jets.log(x) + jets.log(y)
-        for a, b in zip(lhs.c, rhs.c):
+        for a, b in zip(dense(lhs), dense(rhs)):
             np.testing.assert_allclose(a, b, atol=1e-12)
         s2 = jets.sin(x) ** 2 + jets.cos(x) ** 2
         np.testing.assert_allclose(s2.value, 1.0, atol=1e-13)
-        for coeff in s2.c[1:]:
+        for coeff in dense(s2)[1:]:
             np.testing.assert_allclose(coeff, 0.0, atol=1e-12)
 
 
@@ -446,3 +450,33 @@ def test_lift_commutes_with_products_bit_for_bit(nvars, order, extra):
         assert (got.nvars, got.order) == (want.nvars, want.order)
         for x, y in zip(got.c, want.c):
             np.testing.assert_array_equal(x, y)
+
+
+# -- the boundary: bad indices, powers and orders -----------------------------
+
+@pytest.mark.parametrize("i", [2, 3, -1, 1.0, True, "0"])
+def test_variable_index_must_name_a_variable(i):
+    with pytest.raises(ParameterError, match="variable index"):
+        Jet.variable(i, 1.0, 2, 2)
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf"),
+                               "a", "2", None, 1j, np.array([1.0, 2.0])])
+def test_power_must_be_a_finite_real_number(p):
+    (x,) = jets.variables([0.7], order=2)
+    with pytest.raises(ParameterError, match="finite real number"):
+        x ** p
+
+
+@pytest.mark.parametrize("order", [1.5, 1.0, True, "1", None])
+def test_truncation_order_must_be_an_integer(order):
+    (x,) = jets.variables([0.7], order=2)
+    with pytest.raises(PreconditionError, match="cannot truncate"):
+        x.truncated(order)
+
+
+@pytest.mark.parametrize("d", [0.5, 0.0, True, "0", None])
+def test_partial_index_must_be_an_integer(d):
+    x, _y = jets.variables([0.7, 0.2], order=2)
+    with pytest.raises(PreconditionError, match="no worldvolume variable"):
+        x.partial(d)

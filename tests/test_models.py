@@ -353,6 +353,30 @@ def test_action_variation_projects_each_frame_once_at_its_readers_order(
     assert built == [(6, 4)] + [(3, 1)] * 4
 
 
+@pytest.mark.parametrize("model, built", [
+    # DNG's K is at order 1 on its order-3 geometry, below the field's 2
+    (mdl.DNG(mu=1.3), [(3, 2)]),
+    (mdl.QuadraticK(alpha=0.8), [(4, 2)]),
+    (mdl.SyntheticGradK(beta=0.6), [(6, 4)]),
+], ids=["dng", "quadratic-k", "synthetic-gradk"])
+def test_action_variation_projects_the_frame_once_on_its_geometry(
+        monkeypatch, model, built):
+    # (geometry order, frame order) of each projection on the one geometry
+    # of the check; the re-embedded geometries build their own
+    orders, original = [], emb.Geometry._build_normal_frame
+    top = max(model.jet_order, model.action_order + 1)
+
+    def counted(self, order):
+        if self.order == top:
+            orders.append((self.order, order))
+        return original(self, order)
+
+    monkeypatch.setattr(emb.Geometry, "_build_normal_frame", counted)
+    E = emb.torus_e3()
+    mdl.action_variation_check(model, E, emb.make_grid(E, 8), torus_vfield)
+    assert orders == built
+
+
 @pytest.mark.parametrize("model, E, vfield, n", [
     (mdl.QuadraticK(alpha=0.8), emb.torus_e3(), torus_vfield, 12),
     (mdl.SyntheticGradK(beta=0.6), emb.surface_s2xs2(), windowed_vfield, 24),

@@ -6,13 +6,14 @@ Builds each workload of bench/workloads.py with SEED, runs one warm-up
 pass (which fills the caches a pass reuses), then counts, over a second
 pass, where the coefficient products are made:
 
-    einsum   every np.einsum call made in branelab/jets.py, the constant
-             path of jet_einsum included
+    einsum   every np.einsum call made in branelab/jets.py
     cauchy   every coefficient product that jets._cauchy sums (the terms
              of Jet.__mul__, jet_einsum, the degree recurrences of
-             Jet._compose and jet_matinv)
+             Jet._compose and jet_matinv), then the same terms split by
+             the one of those four entry points that summed them
 
-and prints `<workload> einsum <calls> cauchy <terms>`.  The counts are
+and prints `<workload> einsum <calls> cauchy <terms> __mul__ <terms>
+jet_einsum <terms> _compose <terms> jet_matinv <terms>`.  The counts are
 deterministic, so two trees compare by a diff of their lines:
 
     PYTHONPATH=OLD/src python3 tools/work_counts.py 1 > old.txt
@@ -25,6 +26,7 @@ bytecode.
 import os
 import pathlib
 import sys
+from collections import Counter
 
 sys.dont_write_bytecode = True      # before bench/ and the library load
 
@@ -39,13 +41,16 @@ import workloads  # noqa: E402
 from branelab import jets  # noqa: E402
 
 
+ENTRY_POINTS = ("__mul__", "jet_einsum", "_compose", "jet_matinv")
+
+
 class _Counts:
     """numpy as jets.py sees it, with its einsum calls counted, and a
     counting stand-in for jets._cauchy."""
 
     def __init__(self):
         self.einsum_calls = 0
-        self.cauchy_terms = 0
+        self.cauchy_terms = Counter()
         self._sum = jets._cauchy
 
     def __getattr__(self, name):
@@ -56,7 +61,11 @@ class _Counts:
         return np.einsum(*args, **kwargs)
 
     def cauchy(self, pairs, prod):
-        self.cauchy_terms += len(pairs)
+        # the innermost jets.py function of the four that called it
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in ENTRY_POINTS:
+            frame = frame.f_back
+        self.cauchy_terms[frame.f_code.co_name] += len(pairs)
         return self._sum(pairs, prod)
 
 
@@ -75,8 +84,10 @@ def main(argv):
                 op.call()
         finally:
             jets.np, jets._cauchy = np, counts._sum
+        terms = counts.cauchy_terms
         print(name, "einsum", counts.einsum_calls,
-              "cauchy", counts.cauchy_terms)
+              "cauchy", sum(terms.values()),
+              *(f"{entry} {terms[entry]}" for entry in ENTRY_POINTS))
 
 
 if __name__ == "__main__":
