@@ -6,6 +6,10 @@ curvature functions.  A ``flat`` background has zero connection and
 curvature and needs neither; a curved one must supply both, as every
 catalog background does.  Nothing is extracted from the metric function.
 
+Connection and curvature are block diagonal over `BackgroundMetric.blocks`
+(a product's curved factors), and `embeddings.Geometry` contracts them
+block by block: a product per factor, no entry off the blocks built.
+
 All tensor-returning methods accept coordinates that are plain numbers,
 arrays, or jets (the geometry pipeline passes worldvolume-parameter jets),
 and return tensor jets whose leading axes are the tensor indices, stacked
@@ -16,7 +20,7 @@ broadcasts through einsum's ``...``.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,6 +77,7 @@ class BackgroundMetric:
     christoffel_fn: Optional[Callable] = None
     riemann_fn: Optional[Callable] = None
     flat: bool = False
+    _blocks: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         _check_dim(f"background {self.name}", self.dim, 1)
@@ -81,6 +86,15 @@ class BackgroundMetric:
             raise ParameterError(
                 f"curved background {self.name} needs closed-form "
                 "christoffel_fn and riemann_fn")
+
+    @property
+    def blocks(self):
+        """(offset, background) per diagonal block of connection and
+        curvature: a product's curved factors (`product_background`), else
+        this background itself; none if flat."""
+        if self.flat:
+            return ()
+        return self._blocks or ((0, self),)
 
     # -- tensor-jet interface (used by the geometry pipeline) ------------
     def metric_tensor(self, coords):
@@ -268,7 +282,7 @@ def product_background(*factors: BackgroundMetric) -> BackgroundMetric:
     a product are block diagonal: an entry vanishes unless all its indices
     lie in one factor, where it is that factor's entry.  Connection and
     curvature are assembled from the factors' closed forms; a flat factor
-    contributes zeros.
+    contributes zeros, and no `BackgroundMetric.blocks` entry.
     """
     if not factors:
         raise ParameterError("a product background needs at least one factor")
@@ -295,6 +309,8 @@ def product_background(*factors: BackgroundMetric) -> BackgroundMetric:
         christoffel_fn=closed_form("christoffel_fn", 3),
         riemann_fn=closed_form("riemann_fn", 4),
         flat=all(f.flat for f in factors),
+        _blocks=tuple((o + fo, block) for f, o in zip(factors, offsets)
+                       for fo, block in f.blocks),
     )
 
 

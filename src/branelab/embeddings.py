@@ -285,6 +285,33 @@ INVARIANTS = {
 }
 
 
+def _add_blocks(base, axis, dim, terms):
+    """Tensor jet ``base`` (None: zero) plus each (offset, term) of ``terms``
+    on rows offset.. of its tensor axis ``axis`` (of length ``dim``), as
+    ``+`` adds them, at the lowest order among them."""
+    if not terms:
+        return base
+    jl = [t for _o, t in terms] + ([] if base is None else [base])
+    lead = min(jl, key=lambda j: j.order)
+    out = []
+    for k in range(len(lead.c)):
+        x = None if base is None else base.c[k]
+        ys = [(o, t.c[k]) for o, t in terms if t.c[k] is not None]
+        if not ys:
+            out.append(x)
+            continue
+        shape = np.broadcast_shapes(
+            np.shape(x), *(y.shape[:axis] + (dim,) + y.shape[axis + 1:]
+                           for _o, y in ys))
+        s = np.zeros(shape)
+        if x is not None:
+            s[...] = x
+        for o, y in ys:
+            s[(slice(None),) * axis + (slice(o, o + y.shape[axis]),)] += y
+        out.append(s)
+    return Jet(lead.nvars, lead.order, out, lead.eps)
+
+
 # -- induced geometry -------------------------------------------------------
 
 
@@ -387,16 +414,6 @@ class Geometry:
         contracts it with a tangent or a field of that order at most."""
         return self.background.metric_tensor(
             self._x_components(self.tangents.order))
-
-    @cached_property
-    def ambient_christoffel(self):
-        """Connection G^r_{mn} along the map, one order below the tangents.
-
-        It only enters `ambient_covariant`'s connection term, which joins
-        partials of a field on the tangents' order, one order lower still.
-        """
-        return self.background.christoffel_tensor(
-            self._x_components(max(self.tangents.order - 1, 0)))
 
     @cached_property
     def tangents(self):
@@ -544,26 +561,35 @@ class Geometry:
         return jet_stack([e[a] for a in range(self.dim)]
                          + [n[i] for i in range(self.codim)])
 
-    @cached_property
-    def _christoffel_tangents(self):
-        """G^m_{rs} e_a^r with axes (m, a, s)."""
-        return jet_einsum("mrs...,ar...->mas...", self.ambient_christoffel,
-                          self.tangents)
+    def _christoffel_tangents(self, offset, block):
+        """G^m_{rs} e_a^r, axes (m, a, s), of the background block ``block``
+        at ``offset``, kept one order below the tangents (`_at_order`): the
+        order of `ambient_covariant`'s connection term."""
+        def build(order):
+            rows = slice(offset, offset + block.dim)
+            G = block.christoffel_tensor(self._x_components(order)[rows])
+            return jet_einsum("mrs...,ar...->mas...", G, self.tangents[:, rows])
+        top = max(self.tangents.order - 1, 0)
+        return self._at_order(f"_christoffel_tangents[{offset}]", top, top,
+                              build)
 
     def ambient_covariant(self, W):
         """Pulled-back covariant derivative D_a W = d_a W + G^m_{rs} e_a^r W^s.
 
         ``W`` carries the ambient index on its last tensor axis, after any
-        others: (k..., mu) -> (a, k..., mu).  On a flat background the
-        connection vanishes and D_a W is d_a W itself: the zero term is not
-        built, which can at most flip the sign of a zero.
+        others: (k..., mu) -> (a, k..., mu).  Each block of the background
+        (`BackgroundMetric.blocks`; a product per factor) adds its term into
+        its rows of d_a W, so only exact zeros are skipped.  A flat
+        background has none: D_a W is d_a W, at most a zero's sign flipped.
         """
         dW = self.partials(W)
-        if self.background.flat:
-            return dW
-        k = "bcd"[:np.ndim(W.value) - len(self.grid_shape) - 1]
-        return dW + jet_einsum(f"mas...,{k}s...->a{k}m...",
-                               self._christoffel_tangents, W.truncated(dW.order))
+        n = np.ndim(W.value) - len(self.grid_shape) - 1
+        k, W = "bcd"[:n], W.truncated(dW.order)
+        terms = [(o, jet_einsum(f"mas...,{k}s...->a{k}m...",
+                                self._christoffel_tangents(o, block),
+                                W[(slice(None),) * n + (slice(o, o + block.dim),)]))
+                 for o, block in self.background.blocks]
+        return _add_blocks(dW, n + 1, self.ambient_dim, terms)
 
     @property
     def second_fundamental(self):
@@ -638,13 +664,29 @@ class Geometry:
         equations ask for ``geom.order - model.jet_order``, `delta_extrinsic`
         for grad grad phi's, every other reader for 1; only delta K
         (`delta_grad_extrinsic`, T03-T05) differentiates it.
+
+        R is contracted per block (`BackgroundMetric.blocks`; a product per
+        factor), three frame contractions on the block's rows of F, then the
+        last over the (A, B, C, n) tensor they fill: only exact zeros are
+        skipped.  A flat background gives the constant zero.
         """
         def build(order):
-            F = self.frame(order)
-            R = self.background.riemann_tensor(self._x_components(order))
-            R = jet_einsum("abmn...,Aa...->Abmn...", R, F)
-            R = jet_einsum("Abmn...,Bb...->ABmn...", R, F)
-            R = jet_einsum("ABmn...,Cm...->ABCn...", R, F)
+            D = self.ambient_dim
+            if self.background.flat:
+                return Jet.constant(np.zeros((D,) * 4 + self.grid_shape),
+                                    self.X.nvars, order, self.X.eps)
+            F, X = self.frame(order), self._x_components(order)
+
+            def block(o, bg):
+                rows = slice(o, o + bg.dim)
+                Fb = F[:, rows]
+                R = jet_einsum("abmn...,Aa...->Abmn...",
+                               bg.riemann_tensor(X[rows]), Fb)
+                R = jet_einsum("Abmn...,Bb...->ABmn...", R, Fb)
+                return o, jet_einsum("ABmn...,Cm...->ABCn...", R, Fb)
+            # the per-block terms are dropped before the last contraction
+            R = _add_blocks(None, 3, D, [block(o, bg) for o, bg
+                                         in self.background.blocks])
             return jet_einsum("ABCn...,En...->ABCE...", R, F)
         return self._at_order("rframe", order, min(self.tangents.order, 1),
                               build)

@@ -417,11 +417,11 @@ class Jet:
             for _ in range(int(p) - 1):
                 out = out * self
             return out
-        # a real power needs a positive value, or a non-negative one if the
-        # jet carries only its value (no slope); a negative integer power a
-        # nonzero one
+        # a real power needs a positive value, or a non-negative one if no
+        # slope is present (every slope an exact zero); a negative integer
+        # power a nonzero one
         _require(f"x ** {p}", self.c[0], "nonzero" if integer else
-                 "positive" if len(self.c) > 1 or p < 0 else "non-negative")
+                 "positive" if self._sloped() or p < 0 else "non-negative")
         return self._compose("pow", self.c[0] ** p, p=p)
 
     # -- analytic functions, by degree recurrence -------------------------
@@ -451,7 +451,7 @@ class Jet:
         live = _recurrence(self.nvars, self.order, self.eps, _mask(u),
                            kind == "log")
         f = [f0]
-        if len(u) > 1 and kind in ("pow", "log"):
+        if kind in ("pow", "log") and self._sloped():   # else no f_k reads r
             r = 1.0 / u[0]
         if kind == "log":
             df = [None]  # df[j] = |j| f_j
@@ -491,9 +491,13 @@ class Jet:
         _require("reciprocal", self.c[0], "nonzero")
         return self._compose("pow", 1.0 / self.c[0], p=-1.0)
 
+    def _sloped(self):
+        """True if a slot after the value is present."""
+        return any(x is not None for x in self.c[1:])
+
     def sqrt(self):
         _require("sqrt", self.c[0],
-                 "positive" if len(self.c) > 1 else "non-negative")
+                 "positive" if self._sloped() else "non-negative")
         return self._compose("pow", sqrt(self.c[0]), p=0.5)
 
     def exp(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from branelab import jets
-from branelab.errors import ParameterError, PreconditionError
+from branelab.errors import DomainError, ParameterError, PreconditionError
 from branelab.jets import Jet, jet_det, jet_einsum, jet_matinv, jet_stack
 from conftest import dense
 
@@ -78,6 +78,22 @@ def test_hyperbolic_and_pow():
     val = math.sqrt(0.9**2 + 1)
     assert np.allclose(g.value, val)
     assert np.allclose(g.derivative((1,)), 0.9 / val)
+
+
+@pytest.mark.parametrize("root", [Jet.sqrt, lambda x: x ** 0.5,
+                                  lambda x: x ** 1.5],
+                         ids=["sqrt", "pow-0.5", "pow-1.5"])
+def test_real_powers_at_a_zero_value_read_slope_presence(root):
+    # every slope of a constant is absent, an exact zero, so the root of
+    # zero is the constant 0, found without forming 1/0
+    with np.errstate(all="raise"):
+        out = root(Jet.constant(np.zeros(3), 1, 2))
+    assert out.order == 2 and all(x is None for x in out.c[1:])
+    np.testing.assert_array_equal(out.value, np.zeros(3))
+    # a present slope at a zero value is singular, even if it holds zeros
+    for slope in (np.ones(3), np.zeros(3)):
+        with pytest.raises(DomainError, match="positive"):
+            root(Jet(1, 2, [np.zeros(3), slope, None]))
 
 
 def test_partial_lowers_order():

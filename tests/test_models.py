@@ -487,9 +487,10 @@ def test_dng_field_equations_skip_ambient_curvature(monkeypatch):
     calls = _counting(monkeypatch, BackgroundMetric, "riemann_tensor")
     mdl.eom_density(mdl.DNG(mu=1.0), small_geometry(E, 2, S2XS2_PTS))
     assert calls == []
-    # the curvature couplings still see the ambient curvature
+    # the curvature couplings still see the ambient curvature, built once
+    # per curved factor
     mdl.eom_density(mdl.QuadraticK(alpha=1.0), small_geometry(E, 4, S2XS2_PTS))
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_gradk_field_equations_differentiate_mean_curvature_once(monkeypatch):
