@@ -11,7 +11,6 @@ pass, where the coefficient products are made:
              of Jet.__mul__, jet_einsum, the degree recurrences of
              Jet._compose and jet_matinv), then the same terms split by
              the one of those four entry points that summed them
-
     peak_mib the tracemalloc peak of the counted pass, in MiB: the most
              Python-heap memory (numpy's arrays included) the pass held at
              once beyond what was allocated before it
@@ -28,13 +27,13 @@ The library is the one on PYTHONPATH; the workloads are read from this
 checkout's bench/ directory.  Like op_hashes.py, the script writes no
 bytecode.
 
-Fewer calls and terms are not by themselves less work.  Contracting a
+More calls and terms are not by themselves more work.  Contracting a
 product background per factor (`Geometry.ambient_covariant`,
 `Geometry.rframe`) splits each connection and curvature contraction into
 one per curved factor: on `curved-high-order` einsum calls rise from 4366
 to 4598 and Cauchy terms from 9004 to 9236, but on S2 x S2 each of those
 contractions is a quarter (connection) to a half (curvature) of the dense
-one, and the peak falls from 30.63 to 22.44 MiB.
+one, and the peak falls from 30.63 to 20.56 MiB.
 """
 import os
 import pathlib
