@@ -256,7 +256,7 @@ def scalar_invariant(geom: Geometry, name: str):
         return geom.sqrt_abs_det
     if name not in INVARIANTS:
         raise ParameterError(f"unknown scalar invariant '{name}'")
-    fn, tensor = INVARIANTS[name]
+    fn, tensor, _depth = INVARIANTS[name]
     return fn(geom.inverse_induced_metric, getattr(geom, tensor))
 
 
@@ -274,7 +274,7 @@ def predicted_delta_scalar(geom: Geometry, phi, name: str, lam=None):
         return np.asarray(delta_sqrt_det(geom, phi).value, float)
     if name not in INVARIANTS:
         raise ParameterError(f"no predicted variation for '{name}'")
-    fn, tensor = INVARIANTS[name]
+    fn, tensor, _depth = INVARIANTS[name]
     lam = delta_extrinsic(geom, phi) if lam is None else lam
     delta = (delta_grad_extrinsic(geom, phi, lam)
              if tensor == "grad_extrinsic" else lam)
@@ -312,11 +312,15 @@ class OracleResult:
 def validate_eps_schedule(eps_list):
     """Raise ParameterError unless eps_list holds at least three positive
     finite steps, each half the one before (to 1e-12 relative), as the
-    ratio-2 Richardson step of `finite_difference_delta` assumes."""
+    ratio-2 Richardson step of `finite_difference_delta` assumes, and the
+    checks' tolerance 10 min(eps)**2 is a finite float."""
     eps = np.asarray(eps_list, float)
     if eps.size < 3 or not np.all(np.isfinite(eps) & (eps > 0)):
         raise ParameterError(
             "the eps schedule needs at least three positive finite steps")
+    small = float(eps.min())
+    if not np.isfinite(10.0 * (small * small)):
+        raise ParameterError(f"eps {small!r} overflows its tolerance 10 eps**2")
     if np.any(np.abs(eps[1:] - 0.5 * eps[:-1]) > 1e-12 * 0.5 * eps[:-1]):
         raise ParameterError("each eps step must be half the one before")
 

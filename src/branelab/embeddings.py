@@ -276,12 +276,12 @@ def _gradk_mean(gi, gk):
     return jet_einsum("ai...,ai...->...", gm, gm_up)
 
 
-# name -> (invariant, the Geometry tensor it reads besides gamma^{ab})
+# name -> (invariant, tensor read besides gamma^{ab}, derivatives of X in it)
 INVARIANTS = {
-    "k_squared": (_k_squared, "extrinsic_curvature"),
-    "k_dot_k": (_k_dot_k, "extrinsic_curvature"),
-    "gradk_full": (_gradk_full, "grad_extrinsic"),
-    "gradk_mean": (_gradk_mean, "grad_extrinsic"),
+    "k_squared": (_k_squared, "extrinsic_curvature", 2),
+    "k_dot_k": (_k_dot_k, "extrinsic_curvature", 2),
+    "gradk_full": (_gradk_full, "grad_extrinsic", 3),
+    "gradk_mean": (_gradk_mean, "grad_extrinsic", 3),
 }
 
 

@@ -45,10 +45,10 @@ without eps variables, so every carried coefficient is bit-identical to
 the one of a jet that counts the eps variables as ordinary ones to the
 same total degree.  ``+``, ``-``, `Jet.partial`, `Jet.map_coeffs` and
 `jet_stack` pass absence through.
-Every analytic function (exp, sin, cos, sinh, cosh, log, sqrt,
-the reciprocal and real powers) is one degree recurrence in `Jet._compose`,
-about one product's work; a lower order is a bit-identical prefix.  Inputs
-outside a function's domain raise `DomainError`.
+The analytic functions (sin, cos, sinh, cosh, sqrt and the reciprocal) are
+those the geometry computes with; a power is a product.  Each is one degree
+recurrence in `Jet._compose`, about one product's work; a lower order is a
+bit-identical prefix.  Inputs outside its domain raise `DomainError`.
 """
 from __future__ import annotations
 
@@ -66,8 +66,6 @@ __all__ = [
     "sin",
     "cos",
     "sqrt",
-    "exp",
-    "log",
     "sinh",
     "cosh",
     "jet_einsum",
@@ -150,18 +148,15 @@ def _live(nvars, order, eps, a, b):
 
 
 @lru_cache(maxsize=None)
-def _recurrence(nvars, order, eps, u, log=False):
+def _recurrence(nvars, order, eps, u):
     """The live pairs (i, j), i != 0, of each slot k >= 1 of a degree
     recurrence f_k = sum u_i f_j (`Jet._compose`, `jet_matinv`) for the
     presence mask ``u``; slot 0 gets ().  f_0 is present and f_k is present
-    iff a pair of slot k is live; for ``log`` the factor is |j| f_j, absent
-    at j = 0, and f_k is also present with u_k."""
-    pairs = _tables(nvars, order, eps)[3]
-    f, out = [not log], [()]
-    for k in range(1, len(u)):
-        live = tuple(ij for ij in pairs[k][1:] if u[ij[0]] and f[ij[1]])
-        out.append(live)
-        f.append(bool(live) or (log and u[k]))
+    iff a pair of slot k is live."""
+    pairs, out = _tables(nvars, order, eps)[3], [()]
+    for k in range(1, len(u)):      # f_j is present iff j = 0 or out[j]
+        out.append(tuple(ij for ij in pairs[k][1:]
+                         if u[ij[0]] and (ij[1] == 0 or out[ij[1]])))
     return tuple(out)
 
 
@@ -231,6 +226,10 @@ class Jet:
         """The constant ``value``: every slot but the value absent."""
         if _is_jet(value):
             raise PreconditionError("a jet's coefficients cannot be jets")
+        # checked here, as `_tables`' cache reads 2.0 as 2 and True as 1
+        if not all(map(_is_index, (nvars, order, eps))):
+            raise ParameterError(
+                f"a jet's sizes must be integers, not {(nvars, order, eps)}")
         n = _tables(nvars, order, eps)[2][order]
         return Jet(nvars, order, [value] + [None] * (n - 1), eps)
 
@@ -238,14 +237,15 @@ class Jet:
     def variable(i, value, nvars, order):
         """Variable ``i`` of ``nvars`` at ``value``: the value and its one
         first-degree slot present.  ``i`` must name one of the variables."""
+        j = Jet.constant(value, nvars, order)
         if not (_is_index(i) and 0 <= i < nvars):
             raise ParameterError(
                 f"variable index {i!r} is not one of 0..{nvars - 1}")
-        j = Jet.constant(value, nvars, order)
         if order >= 1:
             seed = tuple(1 if k == i else 0 for k in range(nvars))
             pos = _tables(nvars, order)[1][seed]
-            j.c[pos] = _one_like(value)
+            j.c[pos] = (np.ones_like(value, dtype=float)
+                        if isinstance(value, np.ndarray) else 1.0)
         return j
 
     # -- basic queries -------------------------------------------------
@@ -269,10 +269,8 @@ class Jet:
 
     def derivative(self, alpha):
         """Partial derivative d^alpha f for multi-index alpha."""
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        return self.coefficient(alpha) * fact
+        return self.coefficient(alpha) * float(
+            math.prod(math.factorial(a) for a in alpha))
 
     def truncated(self, order):
         if not (_is_index(order) and 0 <= order <= self.order):
@@ -301,6 +299,9 @@ class Jet:
         This jet must have no eps variables, and a slope must be a jet in
         its variables, without eps variables, of order at least ``order``.
         """
+        if not _is_index(nvars):
+            raise ParameterError(
+                f"a jet's sizes must be integers, not {nvars!r}")
         new = nvars - self.nvars
         if self.eps or new < len(slopes):
             raise PreconditionError(
@@ -402,28 +403,6 @@ class Jet:
     def __rtruediv__(self, other):
         return self._reciprocal() * other
 
-    def __pow__(self, p):
-        if not (isinstance(p, (int, float, np.integer, np.floating))
-                and math.isfinite(p)):
-            raise ParameterError(
-                f"a jet's power must be a finite real number, not {p!r}")
-        integer = float(p).is_integer()
-        if integer and p >= 0:
-            # repeated products, which hold at a zero value too
-            if p == 0:
-                return Jet.constant(_one_like(self.c[0]), self.nvars,
-                                    self.order, self.eps)
-            out = self
-            for _ in range(int(p) - 1):
-                out = out * self
-            return out
-        # a real power needs a positive value, or a non-negative one if no
-        # slope is present (every slope an exact zero); a negative integer
-        # power a nonzero one
-        _require(f"x ** {p}", self.c[0], "nonzero" if integer else
-                 "positive" if self._sloped() or p < 0 else "non-negative")
-        return self._compose("pow", self.c[0] ** p, p=p)
-
     # -- analytic functions, by degree recurrence -------------------------
     def _compose(self, kind, f0, g0=None, p=None):
         """f(self) for an analytic f, given f0 = f(value), in one pass.
@@ -433,9 +412,8 @@ class Jet:
         over the pairs (i, j) -> k of `_tables` with i != 0 (whose j all
         come before k), this gives each f_k from earlier slots only:
 
-          exp:  f_k = sum |i| u_i f_j / |k|
-          pow:  f_k = sum (p|i| - |j|) u_i f_j / (|k| u_0)   (f = u**p)
-          log:  f_k = (u_k - sum |j| u_i f_j / |k|) / u_0
+          pow:  f_k = sum (p|i| - |j|) u_i f_j / (|k| u_0)   (f = u**p;
+                `sqrt` takes p = 1/2 and `_reciprocal` p = -1)
           sin, cos, sinh, cosh:  the pair s' = c, c' = -s (c' = s for the
                 hyperbolic pair) in one pass, s_k = sum |i| u_i c_j / |k|
                 and c_k = -+sum |i| u_i s_j / |k|; f0 = s(value), g0 =
@@ -448,34 +426,16 @@ class Jet:
         """
         u = self.c
         deg = _tables(self.nvars, self.order, self.eps)[5]
-        live = _recurrence(self.nvars, self.order, self.eps, _mask(u),
-                           kind == "log")
+        live = _recurrence(self.nvars, self.order, self.eps, _mask(u))
         f = [f0]
-        if kind in ("pow", "log") and self._sloped():   # else no f_k reads r
-            r = 1.0 / u[0]
-        if kind == "log":
-            df = [None]  # df[j] = |j| f_j
-            prod = lambda i, j: u[i] * df[j]  # noqa: E731
-            for k in range(1, len(u)):
-                s = _cauchy(live[k], prod) / deg[k] if live[k] else None
-                fk = (u[k] if s is None else -s if u[k] is None
-                      else u[k] - s)
-                f.append(None if fk is None else fk * r)
-                df.append(None if fk is None else deg[k] * f[k])
-            return Jet(self.nvars, self.order, f, self.eps)
         if kind == "pow":
+            r = 1.0 / u[0] if self._sloped() else None   # else no f_k reads r
             prod = lambda i, j: (p * deg[i] - deg[j]) * u[i] * f[j]  # noqa: E731
-            for k in range(1, len(u)):
-                f.append(_cauchy(live[k], prod) * r / deg[k] if live[k]
-                         else None)
+            for k, pairs in enumerate(live[1:], 1):
+                f.append(_cauchy(pairs, prod) * r / deg[k] if pairs else None)
             return Jet(self.nvars, self.order, f, self.eps)
         du = [None] + [None if x is None else d * x
                        for d, x in zip(deg[1:], u[1:])]
-        if kind == "exp":
-            prod = lambda i, j: du[i] * f[j]  # noqa: E731
-            for k in range(1, len(u)):
-                f.append(_cauchy(live[k], prod) / deg[k] if live[k] else None)
-            return Jet(self.nvars, self.order, f, self.eps)
         g = [g0]
         sign = -1.0 if kind in ("sin", "cos") else 1.0
         f_prod = lambda i, j: du[i] * g[j]  # noqa: E731
@@ -499,13 +459,6 @@ class Jet:
         _require("sqrt", self.c[0],
                  "positive" if self._sloped() else "non-negative")
         return self._compose("pow", sqrt(self.c[0]), p=0.5)
-
-    def exp(self):
-        return self._compose("exp", exp(self.c[0]))
-
-    def log(self):
-        _require("log", self.c[0], "positive")
-        return self._compose("log", log(self.c[0]))
 
     def sin(self):
         return self._compose("sin", sin(self.c[0]), cos(self.c[0]))
@@ -545,12 +498,6 @@ def _zero_like(v):
     return 0.0
 
 
-def _one_like(v):
-    if isinstance(v, np.ndarray):
-        return np.ones_like(v, dtype=float)
-    return 1.0
-
-
 # -- module-level functional forms (safe on floats, arrays and jets) ----
 
 def variables(values, order):
@@ -569,14 +516,6 @@ def cos(x):
 
 def sqrt(x):
     return x.sqrt() if _is_jet(x) else np.sqrt(x)
-
-
-def exp(x):
-    return x.exp() if _is_jet(x) else np.exp(x)
-
-
-def log(x):
-    return x.log() if _is_jet(x) else np.log(x)
 
 
 def sinh(x):

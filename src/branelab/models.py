@@ -56,7 +56,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import deformation as dfm
-from .embeddings import Embedding, Geometry, Grid, _finite, integrate
+from .embeddings import (INVARIANTS, Embedding, Geometry, Grid, _finite,
+                         integrate)
 from .errors import (
     ParameterError,
     PreconditionError,
@@ -122,8 +123,6 @@ class LagrangianModel:
     name = "model"
     density = ()
     positive = False    # the coupling must be > 0, not only nonzero
-    jet_order = 4       # jet order needed by the field equations
-    action_order = 2    # jet order needed by plain action quadrature
 
     def __post_init__(self):
         (field,) = fields(self)
@@ -135,6 +134,17 @@ class LagrangianModel:
     @property
     def coupling(self) -> float:
         return getattr(self, fields(self)[0].name)
+
+    @property
+    def action_order(self) -> int:
+        """Jet order of plain action quadrature: max(2, d), d the depth of
+        the deepest tensor the density's invariants read (`INVARIANTS`)."""
+        return max([2] + [INVARIANTS[n][2] for n, _sign in self.density])
+
+    @property
+    def jet_order(self) -> int:
+        """Jet order of the field equations, max(2, 2d)."""
+        return max([2] + [2 * INVARIANTS[n][2] for n, _sign in self.density])
 
     def check_geometry(self, geom: Geometry) -> None:
         pass
@@ -177,7 +187,6 @@ class DNG(LagrangianModel):
     mu: float = 1.0
     name = "dng"
     positive = True
-    jet_order = 2  # the field equations stop at the mean curvature
 
     def lagrangian(self, geom):
         return -self.mu
@@ -226,8 +235,6 @@ class SyntheticGradK(LagrangianModel):
     beta: float = 1.0
     name = "synthetic-gradk"
     density = (("gradk_mean", 1.0),)
-    jet_order = 6
-    action_order = 3
 
 
 # -- assembly ----------------------------------------------------------------

@@ -136,6 +136,12 @@ def test_non_halving_eps_schedule_rejected(capsys):
     assert "half" in capsys.readouterr().err
 
 
+def test_eps_schedule_whose_tolerance_overflows_rejected(capsys):
+    assert cli.main(["--scenario", "deformation-oracle",
+                     "--eps", "1e300,5e299,2.5e299"]) == 2
+    assert "overflows its tolerance 10 eps**2" in capsys.readouterr().err
+
+
 EXACT_SCENARIOS = [name for name in SCENARIO_NAMES
                    if name not in ("deformation-oracle", "action-variation")]
 

@@ -2,6 +2,7 @@
 either resolves to a `Run` that uses only inputs its scenario reads,
 or raises `ConfigError` (exit 2), never another exception."""
 import argparse
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,11 @@ VALUE = st.one_of(
     st.text(alphabet="0123456789.,-+e xn", max_size=10),
     JUNK,
 )
+
+# halving schedules a, a/2, a/4 with a across the float range: the largest
+# make the checks' tolerance 10 min(eps)**2 overflow, the smallest underflow
+HALVING = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(
+    lambda a: f"{a!r},{a / 2!r},{a / 4!r}")
 
 
 def one_in(n):
@@ -72,7 +78,7 @@ def config_text(draw):
 ARGS = st.fixed_dictionaries({
     "scenario": st.one_of(st.none(), named(cli.SCENARIOS), named(cli.SCENARIOS)),
     "grid": st.one_of(st.none(), VALUE),
-    "eps": st.one_of(st.none(), VALUE),
+    "eps": st.one_of(st.none(), VALUE, HALVING),
     "tol": st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
     "skip_config": one_in(4),
 })
@@ -92,6 +98,7 @@ def test_config_resolves_or_is_a_usage_error(tmp_path, text, argv):
         return
     assert run.scenario in cli.SCENARIOS
     assert run.embedding_id in cli.EMBEDDINGS
+    assert math.isfinite(10.0 * min(run.eps) ** 2)   # the checks' tolerance
     # every input that resolved is one the scenario's record reads
     sc = cli.SCENARIOS[run.scenario]
     raw = {} if skip_config else cli.load_config(path)
@@ -100,6 +107,20 @@ def test_config_resolves_or_is_a_usage_error(tmp_path, text, argv):
     assert (run.model_id is None) == (sc.model is None) == (run.model is None)
     model_reads = cli.MODELS[run.model_id][1] if run.model_id else ()
     assert set(raw.get("couplings", {})) <= set(sc.couplings) | set(model_reads)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(name=st.sampled_from([name for name, sc in cli.SCENARIOS.items()
+                             if "eps" in sc.reads]), eps=HALVING)
+def test_halving_eps_schedules_resolve_or_are_a_usage_error(name, eps):
+    # the rest of the run is valid, so only the schedule decides
+    args = argparse.Namespace(config=None, scenario=name, grid=None, eps=eps,
+                              tol=None)
+    try:
+        run = cli.resolve_config(args)
+    except cli.ConfigError:
+        return
+    assert math.isfinite(10.0 * min(run.eps) ** 2)   # the checks' tolerance
 
 
 COUPLED = [name for name, sc in cli.SCENARIOS.items()

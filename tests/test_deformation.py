@@ -294,6 +294,21 @@ def test_eps_schedule_validated(eps):
         dfm.finite_difference_delta(g, V, lambda g2: g2.X.value, eps)
 
 
+def test_eps_schedule_whose_tolerance_overflows_is_rejected(monkeypatch):
+    # the checks' tolerance 10 min(eps)**2 must be a finite float; the
+    # schedule is refused before any re-embedding
+    dfm.validate_eps_schedule((1e154, 5e153, 2.5e153))
+    calls = []
+    monkeypatch.setattr(dfm, "deformed_geometry",
+                        lambda *a: calls.append(a))
+    g = emb.graph_surface_e4().geometry([0.25, -0.35], order=3)
+    V = jets.Jet.constant(np.ones(4), 2, 3)
+    for eps in ((1e300, 5e299, 2.5e299), (1e155, 5e154, 2.5e154)):
+        with pytest.raises(ParameterError, match="overflows its tolerance"):
+            dfm.finite_difference_delta(g, V, lambda g2: g2.X.value, eps)
+    assert calls == []
+
+
 def test_longer_eps_schedule_uses_last_three_steps():
     g = emb.graph_surface_e4().geometry([0.25, -0.35], order=3)
     phi = dfm.normal_field(g, lambda u, v: 0.3 + 0.2 * u,

@@ -25,7 +25,7 @@ def test_variable_seeding():
 def test_polynomial_partials():
     # f(x, y) = x^2 y + 3 y^3 at (2, -1)
     x, y = jets.variables([2.0, -1.0], order=3)
-    f = x * x * y + 3.0 * y**3
+    f = x * x * y + 3.0 * y * y * y
     assert np.allclose(f.value, -7.0)
     assert np.allclose(f.derivative((1, 0)), 2 * 2 * -1)       # 2xy
     assert np.allclose(f.derivative((0, 1)), 4 + 9)            # x^2 + 9y^2
@@ -36,14 +36,14 @@ def test_polynomial_partials():
 
 
 def test_transcendental_chain():
-    # f(x) = sin(exp(x) + x^2), check against manual derivatives at x=0.3
+    # f(x) = sin(cosh(x) + x^2), check against manual derivatives at x=0.3
     x0 = 0.3
     (x,) = jets.variables([x0], order=4)
-    f = jets.sin(jets.exp(x) + x * x)
-    u = math.exp(x0) + x0 * x0
-    du = math.exp(x0) + 2 * x0
-    d2u = math.exp(x0) + 2.0
-    d3u = math.exp(x0)
+    f = jets.sin(jets.cosh(x) + x * x)
+    u = math.cosh(x0) + x0 * x0
+    du = math.sinh(x0) + 2 * x0
+    d2u = math.cosh(x0) + 2.0
+    d3u = math.sinh(x0)
     assert np.allclose(f.value, math.sin(u))
     assert np.allclose(f.derivative((1,)), math.cos(u) * du)
     assert np.allclose(f.derivative((2,)), -math.sin(u) * du**2 + math.cos(u) * d2u)
@@ -51,13 +51,13 @@ def test_transcendental_chain():
     assert np.allclose(f.derivative((3,)), d3)
 
 
-def test_division_log_sqrt():
+def test_division_and_sqrt():
     x0, y0 = 1.7, 0.4
     x, y = jets.variables([x0, y0], order=3)
-    f = jets.log(x) / jets.sqrt(x + y * y)
+    f = jets.sin(x) / jets.sqrt(x + y * y)
     # cross-check value and one mixed partial by finite differences
     def fval(a, b):
-        return math.log(a) / math.sqrt(a + b * b)
+        return math.sin(a) / math.sqrt(a + b * b)
 
     h = 1e-5
     fd_xy = (
@@ -70,18 +70,18 @@ def test_division_log_sqrt():
 
 def test_hyperbolic_and_pow():
     (x,) = jets.variables([0.9], order=3)
-    f = jets.cosh(x) ** 2 - jets.sinh(x) ** 2
+    f = jets.cosh(x) * jets.cosh(x) - jets.sinh(x) * jets.sinh(x)
     assert np.allclose(f.value, 1.0)
     assert np.allclose(f.derivative((1,)), 0.0, atol=1e-13)
     assert np.allclose(f.derivative((2,)), 0.0, atol=1e-13)
-    g = (x * x + 1.0) ** 0.5
+    g = jets.sqrt(x * x + 1.0)
     val = math.sqrt(0.9**2 + 1)
     assert np.allclose(g.value, val)
     assert np.allclose(g.derivative((1,)), 0.9 / val)
 
 
-@pytest.mark.parametrize("root", [Jet.sqrt, lambda x: x ** 0.5,
-                                  lambda x: x ** 1.5],
+@pytest.mark.parametrize("root", [Jet.sqrt, jets.sqrt,
+                                  lambda x: x * jets.sqrt(x)],
                          ids=["sqrt", "pow-0.5", "pow-1.5"])
 def test_real_powers_at_a_zero_value_read_slope_presence(root):
     # every slope of a constant is absent, an exact zero, so the root of
@@ -98,7 +98,7 @@ def test_real_powers_at_a_zero_value_read_slope_presence(root):
 
 def test_partial_lowers_order():
     x, y = jets.variables([0.5, 1.5], order=4)
-    f = x**3 * y**2
+    f = x * x * x * y * y
     fx = f.partial(0)
     assert fx.order == 3
     assert np.allclose(fx.value, 3 * 0.25 * 2.25)
@@ -109,9 +109,9 @@ def test_array_coefficients_vectorize():
     # same jet program over a grid of points at once
     grid = np.linspace(0.1, 1.4, 7)
     x = Jet.variable(0, grid, nvars=1, order=3)
-    f = jets.sin(x) * jets.exp(x)
+    f = jets.sin(x) * jets.cosh(x)
     d2 = f.derivative((2,))
-    expected = 2 * np.cos(grid) * np.exp(grid)  # (sin e^x)'' = 2 cos e^x
+    expected = 2 * np.cos(grid) * np.sinh(grid)  # (sin cosh)'' = 2 cos sinh
     np.testing.assert_allclose(d2, expected, rtol=1e-12)
 
 
@@ -261,25 +261,6 @@ def test_det_rejects_a_matrix_above_3x3():
         jet_det(Jet.constant(np.eye(4), nvars=1, order=2))
 
 
-@pytest.mark.parametrize("make", [
-    pytest.param(lambda: Jet(1, 3, [0.7, 1.0, 0.0, 0.0]), id="scalar"),
-    pytest.param(lambda: _random_jet(2, 3, (5,), 7), id="array"),
-    pytest.param(lambda: _random_jet(2, 3, (5,), 7).lift(4), id="eps-capped"),
-])
-def test_zeroth_power_is_the_constant_one(make):
-    x = make()
-    for p in (0, 0.0):
-        one = x ** p
-        assert (one.nvars, one.order, one.eps) == (x.nvars, x.order, x.eps)
-        assert len(one.c) == len(x.c)
-        np.testing.assert_array_equal(one.value, np.ones_like(x.value))
-        assert np.shape(one.value) == np.shape(x.value)
-        assert one.c[1:] == [None] * (len(x.c) - 1)
-        for c in dense(one)[1:]:
-            assert np.shape(c) == np.shape(x.value)
-            np.testing.assert_array_equal(c, np.zeros_like(x.value))
-
-
 def eval_map(fn, values, order):
     """Evaluate a python map on jet variables; stack its outputs on the
     leading axis."""
@@ -315,7 +296,7 @@ def test_einsum_rejects_jets_of_jets():
 
 def test_truncate_is_prefix():
     x, y = jets.variables([1.1, 0.4], order=4)
-    f = jets.exp(x * y)
+    f = jets.cosh(x * y)
     g = f.truncated(2)
     assert g.order == 2
     assert np.allclose(g.derivative((1, 1)), f.derivative((1, 1)))
@@ -326,11 +307,11 @@ def test_random_identity_properties():
     for _ in range(25):
         v = rng.uniform(0.2, 1.5, size=2)
         x, y = jets.variables(list(v), order=3)
-        lhs = jets.log(x * y)
-        rhs = jets.log(x) + jets.log(y)
+        lhs = jets.sqrt(x * y)
+        rhs = jets.sqrt(x) * jets.sqrt(y)
         for a, b in zip(dense(lhs), dense(rhs)):
             np.testing.assert_allclose(a, b, atol=1e-12)
-        s2 = jets.sin(x) ** 2 + jets.cos(x) ** 2
+        s2 = jets.sin(x) * jets.sin(x) + jets.cos(x) * jets.cos(x)
         np.testing.assert_allclose(s2.value, 1.0, atol=1e-13)
         for coeff in dense(s2)[1:]:
             np.testing.assert_allclose(coeff, 0.0, atol=1e-12)
@@ -462,13 +443,13 @@ def test_lift_commutes_with_products_bit_for_bit(nvars, order, extra):
     for got, want in ((a.lift(n) * b.lift(n), (a * b).lift(n)),
                       (jet_einsum("ij,ij->i", a.lift(n), b.lift(n)),
                        jet_einsum("ij,ij->i", a, b).lift(n)),
-                      (a.lift(n).exp(), a.exp().lift(n))):
+                      (a.lift(n).sin(), a.sin().lift(n))):
         assert (got.nvars, got.order) == (want.nvars, want.order)
         for x, y in zip(got.c, want.c):
             np.testing.assert_array_equal(x, y)
 
 
-# -- the boundary: bad indices, powers and orders -----------------------------
+# -- the boundary: bad indices, sizes and orders ------------------------------
 
 @pytest.mark.parametrize("i", [2, 3, -1, 1.0, True, "0"])
 def test_variable_index_must_name_a_variable(i):
@@ -476,12 +457,23 @@ def test_variable_index_must_name_a_variable(i):
         Jet.variable(i, 1.0, 2, 2)
 
 
-@pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf"),
-                               "a", "2", None, 1j, np.array([1.0, 2.0])])
-def test_power_must_be_a_finite_real_number(p):
-    (x,) = jets.variables([0.7], order=2)
-    with pytest.raises(ParameterError, match="finite real number"):
-        x ** p
+@pytest.mark.parametrize("make", [
+    lambda: Jet.constant(1.0, 1, 2.0),
+    lambda: Jet.constant(1.0, True, 2),
+    lambda: Jet.constant(1.0, 2, 1, 1.0),
+    lambda: Jet.variable(0, 1.0, 2, 1.5),
+    lambda: Jet.variable(0, 1.0, "2", 1),
+    lambda: jets.variables([0.1], 2.0),
+    lambda: jets.variables([0.1], True),
+    lambda: jets.variables([0.1], 2)[0].lift(2.0),
+    lambda: jets.variables([0.1], 2)[0].lift(True)],
+    ids=["order-float", "nvars-bool", "eps-float", "variable-order-float",
+         "variable-nvars-str", "variables-order-float",
+         "variables-order-bool", "lift-float", "lift-bool"])
+def test_jet_sizes_must_be_integers(make):
+    # checked before the cached tables, which read 2.0 as 2 and True as 1
+    with pytest.raises(ParameterError, match="sizes must be integers"):
+        make()
 
 
 @pytest.mark.parametrize("order", [1.5, 1.0, True, "1", None])

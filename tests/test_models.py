@@ -58,7 +58,7 @@ def declared_density(model, ginv, k, gradk):
     reads = {"extrinsic_curvature": k, "grad_extrinsic": gradk}
     total = 0.0
     for name, sign in model.density:
-        invariant, tensor = emb.INVARIANTS[name]
+        invariant, tensor, _depth = emb.INVARIANTS[name]
         total = total + sign * invariant(
             jets.Jet.constant(ginv, 1, 0),
             jets.Jet.constant(reads[tensor], 1, 0)).value
@@ -451,6 +451,16 @@ def test_couplings_are_checked_at_construction(model, bad):
 def test_non_finite_couplings_are_rejected(make, bad):
     with pytest.raises(ParameterError):
         make(bad)
+
+
+@pytest.mark.parametrize("model, orders", zip(ALL_MODELS, [
+    (2, 2), (4, 2), (4, 2), (6, 3)]), ids=[m.name for m in ALL_MODELS])
+def test_model_orders_follow_from_the_density(model, orders):
+    # d = 0 (no term), 2 (K), 2 (K) and 3 (grad K): jet_order max(2, 2d)
+    # and action_order max(2, d), which a model cannot be given
+    assert (model.jet_order, model.action_order) == orders
+    with pytest.raises(AttributeError):
+        model.jet_order = 8
 
 
 def test_order_guard():
