@@ -19,7 +19,7 @@ def describe(E, n=48):
     scal = np.asarray(geom.intrinsic_scalar_curvature.value, float)
     gauss = np.asarray(geom.gauss_scalar_residual().value, float)
     area = float(emb.integrate(
-        np.asarray(geom.sqrt_abs_det.value, float), grid))
+        np.asarray(geom.sqrt_abs_det(0).value, float), grid))
     print(f"{E.name}")
     print(f"  |K|  min/max          {kmag.min():.6f} / {kmag.max():.6f}")
     print(f"  intrinsic R min/max   {scal.min():.6f} / {scal.max():.6f}")

@@ -22,7 +22,7 @@ geom = S.geometry(grid.mesh, 3)
 rho, _frame = sgb.rotation_connection(geom)
 lhs = np.asarray((rho[1].partial(0) - rho[0].partial(1)).value, float)
 rhs = 0.5 * np.asarray(
-    (geom.sqrt_abs_det * geom.intrinsic_scalar_curvature).value, float)
+    (geom.sqrt_abs_det(0) * geom.intrinsic_scalar_curvature).value, float)
 print(f"  max |curl rho - sqrt(g) R/2| = {np.max(np.abs(lhs - rhs)):.2e}")
 print(f"  quadrature of curl rho       = {emb.integrate(lhs, grid):.8f}")
 print(f"  2 pi chi for the sphere      = {2 * np.pi * 2:.8f}")

@@ -261,7 +261,7 @@ def run_deformation_oracle(run):
             return out
         return fn
 
-    tol = max(1e-6, 10.0 * min(run.eps) ** 2) if run.tol is None else run.tol
+    tol = dfm.eps_tolerance(run.eps, 1e-6) if run.tol is None else run.tol
     # one order-4 geometry serves all three invariants (a lower jet order
     # is a bit-identical prefix): its varied geometries are order 3, grad
     # K's value needs exactly that, and one sweep differences them

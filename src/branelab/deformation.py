@@ -70,6 +70,7 @@ __all__ = [
     "scalar_invariant",
     "predicted_delta_scalar",
     "OracleResult",
+    "eps_tolerance",
     "validate_eps_schedule",
     "finite_difference_delta",
 ]
@@ -192,12 +193,13 @@ def delta_induced_metric(geom: Geometry, phi):
 
 
 def delta_inverse_metric(geom: Geometry, phi):
-    return -2.0 * jet_einsum("abi...,i...->ab...", geom.k_raised, phi)
+    return -2.0 * jet_einsum("abi...,i...->ab...", geom.k_raised(phi.order),
+                             phi)
 
 
 def delta_sqrt_det(geom: Geometry, phi):
     kphi = jet_einsum("i...,i...->...", geom.mean_curvature, phi)
-    return geom.sqrt_abs_det * kphi
+    return geom.sqrt_abs_det(kphi.order) * kphi
 
 
 def delta_extrinsic(geom: Geometry, phi, gphi=None):
@@ -213,11 +215,13 @@ def delta_extrinsic(geom: Geometry, phi, gphi=None):
 def delta_twist(geom: Geometry, phi):
     """First variation of the twist connection w_a^{ij}."""
     gphi = geom.covariant_grad(phi, 0, 1)           # (d, i)
-    k_up = jet_rearrange("abi...->bai...", geom.k_mixed)  # K_a^{b i} -> (a, b, i)
+    # K_a^{b i} -> (a, b, i)
+    k_up = jet_rearrange("abi...->bai...", geom.k_mixed(gphi.order))
     kg = jet_einsum("adi...,dj...->aij...", k_up, gphi)
     k_term = kg - jet_rearrange("aij...->aji...", kg)
-    # rpair(n_k, e_a; n^j, n^i) = rframe[e_a, n_k, n_j, n_i]
-    r_term = jet_einsum("akji...,k...->aij...", geom.rblock("tnnn"), phi)
+    # rpair(n_k, e_a; n^j, n^i) = R(e_a, n_k, n_j, n_i)
+    r_term = jet_einsum("akji...,k...->aij...",
+                        geom.rblock("tnnn", k_term.order), phi)
     return S_DOMEGA_K * k_term + S_DOMEGA_R * r_term
 
 
@@ -249,11 +253,12 @@ def delta_grad_extrinsic(geom: Geometry, phi, lam=None):
 
 
 def scalar_invariant(geom: Geometry, name: str):
-    """Pointwise scalar invariants used by the oracle tests."""
+    """Pointwise scalar invariants used by the oracles; det(gamma) and
+    sqrt|gamma| at order 0, whose value and eps slots their readers take."""
     if name == "det_metric":
-        return geom.det_induced_metric
+        return geom.det_induced_metric(0)
     if name == "sqrt_det":
-        return geom.sqrt_abs_det
+        return geom.sqrt_abs_det(0)
     if name not in INVARIANTS:
         raise ParameterError(f"unknown scalar invariant '{name}'")
     fn, tensor, _depth = INVARIANTS[name]
@@ -269,9 +274,10 @@ def predicted_delta_scalar(geom: Geometry, phi, name: str, lam=None):
     """
     if name == "det_metric":
         kphi = jet_einsum("i...,i...->...", geom.mean_curvature, phi)
-        return np.asarray((2.0 * geom.det_induced_metric * kphi).value, float)
+        return np.asarray((2.0 * geom.det_induced_metric(0) * kphi).value,
+                          float)
     if name == "sqrt_det":
-        return np.asarray(delta_sqrt_det(geom, phi).value, float)
+        return np.asarray(delta_sqrt_det(geom, phi.truncated(0)).value, float)
     if name not in INVARIANTS:
         raise ParameterError(f"no predicted variation for '{name}'")
     fn, tensor, _depth = INVARIANTS[name]
@@ -279,7 +285,7 @@ def predicted_delta_scalar(geom: Geometry, phi, name: str, lam=None):
     delta = (delta_grad_extrinsic(geom, phi, lam)
              if tensor == "grad_extrinsic" else lam)
     gi = Jet(1, 1, [geom.inverse_induced_metric.value,
-                    delta_inverse_metric(geom, phi).value])
+                    delta_inverse_metric(geom, phi.truncated(0)).value])
     dual = Jet(1, 1, [getattr(geom, tensor).value, delta.value])
     return np.asarray(fn(gi, dual).coefficient((1,)), float)
 
@@ -309,17 +315,28 @@ class OracleResult:
         return ratio
 
 
+def eps_tolerance(eps_list, floor):
+    """The checks' tolerance on a difference against the oracle at the
+    schedule ``eps_list``: max(``floor``, 10 min(eps)**2), since the
+    Richardson estimate's error falls as eps**2."""
+    return max(floor, 10.0 * min(eps_list) ** 2)
+
+
 def validate_eps_schedule(eps_list):
     """Raise ParameterError unless eps_list holds at least three positive
     finite steps, each half the one before (to 1e-12 relative), as the
     ratio-2 Richardson step of `finite_difference_delta` assumes, and the
-    checks' tolerance 10 min(eps)**2 is a finite float."""
+    checks' tolerance (`eps_tolerance`) is a finite float."""
     eps = np.asarray(eps_list, float)
     if eps.size < 3 or not np.all(np.isfinite(eps) & (eps > 0)):
         raise ParameterError(
             "the eps schedule needs at least three positive finite steps")
     small = float(eps.min())
-    if not np.isfinite(10.0 * (small * small)):
+    try:
+        finite = np.isfinite(eps_tolerance([small], 0.0))
+    except OverflowError:       # a float's ** raises where * gives inf
+        finite = False
+    if not finite:
         raise ParameterError(f"eps {small!r} overflows its tolerance 10 eps**2")
     if np.any(np.abs(eps[1:] - 0.5 * eps[:-1]) > 1e-12 * 0.5 * eps[:-1]):
         raise ParameterError("each eps step must be half the one before")

@@ -320,26 +320,31 @@ class Geometry:
 
     Tensor index layout (leading axes before the grid axes):
       tangents[a, mu], normals[i, mu], induced_metric[a, b],
-      extrinsic_curvature[a, b, i], twist(order)[a, i, j],
-      grad_extrinsic[a, b, c, i] (worldvolume-covariant derivative),
-      frame(order)[A, mu] and rframe(order)[A, B, C, D] (all-lower
-      ambient curvature projected on the combined frame: indices
-      0..dim-1 are tangents, dim.. are normals; read it by named blocks
-      with ``rblock``), jacobi(order)[b, c, i, j].
+      extrinsic_curvature[a, b, i], k_mixed(order)[a, b, i] (K^a_b^i),
+      k_raised(order)[a, b, i] (K^{ab}_i), wv_christoffel(order)[c, a, b],
+      twist(order)[a, i, j], grad_extrinsic[a, b, c, i]
+      (worldvolume-covariant derivative), rblock(legs, order) (all-lower
+      ambient curvature projected on the tangents 't' and normals 'n',
+      one axis per leg: rblock("nttn", m)[i, a, b, j]),
+      jacobi(order)[b, c, i, j].
 
     Sums and contractions align jets to the lower order, so each term is
     built at the order of the sum it joins: a derivative's connection term
     at the order of the partials (one below the field), the ambient
     metric at the tangents' order (one below the map) and its connection
     two below the map, the intrinsic curvature's products at the order of
-    the metric's second partials (three below the map).  The normal
-    frame, its lowering, the twist and ``rframe`` are built at the order
-    their caller asks for (`_at_order`): K reads the frame and its
-    lowering two below the map, ``twist(order)`` is built from the frame
-    at order + 1, and ``rframe`` reads it at order 1 or lower.  So each
-    cached tensor sits a fixed number of orders below the map (or at 0),
-    and in truncated Taylor arithmetic the same worldvolume at a lower
-    order is a prefix of this one, bit for bit (`truncated`).
+    the metric's second partials (three below the map).  The tensors read
+    through a method with an ``order`` are built at the order their
+    caller asks for (`_at_order`), capped at the order the map leaves
+    them: the normal frame and its lowering (K reads them two below the
+    map, ``twist(order)`` the frame at order + 1), det(gamma) and
+    sqrt|gamma| (order 0 for a reader of values, the order of the jet they
+    weight otherwise), K^a_b^i and K^{ab}_i, the worldvolume connection,
+    and each curvature block and the factor's Riemann tensor under it (at
+    order 1 or lower).  So each cached tensor sits a fixed number of
+    orders below the map (or at 0), and in truncated Taylor arithmetic
+    the same worldvolume at a lower order is a prefix of this one, bit
+    for bit (`truncated`).
 
     The worldvolume variables are the first ``dim`` jet variables, one per
     parameter jet in ``params``; ``embedding`` is the chart they live on.
@@ -363,13 +368,21 @@ class Geometry:
     def order(self):
         return self.X.order
 
+    @staticmethod
+    def _order(name, order):
+        """``order``, which ``name`` is asked for at; `PreconditionError`
+        unless it is a whole number >= 0 (a bool or 2.0 is not one)."""
+        if not (isinstance(order, (int, np.integer))
+                and not isinstance(order, bool) and order >= 0):
+            raise PreconditionError(
+                f"{name} needs an order >= 0, a whole number, got {order!r}")
+        return order
+
     def _at_order(self, name, order, top, build):
         """``build(m)`` at m = min(``order``, ``top``).  The highest m built
         so far is kept under ``name``, and a lower m is read as its prefix,
         which in truncated Taylor arithmetic is bit-identical."""
-        if order < 0:
-            raise PreconditionError(f"{name} needs an order >= 0, got {order}")
-        order = min(order, top)
+        order = min(self._order(name, order), top)
         held = self._held.get(name)
         if held is None or held.order < order:
             held = self._held[name] = build(order)
@@ -433,7 +446,7 @@ class Geometry:
     def check_nondegenerate(self):
         """Raise DegenerateGeometryError naming the first grid indices (up
         to 8) where det(gamma) is not finite or below 1e-14 in size."""
-        det = np.asarray(self.det_induced_metric.value, float)
+        det = np.asarray(self.det_induced_metric(0).value, float)
         bad = ~np.isfinite(det) | (np.abs(det) < 1e-14)
         if np.any(bad):
             idx = np.argwhere(bad)[:8].tolist()
@@ -449,21 +462,26 @@ class Geometry:
         except np.linalg.LinAlgError as exc:
             raise DegenerateGeometryError("induced metric is singular") from exc
 
-    @cached_property
-    def det_induced_metric(self):
-        return jet_det(self.induced_metric)
+    def det_induced_metric(self, order):
+        """det(gamma) at order min(``order``, the metric's) (`_at_order`)."""
+        return self._at_order(
+            "det_induced_metric", order, self.induced_metric.order,
+            lambda m: jet_det(self.induced_metric.truncated(m)))
 
     @cached_property
     def metric_sign(self):
         """Sign of det(induced metric): -1 on Lorentzian worldvolumes."""
-        s = np.sign(np.asarray(self.det_induced_metric.value, float))
+        s = np.sign(np.asarray(self.det_induced_metric(0).value, float))
         if np.any(s == 0):
             self.check_nondegenerate()
         return s
 
-    @cached_property
-    def sqrt_abs_det(self):
-        return (self.metric_sign * self.det_induced_metric).sqrt()
+    def sqrt_abs_det(self, order):
+        """sqrt|det(gamma)| at order min(``order``, the metric's): a reader
+        asks for the order of the jet it weights (`_at_order`)."""
+        return self._at_order(
+            "sqrt_abs_det", order, self.induced_metric.order,
+            lambda m: (self.metric_sign * self.det_induced_metric(m)).sqrt())
 
     def chart_components(self, W):
         """Chart components gamma^{ab} <e_b, W> of an ambient vector jet W,
@@ -554,13 +572,6 @@ class Geometry:
         field phi^i n_i needs (`deformation.deformation_vector`)."""
         return self.normal_frame(self.tangents.order)
 
-    def frame(self, order):
-        """Tangent rows then normal rows, stacked: (A, mu), at order
-        min(``order``, the tangents' order)."""
-        e, n = self.tangents, self.normal_frame(order)
-        return jet_stack([e[a] for a in range(self.dim)]
-                         + [n[i] for i in range(self.codim)])
-
     def _christoffel_tangents(self, offset, block):
         """G^m_{rs} e_a^r, axes (m, a, s), of the background block ``block``
         at ``offset``, kept one order below the tangents (`_at_order`): the
@@ -637,10 +648,15 @@ class Geometry:
                               self._lowered_normals(order))
         return self._at_order("twist", order, self.tangents.order - 1, build)
 
-    @cached_property
-    def wv_christoffel(self):
-        dgamma = self.partials(self.induced_metric)
-        return christoffel_from_metric(self.inverse_induced_metric, dgamma)
+    def wv_christoffel(self, order):
+        """Worldvolume connection G^c_{ab} at order min(``order``, the
+        metric's partials'), the order of the connection terms that read
+        it (`_at_order`)."""
+        def build(m):
+            dgamma = self.partials(self.induced_metric.truncated(m + 1))
+            return christoffel_from_metric(self.inverse_induced_metric, dgamma)
+        return self._at_order("wv_christoffel", order,
+                              self.induced_metric.order - 1, build)
 
     @cached_property
     def intrinsic_riemann(self):
@@ -655,58 +671,68 @@ class Geometry:
         t = jet_einsum("am...,abmn...->bn...", gi, self.intrinsic_riemann)
         return jet_einsum("bn...,bn...->...", gi, t)
 
-    def rframe(self, order):
-        """Ambient curvature projected on the combined frame, as a jet of
-        order min(``order``, the tangents' order, 1): rframe[A, B, C, E] =
-        R_{abmn} F_A^a F_B^b F_C^m F_E^n, tangent slots first, then normals.
+    def _riemann(self, offset, block, order):
+        """All-lower R of the background block ``block`` at ``offset``, along
+        the map at order min(``order``, the tangents', 1) (`_at_order`): one
+        build per curved factor, which every `rblock` reads."""
+        rows = slice(offset, offset + block.dim)
+        return self._at_order(
+            f"_riemann[{offset}]", order, min(self.tangents.order, 1),
+            lambda m: block.riemann_tensor(self._x_components(m)[rows]))
 
-        R and F are built at that order (`_at_order`).  The field
-        equations ask for ``geom.order - model.jet_order``, `delta_extrinsic`
-        for grad grad phi's, every other reader for 1; only delta K
-        (`delta_grad_extrinsic`, T03-T05) differentiates it.
+    def rframe(self, legs, order):
+        """Build the ``legs`` block of the ambient curvature projected on
+        the combined frame at jet order ``order``; read it through
+        `rblock`, which keeps it.
 
-        R is contracted per block (`BackgroundMetric.blocks`; a product per
-        factor), three frame contractions on the block's rows of F, then the
-        last over the (A, B, C, n) tensor they fill: only exact zeros are
-        skipped.  A flat background gives the constant zero.
+        Each slot contracts with its leg's frame rows, the tangents for 't'
+        and the normal frame at ``order`` for 'n'.  R is contracted per
+        curved block (`BackgroundMetric.blocks`; a product per factor):
+        three slots on the block's rows, then the last over the (A, B, C, n)
+        tensor they fill, so only exact zeros are skipped.  A flat
+        background gives the constant zero of the block's shape and builds
+        no frame.
         """
-        def build(order):
-            D = self.ambient_dim
-            if self.background.flat:
-                return Jet.constant(np.zeros((D,) * 4 + self.grid_shape),
-                                    self.X.nvars, order, self.X.eps)
-            F, X = self.frame(order), self._x_components(order)
+        if self.background.flat:
+            size = {"t": self.dim, "n": self.codim}
+            return Jet.constant(
+                np.zeros(tuple(size[leg] for leg in legs) + self.grid_shape),
+                self.X.nvars, order, self.X.eps)
+        F = [self.tangents if leg == "t" else self.normal_frame(order)
+             for leg in legs]
 
-            def block(o, bg):
-                rows = slice(o, o + bg.dim)
-                Fb = F[:, rows]
-                R = jet_einsum("abmn...,Aa...->Abmn...",
-                               bg.riemann_tensor(X[rows]), Fb)
-                R = jet_einsum("Abmn...,Bb...->ABmn...", R, Fb)
-                return o, jet_einsum("ABmn...,Cm...->ABCn...", R, Fb)
-            # the per-block terms are dropped before the last contraction
-            R = _add_blocks(None, 3, D, [block(o, bg) for o, bg
-                                         in self.background.blocks])
-            return jet_einsum("ABCn...,En...->ABCE...", R, F)
-        return self._at_order("rframe", order, min(self.tangents.order, 1),
-                              build)
+        def block(o, bg):
+            rows = slice(o, o + bg.dim)
+            R = jet_einsum("abmn...,Aa...->Abmn...",
+                           self._riemann(o, bg, order), F[0][:, rows])
+            R = jet_einsum("Abmn...,Bb...->ABmn...", R, F[1][:, rows])
+            return o, jet_einsum("ABmn...,Cm...->ABCn...", R, F[2][:, rows])
+        # the per-block terms are added before the last contraction
+        R = _add_blocks(None, 3, self.ambient_dim,
+                        [block(o, bg) for o, bg in self.background.blocks])
+        return jet_einsum("ABCn...,En...->ABCE...", R, F[3])
 
-    def rblock(self, legs, order=1):
-        """Block of ``rframe(order)`` with each slot on tangents ('t') or
-        normals ('n'): rblock("nttn")[i, a, b, j] = R(n_i, e_a, e_b, n_j)."""
+    def rblock(self, legs, order):
+        """Ambient curvature on the combined frame with each slot on the
+        tangents ('t') or the normals ('n'), rblock("nttn", m)[i, a, b, j] =
+        R(n_i, e_a, e_b, n_j), a jet of order min(``order``, the tangents',
+        1) built by `rframe` (`_at_order`).  The field equations ask for
+        ``geom.order - model.jet_order``, `delta_extrinsic` for grad grad
+        phi's, every other reader for the order of the sum it joins; only
+        delta K (`delta_grad_extrinsic`, T03-T05) differentiates it."""
         if len(legs) != 4 or set(legs) - {"t", "n"}:
             raise ParameterError(
                 f"rblock legs must be four of 't'/'n', got {legs!r}")
-        cut = {"t": slice(None, self.dim), "n": slice(self.dim, None)}
-        idx = tuple(cut[leg] for leg in legs)
-        return self.rframe(order).map_coeffs(lambda x: x[idx])
+        return self._at_order(f"rblock[{legs}]", order,
+                              min(self.tangents.order, 1),
+                              lambda m: self.rframe(legs, m))
 
     def jacobi(self, order):
         """J[b, c, i, j] = K_bd^i K^d_c_j + R(n_j, e_b, e_c, n^i) at order
         min(``order``, K's order, 1): delta K_bc^i = J phi - grad grad phi."""
-        m = min(order, self.extrinsic_curvature.order, 1)
+        m = min(self._order("jacobi", order), self.extrinsic_curvature.order, 1)
         kk = jet_einsum("bdi...,dcj...->bcij...",
-                        self.extrinsic_curvature.truncated(m), self.k_mixed)
+                        self.extrinsic_curvature.truncated(m), self.k_mixed(m))
         return kk + jet_rearrange("jbci...->bcij...", self.rblock("nttn", m))
 
     def covariant_grad(self, fld, n_wv, n_nor):
@@ -725,7 +751,7 @@ class Geometry:
             repl = letters.copy()
             repl[p] = "z"
             spec = f"zy{letters[p]}...,{''.join(repl)}...->y{base}..."
-            out = out - jet_einsum(spec, self.wv_christoffel, fld)
+            out = out - jet_einsum(spec, self.wv_christoffel(out.order), fld)
         for q in range(n_wv, n_wv + n_nor):
             repl = letters.copy()
             repl[q] = "z"
@@ -750,7 +776,7 @@ class Geometry:
             repl = letters.copy()
             repl[p] = "z"
             spec = f"{letters[p]}az...,{''.join(repl)}...->{rest}..."
-            out = out + jet_einsum(spec, self.wv_christoffel, T)
+            out = out + jet_einsum(spec, self.wv_christoffel(out.order), T)
         for q in range(n_up, n_up + n_nor):
             repl = letters.copy()
             repl[q] = "z"
@@ -764,24 +790,30 @@ class Geometry:
         return self.covariant_grad(self.extrinsic_curvature, 2, 1)
 
     def codazzi_residual(self):
-        """grad_a K_bc^i - grad_b K_ac^i + rframe[n_i, c, a, b]; zero by the
+        """grad_a K_bc^i - grad_b K_ac^i + R(n_i, e_c, e_a, e_b); zero by the
         structure equations."""
         gk = self.grad_extrinsic
         anti = gk - jet_rearrange("abci...->baci...", gk)
-        return anti + jet_rearrange("icab...->abci...", self.rblock("nttt"))
+        return anti + jet_rearrange("icab...->abci...",
+                                    self.rblock("nttt", gk.order))
 
     # -- scalar invariants used by the action models ----------------------
-    @cached_property
-    def k_mixed(self):
-        """K with its first worldvolume index raised: K^a_b^i."""
-        return jet_einsum("ac...,cbi...->abi...", self.inverse_induced_metric,
-                          self.extrinsic_curvature)
+    def k_mixed(self, order):
+        """K with its first worldvolume index raised, K^a_b^i, at order
+        min(``order``, K's) (`_at_order`)."""
+        return self._at_order(
+            "k_mixed", order, self.extrinsic_curvature.order,
+            lambda m: jet_einsum("ac...,cbi...->abi...",
+                                 self.inverse_induced_metric,
+                                 self.extrinsic_curvature.truncated(m)))
 
-    @cached_property
-    def k_raised(self):
-        """K with both worldvolume indices raised: K^{ab}_i."""
-        return jet_einsum("bd...,adi...->abi...", self.inverse_induced_metric,
-                          self.k_mixed)
+    def k_raised(self, order):
+        """K with both worldvolume indices raised, K^{ab}_i, at order
+        min(``order``, K's) (`_at_order`)."""
+        return self._at_order(
+            "k_raised", order, self.extrinsic_curvature.order,
+            lambda m: jet_einsum("bd...,adi...->abi...",
+                                 self.inverse_induced_metric, self.k_mixed(m)))
 
     @cached_property
     def grad_mean(self):
@@ -798,7 +830,7 @@ class Geometry:
     def k_dot_k_scalar(self):
         """K_{ab}^i K^{ab}_i, as ``_k_dot_k`` on the cached ``k_raised``."""
         K = self.extrinsic_curvature
-        return jet_einsum("abi...,abi...->...", K, self.k_raised)
+        return jet_einsum("abi...,abi...->...", K, self.k_raised(K.order))
 
     @cached_property
     def grad_mean_up(self):
@@ -821,10 +853,11 @@ class Geometry:
         """Twice-traced structure-equation residual tying the intrinsic
         curvature scalar to K^iK_i - K.K plus the projected ambient
         curvature; zero pointwise for any consistent geometry."""
-        gi = self.inverse_induced_metric
-        t = jet_einsum("am...,abmn...->bn...", gi, self.rblock("tttt"))
+        gi, scal = self.inverse_induced_metric, self.intrinsic_scalar_curvature
+        t = jet_einsum("am...,abmn...->bn...", gi,
+                       self.rblock("tttt", scal.order))
         amb = jet_einsum("bn...,bn...->...", gi, t)
-        return (self.intrinsic_scalar_curvature
+        return (scal
                 - (self.k_squared_scalar - self.k_dot_k_scalar)
                 - amb)
 

@@ -22,7 +22,7 @@ deformation phi^i splits into a bulk density and a divergence,
 
 and `eom_density` assembles E_i from a fixed 14-entry table, one entry per
 integration-by-parts product of the anchored variation formulas in
-`deformation` (R(u, v, w, z) is the ambient pairing of Geometry.rframe):
+`deformation` (R(u, v, w, z) is the ambient pairing of Geometry.rblock):
 
     E01  + L K_i
     E02  - 2 K^{ab}_i H_ab
@@ -95,9 +95,10 @@ PARTIALS = {
         None),
     "k_dot_k": (
         lambda g: g.k_dot_k_scalar,
-        lambda g: 2.0 * jet_einsum("aci...,cbi...->ab...",
-                                   g.extrinsic_curvature, g.k_mixed),
-        lambda g: 2.0 * g.k_raised,
+        lambda g: 2.0 * jet_einsum(
+            "aci...,cbi...->ab...", g.extrinsic_curvature,
+            g.k_mixed(g.extrinsic_curvature.order)),
+        lambda g: 2.0 * g.k_raised(g.extrinsic_curvature.order),
         None),
     "gradk_mean": (
         lambda g: g.gradk_squared_scalar,
@@ -265,7 +266,7 @@ def hg_contractions(geom: Geometry, HG, order):
         m[a, i, j]     = HG^{abc}_i K_bc^j                  (E14)
         anti[d, i]     = (m[a, i, j] - m[a, j, i]) K^d_a^j  (E12+E13, T11+T12)
     """
-    Kmix = geom.k_mixed
+    Kmix = geom.k_mixed(order)
     div1 = geom.divergence(HG, 3, 1)
     hg = HG.truncated(order)
     W = jet_einsum("abcl...,ecl...->abe...", hg, Kmix)
@@ -291,7 +292,7 @@ def eom_density(model: LagrangianModel, geom: Geometry):
 
     H = model.h_gamma(low)
     if H is not None:
-        E = E - 2.0 * jet_einsum("abi...,ab...->i...", low.k_raised, H)  # E02
+        E = E - 2.0 * jet_einsum("abi...,ab...->i...", low.k_raised(top), H)  # E02
 
     if HK is not None:
         E = E + _adjoint(geom, HK, top)                             # E03-E05
@@ -337,7 +338,7 @@ def action(model: LagrangianModel, embedding: Embedding, grid: Grid) -> float:
     geom = embedding.grid_geometry(grid, model.action_order)
     model.check_geometry(geom)
     geom.check_nondegenerate()
-    dens = geom.sqrt_abs_det * model.lagrangian(geom)
+    dens = geom.sqrt_abs_det(0) * model.lagrangian(geom)
     return float(integrate(np.asarray(dens.value, float), grid))
 
 
@@ -371,7 +372,7 @@ class VariationReport:
     eps: tuple
 
     def tolerance(self) -> float:
-        return max(1e-5, 10.0 * min(self.eps) ** 2)
+        return dfm.eps_tolerance(self.eps, 1e-5)
 
 
 def action_variation_check(model: LagrangianModel, embedding: Embedding,
@@ -400,12 +401,12 @@ def action_variation_check(model: LagrangianModel, embedding: Embedding,
     V = dfm.resolve_field(vfield, geom_fd)
     _require_interior_support(embedding, grid, V)
     phi = dfm.normal_components(geom, V.truncated(0))
-    integrand = geom.sqrt_abs_det * jet_einsum("i...,i...->...", E, phi)
+    integrand = geom.sqrt_abs_det(0) * jet_einsum("i...,i...->...", E, phi)
     integrand = np.asarray(integrand.value, float)
     assembled = float(integrate(integrand, grid))
 
     def action_of(g2):
-        dens = g2.sqrt_abs_det * model.lagrangian(g2)
+        dens = g2.sqrt_abs_det(0) * model.lagrangian(g2)
         return np.asarray(integrate(np.asarray(dens.value, float), grid))
 
     res = dfm.finite_difference_delta(geom_fd, V, action_of, eps_list)

@@ -198,7 +198,7 @@ def gb_potential(geom: Geometry, theta, drho: np.ndarray,
     """
     (sigma1,) = _finite("gb_potential: sigma1", sigma1)
     frame = tangent_frame(geom, theta)
-    dens = np.asarray(geom.sqrt_abs_det.value, float)
+    dens = np.asarray(geom.sqrt_abs_det(0).value, float)
     shift = np.asarray(frame.contract(drho).value, float)
     return sigma1 * dens * shift
 
@@ -216,7 +216,7 @@ def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
     eps_low = jet_einsum("mn...,nl...->ml...", frame.epsilon,
                          geom.ambient_metric)
     p = jet_einsum("ml...,m...->l...", eps_low, tau)
-    p = float(sigma1) * (geom.sqrt_abs_det * p)
+    p = float(sigma1) * (geom.sqrt_abs_det(0) * p)
     rho_up = jet_einsum("ab...,b...->a...", geom.inverse_induced_metric, rho)
     q = jet_einsum("am...,a...->m...", geom.tangents, rho_up)
     return CanonicalPair(position=np.asarray(q.value, float),
@@ -250,9 +250,9 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
 
     def fluxes(vg, _fields):
         rho, frame = rotation_connection(vg, theta)
-        dens = sigma1 * vg.sqrt_abs_det
-        return [dens * frame.contract(dfm.variation(vg, rho, j))
-                for j in (0, 1)]
+        shifts = [frame.contract(dfm.variation(vg, rho, j)) for j in (0, 1)]
+        dens = sigma1 * vg.sqrt_abs_det(shifts[0].order)
+        return [dens * shift for shift in shifts]
 
     d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
     dens = np.einsum("m...,m...->...", conormal, d2 - d1)
@@ -286,7 +286,7 @@ def dnggb_potential(geom: Geometry, vfield, sigma0: float, sigma1: float,
     V = dfm.resolve_field(vfield, geom)
     tangential = jet_einsum("am...,a...->m...", geom.tangents,
                             geom.chart_components(V))
-    dens = np.asarray(geom.sqrt_abs_det.value, float)
+    dens = np.asarray(geom.sqrt_abs_det(0).value, float)
     dng_part = -sigma0 * dens * np.asarray(tangential.value, float)
     drho = rotation_connection_delta(geom, V, theta)
     return dng_part + gb_potential(geom, theta, drho, sigma1)
@@ -349,7 +349,7 @@ def _require_closed(embedding: Embedding, n_probe: int = 33):
             pts[k] = np.full_like(sweep, edge)
             pts[1 - k] = sweep
             geom = embedding.geometry(tuple(pts), 1)
-            dets = np.abs(np.asarray(geom.det_induced_metric.value, float))
+            dets = np.abs(np.asarray(geom.det_induced_metric(0).value, float))
             if np.max(dets) > 1e-10:
                 raise PreconditionError(
                     f"{embedding.name}: axis {ax.name} ends at {edge} with a "
@@ -371,7 +371,7 @@ def curvature_density(embedding: Embedding, n: int = 32):
         raise UnsupportedConfigurationError(
             "Gauss-Bonnet quadrature is for Riemannian surfaces"
         )
-    dens = geom.sqrt_abs_det * geom.intrinsic_scalar_curvature
+    dens = geom.sqrt_abs_det(0) * geom.intrinsic_scalar_curvature
     return np.asarray(dens.value, float), grid
 
 

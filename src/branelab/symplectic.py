@@ -136,7 +136,7 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
         psi = psi - 2.0 * jet_einsum("aj...,j...->a...", w8, phi)      # T08-T10
         psi = psi - jet_einsum("aj...,j...->a...", anti, phi)          # T11+T12
 
-    return geom.sqrt_abs_det * psi
+    return geom.sqrt_abs_det(psi.order) * psi
 
 
 # -- phase-space structures ---------------------------------------------------
@@ -197,11 +197,12 @@ class CauchySlice:
             )
         k = self.axis_index(embedding)
         ax = embedding.axes[k]
-        if not ax.periodic and not (ax.lo < self.value < ax.hi):
+        (value,) = _finite(f"slice {ax.name}", self.value)
+        if not ax.periodic and not (ax.lo < value < ax.hi):
             raise DomainError(
                 f"slice {ax.name}={self.value} lies outside ({ax.lo}, {ax.hi})"
             )
-        return line_grid(embedding, 1 - k, self.n, {ax.name: self.value}), k
+        return line_grid(embedding, 1 - k, self.n, {ax.name: value}), k
 
 
 def _slice_geometry(embedding: Embedding, slc: CauchySlice, order: int):
@@ -243,7 +244,7 @@ def dng_momentum_density(geom: Geometry, sigma0: float):
     (sigma0,) = _finite("dng_momentum_density: sigma0", sigma0)
     iota0 = unit_timelike_tangent(geom)
     tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, iota0)
-    return sigma0 * (geom.sqrt_abs_det * tau)
+    return sigma0 * (geom.sqrt_abs_det(tau.order) * tau)
 
 
 @dataclass

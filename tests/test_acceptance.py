@@ -256,7 +256,7 @@ def test_criterion_7_gb_sector():
     def total_curvature(E2, n):
         grid = emb.make_grid(E2, n)
         g = E2.geometry(grid.mesh, 3)
-        dens = (g.sqrt_abs_det * g.intrinsic_scalar_curvature).value
+        dens = (g.sqrt_abs_det(0) * g.intrinsic_scalar_curvature).value
         return float(emb.integrate(np.asarray(dens, float), grid))
 
     sph = total_curvature(emb.sphere_polar(1.0), 128)

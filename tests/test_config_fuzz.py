@@ -83,11 +83,39 @@ ARGS = st.fixed_dictionaries({
     "skip_config": one_in(4),
 })
 
+# flag values a run takes: a node count, a halving schedule of the size
+# the scenarios use, a finite tolerance
+RUN_FLAGS = {
+    "grid": st.integers(1, 64).map(str),
+    "eps": st.floats(1e-5, 1e-2).map(lambda a: f"{a!r},{a / 2!r},{a / 4!r}"),
+    "tol": st.floats(0.0, 1.0),
+}
+
+
+@st.composite
+def config_and_argv(draw):
+    """Config text and argv flags.  Half the draws are a run: a catalog
+    scenario named by --scenario or by a config holding only its
+    [scenario] section, and flags it reads, each absent or with a value a
+    run takes.  The other half are `config_text` and ``ARGS``, where most
+    inputs are usage errors."""
+    if not draw(st.booleans()):
+        return draw(config_text()), draw(ARGS)
+    scenario = draw(st.sampled_from(list(cli.SCENARIOS)))
+    in_argv = draw(st.booleans())
+    argv = {"scenario": scenario if in_argv else None,
+            "skip_config": in_argv and draw(st.booleans())}
+    for key, values in RUN_FLAGS.items():
+        read = key in cli.SCENARIOS[scenario].reads
+        argv[key] = draw(st.one_of(st.none(), values)) if read else None
+    return ("" if in_argv else f"[scenario]\nname = {scenario}\n"), argv
+
 
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=config_text(), argv=ARGS)
-def test_config_resolves_or_is_a_usage_error(tmp_path, text, argv):
+@given(drawn=config_and_argv())
+def test_config_resolves_or_is_a_usage_error(tmp_path, drawn):
+    text, argv = drawn
     path = tmp_path / "fuzz.ini"
     path.write_text(text)
     skip_config = argv.pop("skip_config")

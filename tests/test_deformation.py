@@ -123,9 +123,9 @@ def test_flat_delta_extrinsic_equals_the_three_term_form(E):
         for k in range(g.codim)])
     ddphi = g.covariant_grad(g.covariant_grad(phi, 0, 1), 1, 1)
     kk = jets.jet_einsum("bdi...,dcj...->bcij...", g.extrinsic_curvature,
-                         g.k_mixed)
+                         g.k_mixed(g.order))
     kk_term = jets.jet_einsum("bcij...,j...->bci...", kk, phi)
-    r_term = jets.jet_einsum("jbci...,j...->bci...", g.rblock("nttn"), phi)
+    r_term = jets.jet_einsum("jbci...,j...->bci...", g.rblock("nttn", 1), phi)
     want = -1.0 * ddphi + kk_term + r_term
     got = dfm.delta_extrinsic(g, phi)
     assert (got.order, len(got.c)) == (want.order, len(want.c)) == (1, 3)
@@ -170,7 +170,7 @@ def test_product_background_scalar_oracles():
     # normal-connection variation that flat and single-sphere cases skip
     g = emb.surface_s2xs2().geometry([0.2, -0.3], order=4)
     d = g.dim
-    blk = np.asarray(g.rframe(1).value)[:d, d:, d:, d:]
+    blk = np.asarray(g.rblock("tnnn", 1).value)
     assert np.max(np.abs(blk)) > 1e-2
     phi = dfm.normal_field(
         g,
@@ -309,6 +309,15 @@ def test_eps_schedule_whose_tolerance_overflows_is_rejected(monkeypatch):
     assert calls == []
 
 
+def test_eps_tolerance_is_its_floor_or_ten_eps_squared():
+    # one formula for the CLI oracle's checks (floor 1e-6) and the action
+    # check (floor 1e-5), at the smallest step of the schedule
+    assert dfm.eps_tolerance((1e-3, 5e-4, 2.5e-4), 1e-6) == 1e-6
+    assert dfm.eps_tolerance((0.1, 0.025, 0.05), 1e-5) == 10.0 * 0.025 ** 2
+    with pytest.raises(OverflowError):
+        dfm.eps_tolerance((1e300,), 0.0)    # validate_eps_schedule refuses it
+
+
 def test_longer_eps_schedule_uses_last_three_steps():
     g = emb.graph_surface_e4().geometry([0.25, -0.35], order=3)
     phi = dfm.normal_field(g, lambda u, v: 0.3 + 0.2 * u,
@@ -395,10 +404,13 @@ def test_varied_geometry_keeps_base_coefficients_bit_for_bit(E, shape, fn):
     vg = dfm.varied_geometry(geom, V, W)
     assert ((vg.dim, vg.order, vg.X.nvars, vg.X.eps)
             == (geom.dim, 3, geom.dim + 2, 2))
-    for name in ("normals", "extrinsic_curvature", "sqrt_abs_det",
-                 "inverse_induced_metric", "twist"):
-        base, varied = (g.twist(g.order - 2) if name == "twist"
-                        else getattr(g, name) for g in (geom, vg))
+    readers = {"normals": lambda g: g.normals,
+               "extrinsic_curvature": lambda g: g.extrinsic_curvature,
+               "sqrt_abs_det": lambda g: g.sqrt_abs_det(g.order),
+               "inverse_induced_metric": lambda g: g.inverse_induced_metric,
+               "twist": lambda g: g.twist(g.order - 2)}
+    for name, read in readers.items():
+        base, varied = read(geom), read(vg)
         # each tensor sits as far below the map as on ``geom``
         assert varied.order == base.order - 1
         for alpha in jets._tables(geom.dim, varied.order)[0]:
@@ -487,7 +499,7 @@ def test_variation_preconditions():
         geom, lambda t, p: 0.2 + 0.0 * t))
     vg = dfm.varied_geometry(geom, V)
     # at order 2 the area element keeps its eps slot, K (order 0) has none
-    assert abs(dfm.variation(vg, vg.sqrt_abs_det)) > 0.1
+    assert abs(dfm.variation(vg, vg.sqrt_abs_det(vg.order))) > 0.1
     with pytest.raises(PreconditionError):
         dfm.variation(vg, vg.extrinsic_curvature)
     # a re-embedded geometry keeps the chart and its parameter jets

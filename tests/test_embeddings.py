@@ -29,8 +29,25 @@ def small_grid(e, shape):
     return emb.make_grid(e, shape)
 
 
+LEGS = [a + b + c + e for a in "tn" for b in "tn" for c in "tn" for e in "tn"]
+
+
+def combined_frame(g, order):
+    """Tangent rows then normal rows, stacked: (A, mu), at order
+    min(``order``, the tangents' order)."""
+    e, n = g.tangents, g.normal_frame(order)
+    return jets.jet_stack([e[a] for a in range(g.dim)]
+                          + [n[i] for i in range(g.codim)])
+
+
+def leg_slices(g, legs):
+    """The slots of ``legs`` on the combined frame's (A, B, C, E) axes."""
+    cut = {"t": slice(None, g.dim), "n": slice(g.dim, None)}
+    return tuple(cut[leg] for leg in legs)
+
+
 def frame_orthonormality_residual(g):
-    F = g.frame(g.order)
+    F = combined_frame(g, g.order)
     gf = jets.jet_einsum("mn...,Bn...->Bm...", g.ambient_metric, F)
     gram = jets.jet_einsum("Am...,Bm...->AB...", F, gf).value
     d, D = g.dim, g.ambient_dim
@@ -150,8 +167,7 @@ def test_codazzi_residual_product_background():
     # on S^2 x S^2 the curvature projection in the identity is nonzero,
     # so this checks the full statement, not just the symmetric part
     g = emb.surface_s2xs2().geometry([0.2, -0.3], order=4)
-    d = g.dim
-    rproj = np.asarray(g.rframe(1).value)[d:, :d, :d, :d]
+    rproj = np.asarray(g.rblock("nttt", 1).value)
     assert np.max(np.abs(rproj)) > 1e-3
     res = np.asarray(g.codazzi_residual().value)
     assert np.max(np.abs(res)) < 1e-10
@@ -180,7 +196,7 @@ def test_traveling_wave_det_is_minus_one():
     e = emb.traveling_wave(0.45)
     grid = small_grid(e, (5, 9))
     g = geom_of(e, grid.mesh, order=3)
-    det = np.asarray(g.det_induced_metric.value)
+    det = np.asarray(g.det_induced_metric(0).value)
     np.testing.assert_allclose(det, -1.0, atol=1e-12)
 
 
@@ -215,7 +231,7 @@ def test_sphere_area_quadrature():
     e = emb.sphere_polar(1.0)
     grid = emb.make_grid(e, (128, 128))
     g = e.geometry(grid.mesh, 1)
-    area = emb.integrate(np.asarray(g.sqrt_abs_det.value), grid)
+    area = emb.integrate(np.asarray(g.sqrt_abs_det(0).value), grid)
     assert abs(area - 4 * np.pi) / (4 * np.pi) < 1e-12
 
 
@@ -384,9 +400,10 @@ def test_domain_and_rank_validation():
         bad.geometry([0.3], 2).normals
     # the intrinsic connection and curvature read the checked inverse
     null = bad.geometry([0.3], 3)
-    for name in ("wv_christoffel", "intrinsic_riemann"):
+    for read in (lambda: null.wv_christoffel(1),
+                 lambda: null.intrinsic_riemann):
         with pytest.raises(DegenerateGeometryError):
-            getattr(null, name)
+            read()
 
 
 @pytest.mark.parametrize("naxes", [0, 4])
@@ -435,14 +452,15 @@ def test_rframe_constant_curvature_form():
     g = emb.s3_curve(radius=1.4).geometry(
         [np.linspace(0, 2 * np.pi, 5, endpoint=False)], 2
     )
-    R = np.asarray(g.rframe(1).value)
     # projected on an orthonormal-ish frame: R_ABCE = (h_AC h_BE - h_AE h_BC)/r^2
-    F = g.frame(1)
+    F = combined_frame(g, 1)
     gf = jets.jet_einsum("mn...,Bn...->Bm...", g.ambient_metric, F)
     h = np.asarray(jets.jet_einsum("Am...,Bm...->AB...", F, gf).value)
     expect = (np.einsum("AC...,BE...->ABCE...", h, h)
               - np.einsum("AE...,BC...->ABCE...", h, h)) / 1.4**2
-    np.testing.assert_allclose(R, expect, atol=1e-9)
+    for legs in LEGS:
+        np.testing.assert_allclose(g.rblock(legs, 1).value,
+                                   expect[leg_slices(g, legs)], atol=1e-9)
 
 
 def test_low_order_geometry_names_missing_order():
@@ -458,7 +476,7 @@ def test_low_order_geometry_names_missing_order():
 def test_combined_frame_positively_oriented_in_codim_2(E):
     g = E.geometry(small_grid(E, (7, 9)).mesh, 2)
     assert g.codim == 2
-    F = np.asarray(g.frame(0).value)                # (A, mu, grid...)
+    F = np.asarray(combined_frame(g, 0).value)      # (A, mu, grid...)
     det = np.linalg.det(np.moveaxis(F, (0, 1), (-1, -2)))
     assert det.shape == (7, 9)
     assert np.all(det > 0)
@@ -466,12 +484,13 @@ def test_combined_frame_positively_oriented_in_codim_2(E):
 
 def test_rblock_slices_tangent_and_normal_slots():
     g = emb.surface_s2xs2().geometry(small_grid(emb.surface_s2xs2(), (3, 4)).mesh, 2)
-    R, d = np.asarray(g.rframe(1).value), g.dim
-    np.testing.assert_array_equal(g.rblock("nttn").value, R[d:, :d, :d, d:])
-    np.testing.assert_array_equal(g.rblock("tnnn").value, R[:d, d:, d:, d:])
+    full = full_order_rframe(g).truncated(1)
+    for legs in ("nttn", "tnnn"):
+        np.testing.assert_array_equal(g.rblock(legs, 1).value,
+                                      full.value[leg_slices(g, legs)])
     for legs in ("ntt", "nttx"):
         with pytest.raises(ParameterError, match="legs"):
-            g.rblock(legs)
+            g.rblock(legs, 1)
 
 
 JACOBI_CASES = [(emb.torus_e3(), (3, 4)), (emb.surface_s2xs2(), (3, 4)),
@@ -484,7 +503,7 @@ def test_jacobi_is_k_k_plus_the_normal_tangent_curvature_block(E, shape):
     # J[b, c, i, j] = K_bd^i K^d_c_j + R(n_j, e_b, e_c, n^i), entry by
     # entry through jet products and sums, not through an einsum spec
     g = E.geometry(small_grid(E, shape).mesh, 4)
-    K, Kmix = g.extrinsic_curvature, g.k_mixed
+    K, Kmix = g.extrinsic_curvature, g.k_mixed(g.order)
     for m in (0, 1):
         J, R = g.jacobi(m), g.rblock("nttn", m)
         assert J.order == m
@@ -521,11 +540,11 @@ def test_lower_undoes_raised_extrinsic_curvature():
     K = np.asarray(g.extrinsic_curvature.value)
     gam = np.asarray(g.induced_metric.value)
     low2 = np.einsum("ac...,bd...,cdi...->abi...", gam, gam,
-                     np.asarray(g.k_raised.value))
-    low1 = np.einsum("ac...,cbi...->abi...", gam, np.asarray(g.k_mixed.value))
+                     np.asarray(g.k_raised(0).value))
+    low1 = np.einsum("ac...,cbi...->abi...", gam, np.asarray(g.k_mixed(0).value))
     np.testing.assert_allclose(low2, K, atol=1e-13)
     np.testing.assert_allclose(low1, K, atol=1e-13)
-    mean = np.einsum("aai...->i...", np.asarray(g.k_mixed.value))
+    mean = np.einsum("aai...->i...", np.asarray(g.k_mixed(0).value))
     np.testing.assert_allclose(mean, g.mean_curvature.value, atol=1e-13)
 
 
@@ -553,7 +572,7 @@ def upper_test_tensors(g):
     gi = g.inverse_induced_metric
     u = jets.jet_einsum("ab...,b...->a...", gi,
                         g.partials(g.k_squared_scalar))
-    G, Kr = g.grad_mean_up, g.k_raised
+    G, Kr = g.grad_mean_up, g.k_raised(g.order)
     return {
         (1, 0): u,
         (1, 1): G,
@@ -696,13 +715,72 @@ def test_frame_and_twist_built_low_are_prefixes_of_the_full_build(make):
     assert make().normal_frame(top + 3).order == top
 
 
+# the ordered accessors besides the frame and the twist, read at order m
+ORDERED = {
+    "det_induced_metric": lambda g, m: g.det_induced_metric(m),
+    "sqrt_abs_det": lambda g, m: g.sqrt_abs_det(m),
+    "k_mixed": lambda g, m: g.k_mixed(m),
+    "k_raised": lambda g, m: g.k_raised(m),
+    "wv_christoffel": lambda g, m: g.wv_christoffel(m),
+    "jacobi": lambda g, m: g.jacobi(m),
+    **{f"rblock[{legs}]": lambda g, m, legs=legs: g.rblock(legs, m)
+       for legs in LEGS},
+}
+
+
+def assert_same_bits(got, want):
+    """Equal jets: the same order and slots, each present coefficient with
+    the same bytes (so the same signs of zero)."""
+    assert (got.order, got.eps, len(got.c)) == (want.order, want.eps,
+                                                 len(want.c))
+    for a, b in zip(got.c, want.c):
+        assert (a is None) == (b is None)
+        if a is not None:
+            a, b = np.asarray(a, float), np.asarray(b, float)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make", PREFIX_CASES)
+def test_ordered_tensors_built_low_are_prefixes_of_the_full_build(make):
+    # each lower order is read on a fresh geometry, which builds every
+    # tensor at that order; a request above the cap reads the cap
+    full = make()
+    want = {name: read(full, full.order + 3) for name, read in ORDERED.items()}
+    for m in range(max(w.order for w in want.values())):
+        low = make()
+        for name, read in ORDERED.items():
+            if m < want[name].order:
+                assert_same_bits(read(low, m), want[name].truncated(m))
+    caps = {name: w.order for name, w in want.items()}
+    metric = full.induced_metric.order
+    assert caps["det_induced_metric"] == caps["sqrt_abs_det"] == metric
+    assert caps["wv_christoffel"] == metric - 1
+    assert caps["k_mixed"] == caps["k_raised"] == full.order - 2
+    assert caps["jacobi"] == caps["rblock[nttn]"] == 1
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda g, m: g.normal_frame(m), id="normal_frame"),
+    pytest.param(lambda g, m: g._lowered_normals(m), id="_lowered_normals"),
+    pytest.param(lambda g, m: g.twist(m), id="twist"),
+] + [pytest.param(read, id=name) for name, read in ORDERED.items()
+     if not name.startswith("rblock") or name == "rblock[tnnn]"])
+@pytest.mark.parametrize("order", [1.5, 2.0, True, np.float64(1.0), "1",
+                                   None, -1])
+def test_ordered_accessors_reject_an_order_that_is_not_a_whole_number(read,
+                                                                      order):
+    g = emb.surface_s2xs2().geometry([0.2, -0.3], 4)
+    with pytest.raises(PreconditionError, match=r"needs an order >= 0"):
+        read(g, order)
+
+
 # -- order-on-demand ambient tensors ----------------------------------------
 
 def full_order_rframe(g):
-    """Reference: ambient curvature at the map's own jet order, projected on
-    the untruncated frame."""
+    """Reference: the dense ambient curvature at the map's own jet order,
+    projected on the untruncated combined frame, (A, B, C, E)."""
     R = g.background.riemann_tensor([g.X[mu] for mu in range(g.ambient_dim)])
-    F = g.frame(g.order)
+    F = combined_frame(g, g.order)
     R = jets.jet_einsum("abmn...,Aa...->Abmn...", R, F)
     R = jets.jet_einsum("Abmn...,Bb...->ABmn...", R, F)
     R = jets.jet_einsum("ABmn...,Cm...->ABCn...", R, F)
@@ -734,9 +812,13 @@ ORDER_CASES = [(emb.surface_s2xs2(), (3, 4)), (emb.s3_curve(), (7,)),
                          ids=["s2xs2", "s3curve", "s2latitude"])
 def test_low_order_ambient_tensors_match_full_order_reference(E, shape):
     g = E.geometry(small_grid(E, shape).mesh, 6)
-    assert g.rframe(1).order == 1
-    # value and first derivatives: all that T05 and delta_extrinsic read
-    assert_coeffs_close(g.rframe(1), full_order_rframe(g), 1 + g.dim)
+    full = full_order_rframe(g)
+    for legs in LEGS:
+        assert g.rblock(legs, 1).order == 1
+        # value and first derivatives: all that T05 and delta_extrinsic read
+        idx = leg_slices(g, legs)
+        assert_coeffs_close(g.rblock(legs, 1),
+                            full.map_coeffs(lambda x: x[idx]), 1 + g.dim)
     sf = full_order_covariant(g, g.tangents)
     assert g.second_fundamental.order == sf.order == 4
     assert_coeffs_close(g.second_fundamental, sf, len(sf.c))
@@ -808,13 +890,14 @@ def test_connection_terms_equal_the_untruncated_formula(E, shape):
     g = E.geometry(small_grid(E, shape).mesh, 5)
     for W in (g.tangents, g.normals):
         assert_jets_identical(g.ambient_covariant(W), full_order_covariant(g, W))
-    K, G, w = g.extrinsic_curvature, g.wv_christoffel, g.twist(g.order - 2)
+    K, G, w = (g.extrinsic_curvature, g.wv_christoffel(g.order),
+               g.twist(g.order - 2))
     want = (g.partials(K)
             - jets.jet_einsum("zya...,zbc...->yabc...", G, K)
             - jets.jet_einsum("zyb...,azc...->yabc...", G, K)
             + jets.jet_einsum("ycz...,abz...->yabc...", w, K))
     assert_jets_identical(g.covariant_grad(K, 2, 1), want)
-    T = g.k_raised
+    T = g.k_raised(g.order)
     want = (T[0].partial(0) + T[1].partial(1)
             + jets.jet_einsum("aaz...,zbc...->bc...", G, T)
             + jets.jet_einsum("baz...,azc...->bc...", G, T)
@@ -873,7 +956,23 @@ def test_per_block_contractions_equal_the_dense_tensors(E, offsets):
     twist = jets.jet_einsum("ajm...,im...->aij...",
                             full_order_covariant(g, g.normals), gn)
     assert_jets_identical(g.twist(g.order - 2), twist)
-    assert_jets_identical(g.rframe(1), full_order_rframe(g).truncated(1))
+    # the curvature blocks: test_each_rblock_is_its_slice_of_the_dense_rframe
+
+
+@pytest.mark.parametrize("E", [emb.surface_s2xs2(), _line_times_sphere_surface()],
+                         ids=["s2xs2", "e1xs2"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_each_rblock_is_its_slice_of_the_dense_rframe(E, order):
+    # every leg string, built on its own rows of the frame, against the
+    # dense tensor's slice: the same sums in the same order, bit for bit
+    g = E.geometry(small_grid(E, (3, 4)).mesh, 5)
+    dense_ref = full_order_rframe(g).truncated(order)
+    size = {"t": g.dim, "n": g.codim}
+    for legs in LEGS:
+        idx = leg_slices(g, legs)
+        got = g.rblock(legs, order)
+        assert got.value.shape == tuple(size[x] for x in legs) + g.grid_shape
+        assert_same_bits(got, dense_ref.map_coeffs(lambda x: x[idx]))
 
 
 def test_k_and_twist_share_one_lowering_of_the_normals(monkeypatch):
@@ -947,13 +1046,16 @@ def test_intrinsic_curvature_contracts_at_the_order_it_keeps(E, shape,
 def test_rframe_at_order_0_is_the_value_of_order_1(E, shape):
     mesh = small_grid(E, shape).mesh
     low, high = E.geometry(mesh, 4), E.geometry(mesh, 4)
-    r0 = low.rframe(0)
-    assert r0.order == 0 and high.rframe(1).order == 1
-    np.testing.assert_array_equal(r0.value, high.rframe(1).value)
-    # a higher request builds again; a lower one reads the prefix
-    assert_jets_identical(low.rframe(1), high.rframe(1))
-    assert_jets_identical(high.rframe(0), r0)
-    assert low.rframe(5).order == 1
+    for legs in LEGS:
+        r0 = low.rblock(legs, 0)
+        assert r0.order == 0 and high.rblock(legs, 1).order == 1
+        np.testing.assert_array_equal(r0.value, high.rblock(legs, 1).value)
+    for legs in LEGS:
+        # a higher request builds again; a lower one reads the prefix
+        r0 = low.rblock(legs, 0)
+        assert_jets_identical(low.rblock(legs, 1), high.rblock(legs, 1))
+        assert_jets_identical(high.rblock(legs, 0), r0)
+        assert low.rblock(legs, 5).order == 1
 
 
 @pytest.mark.parametrize("E,shape", ORDER_RULE_CASES, ids=["s2xs2", "torus"])
@@ -988,7 +1090,8 @@ def test_eom_density_builds_rframe_once(monkeypatch):
 
 CACHED = [name for name, attr in vars(emb.Geometry).items()
           if isinstance(attr, cached_property)]
-AT_ORDER = ("normal_frame", "_lowered_normals", "twist", "rframe")
+AT_ORDER = ("normal_frame", "_lowered_normals", "twist", "det_induced_metric",
+            "sqrt_abs_det", "k_mixed", "k_raised", "wv_christoffel")
 
 
 def _read(fn):
@@ -1006,6 +1109,8 @@ def _touch(g):
     out.update({name: _read(lambda: getattr(g, name)) for name in CACHED})
     out.update({name: _read(lambda: getattr(g, name)(g.order))
                 for name in AT_ORDER})
+    out.update({f"rblock[{legs}]": _read(lambda: g.rblock(legs, g.order))
+                for legs in LEGS})
     return out
 
 

@@ -206,7 +206,7 @@ def test_connection_curl_is_curvature_density():
     # antisymmetrized plain derivative d_0 rho_1 - d_1 rho_0
     curl = np.asarray((rho[1].partial(0) - rho[0].partial(1)).value, float)
     half_density = np.asarray(
-        (geom.sqrt_abs_det * geom.intrinsic_scalar_curvature).value,
+        (geom.sqrt_abs_det(0) * geom.intrinsic_scalar_curvature).value,
         float) / 2.0
     np.testing.assert_allclose(curl, half_density, atol=1e-12)
     assert abs(emb.integrate(curl, grid) - 4 * np.pi) < 5e-3

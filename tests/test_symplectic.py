@@ -48,7 +48,7 @@ def test_minimal_model_flux_is_tangential():
     V = GENERIC_E4(geom)
     field = sym.symplectic_potential(model, geom, V)
     t = geom.chart_components(V)
-    dens = np.asarray(geom.sqrt_abs_det.value, float)
+    dens = np.asarray(geom.sqrt_abs_det(0).value, float)
     expected = -1.3 * dens * np.asarray(t.value, float)
     np.testing.assert_allclose(field.value, expected, atol=1e-13)
 
@@ -81,7 +81,7 @@ def test_quadratic_potential_matches_closed_form():
             - jet_einsum("i...,ai...->a...", K, gphi_up)
         kernel = alpha * tang + (2.0 * alpha) * cross
         expected = np.asarray(
-            jet_einsum("...,a...->a...", geom.sqrt_abs_det, kernel).value,
+            jet_einsum("...,a...->a...", geom.sqrt_abs_det(0), kernel).value,
             float)
         np.testing.assert_allclose(field.value, expected, atol=5e-12)
 
@@ -143,12 +143,12 @@ def variation_identity_residual(model, geom, vfield):
     pot = sym.symplectic_potential(model, geom, V)
     phi = dfm.normal_components(geom, V)
     E = mdl.eom_density(model, geom)
-    bulk = jet_einsum("...,i...->i...", geom.sqrt_abs_det, E)
+    bulk = jet_einsum("...,i...->i...", geom.sqrt_abs_det(0), E)
     bulk = np.asarray(jet_einsum("i...,i...->...", bulk, phi).value, float)
     assembled = bulk + coordinate_divergence(pot)
 
     def dens(g2):
-        return np.asarray((g2.sqrt_abs_det * model.lagrangian(g2)).value,
+        return np.asarray((g2.sqrt_abs_det(0) * model.lagrangian(g2)).value,
                           float)
 
     numeric = np.asarray(dfm.finite_difference_delta(geom, V, dens).estimate,
@@ -319,6 +319,10 @@ def test_slice_validation():
                             sym.CauchySlice("tau", 3.0, 16), FZ1, FZ2)
     with pytest.raises(ParameterError):
         sym.CauchySlice("lambda", 0.5, 16).axis_index(E)
+    # the value is checked before it is compared with the axis ends
+    for value in ("0.5", None, True, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="slice tau"):
+            sym.CauchySlice("tau", value, 8).grid(E)
     with pytest.raises(UnsupportedConfigurationError):
         sym.mass_shell_check(emb.s3_curve(), sym.CauchySlice("xi", 0.5, 16),
                              1.0)
@@ -471,7 +475,7 @@ def _hg_potential_at_full_order(model, geom, V):
     w8 = jet_einsum("abe...,bej...->aj...", wsum, geom.extrinsic_curvature)
     psi = psi - 2.0 * jet_einsum("aj...,j...->a...", w8, phi)          # T08-T10
     psi = psi - jet_einsum("aj...,j...->a...", anti, phi)              # T11+T12
-    return geom.sqrt_abs_det * psi
+    return geom.sqrt_abs_det(psi.order) * psi
 
 
 def test_hg_potential_builds_each_piece_at_the_order_it_keeps(monkeypatch):

@@ -105,7 +105,7 @@ def test_curvature_flux_first_variations_equal_the_plain_path(monkeypatch):
     high = E.geometry(slc.grid(E)[0].mesh, 4)
     hg = _plain_varied(high, *(f(high) for f in FIELDS))
     rho, frame = sgb.rotation_connection(hg)
-    mixed = [0.9 * hg.sqrt_abs_det * frame.contract(rho.partial(2 + j))
+    mixed = [0.9 * hg.sqrt_abs_det(hg.order) * frame.contract(rho.partial(2 + j))
              for j in (0, 1)]
     want = (mixed[0].coefficient((0, 0) + _eps(2, 1))
             - mixed[1].coefficient((0, 0) + _eps(2, 0)))
@@ -168,8 +168,8 @@ def test_a_first_variation_geometry_carries_no_mixed_term():
         vg.X.coefficient((0, 0, 1, 1))
     # a variation is read as an eps coefficient, never as a partial
     with pytest.raises(PreconditionError, match="deformation.variation"):
-        vg.sqrt_abs_det.partial(vg.dim)
-    assert np.isfinite(dfm.variation(vg, vg.sqrt_abs_det, 1)).all()
+        vg.sqrt_abs_det(vg.order).partial(vg.dim)
+    assert np.isfinite(dfm.variation(vg, vg.sqrt_abs_det(vg.order), 1)).all()
 
 
 def test_gb_form_one_order_lower_aborts(monkeypatch):

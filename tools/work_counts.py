@@ -33,7 +33,11 @@ product background per factor (`Geometry.ambient_covariant`,
 one per curved factor: on `curved-high-order` einsum calls rise from 4366
 to 4598 and Cauchy terms from 9004 to 9236, but on S2 x S2 each of those
 contractions is a quarter (connection) to a half (curvature) of the dense
-one, and the peak falls from 30.63 to 20.56 MiB.
+one, and the peak falls from 30.63 to 20.56 MiB.  Building each curvature
+block from its legs' frame rows (`Geometry.rblock`), and det(gamma),
+sqrt|gamma|, K^a_b^i, K^{ab}_i and the worldvolume connection at the
+order their readers take, then brings `curved-high-order` to 4267 einsum
+calls, 7816 terms and a 16.28 MiB peak.
 """
 import os
 import pathlib
