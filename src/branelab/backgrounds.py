@@ -115,19 +115,6 @@ class BackgroundMetric:
             return jet_stack(_zeros(self.dim, 4), template)
         return jet_stack(self.riemann_fn(*coords), template)
 
-    # -- point-value interface -------------------------------------------
-    def metric_at(self, point):
-        return np.asarray(self.metric_tensor(list(np.asarray(point, float))).value,
-                          float)
-
-    def christoffel_at(self, point):
-        coords = list(np.asarray(point, float))
-        return np.asarray(self.christoffel_tensor(coords).value, float)
-
-    def riemann_at(self, point):
-        coords = list(np.asarray(point, float))
-        return np.asarray(self.riemann_tensor(coords).value, float)
-
 
 # -- metric -> connection -> curvature (of the induced metric, in Geometry) --
 

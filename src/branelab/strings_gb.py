@@ -47,9 +47,9 @@ from .models import _resolve_geometry
 from .symplectic import (
     CanonicalPair,
     CauchySlice,
-    _darboux_form,
+    _darboux_forms,
     _slice_geometry,
-    _variation_pair,
+    _variations,
     dng_momentum_density,
     unit_timelike_tangent,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "rotation_connection",
     "rotation_connection_delta",
     "gb_potential",
-    "gb_canonical",
     "gb_symplectic_form",
     "dnggb_eom_residual",
     "dnggb_potential",
@@ -104,20 +103,13 @@ def _resolve_gauge(theta, geom: Geometry):
 
 @dataclass
 class TangentFramePair:
-    """Orthonormal tangent frame (iota0, iota1) on ``geom`` and its area
-    bivector.  Its chart legs are projected once, on the first `contract`,
-    and shared by every later one."""
+    """Orthonormal tangent frame (iota0, iota1) on ``geom``; `contract`
+    applies its area bivector.  Its chart legs are projected once, on the
+    first `contract`, and shared by every later one."""
 
     iota0: object
     iota1: object
     geom: Geometry
-
-    @property
-    def epsilon(self):
-        """eps^{mu nu} = iota0^mu iota1^nu - iota1^mu iota0^nu."""
-        outer = jet_einsum("m...,n...->mn...", self.iota0, self.iota1)
-        flip = jet_einsum("m...,n...->mn...", self.iota1, self.iota0)
-        return outer - flip
 
     @cached_property
     def _chart_legs(self):
@@ -203,26 +195,6 @@ def gb_potential(geom: Geometry, theta, drho: np.ndarray,
     return sigma1 * dens * shift
 
 
-def gb_canonical(embedding: Embedding, slc: CauchySlice, sigma1: float,
-                 theta=None) -> CanonicalPair:
-    """Canonical pair of the curvature term: q^nu = rho^nu with the chart
-    index pushed to the ambient tangent, p_nu = sigma1 sqrt(-gamma)
-    eps^{mu}{}_{nu} tau_mu = -sigma1 sqrt(-gamma) (iota1)_nu.
-    """
-    (sigma1,) = _finite("gb_canonical: sigma1", sigma1)
-    geom, _grid, _k = _slice_geometry(embedding, slc, 2)
-    rho, frame = rotation_connection(geom, theta)
-    tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, frame.iota0)
-    eps_low = jet_einsum("mn...,nl...->ml...", frame.epsilon,
-                         geom.ambient_metric)
-    p = jet_einsum("ml...,m...->l...", eps_low, tau)
-    p = float(sigma1) * (geom.sqrt_abs_det(0) * p)
-    rho_up = jet_einsum("ab...,b...->a...", geom.inverse_induced_metric, rho)
-    q = jet_einsum("am...,a...->m...", geom.tangents, rho_up)
-    return CanonicalPair(position=np.asarray(q.value, float),
-                         momentum=np.asarray(p.value, float))
-
-
 def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
                        sigma1: float, theta=None) -> float:
     """Slice integral of the antisymmetrized variation of the curvature
@@ -248,14 +220,15 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     dual = jet_einsum("ab...,bn...->an...", geom.inverse_induced_metric, low)
     conormal = np.asarray(dual.value, float)[k]
 
-    def fluxes(vg, _fields):
+    def fluxes(vg, fields):
         rho, frame = rotation_connection(vg, theta)
-        shifts = [frame.contract(dfm.variation(vg, rho, j)) for j in (0, 1)]
+        shifts = [frame.contract(dfm.variation(vg, rho, j))
+                  for j in range(len(fields))]
         dens = sigma1 * vg.sqrt_abs_det(shifts[0].order)
         return [dens * shift for shift in shifts]
 
-    d1, d2 = _variation_pair(geom, vf1, vf2, fluxes)
-    dens = np.einsum("m...,m...->...", conormal, d2 - d1)
+    D = _variations(geom, (vf1, vf2), fluxes)
+    dens = np.einsum("m...,m...->...", conormal, D[0, 1] - D[1, 0])
     return float(integrate(dens, grid))
 
 
@@ -330,20 +303,21 @@ def dnggb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     Position-first ordering keeps the sigma1 -> 0 limit equal to the
     minimal-area slice form; it is `dng_canonical_pairing`'s integral.
     """
-    return _darboux_form(embedding, slc, 3, vf1, vf2,
-                         lambda vg: _dnggb_pair(vg, sigma0, sigma1, theta))
+    return float(_darboux_forms(
+        embedding, slc, 3, (vf1, vf2),
+        lambda vg: _dnggb_pair(vg, sigma0, sigma1, theta))[0, 1])
 
 
 # -- topology and the two-dimensional identity ---------------------------------
 
-def _require_closed(embedding: Embedding, n_probe: int = 33):
+def _require_closed(embedding: Embedding):
     """Closed surface: every chart axis periodic, or capped by a degenerate
-    metric at its endpoints (polar charts)."""
+    metric at its endpoints (polar charts), probed at 33 points."""
     for k, ax in enumerate(embedding.axes):
         if ax.periodic:
             continue
         other = embedding.axes[1 - k]
-        sweep = np.linspace(other.lo, other.hi, n_probe)
+        sweep = np.linspace(other.lo, other.hi, 33)
         for edge in (ax.lo, ax.hi):
             pts = [None, None]
             pts[k] = np.full_like(sweep, edge)

@@ -33,13 +33,16 @@ On top of Psi sit the phase-space structures: the two-argument current
 
     J[phi1, phi2] = D_{phi2} Psi[X; phi1] - D_{phi1} Psi[X; phi2],
 
-with D the exact derivative along a deformation of the embedding, read
-off one geometry with a jet variable per deformation
-(`deformation.varied_geometry`; argument order anchored by the
-closed-form value of the static string below), the Cauchy-slice
-symplectic form, and the canonical position/momentum pairing of the
-minimal-area model with momentum density
-p_hat_alpha = sqrt(-gamma) sigma0 tau_alpha.
+with D the exact derivative along a deformation of the embedding
+(argument order anchored by the closed-form value of the static string),
+the Cauchy-slice symplectic form, and the canonical position/momentum
+pairing of the minimal-area model with momentum density
+p_hat_alpha = sqrt(-gamma) sigma0 tau_alpha.  Each is antisymmetric and
+bilinear in the deformations, so k of them are read off one geometry
+with a jet variable per deformation (`deformation.varied_geometry`,
+which grows linearly in k): `slice_currents` and
+`dng_canonical_pairings` return the matrix over every pair, and the
+two-field functions are its [0, 1] entry.
 
 Deformation arguments follow one convention package-wide: a callable
 mapping a Geometry to an ambient vector jet over its grid (`chart_field`
@@ -50,6 +53,7 @@ fixed while the embedding varies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -70,11 +74,12 @@ __all__ = [
     "chart_field",
     "symplectic_potential",
     "symplectic_current",
-    "slice_current",
+    "slice_currents",
     "symplectic_form",
     "unit_timelike_tangent",
     "dng_momentum_density",
     "dng_canonical_pair",
+    "dng_canonical_pairings",
     "dng_canonical_pairing",
     "mass_shell_check",
 ]
@@ -141,21 +146,34 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
 
 # -- phase-space structures ---------------------------------------------------
 
-def _variation_pair(geom: Geometry, vf1, vf2, quantities):
-    """Vary a quantity of each deformation along the other one.
+def _variations(geom: Geometry, fields, quantities) -> np.ndarray:
+    """Vary each of some quantities along each of k deformations.
 
-    Both fields are resolved once on the base geometry and held fixed on
-    one geometry of X + eps1 V1 + eps2 V2 (`deformation.varied_geometry`).
-    ``quantities(vg, (V1, V2))`` returns the quantity's jets (Q[V1],
-    Q[V2]) on that geometry, with the fields lifted onto it; returns
-    (D_{V1} Q[V2], D_{V2} Q[V1]), each a first variation.
+    ``fields``, a list or tuple of at least two, are resolved once on the
+    base geometry and held fixed on one geometry of X + sum_j eps_j V_j
+    (`deformation.varied_geometry`).  ``quantities(vg, fields)`` returns
+    the quantities' jets on that geometry, with the fields lifted onto it;
+    returns the grid values D[q, j] = D_{V_j} Q[q], the eps_j coefficient
+    of quantity q.
     """
-    V1 = dfm.resolve_field(vf1, geom)
-    V2 = dfm.resolve_field(vf2, geom)
-    vg = dfm.varied_geometry(geom, V1, V2)
-    n = vg.X.nvars
-    q1, q2 = quantities(vg, (V1.lift(n), V2.lift(n)))
-    return dfm.variation(vg, q2, 0), dfm.variation(vg, q1, 1)
+    if not isinstance(fields, (list, tuple)) or len(fields) < 2:
+        raise ParameterError(
+            "a k-field form takes a list or tuple of at least two "
+            f"deformations, not {type(fields).__name__} {fields!r:.60}")
+    Vs = [dfm.resolve_field(vf, geom) for vf in fields]
+    vg = dfm.varied_geometry(geom, *Vs)
+    qs = quantities(vg, [V.lift(vg.X.nvars) for V in Vs])
+    return np.array([[dfm.variation(vg, q, j) for j in range(len(Vs))]
+                     for q in qs])
+
+
+def _currents(model: LagrangianModel, geom: Geometry, fields) -> np.ndarray:
+    """J^a[phi_i, phi_j] = D_j Psi[phi_i] - D_i Psi[phi_j] for every pair
+    of the fields, indexed [i, j, a] + grid."""
+    D = _variations(geom, fields,
+                    lambda vg, Vs: [symplectic_potential(model, vg, V)
+                                    for V in Vs])
+    return D - D.swapaxes(0, 1)
 
 
 def symplectic_current(model: LagrangianModel, geom: Geometry, vf1,
@@ -166,11 +184,7 @@ def symplectic_current(model: LagrangianModel, geom: Geometry, vf1,
     deformation while the embedding moves along the other; ``geom`` needs
     one jet order above what the potential's value needs.
     """
-    d1, d2 = _variation_pair(
-        geom, vf1, vf2,
-        lambda vg, fields: [symplectic_potential(model, vg, V)
-                            for V in fields])
-    return d2 - d1
+    return _currents(model, geom, (vf1, vf2))[0, 1]
 
 
 @dataclass(frozen=True)
@@ -210,20 +224,22 @@ def _slice_geometry(embedding: Embedding, slc: CauchySlice, order: int):
     return embedding.geometry(grid.mesh, order), grid, k
 
 
-def slice_current(model: LagrangianModel, embedding: Embedding,
-                  slc: CauchySlice, vf1, vf2):
-    """Slice component of the current over the cross-section: (values, grid)."""
+def slice_currents(model: LagrangianModel, embedding: Embedding,
+                   slc: CauchySlice, fields):
+    """Slice component of the current between every two of k deformations
+    over the cross-section, all read off one varied geometry: (J, grid),
+    with J[i, j] the values of J[phi_i, phi_j], so J is antisymmetric."""
     # the potential's value needs one order below the field equations, so
     # their order leaves it one for the eps coefficients
     geom, grid, k = _slice_geometry(embedding, slc, model.jet_order)
-    return symplectic_current(model, geom, vf1, vf2)[k], grid
+    return _currents(model, geom, fields)[:, :, k], grid
 
 
 def symplectic_form(model: LagrangianModel, embedding: Embedding,
                     slc: CauchySlice, vf1, vf2) -> float:
     """Quadrature of the current's slice component over the cross-section."""
-    values, grid = slice_current(model, embedding, slc, vf1, vf2)
-    return float(integrate(values, grid))
+    J, grid = slice_currents(model, embedding, slc, (vf1, vf2))
+    return float(integrate(J[0, 1], grid))
 
 
 # -- canonical variables of the minimal-area string ---------------------------
@@ -263,30 +279,42 @@ def dng_canonical_pair(embedding: Embedding, slc: CauchySlice,
                          momentum=np.asarray(phat.value, float))
 
 
-def _darboux_form(embedding, slc, order: int, vf1, vf2, pair) -> float:
-    """Slice integral of delta1 Q . delta2 P - delta2 Q . delta1 P for the
-    jets (Q, P) = pair(vg), both variations exact and read off one varied
-    geometry of the slice at jet order ``order``."""
+def _darboux_forms(embedding, slc, order: int, fields, pair) -> np.ndarray:
+    """Slice integrals of delta_i Q . delta_j P - delta_j Q . delta_i P for
+    every two of the fields, as an antisymmetric matrix [i, j], for the
+    jets (Q, P) = pair(vg).  They do not depend on the fields, so they are
+    built once, on one varied slice geometry of jet order ``order``."""
     geom, grid, _k = _slice_geometry(embedding, slc, order)
-    d1, d2 = _variation_pair(geom, vf1, vf2,
-                             lambda vg, _fields: [jet_stack(pair(vg))] * 2)
-    dens = np.einsum("m...,m...->...", d1[0], d2[1]) \
-        - np.einsum("m...,m...->...", d2[0], d1[1])
-    return float(integrate(dens, grid))
+    (d,) = _variations(geom, fields, lambda vg, _Vs: [jet_stack(pair(vg))])
+    forms = np.zeros((len(fields),) * 2)
+    for i, j in combinations(range(len(fields)), 2):
+        dens = np.einsum("m...,m...->...", d[i, 0], d[j, 1]) \
+            - np.einsum("m...,m...->...", d[j, 0], d[i, 1])
+        forms[i, j] = integrate(dens, grid)
+        forms[j, i] = -forms[i, j]
+    return forms
+
+
+def dng_canonical_pairings(embedding: Embedding, slc: CauchySlice, fields,
+                           sigma0: float) -> np.ndarray:
+    """Darboux pairing of every two of k deformations against the momentum
+    density, as the antisymmetric matrix [i, j] of
+
+        integral over the slice of
+        (delta_i X^alpha delta_j phat_alpha - delta_j X^alpha delta_i phat_alpha)
+
+    with delta(phat) the exact variation, as for the current; each entry
+    equals the symplectic form of the minimal-area model.
+    """
+    return _darboux_forms(embedding, slc, 2, fields,
+                          lambda vg: (vg.X, dng_momentum_density(vg, sigma0)))
 
 
 def dng_canonical_pairing(embedding: Embedding, slc: CauchySlice, vf1, vf2,
                           sigma0: float) -> float:
-    """Darboux pairing of two deformations against the momentum density:
-
-        integral over the slice of
-        (delta1 X^alpha delta2 phat_alpha - delta2 X^alpha delta1 phat_alpha)
-
-    with delta(phat) the exact variation, as for the current; equals the
-    symplectic form of the minimal-area model.
-    """
-    return _darboux_form(embedding, slc, 2, vf1, vf2,
-                         lambda vg: (vg.X, dng_momentum_density(vg, sigma0)))
+    """The [0, 1] entry of `dng_canonical_pairings` over (vf1, vf2)."""
+    return float(dng_canonical_pairings(embedding, slc, (vf1, vf2),
+                                        sigma0)[0, 1])
 
 
 def mass_shell_check(embedding: Embedding, slc: CauchySlice,

@@ -22,12 +22,18 @@ def strip_closed_forms(bg):
     )
 
 
+def at(tensor, point):
+    """Values of a background's tensor method (``bg.metric_tensor``,
+    ``christoffel_tensor`` or ``riemann_tensor``) at one point."""
+    return np.asarray(tensor(list(np.asarray(point, float))).value, float)
+
+
 def fd_christoffel_at(bg, point, step=1e-5):
-    """Central-difference connection from metric_at: an oracle for the
+    """Central-difference connection from the metric: an oracle for the
     closed forms."""
     point = np.asarray(point, float)
-    ginv = np.linalg.inv(bg.metric_at(point))
-    dg = _central_grad(lambda p: bg.metric_at(p), point, step)
+    ginv = np.linalg.inv(at(bg.metric_tensor, point))
+    dg = _central_grad(lambda p: at(bg.metric_tensor, p), point, step)
     low = 0.5 * (
         np.einsum("mrn->rmn", dg)
         + np.einsum("nrm->rmn", dg)
@@ -47,7 +53,7 @@ def fd_riemann_at(bg, point, step=1e-5):
         + np.einsum("rml,lns->rsmn", G, G)
         - np.einsum("rnl,lms->rsmn", G, G)
     )
-    return np.einsum("rk,ksmn->rsmn", bg.metric_at(point), upper)
+    return np.einsum("rk,ksmn->rsmn", at(bg.metric_tensor, point), upper)
 
 
 def jet_extracted_at(bg, point):
@@ -78,21 +84,22 @@ def _central_grad(fn, point, step):
 
 def test_flat_backgrounds():
     mink = minkowski(4)
-    np.testing.assert_allclose(mink.metric_at([0.3, 1.0, -2.0, 0.7]),
+    np.testing.assert_allclose(at(mink.metric_tensor, [0.3, 1.0, -2.0, 0.7]),
                                np.diag([-1.0, 1, 1, 1]))
-    np.testing.assert_allclose(mink.christoffel_at([0.1, 0.2, 0.3, 0.4]), 0.0)
-    np.testing.assert_allclose(mink.riemann_at([0.1, 0.2, 0.3, 0.4]), 0.0)
+    for tensor in (mink.christoffel_tensor, mink.riemann_tensor):
+        np.testing.assert_allclose(at(tensor, [0.1, 0.2, 0.3, 0.4]), 0.0)
     eu = euclidean(3)
-    np.testing.assert_allclose(eu.metric_at([1.0, 2.0, 3.0]), np.eye(3))
+    np.testing.assert_allclose(at(eu.metric_tensor, [1.0, 2.0, 3.0]), np.eye(3))
     # numpy integers are integers; the smallest flat space has one axis
     assert minkowski(np.int64(3)).name == "minkowski3"
-    np.testing.assert_array_equal(minkowski(1).metric_at([0.4]), [[-1.0]])
+    np.testing.assert_array_equal(at(minkowski(1).metric_tensor, [0.4]),
+                                  [[-1.0]])
 
 
 def test_sphere2_christoffel_closed_form():
     bg = round_sphere_background(2, radius=1.0)
     theta = np.pi / 4
-    G = bg.christoffel_at([theta, 0.3])
+    G = at(bg.christoffel_tensor, [theta, 0.3])
     # angular chart: G^0_{11} = -sin t cos t, G^1_{01} = cot t
     assert G[0, 1, 1] == pytest.approx(-0.5)
     assert G[1, 0, 1] == pytest.approx(1.0)
@@ -104,8 +111,8 @@ def test_sphere_scalar_curvature():
     # unit 2-sphere has scalar curvature +2 in this sign convention
     bg = round_sphere_background(2, radius=1.0)
     pt = [0.9, 1.3]
-    R = bg.riemann_at(pt)
-    g = bg.metric_at(pt)
+    R = at(bg.riemann_tensor, pt)
+    g = at(bg.metric_tensor, pt)
     ginv = np.linalg.inv(g)
     ricci = np.einsum("rm,rsmn->sn", ginv, R)
     scal = np.einsum("sn,sn->", ginv, ricci)
@@ -116,9 +123,9 @@ def test_sphere_radius_scaling():
     rho = 1.7
     bg = round_sphere_background(3, radius=rho)
     pt = [1.1, 0.8, 2.0]
-    g = bg.metric_at(pt)
+    g = at(bg.metric_tensor, pt)
     ginv = np.linalg.inv(g)
-    R = bg.riemann_at(pt)
+    R = at(bg.riemann_tensor, pt)
     scal = np.einsum("rm,sn,rsmn->", ginv, ginv, R)
     assert scal == pytest.approx(3 * 2 / rho**2, rel=1e-12)  # n(n-1)/rho^2
 
@@ -137,9 +144,9 @@ def test_closed_forms_match_central_differences(bg):
     for _ in range(3):
         pt = rng.uniform(0.5, 2.0, size=bg.dim)
         np.testing.assert_allclose(fd_christoffel_at(bg, pt),
-                                   bg.christoffel_at(pt), atol=1e-7)
-        np.testing.assert_allclose(fd_riemann_at(bg, pt), bg.riemann_at(pt),
-                                   atol=1e-4)
+                                   at(bg.christoffel_tensor, pt), atol=1e-7)
+        np.testing.assert_allclose(fd_riemann_at(bg, pt),
+                                   at(bg.riemann_tensor, pt), atol=1e-4)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -149,16 +156,19 @@ def test_jet_extraction_matches_closed_forms(dim):
     for _ in range(4):
         pt = rng.uniform(0.4, 2.2, size=dim)
         gamma, riemann = jet_extracted_at(bg, pt)
-        np.testing.assert_allclose(gamma, bg.christoffel_at(pt), atol=1e-12)
-        np.testing.assert_allclose(riemann, bg.riemann_at(pt), atol=1e-11)
+        np.testing.assert_allclose(gamma, at(bg.christoffel_tensor, pt),
+                                   atol=1e-12)
+        np.testing.assert_allclose(riemann, at(bg.riemann_tensor, pt),
+                                   atol=1e-11)
 
 
 def test_fd_mode_cross_checks_jet_mode():
     bg = round_sphere_background(2, radius=1.0)
     pt = np.array([0.8, 0.5])
     gamma, riemann = jet_extracted_at(bg, pt)
+    closed = (at(bg.christoffel_tensor, pt), at(bg.riemann_tensor, pt))
     for ref_gamma, ref_riemann in ((gamma, riemann),  # jet extraction
-                                   (bg.christoffel_at(pt), bg.riemann_at(pt))):
+                                   closed):
         np.testing.assert_allclose(fd_christoffel_at(bg, pt), ref_gamma,
                                    atol=1e-7)
         np.testing.assert_allclose(fd_riemann_at(bg, pt), ref_riemann,
@@ -171,7 +181,7 @@ def test_extracted_riemann_symmetries_and_bianchi():
     for bg in (round_sphere_background(3, radius=0.9), S2XS3):
         for _ in range(3):
             pt = rng.uniform(0.5, 2.0, size=bg.dim)
-            R = bg.riemann_at(pt)
+            R = at(bg.riemann_tensor, pt)
             np.testing.assert_allclose(R, -np.einsum("abmn->bamn", R),
                                        atol=1e-10)
             np.testing.assert_allclose(R, -np.einsum("abmn->abnm", R),
@@ -288,11 +298,12 @@ def test_product_background_blocks_and_names():
     assert flat.flat and flat.dim == 3
     mixed = backgrounds.product_background(euclidean(2), s2)
     pt = [0.3, -0.2, 0.9, 0.4]
-    R = mixed.riemann_at(pt)
+    R = at(mixed.riemann_tensor, pt)
     np.testing.assert_array_equal(R[:2], 0.0)
-    np.testing.assert_array_equal(R[2:, 2:, 2:, 2:], s2.riemann_at(pt[2:]))
-    np.testing.assert_array_equal(mixed.christoffel_at(pt)[2:, 2:, 2:],
-                                  s2.christoffel_at(pt[2:]))
+    np.testing.assert_array_equal(R[2:, 2:, 2:, 2:],
+                                  at(s2.riemann_tensor, pt[2:]))
+    np.testing.assert_array_equal(at(mixed.christoffel_tensor, pt)[2:, 2:, 2:],
+                                  at(s2.christoffel_tensor, pt[2:]))
     # a curved factor without closed forms cannot be built, so no product
     # has one
     with pytest.raises(ParameterError, match="closed-form"):

@@ -269,6 +269,40 @@ def test_tangential_deformations_drop_out():
     assert abs(p) < 1e-10
 
 
+# the canonical-darboux slice and its six distinct fields
+DARBOUX_SLICE = sym.CauchySlice("tau", 0.9, 160)
+SIX_FIELDS = [FZ1, FZ2, FRAD1, FRAD2, FZ3, tangential_string_field]
+
+
+def test_form_matrices_are_the_pairwise_forms_bit_for_bit():
+    E, model = emb.static_string(1.0), mdl.DNG(mu=1.0)
+    J, grid = sym.slice_currents(model, E, DARBOUX_SLICE, SIX_FIELDS)
+    W = np.array([[float(emb.integrate(J[i, j], grid)) for j in range(6)]
+                  for i in range(6)])
+    P = sym.dng_canonical_pairings(E, DARBOUX_SLICE, SIX_FIELDS, 1.0)
+    for M in (J, W, P):
+        assert np.array_equal(M, -M.swapaxes(0, 1))
+        assert not np.diagonal(M).any()
+    for i, f1 in enumerate(SIX_FIELDS):
+        for j, f2 in enumerate(SIX_FIELDS):
+            if i != j:
+                assert W[i, j] == sym.symplectic_form(model, E, DARBOUX_SLICE,
+                                                      f1, f2)
+                assert P[i, j] == sym.dng_canonical_pairing(
+                    E, DARBOUX_SLICE, f1, f2, 1.0)
+    assert np.abs(W).max() > 0.1
+
+
+@pytest.mark.parametrize("fields", [FZ1, [], [FZ1]],
+                         ids=["callable", "empty", "one-field"])
+def test_form_matrices_need_two_or_more_fields(fields):
+    E = emb.static_string(1.0)
+    with pytest.raises(ParameterError, match="at least two deformations"):
+        sym.slice_currents(mdl.DNG(mu=1.0), E, DARBOUX_SLICE, fields)
+    with pytest.raises(ParameterError, match="at least two deformations"):
+        sym.dng_canonical_pairings(E, DARBOUX_SLICE, fields, 1.0)
+
+
 def test_canonical_pair_on_static_string():
     r, sig = 1.4, 2.0
     n = 32

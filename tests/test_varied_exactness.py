@@ -78,14 +78,16 @@ def test_curvature_flux_first_variations_equal_the_plain_path(monkeypatch):
     # record the slice geometry, the fields, the fluxes and the two first
     # variations of one gb_symplectic_form call
     seen = []
-    original = sym._variation_pair
+    original = sym._variations
 
-    def recording(geom, vf1, vf2, quantities):
-        out = original(geom, vf1, vf2, quantities)
-        seen.append((geom, vf1(geom), vf2(geom), quantities, out))
-        return out
+    def recording(geom, fields, quantities):
+        D = original(geom, fields, quantities)
+        # D_{V1} of V2's flux, D_{V2} of V1's
+        seen.append((geom, *(vf(geom) for vf in fields), quantities,
+                     (D[1, 0], D[0, 1])))
+        return D
 
-    monkeypatch.setattr(sgb, "_variation_pair", recording)
+    monkeypatch.setattr(sgb, "_variations", recording)
     slc = sym.CauchySlice("tau", 0.4, 9)
     form = sgb.gb_symplectic_form(E, slc, *FIELDS, 0.9)
     ((geom, V1, V2, fluxes, (d1, d2)),) = seen
@@ -136,7 +138,7 @@ def test_darboux_pair_variations_equal_the_plain_path():
     def pair(g):
         return jets.jet_stack([g.X, sym.dng_momentum_density(g, 1.1)])
 
-    d1, d2 = sym._variation_pair(geom, V1, V2, lambda vg, _f: [pair(vg)] * 2)
+    ((d1, d2),) = sym._variations(geom, (V1, V2), lambda vg, _f: [pair(vg)])
     plain = pair(_plain_varied(geom, V1, V2))
     for got, m in ((d1, 0), (d2, 1)):
         assert_same_bits(got, plain.coefficient((0, 0) + _eps(2, m)))

@@ -4,7 +4,8 @@ Usage: PYTHONPATH=src python3 tools/work_counts.py SEED
 
 Builds each workload of bench/workloads.py with SEED, runs one warm-up
 pass (which fills the caches a pass reuses), then counts, over a second
-pass, where the coefficient products are made:
+pass, where the coefficient products are made and how many geometries
+carry them:
 
     einsum   every np.einsum call made in branelab/jets.py
     cauchy   every coefficient product that jets._cauchy sums (the terms
@@ -14,11 +15,14 @@ pass, where the coefficient products are made:
     peak_mib the tracemalloc peak of the counted pass, in MiB: the most
              Python-heap memory (numpy's arrays included) the pass held at
              once beyond what was allocated before it
+    geometries every Geometry.__init__ call of the counted pass: the
+             worldvolume geometries it builds, varied and re-embedded
+             ones included
 
 and prints `<workload> einsum <calls> cauchy <terms> __mul__ <terms>
-jet_einsum <terms> _compose <terms> jet_matinv <terms> peak_mib <MiB>`.
-The counts and the peak are deterministic, so two trees compare by a diff
-of their lines:
+jet_einsum <terms> _compose <terms> jet_matinv <terms> peak_mib <MiB>
+geometries <n>`.  The counts and the peak are deterministic, so two trees
+compare by a diff of their lines:
 
     PYTHONPATH=OLD/src python3 tools/work_counts.py 1 > old.txt
     PYTHONPATH=NEW/src python3 tools/work_counts.py 1 > new.txt
@@ -55,7 +59,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
-from branelab import jets  # noqa: E402
+from branelab import embeddings, jets  # noqa: E402
 
 
 ENTRY_POINTS = ("__mul__", "jet_einsum", "_compose", "jet_matinv")
@@ -68,6 +72,7 @@ class _Counts:
     def __init__(self):
         self.einsum_calls = 0
         self.cauchy_terms = Counter()
+        self.geometries = 0
         self._sum = jets._cauchy
 
     def __getattr__(self, name):
@@ -85,6 +90,13 @@ class _Counts:
         self.cauchy_terms[frame.f_code.co_name] += len(pairs)
         return self._sum(pairs, prod)
 
+    def geometry(self, init):
+        """``init``, Geometry.__init__, counting its calls."""
+        def counted(geom, *args, **kwargs):
+            self.geometries += 1
+            init(geom, *args, **kwargs)
+        return counted
+
 
 def main(argv):
     if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
@@ -96,6 +108,8 @@ def main(argv):
             op.call()
         counts = _Counts()
         jets.np, jets._cauchy = counts, counts.cauchy
+        init = embeddings.Geometry.__init__
+        embeddings.Geometry.__init__ = counts.geometry(init)
         tracemalloc.start()
         try:
             for op in ops:
@@ -104,11 +118,12 @@ def main(argv):
         finally:
             tracemalloc.stop()
             jets.np, jets._cauchy = np, counts._sum
+            embeddings.Geometry.__init__ = init
         terms = counts.cauchy_terms
         print(name, "einsum", counts.einsum_calls,
               "cauchy", sum(terms.values()),
               *(f"{entry} {terms[entry]}" for entry in ENTRY_POINTS),
-              f"peak_mib {peak / 2**20:.2f}")
+              f"peak_mib {peak / 2**20:.2f}", "geometries", counts.geometries)
 
 
 if __name__ == "__main__":
