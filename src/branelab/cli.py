@@ -352,10 +352,11 @@ def run_gb_gauge_invariance(run):
     sigma1, tol = run.couplings["sigma1"], run.tol
     grid = emb.make_grid(run.embedding, run.grid)
     geom = run.embedding.geometry(grid.mesh, 3)  # rho at order 1, varied once
-    dr = sgb.rotation_connection_delta(geom, RADIAL_WAVE)
+    # rho in both gauges off one varied geometry (`rotation_connection_delta`)
+    vg = dfm.varied_geometry(geom, dfm.resolve_field(RADIAL_WAVE, geom))
+    dr, dr_g = (dfm.variation(vg, sgb.rotation_connection(vg, theta)[0])
+                for theta in (None, gauge_angle))
     psi = sgb.gb_potential(geom, None, dr, sigma1)
-    dr_g = sgb.rotation_connection_delta(geom, RADIAL_WAVE,
-                                         theta=gauge_angle)
     psi_g = sgb.gb_potential(geom, gauge_angle, dr_g, sigma1)
     checks = [
         Check("connection-response-shift", float(np.max(np.abs(dr - dr_g))),

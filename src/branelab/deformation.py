@@ -116,7 +116,7 @@ def normal_components(geom: Geometry, V):
     """Normal components phi^i = <V, n^i> of an ambient vector jet V, from
     one lowering of V.  Its tangential components are
     ``geom.chart_components(V)``."""
-    gV = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
+    gV = jet_einsum("mn...,n...->m...", geom.ambient_metric(V.order), V)
     return jet_einsum("im...,m...->i...", geom.normal_frame(gV.order), gV)
 
 
@@ -232,7 +232,7 @@ def delta_wv_christoffel(geom: Geometry, phi):
     combo = (jet_rearrange("aeb...->eab...", gP)
              + jet_rearrange("bea...->eab...", gP)
              - gP)
-    return jet_einsum("de...,eab...->dab...", geom.inverse_induced_metric, combo)
+    return geom._with_inverse("de...,eab...->dab...", combo)
 
 
 def delta_grad_extrinsic(geom: Geometry, phi, lam=None):
@@ -240,6 +240,7 @@ def delta_grad_extrinsic(geom: Geometry, phi, lam=None):
     given, is ``delta_extrinsic(geom, phi)``."""
     lam = delta_extrinsic(geom, phi) if lam is None else lam
     out = geom.covariant_grad(lam, 2, 1)            # (a, b, c, i)
+    phi = phi.truncated(out.order + 1)     # dG and dw at the order of out
     dG = delta_wv_christoffel(geom, phi)
     K = geom.extrinsic_curvature
     out = out - jet_einsum("dab...,dci...->abci...", dG, K)
@@ -253,8 +254,8 @@ def delta_grad_extrinsic(geom: Geometry, phi, lam=None):
 
 
 def scalar_invariant(geom: Geometry, name: str):
-    """Pointwise scalar invariants used by the oracles; det(gamma) and
-    sqrt|gamma| at order 0, whose value and eps slots their readers take."""
+    """Pointwise scalar invariants used by the oracles, at order 0, whose
+    value and eps slots their readers take."""
     if name == "det_metric":
         return geom.det_induced_metric(0)
     if name == "sqrt_det":
@@ -262,7 +263,7 @@ def scalar_invariant(geom: Geometry, name: str):
     if name not in INVARIANTS:
         raise ParameterError(f"unknown scalar invariant '{name}'")
     fn, tensor, _depth = INVARIANTS[name]
-    return fn(geom.inverse_induced_metric, getattr(geom, tensor))
+    return fn(geom.inverse_induced_metric(0), getattr(geom, tensor))
 
 
 def predicted_delta_scalar(geom: Geometry, phi, name: str, lam=None):
@@ -284,7 +285,7 @@ def predicted_delta_scalar(geom: Geometry, phi, name: str, lam=None):
     lam = delta_extrinsic(geom, phi) if lam is None else lam
     delta = (delta_grad_extrinsic(geom, phi, lam)
              if tensor == "grad_extrinsic" else lam)
-    gi = Jet(1, 1, [geom.inverse_induced_metric.value,
+    gi = Jet(1, 1, [geom.inverse_induced_metric(0).value,
                     delta_inverse_metric(geom, phi.truncated(0)).value])
     dual = Jet(1, 1, [getattr(geom, tensor).value, delta.value])
     return np.asarray(fn(gi, dual).coefficient((1,)), float)

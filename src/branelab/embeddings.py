@@ -319,7 +319,7 @@ class Geometry:
     """Lazily evaluated induced geometry of one embedded worldvolume.
 
     Tensor index layout (leading axes before the grid axes):
-      tangents[a, mu], normals[i, mu], induced_metric[a, b],
+      tangents[a, mu], normals[i, mu], induced_metric(order)[a, b],
       extrinsic_curvature[a, b, i], k_mixed(order)[a, b, i] (K^a_b^i),
       k_raised(order)[a, b, i] (K^{ab}_i), wv_christoffel(order)[c, a, b],
       twist(order)[a, i, j], grad_extrinsic[a, b, c, i]
@@ -331,13 +331,13 @@ class Geometry:
     Sums and contractions align jets to the lower order, so each term is
     built at the order of the sum it joins: a derivative's connection term
     at the order of the partials (one below the field), the ambient
-    metric at the tangents' order (one below the map) and its connection
-    two below the map, the intrinsic curvature's products at the order of
-    the metric's second partials (three below the map).  The tensors read
-    through a method with an ``order`` are built at the order their
-    caller asks for (`_at_order`), capped at the order the map leaves
-    them: the normal frame and its lowering (K reads them two below the
-    map, ``twist(order)`` the frame at order + 1), det(gamma) and
+    connection two below the map, the intrinsic curvature's products at
+    the order of the metric's second partials (three below the map).  The
+    tensors read through a method with an ``order`` are built at the order
+    their caller asks for (`_at_order`), capped at the order the map
+    leaves them: g_{mn}, gamma_ab and gamma^{ab} (`_metric`), the normal
+    frame and its lowering (K reads them two below the map,
+    ``twist(order)`` the frame at order + 1), det(gamma) and
     sqrt|gamma| (order 0 for a reader of values, the order of the jet they
     weight otherwise), K^a_b^i and K^{ab}_i, the worldvolume connection,
     and each curvature block and the factor's Riemann tensor under it (at
@@ -378,14 +378,14 @@ class Geometry:
                 f"{name} needs an order >= 0, a whole number, got {order!r}")
         return order
 
-    def _at_order(self, name, order, top, build):
-        """``build(m)`` at m = min(``order``, ``top``).  The highest m built
-        so far is kept under ``name``, and a lower m is read as its prefix,
-        which in truncated Taylor arithmetic is bit-identical."""
+    def _at_order(self, name, order, top, build, low=0):
+        """``build(m)`` at m = min(max(``order``, ``low``), ``top``).  The
+        highest m built so far is kept under ``name``, and a lower order is
+        read as its prefix, in truncated Taylor arithmetic bit-identical."""
         order = min(self._order(name, order), top)
         held = self._held.get(name)
         if held is None or held.order < order:
-            held = self._held[name] = build(order)
+            held = self._held[name] = build(min(max(order, low), top))
         return held.truncated(order)
 
     def truncated(self, order):
@@ -421,12 +421,17 @@ class Geometry:
         X = self.X.truncated(order)
         return [X[mu] for mu in range(self.ambient_dim)]
 
-    @cached_property
-    def ambient_metric(self):
-        """g_{mn} along the map at the tangents' order: every reader
-        contracts it with a tangent or a field of that order at most."""
-        return self.background.metric_tensor(
-            self._x_components(self.tangents.order))
+    def _metric(self, name, order, build):
+        """g_{mn}, gamma_ab or gamma^{ab} at min(``order``, the tangents'
+        order) (`_at_order`), built at no less than K's order, so an earlier
+        read of values builds it once for the readers up to K's order."""
+        top = self.tangents.order
+        return self._at_order(name, order, top, build, top - 1)
+
+    def ambient_metric(self, order):
+        """g_{mn} along the map (`_metric`)."""
+        return self._metric("ambient_metric", order, lambda m:
+                            self.background.metric_tensor(self._x_components(m)))
 
     @cached_property
     def tangents(self):
@@ -434,14 +439,15 @@ class Geometry:
 
     def _dot(self, u, v):
         """Ambient inner product of two vector jets (mu leading)."""
-        gv = jet_einsum("mn...,n...->m...", self.ambient_metric, v)
+        gv = jet_einsum("mn...,n...->m...", self.ambient_metric(v.order), v)
         return jet_einsum("m...,m...->...", u, gv)
 
-    @cached_property
-    def induced_metric(self):
+    def induced_metric(self, order):
+        """gamma_ab = g(e_a, e_b) (`_metric`)."""
         e = self.tangents
-        ge = jet_einsum("mn...,bn...->bm...", self.ambient_metric, e)
-        return jet_einsum("am...,bm...->ab...", e, ge)
+        return self._metric("induced_metric", order, lambda m: jet_einsum(
+            "am...,bm...->ab...", e, jet_einsum(
+                "mn...,bn...->bm...", self.ambient_metric(m), e)))
 
     def check_nondegenerate(self):
         """Raise DegenerateGeometryError naming the first grid indices (up
@@ -454,19 +460,26 @@ class Geometry:
                 f"degenerate induced metric at grid indices {idx}"
                 + ("" if np.count_nonzero(bad) <= 8 else " (truncated)"))
 
-    @cached_property
-    def inverse_induced_metric(self):
-        self.check_nondegenerate()
-        try:
-            return jet_matinv(self.induced_metric)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateGeometryError("induced metric is singular") from exc
+    def inverse_induced_metric(self, order):
+        """gamma^{ab} (`_metric`), from gamma read before its check."""
+        def build(m):
+            gamma = self.induced_metric(m)
+            self.check_nondegenerate()
+            try:
+                return jet_matinv(gamma)
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateGeometryError("induced metric is singular") from exc
+        return self._metric("inverse_induced_metric", order, build)
+
+    def _with_inverse(self, spec, T):
+        """jet_einsum(spec, gamma^{ab}, T), gamma^{ab} read at T's order."""
+        return jet_einsum(spec, self.inverse_induced_metric(T.order), T)
 
     def det_induced_metric(self, order):
         """det(gamma) at order min(``order``, the metric's) (`_at_order`)."""
         return self._at_order(
-            "det_induced_metric", order, self.induced_metric.order,
-            lambda m: jet_det(self.induced_metric.truncated(m)))
+            "det_induced_metric", order, self.tangents.order,
+            lambda m: jet_det(self.induced_metric(m)))
 
     @cached_property
     def metric_sign(self):
@@ -478,21 +491,23 @@ class Geometry:
 
     def sqrt_abs_det(self, order):
         """sqrt|det(gamma)| at order min(``order``, the metric's): a reader
-        asks for the order of the jet it weights (`_at_order`)."""
+        asks for the order of the jet it weights (`_at_order`).  det(gamma)
+        is read at that order before `metric_sign` reads its value, so it
+        is built once."""
         return self._at_order(
-            "sqrt_abs_det", order, self.induced_metric.order,
-            lambda m: (self.metric_sign * self.det_induced_metric(m)).sqrt())
+            "sqrt_abs_det", order, self.tangents.order,
+            lambda m: (self.det_induced_metric(m) * self.metric_sign).sqrt())
 
     def chart_components(self, W):
         """Chart components gamma^{ab} <e_b, W> of an ambient vector jet W,
         (mu, ...) -> (a, ...); further axes ride through einsum's ``...``."""
         return self._chart_of_lowered(
-            jet_einsum("mn...,n...->m...", self.ambient_metric, W))
+            jet_einsum("mn...,n...->m...", self.ambient_metric(W.order), W))
 
     def _chart_of_lowered(self, gW):
         """`chart_components` of W from its lowering gW = g_{mn} W^n."""
         low = jet_einsum("bm...,m...->b...", self.tangents, gW)
-        return jet_einsum("ab...,b...->a...", self.inverse_induced_metric, low)
+        return self._with_inverse("ab...,b...->a...", low)
 
     def _off_tangent(self, cols, order):
         """The 0/1 fields ``cols``, each (D, grid...), as the columns w_k of a
@@ -513,7 +528,7 @@ class Geometry:
         removed from every column.  In codimension >= 2 the pick can jump
         between neighbouring nodes."""
         D, k = self.ambient_dim, self.codim
-        g = self.ambient_metric
+        g = self.ambient_metric(0)
         slot = np.arange(D).reshape((D,) + (1,) * len(self.grid_shape))
         R = self._off_tangent([slot == m for m in range(D)], 0)
         g0 = np.asarray(g.value, float)
@@ -546,6 +561,7 @@ class Geometry:
     def _build_normal_frame(self, order):
         D, d, k = self.ambient_dim, self.dim, self.codim
         grid = self.grid_shape
+        self.inverse_induced_metric(order)   # before the picks read values
         R = self._off_tangent(self._normal_picks, order)
         normals = []
         for i in range(k):
@@ -617,7 +633,7 @@ class Geometry:
         held for the geometry's life, fragment the heap (peak RSS +3.5 MiB
         on the ``curved-high-order`` bench workload)."""
         def build(order):
-            gn = jet_einsum("mn...,in...->im...", self.ambient_metric,
+            gn = jet_einsum("mn...,in...->im...", self.ambient_metric(order),
                             self.normal_frame(order))
             block = iter(np.stack([x for x in gn.c if x is not None]))
             return Jet(gn.nvars, gn.order,
@@ -635,8 +651,7 @@ class Geometry:
 
     @cached_property
     def mean_curvature(self):
-        return jet_einsum("ab...,abi...->i...", self.inverse_induced_metric,
-                          self.extrinsic_curvature)
+        return self._with_inverse("ab...,abi...->i...", self.extrinsic_curvature)
 
     def twist(self, order):
         """Normal-bundle connection w[a, i, j] = <n^i, D_a n^j> at order
@@ -653,23 +668,24 @@ class Geometry:
         metric's partials'), the order of the connection terms that read
         it (`_at_order`)."""
         def build(m):
-            dgamma = self.partials(self.induced_metric.truncated(m + 1))
-            return christoffel_from_metric(self.inverse_induced_metric, dgamma)
+            dgamma = self.partials(self.induced_metric(m + 1))
+            return christoffel_from_metric(self.inverse_induced_metric(m),
+                                           dgamma)
         return self._at_order("wv_christoffel", order,
-                              self.induced_metric.order - 1, build)
+                              self.tangents.order - 1, build)
 
     @cached_property
     def intrinsic_riemann(self):
-        g = self.induced_metric
+        g = self.induced_metric(self.tangents.order)
         dg = self.partials(g)
         ddg = self.partials(dg)
-        return riemann_from_metric(g, self.inverse_induced_metric, dg, ddg)
+        return riemann_from_metric(g, self.inverse_induced_metric(ddg.order),
+                                   dg, ddg)
 
     @cached_property
     def intrinsic_scalar_curvature(self):
-        gi = self.inverse_induced_metric
-        t = jet_einsum("am...,abmn...->bn...", gi, self.intrinsic_riemann)
-        return jet_einsum("bn...,bn...->...", gi, t)
+        t = self._with_inverse("am...,abmn...->bn...", self.intrinsic_riemann)
+        return self._with_inverse("bn...,bn...->...", t)
 
     def _riemann(self, offset, block, order):
         """All-lower R of the background block ``block`` at ``offset``, along
@@ -803,17 +819,16 @@ class Geometry:
         min(``order``, K's) (`_at_order`)."""
         return self._at_order(
             "k_mixed", order, self.extrinsic_curvature.order,
-            lambda m: jet_einsum("ac...,cbi...->abi...",
-                                 self.inverse_induced_metric,
-                                 self.extrinsic_curvature.truncated(m)))
+            lambda m: self._with_inverse(
+                "ac...,cbi...->abi...", self.extrinsic_curvature.truncated(m)))
 
     def k_raised(self, order):
         """K with both worldvolume indices raised, K^{ab}_i, at order
         min(``order``, K's) (`_at_order`)."""
         return self._at_order(
             "k_raised", order, self.extrinsic_curvature.order,
-            lambda m: jet_einsum("bd...,adi...->abi...",
-                                 self.inverse_induced_metric, self.k_mixed(m)))
+            lambda m: self._with_inverse("bd...,adi...->abi...",
+                                         self.k_mixed(m)))
 
     @cached_property
     def grad_mean(self):
@@ -835,8 +850,7 @@ class Geometry:
     @cached_property
     def grad_mean_up(self):
         """grad^a K^i, the mean-curvature gradient with its index raised."""
-        return jet_einsum("ab...,bi...->ai...", self.inverse_induced_metric,
-                          self.grad_mean)
+        return self._with_inverse("ab...,bi...->ai...", self.grad_mean)
 
     @cached_property
     def gradk_squared_scalar(self):
@@ -853,10 +867,10 @@ class Geometry:
         """Twice-traced structure-equation residual tying the intrinsic
         curvature scalar to K^iK_i - K.K plus the projected ambient
         curvature; zero pointwise for any consistent geometry."""
-        gi, scal = self.inverse_induced_metric, self.intrinsic_scalar_curvature
-        t = jet_einsum("am...,abmn...->bn...", gi,
-                       self.rblock("tttt", scal.order))
-        amb = jet_einsum("bn...,bn...->...", gi, t)
+        scal = self.intrinsic_scalar_curvature
+        t = self._with_inverse("am...,abmn...->bn...",
+                               self.rblock("tttt", scal.order))
+        amb = self._with_inverse("bn...,bn...->...", t)
         return (scal
                 - (self.k_squared_scalar - self.k_dot_k_scalar)
                 - amb)

@@ -90,8 +90,7 @@ PARTIALS = {
         lambda g: g.k_squared_scalar,
         lambda g: 2.0 * jet_einsum("i...,abi...->ab...", g.mean_curvature,
                                    g.extrinsic_curvature),
-        lambda g: 2.0 * jet_einsum("ab...,i...->abi...",
-                                   g.inverse_induced_metric, g.mean_curvature),
+        lambda g: 2.0 * g._with_inverse("ab...,i...->abi...", g.mean_curvature),
         None),
     "k_dot_k": (
         lambda g: g.k_dot_k_scalar,
@@ -106,8 +105,8 @@ PARTIALS = {
                    + 2.0 * jet_einsum("pi...,pabi...->ab...", g.grad_mean_up,
                                       g.grad_extrinsic)),
         None,
-        lambda g: 2.0 * jet_einsum("bc...,ai...->abci...",
-                                   g.inverse_induced_metric, g.grad_mean_up)),
+        lambda g: 2.0 * g._with_inverse("bc...,ai...->abci...",
+                                        g.grad_mean_up)),
 }
 
 

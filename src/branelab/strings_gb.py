@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .jets import cos, cosh, jet_einsum, sin, sinh
+from .jets import Jet, cos, cosh, jet_einsum, sin, sinh
 from .models import _resolve_geometry
 from .symplectic import (
     CanonicalPair,
@@ -83,6 +83,7 @@ def _require_worldsheet(geom: Geometry):
 
 def _sheet_signature(geom: Geometry) -> int:
     """-1 for a Lorentzian sheet, +1 for the Riemannian surrogate."""
+    geom.induced_metric(geom.tangents.order)   # its callers read it there
     s = geom.metric_sign
     if np.all(s < 0):
         return -1
@@ -93,12 +94,14 @@ def _sheet_signature(geom: Geometry) -> int:
 
 def _resolve_gauge(theta, geom: Geometry):
     """Gauge angle as a jet/scalar over the grid; callables get the chart
-    parameters (held fixed under any later embedding deformation)."""
+    parameters (held fixed under any later embedding deformation).
+    `ParameterError` unless each of its values is a finite number."""
     if theta is None:
         return None
-    if callable(theta):
-        return theta(*geom.params)
-    return theta
+    th = theta(*geom.params) if callable(theta) else theta
+    _finite("gauge angle",
+            *np.ravel(th.value if isinstance(th, Jet) else th).tolist())
+    return th
 
 
 @dataclass
@@ -163,7 +166,8 @@ def rotation_connection(geom: Geometry, theta=None):
     """
     frame = tangent_frame(geom, theta)
     Di0 = geom.ambient_covariant(frame.iota0)
-    gi1 = jet_einsum("mn...,n...->m...", geom.ambient_metric, frame.iota1)
+    gi1 = jet_einsum("mn...,n...->m...", geom.ambient_metric(Di0.order),
+                     frame.iota1)
     return -1.0 * jet_einsum("am...,m...->a...", Di0, gi1), frame
 
 
@@ -216,16 +220,17 @@ def gb_symplectic_form(embedding: Embedding, slc: CauchySlice, vf1, vf2,
     """
     (sigma1,) = _finite("gb_symplectic_form: sigma1", sigma1)
     geom, grid, k = _slice_geometry(embedding, slc, 3)
-    low = jet_einsum("am...,mn...->an...", geom.tangents, geom.ambient_metric)
-    dual = jet_einsum("ab...,bn...->an...", geom.inverse_induced_metric, low)
+    low = jet_einsum("am...,mn...->an...", geom.tangents, geom.ambient_metric(0))
+    dual = geom._with_inverse("ab...,bn...->an...", low)
     conormal = np.asarray(dual.value, float)[k]
 
     def fluxes(vg, fields):
+        # sqrt|gamma| at the shifts' order, the tangents', is read before
+        # the frame reads det(gamma)'s sign, so det(gamma) is built once
+        dens = sigma1 * vg.sqrt_abs_det(vg.tangents.order)
         rho, frame = rotation_connection(vg, theta)
-        shifts = [frame.contract(dfm.variation(vg, rho, j))
-                  for j in range(len(fields))]
-        dens = sigma1 * vg.sqrt_abs_det(shifts[0].order)
-        return [dens * shift for shift in shifts]
+        return [dens * frame.contract(dfm.variation(vg, rho, j))
+                for j in range(len(fields))]
 
     D = _variations(geom, (vf1, vf2), fluxes)
     dens = np.einsum("m...,m...->...", conormal, D[0, 1] - D[1, 0])
@@ -363,8 +368,7 @@ def two_d_einstein_identity(target, grid: Grid | None = None) -> float:
     """
     geom = _resolve_geometry(target, grid, 3)
     _require_worldsheet(geom)
-    gi = geom.inverse_induced_metric
-    ricci = jet_einsum("am...,abmn...->bn...", gi, geom.intrinsic_riemann)
-    scal = jet_einsum("bn...,bn...->...", gi, ricci)
-    einstein = ricci - 0.5 * (scal * geom.induced_metric)
+    ricci = geom._with_inverse("am...,abmn...->bn...", geom.intrinsic_riemann)
+    scal = geom._with_inverse("bn...,bn...->...", ricci)
+    einstein = ricci - 0.5 * (scal * geom.induced_metric(scal.order))
     return float(np.max(np.abs(np.asarray(einstein.value, float))))

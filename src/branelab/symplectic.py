@@ -114,8 +114,7 @@ def symplectic_potential(model: LagrangianModel, geom: Geometry, vfield):
     HK = model.h_k(geom)
     HG = model.h_gradk(geom)
     reach = 2 if HG is not None else int(HK is not None)
-    gV = jet_einsum("mn...,n...->m...",
-                    geom.ambient_metric.truncated(top + reach), V)
+    gV = jet_einsum("mn...,n...->m...", geom.ambient_metric(top + reach), V)
 
     psi = model.lagrangian(geom) * geom._chart_of_lowered(
         gV.truncated(min(top, gV.order)))                              # T00
@@ -246,7 +245,7 @@ def symplectic_form(model: LagrangianModel, embedding: Embedding,
 
 def unit_timelike_tangent(geom: Geometry):
     """Normalized timelike tangent along the first chart axis (tau)."""
-    norm2 = geom.induced_metric[0, 0]
+    norm2 = geom.induced_metric(geom.tangents.order)[0, 0]
     if np.any(np.asarray(norm2.value, float) >= 0.0):
         raise DegenerateGeometryError(
             "slice tangent is not timelike everywhere; cannot normalize"
@@ -259,7 +258,7 @@ def dng_momentum_density(geom: Geometry, sigma0: float):
     """Covector density p_hat_alpha = sqrt(-gamma) sigma0 tau_alpha."""
     (sigma0,) = _finite("dng_momentum_density: sigma0", sigma0)
     iota0 = unit_timelike_tangent(geom)
-    tau = jet_einsum("mn...,n...->m...", geom.ambient_metric, iota0)
+    tau = jet_einsum("mn...,n...->m...", geom.ambient_metric(iota0.order), iota0)
     return sigma0 * (geom.sqrt_abs_det(tau.order) * tau)
 
 

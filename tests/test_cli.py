@@ -498,6 +498,27 @@ def test_canonical_darboux_reads_one_varied_geometry_per_form(monkeypatch,
     assert len(builds) == 4
 
 
+def test_gb_gauge_invariance_reads_both_gauges_off_one_varied_geometry(
+        monkeypatch, capsys):
+    varied, builds = [], []
+    vary, init = dfm.varied_geometry, emb.Geometry.__init__
+
+    def counted_vary(geom, *fields):
+        varied.append(len(fields))
+        return vary(geom, *fields)
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dfm, "varied_geometry", counted_vary)
+    monkeypatch.setattr(emb.Geometry, "__init__", counted_init)
+    assert cli.main(["--scenario", "gb-gauge-invariance"]) == 0
+    assert "result: pass" in capsys.readouterr().out
+    assert varied == [1]
+    assert len(builds) == 2
+
+
 def test_singular_perturbed_sphere_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[scenario]\nname = gauss-bonnet\n\n"

@@ -27,10 +27,10 @@ def test_sphere_metric_variation_closed_form():
     phi = dfm.normal_field(g, lambda t, p: c + 0.0 * t)
     V = dfm.deformation_vector(g, phi)
     res = dfm.finite_difference_delta(
-        g, V, lambda gg: np.asarray(gg.induced_metric.value, float)
+        g, V, lambda gg: np.asarray(gg.induced_metric(gg.order).value, float)
     )
     pred = np.asarray(dfm.delta_induced_metric(g, phi).value, float)
-    gamma = np.asarray(g.induced_metric.value, float)
+    gamma = np.asarray(g.induced_metric(g.order).value, float)
     np.testing.assert_allclose(pred, 2 * c * gamma, atol=1e-12)
     np.testing.assert_allclose(res.estimate, pred, atol=1e-7)
 
@@ -221,10 +221,10 @@ def test_decompose_vector_equals_the_written_out_formula(E, shape):
     g = E.geometry(emb.make_grid(E, shape).mesh, 4)
     V = ambient_field(g)
     t, phi = g.chart_components(V), dfm.normal_components(g, V)
-    gV = jets.jet_einsum("mn...,n...->m...", g.ambient_metric, V)
+    gV = jets.jet_einsum("mn...,n...->m...", g.ambient_metric(g.order), V)
     low = jets.jet_einsum("bm...,m...->b...", g.tangents, gV)
     for got, want in ((t, jets.jet_einsum("ab...,b...->a...",
-                                          g.inverse_induced_metric, low)),
+                                          g.inverse_induced_metric(g.order), low)),
                       (phi, jets.jet_einsum("im...,m...->i...", g.normals, gV))):
         assert (got.order, len(got.c)) == (want.order, len(want.c))
         for a, b in zip(got.c, want.c):
@@ -236,7 +236,7 @@ def test_decompose_vector_equals_the_written_out_formula(E, shape):
 def test_decompose_vector_lowers_once(E, shape, monkeypatch):
     g = E.geometry(emb.make_grid(E, shape).mesh, 4)
     V = ambient_field(g)
-    g.normals, g.inverse_induced_metric
+    g.normals, g.inverse_induced_metric(g.order)
     specs = []
 
     def counted(spec, a, b):
@@ -407,7 +407,8 @@ def test_varied_geometry_keeps_base_coefficients_bit_for_bit(E, shape, fn):
     readers = {"normals": lambda g: g.normals,
                "extrinsic_curvature": lambda g: g.extrinsic_curvature,
                "sqrt_abs_det": lambda g: g.sqrt_abs_det(g.order),
-               "inverse_induced_metric": lambda g: g.inverse_induced_metric,
+               "inverse_induced_metric":
+                   lambda g: g.inverse_induced_metric(g.order),
                "twist": lambda g: g.twist(g.order - 2)}
     for name, read in readers.items():
         base, varied = read(geom), read(vg)

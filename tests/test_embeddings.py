@@ -10,6 +10,8 @@ from branelab import deformation as dfm
 from branelab import embeddings as emb
 from branelab import jets
 from branelab import models as mdl
+from branelab import strings_gb as sgb
+from branelab import symplectic as sym
 from branelab.backgrounds import BackgroundMetric
 from branelab.errors import (
     BranelabError,
@@ -48,11 +50,11 @@ def leg_slices(g, legs):
 
 def frame_orthonormality_residual(g):
     F = combined_frame(g, g.order)
-    gf = jets.jet_einsum("mn...,Bn...->Bm...", g.ambient_metric, F)
+    gf = jets.jet_einsum("mn...,Bn...->Bm...", g.ambient_metric(g.order), F)
     gram = jets.jet_einsum("Am...,Bm...->AB...", F, gf).value
     d, D = g.dim, g.ambient_dim
     target = np.zeros_like(np.asarray(gram))
-    gamma = np.asarray(g.induced_metric.value)
+    gamma = np.asarray(g.induced_metric(g.order).value)
     target[:d, :d] = gamma
     for i in range(d, D):
         target[i, i] = 1.0
@@ -65,7 +67,8 @@ def test_plane_is_flat():
     g = geom_of(e, grid.mesh, order=3)
     np.testing.assert_allclose(np.asarray(g.extrinsic_curvature.value), 0.0,
                                atol=1e-14)
-    np.testing.assert_allclose(np.asarray(g.induced_metric.value)[0, 0], 1.0)
+    np.testing.assert_allclose(
+        np.asarray(g.induced_metric(g.order).value)[0, 0], 1.0)
     np.testing.assert_allclose(np.asarray(g.intrinsic_scalar_curvature.value), 0.0,
                                atol=1e-12)
 
@@ -77,7 +80,7 @@ def test_sphere_curvature_values():
     g = geom_of(e, grid.mesh, order=3)
     # K_ab = gamma_ab / r with the outward normal
     K = np.asarray(g.extrinsic_curvature.value)[..., 0, :, :]
-    gamma = np.asarray(g.induced_metric.value)
+    gamma = np.asarray(g.induced_metric(g.order).value)
     np.testing.assert_allclose(K, gamma / r, atol=1e-10)
     mean = np.asarray(g.mean_curvature.value)[0]
     np.testing.assert_allclose(mean, 2.0 / r, atol=1e-10)
@@ -177,7 +180,7 @@ def test_metric_compatibility():
     e = emb.bumpy_torus_e4()
     grid = small_grid(e, (5, 5))
     g = geom_of(e, grid.mesh, order=4)
-    res = np.asarray(g.covariant_grad(g.induced_metric, 2, 0).value)
+    res = np.asarray(g.covariant_grad(g.induced_metric(g.order), 2, 0).value)
     assert np.max(np.abs(res)) < 1e-10
 
 
@@ -185,7 +188,7 @@ def test_static_string_induced_metric():
     e = emb.static_string(1.0)
     grid = small_grid(e, (4, 8))
     g = geom_of(e, grid.mesh, order=3)
-    gamma = np.asarray(g.induced_metric.value)
+    gamma = np.asarray(g.induced_metric(g.order).value)
     np.testing.assert_allclose(gamma[0, 0], -1.0, atol=1e-12)
     np.testing.assert_allclose(gamma[0, 1], 0.0, atol=1e-12)
     np.testing.assert_allclose(gamma[1, 1], 1.0, atol=1e-12)
@@ -445,7 +448,7 @@ def test_singular_metric_names_grid_indices():
     )
     geom = pinched.geometry(emb.make_grid(pinched, (5, 4)).mesh, 2)
     with pytest.raises(DegenerateGeometryError, match=r"grid indices \[\[2, 0\]"):
-        geom.inverse_induced_metric
+        geom.inverse_induced_metric(geom.order)
 
 
 def test_rframe_constant_curvature_form():
@@ -454,7 +457,7 @@ def test_rframe_constant_curvature_form():
     )
     # projected on an orthonormal-ish frame: R_ABCE = (h_AC h_BE - h_AE h_BC)/r^2
     F = combined_frame(g, 1)
-    gf = jets.jet_einsum("mn...,Bn...->Bm...", g.ambient_metric, F)
+    gf = jets.jet_einsum("mn...,Bn...->Bm...", g.ambient_metric(g.order), F)
     h = np.asarray(jets.jet_einsum("Am...,Bm...->AB...", F, gf).value)
     expect = (np.einsum("AC...,BE...->ABCE...", h, h)
               - np.einsum("AE...,BC...->ABCE...", h, h)) / 1.4**2
@@ -538,7 +541,7 @@ def test_lower_undoes_raised_extrinsic_curvature():
     E = emb.ellipsoid()
     g = E.geometry(small_grid(E, (5, 6)).mesh, 3)
     K = np.asarray(g.extrinsic_curvature.value)
-    gam = np.asarray(g.induced_metric.value)
+    gam = np.asarray(g.induced_metric(g.order).value)
     low2 = np.einsum("ac...,bd...,cdi...->abi...", gam, gam,
                      np.asarray(g.k_raised(0).value))
     low1 = np.einsum("ac...,cbi...->abi...", gam, np.asarray(g.k_mixed(0).value))
@@ -553,7 +556,7 @@ def reference_divergence(g, T, n_up, n_nor):
     gamma_ab, take the full covariant gradient, trace the new index with
     the first slot through gamma^{ab}, and raise the other slots again."""
     idx = "abcdefgh"[:n_up + n_nor]
-    gam, gi = g.induced_metric, g.inverse_induced_metric
+    gam, gi = g.induced_metric(g.order), g.inverse_induced_metric(g.order)
     for p in range(n_up):
         spec = f"{idx[p]}z...,{idx[:p]}z{idx[p + 1:]}...->{idx}..."
         T = jets.jet_einsum(spec, gam, T)
@@ -569,7 +572,7 @@ def reference_divergence(g, T, n_up, n_nor):
 def upper_test_tensors(g):
     """One upper-index tensor per (n_up, n_nor), built from g's own jets
     and with no symmetry between its worldvolume slots."""
-    gi = g.inverse_induced_metric
+    gi = g.inverse_induced_metric(g.order)
     u = jets.jet_einsum("ab...,b...->a...", gi,
                         g.partials(g.k_squared_scalar))
     G, Kr = g.grad_mean_up, g.k_raised(g.order)
@@ -605,7 +608,7 @@ def test_divergence_matches_lowered_gradient_trace(name):
 def loop_normals(g):
     """Reference normal frame built one ambient basis vector at a time."""
     D, grid = g.ambient_dim, g.grid_shape
-    e, ginv = g.tangents, g.inverse_induced_metric
+    e, ginv = g.tangents, g.inverse_induced_metric(g.order)
     normals = []
     for _ in range(g.codim):
         residuals, norms = [], []
@@ -614,7 +617,8 @@ def loop_normals(g):
             seed[mu] = 1.0
             u = jets.Jet.constant(np.broadcast_to(seed, (D,) + grid).copy(),
                                   g.X.nvars, g.X.order)
-            t = jets.jet_einsum("mn...,n...->m...", g.ambient_metric, u)
+            t = jets.jet_einsum("mn...,n...->m...",
+                                g.ambient_metric(g.order), u)
             t = jets.jet_einsum("am...,m...->a...", e, t)
             proj = jets.jet_einsum("ab...,b...->a...", ginv, t)
             r = u - jets.jet_einsum("a...,am...->m...", proj, e)
@@ -717,6 +721,9 @@ def test_frame_and_twist_built_low_are_prefixes_of_the_full_build(make):
 
 # the ordered accessors besides the frame and the twist, read at order m
 ORDERED = {
+    "ambient_metric": lambda g, m: g.ambient_metric(m),
+    "induced_metric": lambda g, m: g.induced_metric(m),
+    "inverse_induced_metric": lambda g, m: g.inverse_induced_metric(m),
     "det_induced_metric": lambda g, m: g.det_induced_metric(m),
     "sqrt_abs_det": lambda g, m: g.sqrt_abs_det(m),
     "k_mixed": lambda g, m: g.k_mixed(m),
@@ -752,8 +759,9 @@ def test_ordered_tensors_built_low_are_prefixes_of_the_full_build(make):
             if m < want[name].order:
                 assert_same_bits(read(low, m), want[name].truncated(m))
     caps = {name: w.order for name, w in want.items()}
-    metric = full.induced_metric.order
+    metric = full.induced_metric(full.order).order
     assert caps["det_induced_metric"] == caps["sqrt_abs_det"] == metric
+    assert caps["ambient_metric"] == caps["inverse_induced_metric"] == metric
     assert caps["wv_christoffel"] == metric - 1
     assert caps["k_mixed"] == caps["k_raised"] == full.order - 2
     assert caps["jacobi"] == caps["rblock[nttn]"] == 1
@@ -772,6 +780,81 @@ def test_ordered_accessors_reject_an_order_that_is_not_a_whole_number(read,
     g = emb.surface_s2xs2().geometry([0.2, -0.3], 4)
     with pytest.raises(PreconditionError, match=r"needs an order >= 0"):
         read(g, order)
+
+
+@pytest.mark.parametrize("make", PREFIX_CASES)
+def test_metric_family_is_built_once_at_no_less_than_k_order(make):
+    # a read below K's order builds at K's order, and a later read up to
+    # it is a prefix of that build
+    top = make().tangents.order
+    names = ("ambient_metric", "induced_metric", "inverse_induced_metric")
+    for m in range(top + 1):
+        g = make()
+        g.inverse_induced_metric(m)
+        held = {name: g._held[name] for name in names}
+        assert {h.order for h in held.values()} == {max(m, top - 1)}
+        for k in range(max(m, top - 1) + 1):
+            for name in names:
+                assert_same_bits(ORDERED[name](g, k), held[name].truncated(k))
+                assert g._held[name] is held[name]
+
+
+def _spy_rebuilds(monkeypatch):
+    """Every (geometry order, name) that `Geometry._at_order` builds again
+    on a geometry that already holds it."""
+    rebuilt, original = [], emb.Geometry._at_order
+
+    def spied(geom, name, *args):
+        held = geom._held.get(name)
+        out = original(geom, name, *args)
+        if held is not None and geom._held[name] is not held:
+            rebuilt.append((geom.order, name))
+        return out
+
+    monkeypatch.setattr(emb.Geometry, "_at_order", spied)
+    return rebuilt
+
+
+def _windowed_field(geom):
+    u, v = geom.params
+    phi = dfm.normal_field(geom, lambda u, v: 0.4 + 0.3 * jets.sin(u),
+                           lambda u, v: 0.1 + 0.3 * jets.cos(v))
+    win = dfm.poly_window(u) * dfm.poly_window(v)
+    return dfm.deformation_vector(geom, win * phi)
+
+
+def test_no_tensor_is_built_twice_in_an_order_6_action_check(monkeypatch):
+    rebuilt = _spy_rebuilds(monkeypatch)
+    E = emb.surface_s2xs2()
+    mdl.action_variation_check(mdl.SyntheticGradK(beta=0.6), E,
+                               small_grid(E, 8), _windowed_field)
+    assert rebuilt == []
+
+
+def test_no_tensor_is_built_twice_in_a_deformation_oracle_run(monkeypatch,
+                                                              capsys):
+    rebuilt = _spy_rebuilds(monkeypatch)
+    assert cli.main(["--scenario", "deformation-oracle"]) == 0
+    assert rebuilt == []
+
+
+def test_no_tensor_is_built_twice_in_a_dnggb_form(monkeypatch):
+    rebuilt = _spy_rebuilds(monkeypatch)
+    E = emb.static_string(1.0)
+    slc = sym.CauchySlice("tau", 0.9, 16)
+    fields = [sym.chart_field(lambda t, s: (0.2 * jets.sin(2 * s) * jets.cos(t),
+                                            0.0, 0.0, 0.0)),
+              sym.chart_field(lambda t, s: (0.0, 0.2 * jets.sin(t) * jets.cos(s),
+                                            0.2 * jets.sin(t) * jets.sin(s),
+                                            0.0))]
+    sgb.dnggb_symplectic_form(E, slc, *fields, sigma0=1.2, sigma1=0.9,
+                              theta=cli.gauge_angle)
+    assert rebuilt == []
+    # the GB form's fluxes and a curvature density read gamma at the
+    # tangents' order after the sheet's signature
+    sgb.gb_symplectic_form(E, slc, *fields, 0.9, theta=cli.gauge_angle)
+    sgb.curvature_density(emb.sphere_polar(1.0), 8)
+    assert rebuilt == []
 
 
 # -- order-on-demand ambient tensors ----------------------------------------
@@ -823,7 +906,8 @@ def test_low_order_ambient_tensors_match_full_order_reference(E, shape):
     assert g.second_fundamental.order == sf.order == 4
     assert_coeffs_close(g.second_fundamental, sf, len(sf.c))
     Dn = full_order_covariant(g, g.normals)
-    gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric, g.normals)
+    gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric(g.order),
+                         g.normals)
     twist = jets.jet_einsum("ajm...,im...->aij...", Dn, gn)
     assert_coeffs_close(g.twist(g.order - 2), twist, len(twist.c))
 
@@ -851,8 +935,9 @@ def test_inverse_metric_value_independent_of_order():
     E = emb.surface_s2xs2()
     mesh = small_grid(E, (3, 4)).mesh
     low, high = E.geometry(mesh, 3), E.geometry(mesh, 4)
-    np.testing.assert_array_equal(low.inverse_induced_metric.value,
-                                  high.inverse_induced_metric.value)
+    np.testing.assert_array_equal(
+        low.inverse_induced_metric(low.order).value,
+        high.inverse_induced_metric(high.order).value)
     np.testing.assert_array_equal(low.k_squared_scalar.value,
                                   high.k_squared_scalar.value)
 
@@ -920,10 +1005,11 @@ def test_chart_components_equal_the_written_out_formula(E, shape, varied):
         W1, W2 = W1.lift(g.X.nvars), W2.lift(g.X.nvars)
     block = jets.jet_rearrange("km...->mk...", jets.jet_stack([W1, W2]))
     for W, k in ((W1, ""), (block, "k")):
-        gW = jets.jet_einsum(f"mn...,n{k}...->m{k}...", g.ambient_metric, W)
+        gW = jets.jet_einsum(f"mn...,n{k}...->m{k}...",
+                             g.ambient_metric(g.order), W)
         low = jets.jet_einsum(f"am...,m{k}...->a{k}...", g.tangents, gW)
         want = jets.jet_einsum(f"ab...,b{k}...->a{k}...",
-                               g.inverse_induced_metric, low)
+                               g.inverse_induced_metric(g.order), low)
         assert_jets_identical(g.chart_components(W), want)
 
 
@@ -952,7 +1038,8 @@ def test_per_block_contractions_equal_the_dense_tensors(E, offsets):
         assert_jets_identical(g.ambient_covariant(W), full_order_covariant(g, W))
     sf = full_order_covariant(g, g.tangents)
     assert_jets_identical(g.second_fundamental, sf.truncated(g.order - 2))
-    gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric, g.normals)
+    gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric(g.order),
+                         g.normals)
     twist = jets.jet_einsum("ajm...,im...->aij...",
                             full_order_covariant(g, g.normals), gn)
     assert_jets_identical(g.twist(g.order - 2), twist)
@@ -987,7 +1074,8 @@ def test_k_and_twist_share_one_lowering_of_the_normals(monkeypatch):
     g = E.geometry(small_grid(E, (2, 3)).mesh, 6)
     mdl.eom_density(mdl.SyntheticGradK(beta=0.6), g)
     assert specs.count("mn...,in...->im...") == 1
-    gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric, g.normals)
+    gn = jets.jet_einsum("mn...,in...->im...", g.ambient_metric(g.order),
+                         g.normals)
     assert_jets_identical(g.extrinsic_curvature, -1.0 * jets.jet_einsum(
         "abm...,im...->abi...", g.second_fundamental, gn))
     assert_jets_identical(g.twist(g.order - 2), jets.jet_einsum(
@@ -1037,7 +1125,7 @@ def test_intrinsic_curvature_contracts_at_the_order_it_keeps(E, shape,
 
     monkeypatch.setattr(backgrounds, "jet_einsum", recorded)
     g = E.geometry(small_grid(E, shape).mesh, 5)
-    g.induced_metric, g.inverse_induced_metric
+    g.induced_metric(g.order), g.inverse_induced_metric(g.order)
     assert g.intrinsic_riemann.order == 2
     assert orders and set(orders) == {2}
 

@@ -30,7 +30,7 @@ def string_geometry(n=(8, 20), order=4, radius=1.0):
 
 
 def frame_dots(geom, frame):
-    g = np.asarray(geom.ambient_metric.value, float)
+    g = np.asarray(geom.ambient_metric(geom.order).value, float)
     i0 = np.asarray(frame.iota0.value, float)
     i1 = np.asarray(frame.iota1.value, float)
     d00 = np.einsum("mn...,m...,n...->...", g, i0, i0)
@@ -128,6 +128,14 @@ def test_array_gauge_angle_matches_scalar(builder):
     np.testing.assert_allclose(sgb.rotation_connection(geom, arr)[0].value,
                                sgb.rotation_connection(geom, 0.6)[0].value,
                                rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("theta", [np.inf, "x", lambda t, s: s + np.nan],
+                         ids=["inf", "str", "callable-nan"])
+def test_gauge_angle_must_be_finite_numbers(theta):
+    geom, _ = string_geometry()
+    with pytest.raises(ParameterError, match="gauge angle"):
+        sgb.tangent_frame(geom, theta)
 
 
 def test_frame_rejects_spacelike_seed():
@@ -473,9 +481,9 @@ def nested_fd_gb_form(E, slc, vf1, vf2, sigma1, theta=None):
     geom = E.geometry(grid.mesh, 5)
     th = None if theta is None else theta(*geom.params)
     low = jets.jet_einsum("am...,mn...->an...", geom.tangents,
-                          geom.ambient_metric)
+                          geom.ambient_metric(geom.order))
     dual = jets.jet_einsum("ab...,bn...->an...",
-                           geom.inverse_induced_metric, low)
+                           geom.inverse_induced_metric(geom.order), low)
     conormal = np.asarray(dual.value, float)[k]
     V1, V2 = vf1(geom), vf2(geom)
 

@@ -69,7 +69,7 @@ def test_quadratic_potential_matches_closed_form():
         V = sym.chart_field(fn)(geom)
         field = sym.symplectic_potential(model, geom, V)
         t, phi = geom.chart_components(V), dfm.normal_components(geom, V)
-        ginv = geom.inverse_induced_metric
+        ginv = geom.inverse_induced_metric(geom.order)
         K = geom.mean_curvature
         gradk_up = jet_einsum("ab...,bi...->ai...", ginv,
                               geom.covariant_grad(K, 0, 1))
@@ -495,7 +495,7 @@ def test_potential_needs_one_order_below_the_field_equations():
 def _hg_potential_at_full_order(model, geom, V):
     """The HG model's kernel table with each piece at the order its inputs
     allow and grad phi built twice (once inside `delta_extrinsic`)."""
-    gV = jet_einsum("mn...,n...->m...", geom.ambient_metric, V)
+    gV = jet_einsum("mn...,n...->m...", geom.ambient_metric(geom.order), V)
     psi = model.lagrangian(geom) * geom._chart_of_lowered(gV)          # T00
     HG = model.h_gradk(geom)
     phi = jet_einsum("im...,m...->i...", geom.normal_frame(gV.order), gV)

@@ -18,11 +18,14 @@ carry them:
     geometries every Geometry.__init__ call of the counted pass: the
              worldvolume geometries it builds, varied and re-embedded
              ones included
+    rebuilds every tensor that Geometry._at_order builds again, at a
+             higher order, on a geometry that already holds it at a lower
+             one; each such build repeats the work of the lower one
 
 and prints `<workload> einsum <calls> cauchy <terms> __mul__ <terms>
 jet_einsum <terms> _compose <terms> jet_matinv <terms> peak_mib <MiB>
-geometries <n>`.  The counts and the peak are deterministic, so two trees
-compare by a diff of their lines:
+geometries <n> rebuilds <n>`.  The counts and the peak are deterministic,
+so two trees compare by a diff of their lines:
 
     PYTHONPATH=OLD/src python3 tools/work_counts.py 1 > old.txt
     PYTHONPATH=NEW/src python3 tools/work_counts.py 1 > new.txt
@@ -41,7 +44,10 @@ one, and the peak falls from 30.63 to 20.56 MiB.  Building each curvature
 block from its legs' frame rows (`Geometry.rblock`), and det(gamma),
 sqrt|gamma|, K^a_b^i, K^{ab}_i and the worldvolume connection at the
 order their readers take, then brings `curved-high-order` to 4267 einsum
-calls, 7816 terms and a 16.28 MiB peak.
+calls, 7816 terms and a 16.28 MiB peak; building g_{mn}, gamma_ab and
+gamma^{ab} once each, at no less than K's order, to 3709 calls, 6730 terms
+and 14.49 MiB.  A rebuild is work a lower build already did, so every
+workload should print `rebuilds 0`.
 """
 import os
 import pathlib
@@ -73,6 +79,7 @@ class _Counts:
         self.einsum_calls = 0
         self.cauchy_terms = Counter()
         self.geometries = 0
+        self.rebuilds = Counter()
         self._sum = jets._cauchy
 
     def __getattr__(self, name):
@@ -97,6 +104,16 @@ class _Counts:
             init(geom, *args, **kwargs)
         return counted
 
+    def at_order(self, at_order):
+        """``at_order``, Geometry._at_order, counting its rebuilds by name."""
+        def counted(geom, name, *args, **kwargs):
+            held = geom._held.get(name)
+            out = at_order(geom, name, *args, **kwargs)
+            if held is not None and geom._held[name] is not held:
+                self.rebuilds[name] += 1
+            return out
+        return counted
+
 
 def main(argv):
     if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
@@ -109,7 +126,9 @@ def main(argv):
         counts = _Counts()
         jets.np, jets._cauchy = counts, counts.cauchy
         init = embeddings.Geometry.__init__
+        at_order = embeddings.Geometry._at_order
         embeddings.Geometry.__init__ = counts.geometry(init)
+        embeddings.Geometry._at_order = counts.at_order(at_order)
         tracemalloc.start()
         try:
             for op in ops:
@@ -119,11 +138,13 @@ def main(argv):
             tracemalloc.stop()
             jets.np, jets._cauchy = np, counts._sum
             embeddings.Geometry.__init__ = init
+            embeddings.Geometry._at_order = at_order
         terms = counts.cauchy_terms
         print(name, "einsum", counts.einsum_calls,
               "cauchy", sum(terms.values()),
               *(f"{entry} {terms[entry]}" for entry in ENTRY_POINTS),
-              f"peak_mib {peak / 2**20:.2f}", "geometries", counts.geometries)
+              f"peak_mib {peak / 2**20:.2f}", "geometries", counts.geometries,
+              "rebuilds", sum(counts.rebuilds.values()))
 
 
 if __name__ == "__main__":
